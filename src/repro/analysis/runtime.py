@@ -29,9 +29,10 @@ from ..core.engine import EngineConfig, get_engine, stc_like_engine
 from ..cpu.params import MachineParams, default_machine
 from ..errors import ConfigurationError
 from ..cpu.simulator import CycleApproximateSimulator, SimulationResult
-from ..kernels.gemm import build_dense_gemm_kernel
+from ..kernels.gemm import build_dense_gemm_kernel  # noqa: F401  (see kernels.sharding)
+from ..kernels.memo import build_kernel
 from ..kernels.program import KernelProgram
-from ..kernels.spmm import build_spmm_kernel
+from ..kernels.spmm import build_spmm_kernel  # noqa: F401
 from ..types import SparsityPattern
 from ..workloads.layers import WorkloadLayer
 
@@ -106,15 +107,15 @@ def build_layer_kernel(
     The engine's :meth:`EngineConfig.executable_pattern` decides how much of
     the weight sparsity it can actually exploit: dense engines always run the
     dense kernel, the STC-like engine runs 1:4 weights with its 2:4 path, and
-    full VEGETA-S engines exploit the pattern natively.
+    full VEGETA-S engines exploit the pattern natively.  Engines executing
+    the same kernel share one memoized trace (:func:`build_kernel`).
     """
     executed = engine.executable_pattern(pattern)
-    shape = layer.gemm
     if executed is SparsityPattern.DENSE_4_4:
-        return build_dense_gemm_kernel(
-            shape, max_output_tiles=max_output_tiles, geometry=engine.geometry
+        return build_kernel(
+            "gemm", layer.gemm, max_output_tiles=max_output_tiles, geometry=engine.geometry
         )
-    return build_spmm_kernel(shape, executed, max_output_tiles=max_output_tiles)
+    return build_kernel("spmm", layer.gemm, executed, max_output_tiles=max_output_tiles)
 
 
 @dataclass(frozen=True)

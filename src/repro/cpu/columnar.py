@@ -38,7 +38,7 @@ sharded kernel — never pay for object construction at all.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -313,8 +313,13 @@ class TraceBuilder:
     # -- completion -------------------------------------------------------------
 
     def finish(self) -> "ColumnarTrace":
-        """Freeze the appended rows into a :class:`ColumnarTrace`."""
-        columns = np.array(self._rows, dtype=TRACE_DTYPE)
+        """Freeze the appended rows into a read-only :class:`ColumnarTrace`.
+
+        The columns are marked non-writeable: one built trace may be shared
+        by many kernel programs (:func:`repro.kernels.memo.build_kernel`) and
+        caches views derived from its content, so no holder may edit it.
+        """
+        columns = _read_only(np.array(self._rows, dtype=TRACE_DTYPE))
         if len(self._labels) >= _LABEL_BOUND:
             raise SimulationError(
                 f"trace carries {len(self._labels)} distinct labels; "
@@ -423,26 +428,61 @@ def lru_outcome_bits(ids: np.ndarray, num_sets: int, associativity: int) -> np.n
     return hit_lanes[sets, within]
 
 
-def _level_outcome_hits(digest, level, ids: np.ndarray) -> np.ndarray:
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """Mark an array that a shared trace holds or hands out as read-only."""
+    array.flags.writeable = False
+    return array
+
+
+def _first_appearance_ranks(values: np.ndarray) -> np.ndarray:
+    """Each element's value renumbered in order of first appearance."""
+    _, first_index, inverse = np.unique(values, return_index=True, return_inverse=True)
+    order = np.argsort(first_index, kind="stable")
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order), dtype=np.int64)
+    return rank[inverse]
+
+
+def _level_key(level) -> tuple:
+    """The cache-level fields the address-structure hash reads."""
+    return (level.name, level.line_bytes, level.num_sets, level.associativity)
+
+
+def _may_evict(distinct: np.ndarray, level) -> bool:
+    """True when some set of ``level`` maps more of the distinct lines than it has ways."""
+    per_set = np.bincount(distinct % level.num_sets, minlength=level.num_sets)
+    return bool(per_set.max(initial=0) > level.associativity)
+
+
+def _outcome_hits(level, distinct: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Exact per-access LRU hit mask of ``level`` for the line stream ``ids``.
+
+    A level that cannot evict on this footprint (see :func:`_may_evict`)
+    resolves every access by first-touch residency, so the replay is skipped.
+    """
+    if _may_evict(distinct, level):
+        return lru_outcome_bits(ids, level.num_sets, level.associativity)
+    return ~_first_touch_mask(ids)
+
+
+def _fold_outcomes(digest, level, distinct: np.ndarray, ids: np.ndarray, hits=None) -> None:
     """Fold one cache level's exact hit/miss outcomes into ``digest``.
 
     When no set of the level can hold more distinct footprint lines than its
     associativity, the level can never evict: every access resolves by
     first-touch residency, which the rank sequence already pins, so a
     constant marker suffices.  Otherwise the outcome bitmask of the exact
-    LRU replay is folded in.
+    LRU replay (``hits``, replayed here when not given) is folded in.
     """
     if not len(ids):
         digest.update(f"{level.name}:empty".encode())
-        return np.zeros(0, dtype=bool)
-    per_set = np.bincount(np.unique(ids) % level.num_sets, minlength=level.num_sets)
-    if per_set.max(initial=0) <= level.associativity:
+    elif not _may_evict(distinct, level):
         digest.update(f"{level.name}:no-evictions".encode())
-        return ~_first_touch_mask(ids)
-    hits = lru_outcome_bits(ids, level.num_sets, level.associativity)
-    digest.update(f"{level.name}:".encode())
-    digest.update(np.packbits(hits).tobytes())
-    return hits
+    else:
+        if hits is None:
+            hits = lru_outcome_bits(ids, level.num_sets, level.associativity)
+        digest.update(f"{level.name}:".encode())
+        digest.update(np.packbits(hits).tobytes())
 
 
 class ColumnarTrace(Sequence):
@@ -454,18 +494,16 @@ class ColumnarTrace(Sequence):
     trace whose ops cannot be expressed columnar (foreign ``TraceOp``
     variants) degrades gracefully: it still behaves as a sequence, but the
     vectorised views — and therefore the memoization key — are unavailable.
+
+    Everything derived from the trace content alone is computed once and
+    kept on the trace (:meth:`derived`): signature ids, the structure
+    digest, footprint lines, L1 outcome bits, address-structure hashes and
+    the fast path's oracle scripts.  Each view's key names exactly the
+    machine fields the view reads, so one trace shared by many simulations
+    (engines, machines, cores, trials) answers each distinct question once.
     """
 
-    __slots__ = (
-        "columns",
-        "labels",
-        "geometry",
-        "_ops",
-        "_partial",
-        "_signature_ids",
-        "_structure_digest",
-        "_line_cache",
-    )
+    __slots__ = ("columns", "labels", "geometry", "_ops", "_partial", "_views")
 
     def __init__(
         self,
@@ -481,9 +519,7 @@ class ColumnarTrace(Sequence):
         self.geometry = geometry
         self._ops = ops
         self._partial: Optional[List[Optional[TraceOp]]] = None
-        self._signature_ids: Optional[np.ndarray] = None
-        self._structure_digest: Optional[bytes] = None
-        self._line_cache: Optional[Tuple[int, np.ndarray]] = None
+        self._views: Dict[tuple, Any] = {}
 
     # -- construction -----------------------------------------------------------
 
@@ -539,8 +575,8 @@ class ColumnarTrace(Sequence):
         return iter(self.ops())
 
     def __getstate__(self):
-        # Materialised ops are a cache when columns exist; do not ship them
-        # across process boundaries.
+        # Materialised ops and derived views are caches when columns exist;
+        # do not ship them across process boundaries.
         ops = self._ops if self.columns is None else None
         return (self.columns, self.labels, ops, self.geometry)
 
@@ -551,9 +587,21 @@ class ColumnarTrace(Sequence):
         else:
             self.columns, self.labels, self._ops, self.geometry = state
         self._partial = None
-        self._signature_ids = None
-        self._structure_digest = None
-        self._line_cache = None
+        self._views = {}
+
+    def derived(self, key: tuple, compute: Callable[[], Any]) -> Any:
+        """The view named ``key``, computed by ``compute()`` on first request.
+
+        ``key`` must name the view and every input beyond the trace content
+        that ``compute`` reads (e.g. the cache-geometry fields of a
+        machine), so equal keys always denote equal values.  A value is
+        stored only once ``compute`` returns, so an interrupted computation
+        leaves no partial view behind.
+        """
+        views = self._views
+        if key not in views:
+            views[key] = compute()
+        return views[key]
 
     # -- materialisation --------------------------------------------------------
 
@@ -702,19 +750,14 @@ class ColumnarTrace(Sequence):
         rank of the packed word (content-derived) times ``_FEED_BOUND`` plus
         the shifted feed value is again a unique content word.
         """
-        if self._signature_ids is None:
-            packed = self._packed_signatures()
-            feed = self.columns["feed"].astype(np.int64) + 1
-            values = np.unique(packed)
-            combined = np.searchsorted(values, packed) * np.int64(_FEED_BOUND) + feed
-            _, first_index, inverse = np.unique(
-                combined, return_index=True, return_inverse=True
-            )
-            order = np.argsort(first_index, kind="stable")
-            rank = np.empty(len(order), dtype=np.int64)
-            rank[order] = np.arange(len(order), dtype=np.int64)
-            self._signature_ids = rank[inverse]
-        return self._signature_ids
+        return self.derived(("signature-ids",), self._signature_ids)
+
+    def _signature_ids(self) -> np.ndarray:
+        packed = self._packed_signatures()
+        feed = self.columns["feed"].astype(np.int64) + 1
+        values = np.unique(packed)
+        combined = np.searchsorted(values, packed) * np.int64(_FEED_BOUND) + feed
+        return _read_only(_first_appearance_ranks(combined))
 
     def summarize_span(self, start: int, end: int) -> TraceSummary:
         """Instruction-mix summary of ``trace[start:end]`` via bincounts."""
@@ -767,19 +810,12 @@ class ColumnarTrace(Sequence):
             (int(value) // _NBYTES_BOUND, int(value) % _NBYTES_BOUND) for value in unique
         ]
 
-    def _line_expansion(self, line_bytes: int) -> np.ndarray:
+    def _expand_lines(self, line_bytes: int) -> np.ndarray:
         """Line number of every cache-line access, in program order.
 
-        Cached per line size: one ``simulate_multicore`` call needs this
-        stream twice per program (memoization key + shared-L3 footprint).
+        Not kept: at several lines per row it is the largest per-trace array,
+        and every view built from it is kept instead.
         """
-        if self._line_cache is not None and self._line_cache[0] == line_bytes:
-            return self._line_cache[1]
-        lines = self._expand_lines(line_bytes)
-        self._line_cache = (line_bytes, lines)
-        return lines
-
-    def _expand_lines(self, line_bytes: int) -> np.ndarray:
         cols = self.columns
         addresses = cols["address"]
         mask = addresses >= 0
@@ -795,23 +831,46 @@ class ColumnarTrace(Sequence):
         return np.repeat(first, counts) + (np.arange(total, dtype=np.int64) - offsets)
 
     def footprint_line_numbers(self, line_bytes: int) -> np.ndarray:
-        """Distinct cache-line numbers referenced by the trace."""
-        return np.unique(self._line_expansion(line_bytes))
+        """Distinct cache-line numbers referenced by the trace, sorted."""
+        return self.derived(
+            ("footprint-lines", line_bytes),
+            lambda: _read_only(np.unique(self._expand_lines(line_bytes))),
+        )
+
+    def l1_outcome_bits(self, l1) -> np.ndarray:
+        """Exact hit mask of every cache-line access under the LRU cache ``l1``.
+
+        One replay per L1 geometry serves both the memo key
+        (:meth:`address_structure_hash`) and the fast path's oracle script
+        (:func:`repro.cpu.fastsim._build_oracle`).
+        """
+        line_bytes = l1.line_bytes
+        return self.derived(
+            ("l1-hits", line_bytes, l1.num_sets, l1.associativity),
+            lambda: _read_only(
+                _outcome_hits(
+                    l1,
+                    self.footprint_line_numbers(line_bytes),
+                    self._expand_lines(line_bytes),
+                )
+            ),
+        )
 
     # -- memoization key --------------------------------------------------------
 
     def _structure_hash(self) -> bytes:
         """Digest of the address-free trace content (cached)."""
-        if self._structure_digest is None:
-            digest = hashlib.sha256()
-            digest.update(np.ascontiguousarray(self._packed_signatures()).tobytes())
-            # The feed column is part of the timing-relevant content: two
-            # traces differing only in their feed-overhead sequences schedule
-            # the engine pipeline differently and must get distinct memo keys.
-            digest.update(np.ascontiguousarray(self.columns["feed"]).tobytes())
-            digest.update("\x00".join(self.labels).encode("utf-8"))
-            self._structure_digest = digest.digest()
-        return self._structure_digest
+        return self.derived(("structure",), self._structure_digest)
+
+    def _structure_digest(self) -> bytes:
+        digest = hashlib.sha256()
+        digest.update(np.ascontiguousarray(self._packed_signatures()).tobytes())
+        # The feed column is part of the timing-relevant content: two traces
+        # differing only in their feed-overhead sequences schedule the engine
+        # pipeline differently and must get distinct memo keys.
+        digest.update(np.ascontiguousarray(self.columns["feed"]).tobytes())
+        digest.update("\x00".join(self.labels).encode("utf-8"))
+        return digest.digest()
 
     def address_structure_hash(self, machine) -> bytes:
         """Digest of the cache *behaviour* the address stream induces.
@@ -837,25 +896,32 @@ class ColumnarTrace(Sequence):
         the members' region offsets fall into different cache sets (the case
         for the address-shifted per-core shards of one kernel, whose shifts
         are rarely multiples of the set spans).
+
+        Cached per (L1, L2, prefetch) geometry; the L2 fields are read only
+        without the ideal prefetch.
         """
-        lines = self._line_expansion(machine.l1.line_bytes)
+        key = ("address-structure", _level_key(machine.l1), machine.prefetch_into_l2)
+        if not machine.prefetch_into_l2:
+            key += (_level_key(machine.l2),)
+        return self.derived(key, lambda: self._address_structure_digest(machine))
+
+    def _address_structure_digest(self, machine) -> bytes:
+        l1 = machine.l1
+        lines = self._expand_lines(l1.line_bytes)
         digest = hashlib.sha256()
         if not len(lines):
             return digest.digest()
-        _, first_index, inverse = np.unique(lines, return_index=True, return_inverse=True)
-        order = np.argsort(first_index, kind="stable")
-        rank = np.empty(len(order), dtype=np.int64)
-        rank[order] = np.arange(len(order), dtype=np.int64)
-        digest.update(np.ascontiguousarray(rank[inverse]).tobytes())
+        digest.update(np.ascontiguousarray(_first_appearance_ranks(lines)).tobytes())
 
-        l1_hits = _level_outcome_hits(digest, machine.l1, lines)
+        l1_hits = self.l1_outcome_bits(l1)
+        _fold_outcomes(digest, l1, self.footprint_line_numbers(l1.line_bytes), lines, l1_hits)
         if machine.prefetch_into_l2:
             # The ideal prefetcher guarantees an L2 hit for every demand the
             # simulator issues (both paths pre-register the full footprint).
             digest.update(b"L2:ideal-prefetch")
         else:
-            l2_lines = (lines * machine.l1.line_bytes) // machine.l2.line_bytes
-            _level_outcome_hits(digest, machine.l2, l2_lines[~l1_hits])
+            misses = ((lines * l1.line_bytes) // machine.l2.line_bytes)[~l1_hits]
+            _fold_outcomes(digest, machine.l2, np.unique(misses), misses)
         return digest.digest()
 
     def simulation_key(self, machine, block_starts=None) -> Optional[str]:

@@ -54,7 +54,7 @@ import numpy as np
 
 from ..core.engine import EngineConfig
 from ..errors import ConfigurationError
-from .columnar import KIND_CODES, lru_outcome_bits
+from .columnar import KIND_CODES
 from .memory import ScriptedHierarchy
 from .params import MachineParams
 from .simulator import SimulationResult, SimulatorState
@@ -249,15 +249,17 @@ class _OracleScript:
     besides the machine state: the content signature id (kind, opcode,
     registers, label, per-op feed overhead) together with the scripted
     memory-delay word and line count of the op's request.  The cumulative
-    arrays turn any skipped span's counter contributions into O(1) prefix-sum
-    differences, bit-identical to stepping the span.
+    arrays, all indexed by op boundary, turn any skipped span's counter
+    contributions into O(1) prefix-sum differences, bit-identical to
+    stepping the span; only ``hit_bits`` (shared with the trace's L1 view)
+    is per cache line.
     """
 
     __slots__ = (
         "hit_bits",
         "inputs",
         "line_offset",
-        "line_hits_cum",
+        "hits_cum",
         "requests_cum",
         "bytes_cum",
         "computes_cum",
@@ -268,7 +270,7 @@ class _OracleScript:
         hit_bits: np.ndarray,
         inputs: np.ndarray,
         line_offset: np.ndarray,
-        line_hits_cum: np.ndarray,
+        hits_cum: np.ndarray,
         requests_cum: np.ndarray,
         bytes_cum: np.ndarray,
         computes_cum: np.ndarray,
@@ -276,13 +278,32 @@ class _OracleScript:
         self.hit_bits = hit_bits
         self.inputs = inputs
         self.line_offset = line_offset
-        self.line_hits_cum = line_hits_cum
+        self.hits_cum = hits_cum
         self.requests_cum = requests_cum
         self.bytes_cum = bytes_cum
         self.computes_cum = computes_cum
 
 
-def _build_oracle(machine: MachineParams, columnar, signatures: np.ndarray):
+def _oracle_script(machine: MachineParams, columnar) -> Optional[_OracleScript]:
+    """The trace's oracle script under ``machine``, built once per trace.
+
+    The script reads the trace content, the L1 geometry and latency and the
+    L2 hit latency — the view's key — so every engine that runs the trace on
+    such a machine replays one script.
+    """
+    l1 = machine.l1
+    key = (
+        "oracle-script",
+        l1.line_bytes,
+        l1.num_sets,
+        l1.associativity,
+        l1.hit_latency,
+        machine.l2.hit_latency,
+    )
+    return columnar.derived(key, lambda: _build_oracle(machine, columnar))
+
+
+def _build_oracle(machine: MachineParams, columnar) -> Optional[_OracleScript]:
     """Precompute the scripted outcomes and packed input words, or None.
 
     Only valid under the ideal L2 prefetch: every L1 miss is then an L2 hit
@@ -306,14 +327,7 @@ def _build_oracle(machine: MachineParams, columnar, signatures: np.ndarray):
         if counts[mem_mask].min(initial=1) <= 0:
             return None  # zero-byte request: let the exact path raise
 
-    lines = columnar._line_expansion(line_bytes)
-    if len(lines):
-        hit_bits = lru_outcome_bits(
-            lines, machine.l1.num_sets, machine.l1.associativity
-        )
-    else:
-        hit_bits = np.zeros(0, dtype=bool)
-
+    hit_bits = columnar.l1_outcome_bits(machine.l1)
     line_offset = np.concatenate(([0], np.cumsum(counts)))
     total = int(line_offset[-1])
     delay = np.zeros(n, dtype=np.int64)
@@ -330,13 +344,13 @@ def _build_oracle(machine: MachineParams, columnar, signatures: np.ndarray):
     if delay.max(initial=0) >= _DELAY_BOUND or counts.max(initial=0) >= _LINES_BOUND:
         return None
 
-    inputs = (signatures * _DELAY_BOUND + delay) * _LINES_BOUND + counts
+    inputs = (columnar.signature_ids() * _DELAY_BOUND + delay) * _LINES_BOUND + counts
     is_compute = (cols["kind"] == _TILE_CODE) & ~mem_mask
     return _OracleScript(
         hit_bits=hit_bits,
         inputs=inputs,
         line_offset=line_offset,
-        line_hits_cum=np.concatenate(([0], np.cumsum(hit_bits))),
+        hits_cum=np.concatenate(([0], np.cumsum(hit_bits)))[line_offset],
         requests_cum=np.concatenate(([0], np.cumsum(mem_mask))),
         bytes_cum=np.concatenate(([0], np.cumsum(np.where(mem_mask, nbytes, 0)))),
         computes_cum=np.concatenate(([0], np.cumsum(is_compute))),
@@ -443,10 +457,7 @@ def _run_oracle(
                     requests=int(script.requests_cum[end] - script.requests_cum[start]),
                     nbytes=int(script.bytes_cum[end] - script.bytes_cum[start]),
                     lines=int(script.line_offset[end] - script.line_offset[start]),
-                    l1_hits=int(
-                        script.line_hits_cum[script.line_offset[end]]
-                        - script.line_hits_cum[script.line_offset[start]]
-                    ),
+                    l1_hits=int(script.hits_cum[end] - script.hits_cum[start]),
                 )
                 # Mark every intermediate landing: the states there are the
                 # same digest shifted by k * delta, so a later boundary can
@@ -622,7 +633,7 @@ def run_fast(
     bounds, segments = build_segments(block_starts, n, signatures)
 
     if columnar is not None and machine.prefetch_into_l2:
-        script = _build_oracle(machine, columnar, signatures)
+        script = _oracle_script(machine, columnar)
         if script is not None:
             return _run_oracle(
                 machine,

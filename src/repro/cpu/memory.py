@@ -26,7 +26,7 @@ class ScriptedHierarchy:
     line request.  The only data-dependent outcome left is the L1 lookup,
     which depends solely on the line-address sequence — something the
     simulator's fast path can compute exactly for the whole trace up front
-    (:meth:`repro.cpu.columnar.ColumnarTrace.lru_outcome_bits`).
+    (:meth:`repro.cpu.columnar.ColumnarTrace.l1_outcome_bits`).
 
     This class replays that per-line hit/miss script through the same
     ``access_line`` interface as :class:`~repro.cpu.cache.CacheHierarchy`.

@@ -93,6 +93,15 @@ def _limited_layers(options: Dict[str, Any]) -> List[str]:
     return names
 
 
+def _checked_max_output_tiles(max_output_tiles: Optional[int]) -> Optional[int]:
+    """Reject a truncation that would trace no output tile at all."""
+    if max_output_tiles is not None and int(max_output_tiles) < 1:
+        raise ConfigurationError(
+            f"max_output_tiles must be >= 1, got {max_output_tiles}"
+        )
+    return max_output_tiles
+
+
 # -- Figure 13: layer runtimes across engines and sparsity patterns ----------
 
 
@@ -121,7 +130,7 @@ def figure13_spec(
         },
         fixed={
             "machine": resolved_machine.to_dict(),
-            "max_output_tiles": max_output_tiles,
+            "max_output_tiles": _checked_max_output_tiles(max_output_tiles),
         },
         columns=(
             "layer",
@@ -391,7 +400,7 @@ def spgemm_spec(
             "engine": engine_name,
             "machine": resolved_machine.to_dict(),
             "seed": seed,
-            "max_output_tiles": max_output_tiles,
+            "max_output_tiles": _checked_max_output_tiles(max_output_tiles),
         },
         columns=(
             "m",
@@ -439,9 +448,8 @@ def run_spgemm_trial(params: Dict[str, Any]) -> Dict[str, Any]:
     truncated cycle counts) still runs.
     """
     from ..cpu.simulator import CycleApproximateSimulator
-    from ..kernels.gemm import build_dense_gemm_kernel
-    from ..kernels.spgemm import build_spgemm_kernel, spgemm_joint_pattern
-    from ..kernels.spmm import build_spmm_kernel
+    from ..kernels.memo import build_kernel
+    from ..kernels.spgemm import spgemm_joint_pattern
     from ..kernels.validate import validate_spgemm_kernel
     from ..workloads.generator import generate_dual_sparse
 
@@ -463,7 +471,8 @@ def run_spgemm_trial(params: Dict[str, Any]) -> Dict[str, Any]:
         if validate
         else None
     )
-    program = build_spgemm_kernel(
+    program = build_kernel(
+        "spgemm",
         shape,
         joint,
         a=operands.a if operands is not None else None,
@@ -472,13 +481,13 @@ def run_spgemm_trial(params: Dict[str, Any]) -> Dict[str, Any]:
     )
     fast = simulator.run(program.trace, block_starts=program.block_starts)
 
-    dense_program = build_dense_gemm_kernel(shape, max_output_tiles=max_output_tiles)
+    dense_program = build_kernel("gemm", shape, max_output_tiles=max_output_tiles)
     dense = simulator.run(
         dense_program.trace, block_starts=dense_program.block_starts
     )
     # Sparse x dense baseline: the engine exploits A's pattern, streams B dense.
-    spmm_program = build_spmm_kernel(
-        shape, engine.executable_pattern(pattern_a), max_output_tiles=max_output_tiles
+    spmm_program = build_kernel(
+        "spmm", shape, engine.executable_pattern(pattern_a), max_output_tiles=max_output_tiles
     )
     spmm = simulator.run(spmm_program.trace, block_starts=spmm_program.block_starts)
 
@@ -907,7 +916,7 @@ def backends_spec(
         },
         fixed={
             "machine": resolved_machine.to_dict(),
-            "max_output_tiles": max_output_tiles,
+            "max_output_tiles": _checked_max_output_tiles(max_output_tiles),
         },
         columns=(
             "layer",
@@ -943,9 +952,7 @@ def run_backends_trial(params: Dict[str, Any]) -> Dict[str, Any]:
       per-instruction busy time scales with the tile's MAC count.
     """
     from ..cpu.simulator import CycleApproximateSimulator
-    from ..kernels.gemm import build_dense_gemm_kernel
-    from ..kernels.spgemm import build_spgemm_kernel
-    from ..kernels.spmm import build_spmm_kernel
+    from ..kernels.memo import build_kernel
 
     layer = get_layer(params["layer"])
     pattern = SparsityPattern(params["pattern"])
@@ -954,21 +961,14 @@ def run_backends_trial(params: Dict[str, Any]) -> Dict[str, Any]:
     max_output_tiles = params.get("max_output_tiles")
 
     executed = engine.executable_pattern(pattern)
-    if engine.spgemm and executed is not SparsityPattern.DENSE_4_4:
-        kernel = "spgemm"
-        program = build_spgemm_kernel(
-            layer.gemm, executed, max_output_tiles=max_output_tiles
-        )
-    elif executed is not SparsityPattern.DENSE_4_4:
-        kernel = "spmm"
-        program = build_spmm_kernel(
-            layer.gemm, executed, max_output_tiles=max_output_tiles
+    if executed is SparsityPattern.DENSE_4_4:
+        kernel = "gemm"
+        program = build_kernel(
+            kernel, layer.gemm, max_output_tiles=max_output_tiles, geometry=engine.geometry
         )
     else:
-        kernel = "gemm"
-        program = build_dense_gemm_kernel(
-            layer.gemm, max_output_tiles=max_output_tiles, geometry=engine.geometry
-        )
+        kernel = "spgemm" if engine.spgemm else "spmm"
+        program = build_kernel(kernel, layer.gemm, executed, max_output_tiles=max_output_tiles)
 
     simulator = CycleApproximateSimulator(machine=machine, engine=engine)
     result = simulator.run(program.trace, block_starts=program.block_starts)

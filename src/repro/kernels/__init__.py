@@ -7,6 +7,7 @@ Sub-modules:
 * :mod:`repro.kernels.gemm` — dense ``TILE_GEMM`` kernels (Listing 1 and optimised),
 * :mod:`repro.kernels.spmm` — 2:4 / 1:4 / row-wise SPMM kernels,
 * :mod:`repro.kernels.spgemm` — sparse x sparse ``TILE_SPGEMM`` kernels,
+* :mod:`repro.kernels.memo` — the memoized entry point for trace-only builds,
 * :mod:`repro.kernels.sharding` — multi-core partitioning of the tiled kernels,
 * :mod:`repro.kernels.vector` — the SIMD baseline kernel of Figure 4,
 * :mod:`repro.kernels.im2col` — convolution-to-GEMM lowering,
@@ -15,6 +16,7 @@ Sub-modules:
 
 from .gemm import build_dense_gemm_kernel
 from .im2col import ConvShape, direct_convolution, im2col, weights_to_matrix
+from .memo import build_kernel
 from .program import KernelProgram
 from .sharding import SHARDABLE_KERNELS, ShardedKernel, shard_kernel
 from .spgemm import SPGEMM_PATTERNS, build_spgemm_kernel, spgemm_joint_pattern
@@ -45,6 +47,7 @@ __all__ = [
     "ShardedKernel",
     "TileGrid",
     "build_dense_gemm_kernel",
+    "build_kernel",
     "build_rowwise_spmm_kernel",
     "build_spgemm_kernel",
     "build_spmm_kernel",

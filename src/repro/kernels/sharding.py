@@ -24,20 +24,25 @@ memoization notes in ``repro.cpu.multicore``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 from ..cpu.topology import TopologyNode, place_cores
 from ..errors import KernelError
 from ..types import DEFAULT_GEOMETRY, GemmShape, SparsityPattern, TileGeometry
-from .gemm import build_dense_gemm_kernel, dense_block_grid
+from .gemm import build_dense_gemm_kernel, dense_block_grid  # noqa: F401
+from .memo import KERNEL_KINDS, build_kernel
 from .program import KernelProgram
-from .spgemm import build_spgemm_kernel
-from .spmm import build_spmm_kernel
+from .spgemm import build_spgemm_kernel  # noqa: F401
+from .spmm import build_spmm_kernel  # noqa: F401
 from .tiling import TileGrid, interleaved_block_rows, partition_grid
 
+# The builders stay bound here (and in ``repro.analysis.runtime``) for code
+# that addresses them through these modules, e.g. perfbench's tracer tests;
+# every build itself goes through :func:`build_kernel`.
+
 #: Kernel kinds the sharding layer knows how to build.
-SHARDABLE_KERNELS = ("gemm", "spmm", "spgemm")
+SHARDABLE_KERNELS = KERNEL_KINDS
 
 
 def _block_grid_shape(kind: str, grid: TileGrid) -> Tuple[int, int]:
@@ -133,6 +138,11 @@ def shard_kernel(
     resulting traces all use that geometry's tile sizes.  The sparse
     builders are VEGETA-only, so a non-default geometry on ``spmm`` /
     ``spgemm`` is an error rather than a silently mis-partitioned grid.
+
+    Per-core builds go through :func:`repro.kernels.memo.build_kernel`, so
+    re-sharding the same cells (another topology, a baseline, a planner
+    candidate) reuses their traces; each core's label lives on its own
+    program wrapper.
     """
     if kind not in SHARDABLE_KERNELS:
         raise KernelError(
@@ -163,32 +173,16 @@ def shard_kernel(
     programs: List[KernelProgram] = []
     tiles: List[Tuple[Tuple[int, int], ...]] = []
     for core, cells in enumerate(assignments):
-        if kind == "gemm":
-            program = build_dense_gemm_kernel(
-                shape,
-                include_loop_overhead=include_loop_overhead,
-                max_output_tiles=max_output_tiles,
-                blocks=cells,
-                geometry=geometry,
-            )
-        elif kind == "spmm":
-            program = build_spmm_kernel(
-                shape,
-                pattern,
-                include_loop_overhead=include_loop_overhead,
-                max_output_tiles=max_output_tiles,
-                blocks=cells,
-            )
-        else:
-            program = build_spgemm_kernel(
-                shape,
-                pattern,
-                include_loop_overhead=include_loop_overhead,
-                max_output_tiles=max_output_tiles,
-                blocks=cells,
-            )
-        program.label = f"{program.label}@core{core}/{cores}"
-        programs.append(program)
+        program = build_kernel(
+            kind,
+            shape,
+            pattern,
+            include_loop_overhead=include_loop_overhead,
+            max_output_tiles=max_output_tiles,
+            blocks=cells,
+            geometry=geometry,
+        )
+        programs.append(replace(program, label=f"{program.label}@core{core}/{cores}"))
         tiles.append(
             tuple(
                 coord for cell in cells for coord in _block_tile_coords(kind, grid, cell)

@@ -1,16 +1,25 @@
 """Tests for the columnar trace representation and its vectorised views."""
 
+import dataclasses
 import pickle
 
 import numpy as np
 import pytest
 
+from repro.analysis.runtime import resolve_engine
 from repro.core import isa
 from repro.core.registers import treg
 from repro.cpu.cache import Cache
 from repro.cpu.columnar import ColumnarTrace, TraceBuilder, lru_outcome_bits
-from repro.cpu.fastsim import lower_signatures, op_signature
-from repro.cpu.params import CacheParams, default_machine
+from repro.cpu.fastsim import (
+    _build_oracle,
+    _oracle_script,
+    _OracleScript,
+    lower_signatures,
+    op_signature,
+)
+from repro.cpu.multicore import simulation_cache_key
+from repro.cpu.params import CacheParams, default_machine, memory_bound_machine
 from repro.cpu.trace import (
     TraceOp,
     TraceOpKind,
@@ -189,3 +198,59 @@ class TestSimulationKey:
     def test_empty_trace_has_a_key(self):
         empty = TraceBuilder().finish()
         assert empty.simulation_key(default_machine(), None) is not None
+
+
+def _small_l1_machine():
+    """Same line size as the default L1, different sets, ways and latency."""
+    l1 = CacheParams(name="L1D", capacity_bytes=32 * 1024, associativity=4, hit_latency=5)
+    return dataclasses.replace(default_machine(), l1=l1)
+
+
+SHARED_VIEW_MACHINES = {
+    "default": default_machine,
+    "membound": memory_bound_machine,
+    "small-l1": _small_l1_machine,
+}
+
+PROGRAM_COUNT = len(all_programs())
+
+
+class TestSharedTraceViews:
+    """One trace evaluated under several machines, in either order, answers
+    every machine exactly as an independently built copy does: each cached
+    view is keyed by all the machine fields it reads."""
+
+    @pytest.mark.parametrize(
+        "order",
+        [("default", "membound", "small-l1"), ("small-l1", "membound", "default")],
+    )
+    @pytest.mark.parametrize("index", range(PROGRAM_COUNT))
+    def test_views_match_an_independent_build(self, index, order):
+        engine = resolve_engine("VEGETA-S-16-2+OF+SPGEMM")
+        shared = all_programs()[index]
+        for name in order:
+            machine = SHARED_VIEW_MACHINES[name]()
+            fresh = all_programs()[index]
+            line_bytes = machine.l1.line_bytes
+            assert simulation_cache_key(shared, machine, engine, "fast") == (
+                simulation_cache_key(fresh, machine, engine, "fast")
+            )
+            assert np.array_equal(
+                shared.trace.footprint_line_numbers(line_bytes),
+                fresh.trace.footprint_line_numbers(line_bytes),
+            )
+            ours = _oracle_script(machine, shared.trace)
+            theirs = _build_oracle(machine, fresh.trace)
+            assert (ours is None) == (theirs is None)
+            for slot in _OracleScript.__slots__ if ours is not None else ():
+                assert np.array_equal(getattr(ours, slot), getattr(theirs, slot)), slot
+
+    def test_views_are_read_only_and_not_pickled(self):
+        program = build_dense_gemm_kernel(GemmShape(64, 64, 128))
+        trace = program.trace
+        bits = trace.l1_outcome_bits(default_machine().l1)
+        with pytest.raises(ValueError):
+            bits[0] = not bits[0]
+        clone = pickle.loads(pickle.dumps(trace))
+        assert clone._views == {}
+        assert np.array_equal(clone.l1_outcome_bits(default_machine().l1), bits)

@@ -10,6 +10,7 @@ import dataclasses
 
 import pytest
 
+from repro.analysis.runtime import FIGURE13_ENGINE_NAMES, resolve_engine
 from repro.core import isa
 from repro.core.engine import get_engine
 from repro.core.registers import treg
@@ -24,6 +25,7 @@ from repro.cpu.simulator import CycleApproximateSimulator
 from repro.cpu.trace import scalar_op, tile_op, vector_fma, vector_load
 from repro.errors import SimulationError
 from repro.kernels.gemm import build_dense_gemm_kernel
+from repro.kernels.memo import build_kernel
 from repro.kernels.spmm import build_spmm_kernel
 from repro.kernels.vector import build_vector_gemm_kernel
 from repro.types import GemmShape, SparsityPattern
@@ -120,6 +122,37 @@ class TestFastMatchesExactOnKernels:
         )
         assert result is not None
         assert stepped < len(program.trace) / 2
+
+
+class TestSharedTraceEngines:
+    """The ten Figure 13 engines run back-to-back on memoized traces (shared
+    signature ids, oracle scripts and materialised ops) exactly as each runs
+    on a fresh build: cycles, counters, summary and stepped/skipped blocks."""
+
+    SHAPE = GemmShape(128, 64, 512)
+
+    @pytest.mark.parametrize("mode", ["fast", "exact"])
+    @pytest.mark.parametrize(
+        "pattern",
+        [SparsityPattern.DENSE_4_4, SparsityPattern.SPARSE_2_4, SparsityPattern.SPARSE_1_4],
+        ids=lambda pattern: pattern.value,
+    )
+    def test_figure13_engines_match_fresh_builds(self, pattern, mode):
+        traces = {}
+        for name in FIGURE13_ENGINE_NAMES:
+            engine = resolve_engine(name)
+            executed = engine.executable_pattern(pattern)
+            if executed is SparsityPattern.DENSE_4_4:
+                shared = build_kernel("gemm", self.SHAPE, geometry=engine.geometry)
+                fresh = build_dense_gemm_kernel(self.SHAPE, geometry=engine.geometry)
+            else:
+                shared = build_kernel("spmm", self.SHAPE, executed)
+                fresh = build_spmm_kernel(self.SHAPE, executed)
+            assert traces.setdefault(executed, shared.trace) is shared.trace
+            simulator = CycleApproximateSimulator(engine=engine, mode=mode)
+            got = simulator.run(shared.trace, block_starts=shared.block_starts)
+            want = simulator.run(fresh.trace, block_starts=fresh.block_starts)
+            assert got == want, name
 
 
 class TestSmallTraceEquivalence:

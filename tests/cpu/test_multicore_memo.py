@@ -1,10 +1,12 @@
 """Memoization-equivalence tests: memoized multicore == unmemoized, bit for bit."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.analysis.runtime import resolve_engine
+from repro.cpu.columnar import ColumnarTrace
 from repro.cpu.multicore import (
     clear_simulation_memo,
     memoization_enabled,
@@ -14,7 +16,7 @@ from repro.cpu.multicore import (
     simulate_program_cached,
     simulation_cache_key,
 )
-from repro.cpu.params import default_machine, memory_bound_machine
+from repro.cpu.params import default_machine, get_topology, memory_bound_machine
 from repro.cpu.simulator import CycleApproximateSimulator
 from repro.kernels.sharding import shard_kernel
 from repro.types import GemmShape, SparsityPattern
@@ -85,6 +87,41 @@ class TestMemoEquivalence:
             sharded.programs, machine=machine, engine=ENGINE, memo=True
         )
         assert_bit_identical(off, on)
+
+    @pytest.mark.parametrize(
+        "machine", [default_machine(), memory_bound_machine()], ids=["default", "membound"]
+    )
+    def test_rekeyed_shared_traces_match_fresh_traces(self, machine):
+        # The scaling trial's shape: one shard arbitrated under a topology,
+        # then re-keyed on the same program objects for its flat re-run.
+        topology = get_topology("dual-socket")
+        sharded = shard_kernel(
+            "gemm", GemmShape(128, 128, 256), SparsityPattern.DENSE_4_4, 8,
+            "2d-cyclic", topology=topology,
+        )
+        simulate_multicore(sharded.programs, machine=machine, engine=ENGINE, topology=topology)
+        shared = simulate_multicore(sharded.programs, machine=machine, engine=ENGINE)
+        fresh_programs = [
+            dataclasses.replace(
+                program,
+                trace=ColumnarTrace(
+                    columns=program.trace.columns,
+                    labels=program.trace.labels,
+                    geometry=program.trace.geometry,
+                ),
+            )
+            for program in sharded.programs
+        ]
+        assert [
+            simulation_cache_key(program, machine, ENGINE, "fast")
+            for program in sharded.programs
+        ] == [
+            simulation_cache_key(program, machine, ENGINE, "fast")
+            for program in fresh_programs
+        ]
+        clear_simulation_memo()
+        fresh = simulate_multicore(fresh_programs, machine=machine, engine=ENGINE, memo=False)
+        assert_bit_identical(shared, fresh)
 
     def test_worker_pool_bit_identical(self):
         sharded = shard_kernel(

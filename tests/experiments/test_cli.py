@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.__main__ import main
+from repro.kernels.memo import build_memo_rows, clear_build_memo
 
 
 @pytest.fixture
@@ -184,6 +185,41 @@ class TestCoresValidation:
         argv = ["run", "scaling", "--cores", ",", "--cache-dir", cache_dir]
         assert main(argv) == 2
         assert "at least one core count" in capsys.readouterr().err
+
+
+class TestMaxOutputTilesValidation:
+    """--max-output-tiles below 1 is rejected before any trial runs."""
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_fig13_rejects_non_positive_values(self, capsys, cache_dir, value):
+        clear_build_memo()
+        argv = [
+            "run", "fig13",
+            "--max-layers", "1",
+            "--no-cache",
+            "--max-output-tiles", value,
+            "--cache-dir", cache_dir,
+        ]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"max_output_tiles must be >= 1, got {value}" in captured.err
+        assert "trials" not in captured.err
+        assert captured.out == ""
+        assert build_memo_rows() == 0  # no kernel was built either
+
+    @pytest.mark.parametrize("experiment", ["spgemm", "backends"])
+    def test_other_truncating_experiments_reject_zero(self, capsys, cache_dir, experiment):
+        argv = [
+            "run", experiment,
+            "--smoke",
+            "--no-cache",
+            "--max-output-tiles", "0",
+            "--cache-dir", cache_dir,
+        ]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "max_output_tiles must be >= 1, got 0" in captured.err
+        assert captured.out == ""
 
 
 class TestAxisOptionGating:

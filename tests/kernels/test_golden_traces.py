@@ -19,11 +19,13 @@ import pytest
 
 from repro.core.engine import AMX_GEOMETRY, SME_GEOMETRY
 from repro.cpu.trace import format_trace
+from repro.kernels import memo
 from repro.kernels.gemm import build_dense_gemm_kernel
+from repro.kernels.memo import build_kernel, clear_build_memo
 from repro.kernels.spgemm import build_spgemm_kernel
 from repro.kernels.spmm import build_rowwise_spmm_kernel, build_spmm_kernel
 from repro.kernels.vector import build_vector_gemm_kernel
-from repro.types import GemmShape, SparsityPattern
+from repro.types import DEFAULT_GEOMETRY, GemmShape, SparsityPattern
 from repro.workloads.generator import generate_unstructured
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
@@ -58,13 +60,25 @@ GOLDEN_KERNELS = {
 }
 
 
-def _snapshot(name):
-    program = GOLDEN_KERNELS[name]()
+#: Golden kernels also served by the build memo: (kind, pattern, geometry).
+MEMOIZED_KERNELS = {
+    "gemm-optimized": ("gemm", SparsityPattern.DENSE_4_4, DEFAULT_GEOMETRY),
+    "gemm-sme": ("gemm", SparsityPattern.DENSE_4_4, SME_GEOMETRY),
+    "spmm-2of4": ("spmm", SparsityPattern.SPARSE_2_4, DEFAULT_GEOMETRY),
+    "spgemm-1of4": ("spgemm", SparsityPattern.SPARSE_1_4, DEFAULT_GEOMETRY),
+}
+
+
+def _render(program):
     header = (
         f"# kernel: {program.label}\n"
         f"# trace ops: {len(program.trace)} (first {SNAPSHOT_OPS} shown)\n"
     )
     return header + format_trace(program.trace, limit=SNAPSHOT_OPS) + "\n"
+
+
+def _snapshot(name):
+    return _render(GOLDEN_KERNELS[name]())
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_KERNELS))
@@ -89,3 +103,19 @@ def test_trace_matches_golden_snapshot(name):
 def test_snapshots_are_deterministic():
     for name in GOLDEN_KERNELS:
         assert _snapshot(name) == _snapshot(name)
+
+
+@pytest.mark.parametrize("name", sorted(MEMOIZED_KERNELS))
+def test_memoized_build_matches_golden_snapshot_after_eviction(name, monkeypatch):
+    kind, pattern, geometry = MEMOIZED_KERNELS[name]
+    clear_build_memo()
+    first = build_kernel(kind, SHAPE, pattern, geometry=geometry)
+    # Room for this kernel alone: the next build evicts it.
+    monkeypatch.setattr(memo, "BUILD_MEMO_MAX_ROWS", len(first.trace))
+    build_kernel("gemm", GemmShape(m=32, n=32, k=64))
+    rebuilt = build_kernel(kind, SHAPE, pattern, geometry=geometry)
+    clear_build_memo()
+    assert rebuilt.trace is not first.trace
+    expected = (GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8")
+    assert _render(first) == expected
+    assert _render(rebuilt) == expected

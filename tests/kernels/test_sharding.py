@@ -14,6 +14,7 @@ from repro.analysis.runtime import resolve_engine
 from repro.cpu.params import dual_socket_machine, get_topology, topology_names
 from repro.cpu.simulator import CycleApproximateSimulator
 from repro.errors import KernelError
+from repro.kernels.memo import build_kernel
 from repro.kernels.sharding import shard_kernel
 from repro.kernels.tiling import PARTITION_STRATEGIES, TileGrid, partition_grid
 from repro.types import GemmShape, SparsityPattern
@@ -226,6 +227,31 @@ class TestLocalitySharding:
         owned = [tile for share in sharded.tiles for tile in share]
         assert len(owned) == len(expected)
         assert set(owned) == expected
+
+
+class TestSharedBuilds:
+    """Re-sharding reuses memoized traces without aliasing program state."""
+
+    SHAPE = GemmShape(m=128, n=128, k=256)
+
+    def test_shards_of_the_same_cells_keep_independent_labels(self):
+        first = shard_kernel("gemm", self.SHAPE, SparsityPattern.DENSE_4_4, 2)
+        second = shard_kernel("gemm", self.SHAPE, SparsityPattern.DENSE_4_4, 2)
+        for core in range(2):
+            assert second.programs[core].trace is first.programs[core].trace
+            assert second.programs[core] is not first.programs[core]
+            assert first.programs[core].label == f"dense-gemm-optimized@core{core}/2"
+            assert second.programs[core].label == first.programs[core].label
+        plain = build_kernel("gemm", self.SHAPE, blocks=first.blocks[0])
+        assert plain.trace is first.programs[0].trace
+        assert plain.label == "dense-gemm-optimized"
+
+    def test_shard_trace_columns_are_read_only(self):
+        program = shard_kernel(
+            "spgemm", self.SHAPE, SparsityPattern.SPARSE_2_4, 4
+        ).programs[1]
+        with pytest.raises(ValueError):
+            program.trace.columns["address"][0] = 0
 
 
 class TestShardGeometry:
