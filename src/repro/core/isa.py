@@ -60,44 +60,25 @@ class Opcode(enum.Enum):
     TILE_SPGEMM_U = "TILE_SPGEMM_U"
     TILE_SPGEMM_V = "TILE_SPGEMM_V"
 
-    @property
-    def is_load(self) -> bool:
-        """True for the memory -> register transfer instructions."""
-        return self in _LOAD_OPCODES
-
-    @property
-    def is_store(self) -> bool:
-        """True for the register -> memory transfer instruction."""
-        return self is Opcode.TILE_STORE_T
-
-    @property
-    def is_compute(self) -> bool:
-        """True for the tile GEMM / SPMM instructions."""
-        return self in _COMPUTE_OPCODES
-
-    @property
-    def is_sparse_compute(self) -> bool:
-        """True for the SPMM / SPGEMM (sparse A) instructions."""
-        return self in _SPARSE_COMPUTE_OPCODES
-
-    @property
-    def is_spgemm(self) -> bool:
-        """True for the sparse x sparse (dual compressed operand) instructions."""
-        return self in _SPGEMM_OPCODES
-
-    @property
-    def spgemm_effective_k(self) -> int:
-        """Effective K covered by one SPGEMM instruction (0 for other opcodes)."""
-        return _SPGEMM_EFFECTIVE_K.get(self, 0)
-
-    @property
-    def memory_bytes(self) -> int:
-        """Bytes transferred by a load/store; 0 for compute instructions."""
-        return _MEMORY_BYTES.get(self, 0)
+    # Per-member constants, set once below the class: the simulator reads
+    # them for every trace op, and a property would hash the enum into a
+    # set on each call.
+    #: True for the memory -> register transfer instructions.
+    is_load: bool
+    #: True for the register -> memory transfer instruction.
+    is_store: bool
+    #: True for the tile GEMM / SPMM instructions.
+    is_compute: bool
+    #: True for the SPMM / SPGEMM (sparse A) instructions.
+    is_sparse_compute: bool
+    #: True for the sparse x sparse (dual compressed operand) instructions.
+    is_spgemm: bool
+    #: Effective K covered by one SPGEMM instruction (0 for other opcodes).
+    spgemm_effective_k: int
+    #: Bytes transferred by a load/store; 0 for compute instructions.
+    memory_bytes: int
 
 
-#: Hot-path opcode classes, resolved once (the simulator queries these for
-#: every trace op; building the sets per property call dominated profiles).
 _LOAD_OPCODES = frozenset(
     {Opcode.TILE_LOAD_T, Opcode.TILE_LOAD_U, Opcode.TILE_LOAD_V, Opcode.TILE_LOAD_M}
 )
@@ -117,6 +98,16 @@ _MEMORY_BYTES = {
     Opcode.TILE_LOAD_M: METADATA_REG_BYTES,
     Opcode.TILE_STORE_T: TILE_REG_BYTES,
 }
+for _opcode in Opcode:
+    _opcode.is_load = _opcode in _LOAD_OPCODES
+    _opcode.is_store = _opcode is Opcode.TILE_STORE_T
+    _opcode.is_compute = _opcode in _COMPUTE_OPCODES
+    _opcode.is_sparse_compute = _opcode in _SPARSE_COMPUTE_OPCODES
+    _opcode.is_spgemm = _opcode in _SPGEMM_OPCODES
+    _opcode.spgemm_effective_k = _SPGEMM_EFFECTIVE_K.get(_opcode, 0)
+    _opcode.memory_bytes = _MEMORY_BYTES.get(_opcode, 0)
+del _opcode
+
 #: Register class whose architectural size a load/store transfers.
 _MEMORY_REG_KIND = {
     Opcode.TILE_LOAD_T: "treg",

@@ -104,19 +104,27 @@ class MatrixEnginePipeline:
         self._retain_history = retain_history
         self._makespan = 0
         self._scheduled = 0
+        # Stage latencies and forwarding rules, resolved once (the engine
+        # derives each of them through its geometry on every access).
+        self._wl_latency = engine.weight_load_latency
+        self._ff_latency = engine.feed_first_latency
+        self._fs_latency = engine.feed_second_latency
+        self._dr_latency = engine.drain_latency
+        self._reduction_latency = engine.reduction_latency
+        self._output_ready_latency = engine.output_ready_latency
+        self._output_forwarding = engine.output_forwarding
 
     # -- public API ---------------------------------------------------------------
 
     def schedule(self, request: TileComputeRequest) -> TileComputeTiming:
         """Schedule one tile instruction and return its timing."""
-        engine = self.engine
         if request.op_id in self._timings:
             raise SimulationError(f"duplicate op_id {request.op_id}")
 
-        wl_latency = engine.weight_load_latency
-        ff_latency = engine.feed_first_latency + request.feed_overhead
-        fs_latency = engine.feed_second_latency
-        dr_latency = engine.drain_latency
+        wl_latency = self._wl_latency
+        ff_latency = self._ff_latency + request.feed_overhead
+        fs_latency = self._fs_latency
+        dr_latency = self._dr_latency
 
         # WL needs the weight operand and a free WL stage.
         wl_start = max(request.operands_ready, self._stage_free["WL"])
@@ -131,14 +139,14 @@ class MatrixEnginePipeline:
                 raise SimulationError(
                     f"op {request.op_id} depends on unknown op {request.accumulator_dep}"
                 )
-            if engine.output_forwarding:
+            if self._output_forwarding:
                 # Forwarding is an additional bypass path: the consumer starts
                 # as soon as either the forwarding window opens or the
                 # producer's write-back completes, whichever comes first.
                 ff_earliest = max(
                     ff_earliest,
                     min(
-                        producer.ff_start + engine.output_ready_latency,
+                        producer.ff_start + self._output_ready_latency,
                         producer.complete,
                     ),
                 )
@@ -153,7 +161,7 @@ class MatrixEnginePipeline:
         fs_start = max(ff_start + ff_latency, self._stage_free["FS"])
         dr_start = max(fs_start + fs_latency, self._stage_free["DR"])
         dr_end = dr_start + dr_latency
-        complete = dr_end + engine.reduction_latency
+        complete = dr_end + self._reduction_latency
 
         timing = TileComputeTiming(
             op_id=request.op_id,
@@ -264,8 +272,8 @@ class MatrixEnginePipeline:
             return ()
         complete = timing.complete - ebase
         items = [complete if complete > 0 else 0]
-        if self.engine.output_forwarding:
-            window = timing.ff_start + self.engine.output_ready_latency - ebase
+        if self._output_forwarding:
+            window = timing.ff_start + self._output_ready_latency - ebase
             items.append(window if window > 0 else 0)
         return tuple(items)
 

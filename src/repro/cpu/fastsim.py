@@ -14,13 +14,15 @@ strategies are used, picked per run:
 Under the ideal L2 prefetch every L1 miss is an L2 hit by construction, so
 the only data-dependent memory outcome is the L1 lookup — a pure function of
 the line-address sequence, which the columnar trace can replay exactly for
-the whole trace up front (:func:`repro.cpu.columnar.lru_outcome_bits`).  With
-the outcomes scripted (:class:`repro.cpu.memory.ScriptedHierarchy`), each
-simulator step becomes a function of (state, per-op input word), where the
-input word packs the op's timing signature — including the per-op
-``feed_overhead`` of the dual-sparsity metadata intersection — with its
-scripted memory delay and line count.  At every block boundary the state is
-digested into a canonical shift-normalized form
+the whole trace up front (:func:`repro.cpu.columnar.lru_outcome_bits`).  The
+outcomes fix each request's completion offset and L2-port occupancy, so the
+memory system is replaced by a per-request script
+(:class:`repro.cpu.memory.ScriptedMemory`: O(1) per request, counters as
+prefix sums) and each simulator step becomes a function of (state, per-op
+input word), where the input word packs the op's timing signature —
+including the per-op ``feed_overhead`` of the dual-sparsity metadata
+intersection — with its scripted memory delay and line count.  At every
+block boundary the state is digested into a canonical shift-normalized form
 (:meth:`repro.cpu.simulator.SimulatorState.shift_digest`); a digest match
 against a boundary ``q`` blocks earlier plus element-wise equality of the
 input words over the span to be skipped *proves, by induction over the step
@@ -55,7 +57,7 @@ import numpy as np
 from ..core.engine import EngineConfig
 from ..errors import ConfigurationError
 from .columnar import KIND_CODES
-from .memory import ScriptedHierarchy
+from .memory import RequestScript, ScriptedMemory
 from .params import MachineParams
 from .simulator import SimulationResult, SimulatorState
 from .trace import (
@@ -248,39 +250,25 @@ class _OracleScript:
     ``inputs`` packs, per op, everything the simulator's step function reads
     besides the machine state: the content signature id (kind, opcode,
     registers, label, per-op feed overhead) together with the scripted
-    memory-delay word and line count of the op's request.  The cumulative
-    arrays, all indexed by op boundary, turn any skipped span's counter
-    contributions into O(1) prefix-sum differences, bit-identical to
-    stepping the span; only ``hit_bits`` (shared with the trace's L1 view)
-    is per cache line.
+    memory-delay word and line count of the op's request.  ``requests``
+    holds the per-request memory script, which every run replays through a
+    :class:`~repro.cpu.memory.ScriptedMemory`.  ``requests_cum`` and
+    ``computes_cum``, indexed by op boundary, turn a skipped span into its
+    request and tile-compute counts in O(1).
     """
 
-    __slots__ = (
-        "hit_bits",
-        "inputs",
-        "line_offset",
-        "hits_cum",
-        "requests_cum",
-        "bytes_cum",
-        "computes_cum",
-    )
+    __slots__ = ("inputs", "requests", "requests_cum", "computes_cum")
 
     def __init__(
         self,
-        hit_bits: np.ndarray,
         inputs: np.ndarray,
-        line_offset: np.ndarray,
-        hits_cum: np.ndarray,
+        requests: RequestScript,
         requests_cum: np.ndarray,
-        bytes_cum: np.ndarray,
         computes_cum: np.ndarray,
     ) -> None:
-        self.hit_bits = hit_bits
         self.inputs = inputs
-        self.line_offset = line_offset
-        self.hits_cum = hits_cum
+        self.requests = requests
         self.requests_cum = requests_cum
-        self.bytes_cum = bytes_cum
         self.computes_cum = computes_cum
 
 
@@ -312,47 +300,32 @@ def _build_oracle(machine: MachineParams, columnar) -> Optional[_OracleScript]:
     behaviour of the run.
     """
     cols = columnar.columns
-    line_bytes = machine.l1.line_bytes
-    addresses = cols["address"]
-    mem_mask = addresses >= 0
-    nbytes = cols["nbytes"].astype(np.int64)
-    n = len(cols)
-
-    counts = np.zeros(n, dtype=np.int64)
-    if mem_mask.any():
-        addr = addresses[mem_mask].astype(np.int64)
-        first = addr // line_bytes
-        last = (addr + nbytes[mem_mask] - 1) // line_bytes
-        counts[mem_mask] = last - first + 1
-        if counts[mem_mask].min(initial=1) <= 0:
-            return None  # zero-byte request: let the exact path raise
-
-    hit_bits = columnar.l1_outcome_bits(machine.l1)
-    line_offset = np.concatenate(([0], np.cumsum(counts)))
-    total = int(line_offset[-1])
-    delay = np.zeros(n, dtype=np.int64)
-    if total:
-        latency = np.where(
-            hit_bits, machine.l1.hit_latency, machine.l2.hit_latency
-        ).astype(np.int64)
-        counts_mem = counts[mem_mask]
-        starts_mem = np.cumsum(counts_mem) - counts_mem
-        # Within one request the L2 port delivers line j at port_base + j, so
-        # the request's completion is port_base + max_j(j + latency_j).
-        within = np.arange(total, dtype=np.int64) - np.repeat(starts_mem, counts_mem)
-        delay[mem_mask] = np.maximum.reduceat(within + latency, starts_mem)
+    l1 = machine.l1
+    mem_mask = cols["address"] >= 0
+    nbytes = cols["nbytes"][mem_mask]
+    if nbytes.min(initial=1) <= 0:
+        return None  # zero-byte request: let the exact path raise
+    requests = RequestScript(
+        cols["address"][mem_mask],
+        nbytes,
+        columnar.l1_outcome_bits(l1),
+        l1.line_bytes,
+        l1.hit_latency,
+        machine.l2.hit_latency,
+    )
+    delay = np.zeros(len(cols), dtype=np.int64)
+    delay[mem_mask] = requests.delay
+    counts = np.zeros(len(cols), dtype=np.int64)
+    counts[mem_mask] = requests.lines
     if delay.max(initial=0) >= _DELAY_BOUND or counts.max(initial=0) >= _LINES_BOUND:
         return None
 
     inputs = (columnar.signature_ids() * _DELAY_BOUND + delay) * _LINES_BOUND + counts
     is_compute = (cols["kind"] == _TILE_CODE) & ~mem_mask
     return _OracleScript(
-        hit_bits=hit_bits,
         inputs=inputs,
-        line_offset=line_offset,
-        hits_cum=np.concatenate(([0], np.cumsum(hit_bits)))[line_offset],
+        requests=requests,
         requests_cum=np.concatenate(([0], np.cumsum(mem_mask))),
-        bytes_cum=np.concatenate(([0], np.cumsum(np.where(mem_mask, nbytes, 0)))),
         computes_cum=np.concatenate(([0], np.cumsum(is_compute))),
     )
 
@@ -377,9 +350,9 @@ def _run_oracle(
     that shift — so ``state.shift(K * delta, ...)`` lands on the exact state
     and the prefix-sum counters equal the stepped counters bit-for-bit.
     """
-    state = SimulatorState(machine, engine, retain_pipeline_history=False)
-    state.memory.hierarchy = ScriptedHierarchy(
-        script.hit_bits, machine.l1.hit_latency, machine.l2.hit_latency
+    memory = ScriptedMemory(script.requests)
+    state = SimulatorState(
+        machine, engine, retain_pipeline_history=False, memory=memory
     )
     summary = TraceSummary()
     inputs = script.inputs
@@ -453,11 +426,8 @@ def _run_oracle(
                 computes = int(script.computes_cum[end] - script.computes_cum[start])
                 engine_delta = (periods * delta) // state.ratio if state.pipeline else 0
                 state.shift(periods * delta, computes, engine_delta)
-                state.memory.skip_span(
-                    requests=int(script.requests_cum[end] - script.requests_cum[start]),
-                    nbytes=int(script.bytes_cum[end] - script.bytes_cum[start]),
-                    lines=int(script.line_offset[end] - script.line_offset[start]),
-                    l1_hits=int(script.hits_cum[end] - script.hits_cum[start]),
+                memory.skip_span(
+                    int(script.requests_cum[end] - script.requests_cum[start])
                 )
                 # Mark every intermediate landing: the states there are the
                 # same digest shifted by k * delta, so a later boundary can

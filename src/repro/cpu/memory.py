@@ -5,6 +5,10 @@ cache-line requests through the load/store queue, per Section V-F).  The
 :class:`MemorySystem` walks each line through the two-level cache hierarchy,
 charges the L2-to-core port (one line per core cycle) and the DRAM bandwidth
 (94 GB/s by default) and returns the completion cycle of the whole request.
+
+Under the paper's prefetch-into-L2 assumption the walk has a closed form per
+request, precomputed once per trace (:class:`RequestScript`) and replayed by
+:class:`ScriptedMemory` on the simulator's oracle fast path.
 """
 
 from __future__ import annotations
@@ -12,74 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable
 
+import numpy as np
+
 from ..errors import SimulationError
-from .cache import AccessResult, CacheHierarchy
+from .cache import CacheHierarchy
 from .params import MachineParams
-
-
-class ScriptedHierarchy:
-    """Replays precomputed cache outcomes instead of simulating tag arrays.
-
-    Under the paper's prefetch-into-L2 assumption every L1 miss is served at
-    L2-hit latency: a demanded line is either L2 resident or delivered by the
-    ideal prefetcher, so the hierarchy never reports an L2 miss or a DRAM
-    line request.  The only data-dependent outcome left is the L1 lookup,
-    which depends solely on the line-address sequence — something the
-    simulator's fast path can compute exactly for the whole trace up front
-    (:meth:`repro.cpu.columnar.ColumnarTrace.l1_outcome_bits`).
-
-    This class replays that per-line hit/miss script through the same
-    ``access_line`` interface as :class:`~repro.cpu.cache.CacheHierarchy`.
-    Because outcomes are precomputed, the fast path can also jump the cursor
-    over whole steady-state spans (:meth:`advance`) while keeping the
-    counters bit-identical to an exact replay.
-    """
-
-    def __init__(self, hit_bits, l1_hit_latency: int, l2_hit_latency: int) -> None:
-        self._hit_bits = hit_bits
-        self._cursor = 0
-        self._l1_result = AccessResult(
-            latency=l1_hit_latency, level="L1", l1_hit=True, l2_hit=True
-        )
-        self._l2_result = AccessResult(
-            latency=l2_hit_latency, level="L2", l1_hit=False, l2_hit=True
-        )
-        self.l1_hits = 0
-        self.l1_misses = 0
-
-    @property
-    def cursor(self) -> int:
-        """Index of the next scripted line access."""
-        return self._cursor
-
-    def access_line(self, address: int) -> AccessResult:
-        """Pop the next scripted outcome (the address is already encoded in it)."""
-        hit = self._hit_bits[self._cursor]
-        self._cursor += 1
-        if hit:
-            self.l1_hits += 1
-            return self._l1_result
-        self.l1_misses += 1
-        return self._l2_result
-
-    def advance(self, lines: int, l1_hits: int) -> None:
-        """Skip ``lines`` scripted accesses of which ``l1_hits`` were L1 hits."""
-        self._cursor += lines
-        self.l1_hits += l1_hits
-        self.l1_misses += lines - l1_hits
-
-    def warm_l2(self, addresses) -> None:
-        """No-op: the script already assumes the fully prefetched footprint."""
-
-    def counters(self) -> Dict[str, int]:
-        """Counters identical to an exact prefetched-hierarchy replay."""
-        return {
-            "l1_hits": self.l1_hits,
-            "l1_misses": self.l1_misses,
-            "l2_hits": self.l1_misses,
-            "l2_misses": 0,
-            "dram_line_requests": 0,
-        }
 
 
 @dataclass
@@ -113,6 +54,13 @@ class MemorySystem:
         self._dram_free = 0
         self.total_bytes = 0
         self.total_requests = 0
+        # Per-request constants, resolved once.
+        self._line_bytes = params.l1.line_bytes
+        self._dram_latency = params.memory.dram_latency_cycles
+        #: DRAM channel cycles one line occupies.
+        self._dram_line_cycles = int(
+            self._line_bytes / max(1.0, params.memory.dram_bytes_per_core_cycle)
+        )
 
     # -- prefetch modelling ------------------------------------------------------
 
@@ -140,20 +88,6 @@ class MemorySystem:
         self._l2_port_free += delta
         self._dram_free += delta
 
-    def skip_span(self, requests: int, nbytes: int, lines: int, l1_hits: int) -> None:
-        """Account for the traffic of a skipped steady-state span.
-
-        The bandwidth clocks are moved by :meth:`shift_time` (called from the
-        simulator state's ``shift``); this adds the span's exact request and
-        hit counts so the final counters match an op-by-op replay.  Requires
-        the scripted hierarchy — a stateful tag-array hierarchy cannot jump.
-        """
-        if not isinstance(self.hierarchy, ScriptedHierarchy):
-            raise SimulationError("skip_span requires a ScriptedHierarchy")
-        self.total_requests += requests
-        self.total_bytes += nbytes
-        self.hierarchy.advance(lines, l1_hits)
-
     def shift_digest(self, base: int) -> tuple:
         """Bandwidth-clock state relative to ``base`` (for shift digests).
 
@@ -178,21 +112,19 @@ class MemorySystem:
         """
         if nbytes <= 0:
             raise SimulationError(f"invalid memory request of {nbytes} bytes")
-        line_bytes = self.params.l1.line_bytes
+        line_bytes = self._line_bytes
         first = address // line_bytes
         last = (address + nbytes - 1) // line_bytes
         lines = last - first + 1
+        access_line = self.hierarchy.access_line
 
         l1_hits = 0
         l2_hits = 0
         dram_lines = 0
         complete = cycle
-        dram_bytes_per_cycle = max(
-            1.0, self.params.memory.dram_bytes_per_core_cycle
-        )
         for number in range(first, last + 1):
             line_address = number * line_bytes
-            result = self.hierarchy.access_line(line_address)
+            result = access_line(line_address)
             # The L2->core port moves one line per cycle.
             port_ready = max(self._l2_port_free, cycle)
             self._l2_port_free = port_ready + 1
@@ -200,10 +132,8 @@ class MemorySystem:
             if result.level == "DRAM":
                 dram_lines += 1
                 dram_ready = max(self._dram_free, cycle)
-                self._dram_free = dram_ready + int(line_bytes / dram_bytes_per_cycle)
-                line_complete = max(
-                    line_complete, dram_ready + self.params.memory.dram_latency_cycles
-                )
+                self._dram_free = dram_ready + self._dram_line_cycles
+                line_complete = max(line_complete, dram_ready + self._dram_latency)
             elif result.level == "L2":
                 l2_hits += 1
             else:
@@ -221,9 +151,123 @@ class MemorySystem:
             dram_lines=dram_lines,
         )
 
+    def complete(self, address: int, nbytes: int, cycle: int) -> int:
+        """Issue a request (as :meth:`request`) and return its completion cycle."""
+        return self.request(address, nbytes, cycle).complete_cycle
+
     def counters(self) -> Dict[str, int]:
         """Aggregate counters for reporting."""
         counters = self.hierarchy.counters()
         counters["total_bytes"] = self.total_bytes
         counters["total_requests"] = self.total_requests
         return counters
+
+
+class RequestScript:
+    """Per-request timing of a request stream under the ideal L2 prefetch.
+
+    With every demanded line prefetched into the L2, :meth:`MemorySystem.request`
+    never reaches DRAM: each line is an L1 hit or an L2 hit, and which one is
+    fixed by the line-address sequence alone (``hit_bits``, one per line, from
+    an exact L1 LRU replay).  A request issued at ``cycle`` then takes the L2
+    port at ``port = max(l2_port_free, cycle)``, delivers line ``j`` at
+    ``port + j + latency_j`` and leaves the port free at ``port + lines``.  So
+    request ``k`` is two numbers, independent of when it is issued:
+
+    * ``delay[k] = max_j(j + latency_j)``, its completion offset from ``port``;
+    * ``lines[k]``, its L2 port occupancy.
+
+    ``lines_cum``, ``hits_cum`` and ``bytes_cum`` are prefix sums indexed by
+    request boundary, so the counters at any request cursor are lookups.
+    """
+
+    __slots__ = ("delay", "lines", "lines_cum", "hits_cum", "bytes_cum")
+
+    def __init__(
+        self,
+        addresses: np.ndarray,
+        nbytes: np.ndarray,
+        hit_bits: np.ndarray,
+        line_bytes: int,
+        l1_hit_latency: int,
+        l2_hit_latency: int,
+    ) -> None:
+        addresses = np.asarray(addresses, dtype=np.int64)
+        nbytes = np.asarray(nbytes, dtype=np.int64)
+        first = addresses // line_bytes
+        lines = (addresses + nbytes - 1) // line_bytes - first + 1
+        lines_cum = np.concatenate(([0], np.cumsum(lines)))
+        line_start = lines_cum[:-1]
+        latency = np.where(hit_bits, l1_hit_latency, l2_hit_latency).astype(np.int64)
+        within = np.arange(int(lines_cum[-1]), dtype=np.int64) - np.repeat(line_start, lines)
+        self.delay = np.maximum.reduceat(within + latency, line_start).astype(np.int32)
+        self.lines = lines.astype(np.int32)
+        self.lines_cum = lines_cum
+        self.hits_cum = np.concatenate(([0], np.cumsum(hit_bits)))[lines_cum]
+        self.bytes_cum = np.concatenate(([0], np.cumsum(nbytes)))
+
+
+class ScriptedMemory:
+    """Replays a :class:`RequestScript` in place of a :class:`MemorySystem`.
+
+    The simulator's oracle fast path runs on this instead of tag arrays: a
+    request is the three steps of the closed form (``port = max(l2_port_free,
+    cycle)``, ``l2_port_free = port + lines[k]``, completion ``port +
+    delay[k]``), and the counters are the script's prefix sums at the request
+    cursor, so skipping a steady-state span only moves the cursor
+    (:meth:`skip_span`).  Requests must arrive in script order.
+    """
+
+    def __init__(self, script: RequestScript) -> None:
+        self._script = script
+        # Memoryviews index to plain ints (numpy scalars would leak into
+        # every cycle the simulator derives from a completion).
+        self._delay = memoryview(script.delay)
+        self._lines = memoryview(script.lines)
+        #: Index of the next scripted request.
+        self._cursor = 0
+        #: Next core cycle at which the L2->core port is free.
+        self._l2_port_free = 0
+
+    def complete(self, address: int, nbytes: int, cycle: int) -> int:
+        """Issue the next scripted request at ``cycle``; returns its completion cycle."""
+        index = self._cursor
+        self._cursor = index + 1
+        port = self._l2_port_free
+        if cycle > port:
+            port = cycle
+        self._l2_port_free = port + self._lines[index]
+        return port + self._delay[index]
+
+    def skip_span(self, requests: int) -> None:
+        """Account for ``requests`` requests of a skipped steady-state span.
+
+        The port clock is moved by :meth:`shift_time` (called from the
+        simulator state's ``shift``); the counters follow the cursor.
+        """
+        self._cursor += requests
+
+    def shift_time(self, delta: int) -> None:
+        """Advance the L2 port clock by ``delta`` core cycles."""
+        self._l2_port_free += delta
+
+    def shift_digest(self, base: int) -> tuple:
+        """The port clock relative to ``base``, saturated as in :class:`MemorySystem`."""
+        port = self._l2_port_free
+        return (port - base if port > base else 0,)
+
+    def counters(self) -> Dict[str, int]:
+        """Counters identical to a prefetched tag-array :class:`MemorySystem`."""
+        script = self._script
+        index = self._cursor
+        lines = int(script.lines_cum[index])
+        hits = int(script.hits_cum[index])
+        return {
+            "l1_hits": hits,
+            "l1_misses": lines - hits,
+            "l2_hits": lines - hits,
+            "l2_misses": 0,
+            "dram_line_requests": 0,
+            "total_bytes": int(script.bytes_cum[index]),
+            "total_requests": index,
+        }

@@ -44,12 +44,12 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Optional, Sequence, Tuple
+from typing import Deque, Dict, Optional, Sequence, Tuple, Union
 
 from ..core.engine import EngineConfig
 from ..core.pipeline import MatrixEnginePipeline, TileComputeRequest
 from ..errors import SimulationError
-from .memory import MemorySystem
+from .memory import MemorySystem, ScriptedMemory
 from .params import MachineParams, default_machine
 from .trace import TraceOp, TraceOpKind, TraceSummary, summarize_trace, trace_memory_footprint
 
@@ -121,7 +121,9 @@ class SimulatorState:
 
     Both modes drive the same :meth:`step` transition function; the fast path
     additionally uses :meth:`shift` to advance the whole state over a skipped
-    steady-state span in O(live state) instead of O(ops).
+    steady-state span in O(live state) instead of O(ops).  ``memory`` defaults
+    to a tag-array :class:`~repro.cpu.memory.MemorySystem`; the oracle fast
+    path passes a :class:`~repro.cpu.memory.ScriptedMemory` instead.
     """
 
     __slots__ = (
@@ -152,11 +154,12 @@ class SimulatorState:
         engine: Optional[EngineConfig],
         *,
         retain_pipeline_history: bool = True,
+        memory: Optional[Union[MemorySystem, ScriptedMemory]] = None,
     ) -> None:
         self.machine = machine
         self.engine = engine
         self.core = machine.core
-        self.memory = MemorySystem(machine)
+        self.memory = memory if memory is not None else MemorySystem(machine)
         self.pipeline = (
             MatrixEnginePipeline(engine, retain_history=retain_pipeline_history)
             if engine is not None
@@ -214,16 +217,14 @@ class SimulatorState:
         if kind is TraceOpKind.TILE:
             completion = self._execute_tile(op, cycle)
         elif kind is TraceOpKind.VECTOR_LOAD:
-            result = self.memory.request(op.address, op.nbytes, cycle)
-            completion = result.complete_cycle
+            completion = self.memory.complete(op.address, op.nbytes, cycle)
             if op.dst_reg is not None:
                 self.vreg_ready[op.dst_reg] = completion
             self.load_buffer.append(completion)
         elif kind is TraceOpKind.VECTOR_STORE:
             vreg_ready = self.vreg_ready
             ready = max([cycle] + [vreg_ready.get(reg, 0) for reg in op.src_regs])
-            result = self.memory.request(op.address, op.nbytes, ready, is_store=True)
-            completion = result.complete_cycle
+            completion = self.memory.complete(op.address, op.nbytes, ready)
             self.load_buffer.append(completion)
         elif kind is TraceOpKind.VECTOR_FMA:
             vreg_ready = self.vreg_ready
@@ -253,10 +254,8 @@ class SimulatorState:
         treg_ready = self.treg_ready
 
         if opcode.is_load:
-            result = self.memory.request(
-                instruction.memory.address, instruction.memory.nbytes, cycle
-            )
-            completion = result.complete_cycle
+            operand = instruction.memory
+            completion = self.memory.complete(operand.address, operand.nbytes, cycle)
             if instruction.dst.kind == "mreg":
                 self.mreg_ready[instruction.dst.index] = completion
             else:
@@ -276,11 +275,10 @@ class SimulatorState:
                 writer = self.last_compute_writer.get(index)
                 if writer is not None:
                     ready = max(ready, self.compute_completion.get(writer, ready))
-            result = self.memory.request(
-                instruction.memory.address, instruction.memory.nbytes, ready, is_store=True
-            )
-            self.load_buffer.append(result.complete_cycle)
-            return result.complete_cycle
+            operand = instruction.memory
+            completion = self.memory.complete(operand.address, operand.nbytes, ready)
+            self.load_buffer.append(completion)
+            return completion
 
         # Tile compute.
         if self.pipeline is None:
