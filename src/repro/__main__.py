@@ -631,13 +631,17 @@ def _command_bench(args: argparse.Namespace) -> int:
             f"{row['fast_ops_per_sec']:,.0f}",
             f"{row['speedup']:.1f}x",
             f"{row['cycle_error']:.2e}",
+            f"{row['build_rows_per_sec']:,.0f}",
         )
         for row in payload["workloads"]
     ]
     print(
         format_table(
             "simulator trace-op throughput",
-            ("workload", "ops", "exact ops/s", "fast ops/s", "speedup", "cycle err"),
+            (
+                "workload", "ops", "exact ops/s", "fast ops/s", "speedup", "cycle err",
+                "build rows/s",
+            ),
             rows,
         )
     )
@@ -656,13 +660,17 @@ def _command_bench(args: argparse.Namespace) -> int:
                 f"{row['memo_ops_per_sec']:,.0f}",
                 f"{row['memo_speedup']:.1f}x",
                 "yes" if row["cycle_match"] else "NO",
+                f"{row['shard_rows_per_sec']:,.0f}",
             )
             for row in payload["multicore_workloads"]
         ]
         print(
             format_table(
                 "multi-core trace-op throughput (block memoization)",
-                ("workload", "cores", "strategy", "no-memo ops/s", "memo ops/s", "speedup", "cycles match"),
+                (
+                    "workload", "cores", "strategy", "no-memo ops/s", "memo ops/s",
+                    "speedup", "cycles match", "shard rows/s",
+                ),
                 multicore_rows,
             )
         )

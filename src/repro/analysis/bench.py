@@ -3,7 +3,9 @@
 Measures trace-op throughput of the cycle-approximate simulator's exact and
 fast paths on representative kernel workloads, plus the multi-core path with
 and without block-signature memoization, and cross-checks that all paths
-agree on cycle counts.  The CLI writes the measurements to
+agree on cycle counts.  It also times the stage in front of them: a cold
+build of each single-core kernel and a cold ``shard_kernel`` of each
+multi-core one, in trace rows per second.  The CLI writes the measurements to
 ``BENCH_simulator.json`` in the repository root so the performance trajectory
 of the hottest path in the repository is tracked from PR to PR (the file is
 committed, CI uploads it as an artifact, and ``repro bench --check`` fails
@@ -26,6 +28,7 @@ from ..cpu.multicore import clear_simulation_memo, simulate_multicore
 from ..cpu.simulator import CycleApproximateSimulator
 from ..errors import ConfigurationError
 from ..kernels.gemm import build_dense_gemm_kernel
+from ..kernels.memo import clear_build_memo
 from ..kernels.program import KernelProgram
 from ..kernels.sharding import shard_kernel
 from ..kernels.spgemm import build_spgemm_kernel
@@ -44,7 +47,11 @@ from .runtime import resolve_engine
 #: hashes, footprints, materialised ops) are built once and kept, so fast and
 #: multicore rows time a warm trace — the per-engine / per-topology cost
 #: inside a sweep, not the one-off view build.
-BENCH_SCHEMA_VERSION = 4
+#: v5: build throughput — ``build_rows_per_sec`` (cold kernel build, per
+#: single-core workload) and ``shard_rows_per_sec`` (cold ``shard_kernel``,
+#: per multi-core workload), both gated by ``--check``; ``build_seconds``
+#: is now the best of the cold repeats.
+BENCH_SCHEMA_VERSION = 5
 
 def _default_bench_path() -> str:
     """The repo-root payload path, regardless of the CLI's CWD.
@@ -66,6 +73,18 @@ DEFAULT_BENCH_PATH = _default_bench_path()
 
 #: Throughput-regression gate of ``repro bench --check``.
 REGRESSION_THRESHOLD = 0.30
+
+#: Repeats of a cold build / shard timing: builds take milliseconds, so the
+#: minimum of many repeats is what keeps ``--check`` steady across runs.
+BUILD_REPEATS = 20
+
+#: The throughput fields ``--check`` gates, per suite.
+GATED_METRICS = (
+    ("workloads", "fast_ops_per_sec"),
+    ("workloads", "build_rows_per_sec"),
+    ("multicore_workloads", "memo_ops_per_sec"),
+    ("multicore_workloads", "shard_rows_per_sec"),
+)
 
 #: Absolute fast-vs-exact speedup floors ``--check`` enforces per workload,
 #: independent of the committed baseline.  These encode the structural
@@ -323,11 +342,19 @@ def _best_time(run, min_seconds: float = 0.2, max_repeats: int = 5):
     return result, best
 
 
+def _cold(build):
+    """``build`` with the build memo and block templates cleared first."""
+
+    def run():
+        clear_build_memo()
+        return build()
+
+    return run
+
+
 def benchmark_workload(workload: BenchWorkload) -> Dict[str, Any]:
-    """Measure one workload: exact and fast runs over the same full trace."""
-    build_started = time.perf_counter()
-    program = workload.build()
-    build_seconds = time.perf_counter() - build_started
+    """Measure one workload: a cold build, then exact and fast runs over its trace."""
+    program, build_seconds = _best_time(_cold(workload.build), max_repeats=BUILD_REPEATS)
     trace = program.trace
     engine = workload.engine()
     simulator = CycleApproximateSimulator(engine=engine)
@@ -350,6 +377,7 @@ def benchmark_workload(workload: BenchWorkload) -> Dict[str, Any]:
         "engine": workload.engine_name,
         "trace_ops": len(trace),
         "build_seconds": build_seconds,
+        "build_rows_per_sec": len(trace) / build_seconds,
         "exact_seconds": exact_seconds,
         "exact_ops_per_sec": len(trace) / exact_seconds,
         "exact_core_cycles": exact.core_cycles,
@@ -378,16 +406,19 @@ def benchmark_multicore_workload(workload: MulticoreBenchWorkload) -> Dict[str, 
     """
     engine = workload.engine()
     topology = workload.resolve_topology()
-    build_started = time.perf_counter()
-    sharded = shard_kernel(
-        workload.kind,
-        workload.shape,
-        workload.pattern,
-        workload.cores,
-        workload.strategy,
-        topology=topology,
+    sharded, build_seconds = _best_time(
+        _cold(
+            lambda: shard_kernel(
+                workload.kind,
+                workload.shape,
+                workload.pattern,
+                workload.cores,
+                workload.strategy,
+                topology=topology,
+            )
+        ),
+        max_repeats=BUILD_REPEATS,
     )
-    build_seconds = time.perf_counter() - build_started
     trace_ops = sum(len(program.trace) for program in sharded.programs)
 
     def run_nomemo():
@@ -422,6 +453,7 @@ def benchmark_multicore_workload(workload: MulticoreBenchWorkload) -> Dict[str, 
         "topology": workload.topology,
         "trace_ops": trace_ops,
         "build_seconds": build_seconds,
+        "shard_rows_per_sec": trace_ops / build_seconds,
         "nomemo_seconds": nomemo_seconds,
         "nomemo_ops_per_sec": trace_ops / nomemo_seconds,
         "memo_seconds": memo_seconds,
@@ -458,6 +490,7 @@ def benchmark_simulator(
         "workloads": rows,
         "exact_ops_per_sec": _geomean([row["exact_ops_per_sec"] for row in rows]),
         "fast_ops_per_sec": _geomean([row["fast_ops_per_sec"] for row in rows]),
+        "build_rows_per_sec": _geomean([row["build_rows_per_sec"] for row in rows]),
         "speedup_geomean": _geomean(speedups),
         "speedup_min": min(speedups),
         "max_cycle_error": max(row["cycle_error"] for row in rows),
@@ -469,6 +502,9 @@ def benchmark_simulator(
         )
         payload["multicore_memo_ops_per_sec"] = _geomean(
             [row["memo_ops_per_sec"] for row in multicore_rows]
+        )
+        payload["multicore_shard_rows_per_sec"] = _geomean(
+            [row["shard_rows_per_sec"] for row in multicore_rows]
         )
         payload["multicore_memo_speedup_geomean"] = _geomean(
             [row["memo_speedup"] for row in multicore_rows]
@@ -491,7 +527,8 @@ def compare_benchmarks(
 
     Workloads are matched by name across both the single-core and multi-core
     suites (so a ``--quick`` run checks against a committed full-suite
-    baseline); a regression is a throughput drop of more than ``threshold``,
+    baseline); a regression is a drop of more than ``threshold`` in one of
+    the :data:`GATED_METRICS` (simulated ops or built rows per second),
     or a fast-vs-exact speedup below that workload's absolute floor in
     :data:`SPEEDUP_FLOORS`.  Returns human-readable regression descriptions
     (empty = pass).
@@ -505,7 +542,7 @@ def compare_benchmarks(
                 f"({now / then - 1.0:+.0%})"
             )
 
-    for suite, metric in (("workloads", "fast_ops_per_sec"), ("multicore_workloads", "memo_ops_per_sec")):
+    for suite, metric in GATED_METRICS:
         baseline_rows = {row["name"]: row for row in baseline.get(suite, [])}
         for row in current.get(suite, []):
             reference = baseline_rows.get(row["name"])

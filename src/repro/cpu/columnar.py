@@ -8,9 +8,14 @@ lowering, instruction-mix summaries, memory footprints — re-walked the ops in
 Python loops.
 
 This module stores a trace as one structured NumPy array (:data:`TRACE_DTYPE`)
-plus a small label table.  Builders append plain integer rows through a
-:class:`TraceBuilder`; :class:`ColumnarTrace` then answers the whole-trace
-questions as vectorised array operations:
+plus a small label table.  The vector and row-wise builders append plain
+integer rows through a :class:`TraceBuilder`.  The tiled GEMM / SPMM /
+SpGEMM builders emit each block class once, through the
+:class:`~repro.kernels.template.TemplateBuilder` subclass, and stamp the
+block grid with NumPy (:mod:`repro.kernels.template`), so building a kernel
+costs a few blocks' worth of Python calls, not one per row.  Either way the
+rows are frozen into a read-only :class:`ColumnarTrace` (:func:`frozen_trace`),
+which then answers the whole-trace questions as vectorised array operations:
 
 * ``signature_ids`` — the per-op timing signature of
   :func:`repro.cpu.fastsim.op_signature` lowered to an ``int64`` id array in
@@ -21,7 +26,8 @@ questions as vectorised array operations:
 * ``summarize`` / ``summarize_span`` — instruction-mix summaries via
   ``bincount``,
 * ``memory_regions`` / ``footprint_line_numbers`` — unique regions / cache
-  lines via ``np.unique`` over the address column,
+  lines via ``np.unique`` over the address column (lines are expanded from
+  the unique regions only),
 * ``simulation_key`` — a content hash of everything that can influence a
   simulation's outcome, with raw addresses *normalized out* (only the
   cache-line collision structure they induce is kept).  Two traces with equal
@@ -248,10 +254,7 @@ class TraceBuilder:
         the op (-1 defers to the engine's worst-case formula).
         """
         if not -1 <= feed_overhead < _FEED_BOUND - 1:
-            raise SimulationError(
-                f"feed_overhead {feed_overhead} outside the signature packing "
-                f"bound [{-1}, {_FEED_BOUND - 2}]"
-            )
+            _reject_feed_overhead(feed_overhead)
         self._rows.append(
             (
                 _KIND_TILE,
@@ -313,21 +316,41 @@ class TraceBuilder:
     # -- completion -------------------------------------------------------------
 
     def finish(self) -> "ColumnarTrace":
-        """Freeze the appended rows into a read-only :class:`ColumnarTrace`.
-
-        The columns are marked non-writeable: one built trace may be shared
-        by many kernel programs (:func:`repro.kernels.memo.build_kernel`) and
-        caches views derived from its content, so no holder may edit it.
-        """
-        columns = _read_only(np.array(self._rows, dtype=TRACE_DTYPE))
-        if len(self._labels) >= _LABEL_BOUND:
-            raise SimulationError(
-                f"trace carries {len(self._labels)} distinct labels; "
-                f"the signature packing supports {_LABEL_BOUND}"
-            )
-        return ColumnarTrace(
-            columns=columns, labels=tuple(self._labels), geometry=self.geometry
+        """Freeze the appended rows into a read-only :class:`ColumnarTrace`."""
+        return frozen_trace(
+            np.array(self._rows, dtype=TRACE_DTYPE), tuple(self._labels), self.geometry
         )
+
+
+def _reject_feed_overhead(feed_overhead: int) -> None:
+    raise SimulationError(
+        f"feed_overhead {feed_overhead} outside the signature packing "
+        f"bound [{-1}, {_FEED_BOUND - 2}]"
+    )
+
+
+def check_feed_overheads(feeds: np.ndarray) -> None:
+    """Reject per-op feed overheads outside the signature packing bound."""
+    bad = (feeds < -1) | (feeds >= _FEED_BOUND - 1)
+    if bad.any():
+        _reject_feed_overhead(int(feeds[bad][0]))
+
+
+def frozen_trace(
+    columns: np.ndarray, labels: Tuple[str, ...], geometry: TileGeometry
+) -> "ColumnarTrace":
+    """Wrap finished rows as a read-only :class:`ColumnarTrace`.
+
+    The columns are marked non-writeable: one built trace may be shared by
+    many kernel programs (:func:`repro.kernels.memo.build_kernel`) and caches
+    views derived from its content, so no holder may edit it.
+    """
+    if len(labels) >= _LABEL_BOUND:
+        raise SimulationError(
+            f"trace carries {len(labels)} distinct labels; "
+            f"the signature packing supports {_LABEL_BOUND}"
+        )
+    return ColumnarTrace(columns=_read_only(columns), labels=labels, geometry=geometry)
 
 
 def _encode_op(op: TraceOp, label_of) -> Optional[tuple]:
@@ -426,6 +449,25 @@ def lru_outcome_bits(ids: np.ndarray, num_sets: int, associativity: int) -> np.n
         age_state[rows, touched] = step
         hit_lanes[:, step] = hit
     return hit_lanes[sets, within]
+
+
+def _unique_regions(cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct ``(address, nbytes)`` regions of the memory rows of ``cols``."""
+    mask = cols["address"] >= 0
+    packed = np.unique(cols["address"][mask] * np.int64(_NBYTES_BOUND) + cols["nbytes"][mask])
+    return packed // _NBYTES_BOUND, packed % _NBYTES_BOUND
+
+
+def _region_lines(addresses: np.ndarray, nbytes: np.ndarray, line_bytes: int) -> np.ndarray:
+    """Line number of every cache line each region touches, region by region."""
+    if not len(addresses):
+        return np.empty(0, dtype=np.int64)
+    first = addresses // line_bytes
+    last = (addresses + nbytes.astype(np.int64) - 1) // line_bytes
+    counts = last - first + 1
+    total = int(counts.sum())
+    offsets = np.repeat(np.cumsum(counts) - counts, counts)
+    return np.repeat(first, counts) + (np.arange(total, dtype=np.int64) - offsets)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -799,16 +841,9 @@ class ColumnarTrace(Sequence):
         Matches :func:`repro.cpu.trace.trace_memory_footprint` exactly (the
         simulator pre-warms the L2 from these regions).
         """
-        cols = self.columns[start : len(self) if end is None else end]
-        addresses = cols["address"]
-        mask = addresses >= 0
-        if not mask.any():
-            return []
-        packed = addresses[mask] * np.int64(_NBYTES_BOUND) + cols["nbytes"][mask]
-        unique = np.unique(packed)
-        return [
-            (int(value) // _NBYTES_BOUND, int(value) % _NBYTES_BOUND) for value in unique
-        ]
+        span = self.columns[start : len(self) if end is None else end]
+        addresses, nbytes = _unique_regions(span)
+        return list(zip(addresses.tolist(), nbytes.tolist()))
 
     def _expand_lines(self, line_bytes: int) -> np.ndarray:
         """Line number of every cache-line access, in program order.
@@ -817,24 +852,20 @@ class ColumnarTrace(Sequence):
         and every view built from it is kept instead.
         """
         cols = self.columns
-        addresses = cols["address"]
-        mask = addresses >= 0
-        addresses = addresses[mask]
-        if not len(addresses):
-            return np.empty(0, dtype=np.int64)
-        nbytes = cols["nbytes"][mask].astype(np.int64)
-        first = addresses // line_bytes
-        last = (addresses + nbytes - 1) // line_bytes
-        counts = last - first + 1
-        total = int(counts.sum())
-        offsets = np.repeat(np.cumsum(counts) - counts, counts)
-        return np.repeat(first, counts) + (np.arange(total, dtype=np.int64) - offsets)
+        mask = cols["address"] >= 0
+        return _region_lines(cols["address"][mask], cols["nbytes"][mask], line_bytes)
 
     def footprint_line_numbers(self, line_bytes: int) -> np.ndarray:
-        """Distinct cache-line numbers referenced by the trace, sorted."""
+        """Distinct cache-line numbers referenced by the trace, sorted.
+
+        Only the distinct ``(address, nbytes)`` regions are expanded into
+        lines: a kernel touches each of its tiles many times.
+        """
         return self.derived(
             ("footprint-lines", line_bytes),
-            lambda: _read_only(np.unique(self._expand_lines(line_bytes))),
+            lambda: _read_only(
+                np.unique(_region_lines(*_unique_regions(self.columns), line_bytes))
+            ),
         )
 
     def l1_outcome_bits(self, l1) -> np.ndarray:

@@ -4,6 +4,8 @@ Sub-modules:
 
 * :mod:`repro.kernels.tiling` — tile decomposition and memory layouts,
 * :mod:`repro.kernels.program` — the :class:`KernelProgram` container,
+* :mod:`repro.kernels.template` — block templates the tiled builders stamp
+  across the block grid,
 * :mod:`repro.kernels.gemm` — dense ``TILE_GEMM`` kernels (Listing 1 and optimised),
 * :mod:`repro.kernels.spmm` — 2:4 / 1:4 / row-wise SPMM kernels,
 * :mod:`repro.kernels.spgemm` — sparse x sparse ``TILE_SPGEMM`` kernels,

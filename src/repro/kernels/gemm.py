@@ -12,8 +12,11 @@ Two kernel variants are provided, matching the paper's methodology:
 
 Kernels can be built *with data* (a full memory image for functional
 validation) or *trace-only* (for large Table IV layers where only timing is
-needed).  ``max_output_tiles`` truncates the trace to the first few C tiles
-so big layers stay tractable in the pure-Python simulator; the resulting
+needed).  Either way the trace is stamped from block templates
+(:mod:`repro.kernels.template`): each block class's body is emitted once and
+laid across the chosen cells with NumPy.  ``max_output_tiles`` truncates the
+trace to the first few C tiles so big layers stay tractable in the
+pure-Python simulator; the resulting
 :class:`~repro.kernels.program.KernelProgram` records the covered fraction so
 runtimes can be scaled back up.
 """
@@ -27,16 +30,23 @@ import numpy as np
 from ..core.isa import Opcode
 from ..core.memory_image import ByteMemory
 from ..core.registers import treg
-from ..cpu.columnar import TraceBuilder
 from ..errors import KernelError
 from ..types import DEFAULT_GEOMETRY, DType, GemmShape, SparsityPattern, TileGeometry
+from .memo import block_templates
 from .program import KernelProgram
-from .tiling import (
-    MatrixTileLayout,
-    TileGrid,
-    align_up,
-    validate_blocks,
+from .template import (
+    I0,
+    I1,
+    J0,
+    J1,
+    BlockTemplate,
+    TemplateBuilder,
+    address_form,
+    block_cells,
+    constant,
+    stamp_blocks,
 )
+from .tiling import MatrixTileLayout, TileGrid, align_up
 
 #: Scalar/branch overhead charged per K-iteration of the tiled loop nest.
 K_LOOP_SCALARS = 2
@@ -127,20 +137,115 @@ def dense_block_grid(grid: TileGrid) -> Tuple[list, list]:
     partitions this grid so a block — the builder's register-blocking unit —
     is never split across cores.
     """
-    block_rows = [(i, min(i + 1, grid.tiles_m - 1)) for i in range(0, grid.tiles_m, 2)]
-    block_cols = [(j, min(j + 1, grid.tiles_n - 1)) for j in range(0, grid.tiles_n, 2)]
+    tiles_m, tiles_n = grid.tiles_m, grid.tiles_n
+    block_rows = [(i, min(i + 1, tiles_m - 1)) for i in range(0, tiles_m, 2)]
+    block_cols = [(j, min(j + 1, tiles_n - 1)) for j in range(0, tiles_n, 2)]
     return block_rows, block_cols
 
 
-def _block_tiles(i_pair: Tuple[int, int], j_pair: Tuple[int, int]) -> List[Tuple[int, int, int]]:
+def _block_tiles(i_pair: Tuple, j_pair: Tuple) -> List[Tuple]:
     """Deduplicated (slot, i, j) C tiles of one 2x2 block (edge blocks clamp)."""
     i0, i1 = i_pair
     j0, j1 = j_pair
-    tiles: List[Tuple[int, int, int]] = []
+    tiles: List[Tuple] = []
     for slot, (i, j) in enumerate(((i0, j0), (i0, j1), (i1, j0), (i1, j1))):
         if (i, j) not in [t[1:] for t in tiles]:
             tiles.append((slot, i, j))
     return tiles
+
+
+def _loop_overhead(trace: TemplateBuilder, scalars: int, label: str) -> None:
+    for _ in range(scalars):
+        trace.scalar(label)
+    trace.branch(label)
+
+
+def _optimized_block(
+    grid: TileGrid, layouts: dict, include_loop_overhead: bool, two_rows: bool, two_cols: bool
+) -> BlockTemplate:
+    """One block class of the register-blocked kernel.
+
+    Register blocking: a 2x2 block of C tiles is kept live in treg0-3, the
+    two A tiles of the current K-step in treg4-5 and the two B tiles in
+    treg6-7.  Four independent accumulator chains hide the engine's
+    instruction latency even without output forwarding, which is why a
+    dense RASA-DM baseline runs near full throughput (Section VI-C).  An
+    edge block (one tile row or column) clamps onto its first row / column.
+    """
+    c_regs = (treg(0), treg(1), treg(2), treg(3))
+    a_regs = (treg(4), treg(5))
+    b_regs = (treg(6), treg(7))
+    i0, i1 = I0, I1 if two_rows else I0
+    j0, j1 = J0, J1 if two_cols else J0
+    tiles = _block_tiles((i0, i1), (j0, j1))
+    rows = tuple(dict.fromkeys((i0, i1)))
+    cols = tuple(dict.fromkeys((j0, j1)))
+    trace = TemplateBuilder(geometry=grid.geometry)
+    if include_loop_overhead:
+        _loop_overhead(trace, TILE_LOOP_SCALARS, "tile-loop")
+    for slot, i, j in tiles:
+        trace.tile_load_t(c_regs[slot], address_form(layouts["c"], i, j), "load C")
+    for k in range(grid.tiles_k):
+        step = constant(k)
+        for index, i in enumerate(rows):
+            trace.tile_load_t(a_regs[index], address_form(layouts["a"], i, step), "load A")
+        for index, j in enumerate(cols):
+            trace.tile_load_t(b_regs[index], address_form(layouts["b"], j, step), "load B")
+        for slot, i, j in tiles:
+            trace.tile_compute(
+                Opcode.TILE_GEMM, c_regs[slot], a_regs[rows.index(i)], b_regs[cols.index(j)]
+            )
+        if include_loop_overhead:
+            _loop_overhead(trace, K_LOOP_SCALARS, "k-loop")
+    for slot, i, j in tiles:
+        trace.tile_store_t(address_form(layouts["c"], i, j), c_regs[slot], "store C")
+    return trace.template()
+
+
+def _listing1_block(grid: TileGrid, layouts: dict, include_loop_overhead: bool) -> BlockTemplate:
+    """The Listing 1 body of one output tile: C is reloaded and stored per K-step."""
+    c_reg = treg(0)
+    a_reg = treg(2)
+    b_reg = treg(4)
+    c_address = address_form(layouts["c"], I0, J0)
+    trace = TemplateBuilder(geometry=grid.geometry)
+    if include_loop_overhead:
+        _loop_overhead(trace, TILE_LOOP_SCALARS, "tile-loop")
+    for k in range(grid.tiles_k):
+        step = constant(k)
+        trace.tile_load_t(b_reg, address_form(layouts["b"], J0, step), "load B")
+        trace.tile_load_t(c_reg, c_address, "load C")
+        trace.tile_load_t(a_reg, address_form(layouts["a"], I0, step), "load A")
+        trace.tile_compute(Opcode.TILE_GEMM, c_reg, a_reg, b_reg)
+        trace.tile_store_t(c_address, c_reg, "store C")
+        if include_loop_overhead:
+            _loop_overhead(trace, K_LOOP_SCALARS, "k-loop")
+    return trace.template()
+
+
+def _dense_templates(
+    grid: TileGrid, layouts: dict, variant: str, include_loop_overhead: bool
+) -> Tuple[Optional[BlockTemplate], ...]:
+    """The kernel's block templates, indexed by block class.
+
+    Optimized classes are ``2 * single_row + single_col``: full, column edge,
+    row edge, corner.  Only the classes the grid contains are built: a
+    two-tile side needs two tiles along its axis, a single-tile side an odd
+    tile count.
+    """
+    if variant == "listing1":
+        return (_listing1_block(grid, layouts, include_loop_overhead),)
+
+    def occurs(tiles: int, two: bool) -> bool:
+        return tiles >= 2 if two else tiles % 2 == 1
+
+    return tuple(
+        _optimized_block(grid, layouts, include_loop_overhead, two_rows, two_cols)
+        if occurs(grid.tiles_m, two_rows) and occurs(grid.tiles_n, two_cols)
+        else None
+        for two_rows in (True, False)
+        for two_cols in (True, False)
+    )
 
 
 def build_dense_gemm_kernel(
@@ -201,122 +306,36 @@ def build_dense_gemm_kernel(
         memory = ByteMemory()
         _fill_dense_operands(memory, grid, layouts, a, b)
 
-    trace = TraceBuilder(geometry=geometry)
-    block_starts: List[int] = []
-    emitted = 0
-
+    tiles_m, tiles_n = grid.tiles_m, grid.tiles_n
     if variant == "optimized":
-        # Register blocking: a 2x2 block of C tiles is kept live in treg0-3,
-        # the two A tiles of the current K-step in treg4-5 and the two B tiles
-        # in treg6-7.  Four independent accumulator chains hide the engine's
-        # instruction latency even without output forwarding, which is why a
-        # dense RASA-DM baseline runs near full throughput (Section VI-C).
-        c_regs = (treg(0), treg(1), treg(2), treg(3))
-        a_regs = (treg(4), treg(5))
-        b_regs = (treg(6), treg(7))
-        block_rows, block_cols = dense_block_grid(grid)
-        if blocks is None:
-            chosen = [
-                (bi, bj)
-                for bi in range(len(block_rows))
-                for bj in range(len(block_cols))
-            ]
-        else:
-            chosen = validate_blocks(
-                blocks, len(block_rows), len(block_cols), "dense-gemm"
-            )
-        total_tiles = sum(
-            len(_block_tiles(block_rows[bi], block_cols[bj])) for bi, bj in chosen
-        )
-        traced_tiles = total_tiles if max_output_tiles is None else min(
-            max_output_tiles, total_tiles
-        )
-        for bi, bj in chosen:
-            if emitted >= traced_tiles:
-                break
-            i0, i1 = block_rows[bi]
-            j0, j1 = block_cols[bj]
-            tiles = _block_tiles((i0, i1), (j0, j1))
-            emitted += len(tiles)
-            block_starts.append(len(trace))
-            if include_loop_overhead:
-                for _ in range(TILE_LOOP_SCALARS):
-                    trace.scalar("tile-loop")
-                trace.branch("tile-loop")
-            for slot, i, j in tiles:
-                trace.tile_load_t(
-                    c_regs[slot], layouts["c"].tile_address(i, j), "load C"
-                )
-            for k in range(grid.tiles_k):
-                for index, i in enumerate(dict.fromkeys((i0, i1))):
-                    trace.tile_load_t(
-                        a_regs[index], layouts["a"].tile_address(i, k), "load A"
-                    )
-                for index, j in enumerate(dict.fromkeys((j0, j1))):
-                    trace.tile_load_t(
-                        b_regs[index], layouts["b"].tile_address(j, k), "load B"
-                    )
-                row_index = {i: idx for idx, i in enumerate(dict.fromkeys((i0, i1)))}
-                col_index = {j: idx for idx, j in enumerate(dict.fromkeys((j0, j1)))}
-                for slot, i, j in tiles:
-                    trace.tile_compute(
-                        Opcode.TILE_GEMM,
-                        c_regs[slot],
-                        a_regs[row_index[i]],
-                        b_regs[col_index[j]],
-                    )
-                if include_loop_overhead:
-                    for _ in range(K_LOOP_SCALARS):
-                        trace.scalar("k-loop")
-                    trace.branch("k-loop")
-            for slot, i, j in tiles:
-                trace.tile_store_t(
-                    layouts["c"].tile_address(i, j), c_regs[slot], "store C"
-                )
-    else:  # listing1
-        c_reg = treg(0)
-        a_reg = treg(2)
-        b_reg = treg(4)
-        if blocks is None:
-            chosen = list(grid.iterate_output_tiles())
-        else:
-            chosen = validate_blocks(
-                blocks, grid.tiles_m, grid.tiles_n, "dense-gemm-listing1"
-            )
-        total_tiles = len(chosen)
-        traced_tiles = total_tiles if max_output_tiles is None else min(
-            max_output_tiles, total_tiles
-        )
-        for i, j in chosen:
-            if emitted >= traced_tiles:
-                break
-            emitted += 1
-            block_starts.append(len(trace))
-            c_address = layouts["c"].tile_address(i, j)
-            if include_loop_overhead:
-                for _ in range(TILE_LOOP_SCALARS):
-                    trace.scalar("tile-loop")
-                trace.branch("tile-loop")
-            for k in range(grid.tiles_k):
-                trace.tile_load_t(b_reg, layouts["b"].tile_address(j, k), "load B")
-                trace.tile_load_t(c_reg, c_address, "load C")
-                trace.tile_load_t(a_reg, layouts["a"].tile_address(i, k), "load A")
-                trace.tile_compute(Opcode.TILE_GEMM, c_reg, a_reg, b_reg)
-                trace.tile_store_t(c_address, c_reg, "store C")
-                if include_loop_overhead:
-                    for _ in range(K_LOOP_SCALARS):
-                        trace.scalar("k-loop")
-                    trace.branch("k-loop")
-
-    traced = emitted if max_output_tiles is not None else total_tiles
+        cells = block_cells(blocks, -(-tiles_m // 2), -(-tiles_n // 2), "dense-gemm")
+        i0, j0 = 2 * cells[:, 0], 2 * cells[:, 1]
+        i1, j1 = np.minimum(i0 + 1, tiles_m - 1), np.minimum(j0 + 1, tiles_n - 1)
+        single_row, single_col = i1 == i0, j1 == j0
+        classes = 2 * single_row + single_col
+        tiles = (2 - single_row) * (2 - single_col)
+    else:
+        cells = block_cells(blocks, tiles_m, tiles_n, "dense-gemm-listing1")
+        i0 = i1 = cells[:, 0]
+        j0 = j1 = cells[:, 1]
+        classes = np.zeros(len(cells), dtype=np.int64)
+        tiles = np.ones(len(cells), dtype=np.int64)
+    coords = np.stack((i0, i1, j0, j1, np.ones_like(i0)), axis=1)
+    templates = block_templates(
+        (f"gemm-{variant}", shape, SparsityPattern.DENSE_4_4, geometry, include_loop_overhead),
+        lambda: _dense_templates(grid, layouts, variant, include_loop_overhead),
+    )
+    trace, block_starts, fraction = stamp_blocks(
+        templates, classes, coords, tiles, max_output_tiles, geometry=geometry
+    )
     return KernelProgram(
         trace=trace,
         shape=shape,
         pattern=SparsityPattern.DENSE_4_4,
         memory=memory,
         c_layout=layouts["c"],
-        simulated_fraction=traced / total_tiles if total_tiles else 1.0,
+        simulated_fraction=fraction,
         label=f"dense-gemm-{variant}",
-        block_starts=tuple(block_starts),
+        block_starts=block_starts,
         geometry=geometry,
     )

@@ -13,22 +13,25 @@ ops) are then also computed once for every caller.
 The memo holds at most :data:`BUILD_MEMO_MAX_ROWS` trace rows and evicts the
 oldest entries first; an evicted kernel is simply rebuilt, byte-identically.
 Builds that carry operand data (``a`` / ``b``) bypass it.
+
+Next to the builds sit the builders' block templates
+(:mod:`repro.kernels.template`), keyed by the build key without ``blocks`` /
+``max_output_tiles``: every per-core build of a sharded kernel, and every
+truncation of it, stamps from one set of templates.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from collections import OrderedDict
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import KernelError
 from ..types import DEFAULT_GEOMETRY, GemmShape, SparsityPattern, TileGeometry
-from .gemm import build_dense_gemm_kernel
 from .program import KernelProgram
-from .spgemm import build_spgemm_kernel
-from .spmm import build_spmm_kernel
+from .template import BlockTemplate
 
 #: Kernel kinds :func:`build_kernel` dispatches on.
 KERNEL_KINDS = ("gemm", "spmm", "spgemm")
@@ -46,15 +49,43 @@ BUILD_MEMO_MAX_ROWS = 300_000
 #: key -> prototype program, oldest first.
 _BUILD_MEMO: "OrderedDict[tuple, KernelProgram]" = OrderedDict()
 
+#: Trace rows of every program in ``_BUILD_MEMO``, kept as it changes.
+_memo_rows = 0
+
+#: Kernels whose block templates are retained, oldest evicted first.  One
+#: kernel's templates hold at most four blocks' rows.
+TEMPLATE_MEMO_MAX_KERNELS = 64
+
+#: template key -> one kernel's block templates, oldest first.
+_TEMPLATES: "OrderedDict[tuple, Tuple[Optional[BlockTemplate], ...]]" = OrderedDict()
+
 
 def clear_build_memo() -> None:
-    """Drop every memoized build (tests and benchmarks)."""
+    """Drop every memoized build and block template (tests and benchmarks)."""
+    global _memo_rows
     _BUILD_MEMO.clear()
+    _memo_rows = 0
+    _TEMPLATES.clear()
 
 
 def build_memo_rows() -> int:
     """Trace rows the memo currently retains."""
-    return sum(len(program.trace) for program in _BUILD_MEMO.values())
+    return _memo_rows
+
+
+def block_templates(
+    key: tuple, make: Callable[[], Tuple[Optional[BlockTemplate], ...]]
+) -> Tuple[Optional[BlockTemplate], ...]:
+    """One kernel's block templates: ``make()`` once per ``key``, then shared.
+
+    ``key`` names the kernel without the cells or truncation of a build.
+    """
+    templates = _TEMPLATES.get(key)
+    if templates is None:
+        templates = _TEMPLATES[key] = make()
+        while len(_TEMPLATES) > TEMPLATE_MEMO_MAX_KERNELS:
+            _TEMPLATES.popitem(last=False)
+    return templates
 
 
 def build_kernel(
@@ -104,19 +135,24 @@ def build_kernel(
 
 
 def _build(kind: str, shape: GemmShape, pattern: SparsityPattern, **options) -> KernelProgram:
+    # The builders import this module for their templates, so they are
+    # looked up here, at call time, rather than bound at import.
+    from . import gemm, spgemm, spmm
+
     if kind == "gemm":
-        return build_dense_gemm_kernel(shape, **options)
+        return gemm.build_dense_gemm_kernel(shape, **options)
     if kind == "spmm":
-        return build_spmm_kernel(shape, pattern, **options)
-    return build_spgemm_kernel(shape, pattern, **options)
+        return spmm.build_spmm_kernel(shape, pattern, **options)
+    return spgemm.build_spgemm_kernel(shape, pattern, **options)
 
 
 def _remember(key: tuple, program: KernelProgram) -> None:
     """Insert a finished build, then evict oldest-first down to the bound."""
+    global _memo_rows
     if len(program.trace) > BUILD_MEMO_MAX_ROWS:
         return
     _BUILD_MEMO[key] = program
-    rows = build_memo_rows()
-    while rows > BUILD_MEMO_MAX_ROWS:
+    _memo_rows += len(program.trace)
+    while _memo_rows > BUILD_MEMO_MAX_ROWS:
         _, evicted = _BUILD_MEMO.popitem(last=False)
-        rows -= len(evicted.trace)
+        _memo_rows -= len(evicted.trace)

@@ -9,7 +9,7 @@ and (c) report instruction-mix statistics (Figure 4).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -131,11 +131,3 @@ class KernelProgram:
                     restored[original_row] = result[stored_row]
             result = restored
         return result[: self.shape.m, : self.shape.n]
-
-
-def loop_overhead_ops(scalars: int, branches: int, make_scalar, make_branch) -> List[TraceOp]:
-    """Produce the scalar/branch overhead ops a loop iteration contributes."""
-    ops: List[TraceOp] = []
-    ops.extend(make_scalar() for _ in range(scalars))
-    ops.extend(make_branch() for _ in range(branches))
-    return ops

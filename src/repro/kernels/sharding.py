@@ -45,23 +45,15 @@ from .tiling import TileGrid, interleaved_block_rows, partition_grid
 SHARDABLE_KERNELS = KERNEL_KINDS
 
 
-def _block_grid_shape(kind: str, grid: TileGrid) -> Tuple[int, int]:
-    """(rows, cols) of the kernel's block grid."""
+def _block_axes(kind: str, grid: TileGrid) -> Tuple[List[tuple], List[tuple]]:
+    """The distinct output-tile rows and columns of each block-grid row / column."""
     if kind == "gemm":
         block_rows, block_cols = dense_block_grid(grid)
-        return len(block_rows), len(block_cols)
-    return len(interleaved_block_rows(grid.tiles_m)), grid.tiles_n
-
-
-def _block_tile_coords(kind: str, grid: TileGrid, cell: Tuple[int, int]) -> List[Tuple[int, int]]:
-    """Output-tile coordinates covered by one block-grid cell."""
-    if kind == "gemm":
-        block_rows, block_cols = dense_block_grid(grid)
-        i_pair = dict.fromkeys(block_rows[cell[0]])
-        j_pair = dict.fromkeys(block_cols[cell[1]])
-        return [(i, j) for i in i_pair for j in j_pair]
-    i_block = interleaved_block_rows(grid.tiles_m)[cell[0]]
-    return [(i, cell[1]) for i in i_block]
+        return (
+            [tuple(dict.fromkeys(pair)) for pair in block_rows],
+            [tuple(dict.fromkeys(pair)) for pair in block_cols],
+        )
+    return interleaved_block_rows(grid.tiles_m), [(j,) for j in range(grid.tiles_n)]
 
 
 @dataclass(frozen=True)
@@ -141,8 +133,9 @@ def shard_kernel(
 
     Per-core builds go through :func:`repro.kernels.memo.build_kernel`, so
     re-sharding the same cells (another topology, a baseline, a planner
-    candidate) reuses their traces; each core's label lives on its own
-    program wrapper.
+    candidate) reuses their traces, and every core's build stamps its cells
+    from the kernel's one set of block templates; each core's label lives on
+    its own program wrapper.
     """
     if kind not in SHARDABLE_KERNELS:
         raise KernelError(
@@ -155,7 +148,7 @@ def shard_kernel(
         )
     grid_pattern = SparsityPattern.DENSE_4_4 if kind == "gemm" else pattern
     grid = TileGrid(shape=shape, pattern=grid_pattern, geometry=geometry)
-    rows, cols = _block_grid_shape(kind, grid)
+    row_tiles, col_tiles = _block_axes(kind, grid)
     locality: Tuple[str, ...] = ()
     domains: Tuple[int, ...] = ()
     group_size: Optional[int] = None
@@ -168,7 +161,9 @@ def shard_kernel(
         # aligning to it would only perturb the process grid, so the flat
         # factorization stands.
         group_size = common if common > 1 else None
-    assignments = partition_grid(rows, cols, cores, strategy, group_size=group_size)
+    assignments = partition_grid(
+        len(row_tiles), len(col_tiles), cores, strategy, group_size=group_size
+    )
 
     programs: List[KernelProgram] = []
     tiles: List[Tuple[Tuple[int, int], ...]] = []
@@ -185,7 +180,10 @@ def shard_kernel(
         programs.append(replace(program, label=f"{program.label}@core{core}/{cores}"))
         tiles.append(
             tuple(
-                coord for cell in cells for coord in _block_tile_coords(kind, grid, cell)
+                (i, j)
+                for row, col in cells
+                for i in row_tiles[row]
+                for j in col_tiles[col]
             )
         )
     return ShardedKernel(

@@ -30,7 +30,7 @@ smaller B footprint and fewer bytes through the cache hierarchy.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from ..core.engine import BLOCK_SIZE_M, spgemm_merge_overhead
 from ..core.isa import Opcode
 from ..core.memory_image import ByteMemory
 from ..core.registers import mreg, treg
-from ..cpu.columnar import TraceBuilder
 from ..errors import KernelError
 from ..sparse.blocks import satisfies_pattern
 from ..sparse.compress import compress
@@ -49,17 +48,23 @@ from ..types import (
     SparsityPattern,
     TileGeometry,
 )
-from .gemm import K_LOOP_SCALARS, TILE_LOOP_SCALARS
+from .gemm import K_LOOP_SCALARS, TILE_LOOP_SCALARS, _loop_overhead
+from .memo import block_templates
 from .program import KernelProgram
-from .tiling import (
-    MatrixTileLayout,
-    TILE_M,
-    TILE_N,
-    TileGrid,
-    align_up,
-    interleaved_block_rows,
-    validate_blocks,
+from .template import (
+    I0,
+    I1,
+    J0,
+    BlockTemplate,
+    TemplateBuilder,
+    address_form,
+    affine,
+    constant,
+    interleaved_cells,
+    interleaved_templates,
+    stamp_blocks,
 )
+from .tiling import MatrixTileLayout, TILE_M, TILE_N, TileGrid, align_up
 
 #: Patterns the SPGEMM instructions support as the joint operand pattern.
 SPGEMM_PATTERNS = (SparsityPattern.SPARSE_2_4, SparsityPattern.SPARSE_1_4)
@@ -258,6 +263,68 @@ def _fill_dual_sparse_operands(
             )
 
 
+def _spgemm_block(
+    layouts: dict, grid: TileGrid, include_loop_overhead: bool, two_rows: bool
+) -> BlockTemplate:
+    """One block class of the SpGEMM kernel: a row pair, or a trailing single row.
+
+    Register blocking: with both operands in 1 KB tregs the register file
+    fits two live C accumulators (treg0-1), two A tiles (treg2-3) and one
+    shared B tile (treg4) with its metadata in mreg4 — the same two-row
+    interleave as the SPMM kernels, but with every B load shrunk to 1 KB.
+    Each compute carries the form of its ``feeds[i, j, k]`` index.
+    """
+    c_regs = (treg(0), treg(1))
+    a_regs = (treg(2), treg(3))
+    b_reg = treg(4)
+    spgemm_opcode = (
+        Opcode.TILE_SPGEMM_U
+        if grid.pattern is SparsityPattern.SPARSE_2_4
+        else Opcode.TILE_SPGEMM_V
+    )
+    i_block = (I0, I1) if two_rows else (I0,)
+    tiles_k = grid.tiles_k
+    trace = TemplateBuilder()
+    if include_loop_overhead:
+        _loop_overhead(trace, TILE_LOOP_SCALARS, "tile-loop")
+    for slot, i in enumerate(i_block):
+        trace.tile_load_t(c_regs[slot], address_form(layouts["c"], i, J0), "load C")
+    for k in range(tiles_k):
+        step = constant(k)
+        for slot, i in enumerate(i_block):
+            trace.tile_load_t(a_regs[slot], address_form(layouts["a"], i, step), "load A")
+            trace.tile_load_m(
+                mreg(a_regs[slot].index),
+                address_form(layouts["a_metadata"], i, step),
+                "load A-MD",
+            )
+        trace.tile_load_t(b_reg, address_form(layouts["b"], J0, step), "load B")
+        trace.tile_load_m(
+            mreg(b_reg.index), address_form(layouts["b_metadata"], J0, step), "load B-MD"
+        )
+        for slot, i in enumerate(i_block):
+            # Without operand data the feed overhead stays -1 (unknown) and
+            # the simulator falls back to the engine's worst-case formula;
+            # with data it is the exact metadata-intersection cost of this
+            # (i, j, k) instruction.
+            trace.tile_compute(
+                spgemm_opcode,
+                c_regs[slot],
+                a_regs[slot],
+                b_reg,
+                feed_index=affine((grid.tiles_n * tiles_k, i), (tiles_k, J0), (1, step)),
+            )
+        if include_loop_overhead:
+            _loop_overhead(trace, K_LOOP_SCALARS, "k-loop")
+    for slot, i in enumerate(i_block):
+        trace.tile_store_t(address_form(layouts["c"], i, J0), c_regs[slot], "store C")
+    # Pad the block to a whole number of issue groups so every block starts
+    # at the same front-end issue phase (see _ISSUE_ALIGN).
+    for _ in range(-len(trace) % _ISSUE_ALIGN):
+        trace.scalar("block-align")
+    return trace.template()
+
+
 def build_spgemm_kernel(
     shape: GemmShape,
     pattern: SparsityPattern,
@@ -324,96 +391,24 @@ def build_spgemm_kernel(
         _fill_dual_sparse_operands(memory, grid, layouts, a_padded, b_padded)
         feeds = _spgemm_feed_overheads(grid, a_padded, b_padded)
 
-    # Register blocking: with both operands in 1 KB tregs the register file
-    # fits two live C accumulators (treg0-1), two A tiles (treg2-3) and one
-    # shared B tile (treg4) with its metadata in mreg4 — the same two-row
-    # interleave as the SPMM kernels, but with every B load shrunk to 1 KB.
-    c_regs = (treg(0), treg(1))
-    a_regs = (treg(2), treg(3))
-    b_reg = treg(4)
-    spgemm_opcode = (
-        Opcode.TILE_SPGEMM_U
-        if pattern is SparsityPattern.SPARSE_2_4
-        else Opcode.TILE_SPGEMM_V
+    classes, coords, tiles = interleaved_cells(blocks, grid.tiles_m, grid.tiles_n, "spgemm")
+    templates = block_templates(
+        ("spgemm", shape, pattern, geometry, include_loop_overhead),
+        lambda: interleaved_templates(
+            grid.tiles_m,
+            lambda two_rows: _spgemm_block(layouts, grid, include_loop_overhead, two_rows),
+        ),
     )
-
-    block_rows = interleaved_block_rows(grid.tiles_m)
-    if blocks is None:
-        chosen = [
-            (bi, j) for bi in range(len(block_rows)) for j in range(grid.tiles_n)
-        ]
-    else:
-        chosen = validate_blocks(blocks, len(block_rows), grid.tiles_n, "spgemm")
-    total_tiles = sum(len(block_rows[bi]) for bi, _ in chosen)
-    traced_tiles = total_tiles if max_output_tiles is None else min(
-        max_output_tiles, total_tiles
+    trace, block_starts, fraction = stamp_blocks(
+        templates, classes, coords, tiles, max_output_tiles, feeds=feeds
     )
-    trace = TraceBuilder()
-    block_starts: List[int] = []
-    emitted = 0
-    for bi, j in chosen:
-        if emitted >= traced_tiles:
-            break
-        i_block = block_rows[bi]
-        emitted += len(i_block)
-        block_starts.append(len(trace))
-        if include_loop_overhead:
-            for _ in range(TILE_LOOP_SCALARS):
-                trace.scalar("tile-loop")
-            trace.branch("tile-loop")
-        for slot, i in enumerate(i_block):
-            trace.tile_load_t(
-                c_regs[slot], layouts["c"].tile_address(i, j), "load C"
-            )
-        for k in range(grid.tiles_k):
-            for slot, i in enumerate(i_block):
-                trace.tile_load_t(
-                    a_regs[slot], layouts["a"].tile_address(i, k), "load A"
-                )
-                trace.tile_load_m(
-                    mreg(a_regs[slot].index),
-                    layouts["a_metadata"].tile_address(i, k),
-                    "load A-MD",
-                )
-            trace.tile_load_t(b_reg, layouts["b"].tile_address(j, k), "load B")
-            trace.tile_load_m(
-                mreg(b_reg.index),
-                layouts["b_metadata"].tile_address(j, k),
-                "load B-MD",
-            )
-            for slot, i in enumerate(i_block):
-                # Without operand data the feed overhead stays -1 (unknown)
-                # and the simulator falls back to the engine's worst-case
-                # formula; with data it is the exact metadata-intersection
-                # cost of this (i, j, k) instruction.
-                trace.tile_compute(
-                    spgemm_opcode,
-                    c_regs[slot],
-                    a_regs[slot],
-                    b_reg,
-                    feed_overhead=int(feeds[i, j, k]) if feeds is not None else -1,
-                )
-            if include_loop_overhead:
-                for _ in range(K_LOOP_SCALARS):
-                    trace.scalar("k-loop")
-                trace.branch("k-loop")
-        for slot, i in enumerate(i_block):
-            trace.tile_store_t(
-                layouts["c"].tile_address(i, j), c_regs[slot], "store C"
-            )
-        # Pad the block to a whole number of issue groups so every block
-        # starts at the same front-end issue phase (see _ISSUE_ALIGN).
-        for _ in range(-(len(trace) - block_starts[-1]) % _ISSUE_ALIGN):
-            trace.scalar("block-align")
-
-    traced = emitted if max_output_tiles is not None else total_tiles
     return KernelProgram(
         trace=trace,
         shape=shape,
         pattern=pattern,
         memory=memory,
         c_layout=layouts["c"],
-        simulated_fraction=traced / total_tiles if total_tiles else 1.0,
+        simulated_fraction=fraction,
         label=f"spgemm-{pattern.value}",
-        block_starts=tuple(block_starts),
+        block_starts=block_starts,
     )

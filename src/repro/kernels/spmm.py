@@ -39,23 +39,22 @@ from ..types import (
     TILE_FP32_COLS,
     TileGeometry,
 )
-from .gemm import (
-    K_LOOP_BRANCHES,
-    K_LOOP_SCALARS,
-    TILE_LOOP_BRANCHES,
-    TILE_LOOP_SCALARS,
-    _plan_layouts,
-)
+from .gemm import K_LOOP_SCALARS, TILE_LOOP_SCALARS, _loop_overhead, _plan_layouts
+from .memo import block_templates
 from .program import KernelProgram
-from .tiling import (
-    MatrixTileLayout,
-    TILE_M,
-    TILE_N,
-    TileGrid,
-    align_up,
-    interleaved_block_rows,
-    validate_blocks,
+from .template import (
+    I0,
+    I1,
+    J0,
+    BlockTemplate,
+    TemplateBuilder,
+    address_form,
+    constant,
+    interleaved_cells,
+    interleaved_templates,
+    stamp_blocks,
 )
+from .tiling import MatrixTileLayout, TILE_M, TILE_N, TileGrid, align_up
 
 
 def _fill_sparse_operands(
@@ -92,6 +91,55 @@ def _fill_sparse_operands(
                 k * tile_k : (k + 1) * tile_k, j * TILE_N : (j + 1) * TILE_N
             ]
             memory.write_matrix(layouts["b"].tile_address(j, k), tile.T, DType.BF16)
+
+
+def _spmm_block(
+    layouts: dict,
+    metadata_layout: MatrixTileLayout,
+    grid: TileGrid,
+    include_loop_overhead: bool,
+    two_rows: bool,
+) -> BlockTemplate:
+    """One block class of the SPMM kernel: a row pair, or a trailing single row.
+
+    Register blocking: the wider B operands (ureg/vreg) leave room for only
+    two live C accumulators (treg0-1) and two A tiles (treg2-3), so the
+    SPMM kernels interleave two output tiles along the M dimension sharing
+    one B tile per K-step.  The shorter (2-deep) accumulator chains are what
+    make output forwarding matter much more for the sparse instructions
+    than for the dense kernel (Section V-C, Figure 10).
+    """
+    c_regs = (treg(0), treg(1))
+    a_regs = (treg(2), treg(3))
+    if grid.pattern is SparsityPattern.SPARSE_2_4:
+        b_reg = ureg(2)  # tregs 4-5
+        load_b_opcode = Opcode.TILE_LOAD_U
+        spmm_opcode = Opcode.TILE_SPMM_U
+    else:
+        b_reg = vreg(1)  # tregs 4-7
+        load_b_opcode = Opcode.TILE_LOAD_V
+        spmm_opcode = Opcode.TILE_SPMM_V
+    i_block = (I0, I1) if two_rows else (I0,)
+    trace = TemplateBuilder()
+    if include_loop_overhead:
+        _loop_overhead(trace, TILE_LOOP_SCALARS, "tile-loop")
+    for slot, i in enumerate(i_block):
+        trace.tile_load_t(c_regs[slot], address_form(layouts["c"], i, J0), "load C")
+    for k in range(grid.tiles_k):
+        step = constant(k)
+        for slot, i in enumerate(i_block):
+            trace.tile_load_t(a_regs[slot], address_form(layouts["a"], i, step), "load A")
+            trace.tile_load_m(
+                mreg(a_regs[slot].index), address_form(metadata_layout, i, step), "load MD"
+            )
+        trace.tile_load(load_b_opcode, b_reg, address_form(layouts["b"], J0, step), "load B")
+        for slot in range(len(i_block)):
+            trace.tile_compute(spmm_opcode, c_regs[slot], a_regs[slot], b_reg)
+        if include_loop_overhead:
+            _loop_overhead(trace, K_LOOP_SCALARS, "k-loop")
+    for slot, i in enumerate(i_block):
+        trace.tile_store_t(address_form(layouts["c"], i, J0), c_regs[slot], "store C")
+    return trace.template()
 
 
 def build_spmm_kernel(
@@ -156,84 +204,28 @@ def build_spmm_kernel(
         memory = ByteMemory()
         _fill_sparse_operands(memory, grid, layouts, metadata_layout, a, b)
 
-    # Register blocking: the wider B operands (ureg/vreg) leave room for only
-    # two live C accumulators (treg0-1) and two A tiles (treg2-3), so the
-    # SPMM kernels interleave two output tiles along the M dimension sharing
-    # one B tile per K-step.  The shorter (2-deep) accumulator chains are what
-    # make output forwarding matter much more for the sparse instructions
-    # than for the dense kernel (Section V-C, Figure 10).
-    is_2_4 = pattern is SparsityPattern.SPARSE_2_4
-    c_regs = (treg(0), treg(1))
-    a_regs = (treg(2), treg(3))
-    if is_2_4:
-        b_reg = ureg(2)  # tregs 4-5
-        load_b_opcode = Opcode.TILE_LOAD_U
-        spmm_opcode = Opcode.TILE_SPMM_U
-    else:
-        b_reg = vreg(1)  # tregs 4-7
-        load_b_opcode = Opcode.TILE_LOAD_V
-        spmm_opcode = Opcode.TILE_SPMM_V
-
-    block_rows = interleaved_block_rows(grid.tiles_m)
-    if blocks is None:
-        chosen = [
-            (bi, j) for bi in range(len(block_rows)) for j in range(grid.tiles_n)
-        ]
-    else:
-        chosen = validate_blocks(blocks, len(block_rows), grid.tiles_n, "spmm")
-    total_tiles = sum(len(block_rows[bi]) for bi, _ in chosen)
-    traced_tiles = total_tiles if max_output_tiles is None else min(
-        max_output_tiles, total_tiles
+    classes, coords, tiles = interleaved_cells(blocks, grid.tiles_m, grid.tiles_n, "spmm")
+    templates = block_templates(
+        ("spmm", shape, pattern, geometry, include_loop_overhead),
+        lambda: interleaved_templates(
+            grid.tiles_m,
+            lambda two_rows: _spmm_block(
+                layouts, metadata_layout, grid, include_loop_overhead, two_rows
+            ),
+        ),
     )
-    trace = TraceBuilder()
-    block_starts: List[int] = []
-    emitted = 0
-    for bi, j in chosen:
-        if emitted >= traced_tiles:
-            break
-        i_block = block_rows[bi]
-        emitted += len(i_block)
-        block_starts.append(len(trace))
-        if include_loop_overhead:
-            for _ in range(TILE_LOOP_SCALARS):
-                trace.scalar("tile-loop")
-            trace.branch("tile-loop")
-        for slot, i in enumerate(i_block):
-            trace.tile_load_t(
-                c_regs[slot], layouts["c"].tile_address(i, j), "load C"
-            )
-        for k in range(grid.tiles_k):
-            for slot, i in enumerate(i_block):
-                trace.tile_load_t(
-                    a_regs[slot], layouts["a"].tile_address(i, k), "load A"
-                )
-                trace.tile_load_m(
-                    mreg(a_regs[slot].index),
-                    metadata_layout.tile_address(i, k),
-                    "load MD",
-                )
-            trace.tile_load(load_b_opcode, b_reg, layouts["b"].tile_address(j, k), "load B")
-            for slot, i in enumerate(i_block):
-                trace.tile_compute(spmm_opcode, c_regs[slot], a_regs[slot], b_reg)
-            if include_loop_overhead:
-                for _ in range(K_LOOP_SCALARS):
-                    trace.scalar("k-loop")
-                trace.branch("k-loop")
-        for slot, i in enumerate(i_block):
-            trace.tile_store_t(
-                layouts["c"].tile_address(i, j), c_regs[slot], "store C"
-            )
-
-    traced = emitted if max_output_tiles is not None else total_tiles
+    trace, block_starts, fraction = stamp_blocks(
+        templates, classes, coords, tiles, max_output_tiles
+    )
     return KernelProgram(
         trace=trace,
         shape=shape,
         pattern=pattern,
         memory=memory,
         c_layout=layouts["c"],
-        simulated_fraction=traced / total_tiles if total_tiles else 1.0,
+        simulated_fraction=fraction,
         label=f"spmm-{pattern.value}",
-        block_starts=tuple(block_starts),
+        block_starts=block_starts,
     )
 
 

@@ -1,0 +1,259 @@
+"""Block templates: emit each block class once, stamp the block grid with NumPy.
+
+Every tiled kernel is a periodic loop nest: its register-blocked output
+blocks repeat one fixed load / compute / store body (Listing 1), and only
+the tile coordinates the body addresses change from block to block.  A
+builder therefore emits the body of each *block class* once — the dense
+kernel's full 2x2 block, row edge, column edge and corner; the sparse
+kernels' row pair and single row — into a :class:`TemplateBuilder`, which
+records ordinary :class:`~repro.cpu.columnar.TraceBuilder` rows plus, for
+every memory row, an integer **affine form** of the block coordinates::
+
+    address = form . (i0, i1, j0, j1, 1)
+
+i.e. layout base + row x row stride + column x tile stride, with the row
+and column each one of the block's tile coordinates or a constant K-step
+(see :func:`address_form`).  ``i0, i1`` are the block's two tile rows and
+``j0, j1`` its two tile columns, clamped at the grid edge, so a single-row
+block has ``i1 == i0``.  A data-carrying SpGEMM compute row carries a second
+form: its flat index into the kernel's ``feeds[i, j, k]`` overheads.
+
+:func:`stamp_blocks` then lays the chosen blocks out in emission order: it
+gathers every content column in one ``take`` from the stacked templates and
+computes each class's addresses with one ``int64`` matrix product over its
+blocks' coordinates.  Templates depend only on the kernel (kind, shape,
+pattern, geometry, loop overhead) — never on which cells are stamped — so
+every per-core build of a sharded kernel stamps from the same templates
+(:func:`repro.kernels.memo.block_templates`).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from ..cpu.columnar import (
+    TRACE_DTYPE,
+    ColumnarTrace,
+    TraceBuilder,
+    check_feed_overheads,
+    frozen_trace,
+)
+from ..errors import SimulationError
+from ..types import DEFAULT_GEOMETRY, TileGeometry
+from .tiling import MatrixTileLayout, validate_blocks
+
+#: An affine form over the block coordinates ``(i0, i1, j0, j1, 1)``.
+Form = Tuple[int, int, int, int, int]
+
+I0: Form = (1, 0, 0, 0, 0)
+I1: Form = (0, 1, 0, 0, 0)
+J0: Form = (0, 0, 1, 0, 0)
+J1: Form = (0, 0, 0, 1, 0)
+
+
+def constant(value: int) -> Form:
+    """The constant form ``value``."""
+    return (0, 0, 0, 0, value)
+
+
+def affine(*terms: Tuple[int, Form]) -> Form:
+    """The form ``sum(coefficient * form)`` over ``(coefficient, form)`` terms."""
+    return tuple(  # type: ignore[return-value]
+        sum(coefficient * form[axis] for coefficient, form in terms) for axis in range(5)
+    )
+
+
+def address_form(layout: MatrixTileLayout, row: Form, col: Form) -> Form:
+    """:meth:`MatrixTileLayout.tile_address` of the tile at forms ``(row, col)``."""
+    row_stride = layout.effective_row_stride
+    tile_stride = layout.effective_tile_stride
+    return (
+        row_stride * row[0] + tile_stride * col[0],
+        row_stride * row[1] + tile_stride * col[1],
+        row_stride * row[2] + tile_stride * col[2],
+        row_stride * row[3] + tile_stride * col[3],
+        layout.base_address + row_stride * row[4] + tile_stride * col[4],
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class BlockTemplate:
+    """One block class: its trace rows and the affine maps that place them.
+
+    ``rows`` hold every content column; the ``address`` of a memory row is a
+    placeholder that :func:`stamp_blocks` overwrites from ``address_forms``
+    (one form per entry of ``address_rows``), and the ``feed`` of a row in
+    ``feed_rows`` is filled from ``feed_forms`` when the build carries
+    feed overheads.  ``oplabel`` / ``ilabel`` index the template's own
+    ``labels``, in first-appearance order.
+    """
+
+    rows: np.ndarray
+    labels: Tuple[str, ...]
+    address_rows: np.ndarray
+    address_forms: np.ndarray
+    feed_rows: np.ndarray
+    feed_forms: np.ndarray
+
+
+def _split(entries: List[Tuple[int, Form]]) -> Tuple[np.ndarray, np.ndarray]:
+    rows = np.array([row for row, _ in entries], dtype=np.int64)
+    forms = np.array([form for _, form in entries], dtype=np.int64).reshape(-1, 5)
+    return rows, forms
+
+
+class TemplateBuilder(TraceBuilder):
+    """A :class:`TraceBuilder` whose tile addresses are affine forms.
+
+    Rows are encoded exactly as :class:`TraceBuilder` encodes them (labels
+    included); each load / store takes a :data:`Form` in place of its
+    address, and a compute may name the form of its ``feeds`` index.
+    """
+
+    __slots__ = ("_address_forms", "_feed_forms")
+
+    def __init__(self, geometry: TileGeometry = DEFAULT_GEOMETRY) -> None:
+        super().__init__(geometry)
+        self._address_forms: List[Tuple[int, Form]] = []
+        self._feed_forms: List[Tuple[int, Form]] = []
+
+    def tile_load(self, opcode, dst, address: Form, label: str = "") -> None:
+        self._address_forms.append((len(self), address))
+        super().tile_load(opcode, dst, 0, label)
+
+    def tile_store_t(self, address: Form, src, label: str = "") -> None:
+        self._address_forms.append((len(self), address))
+        super().tile_store_t(0, src, label)
+
+    def tile_compute(
+        self, opcode, dst, src_a, src_b, label: str = "", feed_index: Optional[Form] = None
+    ) -> None:
+        if feed_index is not None:
+            self._feed_forms.append((len(self), feed_index))
+        super().tile_compute(opcode, dst, src_a, src_b, label)
+
+    def template(self) -> BlockTemplate:
+        """The recorded block as a :class:`BlockTemplate`."""
+        address_rows, address_forms = _split(self._address_forms)
+        feed_rows, feed_forms = _split(self._feed_forms)
+        return BlockTemplate(
+            rows=np.array(self._rows, dtype=TRACE_DTYPE),
+            labels=tuple(self._labels),
+            address_rows=address_rows,
+            address_forms=address_forms,
+            feed_rows=feed_rows,
+            feed_forms=feed_forms,
+        )
+
+
+def block_cells(blocks, rows: int, cols: int, name: str) -> np.ndarray:
+    """The ``(B, 2)`` cells to emit: the row-major grid, or validated ``blocks``."""
+    if blocks is None:
+        return np.stack(np.divmod(np.arange(rows * cols, dtype=np.int64), cols), axis=1)
+    return np.array(validate_blocks(blocks, rows, cols, name), dtype=np.int64).reshape(-1, 2)
+
+
+def interleaved_templates(
+    tiles_m: int, block: Callable[[bool], BlockTemplate]
+) -> Tuple[Optional[BlockTemplate], ...]:
+    """A sparse kernel's templates by class, ``block(two_rows)`` for each
+    class the grid contains: the row pair (class 0) and the trailing single
+    row of an odd grid (class 1)."""
+    return (
+        block(True) if tiles_m >= 2 else None,
+        block(False) if tiles_m % 2 == 1 else None,
+    )
+
+
+def interleaved_cells(
+    blocks, tiles_m: int, tiles_n: int, name: str
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(classes, coords, tiles)`` of a sparse kernel's cells.
+
+    A cell is (row pair, tile column) of the two-accumulator interleave
+    (:func:`repro.kernels.tiling.interleaved_block_rows`): class 0 covers a
+    row pair, class 1 the trailing single row of an odd grid.
+    """
+    cells = block_cells(blocks, -(-tiles_m // 2), tiles_n, name)
+    i0 = 2 * cells[:, 0]
+    i1 = np.minimum(i0 + 1, tiles_m - 1)
+    single = (i1 == i0).astype(np.int64)
+    j = cells[:, 1]
+    return single, np.stack((i0, i1, j, j, np.ones_like(i0)), axis=1), 2 - single
+
+
+def stamp_blocks(
+    templates: Sequence[Optional[BlockTemplate]],
+    classes: np.ndarray,
+    coords: np.ndarray,
+    tiles: np.ndarray,
+    max_output_tiles: Optional[int],
+    geometry: TileGeometry = DEFAULT_GEOMETRY,
+    feeds: Optional[np.ndarray] = None,
+) -> Tuple[ColumnarTrace, Tuple[int, ...], float]:
+    """Stamp block ``b`` as ``templates[classes[b]]`` at ``coords[b]``, in order.
+
+    ``coords`` is ``(B, 5)``: each block's ``(i0, i1, j0, j1, 1)``; block
+    ``b`` covers ``tiles[b]`` output tiles.  Blocks are stamped until
+    ``max_output_tiles`` output tiles are covered (the block that crosses the
+    limit is stamped whole).  Returns the frozen trace, the row offset of
+    every stamped block and the fraction of the blocks' output tiles the
+    trace covers.
+
+    The content columns are one gather from the stacked templates; each
+    class's addresses (and feeds) are then one matrix product over its
+    blocks' coordinates.  Labels are numbered in first-appearance order over
+    the stamped trace, as a row-by-row emission numbers them: classes are
+    merged in the order of their first block, since a later block of a class
+    adds no label its first did not.
+    """
+    ends = np.cumsum(tiles)
+    total_tiles = int(ends[-1]) if len(ends) else 0
+    limit = total_tiles if max_output_tiles is None else min(max_output_tiles, total_tiles)
+    count = int(np.count_nonzero(ends - tiles < limit))
+    emitted = int(ends[count - 1]) if count else 0
+    classes, coords = classes[:count], coords[:count]
+
+    present, first = np.unique(classes, return_index=True)
+    present = present[np.argsort(first)]
+    label_ids: Dict[str, int] = {}
+    stacked = []
+    offsets = np.zeros(len(templates), dtype=np.int64)
+    for cls in present:
+        template = templates[cls]
+        remap = np.array(
+            [label_ids.setdefault(label, len(label_ids)) for label in template.labels],
+            dtype=np.int32,
+        )
+        rows = template.rows.copy()
+        rows["oplabel"] = remap[rows["oplabel"]]
+        rows["ilabel"] = remap[rows["ilabel"]]
+        offsets[cls] = sum(len(block) for block in stacked)
+        stacked.append(rows)
+
+    lengths = np.array([0 if t is None else len(t.rows) for t in templates], dtype=np.int64)
+    sizes = lengths[classes]
+    starts = np.cumsum(sizes) - sizes
+    table = np.concatenate(stacked) if stacked else np.empty(0, dtype=TRACE_DTYPE)
+    columns = table.take(
+        np.arange(int(sizes.sum()), dtype=np.int64) + np.repeat(offsets[classes] - starts, sizes)
+    )
+
+    for cls in present:
+        template = templates[cls]
+        members = np.flatnonzero(classes == cls)
+        block_coords = coords[members]
+        addresses = block_coords @ template.address_forms.T
+        if addresses.size and addresses.min() < 0:
+            # A negative address would alias the "no memory operand" sentinel.
+            raise SimulationError(f"negative memory address {addresses.min()}")
+        columns["address"][starts[members, None] + template.address_rows] = addresses
+        if feeds is not None and len(template.feed_rows):
+            values = feeds.reshape(-1)[block_coords @ template.feed_forms.T]
+            check_feed_overheads(values)
+            columns["feed"][starts[members, None] + template.feed_rows] = values
+    trace = frozen_trace(columns, tuple(label_ids), geometry)
+    return trace, tuple(starts.tolist()), emitted / total_tiles if total_tiles else 1.0

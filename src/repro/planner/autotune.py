@@ -39,7 +39,7 @@ from ..cpu.params import MachineParams, get_topology
 from ..errors import ConfigurationError
 from ..kernels.sharding import ShardedKernel, shard_kernel
 from ..types import GemmShape, SparsityPattern
-from .prefilter import MappingStatics, mapping_statics
+from .prefilter import MappingStatics, PartitionStatics, mapping_statics, partition_statics
 from .space import MappingCandidate, enumerate_mappings
 
 #: Objective vector: (core cycles, traffic bytes, load imbalance).
@@ -182,6 +182,9 @@ def autotune_workload(
     }
 
     shards: Dict[Tuple, ShardedKernel] = {}
+    # Partition statics read no engine: priced once per shard, shared by
+    # every engine that runs it.
+    partitions: Dict[Tuple, PartitionStatics] = {}
     statics_memo: Dict[Tuple, MappingStatics] = {}
     outcomes: List[MappingOutcome] = []
     for candidate in space.candidates:
@@ -209,9 +212,13 @@ def autotune_workload(
         statics_key = shard_key + (candidate.engine,)
         statics = statics_memo.get(statics_key)
         if statics is None:
-            statics = mapping_statics(
-                sharded, machine, engine, topology_nodes[candidate.topology]
-            )
+            topology = topology_nodes[candidate.topology]
+            partition = partitions.get(shard_key)
+            if partition is None:
+                partition = partitions[shard_key] = partition_statics(
+                    sharded, machine, topology
+                )
+            statics = mapping_statics(sharded, machine, engine, topology, partition)
             statics_memo[statics_key] = statics
         outcomes.append(MappingOutcome(candidate=candidate, statics=statics))
 

@@ -21,6 +21,10 @@ sharded per-core traces and the machine/engine parameters:
   roofline throughput estimate reusing :mod:`repro.analysis.roofline`.
   These order the search so strong incumbents are simulated early; they
   never discard a candidate on their own.
+
+Only the compute bound and the roofline read the engine.  Everything else
+is a property of the partition (:func:`partition_statics`), which the
+autotuner prices once per sharded kernel and shares across its engines.
 """
 
 from __future__ import annotations
@@ -42,8 +46,8 @@ from ..types import SparsityPattern
 
 
 @dataclass(frozen=True)
-class MappingStatics:
-    """Simulation-free statics of one sharded mapping."""
+class PartitionStatics:
+    """The engine-independent statics of one sharded partition."""
 
     #: Tile instructions (loads + computes + stores) across all cores.
     tile_instructions: int
@@ -63,10 +67,17 @@ class MappingStatics:
     fits_private_l2: bool
     #: Does the combined footprint fit the topology's shared caches?
     fits_shared_capacity: bool
-    #: Issue-rate makespan floor in core cycles (sound lower bound).
-    compute_bound_cycles: int
     #: Bandwidth makespan floor in core cycles (0 under ideal prefetch).
     memory_bound_cycles: int
+
+
+@dataclass(frozen=True)
+class MappingStatics(PartitionStatics):
+    """Simulation-free statics of one sharded mapping: its partition's, plus
+    the engine's compute bound and roofline."""
+
+    #: Issue-rate makespan floor in core cycles (sound lower bound).
+    compute_bound_cycles: int
     #: Roofline throughput estimate (ordering heuristic, effectual TFLOPS).
     roofline_tflops: float
 
@@ -85,13 +96,12 @@ def _shared_capacity_bytes(topology: TopologyNode) -> int:
     )
 
 
-def mapping_statics(
+def partition_statics(
     sharded: ShardedKernel,
     machine: MachineParams,
-    engine: EngineConfig,
     topology: Optional[TopologyNode] = None,
-) -> MappingStatics:
-    """Compute the pre-filter statics for one sharded mapping.
+) -> PartitionStatics:
+    """Price the engine-independent statics of one sharded partition.
 
     ``topology=None`` means the flat shared pool (the ``"flat"`` preset's
     parameters are used for root bandwidth and shared capacity).
@@ -120,17 +130,6 @@ def mapping_statics(
     max_core_footprint_bytes = max_core_lines * line_bytes
     combined_footprint_bytes = combined_lines * line_bytes
 
-    # The engine pipeline initiates compute instructions no faster than one
-    # per issue interval (the max stage occupancy; loads and stores overlap
-    # through the memory system and never enter the pipeline), and the
-    # engine clock runs slower than the core clock, so the most-loaded
-    # core's compute count floors the makespan regardless of memory
-    # behaviour.
-    issue_cycles = max(engine.issue_interval, engine.busy_cycles_per_instruction)
-    compute_bound_cycles = (
-        max_core_compute_instructions * issue_cycles * machine.core.engine_clock_ratio
-    )
-
     # Every distinct line of the combined footprint is a compulsory miss
     # somewhere, and compulsory misses pay the full path to the topology
     # root (shared caches only absorb capacity misses), so the root's line
@@ -145,6 +144,50 @@ def mapping_statics(
             if root_lines_per_cycle > 0 and math.isfinite(root_lines_per_cycle)
             else 0
         )
+
+    return PartitionStatics(
+        tile_instructions=tile_instructions,
+        max_core_compute_instructions=max_core_compute_instructions,
+        traffic_bytes=traffic_bytes,
+        load_imbalance=load_imbalance,
+        max_core_footprint_bytes=max_core_footprint_bytes,
+        combined_footprint_bytes=combined_footprint_bytes,
+        fits_private_l2=max_core_footprint_bytes <= machine.l2.capacity_bytes,
+        fits_shared_capacity=(
+            combined_footprint_bytes <= _shared_capacity_bytes(resolved_topology)
+        ),
+        memory_bound_cycles=memory_bound_cycles,
+    )
+
+
+def mapping_statics(
+    sharded: ShardedKernel,
+    machine: MachineParams,
+    engine: EngineConfig,
+    topology: Optional[TopologyNode] = None,
+    partition: Optional[PartitionStatics] = None,
+) -> MappingStatics:
+    """Compute the pre-filter statics for one sharded mapping.
+
+    ``topology=None`` means the flat shared pool.  ``partition`` is the
+    :func:`partition_statics` of ``(sharded, machine, topology)`` when the
+    caller has priced it already; otherwise it is priced here.
+    """
+    if partition is None:
+        partition = partition_statics(sharded, machine, topology)
+
+    # The engine pipeline initiates compute instructions no faster than one
+    # per issue interval (the max stage occupancy; loads and stores overlap
+    # through the memory system and never enter the pipeline), and the
+    # engine clock runs slower than the core clock, so the most-loaded
+    # core's compute count floors the makespan regardless of memory
+    # behaviour.
+    issue_cycles = max(engine.issue_interval, engine.busy_cycles_per_instruction)
+    compute_bound_cycles = (
+        partition.max_core_compute_instructions
+        * issue_cycles
+        * machine.core.engine_clock_ratio
+    )
 
     executed = sharded.pattern
     sparse_aware = engine.sparse and executed is not SparsityPattern.DENSE_4_4
@@ -163,17 +206,7 @@ def mapping_statics(
     )
 
     return MappingStatics(
-        tile_instructions=tile_instructions,
-        max_core_compute_instructions=max_core_compute_instructions,
-        traffic_bytes=traffic_bytes,
-        load_imbalance=load_imbalance,
-        max_core_footprint_bytes=max_core_footprint_bytes,
-        combined_footprint_bytes=combined_footprint_bytes,
-        fits_private_l2=max_core_footprint_bytes <= machine.l2.capacity_bytes,
-        fits_shared_capacity=(
-            combined_footprint_bytes <= _shared_capacity_bytes(resolved_topology)
-        ),
+        **vars(partition),
         compute_bound_cycles=compute_bound_cycles,
-        memory_bound_cycles=memory_bound_cycles,
         roofline_tflops=roofline_tflops,
     )

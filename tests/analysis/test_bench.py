@@ -7,12 +7,15 @@ import pytest
 
 from repro.__main__ import main
 from repro.analysis.bench import (
+    BENCH_SCHEMA_VERSION,
     DEFAULT_BENCH_PATH,
     DEFAULT_MULTICORE_WORKLOADS,
     DEFAULT_WORKLOADS,
+    GATED_METRICS,
     QUICK_MULTICORE_WORKLOADS,
     QUICK_WORKLOADS,
     SPEEDUP_FLOORS,
+    benchmark_simulator,
     compare_benchmarks,
     select_workloads,
 )
@@ -90,6 +93,17 @@ class TestCompare:
         current["workloads"][0]["speedup"] = floor + 1.0
         assert compare_benchmarks(current, payload([(name, 1000.0)])) == []
 
+    @pytest.mark.parametrize("suite, metric", GATED_METRICS)
+    def test_every_gated_metric_is_checked(self, suite, metric):
+        baseline = {suite: [{"name": "w", metric: 1000.0}]}
+        assert compare_benchmarks({suite: [{"name": "w", metric: 800.0}]}, baseline) == []
+        regressions = compare_benchmarks({suite: [{"name": "w", metric: 500.0}]}, baseline)
+        assert len(regressions) == 1 and metric in regressions[0]
+
+    def test_build_throughput_is_gated(self):
+        assert ("workloads", "build_rows_per_sec") in GATED_METRICS
+        assert ("multicore_workloads", "shard_rows_per_sec") in GATED_METRICS
+
     def test_floor_names_exist_in_default_suite(self):
         default_names = {workload.name for workload in DEFAULT_WORKLOADS}
         assert set(SPEEDUP_FLOORS) <= default_names
@@ -135,3 +149,18 @@ class TestCheckCli:
             main(["bench", "--shape", "64x64x128", "--out", str(out), "--check", str(bad)])
             == 1
         )
+
+
+def test_payload_reports_cold_build_throughput():
+    payload = benchmark_simulator(QUICK_WORKLOADS, QUICK_MULTICORE_WORKLOADS)
+    assert payload["schema"] == BENCH_SCHEMA_VERSION == 5
+    (row,) = payload["workloads"]
+    assert row["build_rows_per_sec"] == pytest.approx(row["trace_ops"] / row["build_seconds"])
+    (multicore,) = payload["multicore_workloads"]
+    assert multicore["shard_rows_per_sec"] == pytest.approx(
+        multicore["trace_ops"] / multicore["build_seconds"]
+    )
+    assert payload["build_rows_per_sec"] == pytest.approx(row["build_rows_per_sec"])
+    assert payload["multicore_shard_rows_per_sec"] == pytest.approx(
+        multicore["shard_rows_per_sec"]
+    )

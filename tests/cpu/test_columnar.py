@@ -5,6 +5,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.runtime import resolve_engine
 from repro.core import isa
@@ -85,6 +87,32 @@ class TestColumnarParity:
                 or op.address is not None
             }
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        accesses=st.lists(
+            st.tuples(st.integers(0, 1 << 20), st.integers(1, 4096), st.booleans()),
+            max_size=80,
+        ),
+        line_bytes=st.sampled_from([32, 64, 128]),
+    )
+    def test_footprint_lines_match_expand_then_unique(self, accesses, line_bytes):
+        # Repeated and overlapping regions, loads and stores mixed with
+        # non-memory rows: expanding only the distinct regions must give
+        # the same sorted lines as expanding every access.
+        builder = TraceBuilder()
+        for address, nbytes, store in accesses:
+            builder.scalar("pad")
+            if store:
+                builder.vector_store(0, address, nbytes)
+            else:
+                builder.vector_load(0, address, nbytes)
+            builder.vector_load(1, address, nbytes)
+        trace = builder.finish()
+        expected = np.unique(trace._expand_lines(line_bytes))
+        got = trace.footprint_line_numbers(line_bytes)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
 
     def test_from_ops_equals_builder_columns(self):
         program = build_dense_gemm_kernel(GemmShape(64, 64, 128))

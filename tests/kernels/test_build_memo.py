@@ -122,3 +122,25 @@ def test_kernel_larger_than_the_bound_is_not_retained(monkeypatch):
     first = build_kernel("gemm", SHAPE)
     assert build_memo_rows() == 0
     assert build_kernel("gemm", SHAPE).trace is not first.trace
+
+
+def _summed_rows():
+    return sum(len(program.trace) for program in memo._BUILD_MEMO.values())
+
+
+def test_running_row_count_equals_the_retained_sum(monkeypatch):
+    rows = len(build_dense_gemm_kernel(SHAPE, blocks=[CELLS[0]]).trace)
+    monkeypatch.setattr(memo, "BUILD_MEMO_MAX_ROWS", 3 * rows)
+    shapes = (SHAPE, GemmShape(32, 32, 64), GemmShape(48, 16, 128))
+    for cell in CELLS + CELLS[:2]:
+        build_kernel("gemm", SHAPE, blocks=[cell])
+        assert build_memo_rows() == _summed_rows()
+    for shape in shapes:
+        build_kernel("spgemm", shape, SparsityPattern.SPARSE_1_4, max_output_tiles=2)
+        assert build_memo_rows() == _summed_rows() <= 3 * rows
+    build_kernel("gemm", SHAPE)  # larger than the bound: not retained
+    assert build_memo_rows() == _summed_rows()
+    clear_build_memo()
+    assert build_memo_rows() == _summed_rows() == 0
+    build_kernel("gemm", SHAPE, blocks=[CELLS[1]])
+    assert build_memo_rows() == _summed_rows() == rows

@@ -1,9 +1,11 @@
 """Golden-trace regression tests for every kernel builder.
 
 Each snapshot pins the first ~50 trace ops of one builder in the stable text
-format of :func:`repro.cpu.trace.format_trace`.  A refactor that silently
-reorders, drops or relabels the emitted instructions — which the cycle-level
-tests might absorb into a plausible-looking number — fails loudly here.
+format of :func:`repro.cpu.trace.format_trace`, and a ``# sha256:`` header
+line pins the *whole* trace: a digest over every column byte and the label
+table.  A refactor that silently reorders, drops or relabels the emitted
+instructions — which the cycle-level tests might absorb into a
+plausible-looking number — fails loudly here, even past the first 50 ops.
 
 Refreshing after an *intentional* trace change::
 
@@ -12,6 +14,7 @@ Refreshing after an *intentional* trace change::
 then review the diff of ``tests/golden/`` like any other code change.
 """
 
+import hashlib
 import os
 from pathlib import Path
 
@@ -69,10 +72,18 @@ MEMOIZED_KERNELS = {
 }
 
 
+def trace_digest(trace) -> str:
+    """sha256 over a trace's full columns and its label table."""
+    digest = hashlib.sha256(trace.columns.tobytes())
+    digest.update("\x00".join(trace.labels).encode("utf-8"))
+    return digest.hexdigest()
+
+
 def _render(program):
     header = (
         f"# kernel: {program.label}\n"
         f"# trace ops: {len(program.trace)} (first {SNAPSHOT_OPS} shown)\n"
+        f"# sha256: {trace_digest(program.trace)}\n"
     )
     return header + format_trace(program.trace, limit=SNAPSHOT_OPS) + "\n"
 

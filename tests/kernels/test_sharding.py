@@ -14,6 +14,7 @@ from repro.analysis.runtime import resolve_engine
 from repro.cpu.params import dual_socket_machine, get_topology, topology_names
 from repro.cpu.simulator import CycleApproximateSimulator
 from repro.errors import KernelError
+from repro.kernels.gemm import dense_block_grid
 from repro.kernels.memo import build_kernel
 from repro.kernels.sharding import shard_kernel
 from repro.kernels.tiling import PARTITION_STRATEGIES, TileGrid, partition_grid
@@ -186,12 +187,12 @@ class TestLocalitySharding:
             topology=dual_socket_machine(),
         )
         grid = TileGrid(shape=self.SHAPE, pattern=SparsityPattern.DENSE_4_4)
-        from repro.kernels.sharding import _block_grid_shape
-
-        rows, cols = _block_grid_shape("gemm", grid)
+        block_rows, block_cols = dense_block_grid(grid)
         assert sharded.blocks == tuple(
             tuple(cells)
-            for cells in partition_grid(rows, cols, 128, "2d-cyclic", group_size=32)
+            for cells in partition_grid(
+                len(block_rows), len(block_cols), 128, "2d-cyclic", group_size=32
+            )
         )
 
     def test_unalignable_domain_split_falls_back_to_flat(self):

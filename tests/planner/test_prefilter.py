@@ -14,7 +14,7 @@ from repro.cpu.multicore import simulate_multicore
 from repro.cpu.params import default_machine, get_topology, memory_bound_machine
 from repro.cpu.trace import summarize_trace
 from repro.kernels.sharding import shard_kernel
-from repro.planner.prefilter import mapping_statics
+from repro.planner.prefilter import mapping_statics, partition_statics
 from repro.planner.space import select_kernel
 from repro.types import GemmShape, SparsityPattern
 
@@ -50,6 +50,25 @@ def build_mapping(engine_name, pattern, shape, cores, strategy, topology_name):
 
 
 class TestExactStatics:
+    def test_one_partition_pricing_serves_every_engine(self):
+        # The autotuner prices a shard's partition statics once and shares
+        # them across the engines that run it.
+        _, sharded, topology = build_mapping(
+            "VEGETA-S-16-2+OF",
+            SparsityPattern.SPARSE_2_4,
+            GemmShape(96, 80, 256),
+            3,
+            "2d-cyclic",
+            "dual-socket",
+        )
+        for machine in MACHINES.values():
+            partition = partition_statics(sharded, machine, topology)
+            for name in ("VEGETA-S-4-2", "VEGETA-S-16-2+OF", "VEGETA-D-1-2"):
+                engine = resolve_engine(name)
+                assert mapping_statics(
+                    sharded, machine, engine, topology, partition
+                ) == mapping_statics(sharded, machine, engine, topology)
+
     def test_traffic_is_the_sum_of_per_core_trace_bytes(self):
         engine, sharded, topology = build_mapping(
             "VEGETA-S-4-2",
