@@ -126,7 +126,7 @@ class MulticoreBenchWorkload:
     """One multi-core benchmark point: a sharded kernel under the arbiter.
 
     ``topology`` names a :data:`repro.cpu.params.TOPOLOGY_PRESETS` entry to
-    arbitrate under (None = the legacy flat shared pool).
+    arbitrate under (None = the ``flat`` preset).
     """
 
     name: str

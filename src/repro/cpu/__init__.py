@@ -19,8 +19,6 @@ from .columnar import ColumnarTrace, TraceBuilder
 from .memory import MemoryRequestResult, MemorySystem
 from .multicore import (
     MulticoreSimulationResult,
-    SharedMemoryParams,
-    arbitrate_bandwidth,
     clear_simulation_memo,
     simulate_multicore,
     simulate_program_cached,
@@ -55,9 +53,7 @@ from .trace import (
     format_trace,
     format_trace_op,
     scalar_op,
-    summarize_trace,
     tile_op,
-    trace_memory_footprint,
     vector_fma,
     vector_load,
     vector_store,
@@ -77,14 +73,12 @@ __all__ = [
     "MemoryRequestResult",
     "MemorySystem",
     "MulticoreSimulationResult",
-    "SharedMemoryParams",
     "SimulationResult",
     "TOPOLOGY_PRESETS",
     "TopologyNode",
     "TraceOp",
     "TraceOpKind",
     "TraceSummary",
-    "arbitrate_bandwidth",
     "arbitrate_topology",
     "branch_op",
     "chiplet_machine",
@@ -99,9 +93,7 @@ __all__ = [
     "format_trace_op",
     "scalar_op",
     "simulate_multicore",
-    "summarize_trace",
     "tile_op",
-    "trace_memory_footprint",
     "vector_fma",
     "vector_load",
     "vector_store",

@@ -17,12 +17,12 @@ costs a few blocks' worth of Python calls, not one per row.  Either way the
 rows are frozen into a read-only :class:`ColumnarTrace` (:func:`frozen_trace`),
 which then answers the whole-trace questions as vectorised array operations:
 
-* ``signature_ids`` — the per-op timing signature of
-  :func:`repro.cpu.fastsim.op_signature` lowered to an ``int64`` id array in
-  one shot (ids are *content-derived*: the packed signature word is
-  factorised and remapped to first-appearance order, so equal ops get equal
-  ids in every process and every run — no interning table whose order could
-  depend on construction history),
+* ``signature_ids`` — the per-op timing signature (kind, opcode, register
+  operands, access size, op label and feed overhead; never the address)
+  lowered to an ``int64`` id array in one shot (ids are *content-derived*:
+  the packed signature word is factorised and remapped to first-appearance
+  order, so equal ops get equal ids in every process and every run — no
+  interning table whose order could depend on construction history),
 * ``summarize`` / ``summarize_span`` — instruction-mix summaries via
   ``bincount``,
 * ``memory_regions`` / ``footprint_line_numbers`` — unique regions / cache
@@ -39,12 +39,17 @@ which then answers the whole-trace questions as vectorised array operations:
 executes; a :class:`ColumnarTrace` materialises them lazily (and caches the
 list), so traces that are never stepped — e.g. the memoized cores 2..N of a
 sharded kernel — never pay for object construction at all.
+
+A :class:`ColumnarTrace` is the only trace type below
+:meth:`repro.cpu.simulator.CycleApproximateSimulator.run`.  A plain op list
+handed to ``run`` is encoded once by :meth:`ColumnarTrace.from_ops`, which
+rejects any op the columns cannot hold instead of degrading.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, NoReturn, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -353,20 +358,26 @@ def frozen_trace(
     return ColumnarTrace(columns=_read_only(columns), labels=labels, geometry=geometry)
 
 
-def _encode_op(op: TraceOp, label_of) -> Optional[tuple]:
-    """Encode one TraceOp as a columnar row (None when inexpressible)."""
+def _encode_op(index: int, op: TraceOp, geometry: TileGeometry, label_of) -> tuple:
+    """Encode trace op ``index`` as a columnar row; raise when inexpressible."""
+
+    def reject(reason: str) -> NoReturn:
+        raise SimulationError(f"trace op {index} cannot be encoded columnar: {reason}")
+
     kind = op.kind
     if kind is TraceOpKind.TILE:
         instruction = op.tile
         if op.label:
             # Builders never label the TraceOp wrapper of a tile instruction;
             # keeping that invariant lets the signature use one label column.
-            return None
+            reject(f"the tile-op wrapper carries its own label {op.label!r}")
+        if instruction.geometry not in (None, geometry):
+            reject(f"tile geometry {instruction.geometry.name!r} differs from the trace's")
         memory = instruction.memory
         if memory is not None and memory.nbytes >= _NBYTES_BOUND:
-            return None
+            reject(f"{memory.nbytes} B transfer exceeds the {_NBYTES_BOUND} B packing bound")
         if instruction.feed_overhead >= _FEED_BOUND - 1:
-            return None
+            reject(f"feed_overhead {instruction.feed_overhead} exceeds the packing bound")
         return (
             _KIND_TILE,
             OPCODE_CODES[instruction.opcode],
@@ -379,8 +390,12 @@ def _encode_op(op: TraceOp, label_of) -> Optional[tuple]:
             label_of(instruction.label),
             instruction.feed_overhead,
         )
-    if len(op.src_regs) > 2 or op.nbytes >= _NBYTES_BOUND:
-        return None
+    if len(op.src_regs) > 2:
+        reject(f"{len(op.src_regs)} source registers; the columns hold two")
+    if op.nbytes >= _NBYTES_BOUND:
+        reject(f"{op.nbytes} B transfer exceeds the {_NBYTES_BOUND} B packing bound")
+    if op.address is not None and op.address < 0:
+        reject(f"negative memory address {op.address}")
     dst = op.dst_reg if op.dst_reg is not None else _NO_REG
     src_a = op.src_regs[0] if len(op.src_regs) > 0 else _NO_REG
     src_b = op.src_regs[1] if len(op.src_regs) > 1 else _NO_REG
@@ -530,12 +545,9 @@ def _fold_outcomes(digest, level, distinct: np.ndarray, ids: np.ndarray, hits=No
 class ColumnarTrace(Sequence):
     """A dynamic instruction trace stored column-wise.
 
-    Constructed either from a :class:`TraceBuilder` (``columns`` + label
-    table; ops materialise lazily) or from an existing ops list
-    (:meth:`from_ops`; the originals are kept and columns are derived).  A
-    trace whose ops cannot be expressed columnar (foreign ``TraceOp``
-    variants) degrades gracefully: it still behaves as a sequence, but the
-    vectorised views — and therefore the memoization key — are unavailable.
+    Built by a :class:`TraceBuilder` (``columns`` + label table) or encoded
+    from an existing ops list by :meth:`from_ops`; either way the ops
+    materialise lazily from the columns.
 
     Everything derived from the trace content alone is computed once and
     kept on the trace (:meth:`derived`): signature ids, the structure
@@ -549,17 +561,14 @@ class ColumnarTrace(Sequence):
 
     def __init__(
         self,
-        columns: Optional[np.ndarray] = None,
+        columns: np.ndarray,
         labels: Tuple[str, ...] = (),
-        ops: Optional[List[TraceOp]] = None,
         geometry: TileGeometry = DEFAULT_GEOMETRY,
     ) -> None:
-        if columns is None and ops is None:
-            raise SimulationError("a ColumnarTrace needs columns or ops")
         self.columns = columns
         self.labels = labels
         self.geometry = geometry
-        self._ops = ops
+        self._ops: Optional[List[TraceOp]] = None
         self._partial: Optional[List[Optional[TraceOp]]] = None
         self._views: Dict[tuple, Any] = {}
 
@@ -567,7 +576,13 @@ class ColumnarTrace(Sequence):
 
     @classmethod
     def from_ops(cls, ops: Sequence[TraceOp]) -> "ColumnarTrace":
-        """Wrap an existing ops list, deriving columns when expressible."""
+        """Encode an ops list as columns.
+
+        Raises :class:`~repro.errors.SimulationError` naming the first op
+        the columns cannot hold (more than two FMA sources, a labelled
+        tile-op wrapper, a mixed tile geometry, a negative address, an
+        access size or feed overhead beyond the signature packing bounds).
+        """
         if isinstance(ops, ColumnarTrace):
             return ops
         ops = list(ops)
@@ -592,23 +607,14 @@ class ColumnarTrace(Sequence):
                 labels.append(label)
             return label_id
 
-        rows: List[tuple] = []
-        for op in ops:
-            row = _encode_op(op, label_of)
-            if row is None:
-                return cls(columns=None, labels=(), ops=ops, geometry=geometry)
-            rows.append(row)
-        if len(labels) >= _LABEL_BOUND:
-            return cls(columns=None, labels=(), ops=ops, geometry=geometry)
+        rows = [_encode_op(index, op, geometry, label_of) for index, op in enumerate(ops)]
         columns = np.array(rows, dtype=TRACE_DTYPE) if rows else np.empty(0, TRACE_DTYPE)
-        return cls(columns=columns, labels=tuple(labels), ops=ops, geometry=geometry)
+        return frozen_trace(columns, tuple(labels), geometry)
 
     # -- sequence protocol ------------------------------------------------------
 
     def __len__(self) -> int:
-        if self.columns is not None:
-            return len(self.columns)
-        return len(self._ops)
+        return len(self.columns)
 
     def __getitem__(self, index: Union[int, slice]):
         return self.ops()[index]
@@ -617,17 +623,13 @@ class ColumnarTrace(Sequence):
         return iter(self.ops())
 
     def __getstate__(self):
-        # Materialised ops and derived views are caches when columns exist;
-        # do not ship them across process boundaries.
-        ops = self._ops if self.columns is None else None
-        return (self.columns, self.labels, ops, self.geometry)
+        # Materialised ops and derived views are caches; do not ship them
+        # across process boundaries.
+        return (self.columns, self.labels, self.geometry)
 
     def __setstate__(self, state):
-        if len(state) == 3:  # pre-geometry pickles
-            self.columns, self.labels, self._ops = state
-            self.geometry = DEFAULT_GEOMETRY
-        else:
-            self.columns, self.labels, self._ops, self.geometry = state
+        self.columns, self.labels, self.geometry = state
+        self._ops = None
         self._partial = None
         self._views = {}
 
@@ -742,9 +744,8 @@ class ColumnarTrace(Sequence):
     def _packed_signatures(self) -> np.ndarray:
         """Pack the timing signature of every op into one ``int64`` word.
 
-        The word covers the fields of
-        :func:`repro.cpu.fastsim.op_signature` except the per-op feed
-        overhead — kind, opcode, the three register operands, access size and
+        The word covers the timing signature except the per-op feed overhead
+        — kind, opcode, the three register operands, access size and
         trace-op label — and nothing else; addresses are deliberately absent.
         The word is full at 63 bits, so ``signature_ids`` and
         ``_structure_hash`` fold the ``feed`` column in separately.
@@ -774,16 +775,11 @@ class ColumnarTrace(Sequence):
         packed = packed * _LABEL_BOUND + oplabel
         return packed
 
-    @property
-    def has_columns(self) -> bool:
-        """True when the vectorised views (and the memo key) are available."""
-        return self.columns is not None
-
     def signature_ids(self) -> np.ndarray:
         """Per-op signature ids, assigned in first-appearance order.
 
-        Equivalent to interning :func:`repro.cpu.fastsim.op_signature` tuples
-        op by op, but derived from the packed content words, so the result
+        Equivalent to interning each op's timing-signature tuple in program
+        order, but derived from the packed content words, so the result
         depends only on the trace content (never on hash seeds or interning
         history) and costs two ``np.unique`` passes instead of a Python loop.
         The per-op ``feed`` overhead is part of the signature (it changes the
@@ -838,8 +834,8 @@ class ColumnarTrace(Sequence):
     def memory_regions(self, start: int = 0, end: Optional[int] = None) -> List[Tuple[int, int]]:
         """Unique ``(address, nbytes)`` regions of a span, sorted.
 
-        Matches :func:`repro.cpu.trace.trace_memory_footprint` exactly (the
-        simulator pre-warms the L2 from these regions).
+        The simulator pre-warms the L2 from these regions under the ideal
+        prefetch assumption.
         """
         span = self.columns[start : len(self) if end is None else end]
         addresses, nbytes = _unique_regions(span)
@@ -955,18 +951,15 @@ class ColumnarTrace(Sequence):
             _fold_outcomes(digest, machine.l2, np.unique(misses), misses)
         return digest.digest()
 
-    def simulation_key(self, machine, block_starts=None) -> Optional[str]:
+    def simulation_key(self, machine, block_starts=None) -> str:
         """Content address of this trace's simulation outcome on ``machine``.
 
-        Returns None when the trace has no columnar form.  The key covers the
-        address-free op content, the cache-collision structure of the address
+        The key covers the address-free op content, the cache-collision structure of the address
         stream under the machine's cache geometry, and the builder's block
         hints; the caller folds in the engine/mode/machine identity (see
         :func:`repro.cpu.multicore.simulation_cache_key`).  Everything is
         content-derived, so keys are valid across processes and runs.
         """
-        if self.columns is None:
-            return None
         digest = hashlib.sha256()
         digest.update(SIMULATION_KEY_SCHEMA.encode())
         digest.update(len(self).to_bytes(8, "little"))

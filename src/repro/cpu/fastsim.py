@@ -10,11 +10,11 @@ of output tiles and extrapolate (``simulated_fraction``).
 This module removes that bottleneck without giving up fidelity.  Two proof
 strategies are used, picked per run:
 
-**Oracle path** (columnar trace + the paper's prefetch-into-L2 assumption).
-Under the ideal L2 prefetch every L1 miss is an L2 hit by construction, so
-the only data-dependent memory outcome is the L1 lookup — a pure function of
-the line-address sequence, which the columnar trace can replay exactly for
-the whole trace up front (:func:`repro.cpu.columnar.lru_outcome_bits`).  The
+**Oracle path** (the paper's prefetch-into-L2 assumption).  Under the ideal
+L2 prefetch every L1 miss is an L2 hit by construction, so the only
+data-dependent memory outcome is the L1 lookup — a pure function of the
+line-address sequence, which the columnar trace can replay exactly for the
+whole trace up front (:func:`repro.cpu.columnar.lru_outcome_bits`).  The
 outcomes fix each request's completion offset and L2-port occupancy, so the
 memory system is replaced by a per-request script
 (:class:`repro.cpu.memory.ScriptedMemory`: O(1) per request, counters as
@@ -32,12 +32,19 @@ exact prefix sums rather than extrapolated deltas.  Intermediate landing
 boundaries are marked as well, so chained jumps (including a final jump to
 the very end of a segment) need no re-validation blocks in between.
 
-**Profile path** (op-list traces, or machines without the L2 prefetch, where
-L2/DRAM dynamics are stateful).  The original strategy: simulate blocks
-exactly until ``q`` consecutive block pairs are *shift-invariant* — every
-per-op issue and completion cycle moved forward by the same constant
-``delta`` and the cache counters changed identically — then skip ahead in
-multiples of ``q``, re-validating after every jump.
+**Profile path.**  It runs in exactly two cases: the machine has no ideal
+L2 prefetch (L2/DRAM dynamics are then stateful), or the oracle script
+cannot be packed — a request whose scripted delay or line count overflows
+the input word, or a zero-byte request, which the stepped memory system
+then rejects.  The original strategy: simulate blocks exactly until ``q``
+consecutive block pairs are *shift-invariant* — every per-op issue and
+completion cycle moved forward by the same constant ``delta`` and the cache
+counters changed identically — then skip ahead in multiples of ``q``,
+re-validating after every jump.
+
+Either way, the blocks of a segment are signature-verified in full up front
+(:func:`build_segments` over the trace's signature ids), so builder hints
+only choose where blocks start; they are never trusted for content.
 
 Both paths search super-periods up to :func:`resolve_max_super_period`
 blocks: a block whose op count is not a multiple of the issue width only
@@ -56,17 +63,11 @@ import numpy as np
 
 from ..core.engine import EngineConfig
 from ..errors import ConfigurationError
-from .columnar import KIND_CODES
+from .columnar import KIND_CODES, ColumnarTrace
 from .memory import RequestScript, ScriptedMemory
 from .params import MachineParams
 from .simulator import SimulationResult, SimulatorState
-from .trace import (
-    TraceOp,
-    TraceOpKind,
-    TraceSummary,
-    summarize_trace,
-    trace_memory_footprint,
-)
+from .trace import TraceOpKind, TraceSummary
 
 #: Segments shorter than this are simply simulated exactly.
 MIN_BLOCKS_TO_SKIP = 4
@@ -119,56 +120,14 @@ def resolve_max_super_period() -> int:
     return value
 
 
-def op_signature(op: TraceOp) -> tuple:
-    """Timing-relevant identity of a trace op, excluding its memory address.
+def derive_block_starts(signatures: np.ndarray) -> Optional[List[int]]:
+    """Detect periodic block boundaries from a trace's signature ids.
 
-    Two ops with equal signatures exercise the same scheduling path through
-    the simulator (same kind, registers, access size, latency class and —
-    for tile computes — the same per-op feed overhead); periodic kernels
-    repeat signature sequences exactly while the addresses stride forward.
+    Returns None when the trace exposes no usable periodicity.  The rarest
+    signature that still repeats is used as the period anchor — in the
+    generated kernels that is one of the once-per-output-tile ops (e.g. the
+    tile-loop branch).
     """
-    tile = op.tile
-    if tile is None:
-        return (op.kind, op.dst_reg, op.src_regs, op.nbytes, op.label)
-    return (
-        op.kind,
-        tile.opcode,
-        tile.dst,
-        tile.src_a,
-        tile.src_b,
-        tile.memory.nbytes if tile.memory is not None else 0,
-        op.label,
-        tile.feed_overhead,
-    )
-
-
-def lower_signatures(trace: Sequence[TraceOp]) -> np.ndarray:
-    """Lower a trace into a per-op ``int64`` signature-id array.
-
-    Ids are assigned in first-appearance order and derived purely from the
-    op content, so the array — and every decision derived from it (anchor
-    choice, block boundaries, memoization keys) — is deterministic across
-    interpreter runs and processes.  Columnar traces answer from their packed
-    signature column in one vectorised pass; plain op lists are interned op
-    by op (dict *equality* interning, never ``hash()`` identity, so the ids
-    cannot depend on per-process enum/string identity either).
-    """
-    if getattr(trace, "has_columns", False):
-        return trace.signature_ids()
-    table: Dict[tuple, int] = {}
-    ids = np.empty(len(trace), dtype=np.int64)
-    for index, op in enumerate(trace):
-        key = op_signature(op)
-        signature_id = table.get(key)
-        if signature_id is None:
-            signature_id = len(table)
-            table[key] = signature_id
-        ids[index] = signature_id
-    return ids
-
-
-def _starts_from_signatures(signatures: np.ndarray) -> Optional[List[int]]:
-    """Anchor-based periodic block starts from a signature array, or None."""
     if len(signatures) < 2 * MIN_ANCHOR_REPEATS:
         return None
     values, counts = np.unique(signatures, return_counts=True)
@@ -183,38 +142,19 @@ def _starts_from_signatures(signatures: np.ndarray) -> Optional[List[int]]:
     return occurrences.tolist()
 
 
-def derive_block_starts(
-    trace: Sequence[TraceOp],
-) -> Tuple[Optional[List[int]], Optional[np.ndarray]]:
-    """Detect periodic block boundaries in an un-annotated trace.
-
-    Returns ``(block_starts, signatures)``; ``(None, None)`` when the trace
-    exposes no usable periodicity.  The rarest signature that still repeats
-    is used as the period anchor — in the generated kernels that is one of
-    the once-per-output-tile ops (e.g. the tile-loop branch).
-    """
-    if len(trace) < 2 * MIN_ANCHOR_REPEATS:
-        return None, None
-    signatures = lower_signatures(trace)
-    starts = _starts_from_signatures(signatures)
-    if starts is None:
-        return None, None
-    return starts, signatures
-
-
 def build_segments(
     block_starts: Sequence[int],
     trace_length: int,
-    signatures: Optional[np.ndarray] = None,
+    signatures: np.ndarray,
 ) -> Tuple[List[int], List[Tuple[int, int]]]:
     """Group consecutive identical blocks into uniform segments.
 
     Returns ``(bounds, segments)`` where ``bounds`` has one entry per block
     start plus the trace length, and each segment is ``(first_block, count)``.
     Two neighbouring blocks belong to the same segment when they have equal
-    length and — when a signature array is available — byte-identical
-    signature content (signatures include per-op feed overheads, so blocks
-    whose overhead sequences differ element-wise are never merged).
+    length and byte-identical signature content (signatures include per-op
+    feed overheads, so blocks whose overhead sequences differ element-wise
+    are never merged).
     """
     bounds = list(block_starts) + [trace_length]
     num_blocks = len(block_starts)
@@ -223,8 +163,6 @@ def build_segments(
     def same(index: int) -> bool:
         if lengths[index] != lengths[index + 1] or lengths[index] <= 0:
             return False
-        if signatures is None:
-            return True
         a, b = bounds[index], bounds[index + 1]
         return bool(
             np.array_equal(signatures[a : a + lengths[index]], signatures[b : b + lengths[index]])
@@ -272,7 +210,7 @@ class _OracleScript:
         self.computes_cum = computes_cum
 
 
-def _oracle_script(machine: MachineParams, columnar) -> Optional[_OracleScript]:
+def _oracle_script(machine: MachineParams, trace: ColumnarTrace) -> Optional[_OracleScript]:
     """The trace's oracle script under ``machine``, built once per trace.
 
     The script reads the trace content, the L1 geometry and latency and the
@@ -288,10 +226,10 @@ def _oracle_script(machine: MachineParams, columnar) -> Optional[_OracleScript]:
         l1.hit_latency,
         machine.l2.hit_latency,
     )
-    return columnar.derived(key, lambda: _build_oracle(machine, columnar))
+    return trace.derived(key, lambda: _build_oracle(machine, trace))
 
 
-def _build_oracle(machine: MachineParams, columnar) -> Optional[_OracleScript]:
+def _build_oracle(machine: MachineParams, trace: ColumnarTrace) -> Optional[_OracleScript]:
     """Precompute the scripted outcomes and packed input words, or None.
 
     Only valid under the ideal L2 prefetch: every L1 miss is then an L2 hit
@@ -299,7 +237,7 @@ def _build_oracle(machine: MachineParams, columnar) -> Optional[_OracleScript]:
     by definition), so the exact L1 LRU replay scripts the entire memory
     behaviour of the run.
     """
-    cols = columnar.columns
+    cols = trace.columns
     l1 = machine.l1
     mem_mask = cols["address"] >= 0
     nbytes = cols["nbytes"][mem_mask]
@@ -308,7 +246,7 @@ def _build_oracle(machine: MachineParams, columnar) -> Optional[_OracleScript]:
     requests = RequestScript(
         cols["address"][mem_mask],
         nbytes,
-        columnar.l1_outcome_bits(l1),
+        trace.l1_outcome_bits(l1),
         l1.line_bytes,
         l1.hit_latency,
         machine.l2.hit_latency,
@@ -320,7 +258,7 @@ def _build_oracle(machine: MachineParams, columnar) -> Optional[_OracleScript]:
     if delay.max(initial=0) >= _DELAY_BOUND or counts.max(initial=0) >= _LINES_BOUND:
         return None
 
-    inputs = (columnar.signature_ids() * _DELAY_BOUND + delay) * _LINES_BOUND + counts
+    inputs = (trace.signature_ids() * _DELAY_BOUND + delay) * _LINES_BOUND + counts
     is_compute = (cols["kind"] == _TILE_CODE) & ~mem_mask
     return _OracleScript(
         inputs=inputs,
@@ -333,7 +271,7 @@ def _build_oracle(machine: MachineParams, columnar) -> Optional[_OracleScript]:
 def _run_oracle(
     machine: MachineParams,
     engine: Optional[EngineConfig],
-    columnar,
+    trace: ColumnarTrace,
     script: _OracleScript,
     bounds: List[int],
     segments: List[Tuple[int, int]],
@@ -360,14 +298,14 @@ def _run_oracle(
     skipped = 0
 
     def simulate_span(start: int, end: int) -> None:
-        source = columnar.ops_span(start, end)
+        source = trace.ops_span(start, end)
         step = state.step
         for index in range(start, end):
             step(source[index])
 
     # Warm-up prefix before the first detected block.
     simulate_span(0, bounds[0])
-    _merge_summary(summary, columnar.summarize_span(0, bounds[0]))
+    _merge_summary(summary, trace.summarize_span(0, bounds[0]))
 
     for first_block, count in segments:
         segment_start = bounds[first_block]
@@ -375,14 +313,14 @@ def _run_oracle(
         period = bounds[first_block + 1] - bounds[first_block]
         if count < MIN_BLOCKS_TO_SKIP:
             simulate_span(segment_start, segment_end)
-            _merge_summary(summary, columnar.summarize_span(segment_start, segment_end))
+            _merge_summary(summary, trace.summarize_span(segment_start, segment_end))
             stepped += count
             continue
-        # All blocks of a segment are signature-identical (columnar traces
-        # are always segment-verified in full), so skipped repetitions
-        # summarize as copies of the segment head.
+        # All blocks of a segment are signature-identical (segments are
+        # verified in full), so skipped repetitions summarize as copies of
+        # the segment head.
         _merge_summary(
-            summary, columnar.summarize_span(segment_start, segment_start + period), count
+            summary, trace.summarize_span(segment_start, segment_start + period), count
         )
 
         #: block index within the segment -> (shift digest, issue cycle).
@@ -531,10 +469,6 @@ def _find_super_period(
     return None
 
 
-class _HintMismatch(Exception):
-    """Raised when builder-supplied block hints contradict the actual trace."""
-
-
 def _valid_block_starts(block_starts: Sequence[int], trace_length: int) -> bool:
     """Structural sanity of a hint: strictly increasing indices inside the trace."""
     previous = -1
@@ -564,7 +498,7 @@ def _merge_summary(total: TraceSummary, part: TraceSummary, scale: int = 1) -> N
 def run_fast(
     machine: MachineParams,
     engine: Optional[EngineConfig],
-    trace: Sequence[TraceOp],
+    trace: ColumnarTrace,
     block_starts: Optional[Sequence[int]] = None,
     *,
     max_skip_blocks: int = DEFAULT_MAX_SKIP_BLOCKS,
@@ -572,43 +506,34 @@ def run_fast(
 ) -> Optional[SimulationResult]:
     """Fast-path simulation; returns None when the trace is not periodic.
 
-    ``block_starts`` comes from the kernel builders when available (no trace
-    scan needed); otherwise periodicity is detected from the signature array.
+    ``block_starts`` comes from the kernel builders when available; an
+    absent or invalid hint falls back to anchor detection over the trace's
+    signature ids, which also verify every segment in full.
     ``max_super_period`` defaults to :func:`resolve_max_super_period`
     (``REPRO_MAX_SUPER_PERIOD`` or :data:`DEFAULT_MAX_SUPER_PERIOD`).
     """
     n = len(trace)
     if max_super_period is None:
         max_super_period = resolve_max_super_period()
-    columnar = trace if getattr(trace, "has_columns", False) else None
-    signatures: Optional[np.ndarray] = None
-    if columnar is not None:
-        # Columnar traces lower to signature ids in one vectorised pass, so
-        # hints never trade verification for speed: segments are always
-        # signature-verified in full, and an invalid hint simply falls back
-        # to anchor detection over the same array.
-        signatures = columnar.signature_ids()
+    signatures = trace.signature_ids()
     if (
         block_starts is None
         or len(block_starts) < MIN_ANCHOR_REPEATS
         or not _valid_block_starts(block_starts, n)
     ):
-        if signatures is None:
-            block_starts, signatures = derive_block_starts(trace)
-        else:
-            block_starts = _starts_from_signatures(signatures)
+        block_starts = derive_block_starts(signatures)
         if block_starts is None:
             return None
 
     bounds, segments = build_segments(block_starts, n, signatures)
 
-    if columnar is not None and machine.prefetch_into_l2:
-        script = _oracle_script(machine, columnar)
+    if machine.prefetch_into_l2:
+        script = _oracle_script(machine, trace)
         if script is not None:
             return _run_oracle(
                 machine,
                 engine,
-                columnar,
+                trace,
                 script,
                 bounds,
                 segments,
@@ -617,40 +542,20 @@ def run_fast(
             )
 
     return _run_profiled(
-        machine,
-        engine,
-        trace,
-        columnar,
-        signatures,
-        bounds,
-        segments,
-        max_skip_blocks,
-        max_super_period,
+        machine, engine, trace, bounds, segments, max_skip_blocks, max_super_period
     )
 
 
 def _run_profiled(
     machine: MachineParams,
     engine: Optional[EngineConfig],
-    trace: Sequence[TraceOp],
-    columnar,
-    signatures: Optional[np.ndarray],
+    trace: ColumnarTrace,
     bounds: List[int],
     segments: List[Tuple[int, int]],
     max_skip_blocks: int,
     max_super_period: int,
-) -> Optional[SimulationResult]:
+) -> SimulationResult:
     """Counter-delta steady-state detection (non-scripted memory systems)."""
-    # For plain op lists, builder-supplied hints skip the full-trace
-    # signature scan: the blocks actually simulated, plus a
-    # first/middle/last sample of every skipped span, are signature-checked
-    # against their segment head, and any mismatch aborts to the exact path.
-    # That catches broken builders without an O(trace) pass but is not
-    # exhaustive — callers with untrusted op-list traces should pass
-    # block_starts=None (full signature verification) or mode="exact".
-    hinted = signatures is None
-    ops = trace if columnar is None else None  # columnar ops materialise per span
-
     state = SimulatorState(machine, engine, retain_pipeline_history=False)
     prefetch = machine.prefetch_into_l2
     summary = TraceSummary()
@@ -660,32 +565,18 @@ def _run_profiled(
 
     def warm(start: int, end: int) -> None:
         if prefetch and start < end:
-            if columnar is not None:
-                regions = columnar.memory_regions(start, end)
-            else:
-                regions = trace_memory_footprint(trace[start:end])
-            state.memory.prefetch_regions(regions)
-
-    def span_summary(start: int, end: int) -> TraceSummary:
-        if columnar is not None:
-            return columnar.summarize_span(start, end)
-        return summarize_trace(trace[start:end])
-
-    def span_ops(start: int, end: int):
-        if ops is not None:
-            return ops
-        return columnar.ops_span(start, end)
+            state.memory.prefetch_regions(trace.memory_regions(start, end))
 
     def simulate_span(start: int, end: int) -> None:
         warm(start, end)
-        source = span_ops(start, end)
+        source = trace.ops_span(start, end)
         step = state.step
         for index in range(start, end):
             step(source[index])
 
     def simulate_block(start: int, end: int) -> _BlockProfile:
         warm(start, end)
-        source = span_ops(start, end)
+        source = trace.ops_span(start, end)
         counters_before = state.memory.counters()
         engine_ops_before = state.engine_ops
         size = end - start
@@ -707,91 +598,58 @@ def _run_profiled(
             computes=state.engine_ops - engine_ops_before,
         )
 
-    def block_signatures(start: int, end: int) -> List[tuple]:
-        source = span_ops(start, end)
-        return [op_signature(source[index]) for index in range(start, end)]
+    # Warm-up prefix before the first detected block.
+    simulate_span(0, bounds[0])
+    _merge_summary(summary, trace.summarize_span(0, bounds[0]))
 
-    try:
-        # Warm-up prefix before the first detected block.
-        simulate_span(0, bounds[0])
-        _merge_summary(summary, span_summary(0, bounds[0]))
+    for first_block, count in segments:
+        segment_start = bounds[first_block]
+        segment_end = bounds[first_block + count]
+        period = bounds[first_block + 1] - bounds[first_block]
+        if count < MIN_BLOCKS_TO_SKIP:
+            simulate_span(segment_start, segment_end)
+            _merge_summary(summary, trace.summarize_span(segment_start, segment_end))
+            stepped += count
+            continue
+        # Segments are signature-verified in full, so skipped repetitions
+        # are accounted as copies of the segment head.
+        _merge_summary(
+            summary, trace.summarize_span(segment_start, segment_start + period), count
+        )
 
-        for first_block, count in segments:
-            segment_start = bounds[first_block]
-            segment_end = bounds[first_block + count]
-            period = bounds[first_block + 1] - bounds[first_block]
-            if count < MIN_BLOCKS_TO_SKIP:
-                # Too short to skip: simulate and summarize the real ops, so
-                # even a lying hint cannot corrupt the result here.
-                simulate_span(segment_start, segment_end)
-                _merge_summary(summary, span_summary(segment_start, segment_end))
-                stepped += count
+        index = 0
+        history: List[_BlockProfile] = []
+        while index < count:
+            start = segment_start + index * period
+            history.append(simulate_block(start, start + period))
+            stepped += 1
+            if len(history) > 2 * max_super_period:
+                del history[0]
+            index += 1
+            steady = _find_super_period(history, max_super_period)
+            if steady is None:
                 continue
-            # Skipped repetitions are accounted as copies of the segment head;
-            # for detected periodicity the whole segment is signature-verified
-            # already, for builder hints every simulated block is checked
-            # against the head below (mismatch aborts to the exact path).
-            _merge_summary(
-                summary,
-                span_summary(segment_start, segment_start + period),
-                count,
-            )
-            head_signatures: Optional[List[tuple]] = None
-
-            index = 0
-            history: List[_BlockProfile] = []
-            while index < count:
-                start = segment_start + index * period
-                if hinted:
-                    current = block_signatures(start, start + period)
-                    if head_signatures is None:
-                        head_signatures = current
-                    elif current != head_signatures:
-                        raise _HintMismatch(
-                            f"block at op {start} differs from its segment head"
-                        )
-                history.append(simulate_block(start, start + period))
-                stepped += 1
-                if len(history) > 2 * max_super_period:
-                    del history[0]
-                index += 1
-                steady = _find_super_period(history, max_super_period)
-                if steady is None:
-                    continue
-                q, delta = steady
-                # Keep at least one block to re-simulate after the jump so the
-                # trailing state (and the next segment) sees fresh behaviour.
-                jumps = min(count - index - 1, max_skip_blocks) // q
-                if jumps <= 0:
-                    continue
-                window = history[-q:]
-                computes = sum(profile.computes for profile in window)
-                engine_delta = 0
-                if state.pipeline is not None and computes:
-                    if delta % state.ratio:
-                        continue  # engine events cannot shift by a fractional cycle
-                    engine_delta = delta // state.ratio
-                if hinted and head_signatures is not None:
-                    # Spot-check the span we are about to skip: a lying hint
-                    # whose mismatching blocks sit entirely between anchors
-                    # would otherwise be accounted silently.
-                    span = jumps * q
-                    for probe in sorted({index, index + span // 2, index + span - 1}):
-                        probe_start = segment_start + probe * period
-                        if block_signatures(probe_start, probe_start + period) != head_signatures:
-                            raise _HintMismatch(
-                                f"skipped block at op {probe_start} differs from its segment head"
-                            )
-                state.shift(jumps * delta, jumps * computes, jumps * engine_delta)
-                for profile in window:
-                    for key, value in profile.counter_delta.items():
-                        if value:
-                            extra_counters[key] = extra_counters.get(key, 0) + jumps * value
-                skipped += jumps * q
-                index += jumps * q
-                history.clear()
-    except _HintMismatch:
-        return None  # the caller re-runs the trace through the exact path
+            q, delta = steady
+            # Keep at least one block to re-simulate after the jump so the
+            # trailing state (and the next segment) sees fresh behaviour.
+            jumps = min(count - index - 1, max_skip_blocks) // q
+            if jumps <= 0:
+                continue
+            window = history[-q:]
+            computes = sum(profile.computes for profile in window)
+            engine_delta = 0
+            if state.pipeline is not None and computes:
+                if delta % state.ratio:
+                    continue  # engine events cannot shift by a fractional cycle
+                engine_delta = delta // state.ratio
+            state.shift(jumps * delta, jumps * computes, jumps * engine_delta)
+            for profile in window:
+                for key, value in profile.counter_delta.items():
+                    if value:
+                        extra_counters[key] = extra_counters.get(key, 0) + jumps * value
+            skipped += jumps * q
+            index += jumps * q
+            history.clear()
 
     core_cycles = max(state.last_completion, state.issue_cycle + 1)
     return state.result(

@@ -30,18 +30,20 @@ memory system on top:
   makespan), not just in byte counts.
 
 Both pieces are special cases of the **recursive bandwidth topology** in
-:mod:`repro.cpu.topology`: the flat shared pool is a one-level tree (a DRAM
-root over a single shared-L3 leaf), and :func:`simulate_multicore` routes
-every simulation through the general model — cores are placed on leaf
-locality domains (:func:`~repro.cpu.topology.place_cores`), miss traffic is
-filtered bottom-up per level (:func:`~repro.cpu.topology.resolve_traffic`,
-capacity hits resolved per *domain* footprint), and the generalized fluid
-arbiter (:func:`~repro.cpu.topology.arbitrate_topology`) dilates each core by
-the most-congested resource on its leaf-to-root path.  NUMA and chiplet
-presets (``dual_socket_machine``, ``chiplet_machine`` in
-:mod:`repro.cpu.params`) are just deeper trees; the flat
-:class:`SharedMemoryParams` path stays bit-identical to the pre-topology
-model by construction, pinned by the test suite per kernel and strategy.
+:mod:`repro.cpu.topology`: the flat shared pool is the ``flat`` preset, a
+one-level tree (a DRAM root over a single shared-L3 leaf,
+:func:`~repro.cpu.params.flat_topology`), and :func:`simulate_multicore`
+routes every simulation through the general model — cores are placed on
+leaf locality domains (:func:`~repro.cpu.topology.place_cores`), miss
+traffic is filtered bottom-up per level
+(:func:`~repro.cpu.topology.resolve_traffic`, capacity hits resolved per
+*domain* footprint), and the generalized fluid arbiter
+(:func:`~repro.cpu.topology.arbitrate_topology`) dilates each core by the
+most-congested resource on its leaf-to-root path.  NUMA and chiplet presets
+(``dual_socket_machine``, ``chiplet_machine`` in :mod:`repro.cpu.params`)
+are just deeper trees; the ``flat`` preset stays bit-identical to the
+pre-topology model, pinned by the test suite per kernel and strategy
+against the pre-refactor arbiter kept there as the oracle.
 
 With one core the arbiter is structurally a no-op: the private simulator
 already throttles the core's DRAM traffic to the same bandwidth the shared
@@ -55,157 +57,30 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
-import multiprocessing
 import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
 from ..core.engine import EngineConfig
 from ..errors import SimulationError
-from .params import (
-    DEFAULT_L3_BYTES_PER_CYCLE,
-    DEFAULT_L3_CAPACITY_BYTES,
-    MachineParams,
-    default_machine,
-)
+from .params import MachineParams, default_machine, flat_topology
 from .simulator import (
     SIMULATOR_MODEL_VERSION,
     CycleApproximateSimulator,
     SimulationResult,
 )
 from .topology import (
-    MAX_ARBITER_STEPS,
     CorePlacement,
     TopologyNode,
     arbitrate_topology,
     place_cores,
     resolve_traffic,
 )
-from .trace import TraceSummary, trace_memory_footprint
+from .trace import TraceSummary
 
 #: Environment variable disabling block-signature memoization (set to any
 #: value other than ``0``); every core is then simulated individually.
 NO_MEMO_ENV = "REPRO_NO_MEMO"
-
-
-@dataclass(frozen=True)
-class SharedMemoryParams:
-    """The shared memory system the cores contend for.
-
-    ``dram_bandwidth_gbps`` of ``None`` uses the machine's own DRAM
-    bandwidth — i.e. replicating cores does not replicate memory channels,
-    which is exactly what makes memory-bound kernels stop scaling.  Line
-    granularity always follows the machine's cache line size.
-    """
-
-    l3_capacity_bytes: int = DEFAULT_L3_CAPACITY_BYTES
-    l3_bytes_per_cycle: float = DEFAULT_L3_BYTES_PER_CYCLE
-    dram_bandwidth_gbps: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.l3_capacity_bytes <= 0 or self.l3_bytes_per_cycle <= 0:
-            raise SimulationError("shared L3 capacity and bandwidth must be positive")
-        if self.dram_bandwidth_gbps is not None and self.dram_bandwidth_gbps <= 0:
-            raise SimulationError("shared DRAM bandwidth must be positive")
-
-    def dram_lines_per_cycle(self, machine: MachineParams) -> float:
-        """Shared DRAM line bandwidth in lines per core cycle.
-
-        When no explicit bandwidth is configured, the supply mirrors the
-        private simulator's *effective* line rate — the whole-cycle service
-        time :class:`~repro.cpu.memory.MemorySystem` charges per DRAM line —
-        rather than the nominal GB/s figure.  One core's demand therefore can
-        never exceed the shared supply by itself, which is what keeps the
-        one-core multi-core simulation bit-identical to the single-core path.
-        """
-        line_bytes = machine.l1.line_bytes
-        if self.dram_bandwidth_gbps is None:
-            bytes_per_cycle = max(1.0, machine.memory.dram_bytes_per_core_cycle)
-            service_cycles = int(line_bytes / bytes_per_cycle)
-            return 1.0 / service_cycles if service_cycles > 0 else math.inf
-        bytes_per_cycle = self.dram_bandwidth_gbps / machine.core.frequency_ghz
-        return bytes_per_cycle / line_bytes
-
-    def l3_lines_per_cycle(self, machine: MachineParams) -> float:
-        """Shared L3 port bandwidth in lines per core cycle."""
-        return self.l3_bytes_per_cycle / machine.l1.line_bytes
-
-    def to_topology(self, cores: int = 1) -> TopologyNode:
-        """The flat shared pool as a one-level recursive topology.
-
-        A DRAM root over a single shared-L3 leaf, with the same bandwidth
-        resolution rules — the tree the general model arbitrates is
-        bit-identical to the pre-topology flat arbiter.
-        """
-        return TopologyNode(
-            name="dram",
-            level="dram",
-            bandwidth_gbps=self.dram_bandwidth_gbps,
-            children=(
-                TopologyNode(
-                    name="l3",
-                    level="l3",
-                    capacity_bytes=self.l3_capacity_bytes,
-                    bytes_per_cycle=self.l3_bytes_per_cycle,
-                    cores=max(1, cores),
-                ),
-            ),
-        )
-
-
-@dataclass
-class ArbitrationOutcome:
-    """Result of the fluid bandwidth arbitration across cores."""
-
-    finish_cycles: List[int]
-    makespan: int
-    contended: bool
-
-
-def arbitrate_bandwidth(
-    core_cycles: Sequence[int],
-    dram_lines: Sequence[int],
-    l3_lines: Sequence[int],
-    *,
-    dram_lines_per_cycle: float,
-    l3_lines_per_cycle: float,
-    max_steps: int = MAX_ARBITER_STEPS,
-) -> ArbitrationOutcome:
-    """Serialize the cores' shared-memory traffic in bounded time steps.
-
-    Each core ``i`` needs ``core_cycles[i]`` cycles of private progress and
-    spreads ``dram_lines[i]`` / ``l3_lines[i]`` of shared traffic uniformly
-    over them (the fluid approximation of its average demand rate).  Per
-    step, a resource whose aggregate demand exceeds its supply grants
-    bandwidth proportionally to demand, dilating every core demanding *that
-    resource* by its shortfall factor (a core is slowed only by resources it
-    actually uses; with demand on both, the tighter one governs).  Demand
-    rates are constant between completions, so each step runs exactly to the
-    next core's finish.  When no resource is ever oversubscribed every core
-    finishes at exactly its private cycle count.
-
-    This is the two-resource special case of
-    :func:`~repro.cpu.topology.arbitrate_topology` (the recursive-topology
-    arbiter), kept as the stable entry point for flat DRAM + L3 arbitration.
-    """
-    cores = len(core_cycles)
-    if not (len(dram_lines) == len(l3_lines) == cores):
-        raise SimulationError("per-core traffic vectors must match the core count")
-    outcome = arbitrate_topology(
-        core_cycles,
-        demands=[list(dram_lines), list(l3_lines)],
-        supplies=[dram_lines_per_cycle, l3_lines_per_cycle],
-        names=["dram", "l3"],
-        max_steps=max_steps,
-    )
-    return ArbitrationOutcome(
-        finish_cycles=outcome.finish_cycles,
-        makespan=outcome.makespan,
-        contended=outcome.contended,
-    )
 
 
 @dataclass
@@ -215,9 +90,8 @@ class MulticoreSimulationResult:
     ``dram_lines`` are the per-core lines that reached the topology root
     (DRAM) after every shared-cache level filtered its share;
     ``l3_hit_lines`` the per-core lines absorbed by shared caches anywhere on
-    the path.  ``shared`` is the legacy flat parameter block when the run was
-    configured that way (None under an explicit topology); ``topology`` and
-    ``placement`` always describe the tree that was arbitrated.
+    the path.  ``topology`` and ``placement`` describe the tree that was
+    arbitrated.
     """
 
     core_cycles: int
@@ -228,10 +102,9 @@ class MulticoreSimulationResult:
     contended: bool
     machine: MachineParams
     engine: Optional[EngineConfig]
-    shared: Optional[SharedMemoryParams]
+    topology: TopologyNode
+    placement: CorePlacement
     memory_counters: Dict[str, int] = field(default_factory=dict)
-    topology: Optional[TopologyNode] = None
-    placement: Optional[CorePlacement] = None
     #: Per-node fraction of supply used over the makespan, keyed by node name.
     node_utilization: Dict[str, float] = field(default_factory=dict)
     #: Same, aggregated over nodes sharing a level label ("l3", "dram", ...).
@@ -261,20 +134,12 @@ class MulticoreSimulationResult:
         """Fraction of the root (DRAM) line bandwidth used over the makespan."""
         if self.core_cycles == 0:
             return 0.0
-        if self.shared is not None:
-            rate = self.shared.dram_lines_per_cycle(self.machine)
-        elif self.topology is not None:
-            rate = self.topology.lines_per_cycle(self.machine)
-        else:
-            return 0.0
-        supply = rate * self.core_cycles
+        supply = self.topology.lines_per_cycle(self.machine) * self.core_cycles
         return min(1.0, sum(self.dram_lines) / supply) if supply else 0.0
 
     @property
     def numa_domains(self) -> int:
         """Number of distinct leaf locality domains the cores were placed on."""
-        if self.placement is None:
-            return 1
         return len(set(self.placement.leaf_index))
 
     @property
@@ -285,23 +150,6 @@ class MulticoreSimulationResult:
     def speedup_over(self, single_core_cycles: int) -> float:
         """Speed-up of this multi-core run over a single-core cycle count."""
         return single_core_cycles / self.core_cycles if self.core_cycles else 0.0
-
-
-def _footprint_lines(trace, line_bytes: int) -> Set[int]:
-    """Distinct cache-line numbers referenced by a trace (op-list fallback)."""
-    lines: Set[int] = set()
-    for address, nbytes in trace_memory_footprint(trace):
-        first = address // line_bytes
-        last = (address + nbytes - 1) // line_bytes
-        lines.update(range(first, last + 1))
-    return lines
-
-
-def _footprint_line_array(trace, line_bytes: int) -> np.ndarray:
-    """Distinct cache-line numbers as a sorted array (vectorised when columnar)."""
-    if getattr(trace, "has_columns", False):
-        return trace.footprint_line_numbers(line_bytes)
-    return np.fromiter(sorted(_footprint_lines(trace, line_bytes)), dtype=np.int64)
 
 
 # -- block-signature memoization ------------------------------------------------
@@ -358,16 +206,11 @@ def simulation_cache_key(
     :meth:`repro.cpu.columnar.ColumnarTrace.simulation_key`) with the machine
     parameters, engine configuration and simulation mode.  Two programs with
     equal keys produce bit-identical :class:`SimulationResult`\\ s, so the key
-    is valid across cores, trials, processes and runs.  Returns None for
-    traces without a columnar form (no memoization).
+    is valid across cores, trials, processes and runs.
     """
-    trace = program.trace
-    key_of = getattr(trace, "simulation_key", None)
-    if key_of is None:
-        return None
-    trace_key = key_of(machine, getattr(program, "block_starts", None))
-    if trace_key is None:
-        return None
+    trace_key = program.trace.simulation_key(
+        machine, getattr(program, "block_starts", None)
+    )
     digest = hashlib.sha256()
     digest.update(trace_key.encode())
     digest.update(json.dumps(machine.to_dict(), sort_keys=True).encode())
@@ -443,8 +286,8 @@ def simulate_program_cached(
 
     ``block_cache`` is any object with ``get(key) -> payload | None`` and
     ``put(key, payload)`` (e.g. the experiments layer's persistent store);
-    the in-process memo is always consulted first.  With memoization off (or
-    for traces without a columnar form) this is exactly ``simulator.run``.
+    the in-process memo is always consulted first.  With memoization off
+    this is exactly ``simulator.run``.
     """
     machine = machine if machine is not None else default_machine()
     key = (
@@ -471,94 +314,32 @@ def simulate_program_cached(
     return result
 
 
-#: Simulation context inherited by forked pool workers (set just before the
-#: pool is created; ``fork`` snapshots module globals into each worker).
-_POOL_CONTEXT: Dict[str, Any] = {}
-
-
-def _simulate_pool_task(task: Tuple[int, Any]) -> Tuple[int, SimulationResult]:
-    """Worker entry: simulate one per-core program with the inherited context."""
-    index, program = task
-    simulator = CycleApproximateSimulator(
-        machine=_POOL_CONTEXT["machine"],
-        engine=_POOL_CONTEXT["engine"],
-        mode=_POOL_CONTEXT["mode"],
-    )
-    result = simulator.run(
-        program.trace, block_starts=getattr(program, "block_starts", None)
-    )
-    return index, result
-
-
-def _simulate_tasks(
-    tasks: List[Tuple[int, Any]],
-    machine: MachineParams,
-    engine: Optional[EngineConfig],
-    mode: str,
-    jobs: Optional[int],
-) -> List[Tuple[int, SimulationResult]]:
-    """Simulate ``(index, program)`` tasks, optionally across worker processes.
-
-    Parallelism kicks in only when ``jobs > 1``, more than one task is
-    pending, and the platform offers ``fork`` (cheap context inheritance);
-    otherwise the tasks run serially in-process.  Results are identical
-    either way — the worker pool only changes wall-clock time.
-    """
-    workers = 0
-    if jobs is not None and jobs > 1 and len(tasks) > 1:
-        try:
-            context = multiprocessing.get_context("fork")
-            workers = min(jobs, len(tasks))
-        except ValueError:  # platforms without fork
-            workers = 0
-    if workers <= 1:
-        simulator = CycleApproximateSimulator(machine=machine, engine=engine, mode=mode)
-        return [
-            (
-                index,
-                simulator.run(
-                    program.trace, block_starts=getattr(program, "block_starts", None)
-                ),
-            )
-            for index, program in tasks
-        ]
-    _POOL_CONTEXT.update(machine=machine, engine=engine, mode=mode)
-    try:
-        with context.Pool(processes=workers) as pool:
-            return pool.map(_simulate_pool_task, tasks)
-    finally:
-        _POOL_CONTEXT.clear()
-
-
 def simulate_multicore(
     programs: Sequence[Any],
     *,
     machine: Optional[MachineParams] = None,
     engine: Optional[EngineConfig] = None,
     mode: str = "fast",
-    shared: Optional[SharedMemoryParams] = None,
     topology: Optional[TopologyNode] = None,
     memo: Optional[bool] = None,
     block_cache: Optional[Any] = None,
-    jobs: Optional[int] = None,
 ) -> MulticoreSimulationResult:
     """Simulate one per-core program per simulated core under shared memory.
 
-    ``programs`` is one entry per core, each carrying a ``trace`` and
-    (optionally) ``block_starts`` — a :class:`~repro.kernels.program.KernelProgram`
-    or any duck-typed equivalent.  Every core runs the existing private
+    ``programs`` is one entry per core, each carrying a columnar ``trace``
+    and (optionally) ``block_starts`` — a
+    :class:`~repro.kernels.program.KernelProgram` or any duck-typed
+    equivalent.  Every core runs the existing private
     simulator in ``mode``; shared-cache filtering and bandwidth arbitration
     then convert cross-core miss traffic into a (possibly dilated) makespan.
 
     The shared memory system is a recursive :class:`TopologyNode` tree
     (``topology``) — e.g. ``dual_socket_machine()`` /``chiplet_machine()``
-    from :mod:`repro.cpu.params`.  ``shared`` is the legacy flat
-    parameterization; it is converted to the equivalent one-level tree and
-    arbitrated through the same general model, bit-identically to the
-    pre-topology arbiter.  Passing both is an error; passing neither uses
-    the flat defaults.  Because private simulations are topology-independent
-    (the topology never enters :func:`simulation_cache_key`), sweeping the
-    topology axis re-uses every memoized per-core result.
+    from :mod:`repro.cpu.params`; ``None`` means the ``flat`` preset
+    (:func:`~repro.cpu.params.flat_topology`).  Because private simulations
+    are topology-independent (the topology never enters
+    :func:`simulation_cache_key`), sweeping the topology axis re-uses every
+    memoized per-core result.
 
     **Block-signature memoization.**  The per-core programs of a sharded
     kernel are largely address-shifted copies of one another.  Cores are
@@ -569,19 +350,14 @@ def simulate_multicore(
     bit-identically to simulating every core.  ``memo=False`` (or the
     ``REPRO_NO_MEMO`` environment variable) disables the grouping;
     ``block_cache`` adds a persistent get/put store so equal classes recur
-    for free across trials and processes; ``jobs > 1`` fans the remaining
-    representative simulations out over worker processes.
+    for free across trials and processes.  The remaining representatives
+    run serially on one simulator; parallelism lives in the experiments
+    executor, one level up.
     """
     if not programs:
         raise SimulationError("simulate_multicore needs at least one per-core program")
-    if shared is not None and topology is not None:
-        raise SimulationError(
-            "pass either the flat shared parameters or a topology, not both"
-        )
     machine = machine if machine is not None else default_machine()
-    if topology is None:
-        shared = shared if shared is not None else SharedMemoryParams()
-        topology = shared.to_topology(len(programs))
+    topology = topology if topology is not None else flat_topology()
     memo_enabled = memoization_enabled(memo)
 
     line_bytes = machine.l1.line_bytes
@@ -608,7 +384,11 @@ def simulate_multicore(
             seen_pending.add(key)
             pending.append((index, program))
 
-    for index, result in _simulate_tasks(pending, machine, engine, mode, jobs):
+    simulator = CycleApproximateSimulator(machine=machine, engine=engine, mode=mode)
+    for index, program in pending:
+        result = simulator.run(
+            program.trace, block_starts=getattr(program, "block_starts", None)
+        )
         per_core[index] = result
         key = keys[index]
         if key is not None:
@@ -621,9 +401,7 @@ def simulate_multicore(
         if per_core[index] is None:
             per_core[index] = payload_to_result(payloads[key], machine, engine)
 
-    footprints = [
-        _footprint_line_array(program.trace, line_bytes) for program in programs
-    ]
+    footprints = [program.trace.footprint_line_numbers(line_bytes) for program in programs]
 
     # Place the cores on the topology's leaf locality domains, filter their
     # private miss traffic bottom-up through the shared cache levels, and
@@ -676,10 +454,9 @@ def simulate_multicore(
         contended=outcome.contended,
         machine=machine,
         engine=engine,
-        shared=shared,
-        memory_counters=counters,
         topology=topology,
         placement=placement,
+        memory_counters=counters,
         node_utilization=node_utilization,
         level_utilization=level_utilization,
         saturated=outcome.saturated,

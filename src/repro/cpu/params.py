@@ -178,10 +178,11 @@ def memory_bound_machine() -> MachineParams:
 
 
 def flat_topology(cores: int = 128) -> TopologyNode:
-    """The flat shared pool as a topology: one L3 slice under one DRAM root.
+    """The ``flat`` preset: one shared L3 slice under one DRAM root.
 
-    Bit-identical to the pre-topology ``SharedMemoryParams()`` default — the
-    same 32 MB shared L3 at 128 B/cycle over a mirrored DRAM channel.
+    Bit-identical to the pre-topology flat shared pool — a 32 MB shared L3
+    at 128 B/cycle over a mirrored DRAM channel.  ``simulate_multicore``
+    arbitrates under it when given no topology.
     """
     return TopologyNode(
         name="dram",

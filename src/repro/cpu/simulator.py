@@ -49,9 +49,10 @@ from typing import Deque, Dict, Optional, Sequence, Tuple, Union
 from ..core.engine import EngineConfig
 from ..core.pipeline import MatrixEnginePipeline, TileComputeRequest
 from ..errors import SimulationError
+from .columnar import ColumnarTrace
 from .memory import MemorySystem, ScriptedMemory
 from .params import MachineParams, default_machine
-from .trace import TraceOp, TraceOpKind, TraceSummary, summarize_trace, trace_memory_footprint
+from .trace import TraceOp, TraceOpKind, TraceSummary
 
 #: Recognised simulation modes.
 SIMULATION_MODES = ("fast", "exact")
@@ -502,14 +503,17 @@ class CycleApproximateSimulator:
 
     def run(
         self,
-        trace: Sequence[TraceOp],
+        trace: Union[ColumnarTrace, Sequence[TraceOp]],
         *,
         mode: Optional[str] = None,
         block_starts: Optional[Sequence[int]] = None,
     ) -> SimulationResult:
         """Simulate a trace and return its timing and counters.
 
-        ``mode`` overrides the simulator's default mode for this run;
+        A plain op list is encoded once with
+        :meth:`~repro.cpu.columnar.ColumnarTrace.from_ops`, which raises
+        :class:`~repro.errors.SimulationError` for an op the columns cannot
+        hold.  ``mode`` overrides the simulator's default mode for this run;
         ``block_starts`` (op indices at which the kernel's repeating
         output-tile blocks begin, as recorded by the kernel builders in
         :attr:`repro.kernels.program.KernelProgram.block_starts`) lets the
@@ -520,10 +524,11 @@ class CycleApproximateSimulator:
             raise SimulationError(
                 f"unknown simulation mode {chosen!r}; expected one of {SIMULATION_MODES}"
             )
+        trace = ColumnarTrace.from_ops(trace)
         if len(trace) == 0:
             # Contract: an empty trace takes no time at all.
             state = SimulatorState(self.machine, self.engine)
-            return state.result(summarize_trace(trace), core_cycles=0)
+            return state.result(trace.summarize(), core_cycles=0)
         if chosen == "exact":
             return self._run_exact(trace)
         from .fastsim import run_fast
@@ -535,12 +540,12 @@ class CycleApproximateSimulator:
 
     # -- exact reference path ----------------------------------------------------
 
-    def _run_exact(self, trace: Sequence[TraceOp]) -> SimulationResult:
+    def _run_exact(self, trace: ColumnarTrace) -> SimulationResult:
         state = SimulatorState(self.machine, self.engine)
         if self.machine.prefetch_into_l2:
-            state.memory.prefetch_regions(trace_memory_footprint(trace))
+            state.memory.prefetch_regions(trace.memory_regions())
         step = state.step
         for op in trace:
             step(op)
         core_cycles = max(state.last_completion, state.issue_cycle + 1)
-        return state.result(summarize_trace(trace), core_cycles)
+        return state.result(trace.summarize(), core_cycles)

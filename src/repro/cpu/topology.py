@@ -148,11 +148,11 @@ class TopologyNode:
     def lines_per_cycle(self, machine) -> float:
         """This node's supply in cache lines per core cycle.
 
-        Mirrors the resolution rules of the pre-refactor
-        ``SharedMemoryParams`` exactly, so the flat preset stays
-        bit-identical: a nominal GB/s figure converts at the core frequency,
-        an explicit port width divides by the line size, and the default
-        mirrors the private simulator's whole-cycle DRAM line service rate.
+        Mirrors the supply rules of the pre-topology flat pool exactly, so
+        the ``flat`` preset stays bit-identical: a nominal GB/s figure
+        converts at the core frequency, an explicit port width divides by
+        the line size, and the default mirrors the private simulator's
+        whole-cycle DRAM line service rate.
         """
         line_bytes = machine.l1.line_bytes
         if self.bandwidth_gbps is not None:

@@ -2,7 +2,7 @@
 
 The paper generates traces of its kernels with a Pin tool and feeds them to
 MacSim; our kernel generators emit the same kind of trace directly.  A trace
-is an ordered list of :class:`TraceOp` records covering three instruction
+is an ordered sequence of :class:`TraceOp` records covering three instruction
 classes:
 
 * **tile ops** — VEGETA instructions (Table II), carrying the full
@@ -10,13 +10,18 @@ classes:
 * **vector ops** — AVX-512-like loads/stores/FMAs used by the vector-engine
   baseline kernels of Figure 4,
 * **scalar ops** — loop/address-generation/branch overhead.
+
+Traces are stored column-wise (:class:`repro.cpu.columnar.ColumnarTrace`),
+which also answers the whole-trace questions — instruction-mix summaries,
+memory footprints, timing signatures.  ``TraceOp`` objects are the unit the
+simulator steps, materialised from the columns only for the spans it steps.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from ..core.isa import Instruction, Opcode
 from ..errors import SimulationError
@@ -65,21 +70,6 @@ class TraceOp:
         if self.kind is TraceOpKind.TILE:
             return self.tile.opcode.is_load or self.tile.opcode.is_store
         return self.kind in (TraceOpKind.VECTOR_LOAD, TraceOpKind.VECTOR_STORE)
-
-    @property
-    def memory_bytes(self) -> int:
-        """Bytes moved by the op (0 for non-memory ops).
-
-        Tile ops report their actual operand size, which follows the
-        instruction's tile geometry rather than the default-geometry opcode
-        constant.
-        """
-        if self.kind is TraceOpKind.TILE:
-            memory = self.tile.memory
-            return memory.nbytes if memory is not None else 0
-        if self.is_memory:
-            return self.nbytes
-        return 0
 
 
 def tile_op(instruction: Instruction, label: str = "") -> TraceOp:
@@ -156,40 +146,6 @@ class TraceSummary:
         return self.tile_compute + self.tile_load + self.tile_store
 
 
-def summarize_trace(trace: Iterable[TraceOp]) -> TraceSummary:
-    """Count the instruction mix of a trace.
-
-    Columnar traces (:class:`repro.cpu.columnar.ColumnarTrace`) answer from
-    their arrays via bincounts; anything else is walked op by op.
-    """
-    if getattr(trace, "has_columns", False):
-        return trace.summarize()
-    summary = TraceSummary()
-    for op in trace:
-        summary.total += 1
-        summary.memory_bytes += op.memory_bytes
-        if op.kind is TraceOpKind.TILE:
-            opcode = op.tile.opcode
-            summary.by_opcode[opcode.value] = summary.by_opcode.get(opcode.value, 0) + 1
-            if opcode.is_compute:
-                summary.tile_compute += 1
-            elif opcode.is_load:
-                summary.tile_load += 1
-            else:
-                summary.tile_store += 1
-        elif op.kind is TraceOpKind.VECTOR_FMA:
-            summary.vector_fma += 1
-        elif op.kind is TraceOpKind.VECTOR_LOAD:
-            summary.vector_load += 1
-        elif op.kind is TraceOpKind.VECTOR_STORE:
-            summary.vector_store += 1
-        elif op.kind is TraceOpKind.SCALAR:
-            summary.scalar += 1
-        else:
-            summary.branch += 1
-    return summary
-
-
 def format_trace_op(op: TraceOp) -> str:
     """Render one trace op in the stable golden-trace text format.
 
@@ -235,21 +191,3 @@ def format_trace(trace: Iterable[TraceOp], limit: Optional[int] = None) -> str:
             break
         lines.append(f"{index:4d}  {format_trace_op(op)}")
     return "\n".join(lines)
-
-
-def trace_memory_footprint(trace: Iterable[TraceOp]) -> List[Tuple[int, int]]:
-    """Unique (address, nbytes) regions referenced by a trace.
-
-    Used by the simulator to pre-warm the L2 when modelling the paper's
-    "data is prefetched into L2" assumption.  Columnar traces answer from
-    their address column via ``np.unique``.
-    """
-    if getattr(trace, "has_columns", False):
-        return trace.memory_regions()
-    regions = {}
-    for op in trace:
-        if op.kind is TraceOpKind.TILE and op.tile.memory is not None:
-            regions[(op.tile.memory.address, op.tile.memory.nbytes)] = True
-        elif op.is_memory and op.address is not None:
-            regions[(op.address, op.nbytes)] = True
-    return sorted(regions.keys())

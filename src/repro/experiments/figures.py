@@ -573,8 +573,8 @@ SCALING_STRATEGIES = ("row-block", "column-block", "2d-cyclic")
 SCALING_SMOKE_STRATEGIES = ("row-block",)
 
 #: Shared-memory topology presets swept (mirrors cpu.params.TOPOLOGY_PRESETS;
-#: spelled out so the spec stays plain data).  ``"flat"`` runs the legacy
-#: single-pool parameters and is bit-identical to the pre-topology sweep.
+#: spelled out so the spec stays plain data).  ``"flat"`` is the single-pool
+#: preset and is bit-identical to the pre-topology sweep.
 SCALING_TOPOLOGIES = ("flat", "dual-socket", "chiplet")
 
 #: The topologies the ``--smoke`` CLI flag restricts the sweep to (CI smokes
@@ -637,22 +637,13 @@ def scaling_spec(
     strategies: Sequence[str] = SCALING_STRATEGIES,
     topologies: Sequence[str] = SCALING_TOPOLOGIES,
     engine_name: str = SCALING_ENGINE,
-    shared: Optional[Dict[str, Any]] = None,
 ) -> ExperimentSpec:
     """The scaling sweep: workloads x cores x strategies x topologies.
 
-    The topology axis carries preset *names* (resolved by the trial runner
-    via :func:`repro.cpu.params.get_topology`) so the spec stays plain data;
-    ``"flat"`` runs the legacy ``shared`` parameter block through the
-    pre-topology code path, bit-identically.
+    The topology axis carries preset *names*, ``"flat"`` included (resolved
+    by the trial runner via :func:`repro.cpu.params.get_topology`), so the
+    spec stays plain data.
     """
-    import dataclasses
-
-    from ..cpu.multicore import SharedMemoryParams
-
-    resolved_shared = (
-        shared if shared is not None else dataclasses.asdict(SharedMemoryParams())
-    )
     return ExperimentSpec(
         name="scaling",
         version=SCALING_SPEC_VERSION,
@@ -662,7 +653,7 @@ def scaling_spec(
             "strategy": list(strategies),
             "topology": list(topologies),
         },
-        fixed={"engine": engine_name, "shared": resolved_shared},
+        fixed={"engine": engine_name},
         columns=(
             "workload",
             "kind",
@@ -760,7 +751,7 @@ def run_scaling_trial(params: Dict[str, Any]) -> Dict[str, Any]:
     level's port demand over the makespan; a level absent from the trial's
     topology reports None.
     """
-    from ..cpu.multicore import SharedMemoryParams, simulate_multicore
+    from ..cpu.multicore import simulate_multicore
     from ..cpu.params import get_topology
     from ..kernels.sharding import shard_kernel
 
@@ -772,8 +763,7 @@ def run_scaling_trial(params: Dict[str, Any]) -> Dict[str, Any]:
     pattern = SparsityPattern(workload["pattern"])
     machine = MachineParams.from_dict(workload["machine"])
     engine = resolve_engine(params["engine"])
-    shared = SharedMemoryParams(**params["shared"])
-    topology = None if topology_name == "flat" else get_topology(topology_name)
+    topology = get_topology(topology_name)
 
     sharded = shard_kernel(
         workload["kind"], shape, pattern, cores, strategy, topology=topology
@@ -782,20 +772,18 @@ def run_scaling_trial(params: Dict[str, Any]) -> Dict[str, Any]:
         sharded.programs,
         machine=machine,
         engine=engine,
-        shared=shared if topology is None else None,
         topology=topology,
         block_cache=_scaling_block_store(),
     )
     single_cycles = _scaling_baseline_cycles(workload, params["engine"])
     speedup = result.speedup_over(single_cycles)
-    if topology is None:
+    if topology_name == "flat":
         numa_penalty = 1.0
     else:
         flat_result = simulate_multicore(
             sharded.programs,
             machine=machine,
             engine=engine,
-            shared=shared,
             block_cache=_scaling_block_store(),
         )
         numa_penalty = (

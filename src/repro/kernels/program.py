@@ -9,13 +9,13 @@ and (c) report instruction-mix statistics (Figure 4).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
 from ..core.memory_image import ByteMemory
 from ..cpu.columnar import ColumnarTrace, TraceBuilder
-from ..cpu.trace import TraceOp, TraceSummary, summarize_trace
+from ..cpu.trace import TraceSummary
 from ..errors import KernelError
 from ..types import DEFAULT_GEOMETRY, DType, GemmShape, SparsityPattern, TileGeometry
 from .tiling import MatrixTileLayout
@@ -29,10 +29,9 @@ class KernelProgram:
     ----------
     trace:
         The dynamic instruction trace in program order.  Builders hand over a
-        :class:`~repro.cpu.columnar.TraceBuilder` (or a plain ``TraceOp``
-        list); it is normalised to a :class:`~repro.cpu.columnar.ColumnarTrace`
-        on construction, so every consumer sees one sequence type with
-        vectorised whole-trace views.
+        :class:`~repro.cpu.columnar.TraceBuilder` (frozen on construction)
+        or a finished :class:`~repro.cpu.columnar.ColumnarTrace`, so every
+        consumer sees one sequence type with vectorised whole-trace views.
     shape:
         The (unpadded) GEMM problem dimensions.
     pattern:
@@ -63,7 +62,7 @@ class KernelProgram:
         functional machine's register file follow it.
     """
 
-    trace: Union[ColumnarTrace, TraceBuilder, List[TraceOp]]
+    trace: Union[ColumnarTrace, TraceBuilder]
     shape: GemmShape
     pattern: SparsityPattern
     memory: Optional[ByteMemory] = None
@@ -82,8 +81,6 @@ class KernelProgram:
             )
         if isinstance(self.trace, TraceBuilder):
             self.trace = self.trace.finish()
-        elif not isinstance(self.trace, ColumnarTrace):
-            self.trace = ColumnarTrace.from_ops(self.trace)
 
     @property
     def instruction_count(self) -> int:
@@ -92,7 +89,7 @@ class KernelProgram:
 
     def summary(self) -> TraceSummary:
         """Instruction-mix summary of the trace."""
-        return summarize_trace(self.trace)
+        return self.trace.summarize()
 
     @property
     def has_data(self) -> bool:

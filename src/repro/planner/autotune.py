@@ -177,7 +177,7 @@ def autotune_workload(
         for candidate in space.candidates
     }
     topology_nodes = {
-        name: None if name == "flat" else get_topology(name)
+        name: get_topology(name)
         for name in {candidate.topology for candidate in space.candidates}
     }
 

@@ -115,8 +115,7 @@ def autotune_spec(
     so a bad ``--topology`` fails before any simulation runs.
     """
     for name in topologies:
-        if name != "flat":
-            get_topology(name)
+        get_topology(name)
     return ExperimentSpec(
         name="autotune",
         version=AUTOTUNE_SPEC_VERSION,

@@ -37,10 +37,8 @@ import numpy as np
 
 from ..analysis.roofline import EngineRoofline, effective_throughput_tflops
 from ..core.engine import EngineConfig
-from ..cpu.multicore import _footprint_line_array
-from ..cpu.params import MachineParams, get_topology
+from ..cpu.params import MachineParams
 from ..cpu.topology import TopologyNode
-from ..cpu.trace import summarize_trace
 from ..kernels.sharding import ShardedKernel
 from ..types import SparsityPattern
 
@@ -99,17 +97,12 @@ def _shared_capacity_bytes(topology: TopologyNode) -> int:
 def partition_statics(
     sharded: ShardedKernel,
     machine: MachineParams,
-    topology: Optional[TopologyNode] = None,
+    topology: TopologyNode,
 ) -> PartitionStatics:
-    """Price the engine-independent statics of one sharded partition.
-
-    ``topology=None`` means the flat shared pool (the ``"flat"`` preset's
-    parameters are used for root bandwidth and shared capacity).
-    """
-    resolved_topology = topology if topology is not None else get_topology("flat")
+    """Price the engine-independent statics of one sharded partition."""
     line_bytes = machine.l1.line_bytes
 
-    summaries = [summarize_trace(program.trace) for program in sharded.programs]
+    summaries = [program.trace.summarize() for program in sharded.programs]
     traffic_bytes = sum(summary.memory_bytes for summary in summaries)
     tile_instructions = sum(summary.tile_total for summary in summaries)
     max_core_compute_instructions = max(
@@ -122,8 +115,7 @@ def partition_statics(
     load_imbalance = max(tiles) / mean_tiles if mean_tiles else 1.0
 
     footprints = [
-        _footprint_line_array(program.trace, line_bytes)
-        for program in sharded.programs
+        program.trace.footprint_line_numbers(line_bytes) for program in sharded.programs
     ]
     max_core_lines = max((len(lines) for lines in footprints), default=0)
     combined_lines = len(np.unique(np.concatenate(footprints))) if footprints else 0
@@ -138,7 +130,7 @@ def partition_statics(
     if machine.prefetch_into_l2:
         memory_bound_cycles = 0
     else:
-        root_lines_per_cycle = resolved_topology.lines_per_cycle(machine)
+        root_lines_per_cycle = topology.lines_per_cycle(machine)
         memory_bound_cycles = (
             int(math.ceil(combined_lines / root_lines_per_cycle))
             if root_lines_per_cycle > 0 and math.isfinite(root_lines_per_cycle)
@@ -154,7 +146,7 @@ def partition_statics(
         combined_footprint_bytes=combined_footprint_bytes,
         fits_private_l2=max_core_footprint_bytes <= machine.l2.capacity_bytes,
         fits_shared_capacity=(
-            combined_footprint_bytes <= _shared_capacity_bytes(resolved_topology)
+            combined_footprint_bytes <= _shared_capacity_bytes(topology)
         ),
         memory_bound_cycles=memory_bound_cycles,
     )
@@ -164,12 +156,12 @@ def mapping_statics(
     sharded: ShardedKernel,
     machine: MachineParams,
     engine: EngineConfig,
-    topology: Optional[TopologyNode] = None,
+    topology: TopologyNode,
     partition: Optional[PartitionStatics] = None,
 ) -> MappingStatics:
     """Compute the pre-filter statics for one sharded mapping.
 
-    ``topology=None`` means the flat shared pool.  ``partition`` is the
+    ``partition`` is the
     :func:`partition_statics` of ``(sharded, machine, topology)`` when the
     caller has priced it already; otherwise it is priced here.
     """

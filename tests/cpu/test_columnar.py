@@ -7,30 +7,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_ops import intern_signatures, ops_memory_footprint, summarize_ops
 
 from repro.analysis.runtime import resolve_engine
 from repro.core import isa
 from repro.core.registers import treg
 from repro.cpu.cache import Cache
 from repro.cpu.columnar import ColumnarTrace, TraceBuilder, lru_outcome_bits
-from repro.cpu.fastsim import (
-    _build_oracle,
-    _oracle_script,
-    _OracleScript,
-    lower_signatures,
-    op_signature,
-)
+from repro.cpu.fastsim import _build_oracle, _oracle_script, _OracleScript
 from repro.cpu.memory import RequestScript
 from repro.cpu.multicore import simulation_cache_key
 from repro.cpu.params import CacheParams, default_machine, memory_bound_machine
-from repro.cpu.trace import (
-    TraceOp,
-    TraceOpKind,
-    summarize_trace,
-    trace_memory_footprint,
-    tile_op,
-    vector_fma,
-)
+from repro.cpu.simulator import CycleApproximateSimulator
+from repro.cpu.trace import TraceOp, scalar_op, tile_op, vector_fma
+from repro.errors import SimulationError
 from repro.kernels.gemm import build_dense_gemm_kernel
 from repro.kernels.spgemm import build_spgemm_kernel
 from repro.kernels.spmm import build_spmm_kernel
@@ -58,35 +48,21 @@ class TestColumnarParity:
         # Re-materialising from columns alone reproduces the op objects the
         # legacy builders would have produced, field for field.
         trace = program.trace
-        assert trace.has_columns
         rebuilt = ColumnarTrace(columns=trace.columns, labels=trace.labels)
         assert list(rebuilt) == list(trace)
 
     @pytest.mark.parametrize("program", all_programs(), ids=lambda p: p.label)
     def test_signature_ids_match_interning(self, program):
         ops = list(program.trace)
-        table = {}
-        expected = []
-        for op in ops:
-            key = op_signature(op)
-            expected.append(table.setdefault(key, len(table)))
-        assert np.array_equal(program.trace.signature_ids(), np.array(expected))
+        assert np.array_equal(program.trace.signature_ids(), intern_signatures(ops))
 
     @pytest.mark.parametrize("program", all_programs(), ids=lambda p: p.label)
     def test_summaries_and_footprints(self, program):
         ops = list(program.trace)
-        assert program.trace.summarize() == summarize_trace(ops)
-        assert program.trace.summarize_span(3, 41) == summarize_trace(ops[3:41])
-        assert program.trace.memory_regions() == sorted(
-            {
-                (op.tile.memory.address, op.tile.memory.nbytes)
-                if op.kind is TraceOpKind.TILE and op.tile.memory is not None
-                else (op.address, op.nbytes)
-                for op in ops
-                if (op.kind is TraceOpKind.TILE and op.tile.memory is not None)
-                or op.address is not None
-            }
-        )
+        assert program.trace.summarize() == summarize_ops(ops)
+        assert program.trace.summarize_span(3, 41) == summarize_ops(ops[3:41])
+        assert program.trace.memory_regions() == ops_memory_footprint(ops)
+        assert program.trace.memory_regions(3, 41) == ops_memory_footprint(ops[3:41])
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -114,11 +90,12 @@ class TestColumnarParity:
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)
 
-    def test_from_ops_equals_builder_columns(self):
-        program = build_dense_gemm_kernel(GemmShape(64, 64, 128))
+    @pytest.mark.parametrize("program", all_programs(), ids=lambda p: p.label)
+    def test_from_ops_equals_builder_columns(self, program):
         converted = ColumnarTrace.from_ops(list(program.trace))
         assert np.array_equal(converted.columns, program.trace.columns)
         assert converted.labels == program.trace.labels
+        assert converted.geometry == program.trace.geometry
 
 
 class TestDeterministicIds:
@@ -132,30 +109,42 @@ class TestDeterministicIds:
                 seen.add(value)
                 expected_next += 1
 
-    def test_lower_signatures_dispatches_to_columns(self):
-        program = build_dense_gemm_kernel(GemmShape(64, 64, 128))
-        assert np.array_equal(
-            lower_signatures(program.trace), lower_signatures(list(program.trace))
-        )
 
+class TestStrictEncoder:
+    """``from_ops`` is the one edge encoder: an op the columns cannot hold is
+    an error naming its index, both there and through ``run``."""
 
-class TestGracefulFallback:
-    def test_inexpressible_op_keeps_sequence_behaviour(self):
-        # A three-source FMA does not fit the two-register columns; the trace
-        # must still behave as a sequence, with the vectorised views off.
-        ops = [vector_fma(0, (1, 2, 3)), vector_fma(0, (1, 2, 3))]
-        trace = ColumnarTrace.from_ops(ops)
-        assert not trace.has_columns
-        assert list(trace) == ops
-        assert len(trace) == 2
+    def _assert_rejected(self, ops, index):
+        with pytest.raises(SimulationError, match=f"trace op {index} "):
+            ColumnarTrace.from_ops(ops)
+        with pytest.raises(SimulationError, match=f"trace op {index} "):
+            CycleApproximateSimulator().run(ops)
 
-    def test_labelled_tile_op_falls_back(self):
+    def test_three_source_fma_is_rejected(self):
+        ops = [scalar_op(), vector_fma(0, (1, 2)), vector_fma(0, (1, 2, 3))]
+        self._assert_rejected(ops, 2)
+
+    def test_labelled_tile_op_wrapper_is_rejected(self):
         # Builders never label the TraceOp wrapper of a tile instruction;
-        # foreign traces that do cannot be expressed columnar.
+        # that invariant lets the signature use one label column.
         op = tile_op(isa.tile_load_t(treg(0), 0x100, "load"), label="wrapper")
-        trace = ColumnarTrace.from_ops([op])
-        assert not trace.has_columns
-        assert trace[0] == op
+        self._assert_rejected([scalar_op(), op], 1)
+
+    @pytest.mark.parametrize("mode", ["fast", "exact"])
+    @pytest.mark.parametrize("index", range(len(all_programs())))
+    def test_run_on_an_op_list_equals_run_on_its_encoding(self, index, mode):
+        program = all_programs()[index]
+        ops = list(program.trace)
+        simulator = CycleApproximateSimulator(
+            engine=resolve_engine("VEGETA-S-16-2+OF+SPGEMM"), mode=mode
+        )
+        from_list = simulator.run(ops, block_starts=program.block_starts)
+        encoded = simulator.run(
+            ColumnarTrace.from_ops(ops), block_starts=program.block_starts
+        )
+        assert from_list == encoded
+        # The round trip through ops loses nothing the simulation reads.
+        assert encoded == simulator.run(program.trace, block_starts=program.block_starts)
 
 
 class TestLazyMaterialisation:

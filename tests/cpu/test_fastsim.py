@@ -9,18 +9,15 @@ back to behaviour that is bit-identical to the exact path as well.
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.analysis.runtime import FIGURE13_ENGINE_NAMES, resolve_engine
 from repro.core import isa
 from repro.core.engine import get_engine
 from repro.core.registers import treg
-from repro.cpu.fastsim import (
-    build_segments,
-    derive_block_starts,
-    op_signature,
-    run_fast,
-)
+from repro.cpu.columnar import ColumnarTrace
+from repro.cpu.fastsim import build_segments, derive_block_starts, run_fast
 from repro.cpu.params import MachineParams, default_machine
 from repro.cpu.simulator import CycleApproximateSimulator
 from repro.cpu.trace import scalar_op, tile_op, vector_fma, vector_load
@@ -229,12 +226,13 @@ class TestPeriodicityHelpers:
         a = tile_op(isa.tile_load_t(treg(1), 0x1000, "load A"))
         b = tile_op(isa.tile_load_t(treg(1), 0x9000, "load A"))
         c = tile_op(isa.tile_load_t(treg(2), 0x1000, "load A"))
-        assert op_signature(a) == op_signature(b)
-        assert op_signature(a) != op_signature(c)
+        ids = ColumnarTrace.from_ops([a, b, c]).signature_ids()
+        assert ids[0] == ids[1]
+        assert ids[0] != ids[2]
 
     def test_derive_block_starts_finds_builder_blocks(self):
         program = build_dense_gemm_kernel(GemmShape(128, 128, 256))
-        starts, signatures = derive_block_starts(program.trace)
+        starts = derive_block_starts(program.trace.signature_ids())
         assert starts is not None
         # The detected anchors recur with the builder's block period.
         expected_period = program.block_starts[1] - program.block_starts[0]
@@ -242,26 +240,24 @@ class TestPeriodicityHelpers:
         assert len(starts) == len(program.block_starts)
 
     def test_derive_block_starts_rejects_irregular_traces(self):
-        trace = [scalar_op(f"unique-{i}") for i in range(32)]
-        starts, signatures = derive_block_starts(trace)
-        assert starts is None and signatures is None
+        trace = ColumnarTrace.from_ops([scalar_op(f"unique-{i}") for i in range(32)])
+        assert derive_block_starts(trace.signature_ids()) is None
 
     def test_build_segments_splits_on_length_change(self):
-        bounds, segments = build_segments([0, 10, 20, 30, 45, 60], 75)
+        signatures = np.zeros(75, dtype=np.int64)
+        bounds, segments = build_segments([0, 10, 20, 30, 45, 60], 75, signatures)
         assert bounds[-1] == 75
         assert segments == [(0, 3), (3, 3)]
 
     def test_run_fast_returns_none_without_periodicity(self):
-        trace = [scalar_op(f"u{i}") for i in range(16)]
+        trace = ColumnarTrace.from_ops([scalar_op(f"u{i}") for i in range(16)])
         assert run_fast(default_machine(), None, trace) is None
 
     def test_signature_ids_are_deterministic(self):
         # Regression: hash()-based signatures made anchor selection depend on
         # PYTHONHASHSEED.  Ids must be assigned in first-appearance order.
-        from repro.cpu.fastsim import lower_signatures
-
         program = build_dense_gemm_kernel(GemmShape(64, 64, 128))
-        ids = lower_signatures(program.trace)
+        ids = program.trace.signature_ids()
         assert ids[0] == 0
         seen = set()
         expected_next = 0
@@ -280,7 +276,8 @@ class TestPeriodicityHelpers:
             "from repro.cpu.fastsim import derive_block_starts\n"
             "from repro.kernels.gemm import build_dense_gemm_kernel\n"
             "from repro.types import GemmShape\n"
-            "starts, _ = derive_block_starts(build_dense_gemm_kernel(GemmShape(64, 64, 256)).trace)\n"
+            "trace = build_dense_gemm_kernel(GemmShape(64, 64, 256)).trace\n"
+            "starts = derive_block_starts(trace.signature_ids())\n"
             "print(list(starts))\n"
         )
         import repro
@@ -300,7 +297,9 @@ class TestPeriodicityHelpers:
 
 
 class TestHintValidation:
-    """Builder hints are validated; bad hints degrade gracefully."""
+    """Builder hints only choose where blocks start; their content is never
+    trusted.  Every fast-path segment is signature-verified in full, so a
+    lying or malformed hint costs skipping, never correctness."""
 
     def _blocks_of_different_composition(self):
         # Two interleaved equal-length block flavours: same length (3 ops),
@@ -319,6 +318,8 @@ class TestHintValidation:
         return trace, tuple(starts)
 
     def test_lying_hint_falls_back_to_exact(self):
+        # Neighbouring blocks differ, so full segment verification leaves
+        # every segment one block long and every block is stepped exactly.
         trace, starts = self._blocks_of_different_composition()
         simulator = CycleApproximateSimulator()
         exact = simulator.run(trace, mode="exact")
@@ -328,8 +329,8 @@ class TestHintValidation:
 
     def test_lying_hint_inside_skipped_span_is_caught(self):
         # Mismatching blocks that sit entirely between the simulated anchors
-        # must still be detected (via the skipped-span spot-check), not
-        # silently accounted as copies of the segment head.
+        # must not be accounted as copies of the segment head: full segment
+        # verification splits them into a segment of their own.
         from repro.cpu.trace import vector_fma
 
         trace = []

@@ -3,14 +3,10 @@
 import pytest
 
 from repro.analysis.runtime import resolve_engine
-from repro.cpu.multicore import (
-    MulticoreSimulationResult,
-    SharedMemoryParams,
-    arbitrate_bandwidth,
-    simulate_multicore,
-)
-from repro.cpu.params import default_machine, memory_bound_machine
+from repro.cpu.multicore import MulticoreSimulationResult, simulate_multicore
+from repro.cpu.params import default_machine, flat_topology, memory_bound_machine
 from repro.cpu.simulator import CycleApproximateSimulator
+from repro.cpu.topology import TopologyNode, arbitrate_topology
 from repro.errors import SimulationError
 from repro.kernels.sharding import shard_kernel
 from repro.types import GemmShape, SparsityPattern
@@ -29,8 +25,11 @@ KERNEL_KINDS = [
 
 class TestArbiter:
     def test_no_demand_runs_undilated(self):
-        outcome = arbitrate_bandwidth(
-            [1000, 500], [0, 0], [0, 0], dram_lines_per_cycle=1.0, l3_lines_per_cycle=2.0
+        outcome = arbitrate_topology(
+            [1000, 500],
+            demands=[[0, 0], [0, 0]],
+            supplies=[1.0, 2.0],
+            names=["dram", "l3"],
         )
         assert outcome.finish_cycles == [1000, 500]
         assert outcome.makespan == 1000
@@ -38,12 +37,11 @@ class TestArbiter:
 
     def test_under_supply_finishes_at_private_cycles(self):
         # Two cores each demanding 0.25 lines/cycle against a supply of 1.
-        outcome = arbitrate_bandwidth(
+        outcome = arbitrate_topology(
             [1000, 1000],
-            [250, 250],
-            [250, 250],
-            dram_lines_per_cycle=1.0,
-            l3_lines_per_cycle=2.0,
+            demands=[[250, 250], [250, 250]],
+            supplies=[1.0, 2.0],
+            names=["dram", "l3"],
         )
         assert outcome.finish_cycles == [1000, 1000]
         assert not outcome.contended
@@ -51,12 +49,11 @@ class TestArbiter:
     def test_oversubscription_dilates_proportionally(self):
         # Two cores each demanding the full DRAM supply: fair sharing halves
         # their progress, so both finish in ~2x their private time.
-        outcome = arbitrate_bandwidth(
+        outcome = arbitrate_topology(
             [1000, 1000],
-            [1000, 1000],
-            [1000, 1000],
-            dram_lines_per_cycle=1.0,
-            l3_lines_per_cycle=10.0,
+            demands=[[1000, 1000], [1000, 1000]],
+            supplies=[1.0, 10.0],
+            names=["dram", "l3"],
         )
         assert outcome.contended
         assert outcome.makespan == 2000
@@ -65,24 +62,22 @@ class TestArbiter:
         # A short bandwidth-hungry core and a long one: once the short core
         # drains, the long one speeds back up, so the makespan is far below
         # the fully-contended bound of 2x.
-        outcome = arbitrate_bandwidth(
+        outcome = arbitrate_topology(
             [100, 10_000],
-            [100, 10_000],
-            [100, 10_000],
-            dram_lines_per_cycle=1.0,
-            l3_lines_per_cycle=10.0,
+            demands=[[100, 10_000], [100, 10_000]],
+            supplies=[1.0, 10.0],
+            names=["dram", "l3"],
         )
         assert outcome.contended
         assert outcome.finish_cycles[0] < outcome.finish_cycles[1]
         assert outcome.makespan < int(2 * 10_000 * 0.75)
 
     def test_compute_only_core_unaffected_by_contention(self):
-        outcome = arbitrate_bandwidth(
+        outcome = arbitrate_topology(
             [1000, 1000, 1000],
-            [1000, 1000, 0],
-            [1000, 1000, 0],
-            dram_lines_per_cycle=1.0,
-            l3_lines_per_cycle=10.0,
+            demands=[[1000, 1000, 0], [1000, 1000, 0]],
+            supplies=[1.0, 10.0],
+            names=["dram", "l3"],
         )
         assert outcome.finish_cycles[2] == 1000
         assert outcome.finish_cycles[0] > 1000
@@ -91,12 +86,11 @@ class TestArbiter:
         # Core 0 uses only the (uncontended) L3 port; cores 1-2 fight over
         # DRAM.  Core 0 must finish at its private time despite the DRAM
         # shortfall.
-        outcome = arbitrate_bandwidth(
+        outcome = arbitrate_topology(
             [1000, 1000, 1000],
-            [0, 1000, 1000],
-            [1000, 0, 0],
-            dram_lines_per_cycle=1.0,
-            l3_lines_per_cycle=10.0,
+            demands=[[0, 1000, 1000], [1000, 0, 0]],
+            supplies=[1.0, 10.0],
+            names=["dram", "l3"],
         )
         assert outcome.contended
         assert outcome.finish_cycles[0] == 1000
@@ -105,35 +99,39 @@ class TestArbiter:
     def test_long_uncontended_run_needs_few_steps(self):
         # Steps end at core completions, so even a multi-billion-cycle run
         # arbitrates in O(cores) iterations instead of tripping max_steps.
-        outcome = arbitrate_bandwidth(
+        outcome = arbitrate_topology(
             [9_000_000_000],
-            [0],
-            [0],
-            dram_lines_per_cycle=1.0,
-            l3_lines_per_cycle=1.0,
+            demands=[[0], [0]],
+            supplies=[1.0, 1.0],
+            names=["dram", "l3"],
         )
         assert outcome.makespan == 9_000_000_000
 
     def test_l3_port_can_be_the_bottleneck(self):
-        outcome = arbitrate_bandwidth(
+        outcome = arbitrate_topology(
             [1000, 1000],
-            [0, 0],
-            [1000, 1000],
-            dram_lines_per_cycle=10.0,
-            l3_lines_per_cycle=1.0,
+            demands=[[0, 0], [1000, 1000]],
+            supplies=[10.0, 1.0],
+            names=["dram", "l3"],
         )
         assert outcome.contended
         assert outcome.makespan == 2000
 
     def test_mismatched_vectors_rejected(self):
         with pytest.raises(SimulationError):
-            arbitrate_bandwidth(
-                [100], [1, 2], [1], dram_lines_per_cycle=1.0, l3_lines_per_cycle=1.0
+            arbitrate_topology(
+                [100],
+                demands=[[1, 2], [1]],
+                supplies=[1.0, 1.0],
+                names=["dram", "l3"],
             )
 
     def test_zero_cycle_cores_finish_immediately(self):
-        outcome = arbitrate_bandwidth(
-            [0, 100], [0, 10], [0, 10], dram_lines_per_cycle=1.0, l3_lines_per_cycle=2.0
+        outcome = arbitrate_topology(
+            [0, 100],
+            demands=[[0, 10], [0, 10]],
+            supplies=[1.0, 2.0],
+            names=["dram", "l3"],
         )
         assert outcome.finish_cycles == [0, 100]
 
@@ -254,26 +252,17 @@ class TestMulticoreScaling:
         assert cyclic.core_cycles < row.core_cycles
 
 
-class TestSharedMemoryParams:
-    def test_invalid_params_rejected(self):
-        with pytest.raises(SimulationError):
-            SharedMemoryParams(l3_capacity_bytes=0)
-        with pytest.raises(SimulationError):
-            SharedMemoryParams(l3_bytes_per_cycle=-1.0)
-        with pytest.raises(SimulationError):
-            SharedMemoryParams(dram_bandwidth_gbps=0.0)
-
+class TestSharedMemory:
     def test_default_supply_mirrors_private_effective_rate(self):
         machine = default_machine()
-        shared = SharedMemoryParams()
         # 94 GB/s at 2 GHz = 47 B/cycle; the private model charges whole
         # cycles per 64 B line, so the effective shared rate is 1 line/cycle.
-        assert shared.dram_lines_per_cycle(machine) == 1.0
+        assert flat_topology().lines_per_cycle(machine) == 1.0
 
     def test_explicit_bandwidth_uses_nominal_rate(self):
         machine = default_machine()
-        shared = SharedMemoryParams(dram_bandwidth_gbps=64.0)
-        assert shared.dram_lines_per_cycle(machine) == pytest.approx(0.5)
+        root = TopologyNode(name="dram", level="dram", bandwidth_gbps=64.0, cores=1)
+        assert root.lines_per_cycle(machine) == pytest.approx(0.5)
 
     def test_empty_program_list_rejected(self):
         with pytest.raises(SimulationError):

@@ -123,15 +123,6 @@ class TestMemoEquivalence:
         fresh = simulate_multicore(fresh_programs, machine=machine, engine=ENGINE, memo=False)
         assert_bit_identical(shared, fresh)
 
-    def test_worker_pool_bit_identical(self):
-        sharded = shard_kernel(
-            "gemm", GemmShape(128, 128, 256), SparsityPattern.DENSE_4_4, 4, "2d-cyclic"
-        )
-        serial = simulate_multicore(sharded.programs, engine=ENGINE, memo=False)
-        clear_simulation_memo()
-        pooled = simulate_multicore(sharded.programs, engine=ENGINE, jobs=2)
-        assert_bit_identical(serial, pooled)
-
 
 class TestMemoMachinery:
     def test_equivalent_cores_share_one_simulation(self, monkeypatch):

@@ -1,11 +1,11 @@
 """Tests for the recursive bandwidth topology (tree, placement, arbiter).
 
-The load-bearing invariant: the recursive model with one level and flat
-parameters is *bit-identical* — cycles, cache counters, contention flags —
-to the pre-refactor two-resource arbiter.  The reference implementation of
-that arbiter (and the flat shared-L3 analytic that fed it) is embedded
-below verbatim, so the equivalence is checked against the real pre-refactor
-math, not against the refactored code itself.
+The load-bearing invariant: the ``flat`` preset (a recursive model with one
+level) is *bit-identical* — cycles, cache counters, contention flags — to
+the pre-refactor flat pool and its two-resource arbiter.  The reference
+implementation of that pool (its supply rules, the flat shared-L3 analytic
+and the arbiter) is embedded below verbatim, so the equivalence is checked
+against the real pre-refactor math, not against the refactored code itself.
 """
 
 import math
@@ -13,15 +13,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference_ops import footprint_lines
 
 from repro.analysis.runtime import resolve_engine
-from repro.cpu.multicore import (
-    SharedMemoryParams,
-    _footprint_line_array,
-    arbitrate_bandwidth,
-    clear_simulation_memo,
-    simulate_multicore,
-)
+from repro.cpu.multicore import clear_simulation_memo, simulate_multicore
 from repro.cpu.params import (
     TOPOLOGY_PRESETS,
     chiplet_machine,
@@ -62,6 +57,49 @@ def fresh_memo():
 
 
 # -- the pre-refactor reference implementation --------------------------------
+
+#: The pre-refactor flat pool's defaults: a 32 MB shared L3 at 128 B/cycle
+#: over a DRAM channel that mirrors the private simulator's line rate.
+LEGACY_L3_CAPACITY_BYTES = 32 * 1024 * 1024
+LEGACY_L3_BYTES_PER_CYCLE = 128.0
+
+
+def legacy_dram_lines_per_cycle(machine, dram_bandwidth_gbps=None):
+    """The pre-refactor flat pool's DRAM supply rule, kept verbatim.
+
+    Without an explicit bandwidth the supply mirrors the private simulator's
+    effective line rate (whole-cycle service time per DRAM line).
+    """
+    line_bytes = machine.l1.line_bytes
+    if dram_bandwidth_gbps is None:
+        bytes_per_cycle = max(1.0, machine.memory.dram_bytes_per_core_cycle)
+        service_cycles = int(line_bytes / bytes_per_cycle)
+        return 1.0 / service_cycles if service_cycles > 0 else math.inf
+    bytes_per_cycle = dram_bandwidth_gbps / machine.core.frequency_ghz
+    return bytes_per_cycle / line_bytes
+
+
+def legacy_l3_lines_per_cycle(machine, l3_bytes_per_cycle=LEGACY_L3_BYTES_PER_CYCLE):
+    """The pre-refactor flat pool's shared-L3 port supply rule, kept verbatim."""
+    return l3_bytes_per_cycle / machine.l1.line_bytes
+
+
+def flat_tree(l3_capacity_bytes, dram_bandwidth_gbps=None, cores=1):
+    """A one-level tree with the flat pool's shape and the given parameters."""
+    return TopologyNode(
+        name="dram",
+        level="dram",
+        bandwidth_gbps=dram_bandwidth_gbps,
+        children=(
+            TopologyNode(
+                name="l3",
+                level="l3",
+                capacity_bytes=l3_capacity_bytes,
+                bytes_per_cycle=LEGACY_L3_BYTES_PER_CYCLE,
+                cores=cores,
+            ),
+        ),
+    )
 
 
 def legacy_arbitrate(
@@ -192,20 +230,21 @@ class TestTopologyNode:
             tree = factory()
             assert TopologyNode.from_dict(tree.to_dict()) == tree
 
-    def test_supply_resolution_matches_shared_memory_params(self):
-        # The one-level tree must resolve the exact same lines/cycle supplies
-        # as the flat parameter block it replaces, on every machine.
+    def test_flat_supply_matches_legacy_rules(self):
+        # The flat preset (and a flat tree with an explicit DRAM bandwidth)
+        # must resolve the exact same lines/cycle supplies as the
+        # pre-refactor flat pool, on both machines.
         for machine in (default_machine(), memory_bound_machine()):
-            for shared in (
-                SharedMemoryParams(),
-                SharedMemoryParams(dram_bandwidth_gbps=100.0),
+            for tree, bandwidth in (
+                (flat_topology(), None),
+                (flat_tree(LEGACY_L3_CAPACITY_BYTES, dram_bandwidth_gbps=100.0), 100.0),
             ):
-                tree = shared.to_topology(4)
                 (l3_node,) = tree.children
-                assert tree.lines_per_cycle(machine) == shared.dram_lines_per_cycle(
-                    machine
+                assert l3_node.capacity_bytes == LEGACY_L3_CAPACITY_BYTES
+                assert tree.lines_per_cycle(machine) == legacy_dram_lines_per_cycle(
+                    machine, bandwidth
                 )
-                assert l3_node.lines_per_cycle(machine) == shared.l3_lines_per_cycle(
+                assert l3_node.lines_per_cycle(machine) == legacy_l3_lines_per_cycle(
                     machine
                 )
 
@@ -237,7 +276,7 @@ class TestPresets:
         # supplies less than the private simulator's own DRAM line rate, so
         # a single core can never oversubscribe any path.
         for machine in (default_machine(), memory_bound_machine()):
-            mirror = SharedMemoryParams().dram_lines_per_cycle(machine)
+            mirror = legacy_dram_lines_per_cycle(machine)
             for name in topology_names():
                 for _, node in get_topology(name).walk():
                     assert node.lines_per_cycle(machine) >= mirror
@@ -321,12 +360,11 @@ class TestArbiterEquivalence:
             dram_lines_per_cycle=dram_rate,
             l3_lines_per_cycle=l3_rate,
         )
-        outcome = arbitrate_bandwidth(
+        outcome = arbitrate_topology(
             core_cycles,
-            dram,
-            l3,
-            dram_lines_per_cycle=dram_rate,
-            l3_lines_per_cycle=l3_rate,
+            demands=[dram, l3],
+            supplies=[dram_rate, l3_rate],
+            names=["dram", "l3"],
         )
         assert outcome.finish_cycles == expected_finish
         assert outcome.makespan == expected_makespan
@@ -380,8 +418,7 @@ class TestFlatTrafficEquivalence:
         # pre-refactor shared-L3 analytic + two-resource arbiter.
         core_cycles, private_dram, footprints, capacity = case
         machine = default_machine()
-        shared = SharedMemoryParams(l3_capacity_bytes=capacity)
-        topology = shared.to_topology(len(core_cycles))
+        topology = flat_tree(capacity, cores=len(core_cycles))
         placement = place_cores(topology, len(core_cycles))
         traffic = resolve_traffic(
             topology, machine, placement, private_dram, footprints
@@ -403,8 +440,8 @@ class TestFlatTrafficEquivalence:
             core_cycles,
             expected_dram,
             list(private_dram),
-            dram_lines_per_cycle=shared.dram_lines_per_cycle(machine),
-            l3_lines_per_cycle=shared.l3_lines_per_cycle(machine),
+            dram_lines_per_cycle=legacy_dram_lines_per_cycle(machine),
+            l3_lines_per_cycle=legacy_l3_lines_per_cycle(machine),
         )
         assert outcome.finish_cycles == expected_finish
         assert outcome.makespan == expected_makespan
@@ -413,16 +450,22 @@ class TestFlatTrafficEquivalence:
 
 # -- full-pipeline flat equivalence per kernel x strategy ---------------------
 
+#: Both spellings of the flat pool: no topology, and the named preset.
+FLAT_TOPOLOGIES = {"default": lambda: None, "preset": lambda: get_topology("flat")}
+
 
 class TestFlatPipelineBitIdentity:
+    @pytest.mark.parametrize("flat", sorted(FLAT_TOPOLOGIES))
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("kind,pattern", KERNEL_KINDS)
-    def test_flat_default_matches_legacy_reference(self, kind, pattern, strategy):
+    def test_flat_default_matches_legacy_reference(self, kind, pattern, strategy, flat):
         sharded = shard_kernel(kind, GemmShape(64, 64, 256), pattern, 4, strategy)
         machine = default_machine()
-        shared = SharedMemoryParams()
         result = simulate_multicore(
-            sharded.programs, machine=machine, engine=ENGINE
+            sharded.programs,
+            machine=machine,
+            engine=ENGINE,
+            topology=FLAT_TOPOLOGIES[flat](),
         )
 
         line_bytes = machine.l1.line_bytes
@@ -432,21 +475,20 @@ class TestFlatPipelineBitIdentity:
             for program in sharded.programs
         ]
         footprints = [
-            _footprint_line_array(program.trace, line_bytes)
-            for program in sharded.programs
+            footprint_lines(program.trace, line_bytes) for program in sharded.programs
         ]
         private_dram = [
             r.memory_counters.get("dram_line_requests", 0) for r in per_core
         ]
         expected_dram, expected_hits = legacy_flat_filter(
-            private_dram, footprints, line_bytes, shared.l3_capacity_bytes
+            private_dram, footprints, line_bytes, LEGACY_L3_CAPACITY_BYTES
         )
         expected_finish, expected_makespan, expected_contended = legacy_arbitrate(
             [r.core_cycles for r in per_core],
             expected_dram,
             private_dram,
-            dram_lines_per_cycle=shared.dram_lines_per_cycle(machine),
-            l3_lines_per_cycle=shared.l3_lines_per_cycle(machine),
+            dram_lines_per_cycle=legacy_dram_lines_per_cycle(machine),
+            l3_lines_per_cycle=legacy_l3_lines_per_cycle(machine),
         )
         assert result.core_cycles == expected_makespan
         assert result.finish_cycles == expected_finish
@@ -458,7 +500,6 @@ class TestFlatPipelineBitIdentity:
 
     def test_contended_membound_case_matches_legacy(self):
         machine = memory_bound_machine()
-        shared = SharedMemoryParams()
         sharded = shard_kernel(
             "gemm", GemmShape(64, 64, 512), SparsityPattern.DENSE_4_4, 8, "row-block"
         )
@@ -472,18 +513,17 @@ class TestFlatPipelineBitIdentity:
             r.memory_counters.get("dram_line_requests", 0) for r in result.per_core
         ]
         footprints = [
-            _footprint_line_array(program.trace, line_bytes)
-            for program in sharded.programs
+            footprint_lines(program.trace, line_bytes) for program in sharded.programs
         ]
         expected_dram, _ = legacy_flat_filter(
-            private_dram, footprints, line_bytes, shared.l3_capacity_bytes
+            private_dram, footprints, line_bytes, LEGACY_L3_CAPACITY_BYTES
         )
         expected_finish, expected_makespan, expected_contended = legacy_arbitrate(
             [r.core_cycles for r in result.per_core],
             expected_dram,
             private_dram,
-            dram_lines_per_cycle=shared.dram_lines_per_cycle(machine),
-            l3_lines_per_cycle=shared.l3_lines_per_cycle(machine),
+            dram_lines_per_cycle=legacy_dram_lines_per_cycle(machine),
+            l3_lines_per_cycle=legacy_l3_lines_per_cycle(machine),
         )
         assert result.core_cycles == expected_makespan
         assert result.finish_cycles == expected_finish
@@ -554,18 +594,6 @@ class TestTopologySemantics:
         assert 0.0 < numa.level_utilization["interconnect"] <= 1.0
         assert set(numa.node_utilization) >= {"dram", "socket0", "socket1"}
 
-    def test_simulate_rejects_shared_plus_topology(self):
-        sharded = shard_kernel(
-            "gemm", GemmShape(64, 64, 256), SparsityPattern.DENSE_4_4, 2
-        )
-        with pytest.raises(SimulationError, match="not both"):
-            simulate_multicore(
-                sharded.programs,
-                engine=ENGINE,
-                shared=SharedMemoryParams(),
-                topology=flat_topology(),
-            )
-
     def test_memoized_cores_are_reused_across_topologies(self, monkeypatch):
         # The signature key is topology-independent on purpose: sweeping the
         # topology axis must not re-simulate a single core.
@@ -611,14 +639,3 @@ class TestArbiterBackstop:
         assert "exceeded 1 time steps" in message
         assert "'socket0'" in message
         assert "supply 0.5" in message
-
-    def test_flat_wrapper_backstop_reports_the_resource(self):
-        with pytest.raises(SimulationError, match="'dram'"):
-            arbitrate_bandwidth(
-                [100, 200],
-                [100, 200],
-                [0, 0],
-                dram_lines_per_cycle=0.5,
-                l3_lines_per_cycle=100.0,
-                max_steps=1,
-            )

@@ -1,22 +1,27 @@
 """Tests for trace records and summaries."""
 
 import pytest
+from reference_ops import ops_memory_footprint, summarize_ops
 
 from repro.core import isa
 from repro.core.registers import treg
+from repro.cpu.columnar import ColumnarTrace
 from repro.cpu.trace import (
     TraceOp,
     TraceOpKind,
     branch_op,
     scalar_op,
-    summarize_trace,
     tile_op,
-    trace_memory_footprint,
     vector_fma,
     vector_load,
     vector_store,
 )
 from repro.errors import SimulationError
+
+
+def encoded_bytes(op):
+    """Bytes the op moves, as the columnar encoding of it summarizes them."""
+    return ColumnarTrace.from_ops([op]).summarize().memory_bytes
 
 
 class TestTraceOpConstruction:
@@ -27,11 +32,11 @@ class TestTraceOpConstruction:
 
     def test_tile_load_is_memory(self):
         op = tile_op(isa.tile_load_t(treg(0), 0x1000))
-        assert op.is_memory and op.memory_bytes == 1024
+        assert op.is_memory and encoded_bytes(op) == 1024
 
     def test_vector_load(self):
         op = vector_load(3, 0x2000)
-        assert op.is_memory and op.memory_bytes == 64 and op.dst_reg == 3
+        assert op.is_memory and encoded_bytes(op) == 64 and op.dst_reg == 3
 
     def test_vector_store(self):
         op = vector_store(5, 0x3000)
@@ -39,7 +44,7 @@ class TestTraceOpConstruction:
 
     def test_vector_fma(self):
         op = vector_fma(1, (2, 3))
-        assert not op.is_memory and op.memory_bytes == 0
+        assert not op.is_memory and encoded_bytes(op) == 0
 
     def test_scalar_and_branch(self):
         assert scalar_op().kind is TraceOpKind.SCALAR
@@ -70,7 +75,8 @@ class TestSummarize:
             scalar_op(),
             branch_op(),
         ]
-        summary = summarize_trace(trace)
+        summary = ColumnarTrace.from_ops(trace).summarize()
+        assert summary == summarize_ops(trace)
         assert summary.total == 8
         assert summary.tile_load == 2 and summary.tile_compute == 1 and summary.tile_store == 1
         assert summary.vector_load == 1 and summary.vector_fma == 1
@@ -85,5 +91,6 @@ class TestSummarize:
             tile_op(isa.tile_load_t(treg(1), 0x1000)),
             vector_load(0, 0x9000, 64),
         ]
-        regions = trace_memory_footprint(trace)
+        regions = ColumnarTrace.from_ops(trace).memory_regions()
+        assert regions == ops_memory_footprint(trace)
         assert regions == [(0x1000, 1024), (0x9000, 64)]

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis.runtime import resolve_engine
 from repro.cpu.multicore import simulate_multicore
 from repro.cpu.params import default_machine, get_topology, memory_bound_machine
-from repro.cpu.trace import summarize_trace
 from repro.kernels.sharding import shard_kernel
 from repro.planner.prefilter import mapping_statics, partition_statics
 from repro.planner.space import select_kernel
@@ -36,7 +35,7 @@ ENGINE_NAMES = (
 def build_mapping(engine_name, pattern, shape, cores, strategy, topology_name):
     engine = resolve_engine(engine_name)
     kernel, executed = select_kernel(engine, pattern)
-    topology = None if topology_name == "flat" else get_topology(topology_name)
+    topology = get_topology(topology_name)
     sharded = shard_kernel(
         kernel,
         shape,
@@ -80,7 +79,7 @@ class TestExactStatics:
         )
         statics = mapping_statics(sharded, MACHINES["default"], engine, topology)
         assert statics.traffic_bytes == sum(
-            summarize_trace(program.trace).memory_bytes
+            program.trace.summarize().memory_bytes
             for program in sharded.programs
         )
 
