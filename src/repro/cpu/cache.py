@@ -121,28 +121,29 @@ class AccessResult:
 class CacheHierarchy:
     """Two-level cache hierarchy in front of DRAM.
 
-    Lines registered via :meth:`warm_l2` model the paper's "data has been
-    prefetched to the L2 cache" assumption (Section VI-B) as an *ideal
-    prefetcher*: a registered line that is not L2-resident when demanded is
-    delivered at L2-hit latency instead of paying the DRAM round trip.  A
-    flag set (rather than bulk-filling the L2 arrays) keeps the assumption
-    meaningful for kernels whose footprint exceeds the L2 capacity — a bulk
-    preload would simply evict itself — and keeps the model independent of
-    the order in which regions are registered.
+    ``ideal_prefetch`` models the paper's "data has been prefetched to the L2
+    cache" assumption (Section VI-B) as an *ideal prefetcher*: an L1 miss to
+    a line the L2 does not hold installs the line in the L2 and is delivered
+    at L2-hit latency instead of paying the DRAM round trip.  Installing on
+    demand (rather than bulk-filling the L2 arrays up front) keeps the
+    assumption meaningful for kernels whose footprint exceeds the L2
+    capacity — a bulk preload would simply evict itself.
     """
 
-    def __init__(self, l1: CacheParams, l2: CacheParams, dram_latency: int) -> None:
+    def __init__(
+        self,
+        l1: CacheParams,
+        l2: CacheParams,
+        dram_latency: int,
+        ideal_prefetch: bool = False,
+    ) -> None:
         if l2.capacity_bytes < l1.capacity_bytes:
             raise ConfigurationError("L2 must be at least as large as L1")
         self.l1 = Cache(l1)
         self.l2 = Cache(l2)
         self.dram_latency = dram_latency
         self.dram_line_requests = 0
-        self._l2_line_bytes = l2.line_bytes
-        #: L2-line numbers covered by the ideal-prefetch assumption.  Stored
-        #: at L2 granularity so membership is independent of the (possibly
-        #: smaller) L1 line size the demand accesses are aligned to.
-        self.prefetched = set()
+        self.ideal_prefetch = ideal_prefetch
 
     def access_line(self, address: int) -> AccessResult:
         """Access one cache line and return where it was found."""
@@ -150,9 +151,7 @@ class CacheHierarchy:
             return AccessResult(
                 latency=self.l1.params.hit_latency, level="L1", l1_hit=True, l2_hit=True
             )
-        if address // self._l2_line_bytes in self.prefetched and not self.l2.contains(
-            address
-        ):
+        if self.ideal_prefetch and not self.l2.contains(address):
             # The ideal prefetcher delivered this line ahead of the demand.
             self.l2.fill(address)
         if self.l2.access(address):
@@ -167,11 +166,6 @@ class CacheHierarchy:
         return AccessResult(
             latency=self.dram_latency, level="DRAM", l1_hit=False, l2_hit=False
         )
-
-    def warm_l2(self, addresses) -> None:
-        """Register lines as prefetched into L2 (the paper's assumption)."""
-        line_bytes = self._l2_line_bytes
-        self.prefetched.update(address // line_bytes for address in addresses)
 
     def counters(self) -> Dict[str, int]:
         """Flat counter dictionary for reporting."""

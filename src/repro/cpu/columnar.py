@@ -25,9 +25,8 @@ which then answers the whole-trace questions as vectorised array operations:
   interning table whose order could depend on construction history),
 * ``summarize`` / ``summarize_span`` — instruction-mix summaries via
   ``bincount``,
-* ``memory_regions`` / ``footprint_line_numbers`` — unique regions / cache
-  lines via ``np.unique`` over the address column (lines are expanded from
-  the unique regions only),
+* ``footprint_line_numbers`` — the distinct cache lines, via ``np.unique``
+  over the address column (lines are expanded from the unique regions only),
 * ``simulation_key`` — a content hash of everything that can influence a
   simulation's outcome, with raw addresses *normalized out* (only the
   cache-line collision structure they induce is kept).  Two traces with equal
@@ -280,6 +279,8 @@ class TraceBuilder:
     def vector_load(self, dst_reg: int, address: int, nbytes: int = 64, label: str = "") -> None:
         if address < 0:
             raise SimulationError(f"negative memory address {address}")
+        if nbytes <= 0:
+            raise SimulationError(f"invalid memory request of {nbytes} bytes")
         label_id = self._label(label)
         self._rows.append(
             (_KIND_VLOAD, -1, dst_reg, _NO_REG, _NO_REG, address, nbytes, label_id, label_id, -1)
@@ -288,6 +289,8 @@ class TraceBuilder:
     def vector_store(self, src_reg: int, address: int, nbytes: int = 64, label: str = "") -> None:
         if address < 0:
             raise SimulationError(f"negative memory address {address}")
+        if nbytes <= 0:
+            raise SimulationError(f"invalid memory request of {nbytes} bytes")
         label_id = self._label(label)
         self._rows.append(
             (_KIND_VSTORE, -1, _NO_REG, src_reg, _NO_REG, address, nbytes, label_id, label_id, -1)
@@ -831,16 +834,6 @@ class ColumnarTrace(Sequence):
         """Instruction-mix summary of the whole trace."""
         return self.summarize_span(0, len(self))
 
-    def memory_regions(self, start: int = 0, end: Optional[int] = None) -> List[Tuple[int, int]]:
-        """Unique ``(address, nbytes)`` regions of a span, sorted.
-
-        The simulator pre-warms the L2 from these regions under the ideal
-        prefetch assumption.
-        """
-        span = self.columns[start : len(self) if end is None else end]
-        addresses, nbytes = _unique_regions(span)
-        return list(zip(addresses.tolist(), nbytes.tolist()))
-
     def _expand_lines(self, line_bytes: int) -> np.ndarray:
         """Line number of every cache-line access, in program order.
 
@@ -943,8 +936,7 @@ class ColumnarTrace(Sequence):
         l1_hits = self.l1_outcome_bits(l1)
         _fold_outcomes(digest, l1, self.footprint_line_numbers(l1.line_bytes), lines, l1_hits)
         if machine.prefetch_into_l2:
-            # The ideal prefetcher guarantees an L2 hit for every demand the
-            # simulator issues (both paths pre-register the full footprint).
+            # The ideal prefetcher delivers every L1 miss at L2-hit latency.
             digest.update(b"L2:ideal-prefetch")
         else:
             misses = ((lines * l1.line_bytes) // machine.l2.line_bytes)[~l1_hits]

@@ -32,11 +32,9 @@ exact prefix sums rather than extrapolated deltas.  Intermediate landing
 boundaries are marked as well, so chained jumps (including a final jump to
 the very end of a segment) need no re-validation blocks in between.
 
-**Profile path.**  It runs in exactly two cases: the machine has no ideal
-L2 prefetch (L2/DRAM dynamics are then stateful), or the oracle script
-cannot be packed — a request whose scripted delay or line count overflows
-the input word, or a zero-byte request, which the stepped memory system
-then rejects.  The original strategy: simulate blocks exactly until ``q``
+**Profile path.**  It runs exactly when the machine has no ideal L2
+prefetch: L2/DRAM dynamics are then stateful, so no per-request script
+exists.  The original strategy: simulate blocks exactly until ``q``
 consecutive block pairs are *shift-invariant* — every per-op issue and
 completion cycle moved forward by the same constant ``delta`` and the cache
 counters changed identically — then skip ahead in multiples of ``q``,
@@ -62,7 +60,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.engine import EngineConfig
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, SimulationError
 from .columnar import KIND_CODES, ColumnarTrace
 from .memory import RequestScript, ScriptedMemory
 from .params import MachineParams
@@ -91,13 +89,6 @@ DEFAULT_MAX_SUPER_PERIOD = 16
 
 #: Environment variable overriding :data:`DEFAULT_MAX_SUPER_PERIOD`.
 MAX_SUPER_PERIOD_ENV = "REPRO_MAX_SUPER_PERIOD"
-
-#: Field bounds of the oracle's packed per-op input word (signature id,
-#: scripted memory delay, line count).  ``nbytes`` is bounded by the columnar
-#: packing at 8192, i.e. at most 129 lines per request and a delay of at most
-#: 128 + the L2 hit latency.
-_DELAY_BOUND = 512
-_LINES_BOUND = 256
 
 _TILE_CODE = KIND_CODES[TraceOpKind.TILE]
 
@@ -210,7 +201,7 @@ class _OracleScript:
         self.computes_cum = computes_cum
 
 
-def _oracle_script(machine: MachineParams, trace: ColumnarTrace) -> Optional[_OracleScript]:
+def _oracle_script(machine: MachineParams, trace: ColumnarTrace) -> _OracleScript:
     """The trace's oracle script under ``machine``, built once per trace.
 
     The script reads the trace content, the L1 geometry and latency and the
@@ -229,12 +220,11 @@ def _oracle_script(machine: MachineParams, trace: ColumnarTrace) -> Optional[_Or
     return trace.derived(key, lambda: _build_oracle(machine, trace))
 
 
-def _build_oracle(machine: MachineParams, trace: ColumnarTrace) -> Optional[_OracleScript]:
-    """Precompute the scripted outcomes and packed input words, or None.
+def _build_oracle(machine: MachineParams, trace: ColumnarTrace) -> _OracleScript:
+    """Precompute the scripted outcomes and packed input words.
 
     Only valid under the ideal L2 prefetch: every L1 miss is then an L2 hit
-    at a fixed latency (the prefetched set covers the trace's own footprint
-    by definition), so the exact L1 LRU replay scripts the entire memory
+    at a fixed latency, so the exact L1 LRU replay scripts the entire memory
     behaviour of the run.
     """
     cols = trace.columns
@@ -242,7 +232,15 @@ def _build_oracle(machine: MachineParams, trace: ColumnarTrace) -> Optional[_Ora
     mem_mask = cols["address"] >= 0
     nbytes = cols["nbytes"][mem_mask]
     if nbytes.min(initial=1) <= 0:
-        return None  # zero-byte request: let the exact path raise
+        raise SimulationError(f"invalid memory request of {int(nbytes.min())} bytes")
+    # Requests are under 8192 B (the columnar packing), so below these bounds
+    # the packed word stays under 2**61 for any line size: fewer than 2**31
+    # signature ids, delays under 2**17 and at most 8192 lines per request.
+    if len(cols) >= 1 << 31 or max(l1.hit_latency, machine.l2.hit_latency) >= 1 << 16:
+        raise SimulationError(
+            "the oracle script needs fewer than 2**31 ops and hit latencies "
+            "under 65536 cycles"
+        )
     requests = RequestScript(
         cols["address"][mem_mask],
         nbytes,
@@ -255,10 +253,10 @@ def _build_oracle(machine: MachineParams, trace: ColumnarTrace) -> Optional[_Ora
     delay[mem_mask] = requests.delay
     counts = np.zeros(len(cols), dtype=np.int64)
     counts[mem_mask] = requests.lines
-    if delay.max(initial=0) >= _DELAY_BOUND or counts.max(initial=0) >= _LINES_BOUND:
-        return None
-
-    inputs = (trace.signature_ids() * _DELAY_BOUND + delay) * _LINES_BOUND + counts
+    # Each field is sized from the data (max + 1), so the word is injective.
+    delay_bound = int(delay.max(initial=0)) + 1
+    lines_bound = int(counts.max(initial=0)) + 1
+    inputs = (trace.signature_ids() * delay_bound + delay) * lines_bound + counts
     is_compute = (cols["kind"] == _TILE_CODE) & ~mem_mask
     return _OracleScript(
         inputs=inputs,
@@ -275,7 +273,6 @@ def _run_oracle(
     script: _OracleScript,
     bounds: List[int],
     segments: List[Tuple[int, int]],
-    max_skip_blocks: int,
     max_super_period: int,
 ) -> SimulationResult:
     """Digest-locked fast path over scripted memory outcomes.
@@ -340,7 +337,7 @@ def _run_oracle(
                     continue
                 if state.pipeline is not None and delta % state.ratio:
                     continue  # unreachable: the digest pins the clock phase
-                limit = min((count - index) // q, max_skip_blocks // q)
+                limit = min((count - index) // q, DEFAULT_MAX_SKIP_BLOCKS // q)
                 if limit <= 0:
                     continue
                 qp = q * period
@@ -501,7 +498,6 @@ def run_fast(
     trace: ColumnarTrace,
     block_starts: Optional[Sequence[int]] = None,
     *,
-    max_skip_blocks: int = DEFAULT_MAX_SKIP_BLOCKS,
     max_super_period: Optional[int] = None,
 ) -> Optional[SimulationResult]:
     """Fast-path simulation; returns None when the trace is not periodic.
@@ -529,21 +525,8 @@ def run_fast(
 
     if machine.prefetch_into_l2:
         script = _oracle_script(machine, trace)
-        if script is not None:
-            return _run_oracle(
-                machine,
-                engine,
-                trace,
-                script,
-                bounds,
-                segments,
-                max_skip_blocks,
-                max_super_period,
-            )
-
-    return _run_profiled(
-        machine, engine, trace, bounds, segments, max_skip_blocks, max_super_period
-    )
+        return _run_oracle(machine, engine, trace, script, bounds, segments, max_super_period)
+    return _run_profiled(machine, engine, trace, bounds, segments, max_super_period)
 
 
 def _run_profiled(
@@ -552,30 +535,22 @@ def _run_profiled(
     trace: ColumnarTrace,
     bounds: List[int],
     segments: List[Tuple[int, int]],
-    max_skip_blocks: int,
     max_super_period: int,
 ) -> SimulationResult:
-    """Counter-delta steady-state detection (non-scripted memory systems)."""
+    """Counter-delta steady-state detection (machines without the ideal prefetch)."""
     state = SimulatorState(machine, engine, retain_pipeline_history=False)
-    prefetch = machine.prefetch_into_l2
     summary = TraceSummary()
     extra_counters: Dict[str, int] = {}
     stepped = 0
     skipped = 0
 
-    def warm(start: int, end: int) -> None:
-        if prefetch and start < end:
-            state.memory.prefetch_regions(trace.memory_regions(start, end))
-
     def simulate_span(start: int, end: int) -> None:
-        warm(start, end)
         source = trace.ops_span(start, end)
         step = state.step
         for index in range(start, end):
             step(source[index])
 
     def simulate_block(start: int, end: int) -> _BlockProfile:
-        warm(start, end)
         source = trace.ops_span(start, end)
         counters_before = state.memory.counters()
         engine_ops_before = state.engine_ops
@@ -632,7 +607,7 @@ def _run_profiled(
             q, delta = steady
             # Keep at least one block to re-simulate after the jump so the
             # trailing state (and the next segment) sees fresh behaviour.
-            jumps = min(count - index - 1, max_skip_blocks) // q
+            jumps = min(count - index - 1, DEFAULT_MAX_SKIP_BLOCKS) // q
             if jumps <= 0:
                 continue
             window = history[-q:]

@@ -14,7 +14,7 @@ request, precomputed once per trace (:class:`RequestScript`) and replayed by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable
+from typing import Dict
 
 import numpy as np
 
@@ -46,7 +46,10 @@ class MemorySystem:
     def __init__(self, params: MachineParams) -> None:
         self.params = params
         self.hierarchy = CacheHierarchy(
-            params.l1, params.l2, params.memory.dram_latency_cycles
+            params.l1,
+            params.l2,
+            params.memory.dram_latency_cycles,
+            ideal_prefetch=params.prefetch_into_l2,
         )
         #: Next core cycle at which the L2->core port is free.
         self._l2_port_free = 0
@@ -62,20 +65,6 @@ class MemorySystem:
             self._line_bytes / max(1.0, params.memory.dram_bytes_per_core_cycle)
         )
 
-    # -- prefetch modelling ------------------------------------------------------
-
-    def prefetch_regions(self, regions: Iterable) -> None:
-        """Install every line of the given (address, nbytes) regions in the L2.
-
-        Models the paper's assumption that kernel data has been prefetched
-        into the L2 before the measured region starts.
-        """
-        line = self.params.l2.line_bytes
-        for address, nbytes in regions:
-            first = address // line
-            last = (address + nbytes - 1) // line
-            self.hierarchy.warm_l2(number * line for number in range(first, last + 1))
-
     # -- fast-forward support ----------------------------------------------------
 
     def shift_time(self, delta: int) -> None:
@@ -87,18 +76,6 @@ class MemorySystem:
         """
         self._l2_port_free += delta
         self._dram_free += delta
-
-    def shift_digest(self, base: int) -> tuple:
-        """Bandwidth-clock state relative to ``base`` (for shift digests).
-
-        Clocks at or before ``base`` saturate to zero: a future request sees
-        ``max(clock, cycle)`` with ``cycle >= base``, so earlier values are
-        indistinguishable.
-        """
-        return (
-            self._l2_port_free - base if self._l2_port_free > base else 0,
-            self._dram_free - base if self._dram_free > base else 0,
-        )
 
     # -- request path ----------------------------------------------------------------
 
@@ -252,12 +229,17 @@ class ScriptedMemory:
         self._l2_port_free += delta
 
     def shift_digest(self, base: int) -> tuple:
-        """The port clock relative to ``base``, saturated as in :class:`MemorySystem`."""
+        """The port clock relative to ``base`` (for the state's shift digest).
+
+        A clock at or before ``base`` saturates to zero: a future request sees
+        ``max(clock, cycle)`` with ``cycle >= base``, so earlier values are
+        indistinguishable.
+        """
         port = self._l2_port_free
         return (port - base if port > base else 0,)
 
     def counters(self) -> Dict[str, int]:
-        """Counters identical to a prefetched tag-array :class:`MemorySystem`."""
+        """Counters identical to a tag-array :class:`MemorySystem` with the ideal prefetch."""
         script = self._script
         index = self._cursor
         lines = int(script.lines_cum[index])

@@ -59,7 +59,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..core.engine import EngineConfig
 from ..errors import SimulationError
@@ -273,6 +273,69 @@ def payload_to_result(
     )
 
 
+def simulate_cores(
+    programs: Sequence[Any],
+    *,
+    machine: MachineParams,
+    engine: Optional[EngineConfig],
+    mode: str = "fast",
+    memo: Optional[bool] = None,
+    block_cache: Optional[Any] = None,
+) -> List[SimulationResult]:
+    """Private simulation of every program, through the signature memo.
+
+    The one memoized path: each program is keyed with
+    :func:`simulation_cache_key`, and each distinct key is looked up once —
+    in the in-process memo, then in ``block_cache`` (any object with
+    ``get(key) -> payload | None`` and ``put(key, payload)``, e.g. the
+    experiments layer's persistent store).  One representative per missing
+    key is simulated and its payload written back to both; every other
+    program with that key replays it, bit-identically to simulating it.
+    With memoization off (``memo=False`` or ``REPRO_NO_MEMO``) there are no
+    keys: every program is simulated and ``block_cache`` is never touched.
+    The representatives run serially on one simulator; parallelism lives in
+    the experiments executor, one level up.
+    """
+    if memoization_enabled(memo):
+        keys = [simulation_cache_key(program, machine, engine, mode) for program in programs]
+    else:
+        keys = [None] * len(programs)
+    payloads: Dict[str, Optional[Dict[str, Any]]] = {}
+    representatives: List[int] = []
+    for index, key in enumerate(keys):
+        if key is None:
+            representatives.append(index)
+        elif key not in payloads:
+            payload = _PROCESS_MEMO.get(key)
+            if payload is None and block_cache is not None:
+                payload = block_cache.get(key)
+                if payload is not None:
+                    _PROCESS_MEMO[key] = payload
+            payloads[key] = payload
+            if payload is None:
+                representatives.append(index)
+
+    per_core: List[Optional[SimulationResult]] = [None] * len(programs)
+    simulator = CycleApproximateSimulator(machine=machine, engine=engine, mode=mode)
+    for index in representatives:
+        program = programs[index]
+        result = simulator.run(
+            program.trace, block_starts=getattr(program, "block_starts", None)
+        )
+        per_core[index] = result
+        key = keys[index]
+        if key is not None:
+            payload = result_to_payload(result)
+            payloads[key] = payload
+            _PROCESS_MEMO[key] = payload
+            if block_cache is not None:
+                block_cache.put(key, payload)
+    return [
+        result if result is not None else payload_to_result(payloads[key], machine, engine)
+        for result, key in zip(per_core, keys)
+    ]
+
+
 def simulate_program_cached(
     program: Any,
     *,
@@ -282,36 +345,14 @@ def simulate_program_cached(
     memo: Optional[bool] = None,
     block_cache: Optional[Any] = None,
 ) -> SimulationResult:
-    """Run one program's private simulation through the signature memo.
+    """One program's private simulation through :func:`simulate_cores`.
 
-    ``block_cache`` is any object with ``get(key) -> payload | None`` and
-    ``put(key, payload)`` (e.g. the experiments layer's persistent store);
-    the in-process memo is always consulted first.  With memoization off
-    this is exactly ``simulator.run``.
+    With memoization off this is exactly ``simulator.run``.
     """
     machine = machine if machine is not None else default_machine()
-    key = (
-        simulation_cache_key(program, machine, engine, mode)
-        if memoization_enabled(memo)
-        else None
-    )
-    if key is not None:
-        payload = _PROCESS_MEMO.get(key)
-        if payload is None and block_cache is not None:
-            payload = block_cache.get(key)
-            if payload is not None:
-                _PROCESS_MEMO[key] = payload
-        if payload is not None:
-            return payload_to_result(payload, machine, engine)
-    result = CycleApproximateSimulator(machine=machine, engine=engine, mode=mode).run(
-        program.trace, block_starts=getattr(program, "block_starts", None)
-    )
-    if key is not None:
-        payload = result_to_payload(result)
-        _PROCESS_MEMO[key] = payload
-        if block_cache is not None:
-            block_cache.put(key, payload)
-    return result
+    return simulate_cores(
+        [program], machine=machine, engine=engine, mode=mode, memo=memo, block_cache=block_cache
+    )[0]
 
 
 def simulate_multicore(
@@ -329,9 +370,10 @@ def simulate_multicore(
     ``programs`` is one entry per core, each carrying a columnar ``trace``
     and (optionally) ``block_starts`` — a
     :class:`~repro.kernels.program.KernelProgram` or any duck-typed
-    equivalent.  Every core runs the existing private
-    simulator in ``mode``; shared-cache filtering and bandwidth arbitration
-    then convert cross-core miss traffic into a (possibly dilated) makespan.
+    equivalent.  Every core runs the existing private simulator in ``mode``
+    (:func:`simulate_cores`); shared-cache filtering and bandwidth
+    arbitration (:func:`arbitrate_cores`) then convert cross-core miss
+    traffic into a (possibly dilated) makespan.
 
     The shared memory system is a recursive :class:`TopologyNode` tree
     (``topology``) — e.g. ``dual_socket_machine()`` /``chiplet_machine()``
@@ -342,65 +384,40 @@ def simulate_multicore(
     memoized per-core result.
 
     **Block-signature memoization.**  The per-core programs of a sharded
-    kernel are largely address-shifted copies of one another.  Cores are
-    grouped into signature-equivalence classes (via
-    :func:`simulation_cache_key`, which normalizes raw addresses down to the
-    cache-collision structure they induce); one representative per class is
-    simulated and its cycles and cache counters are replayed for the rest,
-    bit-identically to simulating every core.  ``memo=False`` (or the
-    ``REPRO_NO_MEMO`` environment variable) disables the grouping;
-    ``block_cache`` adds a persistent get/put store so equal classes recur
-    for free across trials and processes.  The remaining representatives
-    run serially on one simulator; parallelism lives in the experiments
-    executor, one level up.
+    kernel are largely address-shifted copies of one another, and
+    :func:`simulation_cache_key` normalizes raw addresses down to the
+    cache-collision structure they induce, so :func:`simulate_cores`
+    simulates one representative per signature-equivalence class and
+    replays its cycles and cache counters for the rest, bit-identically.
     """
     if not programs:
         raise SimulationError("simulate_multicore needs at least one per-core program")
     machine = machine if machine is not None else default_machine()
+    per_core = simulate_cores(
+        programs, machine=machine, engine=engine, mode=mode, memo=memo, block_cache=block_cache
+    )
+    return arbitrate_cores(
+        programs, per_core, machine=machine, engine=engine, topology=topology
+    )
+
+
+def arbitrate_cores(
+    programs: Sequence[Any],
+    per_core: List[SimulationResult],
+    *,
+    machine: MachineParams,
+    engine: Optional[EngineConfig],
+    topology: Optional[TopologyNode] = None,
+) -> MulticoreSimulationResult:
+    """Arbitrate finished private simulations under a shared-memory topology.
+
+    ``per_core[c]`` is the private result of ``programs[c]``; the programs
+    supply only their footprints.  Private results do not depend on the
+    topology, so one set of them can be arbitrated under several topologies.
+    ``None`` means the ``flat`` preset.
+    """
     topology = topology if topology is not None else flat_topology()
-    memo_enabled = memoization_enabled(memo)
-
     line_bytes = machine.l1.line_bytes
-    keys: List[Optional[str]] = [
-        simulation_cache_key(program, machine, engine, mode) if memo_enabled else None
-        for program in programs
-    ]
-    per_core: List[Optional[SimulationResult]] = [None] * len(programs)
-    payloads: Dict[str, Dict[str, Any]] = {}
-    pending: List[Tuple[int, Any]] = []
-    seen_pending: Set[str] = set()
-    for index, (program, key) in enumerate(zip(programs, keys)):
-        if key is None:
-            pending.append((index, program))
-            continue
-        payload = _PROCESS_MEMO.get(key)
-        if payload is None and block_cache is not None:
-            payload = block_cache.get(key)
-            if payload is not None:
-                _PROCESS_MEMO[key] = payload
-        if payload is not None:
-            payloads[key] = payload
-        elif key not in seen_pending:
-            seen_pending.add(key)
-            pending.append((index, program))
-
-    simulator = CycleApproximateSimulator(machine=machine, engine=engine, mode=mode)
-    for index, program in pending:
-        result = simulator.run(
-            program.trace, block_starts=getattr(program, "block_starts", None)
-        )
-        per_core[index] = result
-        key = keys[index]
-        if key is not None:
-            payload = result_to_payload(result)
-            payloads[key] = payload
-            _PROCESS_MEMO[key] = payload
-            if block_cache is not None:
-                block_cache.put(key, payload)
-    for index, key in enumerate(keys):
-        if per_core[index] is None:
-            per_core[index] = payload_to_result(payloads[key], machine, engine)
-
     footprints = [program.trace.footprint_line_numbers(line_bytes) for program in programs]
 
     # Place the cores on the topology's leaf locality domains, filter their

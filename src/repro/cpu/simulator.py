@@ -400,9 +400,11 @@ class SimulatorState:
         whose time has passed are dropped.  Engine-domain values are relative
         to ``issue_cycle // ratio`` with the clock phase kept explicitly, so
         matching digests also guarantee the cycle delta between them is a
-        multiple of the engine clock ratio.  The fast path compares these
-        digests at block boundaries to prove steady state (see
-        :mod:`repro.cpu.fastsim`).
+        multiple of the engine clock ratio.  The oracle fast path compares
+        these digests at block boundaries to prove steady state (see
+        :mod:`repro.cpu.fastsim`); its memory is a
+        :class:`~repro.cpu.memory.ScriptedMemory`, whose port clock is the
+        only memory state left to digest.
         """
         base = self.issue_cycle
 
@@ -542,8 +544,6 @@ class CycleApproximateSimulator:
 
     def _run_exact(self, trace: ColumnarTrace) -> SimulationResult:
         state = SimulatorState(self.machine, self.engine)
-        if self.machine.prefetch_into_l2:
-            state.memory.prefetch_regions(trace.memory_regions())
         step = state.step
         for op in trace:
             step(op)

@@ -38,7 +38,7 @@ Three pieces:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -285,7 +285,6 @@ class TrafficResolution:
     demands: List[List[int]]
     hit_lines: List[int]
     root_lines: List[int]
-    hit_lines_by_node: Dict[str, int] = field(default_factory=dict)
 
 
 def resolve_traffic(
@@ -334,7 +333,6 @@ def resolve_traffic(
     supplies: List[float] = []
     demands: List[List[int]] = []
     hit_lines = [0] * cores
-    hit_lines_by_node: Dict[str, int] = {}
 
     # Bottom-up: children strictly before parents (post-order).
     def postorder(node: TopologyNode) -> Iterator[TopologyNode]:
@@ -362,14 +360,11 @@ def resolve_traffic(
                 if combined_bytes
                 else 1.0
             )
-            node_hits = 0
             for core in domain:
                 capacity_misses = max(0, upward[core] - compulsory[core])
                 hits = int(capacity_misses * fit_fraction)
                 hit_lines[core] += hits
-                node_hits += hits
                 upward[core] -= hits
-            hit_lines_by_node[node.name] = node_hits
         names.append(node.name)
         levels.append(node.level)
         supplies.append(node.lines_per_cycle(machine))
@@ -382,7 +377,6 @@ def resolve_traffic(
         demands=demands,
         hit_lines=hit_lines,
         root_lines=list(upward),
-        hit_lines_by_node=hit_lines_by_node,
     )
 
 
@@ -395,7 +389,6 @@ class TopologyArbitrationOutcome:
     contended: bool
     #: Resource names that were oversubscribed during at least one step.
     saturated: List[str]
-    steps: int
 
 
 def arbitrate_topology(
@@ -485,5 +478,4 @@ def arbitrate_topology(
         makespan=makespan,
         contended=contended,
         saturated=list(saturated),
-        steps=steps,
     )

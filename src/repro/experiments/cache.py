@@ -264,7 +264,7 @@ class SimulationBlockStore:
 
     Adapts the content-addressed experiments cache to the duck-typed
     ``get(key)`` / ``put(key, payload)`` interface
-    :func:`repro.cpu.multicore.simulate_multicore` expects.  Keys are the
+    :func:`repro.cpu.multicore.simulate_cores` expects.  Keys are the
     full simulation keys of :func:`repro.cpu.multicore.simulation_cache_key`
     — content-derived and process-independent — so per-core results recur
     for free across trials, sweeps, worker processes and runs.  The
@@ -293,10 +293,10 @@ class SimulationBlockStore:
             pass
 
 
-def simulation_block_store() -> Optional[SimulationBlockStore]:
-    """The persistent block store, or None when memoization is disabled."""
-    from ..cpu.multicore import memoization_enabled
+def simulation_block_store() -> SimulationBlockStore:
+    """The persistent block store under the default cache root.
 
-    if not memoization_enabled():
-        return None
+    With memoization disabled the simulation path computes no keys, so the
+    store is never read or written.
+    """
     return SimulationBlockStore(ResultCache())

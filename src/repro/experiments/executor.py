@@ -42,7 +42,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..errors import ConfigurationError, ExperimentFailure, TrialTimeout
+from ..errors import ConfigurationError, TrialTimeout
 from ..faults.hooks import on_trial_attempt
 from .registry import get_trial_runner
 
@@ -63,7 +63,6 @@ CHUNKS_PER_JOB = 4
 MAX_DISPATCH_ATTEMPTS = 2
 
 IndexedParams = Tuple[int, Dict[str, Any]]
-IndexedRow = Tuple[int, Dict[str, Any]]
 IndexedOutcome = Tuple[int, Dict[str, Any]]
 
 
@@ -257,25 +256,6 @@ def _run_trial_guarded(
     raise AssertionError("unreachable")  # pragma: no cover
 
 
-def _collect(stream: Iterator[IndexedOutcome]) -> List[IndexedRow]:
-    """Materialize a stream into the legacy strict ``run()`` contract."""
-    results: List[IndexedRow] = []
-    failures: List[TrialFailure] = []
-    for index, outcome in stream:
-        if "failure" in outcome:
-            failures.append(TrialFailure(**outcome["failure"]))
-        else:
-            results.append((index, outcome["row"]))
-    if failures:
-        lines = "\n".join(f"  {failure.describe()}" for failure in failures)
-        raise ExperimentFailure(
-            f"{len(failures)} trial(s) failed permanently:\n{lines}",
-            failures=failures,
-        )
-    results.sort(key=lambda pair: pair[0])
-    return results
-
-
 class SerialExecutor:
     """Run every trial in-process, in order."""
 
@@ -291,9 +271,6 @@ class SerialExecutor:
             yield _run_trial_guarded(
                 function, index, params, policy, in_worker=False
             )
-
-    def run(self, runner_name: str, trials: Sequence[IndexedParams]) -> List[IndexedRow]:
-        return _collect(self.stream(runner_name, trials))
 
 
 @dataclass(frozen=True)
@@ -336,11 +313,10 @@ class MultiprocessExecutor:
     trial in its chunk still completes.
     """
 
-    def __init__(self, jobs: int, *, chunks_per_job: int = CHUNKS_PER_JOB):
+    def __init__(self, jobs: int):
         if jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
-        self.chunks_per_job = max(1, chunks_per_job)
 
     def _context(self):
         try:
@@ -358,7 +334,7 @@ class MultiprocessExecutor:
         if self.jobs == 1 or len(trials) <= 1:
             yield from SerialExecutor().stream(runner_name, trials, policy)
             return
-        chunk_size = max(1, math.ceil(len(trials) / (self.jobs * self.chunks_per_job)))
+        chunk_size = max(1, math.ceil(len(trials) / (self.jobs * CHUNKS_PER_JOB)))
         queue: List[_Chunk] = [
             _Chunk(tuple(trials[start : start + chunk_size]))
             for start in range(0, len(trials), chunk_size)
@@ -409,9 +385,6 @@ class MultiprocessExecutor:
                 raise
             else:
                 pool.shutdown(wait=True)
-
-    def run(self, runner_name: str, trials: Sequence[IndexedParams]) -> List[IndexedRow]:
-        return _collect(self.stream(runner_name, trials))
 
 
 def _requeue(

@@ -679,48 +679,26 @@ def scaling_spec(
     )
 
 
-#: Per-process memo of single-core baseline cycles keyed by the canonical
-#: JSON of (workload, engine).  The baseline depends only on those two, so
-#: the cores x strategy trials of one workload share one simulation instead
-#: of re-running it 15 times; worker processes each warm their own memo.
-_SCALING_BASELINES: Dict[str, int] = {}
+def _scaling_baseline_cycles(
+    workload: Dict[str, Any], engine_name: str, block_cache: Any
+) -> int:
+    """Cycles of the unsharded single-core kernel for one scaling workload.
 
-
-def _scaling_block_store():
-    """The persistent block store, or None when memoization is disabled.
-
-    Shared with the ``autotune`` experiment (one ``simblocks`` namespace):
-    e.g. the ``cores=8`` and ``cores=16`` row-block trials of one workload
-    share their one-block-row core class, and either sweep warms the store
-    for the other.
+    The simulation memo serves the baseline after a workload's first trial.
     """
-    from .cache import simulation_block_store
-
-    return simulation_block_store()
-
-
-def _scaling_baseline_cycles(workload: Dict[str, Any], engine_name: str) -> int:
-    """Cycles of the unsharded single-core kernel for one scaling workload."""
     from ..cpu.multicore import simulate_program_cached
     from ..kernels.sharding import shard_kernel
-    from .spec import canonical_json
 
-    key = canonical_json({"workload": workload, "engine": engine_name})
-    cached = _SCALING_BASELINES.get(key)
-    if cached is not None:
-        return cached
     shape = GemmShape(m=workload["m"], n=workload["n"], k=workload["k"])
     program = shard_kernel(
         workload["kind"], shape, SparsityPattern(workload["pattern"]), 1
     ).programs[0]
-    result = simulate_program_cached(
+    return simulate_program_cached(
         program,
         machine=MachineParams.from_dict(workload["machine"]),
         engine=resolve_engine(engine_name),
-        block_cache=_scaling_block_store(),
-    )
-    _SCALING_BASELINES[key] = result.core_cycles
-    return result.core_cycles
+        block_cache=block_cache,
+    ).core_cycles
 
 
 @trial_runner("scaling")
@@ -744,16 +722,17 @@ def run_scaling_trial(params: Dict[str, Any]) -> Dict[str, Any]:
     baseline; for ``cores == 1`` the row records whether the sharded
     makespan matched it bit-for-bit (an invariant pinned under every
     topology preset).  Non-flat trials additionally re-arbitrate their own
-    shards under the flat pool: ``numa_penalty`` is the cycle ratio
-    topology/flat on identical per-core programs, isolating what the
+    per-core results under the flat pool: ``numa_penalty`` is the cycle
+    ratio topology/flat on identical per-core programs, isolating what the
     deeper memory system costs (or, with more aggregate bandwidth, wins —
     values below 1.0).  The per-level utilization columns aggregate each
     level's port demand over the makespan; a level absent from the trial's
     topology reports None.
     """
-    from ..cpu.multicore import simulate_multicore
-    from ..cpu.params import get_topology
+    from ..cpu.multicore import arbitrate_cores, simulate_multicore
+    from ..cpu.params import flat_topology, get_topology
     from ..kernels.sharding import shard_kernel
+    from .cache import simulation_block_store
 
     workload = params["workload"]
     cores = int(params["cores"])
@@ -764,6 +743,7 @@ def run_scaling_trial(params: Dict[str, Any]) -> Dict[str, Any]:
     machine = MachineParams.from_dict(workload["machine"])
     engine = resolve_engine(params["engine"])
     topology = get_topology(topology_name)
+    block_store = simulation_block_store()
 
     sharded = shard_kernel(
         workload["kind"], shape, pattern, cores, strategy, topology=topology
@@ -773,18 +753,19 @@ def run_scaling_trial(params: Dict[str, Any]) -> Dict[str, Any]:
         machine=machine,
         engine=engine,
         topology=topology,
-        block_cache=_scaling_block_store(),
+        block_cache=block_store,
     )
-    single_cycles = _scaling_baseline_cycles(workload, params["engine"])
+    single_cycles = _scaling_baseline_cycles(workload, params["engine"], block_store)
     speedup = result.speedup_over(single_cycles)
     if topology_name == "flat":
         numa_penalty = 1.0
     else:
-        flat_result = simulate_multicore(
+        flat_result = arbitrate_cores(
             sharded.programs,
+            result.per_core,
             machine=machine,
             engine=engine,
-            block_cache=_scaling_block_store(),
+            topology=flat_topology(),
         )
         numa_penalty = (
             result.core_cycles / flat_result.core_cycles

@@ -62,10 +62,10 @@ class TestCache:
 
 
 class TestHierarchy:
-    def _hierarchy(self):
+    def _hierarchy(self, ideal_prefetch=False):
         l1 = CacheParams(name="L1", capacity_bytes=4 * 1024, hit_latency=4)
         l2 = CacheParams(name="L2", capacity_bytes=64 * 1024, hit_latency=14)
-        return CacheHierarchy(l1, l2, dram_latency=200)
+        return CacheHierarchy(l1, l2, dram_latency=200, ideal_prefetch=ideal_prefetch)
 
     def test_cold_access_goes_to_dram(self):
         hierarchy = self._hierarchy()
@@ -80,12 +80,14 @@ class TestHierarchy:
         assert result.level == "L1"
         assert result.latency == 4
 
-    def test_warm_l2_gives_l2_hits(self):
-        hierarchy = self._hierarchy()
-        hierarchy.warm_l2([0x2000])
+    def test_ideal_prefetch_gives_l2_hits(self):
+        hierarchy = self._hierarchy(ideal_prefetch=True)
         result = hierarchy.access_line(0x2000)
         assert result.level == "L2"
         assert result.latency == 14
+        assert hierarchy.dram_line_requests == 0
+        # The line was installed on demand: L2 fill, then the L2 hit.
+        assert hierarchy.l2.stats.fills == 1 and hierarchy.l2.stats.hits == 1
 
     def test_l1_capacity_overflow_falls_back_to_l2(self):
         hierarchy = self._hierarchy()
@@ -96,27 +98,30 @@ class TestHierarchy:
         result = hierarchy.access_line(0)
         assert result.level == "L2"
 
-    def test_warm_l2_survives_capacity_pressure(self):
-        # The ideal-prefetch flag is not subject to LRU eviction: a
-        # registered line stays deliverable at L2 latency even after the
-        # whole L2 has been streamed over.
-        hierarchy = self._hierarchy()
-        hierarchy.warm_l2([0x2000])
+    def test_ideal_prefetch_survives_capacity_pressure(self):
+        # The ideal prefetch is not subject to LRU eviction: a line stays
+        # deliverable at L2 latency even after the whole L2 has been
+        # streamed over and evicted it.
+        hierarchy = self._hierarchy(ideal_prefetch=True)
+        hierarchy.access_line(0x2000)
         lines = 64 * 1024 // 64
         for index in range(lines * 2):
             hierarchy.access_line(0x100000 + index * 64)
+        assert not hierarchy.l2.contains(0x2000)
+        assert hierarchy.l2.stats.evictions > 0
         assert hierarchy.access_line(0x2000).level == "L2"
+        assert hierarchy.dram_line_requests == 0
 
-    def test_warm_l2_covers_smaller_l1_lines(self):
-        # Regression: with l2.line_bytes > l1.line_bytes the prefetch set
-        # used exact address membership, so odd L1 lines of a prefetched
-        # region still paid the DRAM latency.
+    def test_ideal_prefetch_covers_smaller_l1_lines(self):
+        # With l2.line_bytes > l1.line_bytes, both L1 halves of one 128-byte
+        # L2 line are delivered at L2 latency: the odd L1 line too.
         l1 = CacheParams(name="L1", capacity_bytes=4 * 1024, line_bytes=64, hit_latency=4)
         l2 = CacheParams(name="L2", capacity_bytes=64 * 1024, line_bytes=128, hit_latency=14)
-        hierarchy = CacheHierarchy(l1, l2, dram_latency=200)
-        hierarchy.warm_l2([0])  # one 128-byte L2 line
+        hierarchy = CacheHierarchy(l1, l2, dram_latency=200, ideal_prefetch=True)
         assert hierarchy.access_line(64).level == "L2"
+        assert hierarchy.access_line(0).level == "L2"
         assert hierarchy.dram_line_requests == 0
+        assert hierarchy.l2.stats.fills == 1  # one 128-byte L2 line
 
     def test_l2_must_be_larger_than_l1(self):
         l1 = CacheParams(name="L1", capacity_bytes=64 * 1024)

@@ -16,8 +16,8 @@ from repro.analysis.runtime import FIGURE13_ENGINE_NAMES, resolve_engine
 from repro.core import isa
 from repro.core.engine import get_engine
 from repro.core.registers import treg
-from repro.cpu.columnar import ColumnarTrace
-from repro.cpu.fastsim import build_segments, derive_block_starts, run_fast
+from repro.cpu.columnar import ColumnarTrace, TraceBuilder
+from repro.cpu.fastsim import _oracle_script, build_segments, derive_block_starts, run_fast
 from repro.cpu.params import MachineParams, default_machine
 from repro.cpu.simulator import CycleApproximateSimulator
 from repro.cpu.trace import scalar_op, tile_op, vector_fma, vector_load
@@ -41,6 +41,7 @@ def _compare(program, engine, machine=None, hint=True):
     assert fast.engine_busy_cycles == exact.engine_busy_cycles
     assert fast.tile_compute_ops == exact.tile_compute_ops
     assert fast.trace_summary == exact.trace_summary
+    return fast
 
 
 class TestFastMatchesExactOnKernels:
@@ -87,6 +88,29 @@ class TestFastMatchesExactOnKernels:
         machine = dataclasses.replace(default_machine(), prefetch_into_l2=False)
         program = build_dense_gemm_kernel(GemmShape(256, 256, 512))
         _compare(program, get_engine("VEGETA-D-1-2"), machine=machine)
+
+    def test_oracle_covers_long_l2_latencies(self, monkeypatch):
+        # The oracle's input word sizes its delay field from the data, so a
+        # machine whose scripted delays exceed 600 cycles still takes the
+        # oracle path, never the profile path.
+        def no_profile(*args):
+            raise AssertionError("profile path on a prefetch machine")
+
+        monkeypatch.setattr("repro.cpu.fastsim._run_profiled", no_profile)
+        base = default_machine()
+        machine = dataclasses.replace(base, l2=dataclasses.replace(base.l2, hit_latency=600))
+        program = build_dense_gemm_kernel(GemmShape(128, 128, 512))
+        assert _oracle_script(machine, program.trace).requests.delay.max() >= 600
+        fast = _compare(program, get_engine("VEGETA-D-1-2"), machine=machine)
+        assert fast.fast_blocks_skipped > 0
+
+    def test_oracle_rejects_latencies_beyond_its_input_word(self):
+        base = default_machine()
+        machine = dataclasses.replace(base, l2=dataclasses.replace(base.l2, hit_latency=1 << 16))
+        program = build_dense_gemm_kernel(GemmShape(64, 64, 256))
+        simulator = CycleApproximateSimulator(machine=machine, engine=get_engine("VEGETA-D-1-2"))
+        with pytest.raises(SimulationError, match="65536"):
+            simulator.run(program.trace, block_starts=program.block_starts)
 
     def test_unit_engine_clock_ratio(self):
         core = dataclasses.replace(
@@ -219,6 +243,27 @@ class TestEdgeContracts:
         trace = [tile_op(isa.tile_gemm(treg(0), treg(1), treg(2)))]
         with pytest.raises(SimulationError):
             CycleApproximateSimulator(engine=None).run(trace, mode="fast")
+
+
+class TestZeroByteRequests:
+    """A zero-byte memory request is an error on every path."""
+
+    @pytest.mark.parametrize("nbytes", [0, -64])
+    @pytest.mark.parametrize("emit", ["vector_load", "vector_store"])
+    def test_builder_rejects_non_positive_sizes(self, emit, nbytes):
+        with pytest.raises(SimulationError, match="invalid memory request"):
+            getattr(TraceBuilder(), emit)(0, 0x1000, nbytes)
+
+    @pytest.mark.parametrize("mode", ["fast", "exact"])
+    def test_zero_byte_row_raises_from_run(self, mode):
+        program = build_vector_gemm_kernel(GemmShape(64, 64, 256))
+        columns = program.trace.columns.copy()
+        columns["nbytes"][np.flatnonzero(columns["address"] >= 0)[-1]] = 0
+        trace = ColumnarTrace(columns=columns, labels=program.trace.labels)
+        with pytest.raises(SimulationError):
+            CycleApproximateSimulator().run(
+                trace, mode=mode, block_starts=program.block_starts
+            )
 
 
 class TestPeriodicityHelpers:

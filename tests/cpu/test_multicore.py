@@ -1,10 +1,21 @@
 """Tests for the multi-core simulation: arbiter, invariants, scaling shape."""
 
+import dataclasses
+
 import pytest
 
 from repro.analysis.runtime import resolve_engine
-from repro.cpu.multicore import MulticoreSimulationResult, simulate_multicore
-from repro.cpu.params import default_machine, flat_topology, memory_bound_machine
+from repro.cpu.multicore import (
+    MulticoreSimulationResult,
+    arbitrate_cores,
+    simulate_multicore,
+)
+from repro.cpu.params import (
+    default_machine,
+    dual_socket_machine,
+    flat_topology,
+    memory_bound_machine,
+)
 from repro.cpu.simulator import CycleApproximateSimulator
 from repro.cpu.topology import TopologyNode, arbitrate_topology
 from repro.errors import SimulationError
@@ -280,3 +291,32 @@ class TestSharedMemory:
         assert multi.memory_counters["l1_hits"] == sum(
             result.memory_counters["l1_hits"] for result in multi.per_core
         )
+
+
+class TestRearbitration:
+    """Private results do not depend on the topology: re-arbitrating one
+    topology's per-core results under the flat preset (the ``scaling``
+    sweep's numa leg) equals a fresh flat simulation in every field."""
+
+    @pytest.mark.parametrize("memo", [True, False])
+    @pytest.mark.parametrize("machine", [default_machine, memory_bound_machine])
+    def test_flat_rearbitration_equals_flat_simulation(self, machine, memo):
+        machine = machine()
+        topology = dual_socket_machine()
+        programs = shard_kernel(
+            "gemm",
+            GemmShape(m=128, n=128, k=256),
+            SparsityPattern.DENSE_4_4,
+            8,
+            "2d-cyclic",
+            topology=topology,
+        ).programs
+        result = simulate_multicore(
+            programs, machine=machine, engine=ENGINE, topology=topology, memo=memo
+        )
+        rearbitrated = arbitrate_cores(
+            programs, result.per_core, machine=machine, engine=ENGINE, topology=flat_topology()
+        )
+        fresh = simulate_multicore(programs, machine=machine, engine=ENGINE, memo=memo)
+        for field in dataclasses.fields(MulticoreSimulationResult):
+            assert getattr(rearbitrated, field.name) == getattr(fresh, field.name), field.name

@@ -178,6 +178,56 @@ class TestMemoMachinery:
         second = simulate_multicore(sharded.programs, engine=ENGINE, block_cache=Store())
         assert_bit_identical(first, second)
 
+    def test_each_distinct_key_costs_one_lookup(self, monkeypatch):
+        sharded = shard_kernel(
+            "gemm", GemmShape(256, 256, 256), SparsityPattern.DENSE_4_4, 8, "row-block"
+        )
+        programs = sharded.programs
+        distinct = len(
+            {simulation_cache_key(p, default_machine(), ENGINE, "fast") for p in programs}
+        )
+        assert distinct < len(programs)
+        calls = {"run": 0, "get": 0, "put": 0}
+        original = CycleApproximateSimulator.run
+
+        def counting_run(self, trace, **kwargs):
+            calls["run"] += 1
+            return original(self, trace, **kwargs)
+
+        class CountingStore(dict):
+            def get(self, key):
+                calls["get"] += 1
+                return super().get(key)
+
+            def put(self, key, payload):
+                calls["put"] += 1
+                self[key] = payload
+
+        store = CountingStore()
+
+        def cost(memo):
+            for name in calls:
+                calls[name] = 0
+            simulate_multicore(programs, engine=ENGINE, memo=memo, block_cache=store)
+            return calls["run"], calls["get"], calls["put"]
+
+        monkeypatch.setattr(CycleApproximateSimulator, "run", counting_run)
+        assert cost(memo=True) == (distinct, distinct, distinct)  # cold
+        assert cost(memo=True) == (0, 0, 0)  # process memo
+        clear_simulation_memo()
+        assert cost(memo=True) == (0, distinct, 0)  # store only
+        assert cost(memo=False) == (len(programs), 0, 0)
+
+    def test_cached_program_is_a_one_core_multicore_run(self):
+        program = shard_kernel(
+            "spmm", GemmShape(64, 64, 256), SparsityPattern.SPARSE_2_4, 1
+        ).programs[0]
+        for memo in (True, False):
+            clear_simulation_memo()
+            assert simulate_program_cached(program, engine=ENGINE, memo=memo) == (
+                simulate_multicore([program], engine=ENGINE, memo=memo).per_core[0]
+            )
+
     def test_simulate_program_cached_matches_direct_run(self):
         program = shard_kernel(
             "spgemm", GemmShape(64, 64, 256), SparsityPattern.SPARSE_2_4, 1

@@ -64,10 +64,8 @@ def _script(machine, requests) -> RequestScript:
 )
 def test_scripted_memory_matches_tag_arrays(requests, l1, skip):
     machine = dataclasses.replace(default_machine(), l1=l1)
+    assert machine.prefetch_into_l2
     reference = MemorySystem(machine)
-    reference.prefetch_regions(
-        [(address, nbytes) for address, nbytes, _, _ in requests]
-    )
     scripted = ScriptedMemory(_script(machine, requests))
     skip_start, skip_end = sorted(min(bound, len(requests)) for bound in skip)
 

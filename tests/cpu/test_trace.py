@@ -1,7 +1,8 @@
 """Tests for trace records and summaries."""
 
+import numpy as np
 import pytest
-from reference_ops import ops_memory_footprint, summarize_ops
+from reference_ops import footprint_lines, summarize_ops
 
 from repro.core import isa
 from repro.core.registers import treg
@@ -91,6 +92,6 @@ class TestSummarize:
             tile_op(isa.tile_load_t(treg(1), 0x1000)),
             vector_load(0, 0x9000, 64),
         ]
-        regions = ColumnarTrace.from_ops(trace).memory_regions()
-        assert regions == ops_memory_footprint(trace)
-        assert regions == [(0x1000, 1024), (0x9000, 64)]
+        lines = ColumnarTrace.from_ops(trace).footprint_line_numbers(64)
+        assert np.array_equal(lines, footprint_lines(trace, 64))
+        assert lines.tolist() == list(range(0x1000 // 64, 0x1400 // 64)) + [0x9000 // 64]

@@ -59,14 +59,15 @@ class TestResolveJobs:
 class TestExecutors:
     def test_serial_preserves_order(self):
         trials = [(i, {"x": i}) for i in range(5)]
-        results = SerialExecutor().run("test-square", trials)
+        results = list(SerialExecutor().stream("test-square", trials))
         assert [index for index, _ in results] == list(range(5))
-        assert [row["square"] for _, row in results] == [0, 1, 4, 9, 16]
+        assert [outcome["row"]["square"] for _, outcome in results] == [0, 1, 4, 9, 16]
+        assert all(outcome["attempts"] == 1 for _, outcome in results)
 
     def test_multiprocess_matches_serial(self):
         trials = [(i, {"x": i}) for i in range(11)]
-        serial = SerialExecutor().run("test-square", trials)
-        parallel = MultiprocessExecutor(2).run("test-square", trials)
+        serial = list(SerialExecutor().stream("test-square", trials))
+        parallel = sorted(MultiprocessExecutor(2).stream("test-square", trials))
         assert parallel == serial
 
     def test_unknown_runner_rejected(self):
