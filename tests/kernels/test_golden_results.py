@@ -1,0 +1,99 @@
+"""Pinned simulation results for every golden kernel.
+
+``test_golden_traces.py`` pins what the builders emit; this file pins what
+the simulator makes of it.  Each golden kernel runs on its engine under
+three configurations, and the sha256 of the serialized result
+(:func:`repro.cpu.multicore.result_to_payload`: cycles, engine makespan and
+busy cycles, counters, instruction mix and fast-path block accounting) must
+match ``tests/golden/simulation-results.json``:
+
+* the default machine in ``"fast"`` mode (the oracle path),
+* the default machine in ``"exact"`` mode (the per-op reference loop),
+* :func:`~repro.cpu.params.memory_bound_machine` in ``"fast"`` mode (the
+  profile path: no ideal L2 prefetch).
+
+fast == exact compares the simulator with itself; these digests compare it
+with the values it produced before, so a rewrite of the stepping core that
+shifts every path alike still fails here.
+
+Refreshing after an *intentional* timing-model change (which also bumps
+``SIMULATOR_MODEL_VERSION``)::
+
+    REPRO_UPDATE_GOLDEN=1 python -m pytest tests/kernels/test_golden_results.py
+"""
+
+import hashlib
+import json
+import os
+
+import pytest
+
+from repro.analysis.runtime import resolve_engine
+from repro.cpu.multicore import result_to_payload
+from repro.cpu.params import default_machine, memory_bound_machine
+from repro.cpu.simulator import CycleApproximateSimulator
+from test_golden_traces import GOLDEN_DIR, GOLDEN_KERNELS
+
+RESULTS_PATH = GOLDEN_DIR / "simulation-results.json"
+
+#: Golden kernel -> engine it runs on (None: the vector baseline, no engine).
+KERNEL_ENGINES = {
+    "gemm-optimized": "VEGETA-D-1-2",
+    "gemm-listing1": "VEGETA-D-1-1",
+    "spmm-2of4": "VEGETA-S-2-2",
+    "spmm-1of4": "VEGETA-S-16-2+OF",
+    "spgemm-2of4": "VEGETA-S-16-2+SPGEMM",
+    "spgemm-1of4": "VEGETA-S-4-2+OF+SPGEMM",
+    "spmm-rowwise": "VEGETA-S-16-2",
+    "vector-gemm": None,
+    "gemm-amx": "amx",
+    "gemm-sme": "sme",
+}
+
+#: Configuration name -> (machine factory, simulation mode).
+CONFIGS = {
+    "default-fast": (default_machine, "fast"),
+    "default-exact": (default_machine, "exact"),
+    "membound-fast": (memory_bound_machine, "fast"),
+}
+
+
+def result_digest(kernel: str, config: str) -> str:
+    """sha256 of the serialized result of ``kernel`` under ``config``."""
+    program = GOLDEN_KERNELS[kernel]()
+    name = KERNEL_ENGINES[kernel]
+    engine = resolve_engine(name) if name is not None else None
+    machine, mode = CONFIGS[config]
+    result = CycleApproximateSimulator(machine=machine(), engine=engine).run(
+        program.trace, mode=mode, block_starts=program.block_starts
+    )
+    payload = json.dumps(result_to_payload(result), sort_keys=True)
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def _pinned() -> dict:
+    if os.environ.get("REPRO_UPDATE_GOLDEN") == "1":
+        table = {
+            kernel: {config: result_digest(kernel, config) for config in CONFIGS}
+            for kernel in sorted(GOLDEN_KERNELS)
+        }
+        RESULTS_PATH.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
+    return json.loads(RESULTS_PATH.read_text(encoding="utf-8"))
+
+
+def test_every_golden_kernel_is_pinned():
+    assert set(KERNEL_ENGINES) == set(GOLDEN_KERNELS)
+    table = _pinned()
+    assert set(table) == set(GOLDEN_KERNELS)
+    for kernel, digests in table.items():
+        assert set(digests) == set(CONFIGS), kernel
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+@pytest.mark.parametrize("kernel", sorted(GOLDEN_KERNELS))
+def test_result_matches_pinned_digest(kernel, config):
+    assert result_digest(kernel, config) == _pinned()[kernel][config], (
+        f"{kernel} on {KERNEL_ENGINES[kernel]} ({config}) no longer simulates "
+        "to its pinned result; if the timing model changed on purpose, bump "
+        "SIMULATOR_MODEL_VERSION and refresh with REPRO_UPDATE_GOLDEN=1"
+    )
