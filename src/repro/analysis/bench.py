@@ -362,7 +362,7 @@ def benchmark_workload(workload: BenchWorkload) -> Dict[str, Any]:
     exact, exact_seconds = _best_time(lambda: simulator.run(trace, mode="exact"))
 
     # One untimed warm-up run builds the trace's derived views (signature
-    # ids, oracle script, materialised ops); the timed runs reuse them, as
+    # ids, signature ops, oracle script); the timed runs reuse them, as
     # every engine after the first does on a shared trace in a sweep.
     simulator.run(trace, block_starts=program.block_starts)
     fast, fast_seconds = _best_time(

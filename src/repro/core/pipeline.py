@@ -28,9 +28,8 @@ and writes of C follow the same element order.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import SimulationError
 from .engine import EngineConfig
@@ -91,16 +90,23 @@ class MatrixEnginePipeline:
     The pipeline is in-order (tile instructions issue in program order, as
     they do from the core's matrix-engine scheduler) and models stage
     occupancy plus accumulator dependences with or without output forwarding.
+
+    :meth:`issue` is the one scheduling recurrence.  It keeps four stage
+    clocks and, per producer, only what a consumer reads, ``(ff_start,
+    complete)``, so the simulator's per-compute call allocates no timing
+    object.  :meth:`schedule` is the Figure 10 API on top of it: it derives
+    each instruction's stage windows from the clocks the recurrence leaves.
     """
 
     def __init__(self, engine: EngineConfig, retain_history: bool = True) -> None:
         self.engine = engine
-        self._stage_free = {"WL": 0, "FF": 0, "FS": 0, "DR": 0}
+        # Next free engine cycle of the WL, FF, FS and DR stages.
+        self._wl_free = self._ff_free = self._fs_free = self._dr_free = 0
+        #: op id -> (ff_start, complete) of every producer a consumer may name.
+        self._producers: Dict[int, Tuple[int, int]] = {}
         self._timings: Dict[int, TileComputeTiming] = {}
         self._completed: List[TileComputeTiming] = []
-        #: When False, completed timings are not accumulated (the simulator's
-        #: fast path schedules unbounded instruction streams and keeps only
-        #: the live accumulator producers via :meth:`fast_forward`).
+        #: When False, :meth:`schedule` does not accumulate :attr:`completed`.
         self._retain_history = retain_history
         self._makespan = 0
         self._scheduled = 0
@@ -116,76 +122,86 @@ class MatrixEnginePipeline:
 
     # -- public API ---------------------------------------------------------------
 
-    def schedule(self, request: TileComputeRequest) -> TileComputeTiming:
-        """Schedule one tile instruction and return its timing."""
-        if request.op_id in self._timings:
-            raise SimulationError(f"duplicate op_id {request.op_id}")
+    def issue(
+        self,
+        op_id: int,
+        operands_ready: int,
+        accumulator_dep: Optional[int],
+        feed_overhead: int,
+    ) -> int:
+        """Schedule one tile instruction; returns its completion cycle.
 
-        wl_latency = self._wl_latency
-        ff_latency = self._ff_latency + request.feed_overhead
-        fs_latency = self._fs_latency
-        dr_latency = self._dr_latency
-
-        # WL needs the weight operand and a free WL stage.
-        wl_start = max(request.operands_ready, self._stage_free["WL"])
-
+        ``operands_ready`` is the cycle at which the A/B sources hold valid
+        data, ``accumulator_dep`` the id of the in-flight producer of C (or
+        None) and ``feed_overhead`` the cycles added to Feed-First.
+        """
+        # Stage starts are max() written as comparisons: this runs once per
+        # simulated tile compute.  WL needs the weight operand and a free WL
+        # stage.
+        free = self._wl_free
+        wl_end = (operands_ready if operands_ready > free else free) + self._wl_latency
         # FF needs the streamed operands, a free FF stage, and — when the
         # accumulator is produced by an earlier in-flight instruction — either
         # the producer's completion (no OF) or its forwarding window (OF).
-        ff_earliest = max(wl_start + wl_latency, self._stage_free["FF"])
-        if request.accumulator_dep is not None:
-            producer = self._timings.get(request.accumulator_dep)
+        # If FF has to wait, the array simply idles after loading weights.
+        free = self._ff_free
+        ff_start = wl_end if wl_end > free else free
+        if accumulator_dep is not None:
+            producer = self._producers.get(accumulator_dep)
             if producer is None:
                 raise SimulationError(
-                    f"op {request.op_id} depends on unknown op {request.accumulator_dep}"
+                    f"op {op_id} depends on unknown op {accumulator_dep}"
                 )
+            edge = producer[1]
             if self._output_forwarding:
                 # Forwarding is an additional bypass path: the consumer starts
                 # as soon as either the forwarding window opens or the
                 # producer's write-back completes, whichever comes first.
-                ff_earliest = max(
-                    ff_earliest,
-                    min(
-                        producer.ff_start + self._output_ready_latency,
-                        producer.complete,
-                    ),
-                )
-            else:
-                ff_earliest = max(ff_earliest, producer.complete)
-        ff_start = ff_earliest
-        # If FF had to wait, WL effectively finishes just before FF; keep WL's
-        # recorded window contiguous with its own latency (the array simply
-        # idles after loading weights).
-        wl_end = wl_start + wl_latency
-
-        fs_start = max(ff_start + ff_latency, self._stage_free["FS"])
-        dr_start = max(fs_start + fs_latency, self._stage_free["DR"])
-        dr_end = dr_start + dr_latency
+                window = producer[0] + self._output_ready_latency
+                if window < edge:
+                    edge = window
+            if edge > ff_start:
+                ff_start = edge
+        ff_end = ff_start + self._ff_latency + feed_overhead
+        free = self._fs_free
+        fs_end = (ff_end if ff_end > free else free) + self._fs_latency
+        free = self._dr_free
+        dr_end = (fs_end if fs_end > free else free) + self._dr_latency
         complete = dr_end + self._reduction_latency
+        self._wl_free = wl_end
+        self._ff_free = ff_end
+        self._fs_free = fs_end
+        self._dr_free = dr_end
+        self._producers[op_id] = (ff_start, complete)
+        self._scheduled += 1
+        if complete > self._makespan:
+            self._makespan = complete
+        return complete
 
+    def schedule(self, request: TileComputeRequest) -> TileComputeTiming:
+        """Schedule one tile instruction and return its stage-by-stage timing."""
+        op_id = request.op_id
+        if op_id in self._producers:
+            raise SimulationError(f"duplicate op_id {op_id}")
+        complete = self.issue(
+            op_id, request.operands_ready, request.accumulator_dep, request.feed_overhead
+        )
+        # The recurrence leaves each stage's clock at this instruction's end.
         timing = TileComputeTiming(
-            op_id=request.op_id,
-            wl_start=wl_start,
-            wl_end=wl_end,
-            ff_start=ff_start,
-            ff_end=ff_start + ff_latency,
-            fs_start=fs_start,
-            fs_end=fs_start + fs_latency,
-            dr_start=dr_start,
-            dr_end=dr_end,
+            op_id=op_id,
+            wl_start=self._wl_free - self._wl_latency,
+            wl_end=self._wl_free,
+            ff_start=self._producers[op_id][0],
+            ff_end=self._ff_free,
+            fs_start=self._fs_free - self._fs_latency,
+            fs_end=self._fs_free,
+            dr_start=self._dr_free - self._dr_latency,
+            dr_end=self._dr_free,
             complete=complete,
         )
-
-        self._stage_free["WL"] = wl_end
-        self._stage_free["FF"] = timing.ff_end
-        self._stage_free["FS"] = timing.fs_end
-        self._stage_free["DR"] = timing.dr_end
-        self._timings[request.op_id] = timing
+        self._timings[op_id] = timing
         if self._retain_history:
             self._completed.append(timing)
-        self._scheduled += 1
-        if timing.complete > self._makespan:
-            self._makespan = timing.complete
         return timing
 
     def schedule_all(
@@ -195,7 +211,7 @@ class MatrixEnginePipeline:
         return [self.schedule(request) for request in requests]
 
     def timing_of(self, op_id: int) -> TileComputeTiming:
-        """Timing of a previously scheduled op."""
+        """Timing of an op previously scheduled through :meth:`schedule`."""
         try:
             return self._timings[op_id]
         except KeyError as error:
@@ -209,31 +225,23 @@ class MatrixEnginePipeline:
         The simulator's fast path proves that a repeating instruction block
         shifts every engine event by a constant number of cycles and then
         skips whole blocks at once: op ids advance by ``op_offset``, every
-        stage clock and recorded timing advances by ``cycle_offset`` engine
-        cycles, and only the timings still referenced as live accumulator
-        producers (``live_op_ids``) are kept for dependence resolution.
+        stage clock and producer time advances by ``cycle_offset`` engine
+        cycles, and only the producers still referenced as live accumulator
+        writers (``live_op_ids``) are kept for dependence resolution.
         """
-        for stage in self._stage_free:
-            self._stage_free[stage] += cycle_offset
-        kept: Dict[int, TileComputeTiming] = {}
+        self._wl_free += cycle_offset
+        self._ff_free += cycle_offset
+        self._fs_free += cycle_offset
+        self._dr_free += cycle_offset
+        producers = self._producers
+        self._producers = {}
         for op_id in live_op_ids:
-            timing = self._timings.get(op_id)
-            if timing is None:
-                continue
-            kept[op_id + op_offset] = dataclasses.replace(
-                timing,
-                op_id=timing.op_id + op_offset,
-                wl_start=timing.wl_start + cycle_offset,
-                wl_end=timing.wl_end + cycle_offset,
-                ff_start=timing.ff_start + cycle_offset,
-                ff_end=timing.ff_end + cycle_offset,
-                fs_start=timing.fs_start + cycle_offset,
-                fs_end=timing.fs_end + cycle_offset,
-                dr_start=timing.dr_start + cycle_offset,
-                dr_end=timing.dr_end + cycle_offset,
-                complete=timing.complete + cycle_offset,
-            )
-        self._timings = kept
+            producer = producers.get(op_id)
+            if producer is not None:
+                self._producers[op_id + op_offset] = (
+                    producer[0] + cycle_offset,
+                    producer[1] + cycle_offset,
+                )
         self._makespan += cycle_offset
         # The skipped span scheduled op_offset instructions' worth of work;
         # keep utilization()'s busy count consistent with the makespan.
@@ -250,8 +258,8 @@ class MatrixEnginePipeline:
         indistinguishable.  Used by the simulator's steady-state digest.
         """
         return tuple(
-            self._stage_free[stage] - ebase if self._stage_free[stage] > ebase else 0
-            for stage in ("WL", "FF", "FS", "DR")
+            free - ebase if free > ebase else 0
+            for free in (self._wl_free, self._ff_free, self._fs_free, self._dr_free)
         )
 
     def producer_digest(self, op_id: int, ebase: int) -> tuple:
@@ -267,19 +275,20 @@ class MatrixEnginePipeline:
         different *future* forwarding windows, so the derived window is the
         canonical quantity.
         """
-        timing = self._timings.get(op_id)
-        if timing is None:
+        producer = self._producers.get(op_id)
+        if producer is None:
             return ()
-        complete = timing.complete - ebase
+        complete = producer[1] - ebase
         items = [complete if complete > 0 else 0]
         if self._output_forwarding:
-            window = timing.ff_start + self._output_ready_latency - ebase
+            window = producer[0] + self._output_ready_latency - ebase
             items.append(window if window > 0 else 0)
         return tuple(items)
 
     @property
     def completed(self) -> List[TileComputeTiming]:
-        """All scheduled timings in program order (empty without history)."""
+        """Timings scheduled through :meth:`schedule`, in program order
+        (empty without history)."""
         return list(self._completed)
 
     @property

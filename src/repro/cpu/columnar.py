@@ -34,10 +34,12 @@ which then answers the whole-trace questions as vectorised array operations:
   licenses the cross-core block memoization in
   :mod:`repro.cpu.multicore`.
 
-:class:`TraceOp` objects are still the unit the per-op simulator loop
-executes; a :class:`ColumnarTrace` materialises them lazily (and caches the
-list), so traces that are never stepped — e.g. the memoized cores 2..N of a
-sharded kernel — never pay for object construction at all.
+No simulation path builds a :class:`TraceOp` per op.  The simulator
+decodes one representative op per distinct signature id
+(:meth:`ColumnarTrace.signature_ops`) and then steps the packed rows as
+``(signature id, address)`` pairs.  The full op list (:meth:`ColumnarTrace.ops`,
+materialised once and cached) serves functional validation, the golden-trace
+text format and the tests.
 
 A :class:`ColumnarTrace` is the only trace type below
 :meth:`repro.cpu.simulator.CycleApproximateSimulator.run`.  A plain op list
@@ -165,7 +167,7 @@ class TraceBuilder:
     builders used to call, but append a plain integer tuple instead of
     constructing ``Instruction``/``TraceOp`` objects — building a trace this
     way is an order of magnitude cheaper, and the objects are materialised
-    later only if the trace is actually stepped through the simulator.
+    later only if something asks for them (the simulator never does).
     """
 
     __slots__ = ("_rows", "_labels", "_label_ids", "geometry")
@@ -549,8 +551,8 @@ class ColumnarTrace(Sequence):
     """A dynamic instruction trace stored column-wise.
 
     Built by a :class:`TraceBuilder` (``columns`` + label table) or encoded
-    from an existing ops list by :meth:`from_ops`; either way the ops
-    materialise lazily from the columns.
+    from an existing ops list by :meth:`from_ops`; either way ``TraceOp``
+    objects materialise from the columns only on request.
 
     Everything derived from the trace content alone is computed once and
     kept on the trace (:meth:`derived`): signature ids, the structure
@@ -560,7 +562,7 @@ class ColumnarTrace(Sequence):
     (engines, machines, cores, trials) answers each distinct question once.
     """
 
-    __slots__ = ("columns", "labels", "geometry", "_ops", "_partial", "_views")
+    __slots__ = ("columns", "labels", "geometry", "_ops", "_views")
 
     def __init__(
         self,
@@ -572,7 +574,6 @@ class ColumnarTrace(Sequence):
         self.labels = labels
         self.geometry = geometry
         self._ops: Optional[List[TraceOp]] = None
-        self._partial: Optional[List[Optional[TraceOp]]] = None
         self._views: Dict[tuple, Any] = {}
 
     # -- construction -----------------------------------------------------------
@@ -633,7 +634,6 @@ class ColumnarTrace(Sequence):
     def __setstate__(self, state):
         self.columns, self.labels, self.geometry = state
         self._ops = None
-        self._partial = None
         self._views = {}
 
     def derived(self, key: tuple, compute: Callable[[], Any]) -> Any:
@@ -655,32 +655,29 @@ class ColumnarTrace(Sequence):
     def ops(self) -> List[TraceOp]:
         """The trace as TraceOp objects (materialised once, then cached)."""
         if self._ops is None:
-            self._ops = self._materialize(0, len(self))
+            self._ops = self._materialize(self.columns)
         return self._ops
 
-    def ops_span(self, start: int, end: int) -> List[Optional[TraceOp]]:
-        """A shared op buffer with ``[start, end)`` guaranteed materialised.
+    def signature_ops(self) -> Tuple[TraceOp, ...]:
+        """One TraceOp per signature id: the id's first occurrence, in id order.
 
-        Entries outside every span requested so far are ``None`` — callers
-        index only into spans they asked for.  Lets the simulator's fast path
-        pay object-construction cost only for the ops it actually steps,
-        while skipped steady-state spans stay columnar.
+        Every op with that id has the same timing-relevant content (only its
+        address differs), so the simulator decodes these few ops once and
+        steps every row through its signature's record.
         """
-        if self._ops is not None:
-            return self._ops
-        if self._partial is None:
-            self._partial = [None] * len(self)
-        partial = self._partial
-        if start < end and None in partial[start:end]:
-            partial[start:end] = self._materialize(start, end)
-        return partial
 
-    def _materialize(self, start: int, end: int) -> List[TraceOp]:
+        def first_ops() -> Tuple[TraceOp, ...]:
+            _, first = np.unique(self.signature_ids(), return_index=True)
+            return tuple(self._materialize(self.columns[first]))
+
+        return self.derived(("signature-ops",), first_ops)
+
+    def _materialize(self, rows: np.ndarray) -> List[TraceOp]:
         labels = self.labels
         geometry = self.geometry
         ops: List[TraceOp] = []
         append = ops.append
-        for row in self.columns[start:end]:
+        for row in rows:
             kind = int(row["kind"])
             if kind == _KIND_TILE:
                 opcode = OPCODES_BY_CODE[int(row["opcode"])]

@@ -42,7 +42,10 @@ re-validating after every jump.
 
 Either way, the blocks of a segment are signature-verified in full up front
 (:func:`build_segments` over the trace's signature ids), so builder hints
-only choose where blocks start; they are never trusted for content.
+only choose where blocks start; they are never trusted for content.  Both
+paths step the blocks they do not skip through the exact path's transition
+(:meth:`~repro.cpu.simulator.SimulatorState.advance` over packed rows); the
+profile path reads each op's issue cycle from the state after the step.
 
 Both paths search super-periods up to :func:`resolve_max_super_period`
 blocks: a block whose op count is not a multiple of the issue width only
@@ -279,26 +282,19 @@ def _run_oracle(
 
     Soundness of every jump: a boundary digest match proves
     ``state(b) == shift(state(b - q), delta)`` (the digest is a canonical
-    shift-normal form of everything :meth:`SimulatorState.step` can read),
+    shift-normal form of everything :meth:`SimulatorState.advance` can read),
     and the input-word equality over the skipped span proves, by induction
     on the step function, that each of the next ``K`` periods replays under
     that shift — so ``state.shift(K * delta, ...)`` lands on the exact state
     and the prefix-sum counters equal the stepped counters bit-for-bit.
     """
     memory = ScriptedMemory(script.requests)
-    state = SimulatorState(
-        machine, engine, retain_pipeline_history=False, memory=memory
-    )
+    state = SimulatorState(machine, engine, trace, memory=memory)
+    simulate_span = state.run
     summary = TraceSummary()
     inputs = script.inputs
     stepped = 0
     skipped = 0
-
-    def simulate_span(start: int, end: int) -> None:
-        source = trace.ops_span(start, end)
-        step = state.step
-        for index in range(start, end):
-            step(source[index])
 
     # Warm-up prefix before the first detected block.
     simulate_span(0, bounds[0])
@@ -538,39 +534,36 @@ def _run_profiled(
     max_super_period: int,
 ) -> SimulationResult:
     """Counter-delta steady-state detection (machines without the ideal prefetch)."""
-    state = SimulatorState(machine, engine, retain_pipeline_history=False)
+    state = SimulatorState(machine, engine, trace)
+    simulate_span = state.run
     summary = TraceSummary()
     extra_counters: Dict[str, int] = {}
     stepped = 0
     skipped = 0
 
-    def simulate_span(start: int, end: int) -> None:
-        source = trace.ops_span(start, end)
-        step = state.step
-        for index in range(start, end):
-            step(source[index])
-
     def simulate_block(start: int, end: int) -> _BlockProfile:
-        source = trace.ops_span(start, end)
         counters_before = state.memory.counters()
-        engine_ops_before = state.engine_ops
-        size = end - start
-        issues = np.empty(size, dtype=np.int64)
-        completions = np.empty(size, dtype=np.int64)
-        step = state.step
-        for offset in range(size):
-            issues[offset], completions[offset] = step(source[start + offset])
+        computes_before = state.next_compute_id
+        records = state.records
+        advance = state.advance
+        issues = []
+        completions = []
+        for signature, address in zip(
+            state.signatures[start:end].tolist(), state.addresses[start:end].tolist()
+        ):
+            completions.append(advance(records[signature], address))
+            issues.append(state.issue_cycle)
         counters_after = state.memory.counters()
         counter_delta = {
             key: counters_after[key] - counters_before.get(key, 0)
             for key in counters_after
         }
         return _BlockProfile(
-            issues=issues,
-            completions=completions,
+            issues=np.array(issues, dtype=np.int64),
+            completions=np.array(completions, dtype=np.int64),
             issued_end=state.issued_this_cycle,
             counter_delta=counter_delta,
-            computes=state.engine_ops - engine_ops_before,
+            computes=state.next_compute_id - computes_before,
         )
 
     # Warm-up prefix before the first detected block.

@@ -35,8 +35,12 @@ Two execution modes are provided:
     invariance holds (see :mod:`repro.cpu.fastsim`).
 
 ``"exact"``
-    The original event-driven per-op loop, kept as the reference model and
-    used automatically whenever a trace exposes no periodic structure.
+    Steps every op, kept as the reference model and used automatically
+    whenever a trace exposes no periodic structure.
+
+Both modes step one transition, :meth:`SimulatorState.advance`, over packed
+trace rows: each distinct signature is decoded once per run into a plain
+record, and no ``TraceOp`` or ``Instruction`` is built per op.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from dataclasses import dataclass
 from typing import Deque, Dict, Optional, Sequence, Tuple, Union
 
 from ..core.engine import EngineConfig
-from ..core.pipeline import MatrixEnginePipeline, TileComputeRequest
+from ..core.pipeline import MatrixEnginePipeline
 from ..errors import SimulationError
 from .columnar import ColumnarTrace
 from .memory import MemorySystem, ScriptedMemory
@@ -117,63 +121,81 @@ class SimulationResult:
         return self.instructions / self.core_cycles if self.core_cycles else 0.0
 
 
-class SimulatorState:
-    """The complete mutable execution state of one simulation.
+#: Record kinds of the decoded signatures (see :meth:`SimulatorState.decode`).
+_LOAD, _LOAD_M, _STORE, _COMPUTE, _VLOAD, _VSTORE, _VFMA, _SCALAR = range(8)
 
-    Both modes drive the same :meth:`step` transition function; the fast path
-    additionally uses :meth:`shift` to advance the whole state over a skipped
-    steady-state span in O(live state) instead of O(ops).  ``memory`` defaults
-    to a tag-array :class:`~repro.cpu.memory.MemorySystem`; the oracle fast
-    path passes a :class:`~repro.cpu.memory.ScriptedMemory` instead.
+
+class SimulatorState:
+    """The complete mutable execution state of one simulation of ``trace``.
+
+    Every path steps the same transition, :meth:`advance`, over packed rows:
+    each distinct signature id is decoded once into a plain record
+    (:meth:`decode`) and each op then steps as ``(records[sig[i]],
+    address[i])`` (:meth:`run`), so no ``TraceOp`` or ``Instruction`` is
+    built per op.  The fast path additionally uses :meth:`shift` to advance
+    the whole state over a skipped steady-state span in O(live state)
+    instead of O(ops).  ``memory`` defaults to a tag-array
+    :class:`~repro.cpu.memory.MemorySystem`; the oracle fast path passes a
+    :class:`~repro.cpu.memory.ScriptedMemory` instead.
     """
 
     __slots__ = (
         "machine",
         "engine",
-        "core",
         "memory",
         "pipeline",
         "ratio",
+        "records",
+        "signatures",
+        "addresses",
         "treg_ready",
         "mreg_ready",
         "vreg_ready",
         "last_compute_writer",
-        "compute_completion",
         "rob",
         "load_buffer",
         "next_fma_slot",
         "issue_cycle",
         "issued_this_cycle",
         "last_completion",
-        "engine_ops",
         "next_compute_id",
+        "_complete",
+        "_issue",
+        "_issue_width",
+        "_rob_entries",
+        "_load_buffer_entries",
+        "_scalar_latency",
+        "_fma_interval",
+        "_fma_latency",
     )
 
     def __init__(
         self,
         machine: MachineParams,
         engine: Optional[EngineConfig],
+        trace: ColumnarTrace,
         *,
-        retain_pipeline_history: bool = True,
         memory: Optional[Union[MemorySystem, ScriptedMemory]] = None,
     ) -> None:
         self.machine = machine
         self.engine = engine
-        self.core = machine.core
         self.memory = memory if memory is not None else MemorySystem(machine)
-        self.pipeline = (
-            MatrixEnginePipeline(engine, retain_history=retain_pipeline_history)
-            if engine is not None
-            else None
-        )
+        self.pipeline = MatrixEnginePipeline(engine) if engine is not None else None
         self.ratio = machine.core.engine_clock_ratio
+        self.records = [self.decode(op) for op in trace.signature_ops()]
+        self.signatures = trace.signature_ids()
+        self.addresses = trace.columns["address"]
 
         # Scoreboards.
         self.treg_ready: Dict[int, int] = {}
         self.mreg_ready: Dict[int, int] = {}
         self.vreg_ready: Dict[int, int] = {}
+        #: treg -> id of the compute that last wrote it, while no load has
+        #: overwritten it since.  That compute completes at the treg's
+        #: ``treg_ready``, so sources and stores wait for in-flight
+        #: accumulations through ``treg_ready`` alone; the id names the
+        #: accumulator dependence for the engine pipeline.
         self.last_compute_writer: Dict[int, int] = {}
-        self.compute_completion: Dict[int, int] = {}
 
         # Structural resources.
         self.rob: Deque[int] = deque()
@@ -183,173 +205,219 @@ class SimulatorState:
         self.issue_cycle = 0
         self.issued_this_cycle = 0
         self.last_completion = 0
-        self.engine_ops = 0
         self.next_compute_id = 0
+
+        # Per-op constants, resolved once.
+        core = machine.core
+        self._complete = self.memory.complete
+        self._issue = self.pipeline.issue if self.pipeline is not None else None
+        self._issue_width = core.issue_width
+        self._rob_entries = core.rob_entries
+        self._load_buffer_entries = core.load_buffer_entries
+        self._scalar_latency = core.scalar_latency
+        self._fma_interval = 1.0 / core.vector_fma_per_cycle
+        self._fma_latency = core.vector_fma_latency
+
+    # -- decoding ----------------------------------------------------------------
+
+    def decode(self, op: TraceOp) -> tuple:
+        """The record :meth:`advance` steps for every op with ``op``'s signature.
+
+        Records are plain tuples led by their kind and memory flag:
+
+        * ``(_LOAD, True, nbytes, dst tregs)`` and ``(_LOAD_M, True, nbytes,
+          mreg)`` for tile loads, ``(_STORE, True, nbytes, src tregs)``;
+        * ``(_COMPUTE, False, source tregs, metadata mregs, dst tregs,
+          feed overhead)``, the feed overhead resolved against the engine;
+        * ``(_VLOAD, True, nbytes, dst)``, ``(_VSTORE, True, nbytes, srcs)``,
+          ``(_VFMA, False, read regs, dst)`` and ``(_SCALAR, False)``.
+
+        Raises :class:`SimulationError` for a tile compute without an engine
+        and a SpGEMM opcode on an engine without SpGEMM stream merging.
+        """
+        kind = op.kind
+        if kind is TraceOpKind.TILE:
+            instruction = op.tile
+            opcode = instruction.opcode
+            if opcode.is_load:
+                dst = instruction.dst
+                if dst.kind == "mreg":
+                    return (_LOAD_M, True, instruction.memory.nbytes, dst.index)
+                return (_LOAD, True, instruction.memory.nbytes, dst.backing_tregs())
+            if opcode.is_store:
+                return (
+                    _STORE, True, instruction.memory.nbytes, instruction.src_a.backing_tregs()
+                )
+            if self.pipeline is None:
+                raise SimulationError(
+                    "trace contains tile compute instructions but no engine was configured"
+                )
+            # Per-instruction feed overhead wins when the builder stamped one
+            # (data-dependent metadata intersection); otherwise SPGEMM falls
+            # back to the engine's worst-case formula and everything else to 0.
+            feed_overhead = max(instruction.feed_overhead, 0)
+            if opcode.is_spgemm:
+                if not (self.engine.sparse and self.engine.spgemm):
+                    raise SimulationError(
+                        f"engine {self.engine.name} cannot execute {opcode.value}: "
+                        "SpGEMM stream merging is not enabled on this configuration"
+                    )
+                if instruction.feed_overhead < 0:
+                    feed_overhead = self.engine.spgemm_feed_overhead(
+                        opcode.spgemm_effective_k
+                    )
+            metadata = tuple(
+                register.index
+                for register in (instruction.implicit_metadata, instruction.implicit_metadata_b)
+                if register is not None
+            )
+            return (
+                _COMPUTE,
+                False,
+                instruction.src_a.backing_tregs() + instruction.src_b.backing_tregs(),
+                metadata,
+                instruction.dst.backing_tregs(),
+                feed_overhead,
+            )
+        if kind is TraceOpKind.VECTOR_LOAD:
+            return (_VLOAD, True, op.nbytes, op.dst_reg)
+        if kind is TraceOpKind.VECTOR_STORE:
+            return (_VSTORE, True, op.nbytes, op.src_regs)
+        if kind is TraceOpKind.VECTOR_FMA:
+            reads = op.src_regs + ((op.dst_reg,) if op.dst_reg is not None else ())
+            return (_VFMA, False, reads, op.dst_reg)
+        return (_SCALAR, False)  # SCALAR / BRANCH
 
     # -- per-op transition -------------------------------------------------------
 
-    @staticmethod
-    def _retire_from(buffer: Deque[int], limit: int, cycle: int) -> int:
-        """Drain completed entries; stall ``cycle`` forward if still full."""
-        while buffer and buffer[0] <= cycle:
-            buffer.popleft()
-        if len(buffer) >= limit:
-            cycle = buffer.popleft()
-            while buffer and buffer[0] <= cycle:
-                buffer.popleft()
-        return cycle
+    def run(self, start: int, end: int) -> None:
+        """Step the trace's ops ``[start, end)``."""
+        records = self.records
+        advance = self.advance
+        for signature, address in zip(
+            self.signatures[start:end].tolist(), self.addresses[start:end].tolist()
+        ):
+            advance(records[signature], address)
 
-    def step(self, op: TraceOp) -> Tuple[int, int]:
-        """Execute one trace op; returns its (issue cycle, completion cycle)."""
-        core = self.core
-        # Front-end issue bandwidth.
-        if self.issued_this_cycle >= core.issue_width:
+    def advance(self, record: tuple, address: int) -> int:
+        """Execute one decoded op at ``address``; returns its completion cycle.
+
+        The op's issue cycle is left in :attr:`issue_cycle`.
+        """
+        # Front-end issue bandwidth, then a full ROB (and, for memory ops, a
+        # full load buffer) stalls issue until its oldest entry retires.
+        if self.issued_this_cycle >= self._issue_width:
             self.issue_cycle += 1
             self.issued_this_cycle = 0
-        self.issue_cycle = self._retire_from(self.rob, core.rob_entries, self.issue_cycle)
-        if op.is_memory:
-            self.issue_cycle = self._retire_from(
-                self.load_buffer, core.load_buffer_entries, self.issue_cycle
-            )
-        self.issued_this_cycle += 1
         cycle = self.issue_cycle
+        rob = self.rob
+        while rob and rob[0] <= cycle:
+            rob.popleft()
+        if len(rob) >= self._rob_entries:
+            cycle = rob.popleft()
+            while rob and rob[0] <= cycle:
+                rob.popleft()
+        if record[1]:
+            buffer = self.load_buffer
+            while buffer and buffer[0] <= cycle:
+                buffer.popleft()
+            if len(buffer) >= self._load_buffer_entries:
+                cycle = buffer.popleft()
+                while buffer and buffer[0] <= cycle:
+                    buffer.popleft()
+        self.issue_cycle = cycle
+        self.issued_this_cycle += 1
 
-        kind = op.kind
-        if kind is TraceOpKind.TILE:
-            completion = self._execute_tile(op, cycle)
-        elif kind is TraceOpKind.VECTOR_LOAD:
-            completion = self.memory.complete(op.address, op.nbytes, cycle)
-            if op.dst_reg is not None:
-                self.vreg_ready[op.dst_reg] = completion
-            self.load_buffer.append(completion)
-        elif kind is TraceOpKind.VECTOR_STORE:
-            vreg_ready = self.vreg_ready
-            ready = max([cycle] + [vreg_ready.get(reg, 0) for reg in op.src_regs])
-            completion = self.memory.complete(op.address, op.nbytes, ready)
-            self.load_buffer.append(completion)
-        elif kind is TraceOpKind.VECTOR_FMA:
-            vreg_ready = self.vreg_ready
-            ready = max(
-                [cycle]
-                + [vreg_ready.get(reg, 0) for reg in op.src_regs]
-                + ([vreg_ready.get(op.dst_reg, 0)] if op.dst_reg is not None else [])
+        kind = record[0]
+        if kind == _COMPUTE:
+            _, _, sources, metadata, dst_tregs, feed_overhead = record
+            treg_ready = self.treg_ready
+            writers = self.last_compute_writer
+            # A/B sources have no forwarding path: they wait for their
+            # producers, in-flight computes included, through treg_ready.
+            ready = cycle
+            for index in sources:
+                value = treg_ready.get(index, 0)
+                if value > ready:
+                    ready = value
+            for index in metadata:
+                value = self.mreg_ready.get(index, 0)
+                if value > ready:
+                    ready = value
+            accumulator_dep = None
+            for index in dst_tregs:
+                writer = writers.get(index)
+                if writer is not None:
+                    if accumulator_dep is None or writer > accumulator_dep:
+                        accumulator_dep = writer
+                else:
+                    value = treg_ready.get(index, 0)
+                    if value > ready:
+                        ready = value
+            ratio = self.ratio
+            op_id = self.next_compute_id
+            self.next_compute_id = op_id + 1
+            completion = (
+                self._issue(op_id, (ready + ratio - 1) // ratio, accumulator_dep, feed_overhead)
+                * ratio
             )
+            for index in dst_tregs:
+                treg_ready[index] = completion
+                writers[index] = op_id
+        elif kind == _LOAD:
+            completion = self._complete(address, record[2], cycle)
+            treg_ready = self.treg_ready
+            writers = self.last_compute_writer
+            for index in record[3]:
+                treg_ready[index] = completion
+                writers.pop(index, None)
+            self.load_buffer.append(completion)
+        elif kind == _SCALAR:
+            completion = cycle + self._scalar_latency
+        elif kind == _STORE:
+            # Waits for the stored register, in-flight accumulations included.
+            ready = cycle
+            treg_ready = self.treg_ready
+            for index in record[3]:
+                value = treg_ready.get(index, 0)
+                if value > ready:
+                    ready = value
+            completion = self._complete(address, record[2], ready)
+            self.load_buffer.append(completion)
+        elif kind == _LOAD_M:
+            completion = self._complete(address, record[2], cycle)
+            self.mreg_ready[record[3]] = completion
+            self.load_buffer.append(completion)
+        elif kind == _VFMA:
+            vreg_ready = self.vreg_ready
+            ready = cycle
+            for reg in record[2]:
+                value = vreg_ready.get(reg, 0)
+                if value > ready:
+                    ready = value
             slot = max(self.next_fma_slot, float(ready))
-            self.next_fma_slot = slot + 1.0 / core.vector_fma_per_cycle
-            completion = int(math.ceil(slot)) + core.vector_fma_latency
-            if op.dst_reg is not None:
-                self.vreg_ready[op.dst_reg] = completion
-        else:  # SCALAR / BRANCH
-            completion = cycle + core.scalar_latency
+            self.next_fma_slot = slot + self._fma_interval
+            completion = int(math.ceil(slot)) + self._fma_latency
+            if record[3] is not None:
+                vreg_ready[record[3]] = completion
+        elif kind == _VLOAD:
+            completion = self._complete(address, record[2], cycle)
+            if record[3] is not None:
+                self.vreg_ready[record[3]] = completion
+            self.load_buffer.append(completion)
+        else:  # _VSTORE
+            ready = cycle
+            vreg_ready = self.vreg_ready
+            for reg in record[3]:
+                value = vreg_ready.get(reg, 0)
+                if value > ready:
+                    ready = value
+            completion = self._complete(address, record[2], ready)
+            self.load_buffer.append(completion)
 
-        self.rob.append(completion)
+        rob.append(completion)
         if completion > self.last_completion:
             self.last_completion = completion
-        return cycle, completion
-
-    # -- tile instruction handling -----------------------------------------------------
-
-    def _execute_tile(self, op: TraceOp, cycle: int) -> int:
-        instruction = op.tile
-        opcode = instruction.opcode
-        treg_ready = self.treg_ready
-
-        if opcode.is_load:
-            operand = instruction.memory
-            completion = self.memory.complete(operand.address, operand.nbytes, cycle)
-            if instruction.dst.kind == "mreg":
-                self.mreg_ready[instruction.dst.index] = completion
-            else:
-                for index in instruction.dst.backing_tregs():
-                    treg_ready[index] = completion
-                    self.last_compute_writer.pop(index, None)
-            self.load_buffer.append(completion)
-            return completion
-
-        if opcode.is_store:
-            ready = max(
-                [cycle]
-                + [treg_ready.get(index, 0) for index in instruction.src_a.backing_tregs()]
-            )
-            # Wait for an in-flight accumulation into the stored register.
-            for index in instruction.src_a.backing_tregs():
-                writer = self.last_compute_writer.get(index)
-                if writer is not None:
-                    ready = max(ready, self.compute_completion.get(writer, ready))
-            operand = instruction.memory
-            completion = self.memory.complete(operand.address, operand.nbytes, ready)
-            self.load_buffer.append(completion)
-            return completion
-
-        # Tile compute.
-        if self.pipeline is None:
-            raise SimulationError(
-                "trace contains tile compute instructions but no engine was configured"
-            )
-        source_tregs = set(instruction.src_a.backing_tregs()) | set(
-            instruction.src_b.backing_tregs()
-        )
-        operand_ready = max(
-            [cycle] + [treg_ready.get(index, 0) for index in source_tregs]
-        )
-        for metadata in (instruction.implicit_metadata, instruction.implicit_metadata_b):
-            if metadata is not None:
-                operand_ready = max(operand_ready, self.mreg_ready.get(metadata.index, 0))
-        # Per-instruction feed overhead wins when the builder stamped one
-        # (data-dependent metadata intersection); otherwise SPGEMM falls back
-        # to the engine's worst-case formula and everything else to zero.
-        feed_overhead = instruction.feed_overhead
-        if feed_overhead < 0:
-            feed_overhead = 0
-        if opcode.is_spgemm:
-            if not (self.engine.sparse and self.engine.spgemm):
-                raise SimulationError(
-                    f"engine {self.engine.name} cannot execute {opcode.value}: "
-                    "SpGEMM stream merging is not enabled on this configuration"
-                )
-            if instruction.feed_overhead < 0:
-                feed_overhead = self.engine.spgemm_feed_overhead(
-                    opcode.spgemm_effective_k
-                )
-
-        dst_tregs = instruction.dst.backing_tregs()
-        accumulator_dep: Optional[int] = None
-        for index in dst_tregs:
-            writer = self.last_compute_writer.get(index)
-            if writer is not None:
-                accumulator_dep = writer if accumulator_dep is None else max(
-                    accumulator_dep, writer
-                )
-            else:
-                operand_ready = max(operand_ready, treg_ready.get(index, 0))
-        # Sources produced by still-in-flight compute ops must also be complete
-        # (no forwarding path exists for A/B operands).
-        for index in source_tregs:
-            writer = self.last_compute_writer.get(index)
-            if writer is not None and writer != accumulator_dep:
-                operand_ready = max(
-                    operand_ready, self.compute_completion.get(writer, operand_ready)
-                )
-
-        ratio = self.ratio
-        engine_ready = (operand_ready + ratio - 1) // ratio
-        op_id = self.next_compute_id
-        self.next_compute_id += 1
-        timing = self.pipeline.schedule(
-            TileComputeRequest(
-                op_id=op_id,
-                operands_ready=engine_ready,
-                accumulator_dep=accumulator_dep,
-                feed_overhead=feed_overhead,
-                label=op.label,
-            )
-        )
-        completion = timing.complete * ratio
-        for index in dst_tregs:
-            treg_ready[index] = completion
-            self.last_compute_writer[index] = op_id
-        self.compute_completion[op_id] = completion
-        self.engine_ops += 1
         return completion
 
     # -- fast-forward support ------------------------------------------------------
@@ -374,24 +442,17 @@ class SimulatorState:
             reg: op_id + compute_offset
             for reg, op_id in self.last_compute_writer.items()
         }
-        # Only completions of live accumulator producers can still be read.
-        self.compute_completion = {
-            op_id + compute_offset: done + delta
-            for op_id, done in self.compute_completion.items()
-            if op_id in live_writers
-        }
         self.rob = deque(done + delta for done in self.rob)
         self.load_buffer = deque(done + delta for done in self.load_buffer)
         self.memory.shift_time(delta)
         if self.pipeline is not None and compute_offset:
             self.pipeline.fast_forward(compute_offset, engine_delta, live_writers)
-        self.engine_ops += compute_offset
         self.next_compute_id += compute_offset
 
     def shift_digest(self) -> tuple:
         """Canonical shift-normalized digest of the live machine state.
 
-        Two states with equal digests behave identically under :meth:`step`
+        Two states with equal digests behave identically under :meth:`advance`
         up to a constant time shift: every cycle-valued piece of state is
         expressed relative to ``issue_cycle`` and every op id relative to
         ``next_compute_id``, and values the future can no longer observe are
@@ -427,12 +488,7 @@ class SimulatorState:
             ebase = base // self.ratio
             writers = tuple(
                 sorted(
-                    (
-                        reg,
-                        op_id - next_id,
-                        rel(self.compute_completion.get(op_id, 0)),
-                    )
-                    + pipeline.producer_digest(op_id, ebase)
+                    (reg, op_id - next_id) + pipeline.producer_digest(op_id, ebase)
                     for reg, op_id in self.last_compute_writer.items()
                 )
             )
@@ -472,9 +528,9 @@ class SimulatorState:
         busy_per_op = self.engine.busy_cycles_per_instruction if self.engine else 16
         return SimulationResult(
             core_cycles=core_cycles,
-            engine_busy_cycles=self.engine_ops * busy_per_op,
+            engine_busy_cycles=self.next_compute_id * busy_per_op,
             engine_makespan_cycles=self.pipeline.makespan if self.pipeline else 0,
-            tile_compute_ops=self.engine_ops,
+            tile_compute_ops=self.next_compute_id,
             trace_summary=summary,
             memory_counters=counters,
             machine=self.machine,
@@ -529,7 +585,7 @@ class CycleApproximateSimulator:
         trace = ColumnarTrace.from_ops(trace)
         if len(trace) == 0:
             # Contract: an empty trace takes no time at all.
-            state = SimulatorState(self.machine, self.engine)
+            state = SimulatorState(self.machine, self.engine, trace)
             return state.result(trace.summarize(), core_cycles=0)
         if chosen == "exact":
             return self._run_exact(trace)
@@ -543,9 +599,7 @@ class CycleApproximateSimulator:
     # -- exact reference path ----------------------------------------------------
 
     def _run_exact(self, trace: ColumnarTrace) -> SimulationResult:
-        state = SimulatorState(self.machine, self.engine)
-        step = state.step
-        for op in trace:
-            step(op)
+        state = SimulatorState(self.machine, self.engine, trace)
+        state.run(0, len(trace))
         core_cycles = max(state.last_completion, state.issue_cycle + 1)
         return state.result(trace.summarize(), core_cycles)

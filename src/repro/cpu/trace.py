@@ -13,8 +13,9 @@ classes:
 
 Traces are stored column-wise (:class:`repro.cpu.columnar.ColumnarTrace`),
 which also answers the whole-trace questions — instruction-mix summaries,
-memory footprints, timing signatures.  ``TraceOp`` objects are the unit the
-simulator steps, materialised from the columns only for the spans it steps.
+memory footprints, timing signatures.  The simulator steps the packed rows
+and decodes only one ``TraceOp`` per distinct signature; whole op lists
+materialise from the columns on request (validation, golden traces, tests).
 """
 
 from __future__ import annotations

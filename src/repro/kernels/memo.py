@@ -7,8 +7,8 @@ candidate.  A builder is a pure function of its arguments, so
 :func:`build_kernel` keys every one of them and builds each distinct kernel
 once per process.  Callers get a fresh :class:`KernelProgram` wrapper over
 one shared, read-only :class:`~repro.cpu.columnar.ColumnarTrace`, whose
-derived views (signature ids, memo-key hashes, oracle scripts, materialised
-ops) are then also computed once for every caller.
+derived views (signature ids, memo-key hashes, oracle scripts) are then
+also computed once for every caller.
 
 The memo holds at most :data:`BUILD_MEMO_MAX_ROWS` trace rows and evicts the
 oldest entries first; an evicted kernel is simply rebuilt, byte-identically.
@@ -37,9 +37,9 @@ from .template import BlockTemplate
 KERNEL_KINDS = ("gemm", "spmm", "spgemm")
 
 #: Total trace rows the memo retains.  A retained row costs ~37 bytes of
-#: columns plus up to ~200 bytes of derived views and materialised ops (a
-#: fast-path run may step half of a kernel's blocks), and a kernel's first
-#: simulation briefly needs a few hundred bytes per row more for its L1
+#: columns plus ~60 bytes of derived views (signature ids, L1 outcomes and
+#: the oracle script; the simulator keeps no per-row ops), and a kernel's
+#: first simulation briefly needs a few hundred bytes per row more for its L1
 #: replay.  Eviction runs before that, at insertion, so the bound caps what
 #: coexists with the replay.  It holds the largest Table IV kernel (GPT-L3
 #: dense, 0.27 M rows), keeping a full Figure 13 sweep's peak RSS near the

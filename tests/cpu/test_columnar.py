@@ -151,16 +151,23 @@ class TestStrictEncoder:
 
 
 class TestLazyMaterialisation:
-    def test_ops_span_fills_only_the_span(self):
-        program = build_dense_gemm_kernel(GemmShape(64, 64, 256))
-        trace = ColumnarTrace(
-            columns=program.trace.columns, labels=program.trace.labels
+    def test_signature_ops_are_first_occurrences(self):
+        trace = build_dense_gemm_kernel(GemmShape(64, 64, 256)).trace
+        ids = trace.signature_ids()
+        representatives = trace.signature_ops()
+        assert len(representatives) == int(ids.max()) + 1
+        ops = trace.ops()
+        for signature, op in enumerate(representatives):
+            assert op == ops[int(np.flatnonzero(ids == signature)[0])]
+
+    @pytest.mark.parametrize("mode", ["fast", "exact"])
+    def test_simulation_never_materialises_the_op_list(self, mode):
+        program = build_dense_gemm_kernel(GemmShape(128, 128, 512))
+        trace = ColumnarTrace(columns=program.trace.columns, labels=program.trace.labels)
+        CycleApproximateSimulator(engine=resolve_engine("VEGETA-D-1-2"), mode=mode).run(
+            trace, block_starts=program.block_starts
         )
-        buffer = trace.ops_span(10, 20)
-        assert all(isinstance(op, TraceOp) for op in buffer[10:20])
-        assert buffer[0] is None and buffer[25] is None
-        # Full materialisation still works afterwards and agrees.
-        assert trace.ops()[10:20] == buffer[10:20]
+        assert trace._ops is None
 
     def test_pickle_ships_columns_not_ops(self):
         program = build_dense_gemm_kernel(GemmShape(64, 64, 128))
