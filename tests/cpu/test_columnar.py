@@ -11,6 +11,7 @@ from reference_ops import footprint_lines, intern_signatures, summarize_ops
 
 from repro.analysis.runtime import resolve_engine
 from repro.core import isa
+from repro.core.pipeline import TileComputeRequest, TileComputeTiming
 from repro.core.registers import treg
 from repro.cpu.cache import Cache
 from repro.cpu.columnar import ColumnarTrace, TraceBuilder, lru_outcome_bits
@@ -161,13 +162,29 @@ class TestLazyMaterialisation:
             assert op == ops[int(np.flatnonzero(ids == signature)[0])]
 
     @pytest.mark.parametrize("mode", ["fast", "exact"])
-    def test_simulation_never_materialises_the_op_list(self, mode):
+    def test_simulation_never_materialises_the_op_list(self, mode, monkeypatch):
+        # Objects are built per distinct signature, never per stepped op or
+        # per simulated tile compute.
+        built = {TraceOp: 0, TileComputeRequest: 0, TileComputeTiming: 0}
+        for cls in built:
+            original = cls.__init__
+
+            def counting(self, *args, _cls=cls, _original=original, **kwargs):
+                built[_cls] += 1
+                _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
         program = build_dense_gemm_kernel(GemmShape(128, 128, 512))
         trace = ColumnarTrace(columns=program.trace.columns, labels=program.trace.labels)
-        CycleApproximateSimulator(engine=resolve_engine("VEGETA-D-1-2"), mode=mode).run(
-            trace, block_starts=program.block_starts
-        )
+        simulator = CycleApproximateSimulator(engine=resolve_engine("VEGETA-D-1-2"), mode=mode)
+        first = simulator.run(trace, block_starts=program.block_starts)
         assert trace._ops is None
+        assert first.tile_compute_ops > 0
+        signatures = int(trace.signature_ids().max()) + 1
+        assert built == {TraceOp: signatures, TileComputeRequest: 0, TileComputeTiming: 0}
+        # A second run on the same trace decodes the kept ops again.
+        simulator.run(trace, block_starts=program.block_starts)
+        assert built[TraceOp] == signatures
 
     def test_pickle_ships_columns_not_ops(self):
         program = build_dense_gemm_kernel(GemmShape(64, 64, 128))
