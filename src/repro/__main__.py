@@ -661,6 +661,7 @@ def _command_bench(args: argparse.Namespace) -> int:
                 f"{row['memo_speedup']:.1f}x",
                 "yes" if row["cycle_match"] else "NO",
                 f"{row['shard_rows_per_sec']:,.0f}",
+                f"{row['key_rows_per_sec']:,.0f}",
             )
             for row in payload["multicore_workloads"]
         ]
@@ -669,7 +670,7 @@ def _command_bench(args: argparse.Namespace) -> int:
                 "multi-core trace-op throughput (block memoization)",
                 (
                     "workload", "cores", "strategy", "no-memo ops/s", "memo ops/s",
-                    "speedup", "cycles match", "shard rows/s",
+                    "speedup", "cycles match", "shard rows/s", "key rows/s",
                 ),
                 multicore_rows,
             )

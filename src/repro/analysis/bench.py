@@ -3,18 +3,20 @@
 Measures trace-op throughput of the cycle-approximate simulator's exact and
 fast paths on representative kernel workloads, plus the multi-core path with
 and without block-signature memoization, and cross-checks that all paths
-agree on cycle counts.  It also times the stage in front of them: a cold
-build of each single-core kernel and a cold ``shard_kernel`` of each
-multi-core one, in trace rows per second.  The CLI writes the measurements to
-``BENCH_simulator.json`` in the repository root so the performance trajectory
-of the hottest path in the repository is tracked from PR to PR (the file is
-committed, CI uploads it as an artifact, and ``repro bench --check`` fails
-when throughput regresses more than 30% against the committed baseline).
+agree on cycle counts.  It also times the stages in front of them: a cold
+build of each single-core kernel, and a cold ``shard_kernel`` and cold memo
+keys of each multi-core one, in trace rows per second.  The CLI writes the
+measurements to ``BENCH_simulator.json`` in the repository root so the
+performance trajectory of the hottest path in the repository is tracked from
+PR to PR (the file is committed, CI uploads it as an artifact, and ``repro
+bench --check`` fails when throughput regresses more than 30% against the
+committed baseline).
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import gc
 import json
 import platform
@@ -24,7 +26,9 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..core.engine import EngineConfig
-from ..cpu.multicore import clear_simulation_memo, simulate_multicore
+from ..cpu.columnar import ColumnarTrace
+from ..cpu.multicore import clear_simulation_memo, simulate_multicore, simulation_cache_key
+from ..cpu.params import default_machine
 from ..cpu.simulator import CycleApproximateSimulator
 from ..errors import ConfigurationError
 from ..kernels.gemm import build_dense_gemm_kernel
@@ -51,7 +55,9 @@ from .runtime import resolve_engine
 #: single-core workload) and ``shard_rows_per_sec`` (cold ``shard_kernel``,
 #: per multi-core workload), both gated by ``--check``; ``build_seconds``
 #: is now the best of the cold repeats.
-BENCH_SCHEMA_VERSION = 5
+#: v6: ``key_seconds`` / ``key_rows_per_sec`` (memo keys of every shard on
+#: fresh traces with no derived views, per multi-core workload), gated.
+BENCH_SCHEMA_VERSION = 6
 
 def _default_bench_path() -> str:
     """The repo-root payload path, regardless of the CLI's CWD.
@@ -74,8 +80,8 @@ DEFAULT_BENCH_PATH = _default_bench_path()
 #: Throughput-regression gate of ``repro bench --check``.
 REGRESSION_THRESHOLD = 0.30
 
-#: Repeats of a cold build / shard timing: builds take milliseconds, so the
-#: minimum of many repeats is what keeps ``--check`` steady across runs.
+#: Repeats of a cold build / shard / key timing: each takes milliseconds, so
+#: the minimum of many repeats is what keeps ``--check`` steady across runs.
 BUILD_REPEATS = 20
 
 #: The throughput fields ``--check`` gates, per suite.
@@ -84,6 +90,7 @@ GATED_METRICS = (
     ("workloads", "build_rows_per_sec"),
     ("multicore_workloads", "memo_ops_per_sec"),
     ("multicore_workloads", "shard_rows_per_sec"),
+    ("multicore_workloads", "key_rows_per_sec"),
 )
 
 #: Absolute fast-vs-exact speedup floors ``--check`` enforces per workload,
@@ -402,7 +409,8 @@ def benchmark_multicore_workload(workload: MulticoreBenchWorkload) -> Dict[str, 
     memoized and unmemoized makespans are cross-checked for bit-equality.
     "Cold" means an empty simulation memo: the per-core traces keep their
     memo keys, footprints and oracle scripts across repeats, as a sweep's
-    topology axis reuses them.
+    topology axis reuses them.  The key stage is timed apart: every shard is
+    keyed on a fresh trace over the same columns, with no derived views.
     """
     engine = workload.engine()
     topology = workload.resolve_topology()
@@ -420,6 +428,15 @@ def benchmark_multicore_workload(workload: MulticoreBenchWorkload) -> Dict[str, 
         max_repeats=BUILD_REPEATS,
     )
     trace_ops = sum(len(program.trace) for program in sharded.programs)
+
+    def key_cold():
+        machine = default_machine()
+        for program in sharded.programs:
+            trace = program.trace
+            fresh = ColumnarTrace(trace.columns, trace.labels, trace.geometry)
+            simulation_cache_key(dataclasses.replace(program, trace=fresh), machine, engine, "fast")
+
+    _, key_seconds = _best_time(key_cold, max_repeats=BUILD_REPEATS)
 
     def run_nomemo():
         clear_simulation_memo()
@@ -454,6 +471,8 @@ def benchmark_multicore_workload(workload: MulticoreBenchWorkload) -> Dict[str, 
         "trace_ops": trace_ops,
         "build_seconds": build_seconds,
         "shard_rows_per_sec": trace_ops / build_seconds,
+        "key_seconds": key_seconds,
+        "key_rows_per_sec": trace_ops / key_seconds,
         "nomemo_seconds": nomemo_seconds,
         "nomemo_ops_per_sec": trace_ops / nomemo_seconds,
         "memo_seconds": memo_seconds,
@@ -505,6 +524,9 @@ def benchmark_simulator(
         )
         payload["multicore_shard_rows_per_sec"] = _geomean(
             [row["shard_rows_per_sec"] for row in multicore_rows]
+        )
+        payload["multicore_key_rows_per_sec"] = _geomean(
+            [row["key_rows_per_sec"] for row in multicore_rows]
         )
         payload["multicore_memo_speedup_geomean"] = _geomean(
             [row["memo_speedup"] for row in multicore_rows]

@@ -25,8 +25,8 @@ which then answers the whole-trace questions as vectorised array operations:
   interning table whose order could depend on construction history),
 * ``summarize`` / ``summarize_span`` — instruction-mix summaries via
   ``bincount``,
-* ``footprint_line_numbers`` — the distinct cache lines, via ``np.unique``
-  over the address column (lines are expanded from the unique regions only),
+* ``footprint_line_numbers`` — the distinct cache lines, via a sort
+  (``sorted_unique``; lines are expanded from the distinct regions only),
 * ``simulation_key`` — a content hash of everything that can influence a
   simulation's outcome, with raw addresses *normalized out* (only the
   cache-line collision structure they induce is kept).  Two traces with equal
@@ -133,6 +133,8 @@ _NO_REG = -1
 _REG_BOUND = 512
 _NBYTES_BOUND = 8192
 _LABEL_BOUND = 65536
+#: Addresses stay below 2**50: distinct regions pack ``address * 8192 + nbytes``.
+_ADDRESS_BOUND = 2**63 // _NBYTES_BOUND
 #: Bound on the per-op feed overhead after the +1 shift.  The packed word is
 #: full at 63 bits, so feed is folded into the signature ids via a second
 #: factorisation stage instead (see ``signature_ids``).
@@ -353,13 +355,18 @@ def frozen_trace(
 
     The columns are marked non-writeable: one built trace may be shared by
     many kernel programs (:func:`repro.kernels.memo.build_kernel`) and caches
-    views derived from its content, so no holder may edit it.
+    views derived from its content, so no holder may edit it.  Too many
+    labels, or an address at or past ``_ADDRESS_BOUND``, raise.
     """
     if len(labels) >= _LABEL_BOUND:
         raise SimulationError(
             f"trace carries {len(labels)} distinct labels; "
             f"the signature packing supports {_LABEL_BOUND}"
         )
+    addresses = columns["address"]
+    if addresses.max(initial=-1) >= _ADDRESS_BOUND:
+        row = int(np.argmax(addresses >= _ADDRESS_BOUND))
+        raise SimulationError(f"trace row {row}: address {addresses[row]:#x} is not below 2**50")
     return ColumnarTrace(columns=_read_only(columns), labels=labels, geometry=geometry)
 
 
@@ -437,6 +444,11 @@ def lru_outcome_bits(ids: np.ndarray, num_sets: int, associativity: int) -> np.n
     one vectorised step per subsequence position over all sets at once —
     ``O(max-accesses-per-set)`` NumPy steps instead of one Python iteration
     per access.  Matches :class:`repro.cpu.cache.Cache` hit-for-hit.
+
+    A step touches one way per set: one ``argmin`` over the ages with the
+    matching way (a tag sits in at most one) forced lowest picks the hit way,
+    else the LRU victim.  Padding lanes (tag -1) only *trail* a set's last
+    real access, so their writes are never read.  Lanes are time-major.
     """
     n = len(ids)
     sets = ids % num_sets
@@ -448,33 +460,45 @@ def lru_outcome_bits(ids: np.ndarray, num_sets: int, associativity: int) -> np.n
     within = np.empty(n, dtype=np.int64)
     within[order] = np.arange(n, dtype=np.int64) - np.repeat(starts, counts)
 
-    lanes = np.full((num_sets, depth), -1, dtype=np.int64)
-    lanes[sets, within] = tags
+    lanes = np.full((depth, num_sets), -1, dtype=np.int64)
+    lanes[within, sets] = tags
     tag_state = np.full((num_sets, associativity), -1, dtype=np.int64)
     age_state = np.full((num_sets, associativity), -1, dtype=np.int64)
-    hit_lanes = np.zeros((num_sets, depth), dtype=bool)
+    hit_lanes = np.empty((depth, num_sets), dtype=bool)
+    set_base = np.arange(num_sets, dtype=np.int64) * associativity
+    flat_tags = tag_state.reshape(-1)
+    flat_ages = age_state.reshape(-1)
     for step in range(depth):
-        column = lanes[:, step]
+        column = lanes[step]
         match = tag_state == column[:, None]
-        hit = match.any(axis=1)
-        # One unified state update: the touched lane is the matching one on a
-        # hit (re-writing its tag is a no-op) or the LRU victim on a miss.
-        # Padding lanes (tag -1) spuriously "hit" the empty state but are
-        # neither written back nor ever read out — the final gather below
-        # only visits real (set, position) pairs.
-        lane = np.where(hit, match.argmax(axis=1), age_state.argmin(axis=1))
-        rows = np.flatnonzero(column >= 0)
-        touched = lane[rows]
-        tag_state[rows, touched] = column[rows]
-        age_state[rows, touched] = step
-        hit_lanes[:, step] = hit
-    return hit_lanes[sets, within]
+        way = set_base + np.where(match, -2, age_state).argmin(axis=1)
+        hit_lanes[step] = match.reshape(-1)[way]
+        flat_tags[way] = column
+        flat_ages[way] = step
+    return hit_lanes[within, sets]
+
+
+def sorted_unique(values: np.ndarray, kind: Optional[str] = None) -> np.ndarray:
+    """``np.unique(values)`` as a ``kind`` sort plus a neighbour mask.
+
+    Plain ``np.unique`` hashes integer arrays, several times slower on these.
+    """
+    ordered = np.sort(values, axis=None, kind=kind)
+    keep = np.empty(len(ordered), dtype=bool)
+    keep[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
+
+
+def distinct_line_count(footprints: Sequence[np.ndarray]) -> int:
+    """Distinct lines across sorted footprints; a stable sort merges their runs."""
+    return len(sorted_unique(np.concatenate(footprints), kind="stable")) if footprints else 0
 
 
 def _unique_regions(cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Sorted distinct ``(address, nbytes)`` regions of the memory rows of ``cols``."""
     mask = cols["address"] >= 0
-    packed = np.unique(cols["address"][mask] * np.int64(_NBYTES_BOUND) + cols["nbytes"][mask])
+    packed = sorted_unique(cols["address"][mask] * np.int64(_NBYTES_BOUND) + cols["nbytes"][mask])
     return packed // _NBYTES_BOUND, packed % _NBYTES_BOUND
 
 
@@ -781,7 +805,7 @@ class ColumnarTrace(Sequence):
         Equivalent to interning each op's timing-signature tuple in program
         order, but derived from the packed content words, so the result
         depends only on the trace content (never on hash seeds or interning
-        history) and costs two ``np.unique`` passes instead of a Python loop.
+        history) and costs two sorts (``sorted_unique``, first-appearance ranks).
         The per-op ``feed`` overhead is part of the signature (it changes the
         engine-pipeline timing), folded in via a second factorisation stage
         because the packed word itself is full at 63 bits: the sorted-unique
@@ -793,7 +817,7 @@ class ColumnarTrace(Sequence):
     def _signature_ids(self) -> np.ndarray:
         packed = self._packed_signatures()
         feed = self.columns["feed"].astype(np.int64) + 1
-        values = np.unique(packed)
+        values = sorted_unique(packed)
         combined = np.searchsorted(values, packed) * np.int64(_FEED_BOUND) + feed
         return _read_only(_first_appearance_ranks(combined))
 
@@ -850,7 +874,7 @@ class ColumnarTrace(Sequence):
         return self.derived(
             ("footprint-lines", line_bytes),
             lambda: _read_only(
-                np.unique(_region_lines(*_unique_regions(self.columns), line_bytes))
+                sorted_unique(_region_lines(*_unique_regions(self.columns), line_bytes))
             ),
         )
 
@@ -937,7 +961,7 @@ class ColumnarTrace(Sequence):
             digest.update(b"L2:ideal-prefetch")
         else:
             misses = ((lines * l1.line_bytes) // machine.l2.line_bytes)[~l1_hits]
-            _fold_outcomes(digest, machine.l2, np.unique(misses), misses)
+            _fold_outcomes(digest, machine.l2, sorted_unique(misses), misses)
         return digest.digest()
 
     def simulation_key(self, machine, block_starts=None) -> str:

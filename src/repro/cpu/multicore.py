@@ -55,6 +55,7 @@ pins for every kernel and every topology preset).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -170,11 +171,10 @@ def memoization_enabled(memo: Optional[bool] = None) -> bool:
     return os.environ.get(NO_MEMO_ENV, "") in ("", "0")
 
 
-def _engine_identity(engine: Optional[EngineConfig]) -> str:
-    """Canonical JSON identity of an engine configuration."""
-    if engine is None:
-        return "none"
-    return json.dumps(
+@functools.lru_cache(maxsize=32)
+def _key_identity(machine: MachineParams, engine: Optional[EngineConfig], mode: str) -> bytes:
+    """The machine, engine (canonical JSON), mode and model-version bytes of a key."""
+    engine_json = "none" if engine is None else json.dumps(
         {
             "name": engine.name,
             "sparse": engine.sparse,
@@ -192,6 +192,8 @@ def _engine_identity(engine: Optional[EngineConfig]) -> str:
         },
         sort_keys=True,
     )
+    machine_json = json.dumps(machine.to_dict(), sort_keys=True)
+    return (machine_json + engine_json + mode + SIMULATOR_MODEL_VERSION).encode()
 
 
 def simulation_cache_key(
@@ -206,17 +208,16 @@ def simulation_cache_key(
     :meth:`repro.cpu.columnar.ColumnarTrace.simulation_key`) with the machine
     parameters, engine configuration and simulation mode.  Two programs with
     equal keys produce bit-identical :class:`SimulationResult`\\ s, so the key
-    is valid across cores, trials, processes and runs.
+    is valid across cores, trials, processes and runs.  The identity part is
+    serialised once per distinct (machine, engine, mode) triple — both
+    dataclasses are frozen, so equal values share it — not once per program.
     """
     trace_key = program.trace.simulation_key(
         machine, getattr(program, "block_starts", None)
     )
     digest = hashlib.sha256()
     digest.update(trace_key.encode())
-    digest.update(json.dumps(machine.to_dict(), sort_keys=True).encode())
-    digest.update(_engine_identity(engine).encode())
-    digest.update(mode.encode())
-    digest.update(SIMULATOR_MODEL_VERSION.encode())
+    digest.update(_key_identity(machine, engine, mode))
     return digest.hexdigest()
 
 

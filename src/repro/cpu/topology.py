@@ -44,6 +44,7 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import SimulationError
+from .columnar import distinct_line_count
 
 #: Hard bound on arbiter iterations (a runaway-model backstop; the loop steps
 #: from core completion to core completion, so it can only trip on a genuinely
@@ -303,7 +304,8 @@ def resolve_traffic(
     climbs on.  Pure bandwidth nodes pass traffic through unchanged.  Every
     node records the lines that *entered* it as port demand — a filtered
     line still consumed the port it was filtered at, which is what makes an
-    L3 slice a bottleneck even at a 100% hit rate.
+    L3 slice a bottleneck even at a 100% hit rate.  Domain footprints are
+    counted by :func:`~repro.cpu.columnar.distinct_line_count`, as in the planner.
     """
     cores = len(private_dram)
     if placement.cores != cores or len(footprints) != cores:
@@ -348,13 +350,7 @@ def resolve_traffic(
         for core in domain:
             row[core] = upward[core]
         if node.capacity_bytes is not None:
-            domain_footprints = [footprints[core] for core in domain]
-            combined_lines = (
-                int(np.unique(np.concatenate(domain_footprints)).size)
-                if domain_footprints
-                else 0
-            )
-            combined_bytes = combined_lines * line_bytes
+            combined_bytes = distinct_line_count([footprints[core] for core in domain]) * line_bytes
             fit_fraction = (
                 min(1.0, node.capacity_bytes / combined_bytes)
                 if combined_bytes

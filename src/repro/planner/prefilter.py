@@ -33,10 +33,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from ..analysis.roofline import EngineRoofline, effective_throughput_tflops
 from ..core.engine import EngineConfig
+from ..cpu.columnar import distinct_line_count
 from ..cpu.params import MachineParams
 from ..cpu.topology import TopologyNode
 from ..kernels.sharding import ShardedKernel
@@ -99,7 +98,11 @@ def partition_statics(
     machine: MachineParams,
     topology: TopologyNode,
 ) -> PartitionStatics:
-    """Price the engine-independent statics of one sharded partition."""
+    """Price the engine-independent statics of one sharded partition.
+
+    :func:`~repro.cpu.columnar.distinct_line_count` counts the combined
+    footprint, as in the topology's traffic resolution.
+    """
     line_bytes = machine.l1.line_bytes
 
     summaries = [program.trace.summarize() for program in sharded.programs]
@@ -118,7 +121,7 @@ def partition_statics(
         program.trace.footprint_line_numbers(line_bytes) for program in sharded.programs
     ]
     max_core_lines = max((len(lines) for lines in footprints), default=0)
-    combined_lines = len(np.unique(np.concatenate(footprints))) if footprints else 0
+    combined_lines = distinct_line_count(footprints)
     max_core_footprint_bytes = max_core_lines * line_bytes
     combined_footprint_bytes = combined_lines * line_bytes
 

@@ -103,6 +103,7 @@ class TestCompare:
     def test_build_throughput_is_gated(self):
         assert ("workloads", "build_rows_per_sec") in GATED_METRICS
         assert ("multicore_workloads", "shard_rows_per_sec") in GATED_METRICS
+        assert ("multicore_workloads", "key_rows_per_sec") in GATED_METRICS
 
     def test_floor_names_exist_in_default_suite(self):
         default_names = {workload.name for workload in DEFAULT_WORKLOADS}
@@ -153,7 +154,7 @@ class TestCheckCli:
 
 def test_payload_reports_cold_build_throughput():
     payload = benchmark_simulator(QUICK_WORKLOADS, QUICK_MULTICORE_WORKLOADS)
-    assert payload["schema"] == BENCH_SCHEMA_VERSION == 5
+    assert payload["schema"] == BENCH_SCHEMA_VERSION == 6
     (row,) = payload["workloads"]
     assert row["build_rows_per_sec"] == pytest.approx(row["trace_ops"] / row["build_seconds"])
     (multicore,) = payload["multicore_workloads"]
@@ -163,4 +164,10 @@ def test_payload_reports_cold_build_throughput():
     assert payload["build_rows_per_sec"] == pytest.approx(row["build_rows_per_sec"])
     assert payload["multicore_shard_rows_per_sec"] == pytest.approx(
         multicore["shard_rows_per_sec"]
+    )
+    assert multicore["key_rows_per_sec"] == pytest.approx(
+        multicore["trace_ops"] / multicore["key_seconds"]
+    )
+    assert payload["multicore_key_rows_per_sec"] == pytest.approx(
+        multicore["key_rows_per_sec"]
     )

@@ -111,3 +111,40 @@ def footprint_lines(ops: Iterable[TraceOp], line_bytes: int) -> np.ndarray:
         last = (address + nbytes - 1) // line_bytes
         lines.update(range(first, last + 1))
     return np.fromiter(sorted(lines), dtype=np.int64)
+
+
+def lru_outcome_bits(ids: np.ndarray, num_sets: int, associativity: int) -> np.ndarray:
+    """Per-access hit mask of a set-associative LRU cache, set-major replay.
+
+    Accesses are regrouped into per-set subsequences padded to the longest.
+    Each step updates only the sets with a real access at that position: a
+    hit picks its way with ``argmax``, a miss the LRU victim with ``argmin``.
+    :func:`repro.cpu.columnar.lru_outcome_bits`, which lets padding steps
+    write and picks both ways with one ``argmin``, must match it bit for bit.
+    """
+    n = len(ids)
+    sets = ids % num_sets
+    tags = ids // num_sets
+    counts = np.bincount(sets, minlength=num_sets)
+    depth = int(counts.max(initial=0))
+    starts = np.cumsum(counts) - counts
+    order = np.argsort(sets, kind="stable")
+    within = np.empty(n, dtype=np.int64)
+    within[order] = np.arange(n, dtype=np.int64) - np.repeat(starts, counts)
+
+    lanes = np.full((num_sets, depth), -1, dtype=np.int64)
+    lanes[sets, within] = tags
+    tag_state = np.full((num_sets, associativity), -1, dtype=np.int64)
+    age_state = np.full((num_sets, associativity), -1, dtype=np.int64)
+    hit_lanes = np.zeros((num_sets, depth), dtype=bool)
+    for step in range(depth):
+        column = lanes[:, step]
+        match = tag_state == column[:, None]
+        hit = match.any(axis=1)
+        lane = np.where(hit, match.argmax(axis=1), age_state.argmin(axis=1))
+        rows = np.flatnonzero(column >= 0)
+        touched = lane[rows]
+        tag_state[rows, touched] = column[rows]
+        age_state[rows, touched] = step
+        hit_lanes[:, step] = hit
+    return hit_lanes[sets, within]

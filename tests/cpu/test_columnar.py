@@ -5,22 +5,29 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_ops import footprint_lines, intern_signatures, summarize_ops
+from reference_ops import lru_outcome_bits as reference_lru_outcome_bits
 
 from repro.analysis.runtime import resolve_engine
 from repro.core import isa
 from repro.core.pipeline import TileComputeRequest, TileComputeTiming
 from repro.core.registers import treg
 from repro.cpu.cache import Cache
-from repro.cpu.columnar import ColumnarTrace, TraceBuilder, lru_outcome_bits
+from repro.cpu.columnar import (
+    ColumnarTrace,
+    TraceBuilder,
+    distinct_line_count,
+    lru_outcome_bits,
+    sorted_unique,
+)
 from repro.cpu.fastsim import _build_oracle, _oracle_script, _OracleScript
 from repro.cpu.memory import RequestScript
 from repro.cpu.multicore import simulation_cache_key
 from repro.cpu.params import CacheParams, default_machine, memory_bound_machine
 from repro.cpu.simulator import CycleApproximateSimulator
-from repro.cpu.trace import TraceOp, scalar_op, tile_op, vector_fma
+from repro.cpu.trace import TraceOp, scalar_op, tile_op, vector_fma, vector_load
 from repro.errors import SimulationError
 from repro.kernels.gemm import build_dense_gemm_kernel
 from repro.kernels.spgemm import build_spgemm_kernel
@@ -128,6 +135,30 @@ class TestStrictEncoder:
         ops = [scalar_op(), vector_fma(0, (1, 2)), vector_fma(0, (1, 2, 3))]
         self._assert_rejected(ops, 2)
 
+    def test_address_beyond_region_packing_is_rejected(self):
+        # Distinct regions pack ``address * 8192 + nbytes`` into one int64,
+        # which wraps from 2**50 on; the builder and the op encoder both
+        # refuse such a trace instead of returning wrapped footprints.
+        builder = TraceBuilder()
+        builder.vector_load(0, 2**50 - 64, 64)
+        builder.vector_load(1, 2**50, 64)
+        with pytest.raises(SimulationError, match="trace row 1: "):
+            builder.finish()
+        ops = [vector_load(0, 2**50 - 64, 64), scalar_op(), vector_load(1, 2**50, 64)]
+        with pytest.raises(SimulationError, match="trace row 2: "):
+            ColumnarTrace.from_ops(ops)
+
+    def test_address_below_region_packing_keeps_its_footprint(self):
+        builder = TraceBuilder()
+        builder.vector_load(0, 2**50 - 128, 64)
+        builder.vector_load(1, 2**50 - 64, 64)
+        trace = builder.finish()
+        assert trace.footprint_line_numbers(64).tolist() == [2**44 - 2, 2**44 - 1]
+        assert ColumnarTrace.from_ops(list(trace)).footprint_line_numbers(64).tolist() == [
+            2**44 - 2,
+            2**44 - 1,
+        ]
+
     def test_labelled_tile_op_wrapper_is_rejected(self):
         # Builders never label the TraceOp wrapper of a tile instruction;
         # that invariant lets the signature use one label column.
@@ -195,6 +226,54 @@ class TestLazyMaterialisation:
         assert list(clone) == list(trace)
 
 
+def cache_outcome_bits(ids: np.ndarray, num_sets: int, associativity: int) -> np.ndarray:
+    """Hit mask of the object-level :class:`Cache` for the line stream ``ids``."""
+    cache = Cache(
+        CacheParams(
+            name="t",
+            capacity_bytes=num_sets * associativity * 64,
+            associativity=associativity,
+            line_bytes=64,
+        )
+    )
+    return np.array([cache.access(int(i) * 64) for i in ids], dtype=bool)
+
+
+#: Largest line id the replay differential draws (2**44 lines of 64 B).
+MAX_LINE_ID = 2**44
+
+
+@st.composite
+def lru_streams(draw):
+    """A line stream with its cache geometry.
+
+    Accesses reuse a small tag pool on a few touched sets, so sets overflow
+    their ways and evict; the untouched sets stay empty.  A tail of accesses
+    to one set makes it deep beside shallow ones, so the shallow sets carry
+    a long run of trailing padding lanes.
+    """
+    num_sets = draw(st.one_of(st.sampled_from([1, 96, 512]), st.integers(1, 512)))
+    associativity = draw(st.integers(1, 16))
+    touched = draw(
+        st.lists(st.integers(0, num_sets - 1), min_size=1, max_size=8, unique=True)
+    )
+    tags = draw(
+        st.lists(
+            st.integers(0, (MAX_LINE_ID - num_sets) // num_sets),
+            min_size=1,
+            max_size=2 * associativity + 2,
+            unique=True,
+        )
+    )
+    accesses = draw(
+        st.lists(st.tuples(st.sampled_from(touched), st.sampled_from(tags)), max_size=120)
+    )
+    deep = draw(st.lists(st.sampled_from(tags), max_size=150))
+    accesses += [(touched[0], tag) for tag in deep]
+    ids = np.array([s + num_sets * tag for s, tag in accesses], dtype=np.int64)
+    return ids, num_sets, associativity
+
+
 class TestLruOutcomeReplay:
     def test_matches_cache_model_on_random_streams(self):
         rng = np.random.default_rng(7)
@@ -202,18 +281,63 @@ class TestLruOutcomeReplay:
             num_sets = int(rng.integers(2, 16))
             associativity = int(rng.integers(1, 5))
             ids = rng.integers(0, num_sets * associativity * 3, size=300)
-            cache = Cache(
-                CacheParams(
-                    name="t",
-                    capacity_bytes=num_sets * associativity * 64,
-                    associativity=associativity,
-                    line_bytes=64,
-                )
-            )
-            reference = np.array([cache.access(int(i) * 64) for i in ids])
             assert np.array_equal(
-                reference, lru_outcome_bits(ids, num_sets, associativity)
+                cache_outcome_bits(ids, num_sets, associativity),
+                lru_outcome_bits(ids, num_sets, associativity),
             )
+
+    @settings(max_examples=200, deadline=None)
+    @given(stream=lru_streams())
+    def test_matches_reference_replay_and_cache_model(self, stream):
+        ids, num_sets, associativity = stream
+        bits = lru_outcome_bits(ids, num_sets, associativity)
+        assert bits.dtype == bool and bits.shape == ids.shape
+        assert np.array_equal(bits, reference_lru_outcome_bits(ids, num_sets, associativity))
+        assert np.array_equal(bits, cache_outcome_bits(ids, num_sets, associativity))
+
+    @pytest.mark.parametrize("num_sets, associativity", [(1, 1), (96, 8), (512, 16)])
+    def test_empty_stream(self, num_sets, associativity):
+        bits = lru_outcome_bits(np.empty(0, dtype=np.int64), num_sets, associativity)
+        assert bits.dtype == bool and bits.shape == (0,)
+
+
+INT64 = np.iinfo(np.int64)
+
+
+class TestSortedUnique:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.one_of(
+            st.lists(st.integers(INT64.min, INT64.max), max_size=60),
+            st.lists(
+                st.sampled_from([INT64.min, INT64.min + 1, -1, 0, 1, INT64.max]), max_size=60
+            ),
+        )
+    )
+    @example(values=[])
+    @example(values=[5])
+    @example(values=[-3] * 7)
+    @example(values=[INT64.max, INT64.min, INT64.max, INT64.min])
+    def test_equals_np_unique(self, values):
+        array = np.array(values, dtype=np.int64)
+        got = sorted_unique(array)
+        expected = np.unique(array)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+        assert np.array_equal(sorted_unique(array, kind="stable"), expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        footprints=st.lists(
+            st.lists(st.integers(0, 2**44), max_size=40).map(
+                lambda lines: np.unique(np.array(lines, dtype=np.int64))
+            ),
+            max_size=6,
+        )
+    )
+    def test_distinct_line_count(self, footprints):
+        expected = len(np.unique(np.concatenate(footprints))) if footprints else 0
+        assert distinct_line_count(footprints) == expected
 
 
 class TestSimulationKey:
