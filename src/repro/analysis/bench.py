@@ -371,10 +371,8 @@ def benchmark_workload(workload: BenchWorkload) -> Dict[str, Any]:
     # One untimed warm-up run builds the trace's derived views (signature
     # ids, signature ops, oracle script); the timed runs reuse them, as
     # every engine after the first does on a shared trace in a sweep.
-    simulator.run(trace, block_starts=program.block_starts)
-    fast, fast_seconds = _best_time(
-        lambda: simulator.run(trace, block_starts=program.block_starts)
-    )
+    simulator.run(trace)
+    fast, fast_seconds = _best_time(lambda: simulator.run(trace))
 
     cycle_error = abs(fast.core_cycles - exact.core_cycles) / max(exact.core_cycles, 1)
     return {
@@ -433,7 +431,9 @@ def benchmark_multicore_workload(workload: MulticoreBenchWorkload) -> Dict[str, 
         machine = default_machine()
         for program in sharded.programs:
             trace = program.trace
-            fresh = ColumnarTrace(trace.columns, trace.labels, trace.geometry)
+            fresh = ColumnarTrace(
+                trace.columns, trace.labels, trace.geometry, trace.block_starts
+            )
             simulation_cache_key(dataclasses.replace(program, trace=fresh), machine, engine, "fast")
 
     _, key_seconds = _best_time(key_cold, max_repeats=BUILD_REPEATS)

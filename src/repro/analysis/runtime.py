@@ -161,7 +161,7 @@ def simulate_layer(
         layer, pattern, engine, max_output_tiles=max_output_tiles
     )
     simulator = CycleApproximateSimulator(machine=machine, engine=engine, mode=mode)
-    result = simulator.run(program.trace, block_starts=program.block_starts)
+    result = simulator.run(program.trace)
     scaled = result.core_cycles / program.simulated_fraction
     return LayerRuntime(
         layer=layer.name,

@@ -98,7 +98,7 @@ class MatrixEnginePipeline:
     each instruction's stage windows from the clocks the recurrence leaves.
     """
 
-    def __init__(self, engine: EngineConfig, retain_history: bool = True) -> None:
+    def __init__(self, engine: EngineConfig) -> None:
         self.engine = engine
         # Next free engine cycle of the WL, FF, FS and DR stages.
         self._wl_free = self._ff_free = self._fs_free = self._dr_free = 0
@@ -106,8 +106,6 @@ class MatrixEnginePipeline:
         self._producers: Dict[int, Tuple[int, int]] = {}
         self._timings: Dict[int, TileComputeTiming] = {}
         self._completed: List[TileComputeTiming] = []
-        #: When False, :meth:`schedule` does not accumulate :attr:`completed`.
-        self._retain_history = retain_history
         self._makespan = 0
         self._scheduled = 0
         # Stage latencies and forwarding rules, resolved once (the engine
@@ -200,8 +198,7 @@ class MatrixEnginePipeline:
             complete=complete,
         )
         self._timings[op_id] = timing
-        if self._retain_history:
-            self._completed.append(timing)
+        self._completed.append(timing)
         return timing
 
     def schedule_all(
@@ -287,8 +284,7 @@ class MatrixEnginePipeline:
 
     @property
     def completed(self) -> List[TileComputeTiming]:
-        """Timings scheduled through :meth:`schedule`, in program order
-        (empty without history)."""
+        """Timings scheduled through :meth:`schedule`, in program order."""
         return list(self._completed)
 
     @property

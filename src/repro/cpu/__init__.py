@@ -5,9 +5,11 @@ Sub-modules:
 * :mod:`repro.cpu.params` — core / cache / memory parameters (Section VI-B setup),
 * :mod:`repro.cpu.cache` — set-associative caches and the two-level hierarchy,
 * :mod:`repro.cpu.memory` — the memory system with bandwidth accounting,
-* :mod:`repro.cpu.trace` — dynamic instruction traces (the Pin-tool replacement),
-* :mod:`repro.cpu.columnar` — the columnar (structured-array) trace format,
-* :mod:`repro.cpu.simulator` — the trace-driven simulator,
+* :mod:`repro.cpu.trace` — trace-op records, the object view of a trace,
+* :mod:`repro.cpu.columnar` — the columnar trace format (the Pin-tool
+  replacement) and :class:`TraceBuilder`, its one encoder,
+* :mod:`repro.cpu.simulator` — the trace-driven simulator, which runs a
+  :class:`ColumnarTrace`,
 * :mod:`repro.cpu.topology` — the recursive bandwidth topology (cores →
   L3 slices → sockets → nodes) and its generalized fluid arbiter,
 * :mod:`repro.cpu.multicore` — N-core simulation with topology-aware
@@ -45,19 +47,7 @@ from .topology import (
     place_cores,
     resolve_traffic,
 )
-from .trace import (
-    TraceOp,
-    TraceOpKind,
-    TraceSummary,
-    branch_op,
-    format_trace,
-    format_trace_op,
-    scalar_op,
-    tile_op,
-    vector_fma,
-    vector_load,
-    vector_store,
-)
+from .trace import TraceOp, TraceOpKind, TraceSummary, format_trace, format_trace_op
 
 __all__ = [
     "AccessResult",
@@ -65,6 +55,7 @@ __all__ = [
     "CacheHierarchy",
     "CacheParams",
     "CacheStats",
+    "ColumnarTrace",
     "CorePlacement",
     "CoreParams",
     "CycleApproximateSimulator",
@@ -76,11 +67,11 @@ __all__ = [
     "SimulationResult",
     "TOPOLOGY_PRESETS",
     "TopologyNode",
+    "TraceBuilder",
     "TraceOp",
     "TraceOpKind",
     "TraceSummary",
     "arbitrate_topology",
-    "branch_op",
     "chiplet_machine",
     "default_machine",
     "dual_socket_machine",
@@ -91,10 +82,5 @@ __all__ = [
     "topology_names",
     "format_trace",
     "format_trace_op",
-    "scalar_op",
     "simulate_multicore",
-    "tile_op",
-    "vector_fma",
-    "vector_load",
-    "vector_store",
 ]

@@ -8,9 +8,11 @@ lowering, instruction-mix summaries, memory footprints — re-walked the ops in
 Python loops.
 
 This module stores a trace as one structured NumPy array (:data:`TRACE_DTYPE`)
-plus a small label table.  The vector and row-wise builders append plain
-integer rows through a :class:`TraceBuilder`.  The tiled GEMM / SPMM /
-SpGEMM builders emit each block class once, through the
+plus a small label table, the tile geometry and, for the tiled kernels, the
+row at which each output-tile block starts.  :class:`TraceBuilder` is the
+one encoder: the vector and row-wise builders and hand-written traces append
+plain integer rows through it.  The tiled GEMM / SPMM / SpGEMM builders emit
+each block class once, through the
 :class:`~repro.kernels.template.TemplateBuilder` subclass, and stamp the
 block grid with NumPy (:mod:`repro.kernels.template`), so building a kernel
 costs a few blocks' worth of Python calls, not one per row.  Either way the
@@ -23,8 +25,7 @@ which then answers the whole-trace questions as vectorised array operations:
   the packed signature word is factorised and remapped to first-appearance
   order, so equal ops get equal ids in every process and every run — no
   interning table whose order could depend on construction history),
-* ``summarize`` / ``summarize_span`` — instruction-mix summaries via
-  ``bincount``,
+* ``summarize`` — the instruction-mix summary via ``bincount``,
 * ``footprint_line_numbers`` — the distinct cache lines, via a sort
   (``sorted_unique``; lines are expanded from the distinct regions only),
 * ``simulation_key`` — a content hash of everything that can influence a
@@ -34,23 +35,20 @@ which then answers the whole-trace questions as vectorised array operations:
   licenses the cross-core block memoization in
   :mod:`repro.cpu.multicore`.
 
-No simulation path builds a :class:`TraceOp` per op.  The simulator
-decodes one representative op per distinct signature id
+A :class:`ColumnarTrace` is the simulator's only input, and no simulation
+path builds a :class:`TraceOp` per op.  The simulator decodes one
+representative op per distinct signature id
 (:meth:`ColumnarTrace.signature_ops`) and then steps the packed rows as
-``(signature id, address)`` pairs.  The full op list (:meth:`ColumnarTrace.ops`,
-materialised once and cached) serves functional validation, the golden-trace
-text format and the tests.
-
-A :class:`ColumnarTrace` is the only trace type below
-:meth:`repro.cpu.simulator.CycleApproximateSimulator.run`.  A plain op list
-handed to ``run`` is encoded once by :meth:`ColumnarTrace.from_ops`, which
-rejects any op the columns cannot hold instead of degrading.
+``(signature id, address)`` pairs.  :meth:`ColumnarTrace.ops` is the one
+object view of a whole trace (materialised once and cached); it serves
+functional validation, the golden-trace text format and the tests.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
-from typing import Any, Callable, Dict, Iterator, List, NoReturn, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -163,13 +161,15 @@ def decode_register(code: int) -> Optional[RegisterRef]:
 
 
 class TraceBuilder:
-    """Appends encoded trace rows; finishes into a :class:`ColumnarTrace`.
+    """The one trace encoder: appends rows, finishes into a :class:`ColumnarTrace`.
 
-    The emission methods mirror the :mod:`repro.core.isa` constructors the
-    builders used to call, but append a plain integer tuple instead of
-    constructing ``Instruction``/``TraceOp`` objects — building a trace this
-    way is an order of magnitude cheaper, and the objects are materialised
-    later only if something asks for them (the simulator never does).
+    The emission methods mirror the :mod:`repro.core.isa` constructors, but
+    append a plain integer tuple instead of constructing
+    ``Instruction``/``TraceOp`` objects — building a trace this way is an
+    order of magnitude cheaper, and the objects are materialised later only
+    if something asks for them (the simulator never does).  An op the
+    columns cannot hold raises :class:`~repro.errors.SimulationError`, at
+    emission or at :meth:`finish`.
     """
 
     __slots__ = ("_rows", "_labels", "_label_ids", "geometry")
@@ -300,17 +300,21 @@ class TraceBuilder:
             (_KIND_VSTORE, -1, _NO_REG, src_reg, _NO_REG, address, nbytes, label_id, label_id, -1)
         )
 
-    def vector_fma(self, dst_reg: int, src_regs: Sequence[int], label: str = "") -> None:
+    def vector_fma(
+        self, dst_reg: Optional[int], src_regs: Sequence[int], label: str = ""
+    ) -> None:
+        """Append a vector FMA; ``dst_reg=None`` writes no register."""
         srcs = tuple(src_regs)
         if len(srcs) > 2:
             raise SimulationError(
                 f"columnar traces encode at most two FMA sources, got {len(srcs)}"
             )
         label_id = self._label(label)
+        dst = dst_reg if dst_reg is not None else _NO_REG
         src_a = srcs[0] if len(srcs) > 0 else _NO_REG
         src_b = srcs[1] if len(srcs) > 1 else _NO_REG
         self._rows.append(
-            (_KIND_VFMA, -1, dst_reg, src_a, src_b, -1, 0, label_id, label_id, -1)
+            (_KIND_VFMA, -1, dst, src_a, src_b, -1, 0, label_id, label_id, -1)
         )
 
     def scalar(self, label: str = "") -> None:
@@ -328,7 +332,10 @@ class TraceBuilder:
     # -- completion -------------------------------------------------------------
 
     def finish(self) -> "ColumnarTrace":
-        """Freeze the appended rows into a read-only :class:`ColumnarTrace`."""
+        """Freeze the appended rows into a read-only :class:`ColumnarTrace`.
+
+        The trace declares no block structure (``block_starts`` is ``None``).
+        """
         return frozen_trace(
             np.array(self._rows, dtype=TRACE_DTYPE), tuple(self._labels), self.geometry
         )
@@ -349,14 +356,20 @@ def check_feed_overheads(feeds: np.ndarray) -> None:
 
 
 def frozen_trace(
-    columns: np.ndarray, labels: Tuple[str, ...], geometry: TileGeometry
+    columns: np.ndarray,
+    labels: Tuple[str, ...],
+    geometry: TileGeometry,
+    block_starts: Optional[Tuple[int, ...]] = None,
 ) -> "ColumnarTrace":
     """Wrap finished rows as a read-only :class:`ColumnarTrace`.
 
     The columns are marked non-writeable: one built trace may be shared by
     many kernel programs (:func:`repro.kernels.memo.build_kernel`) and caches
-    views derived from its content, so no holder may edit it.  Too many
-    labels, or an address at or past ``_ADDRESS_BOUND``, raise.
+    views derived from its content, so no holder may edit it.
+    ``block_starts`` is the row of each output-tile block, in order, when the
+    builder knows them.  Too many labels, an address at or past
+    ``_ADDRESS_BOUND`` or a transfer size outside ``[0, _NBYTES_BOUND)``
+    raise: the region packing ``address * 8192 + nbytes`` holds neither.
     """
     if len(labels) >= _LABEL_BOUND:
         raise SimulationError(
@@ -367,63 +380,14 @@ def frozen_trace(
     if addresses.max(initial=-1) >= _ADDRESS_BOUND:
         row = int(np.argmax(addresses >= _ADDRESS_BOUND))
         raise SimulationError(f"trace row {row}: address {addresses[row]:#x} is not below 2**50")
-    return ColumnarTrace(columns=_read_only(columns), labels=labels, geometry=geometry)
-
-
-def _encode_op(index: int, op: TraceOp, geometry: TileGeometry, label_of) -> tuple:
-    """Encode trace op ``index`` as a columnar row; raise when inexpressible."""
-
-    def reject(reason: str) -> NoReturn:
-        raise SimulationError(f"trace op {index} cannot be encoded columnar: {reason}")
-
-    kind = op.kind
-    if kind is TraceOpKind.TILE:
-        instruction = op.tile
-        if op.label:
-            # Builders never label the TraceOp wrapper of a tile instruction;
-            # keeping that invariant lets the signature use one label column.
-            reject(f"the tile-op wrapper carries its own label {op.label!r}")
-        if instruction.geometry not in (None, geometry):
-            reject(f"tile geometry {instruction.geometry.name!r} differs from the trace's")
-        memory = instruction.memory
-        if memory is not None and memory.nbytes >= _NBYTES_BOUND:
-            reject(f"{memory.nbytes} B transfer exceeds the {_NBYTES_BOUND} B packing bound")
-        if instruction.feed_overhead >= _FEED_BOUND - 1:
-            reject(f"feed_overhead {instruction.feed_overhead} exceeds the packing bound")
-        return (
-            _KIND_TILE,
-            OPCODE_CODES[instruction.opcode],
-            encode_register(instruction.dst),
-            encode_register(instruction.src_a),
-            encode_register(instruction.src_b),
-            memory.address if memory is not None else -1,
-            memory.nbytes if memory is not None else 0,
-            label_of(op.label),
-            label_of(instruction.label),
-            instruction.feed_overhead,
+    nbytes = columns["nbytes"]
+    outside = (nbytes < 0) | (nbytes >= _NBYTES_BOUND)
+    if outside.any():
+        row = int(np.argmax(outside))
+        raise SimulationError(
+            f"trace row {row}: {nbytes[row]} B transfer is outside [0, {_NBYTES_BOUND})"
         )
-    if len(op.src_regs) > 2:
-        reject(f"{len(op.src_regs)} source registers; the columns hold two")
-    if op.nbytes >= _NBYTES_BOUND:
-        reject(f"{op.nbytes} B transfer exceeds the {_NBYTES_BOUND} B packing bound")
-    if op.address is not None and op.address < 0:
-        reject(f"negative memory address {op.address}")
-    dst = op.dst_reg if op.dst_reg is not None else _NO_REG
-    src_a = op.src_regs[0] if len(op.src_regs) > 0 else _NO_REG
-    src_b = op.src_regs[1] if len(op.src_regs) > 1 else _NO_REG
-    label_id = label_of(op.label)
-    return (
-        KIND_CODES[kind],
-        -1,
-        dst,
-        src_a,
-        src_b,
-        op.address if op.address is not None else -1,
-        op.nbytes,
-        label_id,
-        label_id,
-        -1,
-    )
+    return ColumnarTrace(_read_only(columns), labels, geometry, block_starts)
 
 
 def _first_touch_mask(ids: np.ndarray) -> np.ndarray:
@@ -571,92 +535,53 @@ def _fold_outcomes(digest, level, distinct: np.ndarray, ids: np.ndarray, hits=No
         digest.update(np.packbits(hits).tobytes())
 
 
-class ColumnarTrace(Sequence):
-    """A dynamic instruction trace stored column-wise.
+class ColumnarTrace:
+    """A dynamic instruction trace stored column-wise: one kernel run.
 
-    Built by a :class:`TraceBuilder` (``columns`` + label table) or encoded
-    from an existing ops list by :meth:`from_ops`; either way ``TraceOp``
-    objects materialise from the columns only on request.
+    ``columns`` hold the rows (:data:`TRACE_DTYPE`) and ``labels`` the label
+    table; ``geometry`` is the tile geometry the rows were encoded for.
+    ``block_starts`` is the row at which each repeating output-tile block
+    begins, in order, as the template stamper records it (``None`` when the
+    builder declares no block structure, as :meth:`TraceBuilder.finish`
+    does).  The simulator's fast path reads it as a periodicity hint and
+    :meth:`simulation_key` hashes it.  ``TraceOp`` objects materialise from
+    the columns only on request (:meth:`ops`).
 
     Everything derived from the trace content alone is computed once and
-    kept on the trace (:meth:`derived`): signature ids, the structure
-    digest, footprint lines, L1 outcome bits, address-structure hashes and
-    the fast path's oracle scripts.  Each view's key names exactly the
-    machine fields the view reads, so one trace shared by many simulations
-    (engines, machines, cores, trials) answers each distinct question once.
+    kept on the trace (:meth:`derived`): signature ids, the instruction mix,
+    the structure digest, footprint lines, L1 outcome bits, address-structure
+    hashes and the fast path's oracle scripts.  Each view's key names exactly
+    the machine fields the view reads, so one trace shared by many
+    simulations (engines, machines, cores, trials) answers each distinct
+    question once.
     """
 
-    __slots__ = ("columns", "labels", "geometry", "_ops", "_views")
+    __slots__ = ("columns", "labels", "geometry", "block_starts", "_ops", "_views")
 
     def __init__(
         self,
         columns: np.ndarray,
         labels: Tuple[str, ...] = (),
         geometry: TileGeometry = DEFAULT_GEOMETRY,
+        block_starts: Optional[Tuple[int, ...]] = None,
     ) -> None:
         self.columns = columns
         self.labels = labels
         self.geometry = geometry
+        self.block_starts = block_starts
         self._ops: Optional[List[TraceOp]] = None
         self._views: Dict[tuple, Any] = {}
-
-    # -- construction -----------------------------------------------------------
-
-    @classmethod
-    def from_ops(cls, ops: Sequence[TraceOp]) -> "ColumnarTrace":
-        """Encode an ops list as columns.
-
-        Raises :class:`~repro.errors.SimulationError` naming the first op
-        the columns cannot hold (more than two FMA sources, a labelled
-        tile-op wrapper, a mixed tile geometry, a negative address, an
-        access size or feed overhead beyond the signature packing bounds).
-        """
-        if isinstance(ops, ColumnarTrace):
-            return ops
-        ops = list(ops)
-        # Instructions normalise a default geometry to None, so the first
-        # non-None geometry (if any) is the trace's non-default geometry.
-        geometry = next(
-            (
-                op.tile.geometry
-                for op in ops
-                if op.kind is TraceOpKind.TILE and op.tile.geometry is not None
-            ),
-            DEFAULT_GEOMETRY,
-        )
-        labels: List[str] = []
-        label_ids: Dict[str, int] = {}
-
-        def label_of(label: str) -> int:
-            label_id = label_ids.get(label)
-            if label_id is None:
-                label_id = len(labels)
-                label_ids[label] = label_id
-                labels.append(label)
-            return label_id
-
-        rows = [_encode_op(index, op, geometry, label_of) for index, op in enumerate(ops)]
-        columns = np.array(rows, dtype=TRACE_DTYPE) if rows else np.empty(0, TRACE_DTYPE)
-        return frozen_trace(columns, tuple(labels), geometry)
-
-    # -- sequence protocol ------------------------------------------------------
 
     def __len__(self) -> int:
         return len(self.columns)
 
-    def __getitem__(self, index: Union[int, slice]):
-        return self.ops()[index]
-
-    def __iter__(self) -> Iterator[TraceOp]:
-        return iter(self.ops())
-
     def __getstate__(self):
         # Materialised ops and derived views are caches; do not ship them
         # across process boundaries.
-        return (self.columns, self.labels, self.geometry)
+        return (self.columns, self.labels, self.geometry, self.block_starts)
 
     def __setstate__(self, state):
-        self.columns, self.labels, self.geometry = state
+        self.columns, self.labels, self.geometry, self.block_starts = state
         self._ops = None
         self._views = {}
 
@@ -821,9 +746,14 @@ class ColumnarTrace(Sequence):
         combined = np.searchsorted(values, packed) * np.int64(_FEED_BOUND) + feed
         return _read_only(_first_appearance_ranks(combined))
 
-    def summarize_span(self, start: int, end: int) -> TraceSummary:
-        """Instruction-mix summary of ``trace[start:end]`` via bincounts."""
-        cols = self.columns[start:end]
+    def summarize(self) -> TraceSummary:
+        """Instruction-mix summary of the whole trace, a fresh copy per call
+        of the kept view (results never share one mutable summary)."""
+        summary = self.derived(("summary",), self._summary)
+        return dataclasses.replace(summary, by_opcode=dict(summary.by_opcode))
+
+    def _summary(self) -> TraceSummary:
+        cols = self.columns
         kinds = cols["kind"]
         kind_counts = np.bincount(kinds, minlength=len(KINDS_BY_CODE))
         summary = TraceSummary(
@@ -850,10 +780,6 @@ class ColumnarTrace(Sequence):
                 else:
                     summary.tile_store += int(count)
         return summary
-
-    def summarize(self) -> TraceSummary:
-        """Instruction-mix summary of the whole trace."""
-        return self.summarize_span(0, len(self))
 
     def _expand_lines(self, line_bytes: int) -> np.ndarray:
         """Line number of every cache-line access, in program order.
@@ -964,12 +890,14 @@ class ColumnarTrace(Sequence):
             _fold_outcomes(digest, machine.l2, sorted_unique(misses), misses)
         return digest.digest()
 
-    def simulation_key(self, machine, block_starts=None) -> str:
+    def simulation_key(self, machine) -> str:
         """Content address of this trace's simulation outcome on ``machine``.
 
-        The key covers the address-free op content, the cache-collision structure of the address
-        stream under the machine's cache geometry, and the builder's block
-        hints; the caller folds in the engine/mode/machine identity (see
+        The key covers the address-free op content, the cache-collision
+        structure of the address stream under the machine's cache geometry,
+        and the trace's ``block_starts`` (the fast path's hints; absent or
+        empty hints add nothing); the caller folds in the
+        engine/mode/machine identity (see
         :func:`repro.cpu.multicore.simulation_cache_key`).  Everything is
         content-derived, so keys are valid across processes and runs.
         """
@@ -978,6 +906,6 @@ class ColumnarTrace(Sequence):
         digest.update(len(self).to_bytes(8, "little"))
         digest.update(self._structure_hash())
         digest.update(self.address_structure_hash(machine))
-        if block_starts:
-            digest.update(np.asarray(list(block_starts), dtype=np.int64).tobytes())
+        if self.block_starts:
+            digest.update(np.asarray(self.block_starts, dtype=np.int64).tobytes())
         return digest.hexdigest()

@@ -41,11 +41,15 @@ counters changed identically — then skip ahead in multiples of ``q``,
 re-validating after every jump.
 
 Either way, the blocks of a segment are signature-verified in full up front
-(:func:`build_segments` over the trace's signature ids), so builder hints
-only choose where blocks start; they are never trusted for content.  Both
-paths step the blocks they do not skip through the exact path's transition
+(:func:`build_segments` over the trace's signature ids), so the trace's
+``block_starts`` hints only choose where blocks start; they are never
+trusted for content.  Both paths step the blocks they do not skip through
+the exact path's transition
 (:meth:`~repro.cpu.simulator.SimulatorState.advance` over packed rows); the
 profile path reads each op's issue cycle from the state after the step.
+Skipping changes no op's kind, opcode or size, so both report the whole
+trace's instruction mix (:meth:`~repro.cpu.columnar.ColumnarTrace.summarize`),
+as the exact path does.
 
 Both paths search super-periods up to :func:`resolve_max_super_period`
 blocks: a block whose op count is not a multiple of the issue width only
@@ -68,7 +72,7 @@ from .columnar import KIND_CODES, ColumnarTrace
 from .memory import RequestScript, ScriptedMemory
 from .params import MachineParams
 from .simulator import SimulationResult, SimulatorState
-from .trace import TraceOpKind, TraceSummary
+from .trace import TraceOpKind
 
 #: Segments shorter than this are simply simulated exactly.
 MIN_BLOCKS_TO_SKIP = 4
@@ -291,14 +295,12 @@ def _run_oracle(
     memory = ScriptedMemory(script.requests)
     state = SimulatorState(machine, engine, trace, memory=memory)
     simulate_span = state.run
-    summary = TraceSummary()
     inputs = script.inputs
     stepped = 0
     skipped = 0
 
     # Warm-up prefix before the first detected block.
     simulate_span(0, bounds[0])
-    _merge_summary(summary, trace.summarize_span(0, bounds[0]))
 
     for first_block, count in segments:
         segment_start = bounds[first_block]
@@ -306,15 +308,8 @@ def _run_oracle(
         period = bounds[first_block + 1] - bounds[first_block]
         if count < MIN_BLOCKS_TO_SKIP:
             simulate_span(segment_start, segment_end)
-            _merge_summary(summary, trace.summarize_span(segment_start, segment_end))
             stepped += count
             continue
-        # All blocks of a segment are signature-identical (segments are
-        # verified in full), so skipped repetitions summarize as copies of
-        # the segment head.
-        _merge_summary(
-            summary, trace.summarize_span(segment_start, segment_start + period), count
-        )
 
         #: block index within the segment -> (shift digest, issue cycle).
         boundaries: Dict[int, Tuple[tuple, int]] = {}
@@ -382,7 +377,7 @@ def _run_oracle(
 
     core_cycles = max(state.last_completion, state.issue_cycle + 1)
     return state.result(
-        summary,
+        trace.summarize(),
         core_cycles,
         fast_blocks_stepped=stepped,
         fast_blocks_skipped=skipped,
@@ -472,35 +467,19 @@ def _valid_block_starts(block_starts: Sequence[int], trace_length: int) -> bool:
     return True
 
 
-def _merge_summary(total: TraceSummary, part: TraceSummary, scale: int = 1) -> None:
-    """Accumulate ``scale`` copies of ``part`` into ``total``."""
-    total.total += scale * part.total
-    total.tile_compute += scale * part.tile_compute
-    total.tile_load += scale * part.tile_load
-    total.tile_store += scale * part.tile_store
-    total.vector_fma += scale * part.vector_fma
-    total.vector_load += scale * part.vector_load
-    total.vector_store += scale * part.vector_store
-    total.scalar += scale * part.scalar
-    total.branch += scale * part.branch
-    total.memory_bytes += scale * part.memory_bytes
-    for opcode, count in part.by_opcode.items():
-        total.by_opcode[opcode] = total.by_opcode.get(opcode, 0) + scale * count
-
-
 def run_fast(
     machine: MachineParams,
     engine: Optional[EngineConfig],
     trace: ColumnarTrace,
-    block_starts: Optional[Sequence[int]] = None,
     *,
     max_super_period: Optional[int] = None,
 ) -> Optional[SimulationResult]:
     """Fast-path simulation; returns None when the trace is not periodic.
 
-    ``block_starts`` comes from the kernel builders when available; an
-    absent or invalid hint falls back to anchor detection over the trace's
-    signature ids, which also verify every segment in full.
+    Blocks start at the trace's ``block_starts`` (the template stamper's
+    hints).  The constructor of a trace takes them from outside, so absent,
+    too few or malformed hints fall back to anchor detection over the
+    trace's signature ids, which also verify every segment in full.
     ``max_super_period`` defaults to :func:`resolve_max_super_period`
     (``REPRO_MAX_SUPER_PERIOD`` or :data:`DEFAULT_MAX_SUPER_PERIOD`).
     """
@@ -508,6 +487,7 @@ def run_fast(
     if max_super_period is None:
         max_super_period = resolve_max_super_period()
     signatures = trace.signature_ids()
+    block_starts = trace.block_starts
     if (
         block_starts is None
         or len(block_starts) < MIN_ANCHOR_REPEATS
@@ -536,7 +516,6 @@ def _run_profiled(
     """Counter-delta steady-state detection (machines without the ideal prefetch)."""
     state = SimulatorState(machine, engine, trace)
     simulate_span = state.run
-    summary = TraceSummary()
     extra_counters: Dict[str, int] = {}
     stepped = 0
     skipped = 0
@@ -568,7 +547,6 @@ def _run_profiled(
 
     # Warm-up prefix before the first detected block.
     simulate_span(0, bounds[0])
-    _merge_summary(summary, trace.summarize_span(0, bounds[0]))
 
     for first_block, count in segments:
         segment_start = bounds[first_block]
@@ -576,14 +554,8 @@ def _run_profiled(
         period = bounds[first_block + 1] - bounds[first_block]
         if count < MIN_BLOCKS_TO_SKIP:
             simulate_span(segment_start, segment_end)
-            _merge_summary(summary, trace.summarize_span(segment_start, segment_end))
             stepped += count
             continue
-        # Segments are signature-verified in full, so skipped repetitions
-        # are accounted as copies of the segment head.
-        _merge_summary(
-            summary, trace.summarize_span(segment_start, segment_start + period), count
-        )
 
         index = 0
         history: List[_BlockProfile] = []
@@ -621,7 +593,7 @@ def _run_profiled(
 
     core_cycles = max(state.last_completion, state.issue_cycle + 1)
     return state.result(
-        summary,
+        trace.summarize(),
         core_cycles,
         extra_counters,
         fast_blocks_stepped=stepped,

@@ -79,7 +79,7 @@ class MemorySystem:
 
     # -- request path ----------------------------------------------------------------
 
-    def request(self, address: int, nbytes: int, cycle: int, is_store: bool = False) -> MemoryRequestResult:
+    def request(self, address: int, nbytes: int, cycle: int) -> MemoryRequestResult:
         """Issue a request of ``nbytes`` at ``address`` starting at ``cycle``.
 
         Lines are serviced one per core cycle on the L2 port; lines missing to

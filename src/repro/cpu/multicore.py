@@ -212,9 +212,7 @@ def simulation_cache_key(
     serialised once per distinct (machine, engine, mode) triple — both
     dataclasses are frozen, so equal values share it — not once per program.
     """
-    trace_key = program.trace.simulation_key(
-        machine, getattr(program, "block_starts", None)
-    )
+    trace_key = program.trace.simulation_key(machine)
     digest = hashlib.sha256()
     digest.update(trace_key.encode())
     digest.update(_key_identity(machine, engine, mode))
@@ -319,10 +317,7 @@ def simulate_cores(
     per_core: List[Optional[SimulationResult]] = [None] * len(programs)
     simulator = CycleApproximateSimulator(machine=machine, engine=engine, mode=mode)
     for index in representatives:
-        program = programs[index]
-        result = simulator.run(
-            program.trace, block_starts=getattr(program, "block_starts", None)
-        )
+        result = simulator.run(programs[index].trace)
         per_core[index] = result
         key = keys[index]
         if key is not None:
@@ -368,10 +363,11 @@ def simulate_multicore(
 ) -> MulticoreSimulationResult:
     """Simulate one per-core program per simulated core under shared memory.
 
-    ``programs`` is one entry per core, each carrying a columnar ``trace``
-    and (optionally) ``block_starts`` — a
-    :class:`~repro.kernels.program.KernelProgram` or any duck-typed
-    equivalent.  Every core runs the existing private simulator in ``mode``
+    ``programs`` is one entry per core; only its ``trace`` is read, a
+    :class:`~repro.cpu.columnar.ColumnarTrace` that carries the core's rows
+    and block hints (a :class:`~repro.kernels.program.KernelProgram` or any
+    object with that attribute).  Every core runs the existing private
+    simulator in ``mode``
     (:func:`simulate_cores`); shared-cache filtering and bandwidth
     arbitration (:func:`arbitrate_cores`) then convert cross-core miss
     traffic into a (possibly dilated) makespan.

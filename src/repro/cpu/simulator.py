@@ -3,6 +3,9 @@
 This plays the role MacSim plays in the paper's evaluation (Section VI-A):
 it consumes the dynamic instruction traces emitted by the kernel generators
 and produces runtimes for a core with a given matrix-engine configuration.
+Its only input is a :class:`~repro.cpu.columnar.ColumnarTrace`, which
+carries the kernel's rows, tile geometry and block structure; hand-written
+traces are encoded with a :class:`~repro.cpu.columnar.TraceBuilder`.
 
 The model captures the first-order effects that differentiate the Figure 13
 design points:
@@ -26,7 +29,7 @@ is sufficient for the relative comparisons the paper reports.
 Two execution modes are provided:
 
 ``"fast"`` (default)
-    Detects the kernel's steady-state periodicity (from the builder-supplied
+    Detects the kernel's steady-state periodicity (from the trace's
     ``block_starts`` hints or a signature scan of the trace), simulates a few
     anchor blocks exactly, proves that consecutive blocks shift every event
     by a constant cycle count, and then skips the remaining repetitions in
@@ -48,7 +51,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Optional, Sequence, Tuple, Union
+from typing import Deque, Dict, Optional, Union
 
 from ..core.engine import EngineConfig
 from ..core.pipeline import MatrixEnginePipeline
@@ -559,30 +562,26 @@ class CycleApproximateSimulator:
 
     # -- public API -----------------------------------------------------------------
 
-    def run(
-        self,
-        trace: Union[ColumnarTrace, Sequence[TraceOp]],
-        *,
-        mode: Optional[str] = None,
-        block_starts: Optional[Sequence[int]] = None,
-    ) -> SimulationResult:
+    def run(self, trace: ColumnarTrace, *, mode: Optional[str] = None) -> SimulationResult:
         """Simulate a trace and return its timing and counters.
 
-        A plain op list is encoded once with
-        :meth:`~repro.cpu.columnar.ColumnarTrace.from_ops`, which raises
-        :class:`~repro.errors.SimulationError` for an op the columns cannot
-        hold.  ``mode`` overrides the simulator's default mode for this run;
-        ``block_starts`` (op indices at which the kernel's repeating
-        output-tile blocks begin, as recorded by the kernel builders in
-        :attr:`repro.kernels.program.KernelProgram.block_starts`) lets the
-        fast path skip steady-state blocks without scanning the trace.
+        ``trace`` must be a :class:`~repro.cpu.columnar.ColumnarTrace`;
+        anything else raises :class:`~repro.errors.SimulationError`.  Its
+        ``block_starts`` (the rows at which the kernel's repeating
+        output-tile blocks begin, as the template stamper records them) let
+        the fast path skip steady-state blocks without scanning the trace.
+        ``mode`` overrides the simulator's default mode for this run.
         """
         chosen = mode if mode is not None else self.mode
         if chosen not in SIMULATION_MODES:
             raise SimulationError(
                 f"unknown simulation mode {chosen!r}; expected one of {SIMULATION_MODES}"
             )
-        trace = ColumnarTrace.from_ops(trace)
+        if not isinstance(trace, ColumnarTrace):
+            raise SimulationError(
+                f"the simulator runs a ColumnarTrace, not {type(trace).__name__}; "
+                "encode hand-written ops with a TraceBuilder"
+            )
         if len(trace) == 0:
             # Contract: an empty trace takes no time at all.
             state = SimulatorState(self.machine, self.engine, trace)
@@ -591,7 +590,7 @@ class CycleApproximateSimulator:
             return self._run_exact(trace)
         from .fastsim import run_fast
 
-        result = run_fast(self.machine, self.engine, trace, block_starts)
+        result = run_fast(self.machine, self.engine, trace)
         if result is None:  # no periodic structure worth exploiting
             return self._run_exact(trace)
         return result

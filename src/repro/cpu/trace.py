@@ -11,11 +11,13 @@ classes:
   baseline kernels of Figure 4,
 * **scalar ops** — loop/address-generation/branch overhead.
 
-Traces are stored column-wise (:class:`repro.cpu.columnar.ColumnarTrace`),
-which also answers the whole-trace questions — instruction-mix summaries,
-memory footprints, timing signatures.  The simulator steps the packed rows
-and decodes only one ``TraceOp`` per distinct signature; whole op lists
-materialise from the columns on request (validation, golden traces, tests).
+Traces are stored column-wise (:class:`repro.cpu.columnar.ColumnarTrace`,
+encoded by a :class:`repro.cpu.columnar.TraceBuilder`), which also answers
+the whole-trace questions — instruction-mix summaries, memory footprints,
+timing signatures.  ``TraceOp`` records are only its object view: the
+simulator decodes one per distinct signature, and whole op lists
+materialise from the columns on request (:meth:`ColumnarTrace.ops` for
+validation, golden traces and tests).
 """
 
 from __future__ import annotations

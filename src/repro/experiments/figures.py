@@ -479,17 +479,15 @@ def run_spgemm_trial(params: Dict[str, Any]) -> Dict[str, Any]:
         b=operands.b if operands is not None else None,
         max_output_tiles=max_output_tiles,
     )
-    fast = simulator.run(program.trace, block_starts=program.block_starts)
+    fast = simulator.run(program.trace)
 
     dense_program = build_kernel("gemm", shape, max_output_tiles=max_output_tiles)
-    dense = simulator.run(
-        dense_program.trace, block_starts=dense_program.block_starts
-    )
+    dense = simulator.run(dense_program.trace)
     # Sparse x dense baseline: the engine exploits A's pattern, streams B dense.
     spmm_program = build_kernel(
         "spmm", shape, engine.executable_pattern(pattern_a), max_output_tiles=max_output_tiles
     )
-    spmm = simulator.run(spmm_program.trace, block_starts=spmm_program.block_starts)
+    spmm = simulator.run(spmm_program.trace)
 
     # Per-kernel coverage-scaled values: the builders truncate at different
     # block granularities, so ratios must compare whole-problem estimates.
@@ -906,7 +904,8 @@ def run_backends_trial(params: Dict[str, Any]) -> Dict[str, Any]:
     """Simulate one (layer, pattern, engine) point of the backends sweep.
 
     Each engine runs the best kernel its ISA supports for the layer's weight
-    pattern:
+    pattern (:func:`~repro.planner.space.select_kernel`), built for the
+    engine's tile geometry:
 
     * engines with the SpGEMM stream-merge unit run the sparse x sparse
       ``TILE_SPGEMM`` kernel (modelling the dual-sparse deployment where the
@@ -922,6 +921,7 @@ def run_backends_trial(params: Dict[str, Any]) -> Dict[str, Any]:
     """
     from ..cpu.simulator import CycleApproximateSimulator
     from ..kernels.memo import build_kernel
+    from ..planner.space import select_kernel
 
     layer = get_layer(params["layer"])
     pattern = SparsityPattern(params["pattern"])
@@ -929,18 +929,12 @@ def run_backends_trial(params: Dict[str, Any]) -> Dict[str, Any]:
     machine = MachineParams.from_dict(params["machine"])
     max_output_tiles = params.get("max_output_tiles")
 
-    executed = engine.executable_pattern(pattern)
-    if executed is SparsityPattern.DENSE_4_4:
-        kernel = "gemm"
-        program = build_kernel(
-            kernel, layer.gemm, max_output_tiles=max_output_tiles, geometry=engine.geometry
-        )
-    else:
-        kernel = "spgemm" if engine.spgemm else "spmm"
-        program = build_kernel(kernel, layer.gemm, executed, max_output_tiles=max_output_tiles)
-
+    kernel, executed = select_kernel(engine, pattern)
+    program = build_kernel(
+        kernel, layer.gemm, executed, max_output_tiles=max_output_tiles, geometry=engine.geometry
+    )
     simulator = CycleApproximateSimulator(machine=machine, engine=engine)
-    result = simulator.run(program.trace, block_starts=program.block_starts)
+    result = simulator.run(program.trace)
     return {
         "layer": layer.name,
         "pattern": pattern.value,

@@ -325,7 +325,7 @@ def build_dense_gemm_kernel(
         (f"gemm-{variant}", shape, SparsityPattern.DENSE_4_4, geometry, include_loop_overhead),
         lambda: _dense_templates(grid, layouts, variant, include_loop_overhead),
     )
-    trace, block_starts, fraction = stamp_blocks(
+    trace, fraction = stamp_blocks(
         templates, classes, coords, tiles, max_output_tiles, geometry=geometry
     )
     return KernelProgram(
@@ -336,6 +336,4 @@ def build_dense_gemm_kernel(
         c_layout=layouts["c"],
         simulated_fraction=fraction,
         label=f"dense-gemm-{variant}",
-        block_starts=block_starts,
-        geometry=geometry,
     )

@@ -1,23 +1,24 @@
 """Kernel programs: the trace + memory image a kernel generator produces.
 
 A :class:`KernelProgram` bundles everything needed to (a) run the kernel on
-the cycle-approximate simulator (the trace), (b) run it on the functional
-model and check numerical correctness (the memory image plus the C layout),
-and (c) report instruction-mix statistics (Figure 4).
+the cycle-approximate simulator (the trace, which carries its own tile
+geometry and block structure), (b) run it on the functional model and check
+numerical correctness (the memory image plus the C layout), and (c) report
+instruction-mix statistics (Figure 4).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from ..core.memory_image import ByteMemory
-from ..cpu.columnar import ColumnarTrace, TraceBuilder
+from ..cpu.columnar import ColumnarTrace
 from ..cpu.trace import TraceSummary
 from ..errors import KernelError
-from ..types import DEFAULT_GEOMETRY, DType, GemmShape, SparsityPattern, TileGeometry
+from ..types import DType, GemmShape, SparsityPattern
 from .tiling import MatrixTileLayout
 
 
@@ -28,10 +29,12 @@ class KernelProgram:
     Attributes
     ----------
     trace:
-        The dynamic instruction trace in program order.  Builders hand over a
-        :class:`~repro.cpu.columnar.TraceBuilder` (frozen on construction)
-        or a finished :class:`~repro.cpu.columnar.ColumnarTrace`, so every
-        consumer sees one sequence type with vectorised whole-trace views.
+        The dynamic instruction trace in program order, a finished
+        :class:`~repro.cpu.columnar.ColumnarTrace`.  It is the one
+        description of the kernel run the simulator reads: its rows, its
+        tile geometry (which also sizes the C tiles and the functional
+        machine's register file) and, for the tiled kernels, the row at
+        which each output-tile block starts.
     shape:
         The (unpadded) GEMM problem dimensions.
     pattern:
@@ -51,18 +54,9 @@ class KernelProgram:
         Fraction of the full kernel the trace covers (1.0 unless the builder
         was asked to truncate for tractable simulation); runtimes should be
         scaled by its inverse.
-    block_starts:
-        Op index at which each output-tile block of the trace begins, in
-        order.  The simulator's fast path uses these as periodicity hints to
-        resolve the steady-state loop body in closed form without scanning
-        the trace; ``None`` when the builder has no periodic structure to
-        declare (the simulator then falls back to signature detection).
-    geometry:
-        Tile geometry the kernel was built for; C-tile extents and the
-        functional machine's register file follow it.
     """
 
-    trace: Union[ColumnarTrace, TraceBuilder]
+    trace: ColumnarTrace
     shape: GemmShape
     pattern: SparsityPattern
     memory: Optional[ByteMemory] = None
@@ -71,16 +65,12 @@ class KernelProgram:
     rowwise_patterns: Dict[int, Tuple[SparsityPattern, ...]] = field(default_factory=dict)
     simulated_fraction: float = 1.0
     label: str = ""
-    block_starts: Optional[Tuple[int, ...]] = None
-    geometry: TileGeometry = DEFAULT_GEOMETRY
 
     def __post_init__(self) -> None:
         if not 0.0 < self.simulated_fraction <= 1.0:
             raise KernelError(
                 f"simulated_fraction must be in (0, 1], got {self.simulated_fraction}"
             )
-        if isinstance(self.trace, TraceBuilder):
-            self.trace = self.trace.finish()
 
     @property
     def instruction_count(self) -> int:
@@ -108,8 +98,9 @@ class KernelProgram:
         if not self.has_data:
             raise KernelError("this kernel was built trace-only; no data to read back")
         layout = self.c_layout
-        tile_m = self.geometry.rows
-        tile_n = self.geometry.fp32_cols
+        geometry = self.trace.geometry
+        tile_m = geometry.rows
+        tile_n = geometry.fp32_cols
         rows = layout.tiles_rows * tile_m
         cols = layout.tiles_cols * tile_n
         result = np.zeros((rows, cols), dtype=np.float32)

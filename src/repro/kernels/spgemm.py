@@ -399,7 +399,7 @@ def build_spgemm_kernel(
             lambda two_rows: _spgemm_block(layouts, grid, include_loop_overhead, two_rows),
         ),
     )
-    trace, block_starts, fraction = stamp_blocks(
+    trace, fraction = stamp_blocks(
         templates, classes, coords, tiles, max_output_tiles, feeds=feeds
     )
     return KernelProgram(
@@ -410,5 +410,4 @@ def build_spgemm_kernel(
         c_layout=layouts["c"],
         simulated_fraction=fraction,
         label=f"spgemm-{pattern.value}",
-        block_starts=block_starts,
     )

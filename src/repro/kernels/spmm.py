@@ -214,7 +214,7 @@ def build_spmm_kernel(
             ),
         ),
     )
-    trace, block_starts, fraction = stamp_blocks(
+    trace, fraction = stamp_blocks(
         templates, classes, coords, tiles, max_output_tiles
     )
     return KernelProgram(
@@ -225,7 +225,6 @@ def build_spmm_kernel(
         c_layout=layouts["c"],
         simulated_fraction=fraction,
         label=f"spmm-{pattern.value}",
-        block_starts=block_starts,
     )
 
 
@@ -433,7 +432,7 @@ def build_rowwise_spmm_kernel(
 
     permutation = tuple(order)
     return KernelProgram(
-        trace=trace,
+        trace=trace.finish(),
         shape=shape,
         pattern=SparsityPattern.ROW_WISE,
         memory=memory,

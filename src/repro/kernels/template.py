@@ -193,15 +193,15 @@ def stamp_blocks(
     max_output_tiles: Optional[int],
     geometry: TileGeometry = DEFAULT_GEOMETRY,
     feeds: Optional[np.ndarray] = None,
-) -> Tuple[ColumnarTrace, Tuple[int, ...], float]:
+) -> Tuple[ColumnarTrace, float]:
     """Stamp block ``b`` as ``templates[classes[b]]`` at ``coords[b]``, in order.
 
     ``coords`` is ``(B, 5)``: each block's ``(i0, i1, j0, j1, 1)``; block
     ``b`` covers ``tiles[b]`` output tiles.  Blocks are stamped until
     ``max_output_tiles`` output tiles are covered (the block that crosses the
-    limit is stamped whole).  Returns the frozen trace, the row offset of
-    every stamped block and the fraction of the blocks' output tiles the
-    trace covers.
+    limit is stamped whole).  Returns the frozen trace, which carries the
+    row offset of every stamped block as its ``block_starts``, and the
+    fraction of the blocks' output tiles the trace covers.
 
     The content columns are one gather from the stacked templates; each
     class's addresses (and feeds) are then one matrix product over its
@@ -255,5 +255,5 @@ def stamp_blocks(
             values = feeds.reshape(-1)[block_coords @ template.feed_forms.T]
             check_feed_overheads(values)
             columns["feed"][starts[members, None] + template.feed_rows] = values
-    trace = frozen_trace(columns, tuple(label_ids), geometry)
-    return trace, tuple(starts.tolist()), emitted / total_tiles if total_tiles else 1.0
+    trace = frozen_trace(columns, tuple(label_ids), geometry, tuple(starts.tolist()))
+    return trace, emitted / total_tiles if total_tiles else 1.0

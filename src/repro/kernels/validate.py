@@ -23,10 +23,10 @@ def run_functional(program: KernelProgram) -> np.ndarray:
     """Execute a kernel program functionally and return the C result matrix."""
     if not program.has_data:
         raise KernelError("cannot functionally execute a trace-only kernel")
-    machine = FunctionalMachine(program.memory, geometry=program.geometry)
+    machine = FunctionalMachine(program.memory, geometry=program.trace.geometry)
     for address, patterns in program.rowwise_patterns.items():
         machine.register_rowwise_patterns(address, patterns)
-    for op in program.trace:
+    for op in program.trace.ops():
         if op.tile is not None:
             machine.step(op.tile)
     return program.read_result()

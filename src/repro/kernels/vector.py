@@ -123,7 +123,7 @@ def build_vector_gemm_kernel(
         emitted_blocks / total_blocks if total_blocks else 1.0
     )
     return KernelProgram(
-        trace=trace,
+        trace=trace.finish(),
         shape=shape,
         pattern=SparsityPattern.DENSE_4_4,
         simulated_fraction=simulated_fraction,

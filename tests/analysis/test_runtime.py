@@ -113,7 +113,7 @@ class TestBuildLayerKernel:
             layer, SparsityPattern.SPARSE_2_4, engine, max_output_tiles=1
         )
         assert program.pattern is SparsityPattern.DENSE_4_4
-        assert program.geometry is engine.geometry
+        assert program.trace.geometry is engine.geometry
 
 
 class TestSimulateLayer:

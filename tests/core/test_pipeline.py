@@ -113,15 +113,3 @@ class TestDependences:
         with pytest.raises(SimulationError):
             pipeline.timing_of(3)
 
-    def test_utilization_without_history(self):
-        # Regression: utilization() counted len(_completed), which
-        # retain_history=False keeps empty.
-        with_history = MatrixEnginePipeline(get_engine("VEGETA-D-1-1"))
-        without_history = MatrixEnginePipeline(
-            get_engine("VEGETA-D-1-1"), retain_history=False
-        )
-        for pipeline in (with_history, without_history):
-            pipeline.schedule_all([TileComputeRequest(op_id=i) for i in range(4)])
-        assert without_history.utilization() == with_history.utilization() > 0.0
-        assert without_history.completed == []
-        assert without_history.makespan == with_history.makespan

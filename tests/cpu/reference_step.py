@@ -15,12 +15,13 @@ rather than against itself.
 
 import math
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.engine import EngineConfig
+from repro.cpu.columnar import ColumnarTrace
 from repro.cpu.params import MachineParams
 from repro.cpu.simulator import SimulationResult
-from repro.cpu.trace import TraceOp, TraceOpKind, TraceSummary
+from repro.cpu.trace import TraceOp, TraceOpKind
 from repro.errors import SimulationError
 
 
@@ -239,12 +240,13 @@ class ReferenceState:
 def reference_run(
     machine: MachineParams,
     engine: Optional[EngineConfig],
-    ops: Sequence[TraceOp],
+    trace: ColumnarTrace,
     memory,
-    summary: TraceSummary,
 ) -> Tuple[List[Tuple[int, int]], SimulationResult]:
-    """Step ``ops`` on a fresh state; returns every (issue, completion) and the result."""
+    """Step the ops of ``trace`` on a fresh state; returns every (issue,
+    completion) and the result."""
     state = ReferenceState(machine, engine, memory)
+    ops = trace.ops()
     events = [state.step(op) for op in ops]
     busy_per_op = engine.busy_cycles_per_instruction if engine else 16
     result = SimulationResult(
@@ -252,7 +254,7 @@ def reference_run(
         engine_busy_cycles=state.engine_ops * busy_per_op,
         engine_makespan_cycles=state.pipeline.makespan if state.pipeline else 0,
         tile_compute_ops=state.engine_ops,
-        trace_summary=summary,
+        trace_summary=trace.summarize(),
         memory_counters=memory.counters(),
         machine=machine,
         engine=engine,

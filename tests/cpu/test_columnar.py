@@ -11,7 +11,8 @@ from reference_ops import footprint_lines, intern_signatures, summarize_ops
 from reference_ops import lru_outcome_bits as reference_lru_outcome_bits
 
 from repro.analysis.runtime import resolve_engine
-from repro.core import isa
+from repro.core.engine import SME_GEOMETRY
+from repro.core.isa import Opcode
 from repro.core.pipeline import TileComputeRequest, TileComputeTiming
 from repro.core.registers import treg
 from repro.cpu.cache import Cache
@@ -27,13 +28,18 @@ from repro.cpu.memory import RequestScript
 from repro.cpu.multicore import simulation_cache_key
 from repro.cpu.params import CacheParams, default_machine, memory_bound_machine
 from repro.cpu.simulator import CycleApproximateSimulator
-from repro.cpu.trace import TraceOp, scalar_op, tile_op, vector_fma, vector_load
+from repro.cpu.trace import TraceOp, TraceOpKind
 from repro.errors import SimulationError
 from repro.kernels.gemm import build_dense_gemm_kernel
 from repro.kernels.spgemm import build_spgemm_kernel
 from repro.kernels.spmm import build_spmm_kernel
 from repro.kernels.vector import build_vector_gemm_kernel
-from repro.types import GemmShape, SparsityPattern
+from repro.types import GemmShape, SparsityPattern, TileGeometry
+
+
+def register_code(ref):
+    """The documented column encoding of a tile register: kind code * 64 + index."""
+    return -1 if ref is None else ("treg", "ureg", "vreg", "mreg").index(ref.kind) * 64 + ref.index
 
 
 def all_programs():
@@ -57,22 +63,22 @@ class TestColumnarParity:
         # legacy builders would have produced, field for field.
         trace = program.trace
         rebuilt = ColumnarTrace(columns=trace.columns, labels=trace.labels)
-        assert list(rebuilt) == list(trace)
+        assert rebuilt.ops() == trace.ops()
 
     @pytest.mark.parametrize("program", all_programs(), ids=lambda p: p.label)
     def test_signature_ids_match_interning(self, program):
-        ops = list(program.trace)
+        ops = program.trace.ops()
         assert np.array_equal(program.trace.signature_ids(), intern_signatures(ops))
 
     @pytest.mark.parametrize("program", all_programs(), ids=lambda p: p.label)
     def test_summaries_and_footprints(self, program):
-        ops = list(program.trace)
+        ops = program.trace.ops()
         assert program.trace.summarize() == summarize_ops(ops)
-        assert program.trace.summarize_span(3, 41) == summarize_ops(ops[3:41])
         assert np.array_equal(
             program.trace.footprint_line_numbers(64), footprint_lines(ops, 64)
         )
         span = ColumnarTrace(columns=program.trace.columns[3:41], labels=program.trace.labels)
+        assert span.summarize() == summarize_ops(ops[3:41])
         assert np.array_equal(span.footprint_line_numbers(64), footprint_lines(ops[3:41], 64))
 
     @settings(max_examples=60, deadline=None)
@@ -101,12 +107,45 @@ class TestColumnarParity:
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)
 
-    @pytest.mark.parametrize("program", all_programs(), ids=lambda p: p.label)
-    def test_from_ops_equals_builder_columns(self, program):
-        converted = ColumnarTrace.from_ops(list(program.trace))
-        assert np.array_equal(converted.columns, program.trace.columns)
-        assert converted.labels == program.trace.labels
-        assert converted.geometry == program.trace.geometry
+    @pytest.mark.parametrize(
+        "program",
+        all_programs() + [build_dense_gemm_kernel(GemmShape(64, 64, 128), geometry=SME_GEOMETRY)],
+        ids=lambda p: f"{p.label}-{p.trace.geometry.name}",
+    )
+    def test_materialised_ops_match_their_rows(self, program):
+        # ``ops()`` is the one object view: every op restores its row field
+        # for field, instruction labels and geometry included (the golden
+        # text prints no tile labels and hashes columns, not objects).
+        trace = program.trace
+        labels = trace.labels
+        geometry = None if trace.geometry.is_default else trace.geometry
+        ops = trace.ops()
+        assert len(ops) == len(trace)
+        for op, row in zip(ops, trace.columns.tolist()):
+            kind, opcode, dst, src_a, src_b, address, nbytes, oplabel, ilabel, feed = row
+            assert op.kind is list(TraceOpKind)[kind]
+            assert op.label == labels[oplabel]
+            if op.kind is TraceOpKind.TILE:
+                instruction = op.tile
+                assert instruction.opcode is list(Opcode)[opcode]
+                assert register_code(instruction.dst) == dst
+                assert register_code(instruction.src_a) == src_a
+                assert register_code(instruction.src_b) == src_b
+                memory = instruction.memory
+                if memory is None:
+                    assert (address, nbytes) == (-1, 0)
+                else:
+                    assert (memory.address, memory.nbytes) == (address, nbytes)
+                    assert memory.label == labels[ilabel]
+                assert instruction.label == labels[ilabel]
+                assert instruction.feed_overhead == feed
+                assert instruction.geometry == geometry
+            else:
+                assert opcode == -1 and feed == -1 and oplabel == ilabel
+                assert op.dst_reg == (dst if dst >= 0 else None)
+                assert op.src_regs == tuple(reg for reg in (src_a, src_b) if reg >= 0)
+                assert op.address == (address if address >= 0 else None)
+                assert op.nbytes == nbytes
 
 
 class TestDeterministicIds:
@@ -121,32 +160,55 @@ class TestDeterministicIds:
                 expected_next += 1
 
 
-class TestStrictEncoder:
-    """``from_ops`` is the one edge encoder: an op the columns cannot hold is
-    an error naming its index, both there and through ``run``."""
+#: A valid geometry whose 16 KB tile loads overflow the region packing.
+BIG_TILE_GEOMETRY = TileGeometry(
+    name="big", rows=64, row_bytes=256, metadata_reg_bytes=0, num_metadata_regs=0
+)
 
-    def _assert_rejected(self, ops, index):
-        with pytest.raises(SimulationError, match=f"trace op {index} "):
-            ColumnarTrace.from_ops(ops)
-        with pytest.raises(SimulationError, match=f"trace op {index} "):
-            CycleApproximateSimulator().run(ops)
+
+class TestStrictEncoder:
+    """``TraceBuilder`` is the one encoder: an op the columns cannot hold
+    raises at emission or at ``finish()``, and ``run`` takes nothing else.
+    (Non-positive vector transfer sizes: ``TestZeroByteRequests`` in
+    ``test_fastsim.py``.)"""
 
     def test_three_source_fma_is_rejected(self):
-        ops = [scalar_op(), vector_fma(0, (1, 2)), vector_fma(0, (1, 2, 3))]
-        self._assert_rejected(ops, 2)
+        builder = TraceBuilder()
+        builder.vector_fma(0, (1, 2))
+        with pytest.raises(SimulationError, match="at most two FMA sources"):
+            builder.vector_fma(0, (1, 2, 3))
+
+    @pytest.mark.parametrize(
+        "emit, args",
+        [
+            ("vector_load", (0, -64)),
+            ("vector_store", (0, -64)),
+            ("tile_load_t", (treg(0), -64)),
+            ("tile_store_t", (-64, treg(0))),
+        ],
+    )
+    def test_negative_address_is_rejected(self, emit, args):
+        with pytest.raises(SimulationError, match="negative memory address"):
+            getattr(TraceBuilder(), emit)(*args)
+
+    @pytest.mark.parametrize("feed", [-2, 511])
+    def test_feed_overhead_beyond_the_packing_is_rejected(self, feed):
+        builder = TraceBuilder()
+        builder.tile_compute(Opcode.TILE_SPGEMM_U, treg(0), treg(1), treg(2), feed_overhead=510)
+        with pytest.raises(SimulationError, match="feed_overhead"):
+            builder.tile_compute(
+                Opcode.TILE_SPGEMM_U, treg(0), treg(1), treg(2), feed_overhead=feed
+            )
 
     def test_address_beyond_region_packing_is_rejected(self):
         # Distinct regions pack ``address * 8192 + nbytes`` into one int64,
-        # which wraps from 2**50 on; the builder and the op encoder both
-        # refuse such a trace instead of returning wrapped footprints.
+        # which wraps from 2**50 on; such a trace is refused instead of
+        # returning wrapped footprints.
         builder = TraceBuilder()
         builder.vector_load(0, 2**50 - 64, 64)
         builder.vector_load(1, 2**50, 64)
         with pytest.raises(SimulationError, match="trace row 1: "):
             builder.finish()
-        ops = [vector_load(0, 2**50 - 64, 64), scalar_op(), vector_load(1, 2**50, 64)]
-        with pytest.raises(SimulationError, match="trace row 2: "):
-            ColumnarTrace.from_ops(ops)
 
     def test_address_below_region_packing_keeps_its_footprint(self):
         builder = TraceBuilder()
@@ -154,32 +216,34 @@ class TestStrictEncoder:
         builder.vector_load(1, 2**50 - 64, 64)
         trace = builder.finish()
         assert trace.footprint_line_numbers(64).tolist() == [2**44 - 2, 2**44 - 1]
-        assert ColumnarTrace.from_ops(list(trace)).footprint_line_numbers(64).tolist() == [
-            2**44 - 2,
-            2**44 - 1,
-        ]
 
-    def test_labelled_tile_op_wrapper_is_rejected(self):
-        # Builders never label the TraceOp wrapper of a tile instruction;
-        # that invariant lets the signature use one label column.
-        op = tile_op(isa.tile_load_t(treg(0), 0x100, "load"), label="wrapper")
-        self._assert_rejected([scalar_op(), op], 1)
+    def test_size_beyond_region_packing_is_rejected(self):
+        # A row of 8192 B or more would carry into the packed address.
+        builder = TraceBuilder()
+        builder.scalar()
+        builder.vector_load(1, 0x10000, 9000)
+        with pytest.raises(SimulationError, match="trace row 1: 9000 B transfer"):
+            builder.finish()
 
-    @pytest.mark.parametrize("mode", ["fast", "exact"])
-    @pytest.mark.parametrize("index", range(len(all_programs())))
-    def test_run_on_an_op_list_equals_run_on_its_encoding(self, index, mode):
-        program = all_programs()[index]
-        ops = list(program.trace)
-        simulator = CycleApproximateSimulator(
-            engine=resolve_engine("VEGETA-S-16-2+OF+SPGEMM"), mode=mode
+    def test_kernel_with_oversized_tile_loads_is_rejected_at_build(self):
+        assert BIG_TILE_GEOMETRY.tile_reg_bytes == 16384
+        with pytest.raises(SimulationError, match="16384 B transfer"):
+            build_dense_gemm_kernel(GemmShape(128, 128, 256), geometry=BIG_TILE_GEOMETRY)
+
+    def test_size_below_region_packing_keeps_its_footprint(self):
+        builder = TraceBuilder()
+        builder.vector_load(1, 0x10000, 8191)
+        trace = builder.finish()
+        assert trace.footprint_line_numbers(64).tolist() == list(range(1024, 1024 + 128))
+        assert np.array_equal(
+            trace.footprint_line_numbers(64), footprint_lines(trace.ops(), 64)
         )
-        from_list = simulator.run(ops, block_starts=program.block_starts)
-        encoded = simulator.run(
-            ColumnarTrace.from_ops(ops), block_starts=program.block_starts
-        )
-        assert from_list == encoded
-        # The round trip through ops loses nothing the simulation reads.
-        assert encoded == simulator.run(program.trace, block_starts=program.block_starts)
+
+    def test_run_takes_only_a_columnar_trace(self):
+        builder = TraceBuilder()
+        builder.scalar()
+        with pytest.raises(SimulationError, match="not list; .* TraceBuilder"):
+            CycleApproximateSimulator().run(builder.finish().ops())
 
 
 class TestLazyMaterialisation:
@@ -205,16 +269,16 @@ class TestLazyMaterialisation:
                 _original(self, *args, **kwargs)
 
             monkeypatch.setattr(cls, "__init__", counting)
-        program = build_dense_gemm_kernel(GemmShape(128, 128, 512))
-        trace = ColumnarTrace(columns=program.trace.columns, labels=program.trace.labels)
+        kernel = build_dense_gemm_kernel(GemmShape(128, 128, 512)).trace
+        trace = ColumnarTrace(kernel.columns, kernel.labels, block_starts=kernel.block_starts)
         simulator = CycleApproximateSimulator(engine=resolve_engine("VEGETA-D-1-2"), mode=mode)
-        first = simulator.run(trace, block_starts=program.block_starts)
+        first = simulator.run(trace)
         assert trace._ops is None
         assert first.tile_compute_ops > 0
         signatures = int(trace.signature_ids().max()) + 1
         assert built == {TraceOp: signatures, TileComputeRequest: 0, TileComputeTiming: 0}
         # A second run on the same trace decodes the kept ops again.
-        simulator.run(trace, block_starts=program.block_starts)
+        simulator.run(trace)
         assert built[TraceOp] == signatures
 
     def test_pickle_ships_columns_not_ops(self):
@@ -223,7 +287,8 @@ class TestLazyMaterialisation:
         trace.ops()  # populate the cache
         clone = pickle.loads(pickle.dumps(trace))
         assert clone._ops is None
-        assert list(clone) == list(trace)
+        assert clone.ops() == trace.ops()
+        assert clone.block_starts == trace.block_starts is not None
 
 
 def cache_outcome_bits(ids: np.ndarray, num_sets: int, associativity: int) -> np.ndarray:
@@ -345,28 +410,27 @@ class TestSimulationKey:
         machine = default_machine()
         first = build_dense_gemm_kernel(GemmShape(64, 64, 256))
         second = build_dense_gemm_kernel(GemmShape(64, 64, 256))
-        assert first.trace.simulation_key(machine, first.block_starts) == (
-            second.trace.simulation_key(machine, second.block_starts)
-        )
+        assert first.trace.simulation_key(machine) == second.trace.simulation_key(machine)
 
     def test_key_sees_structural_differences(self):
         machine = default_machine()
         base = build_dense_gemm_kernel(GemmShape(64, 64, 256))
         other = build_dense_gemm_kernel(GemmShape(64, 64, 512))
-        assert base.trace.simulation_key(machine, base.block_starts) != (
-            other.trace.simulation_key(machine, other.block_starts)
-        )
+        assert base.trace.simulation_key(machine) != other.trace.simulation_key(machine)
 
     def test_key_includes_block_hints(self):
         machine = default_machine()
-        program = build_dense_gemm_kernel(GemmShape(64, 64, 256))
-        with_hints = program.trace.simulation_key(machine, program.block_starts)
-        without = program.trace.simulation_key(machine, None)
-        assert with_hints != without
+        trace = build_dense_gemm_kernel(GemmShape(64, 64, 256)).trace
+        without = ColumnarTrace(trace.columns, trace.labels, trace.geometry)
+        assert trace.block_starts
+        assert trace.simulation_key(machine) != without.simulation_key(machine)
+        # Empty hints hash like absent ones.
+        empty = ColumnarTrace(trace.columns, trace.labels, trace.geometry, ())
+        assert empty.simulation_key(machine) == without.simulation_key(machine)
 
     def test_empty_trace_has_a_key(self):
         empty = TraceBuilder().finish()
-        assert empty.simulation_key(default_machine(), None) is not None
+        assert empty.simulation_key(default_machine()) is not None
 
 
 def _small_l1_machine():

@@ -13,14 +13,13 @@ import numpy as np
 import pytest
 
 from repro.analysis.runtime import FIGURE13_ENGINE_NAMES, resolve_engine
-from repro.core import isa
 from repro.core.engine import get_engine
+from repro.core.isa import Opcode
 from repro.core.registers import treg
 from repro.cpu.columnar import ColumnarTrace, TraceBuilder
 from repro.cpu.fastsim import _oracle_script, build_segments, derive_block_starts, run_fast
 from repro.cpu.params import MachineParams, default_machine
 from repro.cpu.simulator import CycleApproximateSimulator
-from repro.cpu.trace import scalar_op, tile_op, vector_fma, vector_load
 from repro.errors import SimulationError
 from repro.kernels.gemm import build_dense_gemm_kernel
 from repro.kernels.memo import build_kernel
@@ -29,12 +28,24 @@ from repro.kernels.vector import build_vector_gemm_kernel
 from repro.types import GemmShape, SparsityPattern
 
 
+def _with_hints(trace, block_starts):
+    """The rows of ``trace`` under other block hints (``None``: no hints)."""
+    return ColumnarTrace(trace.columns, trace.labels, trace.geometry, block_starts)
+
+
+def _trace(*emits):
+    """A trace whose ops are appended by ``emit(builder)`` in order."""
+    builder = TraceBuilder()
+    for emit in emits:
+        emit(builder)
+    return builder.finish()
+
+
 def _compare(program, engine, machine=None, hint=True):
     simulator = CycleApproximateSimulator(machine=machine, engine=engine)
-    exact = simulator.run(program.trace, mode="exact")
-    fast = simulator.run(
-        program.trace, block_starts=program.block_starts if hint else None
-    )
+    trace = program.trace if hint else _with_hints(program.trace, None)
+    exact = simulator.run(trace, mode="exact")
+    fast = simulator.run(trace)
     assert fast.core_cycles == exact.core_cycles
     assert fast.memory_counters == exact.memory_counters
     assert fast.engine_makespan_cycles == exact.engine_makespan_cycles
@@ -110,7 +121,7 @@ class TestFastMatchesExactOnKernels:
         program = build_dense_gemm_kernel(GemmShape(64, 64, 256))
         simulator = CycleApproximateSimulator(machine=machine, engine=get_engine("VEGETA-D-1-2"))
         with pytest.raises(SimulationError, match="65536"):
-            simulator.run(program.trace, block_starts=program.block_starts)
+            simulator.run(program.trace)
 
     def test_unit_engine_clock_ratio(self):
         core = dataclasses.replace(
@@ -139,9 +150,7 @@ class TestFastMatchesExactOnKernels:
                 return super().advance(record, address)
 
         monkeypatch.setattr("repro.cpu.fastsim.SimulatorState", CountingState)
-        result = run_fast(
-            default_machine(), get_engine("VEGETA-D-1-2"), program.trace, program.block_starts
-        )
+        result = run_fast(default_machine(), get_engine("VEGETA-D-1-2"), program.trace)
         assert result is not None
         # Counting a transition nothing calls would pass vacuously at 0.
         assert 0 < stepped < len(program.trace) / 2
@@ -173,8 +182,8 @@ class TestSharedTraceEngines:
                 fresh = build_spmm_kernel(self.SHAPE, executed)
             assert traces.setdefault(executed, shared.trace) is shared.trace
             simulator = CycleApproximateSimulator(engine=engine, mode=mode)
-            got = simulator.run(shared.trace, block_starts=shared.block_starts)
-            want = simulator.run(fresh.trace, block_starts=fresh.block_starts)
+            got = simulator.run(shared.trace)
+            want = simulator.run(fresh.trace)
             assert got == want, name
 
 
@@ -182,10 +191,14 @@ class TestSmallTraceEquivalence:
     """Traces with nothing to skip must be bit-identical to exact mode."""
 
     def test_tiny_gemm_trace(self):
-        trace = [
-            tile_op(isa.tile_load_t(treg(4), 0x1000)),
-            tile_op(isa.tile_load_t(treg(5), 0x2000)),
-        ] + [tile_op(isa.tile_gemm(treg(i % 4), treg(4), treg(5))) for i in range(6)]
+        trace = _trace(
+            lambda b: b.tile_load_t(treg(4), 0x1000),
+            lambda b: b.tile_load_t(treg(5), 0x2000),
+            *(
+                lambda b, i=i: b.tile_compute(Opcode.TILE_GEMM, treg(i % 4), treg(4), treg(5))
+                for i in range(6)
+            ),
+        )
         simulator = CycleApproximateSimulator(engine=get_engine("VEGETA-D-1-2"))
         exact = simulator.run(trace, mode="exact")
         fast = simulator.run(trace, mode="fast")
@@ -196,11 +209,11 @@ class TestSmallTraceEquivalence:
         program = build_dense_gemm_kernel(GemmShape(32, 32, 64))
         simulator = CycleApproximateSimulator(engine=get_engine("VEGETA-D-1-2"))
         exact = simulator.run(program.trace, mode="exact")
-        fast = simulator.run(program.trace, block_starts=program.block_starts)
+        fast = simulator.run(program.trace)
         assert fast.core_cycles == exact.core_cycles
 
     def test_repeated_vector_fmas(self):
-        trace = [vector_fma(0, (1,)) for _ in range(100)]
+        trace = _trace(*[lambda b: b.vector_fma(0, (1,))] * 100)
         simulator = CycleApproximateSimulator()
         assert (
             simulator.run(trace, mode="fast").core_cycles
@@ -214,7 +227,7 @@ class TestEdgeContracts:
     @pytest.mark.parametrize("mode", ["fast", "exact"])
     def test_empty_trace_takes_zero_time(self, mode):
         result = CycleApproximateSimulator(engine=get_engine("VEGETA-D-1-2")).run(
-            [], mode=mode
+            _trace(), mode=mode
         )
         assert result.core_cycles == 0
         assert result.runtime_seconds == 0.0
@@ -224,13 +237,15 @@ class TestEdgeContracts:
 
     @pytest.mark.parametrize("mode", ["fast", "exact"])
     def test_single_op_trace(self, mode):
-        result = CycleApproximateSimulator().run([scalar_op()], mode=mode)
+        result = CycleApproximateSimulator().run(_trace(TraceBuilder.scalar), mode=mode)
         assert result.core_cycles == 1
         assert result.instructions == 1
 
     @pytest.mark.parametrize("mode", ["fast", "exact"])
     def test_single_load_trace(self, mode):
-        result = CycleApproximateSimulator().run([vector_load(0, 0x1000)], mode=mode)
+        result = CycleApproximateSimulator().run(
+            _trace(lambda b: b.vector_load(0, 0x1000)), mode=mode
+        )
         assert result.core_cycles > 1
         assert result.memory_counters["total_requests"] == 1
 
@@ -238,10 +253,10 @@ class TestEdgeContracts:
         with pytest.raises(SimulationError):
             CycleApproximateSimulator(mode="warp")
         with pytest.raises(SimulationError):
-            CycleApproximateSimulator().run([scalar_op()], mode="warp")
+            CycleApproximateSimulator().run(_trace(TraceBuilder.scalar), mode="warp")
 
     def test_compute_without_engine_rejected_in_fast_mode(self):
-        trace = [tile_op(isa.tile_gemm(treg(0), treg(1), treg(2)))]
+        trace = _trace(lambda b: b.tile_compute(Opcode.TILE_GEMM, treg(0), treg(1), treg(2)))
         with pytest.raises(SimulationError):
             CycleApproximateSimulator(engine=None).run(trace, mode="fast")
 
@@ -260,19 +275,18 @@ class TestZeroByteRequests:
         program = build_vector_gemm_kernel(GemmShape(64, 64, 256))
         columns = program.trace.columns.copy()
         columns["nbytes"][np.flatnonzero(columns["address"] >= 0)[-1]] = 0
-        trace = ColumnarTrace(columns=columns, labels=program.trace.labels)
+        trace = ColumnarTrace(columns, program.trace.labels)
         with pytest.raises(SimulationError):
-            CycleApproximateSimulator().run(
-                trace, mode=mode, block_starts=program.block_starts
-            )
+            CycleApproximateSimulator().run(trace, mode=mode)
 
 
 class TestPeriodicityHelpers:
     def test_signature_ignores_addresses(self):
-        a = tile_op(isa.tile_load_t(treg(1), 0x1000, "load A"))
-        b = tile_op(isa.tile_load_t(treg(1), 0x9000, "load A"))
-        c = tile_op(isa.tile_load_t(treg(2), 0x1000, "load A"))
-        ids = ColumnarTrace.from_ops([a, b, c]).signature_ids()
+        ids = _trace(
+            lambda b: b.tile_load_t(treg(1), 0x1000, "load A"),
+            lambda b: b.tile_load_t(treg(1), 0x9000, "load A"),
+            lambda b: b.tile_load_t(treg(2), 0x1000, "load A"),
+        ).signature_ids()
         assert ids[0] == ids[1]
         assert ids[0] != ids[2]
 
@@ -281,12 +295,12 @@ class TestPeriodicityHelpers:
         starts = derive_block_starts(program.trace.signature_ids())
         assert starts is not None
         # The detected anchors recur with the builder's block period.
-        expected_period = program.block_starts[1] - program.block_starts[0]
-        assert starts[1] - starts[0] == expected_period
-        assert len(starts) == len(program.block_starts)
+        hints = program.trace.block_starts
+        assert starts[1] - starts[0] == hints[1] - hints[0]
+        assert len(starts) == len(hints)
 
     def test_derive_block_starts_rejects_irregular_traces(self):
-        trace = ColumnarTrace.from_ops([scalar_op(f"unique-{i}") for i in range(32)])
+        trace = _trace(*(lambda b, i=i: b.scalar(f"unique-{i}") for i in range(32)))
         assert derive_block_starts(trace.signature_ids()) is None
 
     def test_build_segments_splits_on_length_change(self):
@@ -296,7 +310,7 @@ class TestPeriodicityHelpers:
         assert segments == [(0, 3), (3, 3)]
 
     def test_run_fast_returns_none_without_periodicity(self):
-        trace = ColumnarTrace.from_ops([scalar_op(f"u{i}") for i in range(16)])
+        trace = _trace(*(lambda b, i=i: b.scalar(f"u{i}") for i in range(16)))
         assert run_fast(default_machine(), None, trace) is None
 
     def test_signature_ids_are_deterministic(self):
@@ -351,25 +365,25 @@ class TestHintValidation:
         # Two interleaved equal-length block flavours: same length (3 ops),
         # different scalar/branch mix — a lying hint must not corrupt the
         # instruction-mix summary.
-        from repro.cpu.trace import branch_op
-
-        trace = []
+        builder = TraceBuilder()
         starts = []
         for index in range(12):
-            starts.append(len(trace))
+            starts.append(len(builder))
+            builder.scalar("a")
             if index % 2 == 0:
-                trace.extend([scalar_op("a"), scalar_op("a"), branch_op("a")])
+                builder.scalar("a")
             else:
-                trace.extend([scalar_op("a"), branch_op("a"), branch_op("a")])
-        return trace, tuple(starts)
+                builder.branch("a")
+            builder.branch("a")
+        return _with_hints(builder.finish(), tuple(starts))
 
     def test_lying_hint_falls_back_to_exact(self):
         # Neighbouring blocks differ, so full segment verification leaves
         # every segment one block long and every block is stepped exactly.
-        trace, starts = self._blocks_of_different_composition()
+        trace = self._blocks_of_different_composition()
         simulator = CycleApproximateSimulator()
         exact = simulator.run(trace, mode="exact")
-        fast = simulator.run(trace, block_starts=starts)
+        fast = simulator.run(trace)
         assert fast.core_cycles == exact.core_cycles
         assert fast.trace_summary == exact.trace_summary
 
@@ -377,19 +391,19 @@ class TestHintValidation:
         # Mismatching blocks that sit entirely between the simulated anchors
         # must not be accounted as copies of the segment head: full segment
         # verification splits them into a segment of their own.
-        from repro.cpu.trace import vector_fma
-
-        trace = []
+        builder = TraceBuilder()
         starts = []
         for index in range(30):
-            starts.append(len(trace))
-            if 8 <= index < 28:
-                trace.extend([vector_fma(0, (1,)), vector_fma(0, (1,)), vector_fma(0, (1,))])
-            else:
-                trace.extend([scalar_op("x"), scalar_op("x"), scalar_op("x")])
+            starts.append(len(builder))
+            for _ in range(3):
+                if 8 <= index < 28:
+                    builder.vector_fma(0, (1,))
+                else:
+                    builder.scalar("x")
+        trace = _with_hints(builder.finish(), tuple(starts))
         simulator = CycleApproximateSimulator()
         exact = simulator.run(trace, mode="exact")
-        fast = simulator.run(trace, block_starts=tuple(starts))
+        fast = simulator.run(trace)
         assert fast.core_cycles == exact.core_cycles
         assert fast.trace_summary == exact.trace_summary
 
@@ -398,6 +412,6 @@ class TestHintValidation:
         simulator = CycleApproximateSimulator(engine=get_engine("VEGETA-D-1-2"))
         exact = simulator.run(program.trace, mode="exact")
         for bad in ((5, 3, 1), (0, 10, 10**9), (-3, 0, 5)):
-            fast = simulator.run(program.trace, block_starts=bad)
+            fast = simulator.run(_with_hints(program.trace, bad))
             assert fast.core_cycles == exact.core_cycles
             assert fast.trace_summary == exact.trace_summary

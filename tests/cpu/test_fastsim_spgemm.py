@@ -57,7 +57,7 @@ def _random_dual_sparse(shape, pattern, rng, a_density=1.0, b_density=1.0):
 def _assert_bit_identical(program, engine):
     simulator = CycleApproximateSimulator(engine=engine)
     exact = simulator.run(program.trace, mode="exact")
-    fast = simulator.run(program.trace, block_starts=program.block_starts)
+    fast = simulator.run(program.trace)
     assert fast.core_cycles == exact.core_cycles
     assert fast.memory_counters == exact.memory_counters
     assert fast.engine_busy_cycles == exact.engine_busy_cycles
@@ -116,7 +116,7 @@ class TestSpgemmFastExactParity:
 
         feeds = {
             op.tile.feed_overhead
-            for op in program.trace
+            for op in program.trace.ops()
             if op.tile is not None and op.tile.opcode.is_compute
         }
         assert len(feeds) > 1, "operands failed to produce distinct overheads"
@@ -136,7 +136,7 @@ class TestSpgemmFastExactParity:
         program = build_spgemm_kernel(shape, pattern, a=a, b=b)
         exact, fast = _assert_bit_identical(program, ENGINE_OF)
         assert fast.fast_blocks_stepped + fast.fast_blocks_skipped == len(
-            program.block_starts
+            program.trace.block_starts
         )
         assert fast.fast_path_coverage > 0.9
         # The exact path reports no fast-path activity at all.
@@ -169,13 +169,7 @@ class TestSuperPeriodKnob:
         program = build_spgemm_kernel(shape, pattern, a=a, b=b)
         simulator = CycleApproximateSimulator(engine=ENGINE_OF)
         exact = simulator.run(program.trace, mode="exact")
-        capped = run_fast(
-            default_machine(),
-            ENGINE_OF,
-            program.trace,
-            program.block_starts,
-            max_super_period=1,
-        )
+        capped = run_fast(default_machine(), ENGINE_OF, program.trace, max_super_period=1)
         assert capped is not None
         assert capped.core_cycles == exact.core_cycles
         assert capped.memory_counters == exact.memory_counters
@@ -209,7 +203,7 @@ class TestMemoKeyFeedParity:
         def signature(program):
             return [
                 (op.kind, op.nbytes, op.tile.opcode if op.tile else None)
-                for op in program.trace
+                for op in program.trace.ops()
             ]
 
         assert signature(dense_program) == signature(sparse_program)

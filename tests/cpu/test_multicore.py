@@ -156,9 +156,7 @@ class TestSingleCoreInvariant:
         sharded = shard_kernel(kind, shape, pattern, 1)
         program = sharded.programs[0]
         multi = simulate_multicore(sharded.programs, engine=ENGINE)
-        single = CycleApproximateSimulator(engine=ENGINE).run(
-            program.trace, block_starts=program.block_starts
-        )
+        single = CycleApproximateSimulator(engine=ENGINE).run(program.trace)
         assert multi.core_cycles == single.core_cycles
         assert multi.finish_cycles == [single.core_cycles]
         assert multi.per_core[0].memory_counters == single.memory_counters
@@ -173,9 +171,7 @@ class TestSingleCoreInvariant:
         sharded = shard_kernel(kind, GemmShape(m=64, n=64, k=512), pattern, 1)
         program = sharded.programs[0]
         multi = simulate_multicore(sharded.programs, machine=machine, engine=ENGINE)
-        single = CycleApproximateSimulator(machine=machine, engine=ENGINE).run(
-            program.trace, block_starts=program.block_starts
-        )
+        single = CycleApproximateSimulator(machine=machine, engine=ENGINE).run(program.trace)
         assert multi.core_cycles == single.core_cycles
         assert multi.per_core[0].memory_counters == single.memory_counters
         assert not multi.contended
@@ -195,9 +191,7 @@ class TestSingleCoreInvariant:
         )
         program = sharded.programs[0]
         multi = simulate_multicore(sharded.programs, machine=machine, engine=ENGINE)
-        single = CycleApproximateSimulator(machine=machine, engine=ENGINE).run(
-            program.trace, block_starts=program.block_starts
-        )
+        single = CycleApproximateSimulator(machine=machine, engine=ENGINE).run(program.trace)
         assert multi.core_cycles == single.core_cycles
         assert not multi.contended
 
@@ -219,9 +213,7 @@ class TestMulticoreScaling:
     def test_compute_bound_workload_scales_at_least_6x_on_8_cores(self):
         shape = GemmShape(m=256, n=256, k=1024)
         single = shard_kernel("gemm", shape, SparsityPattern.DENSE_4_4, 1).programs[0]
-        baseline = CycleApproximateSimulator(engine=ENGINE).run(
-            single.trace, block_starts=single.block_starts
-        )
+        baseline = CycleApproximateSimulator(engine=ENGINE).run(single.trace)
         sharded = shard_kernel("gemm", shape, SparsityPattern.DENSE_4_4, 8, "row-block")
         multi = simulate_multicore(sharded.programs, engine=ENGINE)
         speedup = multi.speedup_over(baseline.core_cycles)
@@ -232,9 +224,7 @@ class TestMulticoreScaling:
         machine = memory_bound_machine()
         shape = GemmShape(m=256, n=256, k=512)
         single = shard_kernel("gemm", shape, SparsityPattern.DENSE_4_4, 1).programs[0]
-        baseline = CycleApproximateSimulator(machine=machine, engine=ENGINE).run(
-            single.trace, block_starts=single.block_starts
-        )
+        baseline = CycleApproximateSimulator(machine=machine, engine=ENGINE).run(single.trace)
         sharded = shard_kernel("gemm", shape, SparsityPattern.DENSE_4_4, 8, "row-block")
         multi = simulate_multicore(sharded.programs, machine=machine, engine=ENGINE)
         speedup = multi.speedup_over(baseline.core_cycles)

@@ -108,6 +108,7 @@ class TestMemoEquivalence:
                     columns=program.trace.columns,
                     labels=program.trace.labels,
                     geometry=program.trace.geometry,
+                    block_starts=program.trace.block_starts,
                 ),
             )
             for program in sharded.programs
@@ -149,9 +150,7 @@ class TestMemoMachinery:
         program = shard_kernel(
             "spmm", GemmShape(64, 64, 256), SparsityPattern.SPARSE_2_4, 1
         ).programs[0]
-        result = CycleApproximateSimulator(engine=ENGINE).run(
-            program.trace, block_starts=program.block_starts
-        )
+        result = CycleApproximateSimulator(engine=ENGINE).run(program.trace)
         payload = json.loads(json.dumps(result_to_payload(result)))
         replayed = payload_to_result(payload, result.machine, ENGINE)
         assert replayed.core_cycles == result.core_cycles
@@ -232,9 +231,7 @@ class TestMemoMachinery:
         program = shard_kernel(
             "spgemm", GemmShape(64, 64, 256), SparsityPattern.SPARSE_2_4, 1
         ).programs[0]
-        direct = CycleApproximateSimulator(engine=ENGINE).run(
-            program.trace, block_starts=program.block_starts
-        )
+        direct = CycleApproximateSimulator(engine=ENGINE).run(program.trace)
         cached_cold = simulate_program_cached(program, engine=ENGINE)
         cached_warm = simulate_program_cached(program, engine=ENGINE)
         for candidate in (cached_cold, cached_warm):

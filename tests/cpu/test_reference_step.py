@@ -19,23 +19,13 @@ from hypothesis import strategies as st
 from reference_step import reference_run
 
 from repro.analysis.runtime import resolve_engine
-from repro.core import isa
+from repro.core.isa import Opcode
 from repro.core.registers import mreg, treg, ureg, vreg
-from repro.cpu.columnar import ColumnarTrace
+from repro.cpu.columnar import ColumnarTrace, TraceBuilder
 from repro.cpu.fastsim import _oracle_script
 from repro.cpu.memory import MemorySystem, ScriptedMemory
 from repro.cpu.params import MachineParams, default_machine, memory_bound_machine
 from repro.cpu.simulator import CycleApproximateSimulator, SimulatorState
-from repro.cpu.trace import (
-    TraceOp,
-    TraceOpKind,
-    branch_op,
-    scalar_op,
-    tile_op,
-    vector_fma,
-    vector_load,
-    vector_store,
-)
 from repro.errors import SimulationError
 
 #: Engines the streams run on; None has no matrix engine at all.
@@ -51,37 +41,41 @@ ENGINES = (
 ADDRESSES = st.integers(min_value=0, max_value=63).map(lambda slot: slot * 0x1C0)
 
 
-def _tile_instruction(draw, computes):
-    """A tile instruction; ``computes`` are the compute kinds allowed."""
+def _emit_tile(draw, builder, computes):
+    """Append a tile instruction; ``computes`` are the compute kinds allowed."""
     choice = draw(st.sampled_from(("load_t", "load_u", "load_v", "load_m", "store") + computes))
     # Four tregs (two uregs, one vreg) make aliasing and reuse common.
     t = lambda: treg(draw(st.integers(0, 3)))  # noqa: E731
     u = lambda: ureg(draw(st.integers(0, 1)))  # noqa: E731
     if choice == "load_t":
-        return isa.tile_load_t(t(), draw(ADDRESSES))
-    if choice == "load_u":
-        return isa.tile_load_u(u(), draw(ADDRESSES))
-    if choice == "load_v":
-        return isa.tile_load_v(vreg(0), draw(ADDRESSES))
-    if choice == "load_m":
-        return isa.tile_load_m(mreg(draw(st.integers(0, 3))), draw(ADDRESSES))
-    if choice == "store":
-        return isa.tile_store_t(draw(ADDRESSES), t())
-    if choice == "gemm":
-        return isa.tile_gemm(t(), t(), t())
-    if choice == "spmm_u":
-        return isa.tile_spmm_u(t(), t(), u())
-    if choice == "spmm_v":
-        return isa.tile_spmm_v(t(), t(), vreg(0))
-    if choice == "spmm_r":
-        return isa.tile_spmm_r(u(), t(), u())
-    build = draw(st.sampled_from((isa.tile_spgemm_u, isa.tile_spgemm_v)))
-    return build(t(), t(), t(), feed_overhead=draw(st.integers(-1, 24)))
+        builder.tile_load_t(t(), draw(ADDRESSES))
+    elif choice == "load_u":
+        builder.tile_load_u(u(), draw(ADDRESSES))
+    elif choice == "load_v":
+        builder.tile_load_v(vreg(0), draw(ADDRESSES))
+    elif choice == "load_m":
+        builder.tile_load_m(mreg(draw(st.integers(0, 3))), draw(ADDRESSES))
+    elif choice == "store":
+        builder.tile_store_t(draw(ADDRESSES), t())
+    elif choice == "gemm":
+        builder.tile_compute(Opcode.TILE_GEMM, t(), t(), t())
+    elif choice == "spmm_u":
+        builder.tile_compute(Opcode.TILE_SPMM_U, t(), t(), u())
+    elif choice == "spmm_v":
+        builder.tile_compute(Opcode.TILE_SPMM_V, t(), t(), vreg(0))
+    elif choice == "spmm_r":
+        builder.tile_compute(Opcode.TILE_SPMM_R, u(), t(), u())
+    else:
+        opcode = draw(st.sampled_from((Opcode.TILE_SPGEMM_U, Opcode.TILE_SPGEMM_V)))
+        dst, src_a, src_b = t(), t(), t()
+        builder.tile_compute(
+            opcode, dst, src_a, src_b, feed_overhead=draw(st.integers(-1, 24))
+        )
 
 
 @st.composite
 def scenarios(draw, max_length=48):
-    """``(engine name, ops)``: mostly streams the engine can run, some it cannot."""
+    """``(engine name, trace)``: mostly streams the engine can run, some it cannot."""
     engine_name = draw(st.sampled_from(ENGINES))
     computes = ("gemm", "spmm_u", "spmm_v", "spmm_r")
     if engine_name is not None and engine_name.endswith("+SPGEMM"):
@@ -90,27 +84,30 @@ def scenarios(draw, max_length=48):
         computes += ("spgemm",)  # rejected by a non-SpGEMM engine
     if engine_name is None and draw(st.integers(0, 4)):
         computes = ()  # a vector/scalar stream; otherwise rejected without engine
-    ops = []
+    builder = TraceBuilder()
     for _ in range(draw(st.integers(min_value=1, max_value=max_length))):
         kind = draw(st.sampled_from(("tile", "tile", "tile", "vload", "vstore",
                                      "vfma", "scalar", "branch")))
         v = lambda: draw(st.integers(0, 3))  # noqa: E731
         if kind == "tile":
-            ops.append(tile_op(_tile_instruction(draw, computes)))
+            _emit_tile(draw, builder, computes)
         elif kind == "vload":
-            ops.append(vector_load(v(), draw(ADDRESSES), draw(st.sampled_from((64, 96, 200)))))
+            dst = v()
+            builder.vector_load(dst, draw(ADDRESSES), draw(st.sampled_from((64, 96, 200))))
         elif kind == "vstore":
-            ops.append(vector_store(v(), draw(ADDRESSES)))
+            src = v()
+            builder.vector_store(src, draw(ADDRESSES))
         elif kind == "vfma":
             if draw(st.booleans()):
-                ops.append(vector_fma(v(), [v() for _ in range(draw(st.integers(0, 2)))]))
+                dst = v()
+                builder.vector_fma(dst, [v() for _ in range(draw(st.integers(0, 2)))])
             else:  # an FMA without a destination register
-                ops.append(TraceOp(kind=TraceOpKind.VECTOR_FMA, src_regs=(v(), v())))
+                builder.vector_fma(None, (v(), v()))
         elif kind == "scalar":
-            ops.append(scalar_op())
+            builder.scalar()
         else:
-            ops.append(branch_op())
-    return engine_name, ops
+            builder.branch()
+    return engine_name, builder.finish()
 
 
 @st.composite
@@ -155,15 +152,12 @@ def _packed_run(machine, engine, trace, memory):
     scripted=st.booleans(),
 )
 def test_packed_transition_matches_reference(scenario, machine, forwarding, scripted):
-    engine_name, ops = scenario
+    engine_name, trace = scenario
     engine = resolve_engine(engine_name) if engine_name is not None else None
     if engine is not None and forwarding:
         engine = engine.with_output_forwarding()
-    trace = ColumnarTrace.from_ops(ops)
     try:
-        want = reference_run(
-            machine, engine, ops, _memory(machine, trace, scripted), trace.summarize()
-        )
+        want = reference_run(machine, engine, trace, _memory(machine, trace, scripted))
     except SimulationError as error:
         event("error")
         with pytest.raises(SimulationError) as raised:
@@ -181,23 +175,22 @@ def test_packed_transition_matches_reference(scenario, machine, forwarding, scri
 
 
 @pytest.mark.parametrize(
-    "engine_name, op, message",
+    "engine_name, opcode, message",
     [
-        (None, isa.tile_gemm(treg(0), treg(1), treg(2)), "no engine was configured"),
-        (
-            "VEGETA-S-16-2",
-            isa.tile_spgemm_u(treg(0), treg(1), treg(2)),
-            "SpGEMM stream merging is not enabled",
-        ),
+        (None, Opcode.TILE_GEMM, "no engine was configured"),
+        ("VEGETA-S-16-2", Opcode.TILE_SPGEMM_U, "SpGEMM stream merging is not enabled"),
     ],
 )
-def test_errors_match_reference(engine_name, op, message):
+def test_errors_match_reference(engine_name, opcode, message):
     engine = resolve_engine(engine_name) if engine_name is not None else None
-    ops = [scalar_op(), tile_op(isa.tile_load_t(treg(1), 0x40)), tile_op(op)]
+    builder = TraceBuilder()
+    builder.scalar()
+    builder.tile_load_t(treg(1), 0x40)
+    builder.tile_compute(opcode, treg(0), treg(1), treg(2))
+    trace = builder.finish()
     machine = default_machine()
-    trace = ColumnarTrace.from_ops(ops)
     with pytest.raises(SimulationError, match=message):
-        reference_run(machine, engine, ops, MemorySystem(machine), trace.summarize())
+        reference_run(machine, engine, trace, MemorySystem(machine))
     for mode in ("exact", "fast"):
         with pytest.raises(SimulationError, match=message):
             CycleApproximateSimulator(machine=machine, engine=engine).run(trace, mode=mode)

@@ -29,7 +29,6 @@ requests_strategy = st.lists(
     st.tuples(
         st.integers(min_value=0, max_value=96 * 1024),  # unaligned address
         st.integers(min_value=1, max_value=8192),  # bytes
-        st.booleans(),  # store
         st.integers(min_value=-64, max_value=64),  # issue cycle vs the L2 port
     ),
     min_size=1,
@@ -43,12 +42,12 @@ def _script(machine, requests) -> RequestScript:
     lines = np.concatenate(
         [
             np.arange(address // line_bytes, (address + nbytes - 1) // line_bytes + 1)
-            for address, nbytes, _, _ in requests
+            for address, nbytes, _ in requests
         ]
     )
     return RequestScript(
-        [address for address, _, _, _ in requests],
-        [nbytes for _, nbytes, _, _ in requests],
+        [address for address, _, _ in requests],
+        [nbytes for _, nbytes, _ in requests],
         lru_outcome_bits(lines, machine.l1.num_sets, machine.l1.associativity),
         line_bytes,
         machine.l1.hit_latency,
@@ -69,17 +68,17 @@ def test_scripted_memory_matches_tag_arrays(requests, l1, skip):
     scripted = ScriptedMemory(_script(machine, requests))
     skip_start, skip_end = sorted(min(bound, len(requests)) for bound in skip)
 
-    def issue(address, nbytes, store, offset):
+    def issue(address, nbytes, offset):
         cycle = max(0, reference._l2_port_free + offset)
-        return cycle, reference.request(address, nbytes, cycle, is_store=store)
+        return cycle, reference.request(address, nbytes, cycle)
 
     def assert_same_state():
         assert scripted._l2_port_free == reference._l2_port_free
         assert scripted.counters() == reference.counters()
 
     def step_both(span):
-        for address, nbytes, store, offset in span:
-            cycle, want = issue(address, nbytes, store, offset)
+        for address, nbytes, offset in span:
+            cycle, want = issue(address, nbytes, offset)
             assert scripted.complete(address, nbytes, cycle) == want.complete_cycle
             assert_same_state()
 

@@ -4,38 +4,58 @@ import dataclasses
 
 import pytest
 
-from repro.core import isa
 from repro.core.engine import get_engine
+from repro.core.isa import Opcode
 from repro.core.registers import mreg, treg, ureg
+from repro.cpu.columnar import TraceBuilder
 from repro.cpu.params import CoreParams, MachineParams, default_machine
 from repro.cpu.simulator import CycleApproximateSimulator
-from repro.cpu.trace import scalar_op, tile_op, vector_fma, vector_load
 from repro.errors import SimulationError
 from repro.kernels.gemm import build_dense_gemm_kernel
 from repro.kernels.spmm import build_spmm_kernel
 from repro.types import GemmShape, SparsityPattern
 
 
+def _gemm_builder(compute_count=4, accumulators=4):
+    """Two operand loads, then GEMMs cycling over ``accumulators`` tregs."""
+    builder = TraceBuilder()
+    builder.tile_load_t(treg(4), 0x1000)
+    builder.tile_load_t(treg(5), 0x2000)
+    for index in range(compute_count):
+        builder.tile_compute(Opcode.TILE_GEMM, treg(index % accumulators), treg(4), treg(5))
+    return builder
+
+
 def _simple_gemm_trace(compute_count=4):
     """Loads followed by independent GEMMs into distinct accumulators."""
-    trace = [
-        tile_op(isa.tile_load_t(treg(4), 0x1000)),
-        tile_op(isa.tile_load_t(treg(5), 0x2000)),
-    ]
-    for index in range(compute_count):
-        trace.append(tile_op(isa.tile_gemm(treg(index % 4), treg(4), treg(5))))
-    return trace
+    return _gemm_builder(compute_count).finish()
+
+
+def _single_gemm_trace():
+    builder = TraceBuilder()
+    builder.tile_compute(Opcode.TILE_GEMM, treg(0), treg(1), treg(2))
+    return builder.finish()
+
+
+def _repeated(emit, count):
+    """A trace of ``count`` ops, each appended by ``emit(builder)``."""
+    builder = TraceBuilder()
+    for _ in range(count):
+        emit(builder)
+    return builder.finish()
 
 
 class TestBasicBehaviour:
     def test_empty_trace(self):
-        result = CycleApproximateSimulator(engine=get_engine("VEGETA-D-1-2")).run([])
+        result = CycleApproximateSimulator(engine=get_engine("VEGETA-D-1-2")).run(
+            TraceBuilder().finish()
+        )
         assert result.core_cycles >= 0
         assert result.tile_compute_ops == 0
 
     def test_scalar_only_trace_is_issue_bound(self):
         simulator = CycleApproximateSimulator()
-        result = simulator.run([scalar_op() for _ in range(400)])
+        result = simulator.run(_repeated(TraceBuilder.scalar, 400))
         # 4-wide issue: at least 100 cycles.
         assert result.core_cycles >= 100
         assert result.core_cycles < 200
@@ -43,7 +63,7 @@ class TestBasicBehaviour:
     def test_compute_requires_engine(self):
         simulator = CycleApproximateSimulator(engine=None)
         with pytest.raises(SimulationError):
-            simulator.run([tile_op(isa.tile_gemm(treg(0), treg(1), treg(2)))])
+            simulator.run(_single_gemm_trace())
 
     def test_result_counts_match_trace(self):
         trace = _simple_gemm_trace(6)
@@ -63,7 +83,9 @@ class TestBasicBehaviour:
 class TestDependences:
     def test_compute_waits_for_operand_loads(self):
         engine = get_engine("VEGETA-D-1-2")
-        only_compute = [tile_op(isa.tile_gemm(treg(0), treg(4), treg(5)))]
+        builder = TraceBuilder()
+        builder.tile_compute(Opcode.TILE_GEMM, treg(0), treg(4), treg(5))
+        only_compute = builder.finish()
         with_loads = _simple_gemm_trace(1)
         fast = CycleApproximateSimulator(engine=engine).run(only_compute)
         slow = CycleApproximateSimulator(engine=engine).run(with_loads)
@@ -71,16 +93,8 @@ class TestDependences:
 
     def test_accumulator_chain_slower_than_independent(self):
         engine = get_engine("VEGETA-S-16-2")
-        loads = [
-            tile_op(isa.tile_load_t(treg(4), 0x1000)),
-            tile_op(isa.tile_load_t(treg(5), 0x2000)),
-        ]
-        chained = loads + [
-            tile_op(isa.tile_gemm(treg(0), treg(4), treg(5))) for _ in range(8)
-        ]
-        independent = loads + [
-            tile_op(isa.tile_gemm(treg(i % 4), treg(4), treg(5))) for i in range(8)
-        ]
+        chained = _gemm_builder(8, accumulators=1).finish()
+        independent = _gemm_builder(8).finish()
         chained_cycles = CycleApproximateSimulator(engine=engine).run(chained).core_cycles
         independent_cycles = (
             CycleApproximateSimulator(engine=engine).run(independent).core_cycles
@@ -89,10 +103,7 @@ class TestDependences:
 
     def test_output_forwarding_speeds_up_chains(self):
         base = get_engine("VEGETA-S-16-2")
-        trace = [
-            tile_op(isa.tile_load_t(treg(4), 0x1000)),
-            tile_op(isa.tile_load_t(treg(5), 0x2000)),
-        ] + [tile_op(isa.tile_gemm(treg(0), treg(4), treg(5))) for _ in range(16)]
+        trace = _gemm_builder(16, accumulators=1).finish()
         without = CycleApproximateSimulator(engine=base).run(trace).core_cycles
         with_of = (
             CycleApproximateSimulator(engine=base.with_output_forwarding())
@@ -103,26 +114,26 @@ class TestDependences:
 
     def test_store_waits_for_compute(self):
         engine = get_engine("VEGETA-D-1-2")
-        trace = _simple_gemm_trace(1) + [tile_op(isa.tile_store_t(0x8000, treg(0)))]
-        result = CycleApproximateSimulator(engine=engine).run(trace)
+        builder = _gemm_builder(1)
+        builder.tile_store_t(0x8000, treg(0))
+        result = CycleApproximateSimulator(engine=engine).run(builder.finish())
         # The store completes after the compute's engine latency has elapsed.
         assert result.core_cycles >= engine.instruction_latency * 4
 
     def test_sparse_compute_waits_for_metadata(self):
         engine = get_engine("VEGETA-S-16-2")
-        without_md = [
-            tile_op(isa.tile_load_t(treg(2), 0x1000)),
-            tile_op(isa.tile_load_u(ureg(2), 0x2000)),
-            tile_op(isa.tile_spmm_u(treg(0), treg(2), ureg(2))),
-        ]
-        with_md = [
-            tile_op(isa.tile_load_t(treg(2), 0x1000)),
-            tile_op(isa.tile_load_u(ureg(2), 0x2000)),
-            tile_op(isa.tile_load_m(mreg(2), 0x40000)),
-            tile_op(isa.tile_spmm_u(treg(0), treg(2), ureg(2))),
-        ]
-        a = CycleApproximateSimulator(engine=engine).run(without_md).core_cycles
-        b = CycleApproximateSimulator(engine=engine).run(with_md).core_cycles
+
+        def spmm_trace(load_metadata):
+            builder = TraceBuilder()
+            builder.tile_load_t(treg(2), 0x1000)
+            builder.tile_load_u(ureg(2), 0x2000)
+            if load_metadata:
+                builder.tile_load_m(mreg(2), 0x40000)
+            builder.tile_compute(Opcode.TILE_SPMM_U, treg(0), treg(2), ureg(2))
+            return builder.finish()
+
+        a = CycleApproximateSimulator(engine=engine).run(spmm_trace(False)).core_cycles
+        b = CycleApproximateSimulator(engine=engine).run(spmm_trace(True)).core_cycles
         assert b >= a
 
 
@@ -159,14 +170,16 @@ class TestEngineComparisons:
 class TestVectorPath:
     def test_vector_fma_throughput_limits_runtime(self):
         machine = default_machine()
-        trace = [vector_fma(0, (1,)) for _ in range(100)]
+        trace = _repeated(lambda builder: builder.vector_fma(0, (1,)), 100)
         result = CycleApproximateSimulator(machine=machine).run(trace)
         # 0.5 FMAs per cycle -> at least 200 cycles.
         assert result.core_cycles >= 100 / machine.core.vector_fma_per_cycle
 
     def test_vector_load_feeds_fma(self):
-        trace = [vector_load(1, 0x1000), vector_fma(0, (1,))]
-        result = CycleApproximateSimulator().run(trace)
+        builder = TraceBuilder()
+        builder.vector_load(1, 0x1000)
+        builder.vector_fma(0, (1,))
+        result = CycleApproximateSimulator().run(builder.finish())
         assert result.core_cycles > 1
 
     def test_engine_clock_ratio_slows_tile_compute(self):

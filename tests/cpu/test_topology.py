@@ -471,11 +471,11 @@ class TestFlatPipelineBitIdentity:
         line_bytes = machine.l1.line_bytes
         simulator = CycleApproximateSimulator(machine=machine, engine=ENGINE)
         per_core = [
-            simulator.run(program.trace, block_starts=program.block_starts)
+            simulator.run(program.trace)
             for program in sharded.programs
         ]
         footprints = [
-            footprint_lines(program.trace, line_bytes) for program in sharded.programs
+            footprint_lines(program.trace.ops(), line_bytes) for program in sharded.programs
         ]
         private_dram = [
             r.memory_counters.get("dram_line_requests", 0) for r in per_core
@@ -513,7 +513,7 @@ class TestFlatPipelineBitIdentity:
             r.memory_counters.get("dram_line_requests", 0) for r in result.per_core
         ]
         footprints = [
-            footprint_lines(program.trace, line_bytes) for program in sharded.programs
+            footprint_lines(program.trace.ops(), line_bytes) for program in sharded.programs
         ]
         expected_dram, _ = legacy_flat_filter(
             private_dram, footprints, line_bytes, LEGACY_L3_CAPACITY_BYTES
@@ -539,9 +539,7 @@ class TestSingleCoreInvariance:
     @pytest.mark.parametrize("kind,pattern", KERNEL_KINDS)
     def test_one_core_matches_the_private_simulation(self, preset, kind, pattern):
         sharded = shard_kernel(kind, GemmShape(64, 64, 256), pattern, 1)
-        single = CycleApproximateSimulator(engine=ENGINE).run(
-            sharded.programs[0].trace, block_starts=sharded.programs[0].block_starts
-        )
+        single = CycleApproximateSimulator(engine=ENGINE).run(sharded.programs[0].trace)
         multi = simulate_multicore(
             sharded.programs, engine=ENGINE, topology=get_topology(preset)
         )
@@ -556,9 +554,8 @@ class TestSingleCoreInvariance:
         sharded = shard_kernel(
             "gemm", GemmShape(64, 64, 512), SparsityPattern.DENSE_4_4, 1
         )
-        single = CycleApproximateSimulator(machine=machine, engine=ENGINE).run(
-            sharded.programs[0].trace, block_starts=sharded.programs[0].block_starts
-        )
+        simulator = CycleApproximateSimulator(machine=machine, engine=ENGINE)
+        single = simulator.run(sharded.programs[0].trace)
         multi = simulate_multicore(
             sharded.programs,
             machine=machine,

@@ -5,51 +5,51 @@ import pytest
 from reference_ops import footprint_lines, summarize_ops
 
 from repro.core import isa
+from repro.core.isa import Opcode
 from repro.core.registers import treg
-from repro.cpu.columnar import ColumnarTrace
-from repro.cpu.trace import (
-    TraceOp,
-    TraceOpKind,
-    branch_op,
-    scalar_op,
-    tile_op,
-    vector_fma,
-    vector_load,
-    vector_store,
-)
+from repro.cpu.columnar import TraceBuilder
+from repro.cpu.trace import TraceOp, TraceOpKind
 from repro.errors import SimulationError
 
 
-def encoded_bytes(op):
-    """Bytes the op moves, as the columnar encoding of it summarizes them."""
-    return ColumnarTrace.from_ops([op]).summarize().memory_bytes
+def one_op(emit):
+    """The materialised op of a one-row trace, and the bytes it moves."""
+    builder = TraceBuilder()
+    emit(builder)
+    trace = builder.finish()
+    (op,) = trace.ops()
+    return op, trace.summarize().memory_bytes
 
 
 class TestTraceOpConstruction:
     def test_tile_op(self):
-        op = tile_op(isa.tile_gemm(treg(0), treg(1), treg(2)))
+        op, _ = one_op(lambda b: b.tile_compute(Opcode.TILE_GEMM, treg(0), treg(1), treg(2)))
         assert op.kind is TraceOpKind.TILE
         assert not op.is_memory
 
     def test_tile_load_is_memory(self):
-        op = tile_op(isa.tile_load_t(treg(0), 0x1000))
-        assert op.is_memory and encoded_bytes(op) == 1024
+        op, nbytes = one_op(lambda b: b.tile_load_t(treg(0), 0x1000))
+        assert op.is_memory and nbytes == 1024
 
     def test_vector_load(self):
-        op = vector_load(3, 0x2000)
-        assert op.is_memory and encoded_bytes(op) == 64 and op.dst_reg == 3
+        op, nbytes = one_op(lambda b: b.vector_load(3, 0x2000))
+        assert op.is_memory and nbytes == 64 and op.dst_reg == 3
 
     def test_vector_store(self):
-        op = vector_store(5, 0x3000)
+        op, _ = one_op(lambda b: b.vector_store(5, 0x3000))
         assert op.src_regs == (5,)
 
     def test_vector_fma(self):
-        op = vector_fma(1, (2, 3))
-        assert not op.is_memory and encoded_bytes(op) == 0
+        op, nbytes = one_op(lambda b: b.vector_fma(1, (2, 3)))
+        assert not op.is_memory and nbytes == 0
+
+    def test_vector_fma_without_destination(self):
+        op, _ = one_op(lambda b: b.vector_fma(None, (2, 3)))
+        assert op.dst_reg is None and op.src_regs == (2, 3)
 
     def test_scalar_and_branch(self):
-        assert scalar_op().kind is TraceOpKind.SCALAR
-        assert branch_op().kind is TraceOpKind.BRANCH
+        assert one_op(TraceBuilder.scalar)[0].kind is TraceOpKind.SCALAR
+        assert one_op(TraceBuilder.branch)[0].kind is TraceOpKind.BRANCH
 
     def test_tile_kind_requires_instruction(self):
         with pytest.raises(SimulationError):
@@ -66,18 +66,18 @@ class TestTraceOpConstruction:
 
 class TestSummarize:
     def test_mix_counts(self):
-        trace = [
-            tile_op(isa.tile_load_t(treg(0), 0)),
-            tile_op(isa.tile_load_t(treg(1), 1024)),
-            tile_op(isa.tile_gemm(treg(2), treg(0), treg(1))),
-            tile_op(isa.tile_store_t(0x8000, treg(2))),
-            vector_load(0, 0x100),
-            vector_fma(1, (0,)),
-            scalar_op(),
-            branch_op(),
-        ]
-        summary = ColumnarTrace.from_ops(trace).summarize()
-        assert summary == summarize_ops(trace)
+        builder = TraceBuilder()
+        builder.tile_load_t(treg(0), 0)
+        builder.tile_load_t(treg(1), 1024)
+        builder.tile_compute(Opcode.TILE_GEMM, treg(2), treg(0), treg(1))
+        builder.tile_store_t(0x8000, treg(2))
+        builder.vector_load(0, 0x100)
+        builder.vector_fma(1, (0,))
+        builder.scalar()
+        builder.branch()
+        trace = builder.finish()
+        summary = trace.summarize()
+        assert summary == summarize_ops(trace.ops())
         assert summary.total == 8
         assert summary.tile_load == 2 and summary.tile_compute == 1 and summary.tile_store == 1
         assert summary.vector_load == 1 and summary.vector_fma == 1
@@ -86,12 +86,22 @@ class TestSummarize:
         assert summary.by_opcode["TILE_GEMM"] == 1
         assert summary.memory_bytes == 1024 * 3 + 64
 
+    def test_summaries_are_not_shared(self):
+        builder = TraceBuilder()
+        builder.tile_compute(Opcode.TILE_GEMM, treg(2), treg(0), treg(1))
+        trace = builder.finish()
+        first = trace.summarize()
+        first.total += 1
+        first.by_opcode["TILE_GEMM"] += 1
+        second = trace.summarize()
+        assert second.total == 1 and second.by_opcode == {"TILE_GEMM": 1}
+
     def test_footprint_deduplicates(self):
-        trace = [
-            tile_op(isa.tile_load_t(treg(0), 0x1000)),
-            tile_op(isa.tile_load_t(treg(1), 0x1000)),
-            vector_load(0, 0x9000, 64),
-        ]
-        lines = ColumnarTrace.from_ops(trace).footprint_line_numbers(64)
-        assert np.array_equal(lines, footprint_lines(trace, 64))
+        builder = TraceBuilder()
+        builder.tile_load_t(treg(0), 0x1000)
+        builder.tile_load_t(treg(1), 0x1000)
+        builder.vector_load(0, 0x9000, 64)
+        trace = builder.finish()
+        lines = trace.footprint_line_numbers(64)
+        assert np.array_equal(lines, footprint_lines(trace.ops(), 64))
         assert lines.tolist() == list(range(0x1000 // 64, 0x1400 // 64)) + [0x9000 // 64]

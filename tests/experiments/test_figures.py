@@ -223,7 +223,7 @@ class TestSpgemmExperiment:
         simulator = CycleApproximateSimulator(
             engine=resolve_engine("VEGETA-S-16-2+OF+SPGEMM")
         )
-        direct = simulator.run(program.trace, block_starts=program.block_starts)
+        direct = simulator.run(program.trace)
         assert row["spgemm_cycles"] == direct.core_cycles
         assert row["exact_cycles"] is None  # unvalidated shape skips the exact run
 

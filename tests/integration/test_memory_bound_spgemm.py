@@ -30,7 +30,7 @@ CASES = [
 
 def _cycles(machine, program):
     simulator = CycleApproximateSimulator(machine=machine, engine=ENGINE)
-    return simulator.run(program.trace, block_starts=program.block_starts).core_cycles
+    return simulator.run(program.trace).core_cycles
 
 
 @pytest.mark.parametrize("shape,pattern", CASES)

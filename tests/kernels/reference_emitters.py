@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.core.isa import Opcode
 from repro.core.registers import mreg, treg, ureg, vreg
-from repro.cpu.columnar import TraceBuilder
+from repro.cpu.columnar import TraceBuilder, frozen_trace
 from repro.errors import KernelError
 from repro.kernels.gemm import (
     K_LOOP_SCALARS,
@@ -45,18 +45,15 @@ def _truncation(total_tiles: int, max_output_tiles: Optional[int]) -> int:
     return total_tiles if max_output_tiles is None else min(max_output_tiles, total_tiles)
 
 
-def _program(
-    trace, shape, pattern, emitted, total_tiles, max_output_tiles, label, block_starts, geometry
-):
+def _program(trace, shape, pattern, emitted, total_tiles, max_output_tiles, label, block_starts):
     traced = emitted if max_output_tiles is not None else total_tiles
+    rows = trace.finish()
     return KernelProgram(
-        trace=trace,
+        trace=frozen_trace(rows.columns, rows.labels, rows.geometry, tuple(block_starts)),
         shape=shape,
         pattern=pattern,
         simulated_fraction=traced / total_tiles if total_tiles else 1.0,
         label=label,
-        block_starts=tuple(block_starts),
-        geometry=geometry,
     )
 
 
@@ -153,7 +150,7 @@ def reference_dense_gemm(
         raise KernelError(f"unknown GEMM kernel variant {variant!r}")
     return _program(
         trace, shape, SparsityPattern.DENSE_4_4, emitted, total_tiles, max_output_tiles,
-        f"dense-gemm-{variant}", block_starts, geometry,
+        f"dense-gemm-{variant}", block_starts,
     )
 
 
@@ -220,7 +217,7 @@ def reference_spmm(
             trace.tile_store_t(layouts["c"].tile_address(i, j), c_regs[slot], "store C")
     return _program(
         trace, shape, pattern, emitted, total_tiles, max_output_tiles,
-        f"spmm-{pattern.value}", block_starts, DEFAULT_GEOMETRY,
+        f"spmm-{pattern.value}", block_starts,
     )
 
 
@@ -305,5 +302,5 @@ def reference_spgemm(
             trace.scalar("block-align")
     return _program(
         trace, shape, pattern, emitted, total_tiles, max_output_tiles,
-        f"spgemm-{pattern.value}", block_starts, DEFAULT_GEOMETRY,
+        f"spgemm-{pattern.value}", block_starts,
     )

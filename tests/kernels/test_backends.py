@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.engine import AMX_GEOMETRY, SME_GEOMETRY, get_engine
-from repro.cpu.columnar import ColumnarTrace, TraceBuilder
+from repro.cpu.columnar import TraceBuilder
 from repro.cpu.multicore import simulation_cache_key
 from repro.cpu.params import default_machine
 from repro.cpu.simulator import CycleApproximateSimulator
@@ -80,7 +80,7 @@ class TestFastPathBitExactness:
         program = build_dense_gemm_kernel(shape, geometry=engine.geometry)
         simulator = CycleApproximateSimulator(engine=engine)
         exact = simulator.run(program.trace, mode="exact")
-        fast = simulator.run(program.trace, block_starts=program.block_starts)
+        fast = simulator.run(program.trace)
         assert fast.core_cycles == exact.core_cycles
         assert fast.engine_busy_cycles == exact.engine_busy_cycles
 
@@ -138,16 +138,9 @@ class TestTraceGeometry:
         )
         restored = pickle.loads(pickle.dumps(program.trace))
         assert restored.geometry == SME_GEOMETRY
-        assert restored.simulation_key(default_machine(), None) == program.trace.simulation_key(
-            default_machine(), None
+        assert restored.simulation_key(default_machine()) == program.trace.simulation_key(
+            default_machine()
         )
-
-    def test_from_ops_round_trips_geometry(self):
-        program = build_dense_gemm_kernel(
-            GemmShape(m=32, n=32, k=64), geometry=SME_GEOMETRY
-        )
-        rebuilt = ColumnarTrace.from_ops(list(program.trace))
-        assert rebuilt.geometry == SME_GEOMETRY
 
     def test_default_builder_keeps_default_geometry(self):
         builder = TraceBuilder()
@@ -188,6 +181,6 @@ class TestMemoKeyGeometry:
         machine = default_machine()
         default_program = build_dense_gemm_kernel(shape)
         sme_program = build_dense_gemm_kernel(shape, geometry=SME_GEOMETRY)
-        assert default_program.trace.simulation_key(
-            machine, default_program.block_starts
-        ) != sme_program.trace.simulation_key(machine, sme_program.block_starts)
+        assert default_program.trace.simulation_key(machine) != (
+            sme_program.trace.simulation_key(machine)
+        )

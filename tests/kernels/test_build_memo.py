@@ -38,10 +38,9 @@ def _assert_same_build(program, reference):
     assert program.trace.columns.tobytes() == reference.trace.columns.tobytes()
     assert program.trace.labels == reference.trace.labels
     assert program.trace.geometry == reference.trace.geometry
-    assert program.block_starts == reference.block_starts
+    assert program.trace.block_starts == reference.trace.block_starts
     assert program.simulated_fraction == reference.simulated_fraction
     assert program.label == reference.label
-    assert program.geometry == reference.geometry
 
 
 def test_hit_shares_the_trace_behind_a_fresh_wrapper():

@@ -65,7 +65,7 @@ def result_digest(kernel: str, config: str) -> str:
     engine = resolve_engine(name) if name is not None else None
     machine, mode = CONFIGS[config]
     result = CycleApproximateSimulator(machine=machine(), engine=engine).run(
-        program.trace, mode=mode, block_starts=program.block_starts
+        program.trace, mode=mode
     )
     payload = json.dumps(result_to_payload(result), sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()

@@ -85,7 +85,7 @@ def _render(program):
         f"# trace ops: {len(program.trace)} (first {SNAPSHOT_OPS} shown)\n"
         f"# sha256: {trace_digest(program.trace)}\n"
     )
-    return header + format_trace(program.trace, limit=SNAPSHOT_OPS) + "\n"
+    return header + format_trace(program.trace.ops(), limit=SNAPSHOT_OPS) + "\n"
 
 
 def _snapshot(name):

@@ -37,7 +37,7 @@ def stored_tiles(program):
     """C-tile coordinates recovered from the store addresses of a trace."""
     layout = program.c_layout
     tiles = []
-    for op in program.trace:
+    for op in program.trace.ops():
         if op.tile is not None and op.tile.opcode.is_store:
             offset = op.tile.memory.address - layout.base_address
             row, remainder = divmod(offset, layout.effective_row_stride)
@@ -325,7 +325,7 @@ class TestFastMatchesExact:
         fast_sim = CycleApproximateSimulator(engine=ENGINE, mode="fast")
         exact_sim = CycleApproximateSimulator(engine=ENGINE, mode="exact")
         for program in sharded.programs:
-            fast = fast_sim.run(program.trace, block_starts=program.block_starts)
+            fast = fast_sim.run(program.trace)
             exact = exact_sim.run(program.trace)
             assert fast.core_cycles == exact.core_cycles
             assert fast.memory_counters == exact.memory_counters

@@ -108,14 +108,14 @@ class TestBuilder:
         )
         b_loads = [
             op.tile
-            for op in program.trace
+            for op in program.trace.ops()
             if op.kind is TraceOpKind.TILE and op.tile.label == "load B"
         ]
         assert b_loads
         assert all(inst.opcode is Opcode.TILE_LOAD_T for inst in b_loads)
         assert any(
             op.kind is TraceOpKind.TILE and op.tile.label == "load B-MD"
-            for op in program.trace
+            for op in program.trace.ops()
         )
 
     def test_spgemm_moves_fewer_bytes_than_spmm(self):
@@ -130,9 +130,10 @@ class TestBuilder:
             GemmShape(64, 48, 128), SparsityPattern.SPARSE_2_4
         )
         # Two interleaved tile rows per block: ceil(4/2) row blocks x 3 cols.
-        assert len(program.block_starts) == 2 * 3
-        assert program.block_starts[0] == 0
-        assert list(program.block_starts) == sorted(set(program.block_starts))
+        block_starts = program.trace.block_starts
+        assert len(block_starts) == 2 * 3
+        assert block_starts[0] == 0
+        assert list(block_starts) == sorted(set(block_starts))
         assert program.simulated_fraction == 1.0
 
     def test_truncation_records_fraction(self):
@@ -187,7 +188,7 @@ class TestSimulation:
     def test_fast_matches_exact_bit_for_bit(self, pattern):
         program = build_spgemm_kernel(GemmShape(96, 96, 512), pattern)
         simulator = CycleApproximateSimulator(engine=_engine())
-        fast = simulator.run(program.trace, block_starts=program.block_starts)
+        fast = simulator.run(program.trace)
         exact = simulator.run(program.trace, mode="exact")
         assert fast.core_cycles == exact.core_cycles
         assert fast.memory_counters == exact.memory_counters
@@ -210,12 +211,8 @@ class TestSimulation:
         simulator = CycleApproximateSimulator(engine=engine)
         spgemm = build_spgemm_kernel(shape, SparsityPattern.SPARSE_2_4)
         spmm = build_spmm_kernel(shape, SparsityPattern.SPARSE_2_4)
-        spgemm_cycles = simulator.run(
-            spgemm.trace, block_starts=spgemm.block_starts
-        ).core_cycles
-        spmm_cycles = simulator.run(
-            spmm.trace, block_starts=spmm.block_starts
-        ).core_cycles
+        spgemm_cycles = simulator.run(spgemm.trace).core_cycles
+        spmm_cycles = simulator.run(spmm.trace).core_cycles
         assert spgemm_cycles > spmm_cycles
 
     def test_faster_than_dense_gemm(self):
@@ -225,10 +222,6 @@ class TestSimulation:
         simulator = CycleApproximateSimulator(engine=_engine())
         dense = build_dense_gemm_kernel(shape)
         spgemm = build_spgemm_kernel(shape, SparsityPattern.SPARSE_1_4)
-        dense_cycles = simulator.run(
-            dense.trace, block_starts=dense.block_starts
-        ).core_cycles
-        spgemm_cycles = simulator.run(
-            spgemm.trace, block_starts=spgemm.block_starts
-        ).core_cycles
+        dense_cycles = simulator.run(dense.trace).core_cycles
+        spgemm_cycles = simulator.run(spgemm.trace).core_cycles
         assert spgemm_cycles < dense_cycles

@@ -41,7 +41,7 @@ def _assert_same_build(program, reference):
     assert program.trace.columns.tobytes() == reference.trace.columns.tobytes()
     assert program.trace.labels == reference.trace.labels
     assert program.trace.geometry == reference.trace.geometry
-    assert program.block_starts == reference.block_starts
+    assert program.trace.block_starts == reference.trace.block_starts
     assert program.simulated_fraction == reference.simulated_fraction
     assert program.label == reference.label
 
@@ -248,6 +248,6 @@ def test_label_first_appearance_spans_block_classes(overhead, blocks):
     options = dict(include_loop_overhead=overhead, blocks=blocks)
     program = build_spgemm_kernel(shape, pattern, **options)
     _assert_same_build(program, reference_spgemm(shape, pattern, **options))
-    first_block = program.trace.columns["oplabel"][: program.block_starts[1]]
+    first_block = program.trace.columns["oplabel"][: program.trace.block_starts[1]]
     align = program.trace.labels.index("block-align")
     assert (align in first_block) == (blocks is not None)
