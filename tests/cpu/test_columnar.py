@@ -34,12 +34,45 @@ from repro.kernels.gemm import build_dense_gemm_kernel
 from repro.kernels.spgemm import build_spgemm_kernel
 from repro.kernels.spmm import build_spmm_kernel
 from repro.kernels.vector import build_vector_gemm_kernel
-from repro.types import GemmShape, SparsityPattern, TileGeometry
+from repro.types import DEFAULT_GEOMETRY, GemmShape, SparsityPattern, TileGeometry
+from repro.workloads.generator import generate_dual_sparse
 
 
 def register_code(ref):
     """The documented column encoding of a tile register: kind code * 64 + index."""
     return -1 if ref is None else ("treg", "ureg", "vreg", "mreg").index(ref.kind) * 64 + ref.index
+
+
+def reemit(ops):
+    """Encode materialised ops again, one ``TraceBuilder`` call per op.
+
+    The geometry is read back from the tile instructions, as the ops carry it.
+    """
+    tiles = [op.tile for op in ops if op.tile is not None]
+    geometry = next((tile.geometry for tile in tiles if tile.geometry), DEFAULT_GEOMETRY)
+    builder = TraceBuilder(geometry)
+    for op in ops:
+        tile = op.tile
+        if tile is None:
+            if op.kind is TraceOpKind.VECTOR_LOAD:
+                builder.vector_load(op.dst_reg, op.address, op.nbytes, op.label)
+            elif op.kind is TraceOpKind.VECTOR_STORE:
+                builder.vector_store(op.src_regs[0], op.address, op.nbytes, op.label)
+            elif op.kind is TraceOpKind.VECTOR_FMA:
+                builder.vector_fma(op.dst_reg, op.src_regs, op.label)
+            elif op.kind is TraceOpKind.SCALAR:
+                builder.scalar(op.label)
+            else:
+                builder.branch(op.label)
+        elif tile.opcode.is_load:
+            builder.tile_load(tile.opcode, tile.dst, tile.memory.address, tile.label)
+        elif tile.opcode.is_store:
+            builder.tile_store_t(tile.memory.address, tile.src_a, tile.label)
+        else:
+            builder.tile_compute(
+                tile.opcode, tile.dst, tile.src_a, tile.src_b, tile.label, tile.feed_overhead
+            )
+    return builder.finish()
 
 
 def all_programs():
@@ -52,6 +85,22 @@ def all_programs():
         build_spgemm_kernel(shape, SparsityPattern.SPARSE_2_4),
         build_vector_gemm_kernel(GemmShape(16, 64, 64)),
     ]
+
+
+def view_programs():
+    """``all_programs()`` plus an SME-geometry dense kernel and a SpGEMM kernel
+    built from operands, whose computes carry stamped feed overheads."""
+    shape = GemmShape(64, 64, 128)
+    pattern = SparsityPattern.SPARSE_2_4
+    operands = generate_dual_sparse(shape, pattern, pattern, seed=3)
+    return all_programs() + [
+        build_dense_gemm_kernel(shape, geometry=SME_GEOMETRY),
+        build_spgemm_kernel(shape, pattern, a=operands.a, b=operands.b),
+    ]
+
+
+def view_id(program):
+    return f"{program.label}-{program.trace.geometry.name}" + ("-data" if program.has_data else "")
 
 
 class TestColumnarParity:
@@ -107,11 +156,7 @@ class TestColumnarParity:
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)
 
-    @pytest.mark.parametrize(
-        "program",
-        all_programs() + [build_dense_gemm_kernel(GemmShape(64, 64, 128), geometry=SME_GEOMETRY)],
-        ids=lambda p: f"{p.label}-{p.trace.geometry.name}",
-    )
+    @pytest.mark.parametrize("program", view_programs(), ids=view_id)
     def test_materialised_ops_match_their_rows(self, program):
         # ``ops()`` is the one object view: every op restores its row field
         # for field, instruction labels and geometry included (the golden
@@ -146,6 +191,16 @@ class TestColumnarParity:
                 assert op.src_regs == tuple(reg for reg in (src_a, src_b) if reg >= 0)
                 assert op.address == (address if address >= 0 else None)
                 assert op.nbytes == nbytes
+
+    @pytest.mark.parametrize("program", view_programs(), ids=view_id)
+    def test_reemitted_ops_equal_builder_columns(self, program):
+        # The other direction: ``TraceBuilder``, the one encoder, turns the
+        # view back into the builder's columns, labels and geometry.
+        trace = program.trace
+        rebuilt = reemit(trace.ops())
+        assert np.array_equal(rebuilt.columns, trace.columns)
+        assert rebuilt.labels == trace.labels
+        assert rebuilt.geometry == trace.geometry
 
 
 class TestDeterministicIds:
