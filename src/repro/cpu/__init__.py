@@ -3,8 +3,9 @@
 Sub-modules:
 
 * :mod:`repro.cpu.params` — core / cache / memory parameters (Section VI-B setup),
-* :mod:`repro.cpu.cache` — set-associative caches and the two-level hierarchy,
-* :mod:`repro.cpu.memory` — the memory system with bandwidth accounting,
+* :mod:`repro.cpu.memory` — the memory system: the private L1/L2 LRU tag
+  arrays (L1 over every line access, L2 over the L1-miss stream), the L2
+  port and the DRAM channel, plus the scripted memory of the oracle path,
 * :mod:`repro.cpu.trace` — trace-op records, the object view of a trace,
 * :mod:`repro.cpu.columnar` — the columnar trace format (the Pin-tool
   replacement) and :class:`TraceBuilder`, its one encoder,
@@ -16,9 +17,8 @@ Sub-modules:
   shared-memory arbitration and block-signature memoization.
 """
 
-from .cache import AccessResult, Cache, CacheHierarchy, CacheStats
 from .columnar import ColumnarTrace, TraceBuilder
-from .memory import MemoryRequestResult, MemorySystem
+from .memory import MemorySystem
 from .multicore import (
     MulticoreSimulationResult,
     clear_simulation_memo,
@@ -50,18 +50,13 @@ from .topology import (
 from .trace import TraceOp, TraceOpKind, TraceSummary, format_trace, format_trace_op
 
 __all__ = [
-    "AccessResult",
-    "Cache",
-    "CacheHierarchy",
     "CacheParams",
-    "CacheStats",
     "ColumnarTrace",
     "CorePlacement",
     "CoreParams",
     "CycleApproximateSimulator",
     "MachineParams",
     "MemoryParams",
-    "MemoryRequestResult",
     "MemorySystem",
     "MulticoreSimulationResult",
     "SimulationResult",

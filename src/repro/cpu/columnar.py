@@ -407,7 +407,8 @@ def lru_outcome_bits(ids: np.ndarray, num_sets: int, associativity: int) -> np.n
     irrelevant), padded to the longest subsequence, and the LRU update runs
     one vectorised step per subsequence position over all sets at once —
     ``O(max-accesses-per-set)`` NumPy steps instead of one Python iteration
-    per access.  Matches :class:`repro.cpu.cache.Cache` hit-for-hit.
+    per access.  Matches the LRU sets of
+    :class:`repro.cpu.memory.MemorySystem` hit-for-hit.
 
     A step touches one way per set: one ``argmin`` over the ages with the
     matching way (a tag sits in at most one) forced lowest picks the hit way,

@@ -1,149 +1,169 @@
-"""Memory system: the cache hierarchy plus bandwidth accounting.
+"""Memory system: two LRU tag arrays, the L2 port and the DRAM channel.
 
 Tile loads are converted into 64-byte line requests (a ``TILE_LOAD_T`` is 16
 cache-line requests through the load/store queue, per Section V-F).  The
-:class:`MemorySystem` walks each line through the two-level cache hierarchy,
-charges the L2-to-core port (one line per core cycle) and the DRAM bandwidth
+:class:`MemorySystem` looks each line up in the core's private L1 and L2,
+charges the L2-to-core port (one line per core cycle) and the DRAM channel
 (94 GB/s by default) and returns the completion cycle of the whole request.
+The L1 is LRU over every line access; the L2 is LRU over the L1-miss stream.
 
-Under the paper's prefetch-into-L2 assumption the walk has a closed form per
-request, precomputed once per trace (:class:`RequestScript`) and replayed by
-:class:`ScriptedMemory` on the simulator's oracle fast path.
+Under the paper's prefetch-into-L2 assumption the lookups have a closed form
+per request, precomputed once per trace (:class:`RequestScript`) and replayed
+by :class:`ScriptedMemory` on the simulator's oracle fast path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict
+from collections import OrderedDict
+from typing import Dict, List
 
 import numpy as np
 
 from ..errors import SimulationError
-from .cache import CacheHierarchy
 from .params import MachineParams
 
 
-@dataclass
-class MemoryRequestResult:
-    """Timing of one (multi-line) memory request."""
-
-    start_cycle: int
-    complete_cycle: int
-    lines: int
-    l1_hits: int
-    l2_hits: int
-    dram_lines: int
-
-    @property
-    def latency(self) -> int:
-        """Total cycles from request start to last line delivered."""
-        return self.complete_cycle - self.start_cycle
+def _lru_access(ways: OrderedDict, tag: int, associativity: int) -> bool:
+    """Look ``tag`` up in one LRU set and install it on a miss; True on a hit."""
+    if tag in ways:
+        ways.move_to_end(tag)
+        return True
+    if len(ways) >= associativity:
+        ways.popitem(last=False)
+    ways[tag] = True
+    return False
 
 
 class MemorySystem:
-    """Cache hierarchy + bandwidth model used by the simulator."""
+    """The core's private L1/L2 tag arrays, L2 port and DRAM channel.
 
-    def __init__(self, params: MachineParams) -> None:
-        self.params = params
-        self.hierarchy = CacheHierarchy(
-            params.l1,
-            params.l2,
-            params.memory.dram_latency_cycles,
-            ideal_prefetch=params.prefetch_into_l2,
-        )
+    Each level is an array of LRU sets (one ordered dict of tags per set,
+    least recently used first) and only tracks tags; data lives in the
+    functional :class:`~repro.core.memory_image.ByteMemory`.
+
+    * The L1 sees every line access, at its own line size.
+    * The L2 sees the L1-miss stream, at the L2's line size.  An L1 miss to a
+      line the L2 holds is served at L2-hit latency.
+    * With the ideal prefetch (``MachineParams.prefetch_into_l2``, the
+      paper's "data has been prefetched to the L2 cache", Section VI-B) an
+      L2 miss installs the line and is served at L2-hit latency too.
+      Installing on demand, rather than bulk-filling the L2 up front, keeps
+      the assumption meaningful for footprints beyond the L2's capacity.
+    * Without it an L2 miss installs the line and is a DRAM line, timed on
+      the DRAM channel clock.
+
+    Line ``j`` of a request issued at ``cycle`` leaves the L2 port at
+    ``port + j`` with ``port = max(l2_port_free, cycle)`` and completes one
+    hit latency later.  The ``d``-th DRAM line of the request is readied by
+    the channel at ``D + d * c`` with ``D = max(dram_free, cycle)`` and ``c``
+    the channel cycles one line occupies, and completes at ``max(port + j,
+    D + d * c) + dram_latency``.  A request completes with its last line.
+    """
+
+    def __init__(self, machine: MachineParams) -> None:
+        l1, l2 = machine.l1, machine.l2
+        self._l1_sets: List[OrderedDict] = [OrderedDict() for _ in range(l1.num_sets)]
+        self._l2_sets: List[OrderedDict] = [OrderedDict() for _ in range(l2.num_sets)]
+        self._l1_hits = 0
+        self._l1_misses = 0
+        self._l2_hits = 0
+        self._l2_misses = 0
+        self._dram_lines = 0
+        self._total_bytes = 0
+        self._total_requests = 0
         #: Next core cycle at which the L2->core port is free.
         self._l2_port_free = 0
         #: Next core cycle at which the DRAM channel is free.
         self._dram_free = 0
-        self.total_bytes = 0
-        self.total_requests = 0
-        # Per-request constants, resolved once.
-        self._line_bytes = params.l1.line_bytes
-        self._dram_latency = params.memory.dram_latency_cycles
+        # Per-line constants, resolved once.
+        self._line_bytes = l1.line_bytes
+        self._l1_geometry = (l1.num_sets, l1.associativity, l1.hit_latency)
+        self._l2_geometry = (l2.line_bytes, l2.num_sets, l2.associativity, l2.hit_latency)
+        self._prefetch = machine.prefetch_into_l2
+        self._dram_latency = machine.memory.dram_latency_cycles
         #: DRAM channel cycles one line occupies.
         self._dram_line_cycles = int(
-            self._line_bytes / max(1.0, params.memory.dram_bytes_per_core_cycle)
+            self._line_bytes / max(1.0, machine.memory.dram_bytes_per_core_cycle)
         )
 
-    # -- fast-forward support ----------------------------------------------------
-
     def shift_time(self, delta: int) -> None:
-        """Advance the bandwidth bookkeeping clocks by ``delta`` core cycles.
+        """Advance the L2 port and DRAM channel clocks by ``delta`` core cycles.
 
         Used by the simulator's fast path when it skips a steady-state block
-        of trace: the L2 port and DRAM channel availability move forward in
-        lock-step with the rest of the machine state.
+        of trace: the clocks move forward in lock-step with the rest of the
+        machine state.
         """
         self._l2_port_free += delta
         self._dram_free += delta
 
-    # -- request path ----------------------------------------------------------------
+    def complete(self, address: int, nbytes: int, cycle: int) -> int:
+        """Issue ``nbytes`` at ``address`` at ``cycle``; returns the completion cycle.
 
-    def request(self, address: int, nbytes: int, cycle: int) -> MemoryRequestResult:
-        """Issue a request of ``nbytes`` at ``address`` starting at ``cycle``.
-
-        Lines are serviced one per core cycle on the L2 port; lines missing to
-        DRAM additionally wait for DRAM latency and occupy DRAM bandwidth.
         Stores are treated as write-allocate and buffered (their completion
-        matters only for memory-ordering, which the in-order trace respects).
+        matters only for memory ordering, which the in-order trace respects).
         """
         if nbytes <= 0:
             raise SimulationError(f"invalid memory request of {nbytes} bytes")
         line_bytes = self._line_bytes
         first = address // line_bytes
         last = (address + nbytes - 1) // line_bytes
-        lines = last - first + 1
-        access_line = self.hierarchy.access_line
-
-        l1_hits = 0
-        l2_hits = 0
-        dram_lines = 0
+        l1_sets = self._l1_sets
+        l1_num_sets, l1_ways, l1_latency = self._l1_geometry
+        port = self._l2_port_free
+        if cycle > port:
+            port = cycle
+        self._l2_port_free = port + last - first + 1
+        self._total_bytes += nbytes
+        self._total_requests += 1
         complete = cycle
-        for number in range(first, last + 1):
-            line_address = number * line_bytes
-            result = access_line(line_address)
-            # The L2->core port moves one line per cycle.
-            port_ready = max(self._l2_port_free, cycle)
-            self._l2_port_free = port_ready + 1
-            line_complete = port_ready + result.latency
-            if result.level == "DRAM":
-                dram_lines += 1
-                dram_ready = max(self._dram_free, cycle)
-                self._dram_free = dram_ready + self._dram_line_cycles
-                line_complete = max(line_complete, dram_ready + self._dram_latency)
-            elif result.level == "L2":
-                l2_hits += 1
+        misses = 0
+        for line in range(first, last + 1):
+            if _lru_access(l1_sets[line % l1_num_sets], line // l1_num_sets, l1_ways):
+                done = port + l1_latency
             else:
-                l1_hits += 1
-            complete = max(complete, line_complete)
+                misses += 1
+                done = self._l2_access(line * line_bytes, port, cycle)
+            if done > complete:
+                complete = done
+            port += 1
+        self._l1_hits += last - first + 1 - misses
+        self._l1_misses += misses
+        return complete
 
-        self.total_bytes += nbytes
-        self.total_requests += 1
-        return MemoryRequestResult(
-            start_cycle=cycle,
-            complete_cycle=complete,
-            lines=lines,
-            l1_hits=l1_hits,
-            l2_hits=l2_hits,
-            dram_lines=dram_lines,
-        )
-
-    def complete(self, address: int, nbytes: int, cycle: int) -> int:
-        """Issue a request (as :meth:`request`) and return its completion cycle."""
-        return self.request(address, nbytes, cycle).complete_cycle
+    def _l2_access(self, address: int, port: int, cycle: int) -> int:
+        """Look up an L1-miss line leaving the port at ``port``; returns its completion."""
+        line_bytes, num_sets, associativity, latency = self._l2_geometry
+        line = address // line_bytes
+        hit = _lru_access(self._l2_sets[line % num_sets], line // num_sets, associativity)
+        if hit or self._prefetch:
+            # The ideal prefetch delivered a missing line ahead of the demand.
+            self._l2_hits += 1
+            return port + latency
+        self._l2_misses += 1
+        self._dram_lines += 1
+        dram = self._dram_free
+        if cycle > dram:
+            dram = cycle
+        self._dram_free = dram + self._dram_line_cycles
+        return (port if port > dram else dram) + self._dram_latency
 
     def counters(self) -> Dict[str, int]:
         """Aggregate counters for reporting."""
-        counters = self.hierarchy.counters()
-        counters["total_bytes"] = self.total_bytes
-        counters["total_requests"] = self.total_requests
-        return counters
+        return {
+            "l1_hits": self._l1_hits,
+            "l1_misses": self._l1_misses,
+            "l2_hits": self._l2_hits,
+            "l2_misses": self._l2_misses,
+            "dram_line_requests": self._dram_lines,
+            "total_bytes": self._total_bytes,
+            "total_requests": self._total_requests,
+        }
 
 
 class RequestScript:
     """Per-request timing of a request stream under the ideal L2 prefetch.
 
-    With every demanded line prefetched into the L2, :meth:`MemorySystem.request`
+    With every demanded line prefetched into the L2, :meth:`MemorySystem.complete`
     never reaches DRAM: each line is an L1 hit or an L2 hit, and which one is
     fixed by the line-address sequence alone (``hit_bits``, one per line, from
     an exact L1 LRU replay).  A request issued at ``cycle`` then takes the L2

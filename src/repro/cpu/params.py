@@ -60,6 +60,10 @@ class MemoryParams:
     dram_bandwidth_gbps: float = 94.0
     core_frequency_ghz: float = 2.0
 
+    def __post_init__(self) -> None:
+        if self.dram_bandwidth_gbps <= 0 or self.core_frequency_ghz <= 0:
+            raise ConfigurationError("DRAM bandwidth and core frequency must be positive")
+
     @property
     def dram_bytes_per_core_cycle(self) -> float:
         """Sustained DRAM bytes deliverable per core cycle."""
@@ -126,6 +130,19 @@ class MachineParams:
     memory: MemoryParams = field(default_factory=MemoryParams)
     #: Model the paper's "data is prefetched to the L2 cache" assumption.
     prefetch_into_l2: bool = True
+
+    def __post_init__(self) -> None:
+        if self.l2.capacity_bytes < self.l1.capacity_bytes:
+            raise ConfigurationError(
+                f"the L2 ({self.l2.capacity_bytes} B) must be at least as large "
+                f"as the L1 ({self.l1.capacity_bytes} B)"
+            )
+        if self.memory.core_frequency_ghz != self.core.frequency_ghz:
+            raise ConfigurationError(
+                f"memory.core_frequency_ghz ({self.memory.core_frequency_ghz}) must "
+                f"equal core.frequency_ghz ({self.core.frequency_ghz}): the DRAM "
+                "rate per core cycle reads it"
+            )
 
     def to_dict(self) -> Dict[str, Any]:
         """Plain-data form of the machine, for experiment specs and caching."""

@@ -16,9 +16,9 @@ design points:
 * tile-register dependences between loads, compute and stores (aliasing-aware
   through the backing-treg sets),
 * front-end issue bandwidth, ROB and load-buffer occupancy,
-* the cache hierarchy with one 64-byte line per cycle from the L2 and the
-  DRAM bandwidth of the roofline model, with the evaluation's "data already
-  prefetched into L2" assumption applied by default,
+* the private L1/L2 LRU tag arrays with one 64-byte line per cycle from the
+  L2 and the DRAM bandwidth of the roofline model, with the evaluation's
+  "data already prefetched into L2" assumption applied by default,
 * a vector engine (for the Figure 4 baseline) with a fixed FMA latency and a
   configurable number of FMA ports.
 
@@ -137,9 +137,10 @@ class SimulatorState:
     address[i])`` (:meth:`run`), so no ``TraceOp`` or ``Instruction`` is
     built per op.  The fast path additionally uses :meth:`shift` to advance
     the whole state over a skipped steady-state span in O(live state)
-    instead of O(ops).  ``memory`` defaults to a tag-array
-    :class:`~repro.cpu.memory.MemorySystem`; the oracle fast path passes a
-    :class:`~repro.cpu.memory.ScriptedMemory` instead.
+    instead of O(ops).  ``memory`` defaults to a
+    :class:`~repro.cpu.memory.MemorySystem`, which steps the L1 and L2 LRU
+    tag arrays per line (exact mode and the profile path); the oracle fast
+    path passes a :class:`~repro.cpu.memory.ScriptedMemory` instead.
     """
 
     __slots__ = (

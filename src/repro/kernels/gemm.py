@@ -161,7 +161,7 @@ def _loop_overhead(trace: TemplateBuilder, scalars: int, label: str) -> None:
 
 
 def _optimized_block(
-    grid: TileGrid, layouts: dict, include_loop_overhead: bool, two_rows: bool, two_cols: bool
+    grid: TileGrid, layouts: dict, two_rows: bool, two_cols: bool
 ) -> BlockTemplate:
     """One block class of the register-blocked kernel.
 
@@ -181,8 +181,7 @@ def _optimized_block(
     rows = tuple(dict.fromkeys((i0, i1)))
     cols = tuple(dict.fromkeys((j0, j1)))
     trace = TemplateBuilder(geometry=grid.geometry)
-    if include_loop_overhead:
-        _loop_overhead(trace, TILE_LOOP_SCALARS, "tile-loop")
+    _loop_overhead(trace, TILE_LOOP_SCALARS, "tile-loop")
     for slot, i, j in tiles:
         trace.tile_load_t(c_regs[slot], address_form(layouts["c"], i, j), "load C")
     for k in range(grid.tiles_k):
@@ -195,22 +194,20 @@ def _optimized_block(
             trace.tile_compute(
                 Opcode.TILE_GEMM, c_regs[slot], a_regs[rows.index(i)], b_regs[cols.index(j)]
             )
-        if include_loop_overhead:
-            _loop_overhead(trace, K_LOOP_SCALARS, "k-loop")
+        _loop_overhead(trace, K_LOOP_SCALARS, "k-loop")
     for slot, i, j in tiles:
         trace.tile_store_t(address_form(layouts["c"], i, j), c_regs[slot], "store C")
     return trace.template()
 
 
-def _listing1_block(grid: TileGrid, layouts: dict, include_loop_overhead: bool) -> BlockTemplate:
+def _listing1_block(grid: TileGrid, layouts: dict) -> BlockTemplate:
     """The Listing 1 body of one output tile: C is reloaded and stored per K-step."""
     c_reg = treg(0)
     a_reg = treg(2)
     b_reg = treg(4)
     c_address = address_form(layouts["c"], I0, J0)
     trace = TemplateBuilder(geometry=grid.geometry)
-    if include_loop_overhead:
-        _loop_overhead(trace, TILE_LOOP_SCALARS, "tile-loop")
+    _loop_overhead(trace, TILE_LOOP_SCALARS, "tile-loop")
     for k in range(grid.tiles_k):
         step = constant(k)
         trace.tile_load_t(b_reg, address_form(layouts["b"], J0, step), "load B")
@@ -218,13 +215,12 @@ def _listing1_block(grid: TileGrid, layouts: dict, include_loop_overhead: bool) 
         trace.tile_load_t(a_reg, address_form(layouts["a"], I0, step), "load A")
         trace.tile_compute(Opcode.TILE_GEMM, c_reg, a_reg, b_reg)
         trace.tile_store_t(c_address, c_reg, "store C")
-        if include_loop_overhead:
-            _loop_overhead(trace, K_LOOP_SCALARS, "k-loop")
+        _loop_overhead(trace, K_LOOP_SCALARS, "k-loop")
     return trace.template()
 
 
 def _dense_templates(
-    grid: TileGrid, layouts: dict, variant: str, include_loop_overhead: bool
+    grid: TileGrid, layouts: dict, variant: str
 ) -> Tuple[Optional[BlockTemplate], ...]:
     """The kernel's block templates, indexed by block class.
 
@@ -234,13 +230,13 @@ def _dense_templates(
     tile count.
     """
     if variant == "listing1":
-        return (_listing1_block(grid, layouts, include_loop_overhead),)
+        return (_listing1_block(grid, layouts),)
 
     def occurs(tiles: int, two: bool) -> bool:
         return tiles >= 2 if two else tiles % 2 == 1
 
     return tuple(
-        _optimized_block(grid, layouts, include_loop_overhead, two_rows, two_cols)
+        _optimized_block(grid, layouts, two_rows, two_cols)
         if occurs(grid.tiles_m, two_rows) and occurs(grid.tiles_n, two_cols)
         else None
         for two_rows in (True, False)
@@ -254,7 +250,6 @@ def build_dense_gemm_kernel(
     a: Optional[np.ndarray] = None,
     b: Optional[np.ndarray] = None,
     variant: str = "optimized",
-    include_loop_overhead: bool = True,
     max_output_tiles: Optional[int] = None,
     blocks: Optional[Sequence[Tuple[int, int]]] = None,
     geometry: TileGeometry = DEFAULT_GEOMETRY,
@@ -270,9 +265,6 @@ def build_dense_gemm_kernel(
         a memory image and can be validated functionally.
     variant:
         ``"optimized"`` (default) or ``"listing1"``.
-    include_loop_overhead:
-        Emit the scalar/branch loop-overhead instructions (on by default; the
-        instruction-count studies rely on them).
     max_output_tiles:
         If set, only the first ``max_output_tiles`` C tiles are traced and the
         program's ``simulated_fraction`` records the truncation.
@@ -322,8 +314,8 @@ def build_dense_gemm_kernel(
         tiles = np.ones(len(cells), dtype=np.int64)
     coords = np.stack((i0, i1, j0, j1, np.ones_like(i0)), axis=1)
     templates = block_templates(
-        (f"gemm-{variant}", shape, SparsityPattern.DENSE_4_4, geometry, include_loop_overhead),
-        lambda: _dense_templates(grid, layouts, variant, include_loop_overhead),
+        (f"gemm-{variant}", shape, SparsityPattern.DENSE_4_4, geometry),
+        lambda: _dense_templates(grid, layouts, variant),
     )
     trace, fraction = stamp_blocks(
         templates, classes, coords, tiles, max_output_tiles, geometry=geometry

@@ -95,7 +95,6 @@ def build_kernel(
     *,
     a: Optional[np.ndarray] = None,
     b: Optional[np.ndarray] = None,
-    include_loop_overhead: bool = True,
     max_output_tiles: Optional[int] = None,
     blocks: Optional[Sequence[Tuple[int, int]]] = None,
     geometry: TileGeometry = DEFAULT_GEOMETRY,
@@ -111,7 +110,6 @@ def build_kernel(
     if kind == "gemm":
         pattern = SparsityPattern.DENSE_4_4
     options = dict(
-        include_loop_overhead=include_loop_overhead,
         max_output_tiles=max_output_tiles,
         blocks=blocks,
         geometry=geometry,
@@ -123,7 +121,6 @@ def build_kernel(
         shape,
         pattern,
         geometry,
-        include_loop_overhead,
         max_output_tiles,
         None if blocks is None else tuple(tuple(cell) for cell in blocks),
     )

@@ -102,7 +102,6 @@ def shard_kernel(
     cores: int,
     strategy: str = "row-block",
     *,
-    include_loop_overhead: bool = True,
     max_output_tiles: Optional[int] = None,
     topology: Optional[TopologyNode] = None,
     geometry: TileGeometry = DEFAULT_GEOMETRY,
@@ -172,7 +171,6 @@ def shard_kernel(
             kind,
             shape,
             pattern,
-            include_loop_overhead=include_loop_overhead,
             max_output_tiles=max_output_tiles,
             blocks=cells,
             geometry=geometry,

@@ -263,9 +263,7 @@ def _fill_dual_sparse_operands(
             )
 
 
-def _spgemm_block(
-    layouts: dict, grid: TileGrid, include_loop_overhead: bool, two_rows: bool
-) -> BlockTemplate:
+def _spgemm_block(layouts: dict, grid: TileGrid, two_rows: bool) -> BlockTemplate:
     """One block class of the SpGEMM kernel: a row pair, or a trailing single row.
 
     Register blocking: with both operands in 1 KB tregs the register file
@@ -285,8 +283,7 @@ def _spgemm_block(
     i_block = (I0, I1) if two_rows else (I0,)
     tiles_k = grid.tiles_k
     trace = TemplateBuilder()
-    if include_loop_overhead:
-        _loop_overhead(trace, TILE_LOOP_SCALARS, "tile-loop")
+    _loop_overhead(trace, TILE_LOOP_SCALARS, "tile-loop")
     for slot, i in enumerate(i_block):
         trace.tile_load_t(c_regs[slot], address_form(layouts["c"], i, J0), "load C")
     for k in range(tiles_k):
@@ -314,8 +311,7 @@ def _spgemm_block(
                 b_reg,
                 feed_index=affine((grid.tiles_n * tiles_k, i), (tiles_k, J0), (1, step)),
             )
-        if include_loop_overhead:
-            _loop_overhead(trace, K_LOOP_SCALARS, "k-loop")
+        _loop_overhead(trace, K_LOOP_SCALARS, "k-loop")
     for slot, i in enumerate(i_block):
         trace.tile_store_t(address_form(layouts["c"], i, J0), c_regs[slot], "store C")
     # Pad the block to a whole number of issue groups so every block starts
@@ -331,7 +327,6 @@ def build_spgemm_kernel(
     *,
     a: Optional[np.ndarray] = None,
     b: Optional[np.ndarray] = None,
-    include_loop_overhead: bool = True,
     max_output_tiles: Optional[int] = None,
     blocks: Optional[Sequence[Tuple[int, int]]] = None,
     geometry: TileGeometry = DEFAULT_GEOMETRY,
@@ -393,10 +388,9 @@ def build_spgemm_kernel(
 
     classes, coords, tiles = interleaved_cells(blocks, grid.tiles_m, grid.tiles_n, "spgemm")
     templates = block_templates(
-        ("spgemm", shape, pattern, geometry, include_loop_overhead),
+        ("spgemm", shape, pattern, geometry),
         lambda: interleaved_templates(
-            grid.tiles_m,
-            lambda two_rows: _spgemm_block(layouts, grid, include_loop_overhead, two_rows),
+            grid.tiles_m, lambda two_rows: _spgemm_block(layouts, grid, two_rows)
         ),
     )
     trace, fraction = stamp_blocks(

@@ -97,7 +97,6 @@ def _spmm_block(
     layouts: dict,
     metadata_layout: MatrixTileLayout,
     grid: TileGrid,
-    include_loop_overhead: bool,
     two_rows: bool,
 ) -> BlockTemplate:
     """One block class of the SPMM kernel: a row pair, or a trailing single row.
@@ -121,8 +120,7 @@ def _spmm_block(
         spmm_opcode = Opcode.TILE_SPMM_V
     i_block = (I0, I1) if two_rows else (I0,)
     trace = TemplateBuilder()
-    if include_loop_overhead:
-        _loop_overhead(trace, TILE_LOOP_SCALARS, "tile-loop")
+    _loop_overhead(trace, TILE_LOOP_SCALARS, "tile-loop")
     for slot, i in enumerate(i_block):
         trace.tile_load_t(c_regs[slot], address_form(layouts["c"], i, J0), "load C")
     for k in range(grid.tiles_k):
@@ -135,8 +133,7 @@ def _spmm_block(
         trace.tile_load(load_b_opcode, b_reg, address_form(layouts["b"], J0, step), "load B")
         for slot in range(len(i_block)):
             trace.tile_compute(spmm_opcode, c_regs[slot], a_regs[slot], b_reg)
-        if include_loop_overhead:
-            _loop_overhead(trace, K_LOOP_SCALARS, "k-loop")
+        _loop_overhead(trace, K_LOOP_SCALARS, "k-loop")
     for slot, i in enumerate(i_block):
         trace.tile_store_t(address_form(layouts["c"], i, J0), c_regs[slot], "store C")
     return trace.template()
@@ -148,7 +145,6 @@ def build_spmm_kernel(
     *,
     a: Optional[np.ndarray] = None,
     b: Optional[np.ndarray] = None,
-    include_loop_overhead: bool = True,
     max_output_tiles: Optional[int] = None,
     blocks: Optional[Sequence[Tuple[int, int]]] = None,
     geometry: TileGeometry = DEFAULT_GEOMETRY,
@@ -206,12 +202,10 @@ def build_spmm_kernel(
 
     classes, coords, tiles = interleaved_cells(blocks, grid.tiles_m, grid.tiles_n, "spmm")
     templates = block_templates(
-        ("spmm", shape, pattern, geometry, include_loop_overhead),
+        ("spmm", shape, pattern, geometry),
         lambda: interleaved_templates(
             grid.tiles_m,
-            lambda two_rows: _spmm_block(
-                layouts, metadata_layout, grid, include_loop_overhead, two_rows
-            ),
+            lambda two_rows: _spmm_block(layouts, metadata_layout, grid, two_rows),
         ),
     )
     trace, fraction = stamp_blocks(
@@ -242,12 +236,7 @@ _STORED_PER_ROW = {
 ROWWISE_TILE_K = 64
 
 
-def build_rowwise_spmm_kernel(
-    a: np.ndarray,
-    b: np.ndarray,
-    *,
-    include_loop_overhead: bool = True,
-) -> KernelProgram:
+def build_rowwise_spmm_kernel(a: np.ndarray, b: np.ndarray) -> KernelProgram:
     """Build an executable row-wise SPMM kernel for an unstructured sparse A.
 
     The kernel (1) derives each row's minimal N:4 pattern, (2) reorders rows
@@ -390,10 +379,9 @@ def build_rowwise_spmm_kernel(
             c_address = c_layout.base_address + (
                 (start_row * TILE_N) + j * padded_rows * TILE_N
             ) * 4
-            if include_loop_overhead:
-                for _ in range(TILE_LOOP_SCALARS):
-                    trace.scalar("group-loop")
-                trace.branch("group-loop")
+            for _ in range(TILE_LOOP_SCALARS):
+                trace.scalar("group-loop")
+            trace.branch("group-loop")
             trace.tile_load_u(c_acc, c_address, "load C group")
             for chunk in range(k_chunks):
                 trace.tile_load_t(
@@ -406,10 +394,9 @@ def build_rowwise_spmm_kernel(
                 )
                 trace.tile_load_u(b_reg, b_layout.tile_address(j, chunk), "load B")
                 trace.tile_compute(Opcode.TILE_SPMM_R, c_acc, a_reg, b_reg)
-                if include_loop_overhead:
-                    for _ in range(K_LOOP_SCALARS):
-                        trace.scalar("k-loop")
-                    trace.branch("k-loop")
+                for _ in range(K_LOOP_SCALARS):
+                    trace.scalar("k-loop")
+                trace.branch("k-loop")
             # Store back the group's rows (two tregs cover the 32-row window).
             trace.tile_store_t(c_address, treg(0), "store C lo")
             if group.output_rows > TILE_M:

@@ -37,7 +37,6 @@ def build_vector_gemm_kernel(
     shape: GemmShape,
     *,
     mr: int = DEFAULT_MR,
-    include_loop_overhead: bool = True,
     max_row_blocks: Optional[int] = None,
 ) -> KernelProgram:
     """Build a dense GEMM kernel for the vector (SIMD) engine.
@@ -86,10 +85,9 @@ def build_vector_gemm_kernel(
     for row_block in range(traced_row_blocks):
         for col_block in range(n_blocks):
             emitted_blocks += 1
-            if include_loop_overhead:
-                for _ in range(4):
-                    trace.scalar("block-loop")
-                trace.branch("block-loop")
+            for _ in range(4):
+                trace.scalar("block-loop")
+            trace.branch("block-loop")
             # Load the MR x 32 C accumulators.
             accumulators = []
             for row in range(mr):
@@ -110,9 +108,8 @@ def build_vector_gemm_kernel(
                     # it does not cost a separate dynamic instruction; its
                     # 2-byte traffic is negligible and L1-resident.
                     trace.vector_fma(accumulators[row], (b_register,), "fma+bcast A")
-                if include_loop_overhead:
-                    trace.scalar("k-loop")
-                    trace.branch("k-loop")
+                trace.scalar("k-loop")
+                trace.branch("k-loop")
             for row in range(mr):
                 address = c_base + (
                     (row_block * mr + row) * padded_n + col_block * VECTOR_ELEMENTS

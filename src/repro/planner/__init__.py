@@ -11,8 +11,8 @@ load imbalance).  Surfaced as the registered ``autotune`` experiment and the
 * :mod:`repro.planner.space` — candidate enumeration and equivalence
   collapsing;
 * :mod:`repro.planner.prefilter` — simulation-free statics: exact traffic
-  and imbalance, sound cycle lower bounds, cache-fit and roofline
-  ordering heuristics;
+  and imbalance, sound cycle lower bounds, and the reported cache-fit and
+  roofline columns;
 * :mod:`repro.planner.autotune` — the bound-ordered search loop with
   dominance pruning and frontier extraction;
 * :mod:`repro.planner.experiment` — the spec-versioned ``autotune``

@@ -19,9 +19,8 @@ model), and ``bound(c) <= cycles(c)`` by construction, so ``b`` strictly
 dominates ``c``'s true objective vector — a pruned candidate can never be a
 Pareto-frontier point the simulation would have kept.  The hypothesis suite
 pins this by diffing frontiers with pruning on and off over exhaustive small
-spaces.  Footprint-fit and roofline statics only *order* the walk (good
-incumbents early means more subsequent prunes); they never discard anything
-by themselves.
+spaces.  The footprint-fit flags and the roofline estimate take no part in
+the walk's order or in pruning; they are only columns of the autotune rows.
 
 The prune ratio reported per workload is ``space_size / simulated`` — how
 many cross-product points each simulation paid for, counting the

@@ -16,11 +16,12 @@ sharded per-core traces and the machine/engine parameters:
   what makes dominance pruning against them sound (see
   :mod:`repro.planner.autotune`); the property tests pin
   ``bound_cycles <= simulated cycles`` across the catalog.
-* **Search-ordering heuristics** — cache-fit flags (per-core footprint vs
-  private L2, combined footprint vs the topology's shared capacity) and a
-  roofline throughput estimate reusing :mod:`repro.analysis.roofline`.
-  These order the search so strong incumbents are simulated early; they
-  never discard a candidate on their own.
+* **Reported statics** — cache-fit flags (per-core footprint vs private
+  L2, combined footprint vs the topology's shared capacity) and a roofline
+  throughput estimate reusing :mod:`repro.analysis.roofline`.  They are
+  columns of the autotune rows only: the search orders its walk by the
+  cycle bound, traffic, imbalance and candidate identity, and never reads
+  them.
 
 Only the compute bound and the roofline read the engine.  Everything else
 is a property of the partition (:func:`partition_statics`), which the
@@ -46,8 +47,6 @@ from ..types import SparsityPattern
 class PartitionStatics:
     """The engine-independent statics of one sharded partition."""
 
-    #: Tile instructions (loads + computes + stores) across all cores.
-    tile_instructions: int
     #: Tile *compute* instructions of the most-loaded core — only computes
     #: occupy the matrix-engine pipeline (loads/stores overlap through the
     #: memory system), so only they floor the makespan.
@@ -75,7 +74,7 @@ class MappingStatics(PartitionStatics):
 
     #: Issue-rate makespan floor in core cycles (sound lower bound).
     compute_bound_cycles: int
-    #: Roofline throughput estimate (ordering heuristic, effectual TFLOPS).
+    #: Roofline throughput estimate in effectual TFLOPS (reported, not searched on).
     roofline_tflops: float
 
     @property
@@ -107,7 +106,6 @@ def partition_statics(
 
     summaries = [program.trace.summarize() for program in sharded.programs]
     traffic_bytes = sum(summary.memory_bytes for summary in summaries)
-    tile_instructions = sum(summary.tile_total for summary in summaries)
     max_core_compute_instructions = max(
         (summary.tile_compute for summary in summaries), default=0
     )
@@ -141,7 +139,6 @@ def partition_statics(
         )
 
     return PartitionStatics(
-        tile_instructions=tile_instructions,
         max_core_compute_instructions=max_core_compute_instructions,
         traffic_bytes=traffic_bytes,
         load_imbalance=load_imbalance,

@@ -1,20 +1,23 @@
-"""Set-associative cache model with LRU replacement.
+"""The memory system as it stood before it owned its two LRU levels.
 
-The simulator needs per-access hit/miss decisions to attribute latency to
-tile and vector loads.  The model tracks tags only (data lives in the
-functional :class:`~repro.core.memory_image.ByteMemory`), supports LRU
-replacement, and exposes the counters the benchmarks report (hits, misses,
-evictions).
+:class:`repro.cpu.memory.MemorySystem` keeps one array of LRU sets per
+cache level and counts hits and misses in plain integers.  This module keeps
+the model it replaced, unchanged: a :class:`Cache` object per level, a
+:class:`CacheHierarchy` that walks each line through them and returns an
+:class:`AccessResult`, and a memory system whose :meth:`request` returns a
+:class:`MemoryRequestResult` per request.  The differential tests drive both
+with the same request streams and compare every completion cycle, both
+clocks, the counters and the resident tags, so the folded model is pinned
+against independent code rather than against itself.  :class:`Cache` is also the object-level
+reference of :func:`repro.cpu.columnar.lru_outcome_bits`.
 """
 
-from __future__ import annotations
-
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from ..errors import ConfigurationError
-from .params import CacheParams
+from repro.cpu.params import CacheParams, MachineParams
+from repro.errors import ConfigurationError, SimulationError
 
 
 @dataclass
@@ -176,3 +179,120 @@ class CacheHierarchy:
             "l2_misses": self.l2.stats.misses,
             "dram_line_requests": self.dram_line_requests,
         }
+
+
+@dataclass
+class MemoryRequestResult:
+    """Timing of one (multi-line) memory request."""
+
+    start_cycle: int
+    complete_cycle: int
+    lines: int
+    l1_hits: int
+    l2_hits: int
+    dram_lines: int
+
+    @property
+    def latency(self) -> int:
+        """Total cycles from request start to last line delivered."""
+        return self.complete_cycle - self.start_cycle
+
+
+class ReferenceMemorySystem:
+    """Cache hierarchy + bandwidth model used by the simulator."""
+
+    def __init__(self, params: MachineParams) -> None:
+        self.params = params
+        self.hierarchy = CacheHierarchy(
+            params.l1,
+            params.l2,
+            params.memory.dram_latency_cycles,
+            ideal_prefetch=params.prefetch_into_l2,
+        )
+        #: Next core cycle at which the L2->core port is free.
+        self._l2_port_free = 0
+        #: Next core cycle at which the DRAM channel is free.
+        self._dram_free = 0
+        self.total_bytes = 0
+        self.total_requests = 0
+        # Per-request constants, resolved once.
+        self._line_bytes = params.l1.line_bytes
+        self._dram_latency = params.memory.dram_latency_cycles
+        #: DRAM channel cycles one line occupies.
+        self._dram_line_cycles = int(
+            self._line_bytes / max(1.0, params.memory.dram_bytes_per_core_cycle)
+        )
+
+    # -- fast-forward support ----------------------------------------------------
+
+    def shift_time(self, delta: int) -> None:
+        """Advance the bandwidth bookkeeping clocks by ``delta`` core cycles.
+
+        Used by the simulator's fast path when it skips a steady-state block
+        of trace: the L2 port and DRAM channel availability move forward in
+        lock-step with the rest of the machine state.
+        """
+        self._l2_port_free += delta
+        self._dram_free += delta
+
+    # -- request path ----------------------------------------------------------------
+
+    def request(self, address: int, nbytes: int, cycle: int) -> MemoryRequestResult:
+        """Issue a request of ``nbytes`` at ``address`` starting at ``cycle``.
+
+        Lines are serviced one per core cycle on the L2 port; lines missing to
+        DRAM additionally wait for DRAM latency and occupy DRAM bandwidth.
+        Stores are treated as write-allocate and buffered (their completion
+        matters only for memory-ordering, which the in-order trace respects).
+        """
+        if nbytes <= 0:
+            raise SimulationError(f"invalid memory request of {nbytes} bytes")
+        line_bytes = self._line_bytes
+        first = address // line_bytes
+        last = (address + nbytes - 1) // line_bytes
+        lines = last - first + 1
+        access_line = self.hierarchy.access_line
+
+        l1_hits = 0
+        l2_hits = 0
+        dram_lines = 0
+        complete = cycle
+        for number in range(first, last + 1):
+            line_address = number * line_bytes
+            result = access_line(line_address)
+            # The L2->core port moves one line per cycle.
+            port_ready = max(self._l2_port_free, cycle)
+            self._l2_port_free = port_ready + 1
+            line_complete = port_ready + result.latency
+            if result.level == "DRAM":
+                dram_lines += 1
+                dram_ready = max(self._dram_free, cycle)
+                self._dram_free = dram_ready + self._dram_line_cycles
+                line_complete = max(line_complete, dram_ready + self._dram_latency)
+            elif result.level == "L2":
+                l2_hits += 1
+            else:
+                l1_hits += 1
+            complete = max(complete, line_complete)
+
+        self.total_bytes += nbytes
+        self.total_requests += 1
+        return MemoryRequestResult(
+            start_cycle=cycle,
+            complete_cycle=complete,
+            lines=lines,
+            l1_hits=l1_hits,
+            l2_hits=l2_hits,
+            dram_lines=dram_lines,
+        )
+
+    def complete(self, address: int, nbytes: int, cycle: int) -> int:
+        """Issue a request (as :meth:`request`) and return its completion cycle."""
+        return self.request(address, nbytes, cycle).complete_cycle
+
+    def counters(self) -> Dict[str, int]:
+        """Aggregate counters for reporting."""
+        counters = self.hierarchy.counters()
+        counters["total_bytes"] = self.total_bytes
+        counters["total_requests"] = self.total_requests
+        return counters

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference_memory import Cache
 from reference_ops import footprint_lines, intern_signatures, summarize_ops
 from reference_ops import lru_outcome_bits as reference_lru_outcome_bits
 
@@ -15,7 +16,6 @@ from repro.core.engine import SME_GEOMETRY
 from repro.core.isa import Opcode
 from repro.core.pipeline import TileComputeRequest, TileComputeTiming
 from repro.core.registers import treg
-from repro.cpu.cache import Cache
 from repro.cpu.columnar import (
     ColumnarTrace,
     TraceBuilder,

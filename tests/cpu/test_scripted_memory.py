@@ -70,7 +70,7 @@ def test_scripted_memory_matches_tag_arrays(requests, l1, skip):
 
     def issue(address, nbytes, offset):
         cycle = max(0, reference._l2_port_free + offset)
-        return cycle, reference.request(address, nbytes, cycle)
+        return cycle, reference.complete(address, nbytes, cycle)
 
     def assert_same_state():
         assert scripted._l2_port_free == reference._l2_port_free
@@ -79,7 +79,7 @@ def test_scripted_memory_matches_tag_arrays(requests, l1, skip):
     def step_both(span):
         for address, nbytes, offset in span:
             cycle, want = issue(address, nbytes, offset)
-            assert scripted.complete(address, nbytes, cycle) == want.complete_cycle
+            assert scripted.complete(address, nbytes, cycle) == want
             assert_same_state()
 
     step_both(requests[:skip_start])

@@ -61,7 +61,6 @@ def reference_dense_gemm(
     shape,
     *,
     variant: str = "optimized",
-    include_loop_overhead: bool = True,
     max_output_tiles: Optional[int] = None,
     blocks=None,
     geometry=DEFAULT_GEOMETRY,
@@ -95,10 +94,9 @@ def reference_dense_gemm(
             tiles = _block_tiles((i0, i1), (j0, j1))
             emitted += len(tiles)
             block_starts.append(len(trace))
-            if include_loop_overhead:
-                for _ in range(TILE_LOOP_SCALARS):
-                    trace.scalar("tile-loop")
-                trace.branch("tile-loop")
+            for _ in range(TILE_LOOP_SCALARS):
+                trace.scalar("tile-loop")
+            trace.branch("tile-loop")
             for slot, i, j in tiles:
                 trace.tile_load_t(c_regs[slot], layouts["c"].tile_address(i, j), "load C")
             for k in range(grid.tiles_k):
@@ -112,10 +110,9 @@ def reference_dense_gemm(
                     trace.tile_compute(
                         Opcode.TILE_GEMM, c_regs[slot], a_regs[row_index[i]], b_regs[col_index[j]]
                     )
-                if include_loop_overhead:
-                    for _ in range(K_LOOP_SCALARS):
-                        trace.scalar("k-loop")
-                    trace.branch("k-loop")
+                for _ in range(K_LOOP_SCALARS):
+                    trace.scalar("k-loop")
+                trace.branch("k-loop")
             for slot, i, j in tiles:
                 trace.tile_store_t(layouts["c"].tile_address(i, j), c_regs[slot], "store C")
     elif variant == "listing1":
@@ -132,20 +129,18 @@ def reference_dense_gemm(
             emitted += 1
             block_starts.append(len(trace))
             c_address = layouts["c"].tile_address(i, j)
-            if include_loop_overhead:
-                for _ in range(TILE_LOOP_SCALARS):
-                    trace.scalar("tile-loop")
-                trace.branch("tile-loop")
+            for _ in range(TILE_LOOP_SCALARS):
+                trace.scalar("tile-loop")
+            trace.branch("tile-loop")
             for k in range(grid.tiles_k):
                 trace.tile_load_t(b_reg, layouts["b"].tile_address(j, k), "load B")
                 trace.tile_load_t(c_reg, c_address, "load C")
                 trace.tile_load_t(a_reg, layouts["a"].tile_address(i, k), "load A")
                 trace.tile_compute(Opcode.TILE_GEMM, c_reg, a_reg, b_reg)
                 trace.tile_store_t(c_address, c_reg, "store C")
-                if include_loop_overhead:
-                    for _ in range(K_LOOP_SCALARS):
-                        trace.scalar("k-loop")
-                    trace.branch("k-loop")
+                for _ in range(K_LOOP_SCALARS):
+                    trace.scalar("k-loop")
+                trace.branch("k-loop")
     else:
         raise KernelError(f"unknown GEMM kernel variant {variant!r}")
     return _program(
@@ -158,7 +153,6 @@ def reference_spmm(
     shape,
     pattern,
     *,
-    include_loop_overhead: bool = True,
     max_output_tiles: Optional[int] = None,
     blocks=None,
 ) -> KernelProgram:
@@ -194,10 +188,9 @@ def reference_spmm(
         i_block = block_rows[bi]
         emitted += len(i_block)
         block_starts.append(len(trace))
-        if include_loop_overhead:
-            for _ in range(TILE_LOOP_SCALARS):
-                trace.scalar("tile-loop")
-            trace.branch("tile-loop")
+        for _ in range(TILE_LOOP_SCALARS):
+            trace.scalar("tile-loop")
+        trace.branch("tile-loop")
         for slot, i in enumerate(i_block):
             trace.tile_load_t(c_regs[slot], layouts["c"].tile_address(i, j), "load C")
         for k in range(grid.tiles_k):
@@ -209,10 +202,9 @@ def reference_spmm(
             trace.tile_load(load_b_opcode, b_reg, layouts["b"].tile_address(j, k), "load B")
             for slot, i in enumerate(i_block):
                 trace.tile_compute(spmm_opcode, c_regs[slot], a_regs[slot], b_reg)
-            if include_loop_overhead:
-                for _ in range(K_LOOP_SCALARS):
-                    trace.scalar("k-loop")
-                trace.branch("k-loop")
+            for _ in range(K_LOOP_SCALARS):
+                trace.scalar("k-loop")
+            trace.branch("k-loop")
         for slot, i in enumerate(i_block):
             trace.tile_store_t(layouts["c"].tile_address(i, j), c_regs[slot], "store C")
     return _program(
@@ -228,7 +220,6 @@ def reference_spgemm(
     a: Optional[np.ndarray] = None,
     b: Optional[np.ndarray] = None,
     feeds: Optional[np.ndarray] = None,
-    include_loop_overhead: bool = True,
     max_output_tiles: Optional[int] = None,
     blocks=None,
 ) -> KernelProgram:
@@ -268,10 +259,9 @@ def reference_spgemm(
         i_block = block_rows[bi]
         emitted += len(i_block)
         block_starts.append(len(trace))
-        if include_loop_overhead:
-            for _ in range(TILE_LOOP_SCALARS):
-                trace.scalar("tile-loop")
-            trace.branch("tile-loop")
+        for _ in range(TILE_LOOP_SCALARS):
+            trace.scalar("tile-loop")
+        trace.branch("tile-loop")
         for slot, i in enumerate(i_block):
             trace.tile_load_t(c_regs[slot], layouts["c"].tile_address(i, j), "load C")
         for k in range(grid.tiles_k):
@@ -292,10 +282,9 @@ def reference_spgemm(
                     b_reg,
                     feed_overhead=int(feeds[i, j, k]) if feeds is not None else -1,
                 )
-            if include_loop_overhead:
-                for _ in range(K_LOOP_SCALARS):
-                    trace.scalar("k-loop")
-                trace.branch("k-loop")
+            for _ in range(K_LOOP_SCALARS):
+                trace.scalar("k-loop")
+            trace.branch("k-loop")
         for slot, i in enumerate(i_block):
             trace.tile_store_t(layouts["c"].tile_address(i, j), c_regs[slot], "store C")
         for _ in range(-(len(trace) - block_starts[-1]) % _ISSUE_ALIGN):

@@ -69,7 +69,6 @@ KEY_VARIANTS = {
     "geometry": ({}, {"geometry": SME_GEOMETRY}),
     "blocks": ({}, {"blocks": [(1, 0)]}),
     "max_output_tiles": ({}, {"max_output_tiles": 2}),
-    "include_loop_overhead": ({}, {"include_loop_overhead": False}),
 }
 
 

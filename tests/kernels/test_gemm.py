@@ -28,14 +28,6 @@ class TestTraceStructure:
         assert listing1.summary().tile_store > optimized.summary().tile_store
         assert listing1.summary().tile_compute == optimized.summary().tile_compute
 
-    def test_loop_overhead_can_be_disabled(self):
-        shape = GemmShape(32, 32, 32)
-        with_overhead = build_dense_gemm_kernel(shape)
-        without = build_dense_gemm_kernel(shape, include_loop_overhead=False)
-        assert without.summary().scalar == 0
-        assert with_overhead.summary().scalar > 0
-        assert without.summary().tile_compute == with_overhead.summary().tile_compute
-
     def test_truncation_records_fraction(self):
         shape = GemmShape(128, 128, 64)
         truncated = build_dense_gemm_kernel(shape, max_output_tiles=4)

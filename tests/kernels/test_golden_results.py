@@ -14,7 +14,10 @@ match ``tests/golden/simulation-results.json``:
 
 fast == exact compares the simulator with itself; these digests compare it
 with the values it produced before, so a rewrite of the stepping core that
-shifts every path alike still fails here.
+shifts every path alike still fails here.  fast == exact also only compares
+two models while ``"exact"`` steps the tag-array
+:class:`~repro.cpu.memory.MemorySystem` rather than the oracle's script, which
+``test_exact_mode_steps_the_tag_arrays`` pins.
 
 Refreshing after an *intentional* timing-model change (which also bumps
 ``SIMULATOR_MODEL_VERSION``)::
@@ -29,9 +32,11 @@ import os
 import pytest
 
 from repro.analysis.runtime import resolve_engine
+from repro.cpu.columnar import ColumnarTrace
+from repro.cpu.memory import MemorySystem, RequestScript, ScriptedMemory
 from repro.cpu.multicore import result_to_payload
 from repro.cpu.params import default_machine, memory_bound_machine
-from repro.cpu.simulator import CycleApproximateSimulator
+from repro.cpu.simulator import CycleApproximateSimulator, SimulatorState
 from test_golden_traces import GOLDEN_DIR, GOLDEN_KERNELS
 
 RESULTS_PATH = GOLDEN_DIR / "simulation-results.json"
@@ -58,16 +63,20 @@ CONFIGS = {
 }
 
 
-def result_digest(kernel: str, config: str) -> str:
-    """sha256 of the serialized result of ``kernel`` under ``config``."""
+def simulate(kernel: str, machine, mode: str):
+    """Run golden ``kernel`` on its engine."""
     program = GOLDEN_KERNELS[kernel]()
     name = KERNEL_ENGINES[kernel]
     engine = resolve_engine(name) if name is not None else None
-    machine, mode = CONFIGS[config]
-    result = CycleApproximateSimulator(machine=machine(), engine=engine).run(
+    return CycleApproximateSimulator(machine=machine, engine=engine).run(
         program.trace, mode=mode
     )
-    payload = json.dumps(result_to_payload(result), sort_keys=True)
+
+
+def result_digest(kernel: str, config: str) -> str:
+    """sha256 of the serialized result of ``kernel`` under ``config``."""
+    machine, mode = CONFIGS[config]
+    payload = json.dumps(result_to_payload(simulate(kernel, machine(), mode)), sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -97,3 +106,52 @@ def test_result_matches_pinned_digest(kernel, config):
         "to its pinned result; if the timing model changed on purpose, bump "
         "SIMULATOR_MODEL_VERSION and refresh with REPRO_UPDATE_GOLDEN=1"
     )
+
+
+@pytest.fixture
+def simulator_paths(monkeypatch):
+    """Counts oracle-script constructions and L1 replays, and the state memories."""
+    seen = {"RequestScript": 0, "ScriptedMemory": 0, "l1_outcome_bits": 0, "memory": []}
+
+    def counted(cls, name, attribute="__init__"):
+        original = getattr(cls, attribute)
+
+        def wrapper(self, *args, **kwargs):
+            seen[name] += 1
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, attribute, wrapper)
+
+    counted(RequestScript, "RequestScript")
+    counted(ScriptedMemory, "ScriptedMemory")
+    counted(ColumnarTrace, "l1_outcome_bits", "l1_outcome_bits")
+    state_init = SimulatorState.__init__
+
+    def recording_init(self, *args, **kwargs):
+        state_init(self, *args, **kwargs)
+        seen["memory"].append(type(self.memory))
+
+    monkeypatch.setattr(SimulatorState, "__init__", recording_init)
+    return seen
+
+
+@pytest.mark.parametrize("machine", [default_machine, memory_bound_machine])
+def test_exact_mode_steps_the_tag_arrays(machine, simulator_paths):
+    # fast == exact checks compare two models only while exact mode steps
+    # the LRU tag arrays; routing it through the oracle's script would make
+    # them compare the script with itself.
+    for kernel in sorted(GOLDEN_KERNELS):
+        simulate(kernel, machine(), "exact")
+    assert simulator_paths["RequestScript"] == 0
+    assert simulator_paths["ScriptedMemory"] == 0
+    assert simulator_paths["l1_outcome_bits"] == 0
+    assert simulator_paths["memory"] == [MemorySystem] * len(GOLDEN_KERNELS)
+
+
+def test_path_probes_see_the_oracle(simulator_paths):
+    # The probes above are live: the oracle path trips every one of them.
+    simulate("gemm-optimized", default_machine(), "fast")
+    assert simulator_paths["RequestScript"] == 1
+    assert simulator_paths["ScriptedMemory"] == 1
+    assert simulator_paths["l1_outcome_bits"] == 1
+    assert simulator_paths["memory"] == [ScriptedMemory]

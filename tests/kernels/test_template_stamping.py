@@ -3,10 +3,10 @@
 The builders emit each block class once as a template and stamp it across
 the chosen cells (:mod:`repro.kernels.template`).  These tests draw shapes
 with edge blocks on both axes, every tile geometry, sharded / shuffled /
-empty cell lists, truncations and loop overhead on and off, and require the
-stamped program to equal the one the original op-by-op loops emit
-(``reference_emitters.py``): every column byte, the label table, the block
-starts, the covered fraction and the label.
+empty cell lists and truncations, and require the stamped program to equal
+the one the original op-by-op loops emit (``reference_emitters.py``): every
+column byte, the label table, the block starts, the covered fraction and the
+label.
 """
 
 import pytest
@@ -84,7 +84,6 @@ class TestStampedEqualsReference:
         options = dict(
             variant=variant,
             geometry=geometry,
-            include_loop_overhead=data.draw(st.booleans()),
             max_output_tiles=data.draw(MAX_OUTPUT_TILES),
             blocks=_draw_blocks(data, *_block_grid(kind, shape, geometry=geometry)),
         )
@@ -99,7 +98,6 @@ class TestStampedEqualsReference:
         pattern = data.draw(st.sampled_from(SPARSE))
         kind = data.draw(st.sampled_from(["spmm", "spgemm"]))
         options = dict(
-            include_loop_overhead=data.draw(st.booleans()),
             max_output_tiles=data.draw(MAX_OUTPUT_TILES),
             blocks=_draw_blocks(data, *_block_grid(kind, shape, pattern)),
         )
@@ -121,7 +119,6 @@ class TestStampedEqualsReference:
         pattern = data.draw(st.sampled_from(SPARSE))
         seed = data.draw(st.integers(0, 1000))
         options = dict(
-            include_loop_overhead=data.draw(st.booleans()),
             max_output_tiles=data.draw(MAX_OUTPUT_TILES),
         )
         if kind == "gemm":
@@ -237,15 +234,14 @@ class TestTemplateReuse:
         assert [key[1].k for key in memo._TEMPLATES] == [64, 96]
 
 
-@pytest.mark.parametrize("overhead", [True, False])
 @pytest.mark.parametrize("blocks", [None, [(1, 0), (0, 0)]])
-def test_label_first_appearance_spans_block_classes(overhead, blocks):
+def test_label_first_appearance_spans_block_classes(blocks):
     # 3 tile rows, one K-step: the row-pair block is a whole number of issue
     # groups, the trailing single-row block pads with "block-align".  In
     # grid order that label first appears in the second block.
     shape = GemmShape(48, 16, 64)
     pattern = SparsityPattern.SPARSE_2_4
-    options = dict(include_loop_overhead=overhead, blocks=blocks)
+    options = dict(blocks=blocks)
     program = build_spgemm_kernel(shape, pattern, **options)
     _assert_same_build(program, reference_spgemm(shape, pattern, **options))
     first_block = program.trace.columns["oplabel"][: program.trace.block_starts[1]]

@@ -49,10 +49,3 @@ class TestVectorKernel:
     def test_invalid_blocking(self):
         with pytest.raises(KernelError):
             build_vector_gemm_kernel(GemmShape(16, 16, 16), mr=0)
-
-    def test_loop_overhead_toggle(self):
-        shape = GemmShape(32, 32, 32)
-        with_overhead = build_vector_gemm_kernel(shape)
-        without = build_vector_gemm_kernel(shape, include_loop_overhead=False)
-        assert without.summary().scalar == 0
-        assert without.instruction_count < with_overhead.instruction_count
