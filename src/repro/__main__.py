@@ -46,7 +46,8 @@ def _build_parser() -> argparse.ArgumentParser:
     subparsers.add_parser("list", help="list the registered experiments")
 
     subparsers.add_parser(
-        "engines", help="list the engine catalog with tile-geometry columns"
+        "engines",
+        help="list the engine catalog with tile-geometry and timing-class columns",
     )
 
     subparsers.add_parser(
@@ -398,7 +399,7 @@ def _command_list() -> int:
 
 
 def _command_engines() -> int:
-    from .core.engine import catalog, get_engine
+    from .core.engine import catalog
 
     columns = (
         "name",
@@ -409,12 +410,17 @@ def _command_engines() -> int:
         "MACs",
         "PEs",
         "issue",
+        "timing",
         "sparsity",
         "prior work",
     )
     rows = []
-    for name in catalog():
-        info = get_engine(name).describe()
+    # EngineTiming -> the first catalog engine with it: engines of equal
+    # timing simulate a shared kernel identically.
+    first_with_timing = {}
+    for engine in catalog().values():
+        info = engine.describe()
+        first = first_with_timing.setdefault(engine.timing, engine.name)
         rows.append(
             (
                 info["name"],
@@ -425,6 +431,7 @@ def _command_engines() -> int:
                 info["total_macs"],
                 f"{info['nrows']}x{info['ncols']}",
                 info["issue_interval"],
+                first if first != engine.name else "-",
                 ",".join(info["supported_sparsity"]),
                 info["prior_work"],
             )

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence
 from ..core.engine import EngineConfig, get_engine, stc_like_engine
 from ..cpu.params import MachineParams, default_machine
 from ..errors import ConfigurationError
-from ..cpu.simulator import CycleApproximateSimulator, SimulationResult
+from ..cpu.simulator import SimulationResult, simulate_shared
 from ..kernels.gemm import build_dense_gemm_kernel  # noqa: F401  (see kernels.sharding)
 from ..kernels.memo import build_kernel
 from ..kernels.program import KernelProgram
@@ -123,8 +123,10 @@ class LayerRuntime:
     """Runtime of one (layer, pattern, engine) combination.
 
     ``result`` carries the full :class:`SimulationResult` when the point was
-    simulated in this process (:func:`simulate_layer`); points rehydrated
-    from the experiment cache only carry the scalar summary below.
+    simulated in this process (:func:`simulate_layer`): a fresh copy of the
+    result shared by every engine with the same timing on the same kernel,
+    carrying this point's engine.  Points rehydrated from the experiment
+    cache only carry the scalar summary below.
     """
 
     layer: str
@@ -154,14 +156,17 @@ def simulate_layer(
 
     ``mode`` selects the simulator path (``"fast"`` uses the steady-state
     fast path with the kernel's block-periodicity hints; ``"exact"`` runs the
-    reference event-driven loop over every op).
+    reference event-driven loop over every op).  The kernel comes from the
+    build memo and is simulated through
+    :func:`~repro.cpu.simulator.simulate_shared`, so the engines of a
+    Figure 13 point that run the same kernel with the same
+    :attr:`~repro.core.engine.EngineConfig.timing` share one simulation.
     """
     machine = machine if machine is not None else default_machine()
     program = build_layer_kernel(
         layer, pattern, engine, max_output_tiles=max_output_tiles
     )
-    simulator = CycleApproximateSimulator(machine=machine, engine=engine, mode=mode)
-    result = simulator.run(program.trace)
+    result = simulate_shared(program.trace, machine=machine, engine=engine, mode=mode)
     scaled = result.core_cycles / program.simulated_fraction
     return LayerRuntime(
         layer=layer.name,

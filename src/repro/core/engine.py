@@ -23,6 +23,8 @@ directly with :class:`EngineConfig`.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional, Tuple
@@ -71,12 +73,64 @@ def spgemm_merge_overhead(occupied_blocks: int) -> int:
     by the occupancy pre-scan.  Kernel builders that see the actual operand
     data call this with the per-instruction metadata-intersection count to
     stamp a data-dependent ``feed_overhead`` on each SPGEMM instruction;
-    :meth:`EngineConfig.spgemm_feed_overhead` uses it with the worst-case
+    :meth:`EngineTiming.spgemm_feed_overhead` uses it with the worst-case
     block count when no data is available.
     """
     if occupied_blocks <= 0:
         return 0
     return -(-occupied_blocks // SPGEMM_MERGE_BLOCKS_PER_CYCLE)
+
+
+#: Feature suffixes of an engine name (output forwarding, SpGEMM), in the
+#: order :meth:`EngineConfig.with_output_forwarding` and
+#: :meth:`EngineConfig.with_spgemm` append them.
+FEATURE_SUFFIXES = ("+OF", "+SPGEMM")
+
+
+@dataclass(frozen=True)
+class EngineTiming:
+    """Exactly the engine quantities the simulator reads.
+
+    :class:`~repro.core.pipeline.MatrixEnginePipeline` and
+    :class:`~repro.cpu.simulator.SimulatorState` read an engine only through
+    :attr:`EngineConfig.timing` (and its name, for the SpGEMM error
+    message), so two engines with equal timing simulate every trace to the
+    same result.  :func:`repro.cpu.simulator.simulate_shared` keys shared
+    simulations by it.  Each field copies the :class:`EngineConfig`
+    property of the same name.
+
+    ``sparse`` is left out: the simulator reads only ``sparse and spgemm``,
+    and ``spgemm`` implies ``sparse``.  The name, alpha, beta, supported
+    patterns, prior work and geometry are left out too: beyond the fields
+    below they reach a simulation only through the kernel trace a caller
+    builds for the engine.
+    """
+
+    weight_load_latency: int
+    feed_first_latency: int
+    feed_second_latency: int
+    drain_latency: int
+    reduction_latency: int
+    output_ready_latency: int
+    output_forwarding: bool
+    busy_cycles_per_instruction: int
+    spgemm: bool
+
+    def spgemm_feed_overhead(self, effective_k: int) -> int:
+        """Extra Feed-First cycles of one SPGEMM instruction.
+
+        The stream-merge unit intersects A's and B's positional metadata one
+        block pair at a time, :data:`SPGEMM_MERGE_BLOCKS_PER_CYCLE` pairs per
+        cycle, before the merged columns can stream into the array.  An
+        instruction covering ``effective_k`` reduction elements spans
+        ``effective_k / 4`` blocks, so the overhead grows with the pattern's
+        compression ratio (4 cycles for 2:4 / K=64, 8 for 1:4 / K=128).
+        """
+        if not self.spgemm:
+            raise ConfigurationError(
+                "the engine does not implement SpGEMM stream merging"
+            )
+        return spgemm_merge_overhead(effective_k // BLOCK_SIZE_M)
 
 
 @dataclass(frozen=True)
@@ -106,7 +160,7 @@ class EngineConfig:
         Whether the engine implements the dual-operand metadata intersection
         needed by the ``TILE_SPGEMM_U/V`` instructions (sparse x sparse).
         Requires a sparse engine; the intersection adds Feed-First latency
-        (see :meth:`spgemm_feed_overhead`).
+        (see :meth:`EngineTiming.spgemm_feed_overhead`).
     prior_work:
         The prior-work design this configuration models, if any (Table III).
     geometry:
@@ -281,23 +335,29 @@ class EngineConfig:
         """
         return 2 * self.nrows + self.reduction_latency
 
-    # -- SpGEMM latency model ------------------------------------------------------
+    # -- the simulator's view ------------------------------------------------------
 
-    def spgemm_feed_overhead(self, effective_k: int) -> int:
-        """Extra Feed-First cycles of one SPGEMM instruction.
+    @functools.cached_property
+    def timing(self) -> EngineTiming:
+        """What the simulator reads of this engine (:class:`EngineTiming`).
 
-        The stream-merge unit intersects A's and B's positional metadata one
-        block pair at a time, :data:`SPGEMM_MERGE_BLOCKS_PER_CYCLE` pairs per
-        cycle, before the merged columns can stream into the array.  An
-        instruction covering ``effective_k`` reduction elements spans
-        ``effective_k / 4`` blocks, so the overhead grows with the pattern's
-        compression ratio (4 cycles for 2:4 / K=64, 8 for 1:4 / K=128).
+        Engines with equal timing give equal simulations of a shared trace.
+        Among the Figure 13 engines, VEGETA-D-1-2, STC-like and VEGETA-S-1-2
+        share one timing, and so do VEGETA-S-8-2 and VEGETA-S-16-2 (both
+        drain in max(ncols, log2 beta + 1) = 2 cycles).  Derived once per
+        configuration: every simulation state and pipeline reads it.
         """
-        if not self.spgemm:
-            raise ConfigurationError(
-                f"engine {self.name} does not implement SpGEMM stream merging"
-            )
-        return spgemm_merge_overhead(effective_k // BLOCK_SIZE_M)
+        return EngineTiming(
+            weight_load_latency=self.weight_load_latency,
+            feed_first_latency=self.feed_first_latency,
+            feed_second_latency=self.feed_second_latency,
+            drain_latency=self.drain_latency,
+            reduction_latency=self.reduction_latency,
+            output_ready_latency=self.output_ready_latency,
+            output_forwarding=self.output_forwarding,
+            busy_cycles_per_instruction=self.busy_cycles_per_instruction,
+            spgemm=self.spgemm,
+        )
 
     # -- capability queries ----------------------------------------------------------
 
@@ -335,32 +395,27 @@ class EngineConfig:
 
     def with_output_forwarding(self, enabled: bool = True) -> "EngineConfig":
         """A copy of this configuration with output forwarding toggled."""
-        return EngineConfig(
-            name=self.name + ("+OF" if enabled and not self.output_forwarding else ""),
-            sparse=self.sparse,
-            alpha=self.alpha,
-            beta=self.beta,
-            total_macs=self.total_macs,
-            supported_patterns=self.supported_patterns,
-            output_forwarding=enabled,
-            spgemm=self.spgemm,
-            prior_work=self.prior_work,
-            geometry=self.geometry,
-        )
+        return self._with_features(enabled, self.spgemm)
 
     def with_spgemm(self, enabled: bool = True) -> "EngineConfig":
         """A copy of this configuration with SpGEMM stream merging toggled."""
-        return EngineConfig(
-            name=self.name + ("+SPGEMM" if enabled and not self.spgemm else ""),
-            sparse=self.sparse,
-            alpha=self.alpha,
-            beta=self.beta,
-            total_macs=self.total_macs,
-            supported_patterns=self.supported_patterns,
-            output_forwarding=self.output_forwarding,
-            spgemm=enabled,
-            prior_work=self.prior_work,
-            geometry=self.geometry,
+        return self._with_features(self.output_forwarding, enabled)
+
+    def _with_features(self, output_forwarding: bool, spgemm: bool) -> "EngineConfig":
+        """A copy with both features set, named after the enabled ones.
+
+        The name drops every feature suffix and re-appends the enabled ones
+        in :data:`FEATURE_SUFFIXES` order, the order
+        :func:`repro.analysis.runtime.resolve_engine` applies them in, so
+        one engine has one name whichever way its features were toggled
+        (engine equality includes the name).
+        """
+        name = self.name
+        while name.endswith(FEATURE_SUFFIXES):
+            name = name.rsplit("+", 1)[0]
+        name += ("+OF" if output_forwarding else "") + ("+SPGEMM" if spgemm else "")
+        return dataclasses.replace(
+            self, name=name, output_forwarding=output_forwarding, spgemm=spgemm
         )
 
     def describe(self) -> Dict[str, object]:

@@ -44,7 +44,7 @@ class TileComputeRequest:
     ``op_id`` of the previous compute writing the same C register, if any.
     ``feed_overhead`` extends the Feed-First stage by a constant number of
     cycles — the SpGEMM instructions use it for the dual-operand metadata
-    intersection (:meth:`repro.core.engine.EngineConfig.spgemm_feed_overhead`).
+    intersection (:meth:`repro.core.engine.EngineTiming.spgemm_feed_overhead`).
     """
 
     op_id: int
@@ -96,10 +96,15 @@ class MatrixEnginePipeline:
     complete)``, so the simulator's per-compute call allocates no timing
     object.  :meth:`schedule` is the Figure 10 API on top of it: it derives
     each instruction's stage windows from the clocks the recurrence leaves.
+
+    The pipeline reads the engine only through its
+    :attr:`~repro.core.engine.EngineConfig.timing`, kept as :attr:`timing`:
+    engines with equal timing schedule every request stream identically.
     """
 
     def __init__(self, engine: EngineConfig) -> None:
-        self.engine = engine
+        timing = engine.timing
+        self.timing = timing
         # Next free engine cycle of the WL, FF, FS and DR stages.
         self._wl_free = self._ff_free = self._fs_free = self._dr_free = 0
         #: op id -> (ff_start, complete) of every producer a consumer may name.
@@ -108,15 +113,15 @@ class MatrixEnginePipeline:
         self._completed: List[TileComputeTiming] = []
         self._makespan = 0
         self._scheduled = 0
-        # Stage latencies and forwarding rules, resolved once (the engine
-        # derives each of them through its geometry on every access).
-        self._wl_latency = engine.weight_load_latency
-        self._ff_latency = engine.feed_first_latency
-        self._fs_latency = engine.feed_second_latency
-        self._dr_latency = engine.drain_latency
-        self._reduction_latency = engine.reduction_latency
-        self._output_ready_latency = engine.output_ready_latency
-        self._output_forwarding = engine.output_forwarding
+        # Stage latencies and forwarding rules as plain attributes: issue()
+        # reads them once per simulated tile compute.
+        self._wl_latency = timing.weight_load_latency
+        self._ff_latency = timing.feed_first_latency
+        self._fs_latency = timing.feed_second_latency
+        self._dr_latency = timing.drain_latency
+        self._reduction_latency = timing.reduction_latency
+        self._output_ready_latency = timing.output_ready_latency
+        self._output_forwarding = timing.output_forwarding
 
     # -- public API ---------------------------------------------------------------
 
@@ -303,7 +308,7 @@ class MatrixEnginePipeline:
         """
         if not self._scheduled:
             return 0.0
-        busy = self.engine.busy_cycles_per_instruction * self._scheduled
+        busy = self.timing.busy_cycles_per_instruction * self._scheduled
         return busy / self.makespan if self.makespan else 0.0
 
 

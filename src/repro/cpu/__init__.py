@@ -10,7 +10,8 @@ Sub-modules:
 * :mod:`repro.cpu.columnar` — the columnar trace format (the Pin-tool
   replacement) and :class:`TraceBuilder`, its one encoder,
 * :mod:`repro.cpu.simulator` — the trace-driven simulator, which runs a
-  :class:`ColumnarTrace`,
+  :class:`ColumnarTrace`, and :func:`simulate_shared`, the single-core
+  entry point that keeps each result on the trace, once per engine timing,
 * :mod:`repro.cpu.topology` — the recursive bandwidth topology (cores →
   L3 slices → sockets → nodes) and its generalized fluid arbiter,
 * :mod:`repro.cpu.multicore` — N-core simulation with topology-aware
@@ -39,7 +40,7 @@ from .params import (
     get_topology,
     topology_names,
 )
-from .simulator import CycleApproximateSimulator, SimulationResult
+from .simulator import CycleApproximateSimulator, SimulationResult, simulate_shared
 from .topology import (
     CorePlacement,
     TopologyNode,
@@ -78,4 +79,5 @@ __all__ = [
     "format_trace",
     "format_trace_op",
     "simulate_multicore",
+    "simulate_shared",
 ]

@@ -44,10 +44,18 @@ Two execution modes are provided:
 Both modes step one transition, :meth:`SimulatorState.advance`, over packed
 trace rows: each distinct signature is decoded once per run into a plain
 record, and no ``TraceOp`` or ``Instruction`` is built per op.
+
+The simulator reads an engine only through its
+:class:`~repro.core.engine.EngineTiming`, so engines with equal timing
+simulate a trace identically.  :func:`simulate_shared` uses that: it keeps
+each single-core result on its trace and serves it to every engine of the
+same timing.  :meth:`CycleApproximateSimulator.run` stays the uncached
+primitive.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -141,11 +149,17 @@ class SimulatorState:
     :class:`~repro.cpu.memory.MemorySystem`, which steps the L1 and L2 LRU
     tag arrays per line (exact mode and the profile path); the oracle fast
     path passes a :class:`~repro.cpu.memory.ScriptedMemory` instead.
+
+    The state reads ``engine`` only through its
+    :attr:`~repro.core.engine.EngineConfig.timing` (kept as :attr:`timing`)
+    and its name, which the SpGEMM error message shows; the result carries
+    the engine itself.
     """
 
     __slots__ = (
         "machine",
         "engine",
+        "timing",
         "memory",
         "pipeline",
         "ratio",
@@ -183,6 +197,7 @@ class SimulatorState:
     ) -> None:
         self.machine = machine
         self.engine = engine
+        self.timing = engine.timing if engine is not None else None
         self.memory = memory if memory is not None else MemorySystem(machine)
         self.pipeline = MatrixEnginePipeline(engine) if engine is not None else None
         self.ratio = machine.core.engine_clock_ratio
@@ -261,13 +276,14 @@ class SimulatorState:
             # back to the engine's worst-case formula and everything else to 0.
             feed_overhead = max(instruction.feed_overhead, 0)
             if opcode.is_spgemm:
-                if not (self.engine.sparse and self.engine.spgemm):
+                # SpGEMM support implies a sparse engine.
+                if not self.timing.spgemm:
                     raise SimulationError(
                         f"engine {self.engine.name} cannot execute {opcode.value}: "
                         "SpGEMM stream merging is not enabled on this configuration"
                     )
                 if instruction.feed_overhead < 0:
-                    feed_overhead = self.engine.spgemm_feed_overhead(
+                    feed_overhead = self.timing.spgemm_feed_overhead(
                         opcode.spgemm_effective_k
                     )
             metadata = tuple(
@@ -529,7 +545,8 @@ class SimulatorState:
         if extra_counters:
             for key, value in extra_counters.items():
                 counters[key] = counters.get(key, 0) + value
-        busy_per_op = self.engine.busy_cycles_per_instruction if self.engine else 16
+        timing = self.timing
+        busy_per_op = timing.busy_cycles_per_instruction if timing is not None else 16
         return SimulationResult(
             core_cycles=core_cycles,
             engine_busy_cycles=self.next_compute_id * busy_per_op,
@@ -572,6 +589,11 @@ class CycleApproximateSimulator:
         output-tile blocks begin, as the template stamper records them) let
         the fast path skip steady-state blocks without scanning the trace.
         ``mode`` overrides the simulator's default mode for this run.
+
+        Every call simulates: ``run`` keeps nothing.  ``repro bench`` times
+        repeated runs of it, and ``simulate_cores`` calls it for every
+        program it must simulate.  :func:`simulate_shared` is the
+        single-core entry point that simulates once per engine timing.
         """
         chosen = mode if mode is not None else self.mode
         if chosen not in SIMULATION_MODES:
@@ -603,3 +625,49 @@ class CycleApproximateSimulator:
         state.run(0, len(trace))
         core_cycles = max(state.last_completion, state.issue_cycle + 1)
         return state.result(trace.summarize(), core_cycles)
+
+
+def simulate_shared(
+    trace: ColumnarTrace,
+    *,
+    machine: MachineParams,
+    engine: Optional[EngineConfig],
+    mode: str = "fast",
+) -> SimulationResult:
+    """``CycleApproximateSimulator(machine, engine, mode).run(trace)``, shared.
+
+    The single-core trial runners (``fig13`` and with it ``headline``,
+    ``backends``, ``spgemm``) simulate through here.  The result is a
+    derived view of the trace (:meth:`ColumnarTrace.derived`), keyed by
+    everything the simulation reads beside the trace: the machine, the
+    engine's :attr:`~repro.core.engine.EngineConfig.timing`, the mode and
+    the fast path's super-period cap.  So engines with equal timing that
+    run one shared trace, as several Figure 13 engines do, simulate it once
+    per process.  The kept result lives as long as its trace, which the
+    build memo bounds.
+
+    Each call returns a fresh result carrying the caller's ``machine`` and
+    ``engine``, its own instruction-mix summary and its own memory
+    counters.  A simulation that raises keeps nothing, so every call on it
+    raises.
+    """
+    from .fastsim import resolve_max_super_period
+
+    key = (
+        "simulation",
+        machine,
+        engine.timing if engine is not None else None,
+        mode,
+        resolve_max_super_period(),
+    )
+    shared = trace.derived(
+        key, lambda: CycleApproximateSimulator(machine, engine, mode).run(trace)
+    )
+    summary = shared.trace_summary
+    return dataclasses.replace(
+        shared,
+        machine=machine,
+        engine=engine,
+        trace_summary=dataclasses.replace(summary, by_opcode=dict(summary.by_opcode)),
+        memory_counters=dict(shared.memory_counters),
+    )

@@ -446,8 +446,13 @@ def run_spgemm_trial(params: Dict[str, Any]) -> Dict[str, Any]:
     are formed.  Functional validation needs the full C matrix, so it only
     runs on untruncated traces — the exact-vs-fast check (on the raw
     truncated cycle counts) still runs.
+
+    All kernels simulate through :func:`~repro.cpu.simulator.simulate_shared`.
+    A validated shape's SpGEMM kernel carries operand data and so skips the
+    build memo: its trace is fresh, and ``exact_match`` compares two real
+    simulations.
     """
-    from ..cpu.simulator import CycleApproximateSimulator
+    from ..cpu.simulator import simulate_shared
     from ..kernels.memo import build_kernel
     from ..kernels.spgemm import spgemm_joint_pattern
     from ..kernels.validate import validate_spgemm_kernel
@@ -464,7 +469,9 @@ def run_spgemm_trial(params: Dict[str, Any]) -> Dict[str, Any]:
     engine = resolve_engine(params["engine"])
     machine = MachineParams.from_dict(params["machine"])
     max_output_tiles = params.get("max_output_tiles")
-    simulator = CycleApproximateSimulator(machine=machine, engine=engine)
+
+    def simulate(program, mode="fast"):
+        return simulate_shared(program.trace, machine=machine, engine=engine, mode=mode)
 
     operands = (
         generate_dual_sparse(shape, pattern_a, pattern_b, seed=params["seed"])
@@ -479,15 +486,15 @@ def run_spgemm_trial(params: Dict[str, Any]) -> Dict[str, Any]:
         b=operands.b if operands is not None else None,
         max_output_tiles=max_output_tiles,
     )
-    fast = simulator.run(program.trace)
+    fast = simulate(program)
 
     dense_program = build_kernel("gemm", shape, max_output_tiles=max_output_tiles)
-    dense = simulator.run(dense_program.trace)
+    dense = simulate(dense_program)
     # Sparse x dense baseline: the engine exploits A's pattern, streams B dense.
     spmm_program = build_kernel(
         "spmm", shape, engine.executable_pattern(pattern_a), max_output_tiles=max_output_tiles
     )
-    spmm = simulator.run(spmm_program.trace)
+    spmm = simulate(spmm_program)
 
     # Per-kernel coverage-scaled values: the builders truncate at different
     # block granularities, so ratios must compare whole-problem estimates.
@@ -527,7 +534,7 @@ def run_spgemm_trial(params: Dict[str, Any]) -> Dict[str, Any]:
         "max_abs_error": None,
     }
     if validate:
-        exact = simulator.run(program.trace, mode="exact")
+        exact = simulate(program, mode="exact")
         row.update(
             exact_cycles=exact.core_cycles,
             exact_match=fast.core_cycles == exact.core_cycles,
@@ -919,7 +926,7 @@ def run_backends_trial(params: Dict[str, Any]) -> Dict[str, Any]:
       tiles mean fewer instructions per layer, not free cycles, because the
       per-instruction busy time scales with the tile's MAC count.
     """
-    from ..cpu.simulator import CycleApproximateSimulator
+    from ..cpu.simulator import simulate_shared
     from ..kernels.memo import build_kernel
     from ..planner.space import select_kernel
 
@@ -933,8 +940,7 @@ def run_backends_trial(params: Dict[str, Any]) -> Dict[str, Any]:
     program = build_kernel(
         kernel, layer.gemm, executed, max_output_tiles=max_output_tiles, geometry=engine.geometry
     )
-    simulator = CycleApproximateSimulator(machine=machine, engine=engine)
-    result = simulator.run(program.trace)
+    result = simulate_shared(program.trace, machine=machine, engine=engine)
     return {
         "layer": layer.name,
         "pattern": pattern.value,

@@ -15,11 +15,15 @@ from repro.analysis.bench import (
     QUICK_MULTICORE_WORKLOADS,
     QUICK_WORKLOADS,
     SPEEDUP_FLOORS,
+    BenchWorkload,
     benchmark_simulator,
+    benchmark_workload,
     compare_benchmarks,
     select_workloads,
 )
+from repro.cpu.simulator import CycleApproximateSimulator, SimulatorState
 from repro.errors import ConfigurationError
+from repro.types import GemmShape, SparsityPattern
 
 
 class TestDefaultPath:
@@ -171,3 +175,30 @@ def test_payload_reports_cold_build_throughput():
     assert payload["multicore_key_rows_per_sec"] == pytest.approx(
         multicore["key_rows_per_sec"]
     )
+
+
+def test_every_timed_run_simulates(monkeypatch):
+    # The --check gate times real simulations: a bench routed through a
+    # shared or cached path would time result lookups instead.
+    calls = {"run": 0, "state": 0}
+    run = CycleApproximateSimulator.run
+    init = SimulatorState.__init__
+
+    def counting_run(self, trace, **kwargs):
+        calls["run"] += 1
+        return run(self, trace, **kwargs)
+
+    def counting_init(self, *args, **kwargs):
+        calls["state"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CycleApproximateSimulator, "run", counting_run)
+    monkeypatch.setattr(SimulatorState, "__init__", counting_init)
+    workload = BenchWorkload(
+        "dense-64", GemmShape(64, 64, 256), SparsityPattern.DENSE_4_4, "VEGETA-S-16-2"
+    )
+    benchmark_workload(workload)
+    # Exact runs, the untimed warm-up and the fast runs: a shared path would
+    # simulate once per mode, a cache inside run() would skip states.
+    assert calls["run"] > 2
+    assert calls["state"] == calls["run"]

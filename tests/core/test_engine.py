@@ -1,7 +1,10 @@
 """Tests for the Table III engine design points."""
 
+import dataclasses
+
 import pytest
 
+from repro.analysis.runtime import FIGURE13_ENGINE_NAMES, resolve_engine
 from repro.core.engine import (
     ALL_NM_PATTERNS,
     EngineConfig,
@@ -122,6 +125,69 @@ class TestOutputForwarding:
         assert engine.spgemm and engine.output_forwarding
 
 
+class TestFeatureNames:
+    """Toggling a feature names the engine as resolve_engine spells it."""
+
+    @pytest.mark.parametrize(
+        "name,disable",
+        [
+            ("VEGETA-S-16-2+OF", lambda engine: engine.with_output_forwarding(False)),
+            ("VEGETA-S-16-2+SPGEMM", lambda engine: engine.with_spgemm(False)),
+            ("STC-like+OF", lambda engine: engine.with_output_forwarding(False)),
+        ],
+    )
+    def test_disabling_a_feature_gives_the_base_engine(self, name, disable):
+        base = resolve_engine(name.split("+")[0])
+        assert disable(resolve_engine(name)) == base
+
+    def test_disabling_one_of_two_features_keeps_the_other(self):
+        engine = resolve_engine("VEGETA-S-4-2+OF+SPGEMM")
+        assert engine.with_output_forwarding(False) == resolve_engine("VEGETA-S-4-2+SPGEMM")
+        assert engine.with_spgemm(False) == resolve_engine("VEGETA-S-4-2+OF")
+
+    def test_both_enabling_orders_give_the_resolved_engine(self):
+        base = get_engine("VEGETA-S-4-2")
+        resolved = resolve_engine("VEGETA-S-4-2+SPGEMM+OF")
+        assert resolved.name == "VEGETA-S-4-2+OF+SPGEMM"
+        assert base.with_spgemm().with_output_forwarding() == resolved
+        assert base.with_output_forwarding().with_spgemm() == resolved
+
+    def test_enabling_twice_appends_once(self):
+        engine = resolve_engine("VEGETA-S-16-2+OF")
+        assert engine.with_output_forwarding() == engine
+
+
+class TestTiming:
+    """EngineTiming: exactly the quantities the simulator reads."""
+
+    @pytest.mark.parametrize(
+        "name",
+        sorted(catalog())
+        + ["STC-like", "VEGETA-S-16-2+OF", "VEGETA-S-4-2+OF+SPGEMM", "SME-like+OF"],
+    )
+    def test_every_field_is_the_engine_property_of_that_name(self, name):
+        engine = resolve_engine(name)
+        timing = engine.timing
+        for field in dataclasses.fields(timing):
+            assert getattr(timing, field.name) == getattr(engine, field.name), field.name
+
+    def test_figure13_engines_fall_into_seven_timing_classes(self):
+        classes = {}
+        for name in FIGURE13_ENGINE_NAMES:
+            classes.setdefault(resolve_engine(name).timing, set()).add(name)
+        assert sorted(map(sorted, classes.values())) == sorted(
+            [
+                ["STC-like", "VEGETA-D-1-2", "VEGETA-S-1-2"],
+                ["VEGETA-S-16-2", "VEGETA-S-8-2"],
+                ["VEGETA-D-1-1"],
+                ["VEGETA-D-16-1"],
+                ["VEGETA-S-2-2"],
+                ["VEGETA-S-4-2"],
+                ["VEGETA-S-16-2+OF"],
+            ]
+        )
+
+
 class TestSpgemm:
     def test_with_spgemm_renames(self):
         engine = get_engine("VEGETA-S-16-2").with_spgemm()
@@ -136,14 +202,14 @@ class TestSpgemm:
             get_engine("VEGETA-D-1-2").with_spgemm()
 
     def test_feed_overhead_scales_with_effective_k(self):
-        engine = get_engine("VEGETA-S-16-2").with_spgemm()
+        timing = get_engine("VEGETA-S-16-2").with_spgemm().timing
         # K=64 -> 16 blocks at 4 intersections/cycle; K=128 -> 32 blocks.
-        assert engine.spgemm_feed_overhead(64) == 4
-        assert engine.spgemm_feed_overhead(128) == 8
+        assert timing.spgemm_feed_overhead(64) == 4
+        assert timing.spgemm_feed_overhead(128) == 8
 
     def test_feed_overhead_requires_the_capability(self):
         with pytest.raises(ConfigurationError):
-            get_engine("VEGETA-S-16-2").spgemm_feed_overhead(64)
+            get_engine("VEGETA-S-16-2").timing.spgemm_feed_overhead(64)
 
 
 class TestValidation:

@@ -56,10 +56,11 @@ class TestPipelining:
             assert later.dr_start >= earlier.dr_end
 
     def test_makespan_grows_linearly_in_steady_state(self):
-        pipeline = MatrixEnginePipeline(get_engine("VEGETA-S-16-2"))
+        engine = get_engine("VEGETA-S-16-2")
+        pipeline = MatrixEnginePipeline(engine)
         pipeline.schedule_all([TileComputeRequest(op_id=i) for i in range(20)])
         # 20 instructions at a 16-cycle interval plus one latency of overhead.
-        assert pipeline.makespan <= 20 * 16 + pipeline.engine.instruction_latency
+        assert pipeline.makespan <= 20 * 16 + engine.instruction_latency
 
     def test_utilization_approaches_one_for_long_streams(self):
         pipeline = MatrixEnginePipeline(get_engine("VEGETA-D-1-2"))

@@ -204,7 +204,7 @@ class ReferenceState:
                     "SpGEMM stream merging is not enabled on this configuration"
                 )
             if instruction.feed_overhead < 0:
-                feed_overhead = self.engine.spgemm_feed_overhead(opcode.spgemm_effective_k)
+                feed_overhead = self.engine.timing.spgemm_feed_overhead(opcode.spgemm_effective_k)
 
         dst_tregs = instruction.dst.backing_tregs()
         accumulator_dep: Optional[int] = None

@@ -154,6 +154,22 @@ def test_engines_lists_catalog_with_geometry_columns(capsys):
     assert "16x64B" in out
     assert "32x128B" in out
     assert "4096" in out  # the SME tile register image
+    # Timing column: the first engine above with an equal EngineTiming.
+    header, _, *lines = out.strip().splitlines()[1:]
+    column = header.index("timing")
+    classes = {line.split()[0]: line[column:].split()[0] for line in lines}
+    assert classes == {
+        "VEGETA-D-1-1": "-",
+        "VEGETA-D-1-2": "-",
+        "VEGETA-D-16-1": "-",
+        "VEGETA-S-1-2": "VEGETA-D-1-2",
+        "VEGETA-S-2-2": "-",
+        "VEGETA-S-4-2": "-",
+        "VEGETA-S-8-2": "-",
+        "VEGETA-S-16-2": "VEGETA-S-8-2",
+        "AMX-like": "VEGETA-D-16-1",
+        "SME-like": "-",
+    }
 
 
 class TestCoresValidation:

@@ -6,9 +6,11 @@ from repro.analysis.granularity import figure15_series
 from repro.analysis.roofline import figure3_series
 from repro.analysis.runtime import figure13_experiment, simulate_layer, resolve_engine
 from repro.cpu.params import MachineParams
+from repro.cpu.simulator import CycleApproximateSimulator
 from repro.experiments.cache import ResultCache
 from repro.experiments.figures import figure13_spec, figure15_spec
 from repro.experiments.runner import run_experiment, run_named
+from repro.kernels.memo import clear_build_memo
 from repro.types import SparsityPattern
 from repro.workloads.layers import get_layer
 
@@ -46,6 +48,27 @@ class TestFig13:
         assert row["core_cycles_scaled"] == direct.core_cycles_scaled
         assert row["simulated_fraction"] == direct.simulated_fraction
         assert row["core_cycles"] == direct.result.core_cycles
+
+    def test_engines_of_equal_timing_share_simulations(self, monkeypatch):
+        # One layer's 30 points run 3 kernels.  The dense kernel meets 7
+        # engine timings (D-1-2, STC-like and S-1-2 share one; S-8-2 and
+        # S-16-2 share one), each sparse kernel 5: 17 simulations.
+        calls = []
+        original = CycleApproximateSimulator.run
+
+        def counting_run(self, trace, **kwargs):
+            calls.append(self.engine.name)
+            return original(self, trace, **kwargs)
+
+        monkeypatch.setattr(CycleApproximateSimulator, "run", counting_run)
+        clear_build_memo()
+        spec = figure13_spec(layers=[get_layer("ResNet50-L3")], max_output_tiles=64)
+        table = run_experiment(spec, jobs=1, cache=False)
+        assert len(table.rows) == 30
+        assert len(calls) == 17
+        assert [row["engine"] for row in table.rows[:10]] == [
+            resolve_engine(name).name for name in spec.axes["engine"]
+        ]
 
     def test_figure13_experiment_rehydrates_layer_runtimes(self, tmp_path):
         results = figure13_experiment(

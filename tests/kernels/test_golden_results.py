@@ -19,6 +19,10 @@ two models while ``"exact"`` steps the tag-array
 :class:`~repro.cpu.memory.MemorySystem` rather than the oracle's script, which
 ``test_exact_mode_steps_the_tag_arrays`` pins.
 
+The same digests pin that the simulator reads an engine only through its
+``EngineTiming`` (and its name), and fresh simulations pin that engines of
+equal timing simulate every golden kernel alike.
+
 Refreshing after an *intentional* timing-model change (which also bumps
 ``SIMULATOR_MODEL_VERSION``)::
 
@@ -32,6 +36,7 @@ import os
 import pytest
 
 from repro.analysis.runtime import resolve_engine
+from repro.core.engine import catalog
 from repro.cpu.columnar import ColumnarTrace
 from repro.cpu.memory import MemorySystem, RequestScript, ScriptedMemory
 from repro.cpu.multicore import result_to_payload
@@ -63,20 +68,38 @@ CONFIGS = {
 }
 
 
-def simulate(kernel: str, machine, mode: str):
-    """Run golden ``kernel`` on its engine."""
+class TimingOnlyEngine:
+    """A stand-in engine that exposes only ``timing`` and ``name``.
+
+    Reading any other attribute fails the test, so a simulation that runs
+    to its pinned digest on it read the engine through its timing alone.
+    """
+
+    def __init__(self, engine) -> None:
+        object.__setattr__(self, "_exposed", {"timing": engine.timing, "name": engine.name})
+
+    def __getattribute__(self, attribute: str):
+        exposed = object.__getattribute__(self, "_exposed")
+        if attribute not in exposed:
+            raise AssertionError(f"the simulator read engine.{attribute}")
+        return exposed[attribute]
+
+
+def simulate(kernel: str, machine, mode: str, wrap=lambda engine: engine):
+    """Run golden ``kernel`` on its engine, passed through ``wrap``."""
     program = GOLDEN_KERNELS[kernel]()
     name = KERNEL_ENGINES[kernel]
-    engine = resolve_engine(name) if name is not None else None
+    engine = wrap(resolve_engine(name)) if name is not None else None
     return CycleApproximateSimulator(machine=machine, engine=engine).run(
         program.trace, mode=mode
     )
 
 
-def result_digest(kernel: str, config: str) -> str:
+def result_digest(kernel: str, config: str, wrap=lambda engine: engine) -> str:
     """sha256 of the serialized result of ``kernel`` under ``config``."""
     machine, mode = CONFIGS[config]
-    payload = json.dumps(result_to_payload(simulate(kernel, machine(), mode)), sort_keys=True)
+    result = simulate(kernel, machine(), mode, wrap)
+    payload = json.dumps(result_to_payload(result), sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -106,6 +129,51 @@ def test_result_matches_pinned_digest(kernel, config):
         "to its pinned result; if the timing model changed on purpose, bump "
         "SIMULATOR_MODEL_VERSION and refresh with REPRO_UPDATE_GOLDEN=1"
     )
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+@pytest.mark.parametrize("kernel", sorted(GOLDEN_KERNELS))
+def test_simulator_reads_the_engine_only_through_its_timing(kernel, config):
+    assert result_digest(kernel, config, TimingOnlyEngine) == _pinned()[kernel][config]
+
+
+def _engine_variants():
+    """The catalog and STC-like, each with its +OF / +SPGEMM variants."""
+    engines = []
+    for base in [*catalog(), "STC-like"]:
+        engine = resolve_engine(base)
+        engines += [engine, engine.with_output_forwarding()]
+        if engine.sparse:
+            engines += [engine.with_spgemm(), engine.with_output_forwarding().with_spgemm()]
+    return engines
+
+
+def _timing_classes():
+    """Engines grouped by timing: the classes with at least two engines."""
+    classes = {}
+    for engine in _engine_variants():
+        classes.setdefault(engine.timing, []).append(engine)
+    return [engines for engines in classes.values() if len(engines) > 1]
+
+
+@pytest.mark.parametrize("mode", ["fast", "exact"])
+@pytest.mark.parametrize("kernel", sorted(GOLDEN_KERNELS))
+def test_engines_of_equal_timing_simulate_alike(kernel, mode):
+    # A fresh simulation per engine (run keeps nothing): equal timing alone
+    # must give equal results, whatever else the engines differ in.
+    trace = GOLDEN_KERNELS[kernel]().trace
+    spgemm = any(name.startswith("TILE_SPGEMM") for name in trace.summarize().by_opcode)
+    compared = 0
+    for engines in _timing_classes():
+        runnable = [engine for engine in engines if engine.spgemm or not spgemm]
+        payloads = [
+            result_to_payload(CycleApproximateSimulator(engine=engine).run(trace, mode=mode))
+            for engine in runnable
+        ]
+        for engine, payload in zip(runnable[1:], payloads[1:]):
+            assert payload == payloads[0], f"{engine.name} differs from {runnable[0].name}"
+            compared += 1
+    assert compared > 0
 
 
 @pytest.fixture
