@@ -16,12 +16,8 @@ The assertions check Figure 13's qualitative structure:
 
 import pytest
 
-from repro.analysis.runtime import (
-    FIGURE13_ENGINE_NAMES,
-    FUNCTIONAL_MAX_OUTPUT_TILES,
-    figure13_experiment,
-    normalized_runtimes,
-)
+from repro.analysis.runtime import FIGURE13_ENGINE_NAMES, FUNCTIONAL_MAX_OUTPUT_TILES
+from repro.experiments.runner import run_named
 from repro.types import SparsityPattern
 from repro.workloads.layers import all_layers, get_layer
 from repro.experiments.results import print_table
@@ -31,25 +27,22 @@ MAX_OUTPUT_TILES = FUNCTIONAL_MAX_OUTPUT_TILES
 
 
 def _run_sweep():
-    return figure13_experiment(
-        layers=all_layers(),
-        engine_names=FIGURE13_ENGINE_NAMES,
-        max_output_tiles=MAX_OUTPUT_TILES,
-    )
+    """The registered ``fig13`` experiment, as ``repro run fig13`` runs it."""
+    return run_named("fig13", {"max_output_tiles": MAX_OUTPUT_TILES})
 
 
-def _index(results):
-    table = {}
-    for result in results:
-        table[(result.layer, result.pattern, result.engine)] = result.core_cycles_scaled
-    return table
+def _index(sweep):
+    return {
+        (row["layer"], SparsityPattern(row["pattern"]), row["engine"]): row["core_cycles_scaled"]
+        for row in sweep.rows
+    }
 
 
 @pytest.mark.benchmark(group="figure13")
 def test_figure13_runtime_sweep(benchmark):
-    results = benchmark.pedantic(_run_sweep, rounds=1, iterations=1)
-    table = _index(results)
-    normalized = normalized_runtimes(results)
+    sweep = benchmark.pedantic(_run_sweep, rounds=1, iterations=1)
+    table = _index(sweep)
+    normalized = sweep.normalized_to_max("core_cycles_scaled", ("layer", "pattern", "engine"))
 
     layers = [layer.name for layer in all_layers()]
     patterns = (SparsityPattern.DENSE_4_4, SparsityPattern.SPARSE_2_4, SparsityPattern.SPARSE_1_4)

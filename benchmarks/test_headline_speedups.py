@@ -10,20 +10,17 @@ row-wise granularity model at 95 % sparsity.
 
 import pytest
 
-from repro.analysis.granularity import headline_unstructured_speedup
-from repro.analysis.runtime import FUNCTIONAL_MAX_OUTPUT_TILES, headline_speedups
-from repro.workloads.layers import all_layers
+from repro.analysis.runtime import FUNCTIONAL_MAX_OUTPUT_TILES
+from repro.experiments.runner import run_named
 from repro.experiments.results import print_table
 
 PAPER_VALUES = {"4:4": 1.09, "2:4": 2.20, "1:4": 3.74, "unstructured-95%": 3.28}
 
 
 def _measure():
-    speedups = headline_speedups(
-        layers=all_layers(), max_output_tiles=FUNCTIONAL_MAX_OUTPUT_TILES
-    )
-    speedups["unstructured-95%"] = headline_unstructured_speedup(0.95)
-    return speedups
+    """The registered ``headline`` experiment, as ``repro run headline`` runs it."""
+    table = run_named("headline", {"max_output_tiles": FUNCTIONAL_MAX_OUTPUT_TILES})
+    return {row["sparsity"]: row["speedup"] for row in table.rows}
 
 
 @pytest.mark.benchmark(group="headline")

@@ -11,7 +11,9 @@ flexible N:M structured sparsity.  This package provides:
 * :mod:`repro.kernels` — GEMM/SPMM kernel generators (the LLVM/Pin stand-in),
 * :mod:`repro.workloads` — the Table IV DNN layers and synthetic operands,
 * :mod:`repro.analysis` — roofline, area/power and granularity models plus
-  the Figure 13 experiment orchestration,
+  the single-point Figure 13 simulation,
+* :mod:`repro.experiments` — the registered figure sweeps (``fig13``,
+  ``headline``, ...) with result caching and parallel execution,
 * :mod:`repro.baselines` — prior-work engines and the Table I support matrix.
 
 Quickstart::
@@ -73,12 +75,10 @@ from .sparse import (
 )
 from .workloads import all_layers, generate_structured, generate_unstructured, get_layer
 from .analysis import (
-    figure13_experiment,
     figure14_table,
     figure15_series,
     figure3_series,
     figure4_instruction_counts,
-    headline_speedups,
 )
 from .experiments import (
     ExperimentSpec,
@@ -129,7 +129,6 @@ __all__ = [
     "catalog",
     "compress",
     "default_machine",
-    "figure13_experiment",
     "figure14_table",
     "figure15_series",
     "figure3_series",
@@ -138,7 +137,6 @@ __all__ = [
     "generate_unstructured",
     "get_engine",
     "get_layer",
-    "headline_speedups",
     "prune_to_pattern",
     "prune_unstructured",
     "run_experiment",

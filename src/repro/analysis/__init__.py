@@ -1,8 +1,10 @@
-"""Analytical models and experiment orchestration for the evaluation section.
+"""Analytical models and per-point simulation for the evaluation section.
 
 * :mod:`repro.analysis.roofline` — Figure 3 (effective throughput vs density),
 * :mod:`repro.analysis.instruction_model` — Figure 4 (vector vs matrix counts),
-* :mod:`repro.analysis.runtime` — Figure 13 (layer runtimes across engines),
+* :mod:`repro.analysis.runtime` — one Figure 13 point (a layer on an engine);
+  the sweep and the abstract's speed-ups are the registered ``fig13`` and
+  ``headline`` experiments (:mod:`repro.experiments.figures`),
 * :mod:`repro.analysis.area_power` — Figure 14 (area / power / frequency),
 * :mod:`repro.analysis.granularity` — Figure 15 (granularity speed-ups).
 """
@@ -43,11 +45,7 @@ from .roofline import (
 from .runtime import (
     FIGURE13_ENGINE_NAMES,
     LayerRuntime,
-    average_speedup,
     build_layer_kernel,
-    figure13_experiment,
-    headline_speedups,
-    normalized_runtimes,
     resolve_engine,
     simulate_layer,
 )
@@ -60,7 +58,6 @@ __all__ = [
     "Figure15Point",
     "Figure4Point",
     "LayerRuntime",
-    "average_speedup",
     "build_layer_kernel",
     "crossover_density",
     "effective_throughput_tflops",
@@ -68,19 +65,16 @@ __all__ = [
     "engine_frequency_ghz",
     "engine_power",
     "estimate",
-    "figure13_experiment",
     "figure14_table",
     "figure15_series",
     "figure3_series",
     "figure4_instruction_counts",
     "granularity_speedups",
-    "headline_speedups",
     "headline_unstructured_speedup",
     "instruction_ratio_table",
     "layer_bytes",
     "layer_wise_speedup",
     "matrix_instruction_estimate",
-    "normalized_runtimes",
     "resolve_engine",
     "row_wise_speedup",
     "simulate_layer",

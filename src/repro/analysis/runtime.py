@@ -1,4 +1,4 @@
-"""Figure 13 orchestration: layer runtimes across engines and sparsity patterns.
+"""Figure 13 points: layer runtimes across engines and sparsity patterns.
 
 This module glues the pieces together the way the paper's evaluation flow
 does: pick a Table IV layer and a weight sparsity pattern, generate the
@@ -14,16 +14,19 @@ only the first few output tiles — the measured runtime is then scaled back
 up by the covered fraction — which functional-correctness tests use to keep
 fixtures small.  EXPERIMENTS.md documents the truncation semantics.
 
-The sweep itself (:func:`figure13_experiment` / :func:`figure13_table`) runs
-through :mod:`repro.experiments`, which adds content-addressed result caching
-and optional multiprocessing fan-out; :func:`simulate_layer` remains the
-low-level single-point entry the trial runner executes.
+:func:`simulate_layer` is the single-point entry the ``fig13`` trial runner
+executes.  The sweeps themselves are the registered ``fig13`` and
+``headline`` experiments (:mod:`repro.experiments.figures`), which add
+content-addressed result caching and optional multiprocessing fan-out;
+their tables carry the normalizations and speed-ups
+(:meth:`~repro.experiments.results.ResultTable.normalized_to_max`,
+:meth:`~repro.experiments.results.ResultTable.geomean_speedup`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Optional
 
 from ..core.engine import EngineConfig, get_engine, stc_like_engine
 from ..cpu.params import MachineParams, default_machine
@@ -122,11 +125,9 @@ def build_layer_kernel(
 class LayerRuntime:
     """Runtime of one (layer, pattern, engine) combination.
 
-    ``result`` carries the full :class:`SimulationResult` when the point was
-    simulated in this process (:func:`simulate_layer`): a fresh copy of the
+    ``result`` is the full :class:`SimulationResult`: a fresh copy of the
     result shared by every engine with the same timing on the same kernel,
-    carrying this point's engine.  Points rehydrated from the experiment
-    cache only carry the scalar summary below.
+    carrying this point's engine and machine.
     """
 
     layer: str
@@ -134,13 +135,12 @@ class LayerRuntime:
     engine: str
     core_cycles_scaled: float
     simulated_fraction: float
-    result: Optional[SimulationResult] = None
-    core_frequency_ghz: float = 2.0
+    result: SimulationResult
 
     @property
     def runtime_seconds(self) -> float:
         """Scaled wall-clock runtime at the core frequency."""
-        return self.core_cycles_scaled / (self.core_frequency_ghz * 1e9)
+        return self.core_cycles_scaled / (self.result.machine.core.frequency_ghz * 1e9)
 
 
 def simulate_layer(
@@ -175,167 +175,4 @@ def simulate_layer(
         core_cycles_scaled=scaled,
         simulated_fraction=program.simulated_fraction,
         result=result,
-        core_frequency_ghz=result.machine.core.frequency_ghz,
     )
-
-
-def figure13_experiment(
-    *,
-    layers: Optional[Sequence[WorkloadLayer]] = None,
-    engine_names: Sequence[str] = FIGURE13_ENGINE_NAMES,
-    patterns: Sequence[SparsityPattern] = (
-        SparsityPattern.DENSE_4_4,
-        SparsityPattern.SPARSE_2_4,
-        SparsityPattern.SPARSE_1_4,
-    ),
-    machine: Optional[MachineParams] = None,
-    max_output_tiles: Optional[int] = DEFAULT_MAX_OUTPUT_TILES,
-    jobs: Optional[int] = None,
-    cache: object = True,
-    cache_root: Optional[str] = None,
-) -> List[LayerRuntime]:
-    """Run the full Figure 13 sweep and return every measured point.
-
-    The sweep goes through :mod:`repro.experiments`: results are served from
-    the content-addressed cache when available and the misses are fanned out
-    over ``jobs`` worker processes (``None`` defers to ``REPRO_JOBS``;
-    default serial).  Point order matches the historical strictly-serial
-    loop: layers outermost, then patterns, then engines.
-    """
-    table = figure13_table(
-        layers=layers,
-        engine_names=engine_names,
-        patterns=patterns,
-        machine=machine,
-        max_output_tiles=max_output_tiles,
-        jobs=jobs,
-        cache=cache,
-        cache_root=cache_root,
-    )
-    return [
-        LayerRuntime(
-            layer=row["layer"],
-            pattern=SparsityPattern(row["pattern"]),
-            engine=row["engine"],
-            core_cycles_scaled=float(row["core_cycles_scaled"]),
-            simulated_fraction=float(row["simulated_fraction"]),
-            result=None,
-            core_frequency_ghz=float(row["core_frequency_ghz"]),
-        )
-        for row in table.rows
-    ]
-
-
-def figure13_table(
-    *,
-    layers: Optional[Sequence[WorkloadLayer]] = None,
-    engine_names: Sequence[str] = FIGURE13_ENGINE_NAMES,
-    patterns: Sequence[SparsityPattern] = (
-        SparsityPattern.DENSE_4_4,
-        SparsityPattern.SPARSE_2_4,
-        SparsityPattern.SPARSE_1_4,
-    ),
-    machine: Optional[MachineParams] = None,
-    max_output_tiles: Optional[int] = DEFAULT_MAX_OUTPUT_TILES,
-    jobs: Optional[int] = None,
-    cache: object = True,
-    cache_root: Optional[str] = None,
-):
-    """The Figure 13 sweep as a :class:`~repro.experiments.results.ResultTable`."""
-    from ..experiments.figures import figure13_spec
-    from ..experiments.runner import run_experiment
-
-    spec = figure13_spec(
-        layers=layers,
-        engine_names=engine_names,
-        patterns=patterns,
-        machine=machine,
-        max_output_tiles=max_output_tiles,
-    )
-    return run_experiment(spec, jobs=jobs, cache=cache, cache_root=cache_root)
-
-
-def _results_table(results: Sequence[LayerRuntime]):
-    """Project LayerRuntime points onto the shared ResultTable reductions."""
-    from ..experiments.results import ResultTable
-
-    return ResultTable(
-        ("layer", "pattern", "engine", "core_cycles_scaled"),
-        (
-            {
-                "layer": result.layer,
-                "pattern": result.pattern.value,
-                "engine": result.engine,
-                "core_cycles_scaled": result.core_cycles_scaled,
-            }
-            for result in results
-        ),
-    )
-
-
-def normalized_runtimes(results: Sequence[LayerRuntime]) -> Dict[str, float]:
-    """Normalise runtimes by the slowest point, as Figure 13 does."""
-    return _results_table(results).normalized_to_max(
-        "core_cycles_scaled", ("layer", "pattern", "engine")
-    )
-
-
-def average_speedup(
-    results: Sequence[LayerRuntime],
-    *,
-    baseline_engine: str,
-    target_engine: str,
-    pattern: SparsityPattern,
-) -> float:
-    """Geometric-mean speed-up of one engine over a baseline for one pattern."""
-    return _results_table(results).geomean_speedup(
-        "core_cycles_scaled",
-        pivot_column="engine",
-        baseline=baseline_engine,
-        target=target_engine,
-        group_by=("layer",),
-        where={"pattern": pattern.value},
-    )
-
-
-def headline_speedups(
-    *,
-    layers: Optional[Sequence[WorkloadLayer]] = None,
-    machine: Optional[MachineParams] = None,
-    max_output_tiles: Optional[int] = DEFAULT_MAX_OUTPUT_TILES,
-    baseline: str = "VEGETA-D-1-2",
-    target: str = "VEGETA-S-16-2+OF",
-    jobs: Optional[int] = None,
-    cache: object = True,
-    cache_root: Optional[str] = None,
-) -> Dict[str, float]:
-    """The abstract's structured-sparsity headline speed-ups.
-
-    Paper values: 1.09x (4:4), 2.20x (2:4) and 3.74x (1:4) for the best
-    VEGETA-S engine with output forwarding over the state-of-the-art dense
-    engine (RASA-DM).
-    """
-    patterns = (
-        SparsityPattern.DENSE_4_4,
-        SparsityPattern.SPARSE_2_4,
-        SparsityPattern.SPARSE_1_4,
-    )
-    results = figure13_experiment(
-        layers=layers,
-        engine_names=(baseline, target),
-        patterns=patterns,
-        machine=machine,
-        max_output_tiles=max_output_tiles,
-        jobs=jobs,
-        cache=cache,
-        cache_root=cache_root,
-    )
-    return {
-        pattern.value: average_speedup(
-            results,
-            baseline_engine=resolve_engine(baseline).name,
-            target_engine=resolve_engine(target).name,
-            pattern=pattern,
-        )
-        for pattern in patterns
-    }

@@ -76,7 +76,11 @@ from .trace import (
 #: v4: the persistent store's entries became checksummed envelopes
 #: (crash-consistency layer in ``repro.experiments.cache``); new keys let
 #: pre-envelope entries age out unread instead of flooding the quarantine.
-SIMULATION_KEY_SCHEMA = "4"
+#: v5: the identity part is :func:`repro.cpu.simulator.simulation_identity`:
+#: the engine enters only by its timing (equal timings share entries), and
+#: the super-period cap enters too (a store warmed at one cap serves no
+#: other).  The machine dict lost four unread ``CoreParams`` fields.
+SIMULATION_KEY_SCHEMA = "5"
 
 #: The columnar trace record.  ``opcode`` is -1 for non-tile ops; ``dst`` /
 #: ``src_a`` / ``src_b`` hold encoded register references (-1 for none);

@@ -59,8 +59,8 @@ import functools
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.engine import EngineConfig
 from ..errors import SimulationError
@@ -69,6 +69,7 @@ from .simulator import (
     SIMULATOR_MODEL_VERSION,
     CycleApproximateSimulator,
     SimulationResult,
+    simulation_identity,
 )
 from .topology import (
     CorePlacement,
@@ -172,28 +173,19 @@ def memoization_enabled(memo: Optional[bool] = None) -> bool:
 
 
 @functools.lru_cache(maxsize=32)
-def _key_identity(machine: MachineParams, engine: Optional[EngineConfig], mode: str) -> bytes:
-    """The machine, engine (canonical JSON), mode and model-version bytes of a key."""
-    engine_json = "none" if engine is None else json.dumps(
+def _identity_bytes(identity: Tuple[Any, ...]) -> bytes:
+    """Canonical JSON of a :func:`simulation_identity` plus the model version."""
+    machine, timing, mode, max_super_period = identity
+    return json.dumps(
         {
-            "name": engine.name,
-            "sparse": engine.sparse,
-            "alpha": engine.alpha,
-            "beta": engine.beta,
-            "total_macs": engine.total_macs,
-            "patterns": sorted(p.value for p in engine.supported_patterns),
-            "output_forwarding": engine.output_forwarding,
-            "spgemm": engine.spgemm,
-            "prior_work": engine.prior_work,
-            # Structural (value-based) tile geometry: engines whose tiles have
-            # the same shape and register files hash equal on purpose, while a
-            # geometry change (e.g. SME's 32x128 B tiles) invalidates memos.
-            "geometry": list(engine.geometry.identity()),
+            "machine": machine.to_dict(),
+            "timing": None if timing is None else asdict(timing),
+            "mode": mode,
+            "max_super_period": max_super_period,
+            "model": SIMULATOR_MODEL_VERSION,
         },
         sort_keys=True,
-    )
-    machine_json = json.dumps(machine.to_dict(), sort_keys=True)
-    return (machine_json + engine_json + mode + SIMULATOR_MODEL_VERSION).encode()
+    ).encode()
 
 
 def simulation_cache_key(
@@ -205,17 +197,17 @@ def simulation_cache_key(
     """Full content address of one program's private-simulation outcome.
 
     Combines the trace's address-normalized signature key (see
-    :meth:`repro.cpu.columnar.ColumnarTrace.simulation_key`) with the machine
-    parameters, engine configuration and simulation mode.  Two programs with
-    equal keys produce bit-identical :class:`SimulationResult`\\ s, so the key
-    is valid across cores, trials, processes and runs.  The identity part is
-    serialised once per distinct (machine, engine, mode) triple — both
-    dataclasses are frozen, so equal values share it — not once per program.
+    :meth:`repro.cpu.columnar.ColumnarTrace.simulation_key`) with the
+    :func:`~repro.cpu.simulator.simulation_identity` and the model version.
+    Two programs with equal keys produce bit-identical
+    :class:`SimulationResult`\\ s, so the key is valid across cores, trials,
+    engines of equal timing, processes and runs.  The identity part is
+    serialised once per distinct identity, not once per program.
     """
     trace_key = program.trace.simulation_key(machine)
     digest = hashlib.sha256()
     digest.update(trace_key.encode())
-    digest.update(_key_identity(machine, engine, mode))
+    digest.update(_identity_bytes(simulation_identity(machine, engine, mode)))
     return digest.hexdigest()
 
 

@@ -72,14 +72,17 @@ class MemoryParams:
 
 @dataclass(frozen=True)
 class CoreParams:
-    """Out-of-order core parameters (Section VI-B)."""
+    """Out-of-order core parameters (Section VI-B).
+
+    The paper's core is 4-wide (fetch, issue, retire) with 16 pipeline
+    stages.  The simulator models issue width and ROB/load-buffer
+    occupancy only: no fetch or retire stage, no pipeline depth, and one
+    L2 line per core cycle (:mod:`repro.cpu.memory`).
+    """
 
     frequency_ghz: float = 2.0
     matrix_engine_frequency_ghz: float = 0.5
-    fetch_width: int = 4
     issue_width: int = 4
-    retire_width: int = 4
-    pipeline_stages: int = 16
     rob_entries: int = 97
     load_buffer_entries: int = 96
     #: Scalar ALU / address-generation latency in core cycles.
@@ -90,8 +93,6 @@ class CoreParams:
     #: 64 GFLOPS BF16 vector engine of Section III-A: 16 MACs per cycle is
     #: half of a 32-element FMA per cycle.
     vector_fma_per_cycle: float = 0.5
-    #: L2 to core sustained bandwidth, bytes per core cycle (one line / cycle).
-    l2_bytes_per_cycle: int = 64
 
     def __post_init__(self) -> None:
         if self.frequency_ghz <= 0 or self.matrix_engine_frequency_ghz <= 0:
@@ -100,8 +101,8 @@ class CoreParams:
             raise ConfigurationError(
                 "the matrix engine cannot be clocked faster than the core"
             )
-        if min(self.fetch_width, self.issue_width, self.retire_width) <= 0:
-            raise ConfigurationError("pipeline widths must be positive")
+        if self.issue_width <= 0:
+            raise ConfigurationError("the issue width must be positive")
         if self.rob_entries <= 0 or self.load_buffer_entries <= 0:
             raise ConfigurationError("buffer sizes must be positive")
 

@@ -59,9 +59,9 @@ import dataclasses
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Optional, Union
+from typing import Deque, Dict, Optional, Tuple, Union
 
-from ..core.engine import EngineConfig
+from ..core.engine import EngineConfig, EngineTiming
 from ..core.pipeline import MatrixEnginePipeline
 from ..errors import SimulationError
 from .columnar import ColumnarTrace
@@ -73,11 +73,12 @@ from .trace import TraceOp, TraceOpKind, TraceSummary
 SIMULATION_MODES = ("fast", "exact")
 
 #: Version of the simulator's *timing semantics*.  Folded into every
-#: block-memoization key (:func:`repro.cpu.multicore.simulation_cache_key`),
-#: so persisted per-core results from an older model can never be replayed
-#: against a newer one.  Bump whenever a change affects cycles or counters
-#: without being visible in the machine/engine parameters — pipeline rules,
-#: latency formulas, feed-overhead constants, cache policy details.
+#: block-memoization key (:func:`repro.cpu.multicore.simulation_cache_key`)
+#: and every experiment trial key, so neither stored per-core results nor
+#: cached rows of an older model are replayed.  Bump it (and no spec
+#: version) whenever a change affects cycles or counters without being
+#: visible in the machine/engine parameters — pipeline rules, latency
+#: formulas, feed-overhead constants, cache policy details.
 #: "2": per-instruction (data-dependent) SpGEMM feed overheads.
 #: "3": geometry-parameterised engines (busy cycles, feed latencies and tile
 #: transfer sizes derive from the engine's TileGeometry).
@@ -627,6 +628,24 @@ class CycleApproximateSimulator:
         return state.result(trace.summarize(), core_cycles)
 
 
+def simulation_identity(
+    machine: MachineParams, engine: Optional[EngineConfig], mode: str
+) -> Tuple[MachineParams, Optional[EngineTiming], str, int]:
+    """Everything a simulation reads besides its trace.
+
+    The machine, the engine's :attr:`~repro.core.engine.EngineConfig.timing`,
+    the mode and the fast path's super-period cap, which changes cycles
+    where the profile path is inexact (no ideal L2 prefetch).  Equal
+    identities give equal results, so both memos key by it:
+    :func:`simulate_shared` and
+    :func:`repro.cpu.multicore.simulation_cache_key`.
+    """
+    from .fastsim import resolve_max_super_period
+
+    timing = engine.timing if engine is not None else None
+    return (machine, timing, mode, resolve_max_super_period())
+
+
 def simulate_shared(
     trace: ColumnarTrace,
     *,
@@ -639,27 +658,17 @@ def simulate_shared(
     The single-core trial runners (``fig13`` and with it ``headline``,
     ``backends``, ``spgemm``) simulate through here.  The result is a
     derived view of the trace (:meth:`ColumnarTrace.derived`), keyed by
-    everything the simulation reads beside the trace: the machine, the
-    engine's :attr:`~repro.core.engine.EngineConfig.timing`, the mode and
-    the fast path's super-period cap.  So engines with equal timing that
-    run one shared trace, as several Figure 13 engines do, simulate it once
-    per process.  The kept result lives as long as its trace, which the
-    build memo bounds.
+    :func:`simulation_identity`, the same identity the ``simblocks`` store's
+    keys hash.  So engines with equal timing that run one shared trace, as
+    several Figure 13 engines do, simulate it once per process.  The kept
+    result lives as long as its trace, which the build memo bounds.
 
     Each call returns a fresh result carrying the caller's ``machine`` and
     ``engine``, its own instruction-mix summary and its own memory
     counters.  A simulation that raises keeps nothing, so every call on it
     raises.
     """
-    from .fastsim import resolve_max_super_period
-
-    key = (
-        "simulation",
-        machine,
-        engine.timing if engine is not None else None,
-        mode,
-        resolve_max_super_period(),
-    )
+    key = ("simulation",) + simulation_identity(machine, engine, mode)
     shared = trace.derived(
         key, lambda: CycleApproximateSimulator(machine, engine, mode).run(trace)
     )

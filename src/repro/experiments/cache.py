@@ -1,12 +1,13 @@
 """Content-addressed on-disk result cache with crash-consistent entries.
 
 Every trial result is stored as one small JSON file whose name is the SHA-256
-of (cache schema version, experiment name, spec version, trial parameters) —
-see :meth:`repro.experiments.spec.ExperimentSpec.cache_key`.  Because the key
+of (cache schema version, simulator model version, experiment name, spec
+version, trial parameters) — see
+:meth:`repro.experiments.spec.ExperimentSpec.cache_key`.  Because the key
 covers every input that can change a result, there is no explicit
-invalidation: changing a parameter, a spec version, or the schema version
-simply addresses different entries, and stale entries are garbage that
-``repro cache clear`` removes.
+invalidation: changing a parameter or any of the versions simply addresses
+different entries, and stale entries are garbage that ``repro cache clear``
+removes.
 
 Crash consistency: every write goes through one atomic
 write-temp-then-rename path (:func:`atomic_write_json`), and every entry is

@@ -2,14 +2,15 @@
 
 Each figure is expressed as an :class:`~repro.experiments.spec.ExperimentSpec`
 factory plus a trial runner that executes exactly one point of the sweep.
-The analysis layer's public entry points (``figure13_experiment``,
-``figure15_series``, ``figure3_series``, ``figure14_table``) delegate here,
-so every reproduction path — unit tests, benchmarks, examples and the
-``python -m repro`` CLI — shares the same execution, caching and
-parallelism machinery.
+Figure 13 and the headline are read from ``fig13`` and ``headline``
+directly; ``figure15_series``, ``figure3_series`` and ``figure14_table``
+delegate here.  So every reproduction path — unit tests, benchmarks,
+examples and the ``python -m repro`` CLI — shares the same execution,
+caching and parallelism machinery.
 
 Spec versions are folded into cache keys; bump them when a runner's
-semantics change.
+semantics change.  A change to the simulator's timing bumps
+``SIMULATOR_MODEL_VERSION`` alone, which every trial key also carries.
 """
 
 from __future__ import annotations
@@ -54,8 +55,8 @@ FIG15_SPEC_VERSION = "1"
 ROOFLINE_SPEC_VERSION = "1"
 AREA_POWER_SPEC_VERSION = "1"
 #: v1: initial sparse x sparse sweep (TILE_SPGEMM_U/V, stream-merge feed
-#: latency model).  Bump whenever the SpGEMM kernel encoding, the engine's
-#: intersection latency model, or the validation semantics change.
+#: latency model).  Bump whenever the SpGEMM kernel encoding or the
+#: validation semantics change.
 #: v2: L1-set-span-padded SpGEMM layouts, issue-aligned blocks and per-op
 #: data-dependent feed overhead (cycle counts changed).
 SPGEMM_SPEC_VERSION = "2"

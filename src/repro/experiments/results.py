@@ -159,8 +159,8 @@ class ResultTable:
         Rows are grouped by ``group_by`` (e.g. the layer); within each group
         the ``pivot_column`` (e.g. the engine) selects the baseline and
         target measurements.  Groups missing either side are skipped, and
-        having no complete group at all is an error — the same contract as
-        the Figure 13 ``average_speedup`` reduction.
+        having no complete group at all is an error.  The ``headline``
+        experiment reduces its Figure 13 rows with it, one pattern at a time.
         """
         groups: Dict[Tuple[Any, ...], Dict[Any, float]] = {}
         for row in self.rows:

@@ -22,6 +22,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
+from ..cpu.simulator import SIMULATOR_MODEL_VERSION
 from ..errors import ConfigurationError
 
 #: Bump to invalidate every cached result at once (schema-level changes).
@@ -138,13 +139,16 @@ class ExperimentSpec:
     def cache_key(self, trial: Trial) -> str:
         """Stable content address of one trial's result.
 
-        The key covers the cache schema version, the spec name/version and
-        the full parameter set — and nothing else — so identical parameters
-        hit the same entry no matter which code path produced them.
+        The key covers the cache schema version, the simulator model
+        version, the spec name/version and the full parameter set — and
+        nothing else — so identical parameters hit the same entry no matter
+        which code path produced them.  One model bump invalidates these
+        rows and the ``simblocks`` store at once.
         """
         payload = canonical_json(
             {
                 "schema": CACHE_SCHEMA_VERSION,
+                "model": SIMULATOR_MODEL_VERSION,
                 "experiment": self.name,
                 "version": self.version,
                 "params": dict(trial.params),

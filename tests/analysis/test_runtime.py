@@ -1,21 +1,21 @@
-"""Tests for the Figure 13 runtime experiment orchestration."""
+"""Tests for the Figure 13 points and the sweeps that read them."""
 
 import pytest
 
 from repro.analysis.runtime import (
     FIGURE13_ENGINE_NAMES,
-    average_speedup,
     build_layer_kernel,
-    figure13_experiment,
-    headline_speedups,
-    normalized_runtimes,
     resolve_engine,
     simulate_layer,
 )
 from repro.core.engine import get_engine
+from repro.cpu.params import CoreParams, MachineParams, MemoryParams
 from repro.errors import ConfigurationError
+from repro.experiments.figures import HEADLINE_BASELINE, HEADLINE_TARGET, figure13_spec
+from repro.experiments.runner import run_experiment
 from repro.types import SparsityPattern
 from repro.workloads.layers import get_layer
+from repro.workloads.sweeps import FIGURE13_PATTERNS
 
 
 class TestResolveEngine:
@@ -173,38 +173,40 @@ class TestSimulateLayer:
         )
         assert sparse_on_sparse_weights.core_cycles_scaled < 0.5 * dense_on_sparse_weights.core_cycles_scaled
 
+    def test_runtime_seconds_reads_the_machine_frequency(self):
+        # A point carries no frequency of its own: its wall-clock time divides
+        # the scaled cycles by the clock of the machine it was simulated on.
+        machine = MachineParams(
+            core=CoreParams(frequency_ghz=4.0, matrix_engine_frequency_ghz=1.0),
+            memory=MemoryParams(core_frequency_ghz=4.0),
+        )
+        runtime = simulate_layer(
+            get_layer("GPT-L1"),
+            SparsityPattern.DENSE_4_4,
+            get_engine("VEGETA-D-1-2"),
+            machine=machine,
+            max_output_tiles=2,
+        )
+        assert runtime.result.machine == machine
+        assert runtime.runtime_seconds == runtime.core_cycles_scaled / 4e9
+
 
 class TestFigure13Experiment:
     def test_small_sweep_structure(self):
-        results = figure13_experiment(
-            layers=[get_layer("GPT-L1")],
-            engine_names=("VEGETA-D-1-2", "VEGETA-S-16-2+OF"),
-            patterns=(SparsityPattern.DENSE_4_4, SparsityPattern.SPARSE_2_4),
-            max_output_tiles=1,
+        table = run_experiment(
+            figure13_spec(
+                layers=[get_layer("GPT-L1")],
+                engine_names=("VEGETA-D-1-2", "VEGETA-S-16-2+OF"),
+                patterns=(SparsityPattern.DENSE_4_4, SparsityPattern.SPARSE_2_4),
+                max_output_tiles=1,
+            )
         )
-        assert len(results) == 4
-        normalized = normalized_runtimes(results)
+        assert len(table.rows) == 4
+        normalized = table.normalized_to_max(
+            "core_cycles_scaled", ("layer", "pattern", "engine")
+        )
         assert max(normalized.values()) == pytest.approx(1.0)
         assert all(0 < value <= 1.0 for value in normalized.values())
-
-    def test_normalise_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            normalized_runtimes([])
-
-    def test_average_speedup_requires_overlap(self):
-        results = figure13_experiment(
-            layers=[get_layer("GPT-L1")],
-            engine_names=("VEGETA-D-1-2",),
-            patterns=(SparsityPattern.DENSE_4_4,),
-            max_output_tiles=1,
-        )
-        with pytest.raises(ConfigurationError):
-            average_speedup(
-                results,
-                baseline_engine="VEGETA-D-1-2",
-                target_engine="VEGETA-S-16-2",
-                pattern=SparsityPattern.DENSE_4_4,
-            )
 
 
 class TestHeadlineSpeedups:
@@ -212,7 +214,24 @@ class TestHeadlineSpeedups:
         # Paper: 1.09x / 2.20x / 3.74x for 4:4 / 2:4 / 1:4.  We check the
         # qualitative shape on a single layer: ~parity for dense, roughly 2x
         # for 2:4, roughly 4x for 1:4, strictly increasing with sparsity.
-        speedups = headline_speedups(layers=[get_layer("BERT-L2")], max_output_tiles=4)
+        table = run_experiment(
+            figure13_spec(
+                layers=[get_layer("BERT-L2")],
+                engine_names=(HEADLINE_BASELINE, HEADLINE_TARGET),
+                max_output_tiles=4,
+            )
+        )
+        speedups = {
+            pattern.value: table.geomean_speedup(
+                "core_cycles_scaled",
+                pivot_column="engine",
+                baseline=HEADLINE_BASELINE,
+                target=HEADLINE_TARGET,
+                group_by=("layer",),
+                where={"pattern": pattern.value},
+            )
+            for pattern in FIGURE13_PATTERNS
+        }
         assert speedups["4:4"] == pytest.approx(1.09, abs=0.25)
         assert speedups["2:4"] == pytest.approx(2.20, rel=0.35)
         assert speedups["1:4"] == pytest.approx(3.74, rel=0.35)

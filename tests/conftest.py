@@ -1,25 +1,11 @@
-"""Shared fixtures for the repro test suite."""
+"""Shared fixtures for the repro test suite.
+
+The hermetic result-cache fixture both tier-1 suites use lives in the
+repository's root ``conftest.py``.
+"""
 
 import numpy as np
 import pytest
-
-from repro.experiments.cache import CACHE_DIR_ENV
-
-
-@pytest.fixture(autouse=True)
-def _hermetic_result_cache(tmp_path_factory, monkeypatch):
-    """Point the experiment result cache at a per-session temp directory.
-
-    Unit tests must exercise the real simulator/analysis code every session
-    — a persistent ``.repro-cache`` would keep serving pre-change rows after
-    a code change (cache keys cover parameters and spec versions, not code).
-    A session-scoped directory still deduplicates identical sweeps *within*
-    a run.  (The benchmarks suite deliberately keeps the persistent cache;
-    see benchmarks/conftest.py.)
-    """
-    monkeypatch.setenv(
-        CACHE_DIR_ENV, str(tmp_path_factory.getbasetemp() / "repro-cache")
-    )
 
 
 @pytest.fixture

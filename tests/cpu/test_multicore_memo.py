@@ -249,7 +249,7 @@ class TestMemoMachinery:
         monkeypatch.setenv("REPRO_NO_MEMO", "1")
         assert memoization_enabled(True)
 
-    def test_keys_cover_machine_engine_and_mode(self):
+    def test_keys_cover_machine_engine_and_mode(self, monkeypatch):
         program = shard_kernel(
             "gemm", GemmShape(64, 64, 256), SparsityPattern.DENSE_4_4, 1
         ).programs[0]
@@ -267,3 +267,77 @@ class TestMemoMachinery:
         assert default_key != simulation_cache_key(
             program, default_machine(), None, "fast"
         )
+        # The engine enters only through its timing: equal timings share keys.
+        for first, second in (
+            ("VEGETA-D-1-2", "VEGETA-S-1-2"),
+            ("VEGETA-S-8-2", "VEGETA-S-16-2"),
+        ):
+            assert simulation_cache_key(
+                program, default_machine(), resolve_engine(first), "fast"
+            ) == simulation_cache_key(
+                program, default_machine(), resolve_engine(second), "fast"
+            )
+        # The fast path's super-period cap is part of the key.
+        monkeypatch.setenv("REPRO_MAX_SUPER_PERIOD", "1")
+        assert default_key != simulation_cache_key(
+            program, default_machine(), ENGINE, "fast"
+        )
+
+    def test_equal_timing_engines_share_store_entries(self, monkeypatch):
+        # VEGETA-D-1-2 and VEGETA-S-1-2 differ in name and supported patterns
+        # but not in timing, so a store warmed by one serves the other.
+        program = shard_kernel(
+            "gemm", GemmShape(64, 64, 256), SparsityPattern.DENSE_4_4, 1
+        ).programs[0]
+        dense, sparse = resolve_engine("VEGETA-D-1-2"), resolve_engine("VEGETA-S-1-2")
+        assert dense.timing == sparse.timing and dense.name != sparse.name
+        fresh = CycleApproximateSimulator(engine=sparse).run(program.trace)
+
+        class Store(dict):
+            def put(self, key, payload):
+                self[key] = payload
+
+        store = Store()
+        simulate_program_cached(program, engine=dense, block_cache=store)
+        warmed = dict(store)
+        clear_simulation_memo()
+        runs = []
+        original = CycleApproximateSimulator.run
+
+        def counting_run(self, trace, **kwargs):
+            runs.append(len(trace))
+            return original(self, trace, **kwargs)
+
+        monkeypatch.setattr(CycleApproximateSimulator, "run", counting_run)
+        served = simulate_program_cached(program, engine=sparse, block_cache=store)
+        assert runs == []
+        assert store == warmed
+        assert served.engine == sparse
+        assert served.core_cycles == fresh.core_cycles
+        assert served.memory_counters == fresh.memory_counters
+
+    def test_store_warmed_at_one_cap_serves_no_other(self, monkeypatch):
+        # Without the ideal L2 prefetch the profile path's cycles depend on
+        # the super-period cap (415,269 at the default cap, 410,149 = exact
+        # at cap 1 for this kernel), so a stored payload must not cross caps.
+        monkeypatch.delenv("REPRO_MAX_SUPER_PERIOD", raising=False)
+        program = shard_kernel(
+            "gemm", GemmShape(256, 256, 512), SparsityPattern.DENSE_4_4, 1
+        ).programs[0]
+        machine = memory_bound_machine()
+
+        class Store(dict):
+            def put(self, key, payload):
+                self[key] = payload
+
+        store = Store()
+        simulate_program_cached(program, machine=machine, engine=ENGINE, block_cache=store)
+        assert store
+        clear_simulation_memo()
+        monkeypatch.setenv("REPRO_MAX_SUPER_PERIOD", "1")
+        served = simulate_program_cached(
+            program, machine=machine, engine=ENGINE, block_cache=store
+        )
+        fresh = CycleApproximateSimulator(machine=machine, engine=ENGINE).run(program.trace)
+        assert served.core_cycles == fresh.core_cycles
+        assert served.memory_counters == fresh.memory_counters

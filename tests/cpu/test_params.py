@@ -24,7 +24,6 @@ class TestCoreParams:
         assert core.issue_width == 4
         assert core.rob_entries == 97
         assert core.load_buffer_entries == 96
-        assert core.pipeline_stages == 16
 
     def test_engine_clock_ratio(self):
         assert default_machine().core.engine_clock_ratio == 4

@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis.granularity import figure15_series
 from repro.analysis.roofline import figure3_series
-from repro.analysis.runtime import figure13_experiment, simulate_layer, resolve_engine
+from repro.analysis.runtime import simulate_layer, resolve_engine
 from repro.cpu.params import MachineParams
 from repro.cpu.simulator import CycleApproximateSimulator
 from repro.experiments.cache import ResultCache
@@ -69,20 +69,6 @@ class TestFig13:
         assert [row["engine"] for row in table.rows[:10]] == [
             resolve_engine(name).name for name in spec.axes["engine"]
         ]
-
-    def test_figure13_experiment_rehydrates_layer_runtimes(self, tmp_path):
-        results = figure13_experiment(
-            layers=[get_layer("GPT-L1")],
-            engine_names=("VEGETA-D-1-2",),
-            patterns=(SparsityPattern.DENSE_4_4,),
-            max_output_tiles=1,
-            cache=ResultCache(tmp_path),
-        )
-        assert len(results) == 1
-        point = results[0]
-        assert point.pattern is SparsityPattern.DENSE_4_4
-        assert point.result is None
-        assert point.runtime_seconds > 0
 
     def test_custom_machine_changes_cache_key(self, tmp_path):
         cache = ResultCache(tmp_path)

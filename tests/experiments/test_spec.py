@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.cpu import simulator
 from repro.errors import ConfigurationError
+from repro.experiments import spec as spec_module
 from repro.experiments.spec import ExperimentSpec, Trial, canonical_json
 
 
@@ -60,7 +62,7 @@ class TestCacheKeys:
         backward = Trial(experiment="demo", index=0, params={"c": 7, "b": "x", "a": 1})
         assert spec.cache_key(forward) == spec.cache_key(backward)
 
-    def test_key_depends_on_params_version_and_name(self):
+    def test_key_depends_on_params_version_and_name(self, monkeypatch):
         spec = make_spec()
         trials = spec.trials()
         assert spec.cache_key(trials[0]) != spec.cache_key(trials[1])
@@ -68,6 +70,14 @@ class TestCacheKeys:
         assert spec.cache_key(trials[0]) != bumped.cache_key(trials[0])
         renamed = make_spec(name="other")
         assert spec.cache_key(trials[0]) != renamed.cache_key(trials[0])
+        # One simulator model bump invalidates every trial row as well as the
+        # simblocks store: the key reads the simulator's own constant.
+        assert spec_module.SIMULATOR_MODEL_VERSION is simulator.SIMULATOR_MODEL_VERSION
+        before = spec.cache_key(trials[0])
+        monkeypatch.setattr(
+            spec_module, "SIMULATOR_MODEL_VERSION", simulator.SIMULATOR_MODEL_VERSION + "+1"
+        )
+        assert spec.cache_key(trials[0]) != before
 
     def test_key_looks_like_sha256(self):
         spec = make_spec()
