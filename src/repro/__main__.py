@@ -13,9 +13,10 @@ Subcommands::
 
 ``run``/``dump`` accept ``--jobs`` (or the ``REPRO_JOBS`` environment
 variable) for the multiprocessing backend, ``--no-cache`` /
-``--cache-dir`` (or ``REPRO_CACHE_DIR``) for the result cache,
-``--max-layers`` / ``--max-output-tiles`` / ``--seed`` to scale the sweep
-down, and the resilience knobs ``--max-retries`` / ``--trial-timeout`` /
+``--cache-dir`` (or ``REPRO_CACHE_DIR``) for the result cache and the
+``simblocks`` store, ``--max-layers`` / ``--max-output-tiles`` / ``--seed``
+/ ``--smoke`` to scale the sweep down (each experiment rejects the sweep
+flags it does not read), and the resilience knobs ``--max-retries`` / ``--trial-timeout`` /
 ``--resume`` (see EXPERIMENTS.md's "Resilience" section).  ``bench``
 measures the trace-op throughput of the simulator's exact and fast paths
 and writes ``BENCH_simulator.json`` so the performance trajectory is
@@ -97,8 +98,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "--smoke",
             action="store_true",
             help="restrict the sweep to its smallest smoke configuration "
-            "(currently honored by the spgemm, scaling, backends and "
-            "autotune experiments)",
+            "(spgemm, scaling, backends and autotune; the other experiments "
+            "reject it)",
         )
         sub.add_argument(
             "--max-retries",
@@ -355,29 +356,34 @@ def _experiment_options(args: argparse.Namespace) -> Dict[str, Any]:
     return options
 
 
-def _check_axis_options(experiment_name: str, options: Dict[str, Any]) -> None:
-    """Reject sweep-axis flags the experiment has no axis for.
+#: Sweep options the CLI forwards: option key -> (flag, what reading it takes).
+_SWEEP_FLAGS = {
+    "max_layers": ("max-layers", "a layer axis"),
+    "max_output_tiles": ("max-output-tiles", "truncated traces"),
+    "seed": ("seed", "a seeded generator"),
+    "smoke": ("smoke", "a smoke configuration"),
+    "topologies": ("topology", "a topology axis"),
+    "cores": ("cores", "a core-count axis"),
+}
 
-    ``--topology`` / ``--cores`` used to be forwarded to every experiment
-    unconditionally; experiments without those axes ignored them and ran the
-    full sweep the user did not ask for.
+
+def _check_sweep_options(experiment_name: str, options: Dict[str, Any]) -> None:
+    """Reject sweep flags the experiment's build or reduce step does not read.
+
+    Each registration lists the flags it reads in ``cli_options``.  Any other
+    flag used to be forwarded and silently ignored, which ran a sweep the
+    user did not ask for.
     """
-    from .experiments.registry import get_experiment, list_experiments
+    from .experiments.registry import get_experiment
 
     experiment = get_experiment(experiment_name)
-    for option_key, flag, option in (
-        ("topology", "--topology", "topologies"),
-        ("cores", "--cores", "cores"),
-    ):
-        if option in options and option_key not in experiment.cli_options:
+    for option, (flag, reader) in _SWEEP_FLAGS.items():
+        if option in options and flag not in experiment.cli_options:
             supported = ", ".join(
-                entry.name
-                for entry in list_experiments()
-                if option_key in entry.cli_options
+                entry.name for entry in list_experiments() if flag in entry.cli_options
             )
-            axis = "topology" if option_key == "topology" else "core-count"
             raise ConfigurationError(
-                f"{flag} is only valid for experiments with a {axis} axis "
+                f"--{flag} is only valid for experiments with {reader} "
                 f"({supported}), not {experiment_name!r}"
             )
 
@@ -479,7 +485,7 @@ def _command_topologies() -> int:
 
 def _command_run(args: argparse.Namespace) -> int:
     options = _experiment_options(args)
-    _check_axis_options(args.experiment, options)
+    _check_sweep_options(args.experiment, options)
     table = run_named(
         args.experiment,
         options,
@@ -747,6 +753,7 @@ def _command_chaos(args: argparse.Namespace) -> int:
         options["max_layers"] = args.max_layers
     if args.max_output_tiles is not None:
         options["max_output_tiles"] = args.max_output_tiles
+    _check_sweep_options(args.experiment, options)
     report = run_chaos(
         args.experiment,
         options,

@@ -30,20 +30,10 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional, Tuple
 
 from ..errors import ConfigurationError
-from ..types import (
-    BLOCK_SIZE_M,
-    DEFAULT_GEOMETRY,
-    MACS_PER_OUTPUT_ELEMENT,
-    SparsityPattern,
-    TILE_FP32_COLS,
-    TileGeometry,
-)
+from ..types import BLOCK_SIZE_M, DEFAULT_GEOMETRY, SparsityPattern, TileGeometry
 
 #: Total MAC units in every engine studied in the paper (32 x 16 baseline).
 TOTAL_MAC_UNITS = 512
-
-#: Number of columns in an input/output tile, which sets the Feed-First length.
-TILE_N = TILE_FP32_COLS  # 16
 
 #: All N:4 patterns a fully flexible VEGETA-S engine supports.
 ALL_NM_PATTERNS: FrozenSet[SparsityPattern] = frozenset(

@@ -61,18 +61,10 @@ class ExecutionStats:
         self.by_opcode[opcode.value] = self.by_opcode.get(opcode.value, 0) + 1
         if opcode.is_load:
             self.loads += 1
-            self.bytes_loaded += (
-                instruction.memory.nbytes
-                if instruction.memory is not None
-                else opcode.memory_bytes
-            )
+            self.bytes_loaded += instruction.memory.nbytes
         elif opcode.is_store:
             self.stores += 1
-            self.bytes_stored += (
-                instruction.memory.nbytes
-                if instruction.memory is not None
-                else opcode.memory_bytes
-            )
+            self.bytes_stored += instruction.memory.nbytes
         else:
             self.compute += 1
             self.effectual_macs += macs

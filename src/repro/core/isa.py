@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from ..errors import IsaError
-from ..types import DEFAULT_GEOMETRY, METADATA_REG_BYTES, TILE_REG_BYTES, TileGeometry
+from ..types import DEFAULT_GEOMETRY, TileGeometry
 from .registers import RegisterRef, mreg
 
 
@@ -75,8 +75,6 @@ class Opcode(enum.Enum):
     is_spgemm: bool
     #: Effective K covered by one SPGEMM instruction (0 for other opcodes).
     spgemm_effective_k: int
-    #: Bytes transferred by a load/store; 0 for compute instructions.
-    memory_bytes: int
 
 
 _LOAD_OPCODES = frozenset(
@@ -91,13 +89,6 @@ _SPARSE_COMPUTE_OPCODES = frozenset(
 ) | _SPGEMM_OPCODES
 #: Effective K (uncompressed reduction width) of one SPGEMM instruction.
 _SPGEMM_EFFECTIVE_K = {Opcode.TILE_SPGEMM_U: 64, Opcode.TILE_SPGEMM_V: 128}
-_MEMORY_BYTES = {
-    Opcode.TILE_LOAD_T: TILE_REG_BYTES,
-    Opcode.TILE_LOAD_U: 2 * TILE_REG_BYTES,
-    Opcode.TILE_LOAD_V: 4 * TILE_REG_BYTES,
-    Opcode.TILE_LOAD_M: METADATA_REG_BYTES,
-    Opcode.TILE_STORE_T: TILE_REG_BYTES,
-}
 for _opcode in Opcode:
     _opcode.is_load = _opcode in _LOAD_OPCODES
     _opcode.is_store = _opcode is Opcode.TILE_STORE_T
@@ -105,7 +96,6 @@ for _opcode in Opcode:
     _opcode.is_sparse_compute = _opcode in _SPARSE_COMPUTE_OPCODES
     _opcode.is_spgemm = _opcode in _SPGEMM_OPCODES
     _opcode.spgemm_effective_k = _SPGEMM_EFFECTIVE_K.get(_opcode, 0)
-    _opcode.memory_bytes = _MEMORY_BYTES.get(_opcode, 0)
 del _opcode
 
 #: Register class whose architectural size a load/store transfers.
@@ -121,8 +111,8 @@ _MEMORY_REG_KIND = {
 def memory_bytes_for(opcode: Opcode, geometry: TileGeometry) -> int:
     """Bytes a load/store transfers under ``geometry`` (0 for compute ops).
 
-    ``Opcode.memory_bytes`` remains the default-geometry answer; this is the
-    geometry-parameterized form used by ISA validation and the trace layer.
+    The one answer to a transfer size: ISA validation, the isa constructors
+    and the trace builder all read it.
     """
     kind = _MEMORY_REG_KIND.get(opcode)
     return geometry.register_bytes(kind) if kind is not None else 0
@@ -197,27 +187,20 @@ class Instruction:
     #: metadata-intersection cost of the instruction, making the overhead a
     #: first-class part of the trace (and of every timing signature).
     feed_overhead: int = -1
-    #: Tile geometry the instruction's operand sizes are validated against.
-    #: ``None`` means the default VEGETA geometry; a geometry that is
-    #: structurally the default is normalized back to ``None`` so equality
-    #: and hashing of default-geometry instructions are unchanged.
-    geometry: Optional[TileGeometry] = None
-
-    def __post_init__(self) -> None:
-        if self.geometry is not None and self.geometry.is_default:
-            object.__setattr__(self, "geometry", None)
-        self._validate()
+    #: Tile geometry the instruction's transfer size is validated against,
+    #: kept as given (a renamed default geometry stays renamed).
+    geometry: TileGeometry = DEFAULT_GEOMETRY
 
     # -- validation -----------------------------------------------------------
 
-    def _validate(self) -> None:
+    def __post_init__(self) -> None:
         opcode = self.opcode
         if self.feed_overhead >= 0 and not opcode.is_compute:
             raise IsaError(
                 f"{opcode.value} cannot carry a feed_overhead; only tile "
                 "compute instructions extend the Feed-First stage"
             )
-        geometry = self.geometry if self.geometry is not None else DEFAULT_GEOMETRY
+        geometry = self.geometry
         if opcode.is_load:
             if self.dst is None or self.memory is None:
                 raise IsaError(f"{opcode.value} needs a destination register and a memory source")
@@ -344,89 +327,52 @@ class Instruction:
 # -- constructors -------------------------------------------------------------
 
 
-def tile_load_t(
-    dst: RegisterRef,
-    address: int,
-    label: str = "",
-    geometry: Optional[TileGeometry] = None,
+def _transfer(
+    opcode: Opcode, address: int, label: str, geometry: TileGeometry, **registers
 ) -> Instruction:
-    """Build a ``TILE_LOAD_T`` (one tile register's worth of memory)."""
-    nbytes = (geometry or DEFAULT_GEOMETRY).register_bytes("treg")
+    """A load/store moving ``memory_bytes_for(opcode, geometry)`` bytes."""
     return Instruction(
-        Opcode.TILE_LOAD_T,
-        dst=dst,
-        memory=MemoryOperand(address, nbytes, label),
+        opcode,
+        memory=MemoryOperand(address, memory_bytes_for(opcode, geometry), label),
         label=label,
         geometry=geometry,
+        **registers,
     )
+
+
+def tile_load_t(
+    dst: RegisterRef, address: int, label: str = "", geometry: TileGeometry = DEFAULT_GEOMETRY
+) -> Instruction:
+    """Build a ``TILE_LOAD_T`` (one tile register's worth of memory)."""
+    return _transfer(Opcode.TILE_LOAD_T, address, label, geometry, dst=dst)
 
 
 def tile_load_u(
-    dst: RegisterRef,
-    address: int,
-    label: str = "",
-    geometry: Optional[TileGeometry] = None,
+    dst: RegisterRef, address: int, label: str = "", geometry: TileGeometry = DEFAULT_GEOMETRY
 ) -> Instruction:
     """Build a ``TILE_LOAD_U`` (two tile registers' worth into a ureg)."""
-    nbytes = (geometry or DEFAULT_GEOMETRY).register_bytes("ureg")
-    return Instruction(
-        Opcode.TILE_LOAD_U,
-        dst=dst,
-        memory=MemoryOperand(address, nbytes, label),
-        label=label,
-        geometry=geometry,
-    )
+    return _transfer(Opcode.TILE_LOAD_U, address, label, geometry, dst=dst)
 
 
 def tile_load_v(
-    dst: RegisterRef,
-    address: int,
-    label: str = "",
-    geometry: Optional[TileGeometry] = None,
+    dst: RegisterRef, address: int, label: str = "", geometry: TileGeometry = DEFAULT_GEOMETRY
 ) -> Instruction:
     """Build a ``TILE_LOAD_V`` (four tile registers' worth into a vreg)."""
-    nbytes = (geometry or DEFAULT_GEOMETRY).register_bytes("vreg")
-    return Instruction(
-        Opcode.TILE_LOAD_V,
-        dst=dst,
-        memory=MemoryOperand(address, nbytes, label),
-        label=label,
-        geometry=geometry,
-    )
+    return _transfer(Opcode.TILE_LOAD_V, address, label, geometry, dst=dst)
 
 
 def tile_load_m(
-    dst: RegisterRef,
-    address: int,
-    label: str = "",
-    geometry: Optional[TileGeometry] = None,
+    dst: RegisterRef, address: int, label: str = "", geometry: TileGeometry = DEFAULT_GEOMETRY
 ) -> Instruction:
     """Build a ``TILE_LOAD_M`` (one metadata register load into an mreg)."""
-    nbytes = (geometry or DEFAULT_GEOMETRY).register_bytes("mreg")
-    return Instruction(
-        Opcode.TILE_LOAD_M,
-        dst=dst,
-        memory=MemoryOperand(address, nbytes, label),
-        label=label,
-        geometry=geometry,
-    )
+    return _transfer(Opcode.TILE_LOAD_M, address, label, geometry, dst=dst)
 
 
 def tile_store_t(
-    address: int,
-    src: RegisterRef,
-    label: str = "",
-    geometry: Optional[TileGeometry] = None,
+    address: int, src: RegisterRef, label: str = "", geometry: TileGeometry = DEFAULT_GEOMETRY
 ) -> Instruction:
     """Build a ``TILE_STORE_T`` (one tile register's worth to memory)."""
-    nbytes = (geometry or DEFAULT_GEOMETRY).register_bytes("treg")
-    return Instruction(
-        Opcode.TILE_STORE_T,
-        src_a=src,
-        memory=MemoryOperand(address, nbytes, label),
-        label=label,
-        geometry=geometry,
-    )
+    return _transfer(Opcode.TILE_STORE_T, address, label, geometry, src_a=src)
 
 
 def tile_gemm(dst: RegisterRef, a: RegisterRef, b: RegisterRef, label: str = "") -> Instruction:

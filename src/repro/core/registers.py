@@ -21,23 +21,13 @@ from typing import Tuple
 import numpy as np
 
 from ..errors import RegisterError
-from ..types import (
-    DEFAULT_GEOMETRY,
-    DType,
-    METADATA_REG_BYTES,
-    NUM_METADATA_REGS,
-    NUM_TILE_REGS,
-    TILE_REG_BYTES,
-    TILE_ROWS,
-    TileGeometry,
-    bf16_round,
-)
+from ..types import DEFAULT_GEOMETRY, DType, TileGeometry, bf16_round
 
 #: Number of architectural utile registers (pairs of tregs).
-NUM_UTILE_REGS = NUM_TILE_REGS // 2
+NUM_UTILE_REGS = DEFAULT_GEOMETRY.num_tile_regs // 2
 
 #: Number of architectural vtile registers (quadruples of tregs).
-NUM_VTILE_REGS = NUM_TILE_REGS // 4
+NUM_VTILE_REGS = DEFAULT_GEOMETRY.num_tile_regs // 4
 
 
 @dataclass(frozen=True)
@@ -52,10 +42,10 @@ class RegisterRef:
     index: int
 
     _LIMITS = {
-        "treg": NUM_TILE_REGS,
+        "treg": DEFAULT_GEOMETRY.num_tile_regs,
         "ureg": NUM_UTILE_REGS,
         "vreg": NUM_VTILE_REGS,
-        "mreg": NUM_METADATA_REGS,
+        "mreg": DEFAULT_GEOMETRY.num_metadata_regs,
     }
 
     def __post_init__(self) -> None:
@@ -71,23 +61,6 @@ class RegisterRef:
     def name(self) -> str:
         """Assembly-style register name, e.g. ``treg3``."""
         return f"{self.kind}{self.index}"
-
-    @property
-    def nbytes(self) -> int:
-        """Architectural size of the register under the *default* geometry.
-
-        A ``RegisterRef`` is purely symbolic and carries no geometry; callers
-        working with a non-default backend resolve sizes through
-        :meth:`repro.types.TileGeometry.register_bytes` (as
-        :class:`TileRegisterFile` does) instead of this property.
-        """
-        if self.kind == "treg":
-            return TILE_REG_BYTES
-        if self.kind == "ureg":
-            return 2 * TILE_REG_BYTES
-        if self.kind == "vreg":
-            return 4 * TILE_REG_BYTES
-        return METADATA_REG_BYTES
 
     def backing_tregs(self) -> Tuple[int, ...]:
         """Indices of the treg(s) whose storage this register aliases."""

@@ -24,11 +24,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from ..errors import ConfigurationError, SparsityError
-from ..types import BLOCK_SIZE_M, SparsityPattern, TILE_BF16_COLS, TILE_ROWS
+from ..types import BLOCK_SIZE_M, DEFAULT_GEOMETRY, SparsityPattern
 from .engine import EngineConfig
 
 #: Stored BF16 values one treg can hold (16 rows x 32 values).
-TREG_STORED_CAPACITY = TILE_ROWS * TILE_BF16_COLS  # 512
+TREG_STORED_CAPACITY = DEFAULT_GEOMETRY.rows * DEFAULT_GEOMETRY.bf16_cols  # 512
 
 #: Effective columns covered by one TILE_SPMM_R group (WA = M x Nrows = 64).
 ROWWISE_EFFECTIVE_COLS = BLOCK_SIZE_M * 16
@@ -185,7 +185,8 @@ def effective_speedup_vs_dense(
     if not row_patterns:
         raise ConfigurationError("cannot compute speed-up of an empty panel")
     plan = pack_rows(row_patterns)
-    dense_groups = (len(row_patterns) + TILE_ROWS - 1) // TILE_ROWS
+    tile_rows = DEFAULT_GEOMETRY.rows
+    dense_groups = (len(row_patterns) + tile_rows - 1) // tile_rows
     # A dense execution also needs one instruction per 16 weight rows but its
     # effective columns per instruction are only 32 (vs 64 for row-wise), so
     # normalise by covered effective area.

@@ -38,7 +38,6 @@ from .params import (
     dual_socket_machine,
     flat_topology,
     get_topology,
-    topology_names,
 )
 from .simulator import CycleApproximateSimulator, SimulationResult, simulate_shared
 from .topology import (
@@ -75,7 +74,6 @@ __all__ = [
     "get_topology",
     "place_cores",
     "resolve_traffic",
-    "topology_names",
     "format_trace",
     "format_trace_op",
     "simulate_multicore",

@@ -11,7 +11,7 @@ Section III-A.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Dict, List, Mapping
+from typing import Any, Callable, Dict, Mapping
 
 from ..errors import ConfigurationError
 from .topology import TopologyNode
@@ -300,11 +300,6 @@ TOPOLOGY_PRESETS: Dict[str, Callable[[], TopologyNode]] = {
     "dual-socket": dual_socket_machine,
     "chiplet": chiplet_machine,
 }
-
-
-def topology_names() -> List[str]:
-    """Registered topology preset names, in registration order."""
-    return list(TOPOLOGY_PRESETS)
 
 
 def get_topology(name: str) -> TopologyNode:

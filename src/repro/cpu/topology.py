@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -129,21 +129,6 @@ class TopologyNode:
         """Total leaf core slots of the subtree."""
         return sum(leaf.cores for leaf in self.leaves())
 
-    @property
-    def depth(self) -> int:
-        """Levels below (and including) this node."""
-        if not self.children:
-            return 1
-        return 1 + max(child.depth for child in self.children)
-
-    def levels(self) -> List[str]:
-        """Distinct level labels, leaf-most first."""
-        by_height: Dict[str, int] = {}
-        for _, node in self.walk():
-            height = node.depth
-            by_height[node.level] = max(by_height.get(node.level, 0), height)
-        return [level for level, _ in sorted(by_height.items(), key=lambda kv: kv[1])]
-
     # -- bandwidth ----------------------------------------------------------
 
     def lines_per_cycle(self, machine) -> float:
@@ -165,40 +150,6 @@ class TopologyNode:
         service_cycles = int(line_bytes / bytes_per_cycle)
         rate = 1.0 / service_cycles if service_cycles > 0 else math.inf
         return rate * self.bandwidth_scale
-
-    # -- plain-data round trip ----------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form (experiment specs, the CLI, tests)."""
-        payload: Dict[str, Any] = {
-            "name": self.name,
-            "level": self.level,
-            "capacity_bytes": self.capacity_bytes,
-            "bytes_per_cycle": self.bytes_per_cycle,
-            "bandwidth_gbps": self.bandwidth_gbps,
-            "bandwidth_scale": self.bandwidth_scale,
-            "cores": self.cores,
-        }
-        if self.children:
-            payload["children"] = [child.to_dict() for child in self.children]
-        return payload
-
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "TopologyNode":
-        """Rebuild a topology from :meth:`to_dict` output."""
-        children = tuple(
-            TopologyNode.from_dict(child) for child in data.get("children", ())
-        )
-        return TopologyNode(
-            name=data["name"],
-            level=data["level"],
-            capacity_bytes=data.get("capacity_bytes"),
-            bytes_per_cycle=data.get("bytes_per_cycle"),
-            bandwidth_gbps=data.get("bandwidth_gbps"),
-            bandwidth_scale=data.get("bandwidth_scale", 1.0),
-            children=children,
-            cores=data.get("cores", 0),
-        )
 
 
 @dataclass(frozen=True)

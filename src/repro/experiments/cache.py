@@ -22,7 +22,8 @@ quarantined counts per namespace.
 
 The cache root defaults to ``.repro-cache`` under the current working
 directory and can be redirected with the ``REPRO_CACHE_DIR`` environment
-variable (or per-call with ``cache_root`` / ``--cache-dir``).
+variable (or per-call with ``cache_root`` / ``--cache-dir``, which the
+``simblocks`` store of the sweep's trials follows too).
 """
 
 from __future__ import annotations
@@ -295,9 +296,14 @@ class SimulationBlockStore:
 
 
 def simulation_block_store() -> SimulationBlockStore:
-    """The persistent block store under the default cache root.
+    """The persistent block store under the running sweep's cache root.
 
-    With memoization disabled the simulation path computes no keys, so the
-    store is never read or written.
+    The root is the ``cache_root`` (``--cache-dir``) of the
+    :func:`~repro.experiments.runner.run_experiment` call that runs the
+    trial, in its own process or in a worker (the call sets
+    ``REPRO_CACHE_DIR`` to it around its trials), then ``REPRO_CACHE_DIR``,
+    then ``.repro-cache``.  With memoization disabled the simulation path
+    computes no keys, so the store is never read or written.
     """
     return SimulationBlockStore(ResultCache())
+

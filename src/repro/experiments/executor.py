@@ -66,6 +66,29 @@ IndexedParams = Tuple[int, Dict[str, Any]]
 IndexedOutcome = Tuple[int, Dict[str, Any]]
 
 
+@contextmanager
+def environment(**overrides: Optional[str]) -> Iterator[None]:
+    """Set (or, for ``None``, unset) environment variables until exit.
+
+    Worker processes started inside inherit the overrides.  The previous
+    values come back on exit, also when the body raises or is interrupted.
+    """
+    saved = {name: os.environ.get(name) for name in overrides}
+    try:
+        for name, value in overrides.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
 def resolve_jobs(jobs: Optional[int] = None) -> int:
     """Resolve the worker count: explicit argument, then ``REPRO_JOBS``, then 1.
 

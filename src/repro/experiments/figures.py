@@ -177,6 +177,7 @@ def run_fig13_trial(params: Dict[str, Any]) -> Dict[str, Any]:
 @register_experiment(
     "fig13",
     "Figure 13: normalized layer runtimes across engines and sparsity patterns",
+    cli_options=("max-layers", "max-output-tiles"),
 )
 def build_fig13(options: Dict[str, Any]) -> ExperimentSpec:
     return figure13_spec(
@@ -239,6 +240,7 @@ def run_fig15_trial(params: Dict[str, Any]) -> Dict[str, Any]:
 @register_experiment(
     "fig15",
     "Figure 15: speed-up vs unstructured sparsity degree per hardware granularity",
+    cli_options=("max-layers", "seed"),
 )
 def build_fig15(options: Dict[str, Any]) -> ExperimentSpec:
     return figure15_spec(
@@ -549,6 +551,7 @@ def run_spgemm_trial(params: Dict[str, Any]) -> Dict[str, Any]:
 @register_experiment(
     "spgemm",
     "SpGEMM: sparse x sparse tile kernels vs the dense and sparse x dense paths",
+    cli_options=("smoke", "max-output-tiles", "seed"),
 )
 def build_spgemm(options: Dict[str, Any]) -> ExperimentSpec:
     from ..cpu.params import memory_bound_machine
@@ -806,7 +809,7 @@ def run_scaling_trial(params: Dict[str, Any]) -> Dict[str, Any]:
 @register_experiment(
     "scaling",
     "Multi-core scaling: sharded tile grids under recursive-topology contention",
-    cli_options=("topology", "cores"),
+    cli_options=("smoke", "topology", "cores"),
 )
 def build_scaling(options: Dict[str, Any]) -> ExperimentSpec:
     smoke = bool(options.get("smoke"))
@@ -979,6 +982,7 @@ def _backends_reduce(table: ResultTable, options: Dict[str, Any]) -> ResultTable
     "backends",
     "Backends: VEGETA vs AMX-like and SME-like tile geometries per layer",
     reduce=_backends_reduce,
+    cli_options=("smoke", "max-output-tiles"),
 )
 def build_backends(options: Dict[str, Any]) -> ExperimentSpec:
     smoke = bool(options.get("smoke"))
@@ -1041,6 +1045,7 @@ def _headline_reduce(table: ResultTable, options: Dict[str, Any]) -> ResultTable
     "headline",
     "Abstract: speed-ups of the best VEGETA-S engine over the SOTA dense engine",
     reduce=_headline_reduce,
+    cli_options=("max-layers", "max-output-tiles", "seed"),
 )
 def build_headline(options: Dict[str, Any]) -> ExperimentSpec:
     return figure13_spec(

@@ -69,9 +69,10 @@ class Experiment:
     #: Optional post-processing of the raw trial table (e.g. the headline
     #: speed-up summary); receives the table and the options dict.
     reduce: Optional[Callable[..., Any]] = None
-    #: Sweep-axis CLI flags this experiment honors (``"topology"``,
-    #: ``"cores"``); the CLI rejects those flags for experiments that do not
-    #: declare them instead of silently running an unrestricted sweep.
+    #: Sweep CLI flags (without ``--``) its build or reduce step reads:
+    #: ``"max-layers"``, ``"max-output-tiles"``, ``"seed"``, ``"smoke"``,
+    #: ``"topology"``, ``"cores"``.  The CLI rejects every other sweep flag
+    #: for this experiment instead of silently running a sweep it ignored.
     cli_options: Tuple[str, ...] = ()
 
 

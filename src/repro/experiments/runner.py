@@ -24,8 +24,8 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from ..errors import ConfigurationError, ExperimentFailure
-from .cache import NullCache, ResultCache, resolve_cache
-from .executor import TrialFailure, make_executor, resolve_retry_policy
+from .cache import CACHE_DIR_ENV, NullCache, ResultCache, resolve_cache
+from .executor import TrialFailure, environment, make_executor, resolve_retry_policy
 from .registry import get_experiment
 from .results import ResultTable
 from .spec import ExperimentSpec
@@ -64,7 +64,10 @@ def run_experiment(
         ``True`` (default) uses the on-disk result cache, ``False``/``None``
         disables it, and an explicit cache object is used as-is.
     cache_root:
-        Cache directory override when ``cache`` is ``True``.
+        Cache directory override when ``cache`` is ``True``.  Every trial
+        this call runs, serially or in a worker, opens the ``simblocks``
+        store under it too, whatever ``cache`` says; ``None`` leaves the
+        store at ``REPRO_CACHE_DIR`` or ``.repro-cache``.
     max_retries / trial_timeout / backoff_base:
         Per-trial retry budget, wall-clock deadline and backoff scale;
         ``None`` defers to ``REPRO_MAX_RETRIES`` / ``REPRO_TRIAL_TIMEOUT``
@@ -112,22 +115,26 @@ def run_experiment(
     checkpoint_errors = 0
     if pending:
         executor = make_executor(jobs)
-        # Stream outcomes and checkpoint each fresh row immediately: an
-        # interrupt or crash after this point loses only in-flight trials.
-        for index, outcome in executor.stream(spec.name, pending, policy):
-            if "failure" in outcome:
-                failures.append(TrialFailure(**outcome["failure"]))
-                continue
-            row = outcome["row"]
-            if outcome.get("attempts", 1) > 1:
-                retried += 1
-            try:
-                cache_obj.put(spec.name, keys[index], row)
-            except OSError:
-                # A failed checkpoint write must not abort the sweep: the
-                # row lives on in memory and is simply recomputed next run.
-                checkpoint_errors += 1
-            rows[index] = row
+        # The trials open their simblocks store under cache_root, also in
+        # workers.  Stream outcomes and checkpoint each fresh row
+        # immediately: an interrupt or crash after this point loses only
+        # in-flight trials.
+        store = {} if cache_root is None else {CACHE_DIR_ENV: str(cache_root)}
+        with environment(**store):
+            for index, outcome in executor.stream(spec.name, pending, policy):
+                if "failure" in outcome:
+                    failures.append(TrialFailure(**outcome["failure"]))
+                    continue
+                row = outcome["row"]
+                if outcome.get("attempts", 1) > 1:
+                    retried += 1
+                try:
+                    cache_obj.put(spec.name, keys[index], row)
+                except OSError:
+                    # A failed checkpoint write must not abort the sweep: the
+                    # row lives on in memory and is simply recomputed next run.
+                    checkpoint_errors += 1
+                rows[index] = row
 
     if failures and on_failure == "raise":
         raise ExperimentFailure(

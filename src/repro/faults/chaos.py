@@ -21,9 +21,7 @@ identical chaos runs.
 from __future__ import annotations
 
 import hashlib
-import os
 import tempfile
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
@@ -74,25 +72,6 @@ def interrupt_fault_spec(seed: int, num_trials: int) -> str:
     return f"seed={seed};interrupt:trials={num_trials // 2}"
 
 
-@contextmanager
-def _environment(**overrides: Optional[str]):
-    """Temporarily set/unset environment variables (None = unset)."""
-    saved = {name: os.environ.get(name) for name in overrides}
-    try:
-        for name, value in overrides.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-        yield
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-
-
 def run_chaos(
     experiment: str,
     options: Optional[Dict[str, Any]] = None,
@@ -110,6 +89,7 @@ def run_chaos(
     ``interrupt_spec`` (the schedules used), and ``failures`` (loud
     failure reports, if a leg failed permanently instead of recovering).
     """
+    from ..experiments.executor import environment
     from ..experiments.registry import get_experiment
     from ..experiments.runner import run_named
 
@@ -127,16 +107,13 @@ def run_chaos(
     ok = True
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
         tmp_path = Path(tmp)
-        # One shared simulation-block store for every leg, so the chaos run
-        # neither reads nor pollutes the ambient .repro-cache — and the
-        # faulted leg's corrupt-entry/write-fail rules also exercise the
-        # block store's degrade-don't-fail paths.
-        store_root = str(tmp_path / "simstore")
 
+        # Each leg's simulation-block store lives under the leg's own cache
+        # root, so the chaos run neither reads nor pollutes the ambient
+        # .repro-cache, and the faulted leg's corrupt-entry/write-fail rules
+        # also exercise the block store's degrade-don't-fail paths.
         def run_leg(name, cache_root, faults, leg_jobs, resume=False):
-            with _environment(
-                **{FAULTS_ENV: faults, "REPRO_CACHE_DIR": store_root}
-            ):
+            with environment(**{FAULTS_ENV: faults}):
                 return run_named(
                     experiment,
                     dict(options),
@@ -186,9 +163,11 @@ def run_chaos(
             run_leg("interrupted", resume_root, interrupt_spec, 1)
         except KeyboardInterrupt:
             interrupted = True
+            # Count the experiment's row checkpoints, not the leg's store.
+            checkpoints = resume_root / spec_obj.name
             checkpointed = sum(
-                1 for _ in Path(resume_root).rglob("*.json")
-            ) if resume_root.exists() else 0
+                1 for _ in checkpoints.rglob("*.json")
+            ) if checkpoints.exists() else 0
         # Resume with faults off — the semantics of a crash: the schedule
         # died with the interrupted process; only the checkpoints remain.
         resumed = run_leg("resumed", resume_root, None, 1, resume=True)

@@ -64,7 +64,7 @@ from .template import (
     interleaved_templates,
     stamp_blocks,
 )
-from .tiling import MatrixTileLayout, TILE_M, TILE_N, TileGrid, align_up
+from .tiling import MatrixTileLayout, TileGrid, align_up
 
 #: Patterns the SPGEMM instructions support as the joint operand pattern.
 SPGEMM_PATTERNS = (SparsityPattern.SPARSE_2_4, SparsityPattern.SPARSE_1_4)
@@ -207,12 +207,12 @@ def _spgemm_feed_overheads(
     blocks_per_tile = grid.tile_k // BLOCK_SIZE_M
     # (tiles_m, tiles_k, blocks): does any of the tile's 16 rows touch block b?
     a_occupied = a_padded.reshape(
-        grid.tiles_m, TILE_M, grid.tiles_k, blocks_per_tile, BLOCK_SIZE_M
+        grid.tiles_m, grid.tile_m, grid.tiles_k, blocks_per_tile, BLOCK_SIZE_M
     ).any(axis=(1, 4))
     # (tiles_n, tiles_k, blocks): does any of the tile's 16 columns touch it?
     b_occupied = (
         b_padded.reshape(
-            grid.tiles_k, blocks_per_tile, BLOCK_SIZE_M, grid.tiles_n, TILE_N
+            grid.tiles_k, blocks_per_tile, BLOCK_SIZE_M, grid.tiles_n, grid.tile_n
         )
         .any(axis=(2, 4))
         .transpose(2, 0, 1)
@@ -233,11 +233,11 @@ def _fill_dual_sparse_operands(
 ) -> None:
     """Write compressed A tiles and column-block-compressed B tiles."""
     pattern = grid.pattern
-    tile_k = grid.tile_k
+    tile_m, tile_n, tile_k = grid.tile_m, grid.tile_n, grid.tile_k
     for i in range(grid.tiles_m):
         for k in range(grid.tiles_k):
             tile = a_padded[
-                i * TILE_M : (i + 1) * TILE_M, k * tile_k : (k + 1) * tile_k
+                i * tile_m : (i + 1) * tile_m, k * tile_k : (k + 1) * tile_k
             ]
             compressed = compress(tile, pattern)
             memory.write_matrix(
@@ -252,7 +252,7 @@ def _fill_dual_sparse_operands(
             # along K, so compressing its rows N:4 compresses B's columns
             # block-wise along K — the SPGEMM operand encoding.
             tile_t = b_padded[
-                k * tile_k : (k + 1) * tile_k, j * TILE_N : (j + 1) * TILE_N
+                k * tile_k : (k + 1) * tile_k, j * tile_n : (j + 1) * tile_n
             ].T
             compressed = compress(tile_t, pattern)
             memory.write_matrix(

@@ -31,14 +31,7 @@ from ..errors import KernelError
 from ..sparse.blocks import minimal_row_patterns, satisfies_pattern
 from ..sparse.compress import compress
 from ..sparse.metadata import pack_indices
-from ..types import (
-    DEFAULT_GEOMETRY,
-    DType,
-    GemmShape,
-    SparsityPattern,
-    TILE_FP32_COLS,
-    TileGeometry,
-)
+from ..types import DEFAULT_GEOMETRY, DType, GemmShape, SparsityPattern, TileGeometry
 from .gemm import K_LOOP_SCALARS, TILE_LOOP_SCALARS, _loop_overhead, _plan_layouts
 from .memo import block_templates
 from .program import KernelProgram
@@ -54,7 +47,7 @@ from .template import (
     interleaved_templates,
     stamp_blocks,
 )
-from .tiling import MatrixTileLayout, TILE_M, TILE_N, TileGrid, align_up
+from .tiling import MatrixTileLayout, TileGrid, align_up
 
 
 def _fill_sparse_operands(
@@ -72,11 +65,11 @@ def _fill_sparse_operands(
     a_padded[: a.shape[0], : a.shape[1]] = a
     b_padded = np.zeros((padded.k, padded.n), dtype=np.float32)
     b_padded[: b.shape[0], : b.shape[1]] = b
-    tile_k = grid.tile_k
+    tile_m, tile_n, tile_k = grid.tile_m, grid.tile_n, grid.tile_k
     for i in range(grid.tiles_m):
         for k in range(grid.tiles_k):
             tile = a_padded[
-                i * TILE_M : (i + 1) * TILE_M, k * tile_k : (k + 1) * tile_k
+                i * tile_m : (i + 1) * tile_m, k * tile_k : (k + 1) * tile_k
             ]
             compressed = compress(tile, pattern)
             memory.write_matrix(
@@ -88,7 +81,7 @@ def _fill_sparse_operands(
     for j in range(grid.tiles_n):
         for k in range(grid.tiles_k):
             tile = b_padded[
-                k * tile_k : (k + 1) * tile_k, j * TILE_N : (j + 1) * TILE_N
+                k * tile_k : (k + 1) * tile_k, j * tile_n : (j + 1) * tile_n
             ]
             memory.write_matrix(layouts["b"].tile_address(j, k), tile.T, DType.BF16)
 
@@ -253,12 +246,13 @@ def build_rowwise_spmm_kernel(a: np.ndarray, b: np.ndarray) -> KernelProgram:
         raise KernelError(f"incompatible operand shapes {a.shape} x {b.shape}")
     m, k = a.shape
     n = b.shape[1]
+    tile_m, tile_n = DEFAULT_GEOMETRY.rows, DEFAULT_GEOMETRY.fp32_cols
     if k % ROWWISE_TILE_K != 0:
         raise KernelError(
             f"row-wise kernels require K to be a multiple of {ROWWISE_TILE_K}, got {k}"
         )
-    if n % TILE_N != 0:
-        raise KernelError(f"row-wise kernels require N to be a multiple of {TILE_N}")
+    if n % tile_n != 0:
+        raise KernelError(f"row-wise kernels require N to be a multiple of {tile_n}")
 
     shape = GemmShape(m=m, n=n, k=k)
     patterns = minimal_row_patterns(a)
@@ -282,7 +276,7 @@ def build_rowwise_spmm_kernel(a: np.ndarray, b: np.ndarray) -> KernelProgram:
     # C: permuted row-major panels of m x 16 per j-block, padded to 32 rows
     #    per group so the ureg-wide loads/stores stay in bounds.
     k_chunks = k // ROWWISE_TILE_K
-    n_blocks = n // TILE_N
+    n_blocks = n // tile_n
     groups = plan.groups
 
     base = 0x10000
@@ -309,10 +303,10 @@ def build_rowwise_spmm_kernel(a: np.ndarray, b: np.ndarray) -> KernelProgram:
         name="B^T",
     )
     # C: tile layout with 16-row tiles over the padded permuted row space.
-    padded_rows = ((m + TILE_M - 1) // TILE_M) * TILE_M
+    padded_rows = ((m + tile_m - 1) // tile_m) * tile_m
     c_layout = MatrixTileLayout(
         base_address=align_up(b_layout.end_address),
-        tiles_rows=padded_rows // TILE_M,
+        tiles_rows=padded_rows // tile_m,
         tiles_cols=n_blocks,
         tile_bytes=1024,
         name="C",
@@ -326,7 +320,7 @@ def build_rowwise_spmm_kernel(a: np.ndarray, b: np.ndarray) -> KernelProgram:
         for chunk in range(k_chunks):
             tile = b[
                 chunk * ROWWISE_TILE_K : (chunk + 1) * ROWWISE_TILE_K,
-                j * TILE_N : (j + 1) * TILE_N,
+                j * tile_n : (j + 1) * tile_n,
             ]
             memory.write_matrix(b_layout.tile_address(j, chunk), tile.T, DType.BF16)
 
@@ -377,7 +371,7 @@ def build_rowwise_spmm_kernel(a: np.ndarray, b: np.ndarray) -> KernelProgram:
         for group_index, group in enumerate(groups):
             start_row = group_start_rows[group_index]
             c_address = c_layout.base_address + (
-                (start_row * TILE_N) + j * padded_rows * TILE_N
+                (start_row * tile_n) + j * padded_rows * tile_n
             ) * 4
             for _ in range(TILE_LOOP_SCALARS):
                 trace.scalar("group-loop")
@@ -399,7 +393,7 @@ def build_rowwise_spmm_kernel(a: np.ndarray, b: np.ndarray) -> KernelProgram:
                 trace.branch("k-loop")
             # Store back the group's rows (two tregs cover the 32-row window).
             trace.tile_store_t(c_address, treg(0), "store C lo")
-            if group.output_rows > TILE_M:
+            if group.output_rows > tile_m:
                 trace.tile_store_t(c_address + 1024, treg(1), "store C hi")
 
     # The C image is organised as column panels of padded_rows x 16; express it
@@ -410,7 +404,7 @@ def build_rowwise_spmm_kernel(a: np.ndarray, b: np.ndarray) -> KernelProgram:
     # arithmetic below.
     c_read_layout = _ColumnPanelLayout(
         base_address=c_layout.base_address,
-        tiles_rows=padded_rows // TILE_M,
+        tiles_rows=padded_rows // tile_m,
         tiles_cols=n_blocks,
         tile_bytes=1024,
         name="C",
@@ -449,6 +443,7 @@ class _ColumnPanelLayout(MatrixTileLayout):
                 f"tile ({row}, {col}) outside grid {self.tiles_rows}x{self.tiles_cols}"
             )
         padded_rows = getattr(self, "_padded_rows")
+        tile_m, tile_n = DEFAULT_GEOMETRY.rows, DEFAULT_GEOMETRY.fp32_cols
         return self.base_address + (
-            col * padded_rows * TILE_N + row * TILE_M * TILE_N
+            col * padded_rows * tile_n + row * tile_m * tile_n
         ) * 4

@@ -22,22 +22,7 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 from ..errors import KernelError
-from ..types import (
-    DEFAULT_GEOMETRY,
-    GemmShape,
-    SparsityPattern,
-    TILE_FP32_COLS,
-    TILE_ROWS,
-    TileGeometry,
-)
-
-#: Dense (4:4) K-extent of one A tile / one tile instruction, under the
-#: default geometry (non-default backends derive it from ``bf16_cols``).
-BASE_TILE_K = 32
-
-#: Rows of an A/C tile (and columns of a C tile) under the default geometry.
-TILE_M = TILE_ROWS  # 16
-TILE_N = TILE_FP32_COLS  # 16
+from ..types import DEFAULT_GEOMETRY, GemmShape, SparsityPattern, TileGeometry
 
 
 def tile_k_for_pattern(

@@ -269,7 +269,7 @@ def _selected_workloads(options: Dict[str, Any]) -> List[Dict[str, Any]]:
     "autotune",
     "Autotune: Pareto-frontier mapping search with the simulator as oracle",
     reduce=_autotune_reduce,
-    cli_options=("topology", "cores"),
+    cli_options=("smoke", "topology", "cores"),
 )
 def build_autotune(options: Dict[str, Any]) -> ExperimentSpec:
     smoke = bool(options.get("smoke"))

@@ -16,13 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import CompressionError
-from ..types import (
-    BLOCK_SIZE_M,
-    METADATA_BITS_PER_NNZ,
-    METADATA_REG_BYTES,
-    TILE_BF16_COLS,
-    TILE_ROWS,
-)
+from ..types import BLOCK_SIZE_M, DEFAULT_GEOMETRY, METADATA_BITS_PER_NNZ
 
 
 def pack_indices(indices: np.ndarray) -> bytes:
@@ -78,7 +72,9 @@ def unpack_indices(data: bytes, rows: int, nnz_per_row: int) -> np.ndarray:
     return indices
 
 
-def metadata_nbytes(rows: int = TILE_ROWS, nnz_per_row: int = TILE_BF16_COLS) -> int:
+def metadata_nbytes(
+    rows: int = DEFAULT_GEOMETRY.rows, nnz_per_row: int = DEFAULT_GEOMETRY.bf16_cols
+) -> int:
     """Size in bytes of the metadata for a compressed tile.
 
     The default arguments describe a full tile register (16 rows of 32 stored
@@ -89,9 +85,10 @@ def metadata_nbytes(rows: int = TILE_ROWS, nnz_per_row: int = TILE_BF16_COLS) ->
 
 def validate_mreg_size(data: bytes) -> None:
     """Check that a metadata buffer fits in a single metadata register."""
-    if len(data) > METADATA_REG_BYTES:
+    capacity = DEFAULT_GEOMETRY.metadata_reg_bytes
+    if len(data) > capacity:
         raise CompressionError(
-            f"metadata of {len(data)} bytes exceeds the {METADATA_REG_BYTES}-byte mreg"
+            f"metadata of {len(data)} bytes exceeds the {capacity}-byte mreg"
         )
 
 

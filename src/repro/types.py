@@ -1,73 +1,30 @@
 """Shared value types used across the VEGETA reproduction library.
 
-The paper fixes a small set of structural constants (tile geometry, element
-widths, block size M = 4) that many packages need.  They live here, together
-with the enums describing data types and sparsity patterns, so that
-``repro.sparse``, ``repro.core`` and ``repro.kernels`` agree on them without
-circular imports.
+The paper fixes a small set of structural constants (element widths, block
+size M = 4) that many packages need.  They live here, together with the
+enums describing data types and sparsity patterns, so that ``repro.sparse``,
+``repro.core`` and ``repro.kernels`` agree on them without circular imports.
 
-Tile geometry is parameterized through :class:`TileGeometry`; the historical
-module-level constants (``TILE_ROWS``, ``TILE_REG_BYTES``, ...) are **legacy
-aliases of the default geometry** :data:`DEFAULT_GEOMETRY` and describe only
-the VEGETA design point, not AMX-/SME-like backends.
+Every tile size comes from a :class:`TileGeometry`: the grid's or the
+instruction's geometry in code that serves any backend, and
+:data:`DEFAULT_GEOMETRY` (the paper's Table II design point) in the
+VEGETA-only paths such as the row-wise SPMM kernel and the metadata packer.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigurationError
-
-# ---------------------------------------------------------------------------
-# Structural constants from the paper (Section IV).
-#
-# Since the flexible-ISA refactor these module-level constants are **legacy
-# aliases of the default tile geometry** (:data:`DEFAULT_GEOMETRY`, the
-# paper's Table II design point).  New code should consume a
-# :class:`TileGeometry` — carried by ``EngineConfig`` and threaded through
-# the register file, functional machine, kernel builders and trace layer —
-# instead of importing these names; they remain only so the VEGETA default
-# stays a pinned special case (and so existing call sites keep working).
-# ---------------------------------------------------------------------------
-
-#: Number of rows in a tile register (16 rows of 64 bytes = 1 KB).
-TILE_ROWS = 16
-
-#: Bytes per tile-register row (one cache line).
-TILE_ROW_BYTES = 64
-
-#: Bytes in a tile register.
-TILE_REG_BYTES = TILE_ROWS * TILE_ROW_BYTES  # 1024
-
-#: BF16 elements per tile-register row (64 B / 2 B).
-TILE_BF16_COLS = 32
-
-#: FP32 elements per tile-register row (64 B / 4 B).
-TILE_FP32_COLS = 16
 
 #: The block size M of the N:M structured sparsity supported in the paper.
 BLOCK_SIZE_M = 4
 
 #: Bits of metadata per non-zero element (log2 of the block size).
 METADATA_BITS_PER_NNZ = 2
-
-#: Bytes in a metadata register: 16 rows x 32 nnz x 2 bits = 128 B.
-METADATA_REG_BYTES = 128
-
-#: Number of architectural tile registers (treg0..treg7).
-NUM_TILE_REGS = 8
-
-#: Number of architectural metadata registers (mreg0..mreg7).
-NUM_METADATA_REGS = 8
-
-#: Useful MAC operations per tile GEMM/SPMM instruction (16 x 16 x 32).
-MACS_PER_TILE_INSTRUCTION = 8192
-
-#: Effectual MACs contributing to each output element of a tile instruction.
-MACS_PER_OUTPUT_ELEMENT = 32
 
 
 @dataclass(frozen=True)
@@ -179,28 +136,14 @@ class TileGeometry:
             return self.metadata_reg_bytes
         raise ConfigurationError(f"unknown register kind {kind!r}")
 
-    # -- identity ---------------------------------------------------------------
-
-    def identity(self) -> tuple:
-        """Structural identity (values, not the name) for memo/cache keys.
-
-        Two geometries with equal identities validate, execute and time
-        identically, so simulation memo keys hash this tuple — an AMX-like
-        backend that happens to share VEGETA's 16x64 B tile image hashes
-        equal on purpose.
-        """
-        return (
-            self.rows,
-            self.row_bytes,
-            self.metadata_reg_bytes,
-            self.num_tile_regs,
-            self.num_metadata_regs,
-        )
-
     @property
     def is_default(self) -> bool:
-        """Whether this geometry is structurally the VEGETA default."""
-        return self.identity() == DEFAULT_GEOMETRY.identity()
+        """Whether every field but the name equals :data:`DEFAULT_GEOMETRY`'s.
+
+        The SPMM and SpGEMM builders accept only such geometries: their
+        metadata packing and aliased ureg/vreg operands are VEGETA's.
+        """
+        return replace(self, name=DEFAULT_GEOMETRY.name) == DEFAULT_GEOMETRY
 
     def describe(self) -> dict:
         """Geometry columns for catalog listings (``repro engines``)."""
@@ -221,12 +164,6 @@ class TileGeometry:
 #: bit-exactness invariant (golden traces, fastsim, memo keys) runs on.
 DEFAULT_GEOMETRY = TileGeometry()
 
-assert DEFAULT_GEOMETRY.tile_reg_bytes == TILE_REG_BYTES
-assert DEFAULT_GEOMETRY.fp32_cols == TILE_FP32_COLS
-assert DEFAULT_GEOMETRY.bf16_cols == TILE_BF16_COLS
-assert DEFAULT_GEOMETRY.macs_per_tile_instruction == MACS_PER_TILE_INSTRUCTION
-assert DEFAULT_GEOMETRY.macs_per_output_element == MACS_PER_OUTPUT_ELEMENT
-
 
 class DType(enum.Enum):
     """Element data types used by the VEGETA ISA (mixed precision BF16/FP32)."""
@@ -238,10 +175,6 @@ class DType(enum.Enum):
     def nbytes(self) -> int:
         """Size of one element in bytes."""
         return 2 if self is DType.BF16 else 4
-
-    def elements_per_row(self) -> int:
-        """How many elements of this type fit in one 64-byte tile row."""
-        return TILE_ROW_BYTES // self.nbytes
 
 
 class SparsityPattern(enum.Enum):

@@ -15,11 +15,6 @@ from .sweeps import (
     FIGURE15_SPARSITY_DEGREES,
     FIGURE4_GEMM_SIZES,
     SPGEMM_SWEEP_PATTERNS,
-    SweepPoint,
-    figure13_sweep,
-    figure15_sweep,
-    iterate_layer_patterns,
-    spgemm_sweep,
 )
 
 __all__ = [
@@ -29,19 +24,14 @@ __all__ = [
     "FIGURE4_GEMM_SIZES",
     "GeneratedOperands",
     "SPGEMM_SWEEP_PATTERNS",
-    "SweepPoint",
     "TABLE_IV_MACS",
     "WorkloadLayer",
     "all_layers",
-    "figure13_sweep",
-    "figure15_sweep",
     "generate_dense",
     "generate_dual_sparse",
     "generate_structured",
     "generate_unstructured",
     "get_layer",
-    "iterate_layer_patterns",
     "layers_by_model",
     "scaled_problem",
-    "spgemm_sweep",
 ]

@@ -1,18 +1,17 @@
-"""Parameter sweeps used by the benchmark harness.
+"""Axis values of the evaluation sweeps.
 
 The evaluation section varies three axes: the DNN layer (Table IV), the
 structured sparsity pattern applied to the weights (4:4 / 2:4 / 1:4), and —
 for the unstructured study of Figure 15 — the sparsity degree (60 %..95 %).
-These helpers enumerate the cross products so benchmark modules stay small.
+The registered experiments (:mod:`repro.experiments.figures`) expand these
+values into their trials.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import Tuple
 
 from ..types import SparsityPattern
-from .layers import WorkloadLayer, all_layers
 
 #: The structured sparsity patterns evaluated in Figure 13.
 FIGURE13_PATTERNS: Tuple[SparsityPattern, ...] = (
@@ -42,50 +41,3 @@ SCALING_CORES: Tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64, 128)
 #: Core counts of the ``scaling --smoke`` configuration (the CI sentinel:
 #: one single-core invariant point plus the contended 8-core point).
 SCALING_SMOKE_CORES: Tuple[int, ...] = (1, 8)
-
-
-def spgemm_sweep(
-    patterns: Sequence[SparsityPattern] = SPGEMM_SWEEP_PATTERNS,
-) -> List[Tuple[SparsityPattern, SparsityPattern]]:
-    """Every (A pattern, B pattern) point of the sparsity x sparsity sweep."""
-    return [
-        (pattern_a, pattern_b) for pattern_a in patterns for pattern_b in patterns
-    ]
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """One (layer, pattern) combination of the Figure 13 sweep."""
-
-    layer: WorkloadLayer
-    pattern: SparsityPattern
-
-    @property
-    def key(self) -> str:
-        """Stable identifier for result tables."""
-        return f"{self.layer.name}/{self.pattern.value}"
-
-
-def figure13_sweep(
-    layers: Sequence[WorkloadLayer] = None,
-    patterns: Sequence[SparsityPattern] = FIGURE13_PATTERNS,
-) -> List[SweepPoint]:
-    """Every (layer, pattern) point of the Figure 13 runtime comparison."""
-    chosen = list(layers) if layers is not None else all_layers()
-    return [SweepPoint(layer=layer, pattern=pattern) for layer in chosen for pattern in patterns]
-
-
-def figure15_sweep(
-    degrees: Sequence[float] = FIGURE15_SPARSITY_DEGREES,
-) -> List[float]:
-    """The unstructured sparsity degrees of Figure 15."""
-    return [float(degree) for degree in degrees]
-
-
-def iterate_layer_patterns(
-    patterns: Sequence[SparsityPattern] = FIGURE13_PATTERNS,
-) -> Iterator[Tuple[WorkloadLayer, SparsityPattern]]:
-    """Generator form of :func:`figure13_sweep` for streaming consumers."""
-    for layer in all_layers():
-        for pattern in patterns:
-            yield layer, pattern

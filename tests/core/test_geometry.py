@@ -4,21 +4,15 @@ import pytest
 
 from repro.core.engine import AMX_GEOMETRY, SME_GEOMETRY, EngineConfig, get_engine
 from repro.errors import ConfigurationError
-from repro.types import (
-    DEFAULT_GEOMETRY,
-    METADATA_REG_BYTES,
-    TILE_REG_BYTES,
-    DType,
-    TileGeometry,
-)
+from repro.types import DEFAULT_GEOMETRY, DType, TileGeometry
 
 
 class TestDefaultGeometry:
     def test_matches_paper_constants(self):
         assert DEFAULT_GEOMETRY.rows == 16
         assert DEFAULT_GEOMETRY.row_bytes == 64
-        assert DEFAULT_GEOMETRY.tile_reg_bytes == TILE_REG_BYTES
-        assert DEFAULT_GEOMETRY.metadata_reg_bytes == METADATA_REG_BYTES
+        assert DEFAULT_GEOMETRY.tile_reg_bytes == 1024
+        assert DEFAULT_GEOMETRY.metadata_reg_bytes == 128
         assert DEFAULT_GEOMETRY.fp32_cols == 16
         assert DEFAULT_GEOMETRY.bf16_cols == 32
 
@@ -57,9 +51,12 @@ class TestForeignGeometries:
 
     def test_amx_is_structurally_default_except_metadata(self):
         # The AMX tile image matches VEGETA's; only the metadata registers
-        # differ, so the structural identity must differ through them.
-        assert AMX_GEOMETRY.identity() != DEFAULT_GEOMETRY.identity()
-        assert AMX_GEOMETRY.identity()[:2] == DEFAULT_GEOMETRY.identity()[:2]
+        # differ, so AMX is not the default geometry through them.
+        assert not AMX_GEOMETRY.is_default
+        assert (AMX_GEOMETRY.rows, AMX_GEOMETRY.row_bytes) == (
+            DEFAULT_GEOMETRY.rows,
+            DEFAULT_GEOMETRY.row_bytes,
+        )
 
     def test_describe_carries_geometry_columns(self):
         info = SME_GEOMETRY.describe()

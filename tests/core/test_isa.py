@@ -6,6 +6,7 @@ from repro.core import isa
 from repro.core.isa import Instruction, MemoryOperand, Opcode
 from repro.core.registers import mreg, treg, ureg, vreg
 from repro.errors import IsaError
+from repro.types import DEFAULT_GEOMETRY, TileGeometry
 
 
 class TestOpcode:
@@ -18,12 +19,15 @@ class TestOpcode:
         assert Opcode.TILE_SPMM_R.is_sparse_compute
 
     def test_memory_bytes(self):
-        assert Opcode.TILE_LOAD_T.memory_bytes == 1024
-        assert Opcode.TILE_LOAD_U.memory_bytes == 2048
-        assert Opcode.TILE_LOAD_V.memory_bytes == 4096
-        assert Opcode.TILE_LOAD_M.memory_bytes == 128
-        assert Opcode.TILE_STORE_T.memory_bytes == 1024
-        assert Opcode.TILE_GEMM.memory_bytes == 0
+        def transfer(opcode):
+            return isa.memory_bytes_for(opcode, DEFAULT_GEOMETRY)
+
+        assert transfer(Opcode.TILE_LOAD_T) == 1024
+        assert transfer(Opcode.TILE_LOAD_U) == 2048
+        assert transfer(Opcode.TILE_LOAD_V) == 4096
+        assert transfer(Opcode.TILE_LOAD_M) == 128
+        assert transfer(Opcode.TILE_STORE_T) == 1024
+        assert transfer(Opcode.TILE_GEMM) == 0
 
 
 class TestMemoryOperand:
@@ -61,6 +65,16 @@ class TestConstructors:
     def test_tile_load_m(self):
         inst = isa.tile_load_m(mreg(2), 0x2000)
         assert inst.memory.nbytes == 128
+
+    def test_instruction_carries_the_geometry_it_was_validated_against(self):
+        renamed = TileGeometry(name="renamed")
+        assert isa.tile_load_t(treg(1), 0x1000).geometry is DEFAULT_GEOMETRY
+        assert isa.tile_gemm(treg(0), treg(1), treg(2)).geometry is DEFAULT_GEOMETRY
+        assert isa.tile_store_t(0x3000, treg(4), geometry=renamed).geometry is renamed
+        inst = Instruction(
+            Opcode.TILE_LOAD_M, dst=mreg(2), memory=MemoryOperand(0x2000, 128), geometry=renamed
+        )
+        assert inst.geometry is renamed
 
     def test_tile_store(self):
         inst = isa.tile_store_t(0x3000, treg(4))

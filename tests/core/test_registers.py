@@ -14,7 +14,7 @@ from repro.core.registers import (
     vreg,
 )
 from repro.errors import RegisterError
-from repro.types import DType
+from repro.types import DEFAULT_GEOMETRY, DType
 
 
 class TestRegisterRef:
@@ -25,10 +25,13 @@ class TestRegisterRef:
         assert mreg(7).name == "mreg7"
 
     def test_sizes(self):
-        assert treg(0).nbytes == 1024
-        assert ureg(0).nbytes == 2048
-        assert vreg(0).nbytes == 4096
-        assert mreg(0).nbytes == 128
+        def size(ref):
+            return DEFAULT_GEOMETRY.register_bytes(ref.kind)
+
+        assert size(treg(0)) == 1024
+        assert size(ureg(0)) == 2048
+        assert size(vreg(0)) == 4096
+        assert size(mreg(0)) == 128
 
     def test_counts(self):
         assert NUM_UTILE_REGS == 4

@@ -48,8 +48,7 @@ def reemit(ops):
 
     The geometry is read back from the tile instructions, as the ops carry it.
     """
-    tiles = [op.tile for op in ops if op.tile is not None]
-    geometry = next((tile.geometry for tile in tiles if tile.geometry), DEFAULT_GEOMETRY)
+    geometry = next((op.tile.geometry for op in ops if op.tile is not None), DEFAULT_GEOMETRY)
     builder = TraceBuilder(geometry)
     for op in ops:
         tile = op.tile
@@ -163,7 +162,6 @@ class TestColumnarParity:
         # text prints no tile labels and hashes columns, not objects).
         trace = program.trace
         labels = trace.labels
-        geometry = None if trace.geometry.is_default else trace.geometry
         ops = trace.ops()
         assert len(ops) == len(trace)
         for op, row in zip(ops, trace.columns.tolist()):
@@ -184,7 +182,7 @@ class TestColumnarParity:
                     assert memory.label == labels[ilabel]
                 assert instruction.label == labels[ilabel]
                 assert instruction.feed_overhead == feed
-                assert instruction.geometry == geometry
+                assert instruction.geometry == trace.geometry
             else:
                 assert opcode == -1 and feed == -1 and oplabel == ilabel
                 assert op.dst_reg == (dst if dst >= 0 else None)

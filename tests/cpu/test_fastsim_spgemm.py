@@ -26,9 +26,8 @@ from repro.cpu.params import default_machine
 from repro.cpu.simulator import CycleApproximateSimulator
 from repro.errors import ConfigurationError
 from repro.kernels.spgemm import build_spgemm_kernel
-from repro.kernels.tiling import TILE_M
 from repro.sparse.pruning import prune_to_pattern
-from repro.types import GemmShape, SparsityPattern
+from repro.types import DEFAULT_GEOMETRY, GemmShape, SparsityPattern
 
 ENGINE_OF = get_engine("VEGETA-S-16-2").with_output_forwarding().with_spgemm()
 ENGINE_NO_OF = get_engine("VEGETA-S-16-2").with_spgemm()
@@ -108,7 +107,7 @@ class TestSpgemmFastExactParity:
         shape = GemmShape(64, 32, 128)
         rng = np.random.default_rng(11)
         a, b = _random_dual_sparse(shape, pattern, rng)
-        sparse_rows = slice(2 * TILE_M, 4 * TILE_M)
+        sparse_rows = slice(2 * DEFAULT_GEOMETRY.rows, 4 * DEFAULT_GEOMETRY.rows)
         # Zeroing 8 whole K-blocks of the second row pair halves the first
         # K-tile's occupied-block count (16 -> 8): merge overhead 2 vs 4.
         a[sparse_rows, 0:32] = 0.0

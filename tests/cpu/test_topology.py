@@ -25,7 +25,6 @@ from repro.cpu.params import (
     flat_topology,
     get_topology,
     memory_bound_machine,
-    topology_names,
 )
 from repro.cpu.simulator import CycleApproximateSimulator
 from repro.cpu.topology import (
@@ -222,13 +221,8 @@ class TestTopologyNode:
         assert "dram/socket1/l3-11" in paths
         assert len(tree.leaves()) == 4
         assert tree.total_cores == 128
-        assert tree.depth == 3
-        assert tree.levels() == ["l3", "interconnect", "dram"]
-
-    def test_round_trip_through_plain_data(self):
-        for factory in (flat_topology, dual_socket_machine, chiplet_machine):
-            tree = factory()
-            assert TopologyNode.from_dict(tree.to_dict()) == tree
+        levels = {path.count("/"): node.level for path, node in tree.walk()}
+        assert levels == {0: "dram", 1: "interconnect", 2: "l3"}
 
     def test_flat_supply_matches_legacy_rules(self):
         # The flat preset (and a flat tree with an explicit DRAM bandwidth)
@@ -257,19 +251,21 @@ class TestTopologyNode:
 
 class TestPresets:
     def test_registry(self):
-        assert topology_names() == ["flat", "dual-socket", "chiplet"]
-        for name in topology_names():
+        assert list(TOPOLOGY_PRESETS) == ["flat", "dual-socket", "chiplet"]
+        for name in TOPOLOGY_PRESETS:
             assert get_topology(name).total_cores == 128
-        assert set(TOPOLOGY_PRESETS) == set(topology_names())
 
     def test_unknown_preset_names_the_known_ones(self):
         with pytest.raises(ConfigurationError, match="dual-socket"):
             get_topology("torus")
 
     def test_preset_depths(self):
-        assert flat_topology().depth == 2
-        assert dual_socket_machine().depth == 3
-        assert chiplet_machine().depth == 3
+        def depth(tree):
+            return 1 + max(path.count("/") for path, _ in tree.walk())
+
+        assert depth(flat_topology()) == 2
+        assert depth(dual_socket_machine()) == 3
+        assert depth(chiplet_machine()) == 3
 
     def test_every_preset_level_supplies_the_mirrored_rate(self):
         # The basis of the cores=1 invariance: no level of any preset
@@ -277,7 +273,7 @@ class TestPresets:
         # a single core can never oversubscribe any path.
         for machine in (default_machine(), memory_bound_machine()):
             mirror = legacy_dram_lines_per_cycle(machine)
-            for name in topology_names():
+            for name in TOPOLOGY_PRESETS:
                 for _, node in get_topology(name).walk():
                     assert node.lines_per_cycle(machine) >= mirror
 
@@ -287,7 +283,7 @@ class TestPresets:
 
 class TestPlacement:
     def test_single_core_lands_on_the_first_leaf(self):
-        for name in topology_names():
+        for name in TOPOLOGY_PRESETS:
             placement = place_cores(get_topology(name), 1)
             assert placement.leaf_index == (0,)
 

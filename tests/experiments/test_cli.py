@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.__main__ import main
+from repro.experiments.registry import list_experiments
+from repro.experiments.results import ResultTable
 from repro.kernels.memo import build_memo_rows, clear_build_memo
 
 
@@ -201,6 +203,103 @@ class TestCoresValidation:
         argv = ["run", "scaling", "--cores", ",", "--cache-dir", cache_dir]
         assert main(argv) == 2
         assert "at least one core count" in capsys.readouterr().err
+
+
+#: The sweep flags each experiment's build or reduce step reads.
+ACCEPTED_FLAGS = {
+    "fig13": {"max-layers", "max-output-tiles"},
+    "headline": {"max-layers", "max-output-tiles", "seed"},
+    "fig15": {"max-layers", "seed"},
+    "spgemm": {"smoke", "max-output-tiles", "seed"},
+    "scaling": {"smoke", "topology", "cores"},
+    "autotune": {"smoke", "topology", "cores"},
+    "backends": {"smoke", "max-output-tiles"},
+    "roofline": set(),
+    "area-power": set(),
+}
+
+#: Command-line form of each sweep flag.
+FLAG_ARGS = {
+    "max-layers": ["--max-layers", "1"],
+    "max-output-tiles": ["--max-output-tiles", "2"],
+    "seed": ["--seed", "3"],
+    "smoke": ["--smoke"],
+    "topology": ["--topology", "flat"],
+    "cores": ["--cores", "1,2"],
+}
+
+
+class TestSweepFlagGating:
+    """A sweep flag reaches only the experiments that read it; the rest exit 2."""
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        calls = []
+
+        def record(name, options, **kwargs):
+            calls.append((name, options))
+            return ResultTable(("x",), [])
+
+        monkeypatch.setattr("repro.__main__.run_named", record)
+        return calls
+
+    @pytest.fixture
+    def chaos_runs(self, monkeypatch):
+        calls = []
+
+        def record(experiment, options, **kwargs):
+            calls.append((experiment, options, kwargs["seed"]))
+            return {
+                "ok": True, "experiment": experiment, "trials": 0, "seed": kwargs["seed"],
+                "fault_spec": "", "interrupt_spec": "", "legs": [], "failures": [],
+            }
+
+        monkeypatch.setattr("repro.faults.chaos.run_chaos", record)
+        return calls
+
+    def test_every_builtin_experiment_is_covered(self):
+        builtins = [e for e in list_experiments() if e.build.__module__.startswith("repro.")]
+        assert set(ACCEPTED_FLAGS) == {entry.name for entry in builtins}
+        for entry in builtins:
+            assert set(entry.cli_options) == ACCEPTED_FLAGS[entry.name]
+
+    @pytest.mark.parametrize("flag", sorted(FLAG_ARGS))
+    @pytest.mark.parametrize("experiment", sorted(ACCEPTED_FLAGS))
+    def test_run_accepts_only_the_flags_an_experiment_reads(
+        self, capsys, cache_dir, runs, experiment, flag
+    ):
+        code = main(["run", experiment, *FLAG_ARGS[flag], "--cache-dir", cache_dir])
+        if flag in ACCEPTED_FLAGS[experiment]:
+            assert code == 0
+            assert [name for name, _ in runs] == [experiment]
+        else:
+            assert code == 2
+            assert runs == []
+            err = capsys.readouterr().err
+            assert f"--{flag} is only valid for experiments with" in err
+            assert f"not {experiment!r}" in err
+
+    def test_dump_rejects_an_unread_flag(self, capsys, cache_dir, runs):
+        assert main(["dump", "fig13", "--smoke", "--cache-dir", cache_dir]) == 2
+        assert runs == []
+        assert "(autotune, backends, scaling, spgemm)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["max-layers", "max-output-tiles", "smoke"])
+    @pytest.mark.parametrize("experiment", sorted(ACCEPTED_FLAGS))
+    def test_chaos_accepts_only_the_flags_an_experiment_reads(
+        self, chaos_runs, experiment, flag
+    ):
+        code = main(["chaos", experiment, *FLAG_ARGS[flag]])
+        if flag in ACCEPTED_FLAGS[experiment]:
+            assert code == 0
+            assert [name for name, _, _ in chaos_runs] == [experiment]
+        else:
+            assert code == 2
+            assert chaos_runs == []
+
+    def test_chaos_seed_seeds_the_fault_schedule_only(self, chaos_runs):
+        assert main(["chaos", "area-power", "--seed", "5"]) == 0
+        assert chaos_runs == [("area-power", {}, 5)]
 
 
 class TestMaxOutputTilesValidation:

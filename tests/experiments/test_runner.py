@@ -1,9 +1,11 @@
 """Tests for executors and the run_experiment orchestration."""
 
+import os
+
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.cache import ResultCache
+from repro.experiments.cache import CACHE_DIR_ENV, ResultCache, default_cache_root
 from repro.experiments.executor import (
     JOBS_ENV,
     MultiprocessExecutor,
@@ -26,6 +28,36 @@ def square_spec(count=8):
     return ExperimentSpec(
         name="test-square", version="1", axes={"x": list(range(count))}
     )
+
+
+@trial_runner("test-cache-root")
+def _cache_root_seen(params):
+    if params["x"] == 1:
+        raise KeyboardInterrupt
+    return {"x": params["x"], "root": str(default_cache_root())}
+
+
+def cache_root_spec(count):
+    return ExperimentSpec(name="test-cache-root", version="1", axes={"x": list(range(count))})
+
+
+class TestCacheRootEnvironment:
+    """Trials see ``cache_root`` as their default root; the caller's comes back."""
+
+    @pytest.mark.parametrize("before", ["before", None])
+    def test_restored_after_a_sweep_and_after_an_interrupt(
+        self, tmp_path, monkeypatch, before
+    ):
+        if before is None:
+            monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+        else:
+            monkeypatch.setenv(CACHE_DIR_ENV, before)
+        table = run_experiment(cache_root_spec(1), cache=False, cache_root=tmp_path)
+        assert table.rows[0]["root"] == str(tmp_path)
+        assert os.environ.get(CACHE_DIR_ENV) == before
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(cache_root_spec(2), cache=False, cache_root=tmp_path)
+        assert os.environ.get(CACHE_DIR_ENV) == before
 
 
 class TestResolveJobs:

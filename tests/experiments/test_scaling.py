@@ -1,8 +1,12 @@
 """Tests for the multi-core ``scaling`` experiment (spec, runner, CLI, cache)."""
 
+import os
+
 import pytest
 
 from repro.__main__ import main
+from repro.cpu.multicore import clear_simulation_memo
+from repro.experiments.cache import CACHE_DIR_ENV
 from repro.experiments.figures import (
     SCALING_ENGINE,
     SCALING_SMOKE_STRATEGIES,
@@ -12,7 +16,7 @@ from repro.experiments.figures import (
     scaling_spec,
 )
 from repro.experiments.registry import get_experiment
-from repro.experiments.runner import run_named
+from repro.experiments.runner import run_experiment, run_named
 from repro.workloads.sweeps import SCALING_CORES, SCALING_SMOKE_CORES
 
 #: A single cheap workload for runner-level tests.
@@ -123,6 +127,25 @@ class TestRunner:
         second = run_named("scaling", options, cache_root=tmp_path)
         assert second.meta["cached"] == 1
         assert second.rows == first.rows
+
+
+class TestStoreRoot:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cache_root_holds_the_simblocks_store(
+        self, tiny_workloads, tmp_path, monkeypatch, jobs
+    ):
+        # Every trial, serial or in a worker, opens the store under the
+        # sweep's cache_root, not under REPRO_CACHE_DIR.
+        elsewhere = tmp_path / "elsewhere"
+        monkeypatch.setenv(CACHE_DIR_ENV, str(elsewhere))
+        clear_simulation_memo()
+        spec = scaling_spec(
+            workloads=tiny_workloads, cores=[1, 2], strategies=["row-block"], topologies=["flat"]
+        )
+        run_experiment(spec, jobs=jobs, cache_root=tmp_path / "root")
+        assert list((tmp_path / "root" / "simblocks").rglob("*.json"))
+        assert not elsewhere.exists()
+        assert os.environ[CACHE_DIR_ENV] == str(elsewhere)
 
 
 class TestCli:

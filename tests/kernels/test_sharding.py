@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.runtime import resolve_engine
-from repro.cpu.params import dual_socket_machine, get_topology, topology_names
+from repro.cpu.params import TOPOLOGY_PRESETS, dual_socket_machine, get_topology
 from repro.cpu.simulator import CycleApproximateSimulator
 from repro.errors import KernelError
 from repro.kernels.gemm import dense_block_grid
@@ -213,7 +213,7 @@ class TestLocalitySharding:
         assert topo.blocks == flat.blocks
         assert topo.domain_count == 2
 
-    @pytest.mark.parametrize("preset", topology_names())
+    @pytest.mark.parametrize("preset", list(TOPOLOGY_PRESETS))
     def test_every_preset_still_partitions_exactly_once(self, preset):
         sharded = shard_kernel(
             "spmm",

@@ -1,5 +1,7 @@
 """Tests for the sparse x sparse ``TILE_SPGEMM`` kernels."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from repro.kernels.validate import (
 )
 from repro.types import GemmShape, SparsityPattern
 from repro.workloads.generator import generate_dual_sparse
-from repro.workloads.sweeps import spgemm_sweep
+from repro.workloads.sweeps import SPGEMM_SWEEP_PATTERNS
 
 SPGEMM_ENGINE_NAME = "VEGETA-S-16-2+OF+SPGEMM"
 
@@ -144,7 +146,9 @@ class TestBuilder:
 
 
 class TestFunctional:
-    @pytest.mark.parametrize("pattern_a, pattern_b", spgemm_sweep())
+    @pytest.mark.parametrize(
+        "pattern_a, pattern_b", list(itertools.product(SPGEMM_SWEEP_PATTERNS, repeat=2))
+    )
     def test_matches_sparse_reference(self, pattern_a, pattern_b):
         shape = GemmShape(32, 32, 256)
         operands = generate_dual_sparse(shape, pattern_a, pattern_b, seed=7)

@@ -21,7 +21,7 @@ from repro.planner.experiment import (
 class TestRegistration:
     def test_autotune_is_registered_with_sweep_axis_flags(self):
         experiment = get_experiment("autotune")
-        assert experiment.cli_options == ("topology", "cores")
+        assert experiment.cli_options == ("smoke", "topology", "cores")
         assert experiment.reduce is _autotune_reduce
 
     def test_smoke_build_restricts_every_axis(self):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import CompressionError
 from repro.sparse import metadata
-from repro.types import METADATA_REG_BYTES
+from repro.types import DEFAULT_GEOMETRY
 
 
 class TestPackUnpack:
@@ -16,7 +16,7 @@ class TestPackUnpack:
 
     def test_full_tile_metadata_is_128_bytes(self, rng):
         indices = rng.integers(0, 4, size=(16, 32))
-        assert len(metadata.pack_indices(indices)) == METADATA_REG_BYTES
+        assert len(metadata.pack_indices(indices)) == DEFAULT_GEOMETRY.metadata_reg_bytes
 
     def test_small_roundtrip(self):
         indices = np.array([[0, 1, 2, 3]])
@@ -43,15 +43,17 @@ class TestPackUnpack:
 
 class TestMetadataSize:
     def test_default_is_one_mreg(self):
-        assert metadata.metadata_nbytes() == METADATA_REG_BYTES
+        assert metadata.metadata_nbytes() == DEFAULT_GEOMETRY.metadata_reg_bytes
 
     def test_scales_with_rows(self):
         assert metadata.metadata_nbytes(rows=8, nnz_per_row=32) == 64
 
     def test_validate_mreg_size(self):
-        metadata.validate_mreg_size(b"\x00" * METADATA_REG_BYTES)
+        metadata.validate_mreg_size(b"\x00" * DEFAULT_GEOMETRY.metadata_reg_bytes)
         with pytest.raises(CompressionError):
-            metadata.validate_mreg_size(b"\x00" * (METADATA_REG_BYTES + 1))
+            metadata.validate_mreg_size(
+                b"\x00" * (DEFAULT_GEOMETRY.metadata_reg_bytes + 1)
+            )
 
 
 class TestSortedWithinBlocks:

@@ -6,11 +6,10 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.types import (
     BLOCK_SIZE_M,
+    DEFAULT_GEOMETRY,
     DType,
     GemmShape,
-    MACS_PER_TILE_INSTRUCTION,
     SparsityPattern,
-    TILE_REG_BYTES,
     TileShape,
     bf16_round,
 )
@@ -24,10 +23,10 @@ class TestDType:
         assert DType.FP32.nbytes == 4
 
     def test_elements_per_row_bf16(self):
-        assert DType.BF16.elements_per_row() == 32
+        assert DEFAULT_GEOMETRY.cols(DType.BF16) == 32
 
     def test_elements_per_row_fp32(self):
-        assert DType.FP32.elements_per_row() == 16
+        assert DEFAULT_GEOMETRY.cols(DType.FP32) == 16
 
 
 class TestSparsityPattern:
@@ -71,7 +70,7 @@ class TestTileShape:
         assert TileShape(16, 32).size == 512
 
     def test_nbytes(self):
-        assert TileShape(16, 32).nbytes(DType.BF16) == TILE_REG_BYTES
+        assert TileShape(16, 32).nbytes(DType.BF16) == DEFAULT_GEOMETRY.tile_reg_bytes
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ConfigurationError):
@@ -80,7 +79,7 @@ class TestTileShape:
 
 class TestGemmShape:
     def test_macs(self):
-        assert GemmShape(16, 16, 32).macs == MACS_PER_TILE_INSTRUCTION
+        assert GemmShape(16, 16, 32).macs == DEFAULT_GEOMETRY.macs_per_tile_instruction
 
     def test_flops_is_twice_macs(self):
         shape = GemmShape(8, 8, 8)

@@ -1,28 +1,41 @@
-"""Tests for the evaluation sweeps."""
+"""Tests for the evaluation sweeps' axis values, as the experiments expand them."""
 
+import itertools
+
+from repro.experiments.figures import figure13_spec, figure15_spec, spgemm_spec
 from repro.types import SparsityPattern
-from repro.workloads.layers import all_layers, get_layer
+from repro.workloads.layers import get_layer
 from repro.workloads.sweeps import (
     FIGURE13_PATTERNS,
     FIGURE15_SPARSITY_DEGREES,
     FIGURE4_GEMM_SIZES,
-    figure13_sweep,
-    figure15_sweep,
-    iterate_layer_patterns,
+    SPGEMM_SWEEP_PATTERNS,
 )
+
+
+def layer_patterns(spec):
+    """The (layer, pattern) points of a Figure 13 spec's trials."""
+    return {(trial.params["layer"], trial.params["pattern"]) for trial in spec.trials()}
+
+
+def pattern_pairs(spec):
+    """The (A pattern, B pattern) pairs of a SpGEMM spec's trials, in order."""
+    return [
+        (SparsityPattern(trial.params["pattern_a"]), SparsityPattern(trial.params["pattern_b"]))
+        for trial in spec.trials()
+    ]
 
 
 class TestSweeps:
     def test_figure13_sweep_covers_all_combinations(self):
-        points = figure13_sweep()
+        points = layer_patterns(figure13_spec())
         assert len(points) == 12 * 3
-        keys = {point.key for point in points}
-        assert "GPT-L3/1:4" in keys and "ResNet50-L1/4:4" in keys
+        assert ("GPT-L3", "1:4") in points and ("ResNet50-L1", "4:4") in points
 
     def test_figure13_sweep_with_subset(self):
-        points = figure13_sweep(layers=[get_layer("BERT-L1")])
+        points = layer_patterns(figure13_spec(layers=[get_layer("BERT-L1")]))
         assert len(points) == 3
-        assert all(point.layer.name == "BERT-L1" for point in points)
+        assert all(layer == "BERT-L1" for layer, _ in points)
 
     def test_figure13_patterns(self):
         assert FIGURE13_PATTERNS == (
@@ -32,7 +45,7 @@ class TestSweeps:
         )
 
     def test_figure15_degrees_span_60_to_95(self):
-        degrees = figure15_sweep()
+        degrees = figure15_spec(FIGURE15_SPARSITY_DEGREES).axes["degree"]
         assert degrees[0] == 0.60 and degrees[-1] == 0.95
         assert degrees == sorted(degrees)
         assert degrees == list(FIGURE15_SPARSITY_DEGREES)
@@ -40,16 +53,10 @@ class TestSweeps:
     def test_figure4_sizes(self):
         assert FIGURE4_GEMM_SIZES == (32, 64, 128)
 
-    def test_iterate_layer_patterns(self):
-        pairs = list(iterate_layer_patterns())
-        assert len(pairs) == len(all_layers()) * 3
-
 
 class TestSpgemmSweep:
     def test_enumerates_the_full_pattern_cross_product(self):
-        from repro.workloads.sweeps import SPGEMM_SWEEP_PATTERNS, spgemm_sweep
-
-        points = spgemm_sweep()
+        points = pattern_pairs(spgemm_spec(shapes=[(64, 64, 128, False)]))
         assert len(points) == len(SPGEMM_SWEEP_PATTERNS) ** 2
         assert len(set(points)) == len(points)
         for pattern_a, pattern_b in points:
@@ -57,16 +64,7 @@ class TestSpgemmSweep:
             assert pattern_b in SPGEMM_SWEEP_PATTERNS
 
     def test_matches_the_experiment_spec_axes(self):
-        # spgemm_sweep() is the canonical enumeration; the registered
-        # experiment's pattern axes must expand to exactly the same points.
-        from repro.experiments.figures import spgemm_spec
-        from repro.types import SparsityPattern
-        from repro.workloads.sweeps import spgemm_sweep
-
-        spec = spgemm_spec()
-        spec_points = {
-            (SparsityPattern(a), SparsityPattern(b))
-            for a in spec.axes["pattern_a"]
-            for b in spec.axes["pattern_b"]
-        }
-        assert spec_points == set(spgemm_sweep())
+        # The registered experiment's pattern axes expand to exactly the
+        # sparsity x sparsity cross product.
+        points = set(pattern_pairs(spgemm_spec()))
+        assert points == set(itertools.product(SPGEMM_SWEEP_PATTERNS, repeat=2))
