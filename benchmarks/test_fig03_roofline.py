@@ -7,14 +7,20 @@ a convolutional layer with 64 GFLOPS vector / 512 GFLOPS matrix peaks and
 
 import pytest
 
-from repro.analysis.roofline import FIGURE3_ENGINES, figure3_series
+from repro.analysis.roofline import FIGURE3_ENGINES
+from repro.experiments.runner import run_named
 from repro.experiments.results import print_table
 
 DENSITIES = [d / 100 for d in range(5, 101, 5)]
 
 
 def _compute_series():
-    return figure3_series(DENSITIES)
+    """The registered ``roofline`` experiment: one curve per engine class."""
+    table = run_named("roofline", {"densities": DENSITIES})
+    return {
+        engine: [row["effective_tflops"] for row in table.where(engine=engine).rows]
+        for engine in FIGURE3_ENGINES
+    }
 
 
 @pytest.mark.benchmark(group="figure3")
@@ -22,10 +28,10 @@ def test_figure3_roofline(benchmark):
     series = benchmark.pedantic(_compute_series, rounds=3, iterations=1)
 
     rows = []
-    for index, density in enumerate(series["density_percent"]):
+    for index, density in enumerate(DENSITIES):
         rows.append(
             [
-                f"{density:.0f}%",
+                f"{density:.0%}",
                 f"{series['dense_vector'][index]:.3f}",
                 f"{series['sparse_vector'][index]:.3f}",
                 f"{series['dense_matrix'][index]:.3f}",

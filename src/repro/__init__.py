@@ -74,12 +74,6 @@ from .sparse import (
     transform_unstructured,
 )
 from .workloads import all_layers, generate_structured, generate_unstructured, get_layer
-from .analysis import (
-    figure14_table,
-    figure15_series,
-    figure3_series,
-    figure4_instruction_counts,
-)
 from .experiments import (
     ExperimentSpec,
     ResultCache,
@@ -129,10 +123,6 @@ __all__ = [
     "catalog",
     "compress",
     "default_machine",
-    "figure14_table",
-    "figure15_series",
-    "figure3_series",
-    "figure4_instruction_counts",
     "generate_structured",
     "generate_unstructured",
     "get_engine",

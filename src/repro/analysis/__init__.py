@@ -1,12 +1,18 @@
 """Analytical models and per-point simulation for the evaluation section.
 
-* :mod:`repro.analysis.roofline` — Figure 3 (effective throughput vs density),
-* :mod:`repro.analysis.instruction_model` — Figure 4 (vector vs matrix counts),
-* :mod:`repro.analysis.runtime` — one Figure 13 point (a layer on an engine);
-  the sweep and the abstract's speed-ups are the registered ``fig13`` and
-  ``headline`` experiments (:mod:`repro.experiments.figures`),
-* :mod:`repro.analysis.area_power` — Figure 14 (area / power / frequency),
-* :mod:`repro.analysis.granularity` — Figure 15 (granularity speed-ups).
+The layer holds models, never sweeps: each figure is read from its
+registered experiment (:mod:`repro.experiments.figures`), which calls the
+models here one point at a time.
+
+* :mod:`repro.analysis.roofline` — the Figure 3 roofline model (``roofline``),
+* :mod:`repro.analysis.runtime` — one Figure 13 point (a layer on an engine;
+  the sweep and the abstract's speed-ups are ``fig13`` and ``headline``),
+* :mod:`repro.analysis.area_power` — the Figure 14 cost model (``area-power``),
+* :mod:`repro.analysis.granularity` — the Figure 15 granularity speed-ups
+  (``fig15``).
+
+Figure 4's instruction counts are the kernel builders' own
+``instruction_count`` (``benchmarks/test_fig04_vector_vs_matrix.py``).
 """
 
 from .area_power import (
@@ -15,31 +21,20 @@ from .area_power import (
     engine_frequency_ghz,
     engine_power,
     estimate,
-    figure14_table,
     sparse_power_overheads,
 )
 from .granularity import (
-    Figure15Point,
-    figure15_series,
     granularity_speedups,
-    headline_unstructured_speedup,
     layer_wise_speedup,
     row_wise_speedup,
     tile_wise_speedup,
     unstructured_speedup,
-)
-from .instruction_model import (
-    Figure4Point,
-    figure4_instruction_counts,
-    instruction_ratio_table,
-    matrix_instruction_estimate,
 )
 from .roofline import (
     EngineRoofline,
     FIGURE3_ENGINES,
     crossover_density,
     effective_throughput_tflops,
-    figure3_series,
     layer_bytes,
 )
 from .runtime import (
@@ -55,8 +50,6 @@ __all__ = [
     "EngineRoofline",
     "FIGURE13_ENGINE_NAMES",
     "FIGURE3_ENGINES",
-    "Figure15Point",
-    "Figure4Point",
     "LayerRuntime",
     "build_layer_kernel",
     "crossover_density",
@@ -65,16 +58,9 @@ __all__ = [
     "engine_frequency_ghz",
     "engine_power",
     "estimate",
-    "figure14_table",
-    "figure15_series",
-    "figure3_series",
-    "figure4_instruction_counts",
     "granularity_speedups",
-    "headline_unstructured_speedup",
-    "instruction_ratio_table",
     "layer_bytes",
     "layer_wise_speedup",
-    "matrix_instruction_estimate",
     "resolve_engine",
     "row_wise_speedup",
     "simulate_layer",

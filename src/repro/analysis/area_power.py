@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict
 
 from ..core.engine import EngineConfig, get_engine
 
@@ -137,36 +137,6 @@ def estimate(engine: EngineConfig, baseline: EngineConfig = None) -> EngineCostE
         area_normalized=area / baseline_area,
         power_normalized=power / baseline_power,
     )
-
-
-def figure14_table(
-    names: Sequence[str] = None,
-    *,
-    jobs: int = None,
-    cache: object = True,
-    cache_root: str = None,
-) -> List[EngineCostEstimate]:
-    """The Figure 14 data: one estimate per Table III engine, in paper order.
-
-    The per-engine estimates are evaluated through :mod:`repro.experiments`
-    (cached, optionally parallel), one trial per design point.
-    """
-    from ..experiments.figures import figure14_spec
-    from ..experiments.runner import run_experiment
-
-    spec = figure14_spec(names)
-    table = run_experiment(spec, jobs=jobs, cache=cache, cache_root=cache_root)
-    return [
-        EngineCostEstimate(
-            name=row["engine"],
-            area=row["area"],
-            power=row["power"],
-            frequency_ghz=row["frequency_ghz"],
-            area_normalized=row["area_normalized"],
-            power_normalized=row["power_normalized"],
-        )
-        for row in table.rows
-    ]
 
 
 def sparse_power_overheads() -> Dict[int, float]:

@@ -24,15 +24,13 @@ quantity the paper's roofline comparison reports for compute-bound layers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
 from ..errors import SparsityError
 from ..sparse.blocks import block_nnz
 from ..types import BLOCK_SIZE_M
-from ..workloads.layers import WorkloadLayer, all_layers
 
 #: Effective tile geometry used for the granularity analysis (16 x 64, i.e.
 #: the effective footprint of one TILE_SPMM_R / TILE_SPMM_U group).
@@ -171,71 +169,3 @@ def granularity_speedups(matrix: np.ndarray) -> Dict[str, float]:
         "row_wise": row_wise_speedup(matrix, reorder=True),
         "unstructured": unstructured_speedup(matrix),
     }
-
-
-@dataclass(frozen=True)
-class Figure15Point:
-    """Average speed-ups across the workload suite at one sparsity degree."""
-
-    sparsity_degree: float
-    speedups: Dict[str, float]
-
-
-def figure15_series(
-    degrees: Sequence[float],
-    *,
-    layers: Optional[Sequence[WorkloadLayer]] = None,
-    seed: int = 0,
-    max_weight_elements: int = 1 << 18,
-    jobs: Optional[int] = None,
-    cache: object = True,
-    cache_root: Optional[str] = None,
-) -> List[Figure15Point]:
-    """Average granularity speed-ups over the Table IV workloads.
-
-    Weight matrices are scaled down proportionally (``max_weight_elements``)
-    so the sweep stays tractable; the speed-up ratios are insensitive to the
-    absolute matrix size because the statistics are per-block/per-row.
-
-    The (degree x layer) sweep runs through :mod:`repro.experiments`, so
-    points are cached on disk and can be fanned out over ``jobs`` worker
-    processes; the per-layer generator seeds match the historical serial
-    loop exactly.
-    """
-    from ..experiments.figures import figure15_spec
-    from ..experiments.runner import run_experiment
-
-    chosen = list(layers) if layers is not None else all_layers()
-    spec = figure15_spec(
-        degrees, layers=chosen, seed=seed, max_weight_elements=max_weight_elements
-    )
-    table = run_experiment(spec, jobs=jobs, cache=cache, cache_root=cache_root)
-    keys = ("dense", "layer_wise", "tile_wise", "pseudo_row_wise", "row_wise", "unstructured")
-    points: List[Figure15Point] = []
-    # Rows come back degree-major in spec order, one block of len(chosen)
-    # rows per requested degree (slicing, not value matching, so repeated
-    # degrees each average over exactly their own block).
-    for position, degree in enumerate(degrees):
-        rows = table.rows[position * len(chosen) : (position + 1) * len(chosen)]
-        totals: Dict[str, float] = {}
-        for row in rows:
-            for key in keys:
-                totals[key] = totals.get(key, 0.0) + row[key]
-        averaged = {key: value / len(chosen) for key, value in totals.items()}
-        points.append(Figure15Point(sparsity_degree=degree, speedups=averaged))
-    return points
-
-
-def headline_unstructured_speedup(
-    sparsity_degree: float = 0.95,
-    *,
-    seed: int = 0,
-    jobs: Optional[int] = None,
-    cache: object = True,
-    cache_root: Optional[str] = None,
-) -> float:
-    """The abstract's unstructured-sparsity headline (3.28x at 95 %)."""
-    points = figure15_series(
-        [sparsity_degree], seed=seed, jobs=jobs, cache=cache, cache_root=cache_root
-    )
-    return points[0].speedups["row_wise"]

@@ -17,7 +17,7 @@ metadata).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict
 
 from ..errors import ConfigurationError
 from ..types import GemmShape
@@ -96,36 +96,6 @@ def effective_throughput_tflops(
     memory_seconds = bytes_moved / (bandwidth_gbps * 1e9)
     seconds = max(compute_seconds, memory_seconds)
     return effectual_flops / seconds / 1e12
-
-
-def figure3_series(
-    densities: Sequence[float] = tuple(d / 100 for d in range(2, 101, 2)),
-    *,
-    shape: GemmShape = DEFAULT_LAYER,
-    bandwidth_gbps: float = MEMORY_BANDWIDTH_GBPS,
-    jobs: Optional[int] = None,
-    cache: object = True,
-    cache_root: Optional[str] = None,
-) -> Dict[str, List[float]]:
-    """The four Figure 3 curves: effective TFLOPS per engine per density.
-
-    Returns a dictionary with a ``"density_percent"`` axis plus one series per
-    engine class.  The (engine x density) grid is evaluated through
-    :mod:`repro.experiments` (cached, optionally parallel).
-    """
-    from ..experiments.figures import figure3_spec
-    from ..experiments.runner import run_experiment
-
-    spec = figure3_spec(densities, shape=shape, bandwidth_gbps=bandwidth_gbps)
-    table = run_experiment(spec, jobs=jobs, cache=cache, cache_root=cache_root)
-    series: Dict[str, List[float]] = {
-        "density_percent": [density * 100 for density in densities]
-    }
-    for key in FIGURE3_ENGINES:
-        series[key] = [
-            row["effective_tflops"] for row in table.rows if row["engine"] == key
-        ]
-    return series
 
 
 def crossover_density(

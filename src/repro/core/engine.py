@@ -27,7 +27,7 @@ import dataclasses
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet
 
 from ..errors import ConfigurationError
 from ..types import BLOCK_SIZE_M, DEFAULT_GEOMETRY, SparsityPattern, TileGeometry

@@ -37,7 +37,7 @@ compressed operand (``mreg src_a`` and ``mreg src_b``).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..errors import IsaError

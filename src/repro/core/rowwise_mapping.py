@@ -33,8 +33,9 @@ TREG_STORED_CAPACITY = DEFAULT_GEOMETRY.rows * DEFAULT_GEOMETRY.bf16_cols  # 512
 #: Effective columns covered by one TILE_SPMM_R group (WA = M x Nrows = 64).
 ROWWISE_EFFECTIVE_COLS = BLOCK_SIZE_M * 16
 
-#: Maximum output rows per TILE_SPMM_R (the destination ureg holds 32 x 16 FP32).
-MAX_OUTPUT_ROWS = 32
+#: Maximum output rows per TILE_SPMM_R: the destination ureg aliases two
+#: tregs, so it holds two tiles' rows (32 x 16 FP32).
+MAX_OUTPUT_ROWS = 2 * DEFAULT_GEOMETRY.rows
 
 #: Stored values one row of each pattern contributes to the treg.
 _STORED_PER_ROW: Dict[SparsityPattern, int] = {

@@ -26,7 +26,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from ..core.isa import Instruction, Opcode
+from ..core.isa import Instruction
 from ..errors import SimulationError
 
 

@@ -2,11 +2,12 @@
 
 Each figure is expressed as an :class:`~repro.experiments.spec.ExperimentSpec`
 factory plus a trial runner that executes exactly one point of the sweep.
-Figure 13 and the headline are read from ``fig13`` and ``headline``
-directly; ``figure15_series``, ``figure3_series`` and ``figure14_table``
-delegate here.  So every reproduction path — unit tests, benchmarks,
-examples and the ``python -m repro`` CLI — shares the same execution,
-caching and parallelism machinery.
+Each figure is read from its registered experiment alone (Figure 3:
+``roofline``, Figure 13: ``fig13``, Figure 14: ``area-power``, Figure 15:
+``fig15``, the abstract: ``headline``); the analysis layer holds only the
+models the trial runners call.  So every reproduction path — unit tests,
+benchmarks, examples and the ``python -m repro`` CLI — shares the same
+execution, caching and parallelism machinery.
 
 Spec versions are folded into cache keys; bump them when a runner's
 semantics change.  A change to the simulator's timing bumps
@@ -46,6 +47,7 @@ from ..workloads.sweeps import (
 )
 from .registry import register_experiment, trial_runner
 from .results import ResultTable
+from .runner import run_experiment
 from .spec import ExperimentSpec
 
 #: v2: untruncated traces by default + steady-state fast-path simulator with
@@ -198,9 +200,8 @@ def figure15_spec(
 ) -> ExperimentSpec:
     """The Figure 15 sweep: sparsity degrees x workload layers.
 
-    Each layer carries its own generator seed (``seed + position``) so the
-    sampled matrices match the historical ``figure15_series`` behaviour
-    exactly, trial by trial.
+    Each layer carries its own generator seed (``seed + position``), so a
+    layer's sampled matrix depends only on the seed and its position.
     """
     names = _layer_names(layers)
     return ExperimentSpec(
@@ -1002,9 +1003,14 @@ def build_backends(options: Dict[str, Any]) -> ExperimentSpec:
 
 
 def _headline_reduce(table: ResultTable, options: Dict[str, Any]) -> ResultTable:
-    """Reduce the two-engine Figure 13 sweep to the abstract's speed-ups."""
-    from ..analysis.granularity import headline_unstructured_speedup
+    """Reduce the two-engine Figure 13 sweep to the abstract's speed-ups.
 
+    The structured rows are geomean speed-ups over the sweep's layers.  The
+    unstructured row is the mean row-wise speed-up of the ``fig15`` sweep at
+    95 % over every Table IV layer (``max_layers`` truncates only the
+    Figure 13 part), run with the execution knobs ``run_named`` puts into
+    ``options``.
+    """
     # Rows store canonical engine names, so canonicalize both pivots.
     target = resolve_engine(options.get("target", HEADLINE_TARGET)).name
     baseline = resolve_engine(options.get("baseline", HEADLINE_BASELINE)).name
@@ -1025,17 +1031,18 @@ def _headline_reduce(table: ResultTable, options: Dict[str, Any]) -> ResultTable
                 "speedup": speedup,
             }
         )
+    unstructured = run_experiment(
+        figure15_spec([0.95], seed=options.get("seed", 0)),
+        jobs=options.get("jobs"),
+        cache=options.get("cache", True),
+        cache_root=options.get("cache_root"),
+    )
     rows.append(
         {
             "sparsity": "unstructured-95%",
             "paper": HEADLINE_PAPER_VALUES["unstructured-95%"],
-            "speedup": headline_unstructured_speedup(
-                0.95,
-                seed=options.get("seed", 0),
-                jobs=options.get("jobs"),
-                cache=options.get("cache", True),
-                cache_root=options.get("cache_root"),
-            ),
+            "speedup": sum(row["row_wise"] for row in unstructured.rows)
+            / len(unstructured),
         }
     )
     return ResultTable(("sparsity", "paper", "speedup"), rows)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import os
 import signal
 import time
-from typing import Union
 
 from ..errors import InjectedFault
 from .plan import active_plan

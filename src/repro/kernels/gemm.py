@@ -48,13 +48,12 @@ from .template import (
 )
 from .tiling import MatrixTileLayout, TileGrid, align_up
 
-#: Scalar/branch overhead charged per K-iteration of the tiled loop nest.
+#: Scalar ops charged per K-iteration of the tiled loop nest (plus one branch).
 K_LOOP_SCALARS = 2
-K_LOOP_BRANCHES = 1
 
-#: Scalar/branch overhead charged per output tile (loop setup, address math).
+#: Scalar ops charged per output tile (loop setup, address math; plus one
+#: branch).
 TILE_LOOP_SCALARS = 4
-TILE_LOOP_BRANCHES = 1
 
 
 def _plan_layouts(grid: TileGrid) -> dict:

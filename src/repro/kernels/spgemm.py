@@ -118,56 +118,59 @@ def spgemm_joint_pattern(
 def _plan_spgemm_layouts(grid: TileGrid) -> dict:
     """Non-overlapping regions for A/B values, A/B metadata and C tiles.
 
-    Unlike the SPMM planner, *both* operands are 1 KB compressed tiles with a
-    128-byte metadata image each.  Every tile row is padded out to the L1 set
-    span and every region base to the span/page lcm, so identical (row, col)
+    Unlike the SPMM planner, *both* operands are treg-sized (1 KB)
+    compressed tiles with an mreg-sized (128-byte) metadata image each.
+    Every tile row is padded out to the L1 set span and every region base
+    to the span/page lcm, so identical (row, col)
     offsets inside different rows map to identical L1 sets.  The kernel walks
     the grid with a fixed per-block access shape, so this makes consecutive
     steady-state blocks hit the same sets in the same order — the property
     the simulator's fast path certifies before skipping blocks.
     """
+    treg_bytes = grid.geometry.register_bytes("treg")
+    mreg_bytes = grid.geometry.register_bytes("mreg")
     base = align_up(0x10000, _BASE_ALIGN)
     a_layout = MatrixTileLayout(
         base_address=base,
         tiles_rows=grid.tiles_m,
         tiles_cols=grid.tiles_k,
-        tile_bytes=1024,
-        tile_stride=1024,
-        row_stride=align_up(grid.tiles_k * 1024, _L1_SET_SPAN),
+        tile_bytes=treg_bytes,
+        tile_stride=treg_bytes,
+        row_stride=align_up(grid.tiles_k * treg_bytes, _L1_SET_SPAN),
         name="A",
     )
     a_metadata = MatrixTileLayout(
         base_address=align_up(a_layout.end_address, _BASE_ALIGN),
         tiles_rows=grid.tiles_m,
         tiles_cols=grid.tiles_k,
-        tile_bytes=128,
-        tile_stride=128,
-        row_stride=align_up(grid.tiles_k * 128, _L1_SET_SPAN),
+        tile_bytes=mreg_bytes,
+        tile_stride=mreg_bytes,
+        row_stride=align_up(grid.tiles_k * mreg_bytes, _L1_SET_SPAN),
         name="A-metadata",
     )
     b_layout = MatrixTileLayout(
         base_address=align_up(a_metadata.end_address, _BASE_ALIGN),
         tiles_rows=grid.tiles_n,
         tiles_cols=grid.tiles_k,
-        tile_bytes=1024,
-        tile_stride=1024,
-        row_stride=align_up(grid.tiles_k * 1024, _L1_SET_SPAN),
+        tile_bytes=treg_bytes,
+        tile_stride=treg_bytes,
+        row_stride=align_up(grid.tiles_k * treg_bytes, _L1_SET_SPAN),
         name="B^T",
     )
     b_metadata = MatrixTileLayout(
         base_address=align_up(b_layout.end_address, _BASE_ALIGN),
         tiles_rows=grid.tiles_n,
         tiles_cols=grid.tiles_k,
-        tile_bytes=128,
-        tile_stride=128,
-        row_stride=align_up(grid.tiles_k * 128, _L1_SET_SPAN),
+        tile_bytes=mreg_bytes,
+        tile_stride=mreg_bytes,
+        row_stride=align_up(grid.tiles_k * mreg_bytes, _L1_SET_SPAN),
         name="B-metadata",
     )
     c_layout = MatrixTileLayout(
         base_address=align_up(b_metadata.end_address, _BASE_ALIGN),
         tiles_rows=grid.tiles_m,
         tiles_cols=grid.tiles_n,
-        tile_bytes=1024,
+        tile_bytes=treg_bytes,
         tile_stride=_L1_SET_SPAN,
         name="C",
     )

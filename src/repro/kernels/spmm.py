@@ -25,7 +25,11 @@ import numpy as np
 from ..core.isa import Opcode
 from ..core.memory_image import ByteMemory
 from ..core.registers import mreg, treg, ureg, vreg
-from ..core.rowwise_mapping import RowWiseMappingPlan, pack_rows
+from ..core.rowwise_mapping import (
+    ROWWISE_EFFECTIVE_COLS,
+    TREG_STORED_CAPACITY,
+    pack_rows,
+)
 from ..cpu.columnar import TraceBuilder
 from ..errors import KernelError
 from ..sparse.blocks import minimal_row_patterns, satisfies_pattern
@@ -172,7 +176,7 @@ def build_spmm_kernel(
         base_address=layouts["metadata_base"],
         tiles_rows=grid.tiles_m,
         tiles_cols=grid.tiles_k,
-        tile_bytes=128,
+        tile_bytes=geometry.metadata_reg_bytes,
         name="A-metadata",
     )
 
@@ -219,16 +223,6 @@ def build_spmm_kernel(
 # Row-wise SPMM (TILE_SPMM_R)
 # ---------------------------------------------------------------------------
 
-_STORED_PER_ROW = {
-    SparsityPattern.DENSE_4_4: 64,
-    SparsityPattern.SPARSE_2_4: 32,
-    SparsityPattern.SPARSE_1_4: 16,
-}
-
-#: Effective K covered by one TILE_SPMM_R instruction.
-ROWWISE_TILE_K = 64
-
-
 def build_rowwise_spmm_kernel(a: np.ndarray, b: np.ndarray) -> KernelProgram:
     """Build an executable row-wise SPMM kernel for an unstructured sparse A.
 
@@ -247,9 +241,11 @@ def build_rowwise_spmm_kernel(a: np.ndarray, b: np.ndarray) -> KernelProgram:
     m, k = a.shape
     n = b.shape[1]
     tile_m, tile_n = DEFAULT_GEOMETRY.rows, DEFAULT_GEOMETRY.fp32_cols
-    if k % ROWWISE_TILE_K != 0:
+    tile_k = ROWWISE_EFFECTIVE_COLS  # effective K of one TILE_SPMM_R
+    treg_bytes = DEFAULT_GEOMETRY.register_bytes("treg")
+    if k % tile_k != 0:
         raise KernelError(
-            f"row-wise kernels require K to be a multiple of {ROWWISE_TILE_K}, got {k}"
+            f"row-wise kernels require K to be a multiple of {tile_k}, got {k}"
         )
     if n % tile_n != 0:
         raise KernelError(f"row-wise kernels require N to be a multiple of {tile_n}")
@@ -271,35 +267,34 @@ def build_rowwise_spmm_kernel(a: np.ndarray, b: np.ndarray) -> KernelProgram:
     plan = pack_rows(permuted_patterns, group_rows_by_pattern=False)
 
     # -- memory layout ---------------------------------------------------------
-    # A: one 1 KB compressed image + 128 B metadata per (group, k-chunk).
-    # B: transposed 2 KB tiles per (j-block, k-chunk).
+    # A: one treg (1 KB) compressed image + one mreg (128 B) of metadata per
+    #    (group, k-chunk).
+    # B: transposed ureg (2 KB) tiles per (j-block, k-chunk).
     # C: permuted row-major panels of m x 16 per j-block, padded to 32 rows
     #    per group so the ureg-wide loads/stores stay in bounds.
-    k_chunks = k // ROWWISE_TILE_K
+    k_chunks = k // tile_k
     n_blocks = n // tile_n
     groups = plan.groups
 
-    base = 0x10000
-    a_tile_bytes = 1024
     a_layout = MatrixTileLayout(
-        base_address=base,
+        base_address=0x10000,
         tiles_rows=len(groups),
         tiles_cols=k_chunks,
-        tile_bytes=a_tile_bytes,
+        tile_bytes=treg_bytes,
         name="A-rowwise",
     )
     metadata_layout = MatrixTileLayout(
         base_address=align_up(a_layout.end_address),
         tiles_rows=len(groups),
         tiles_cols=k_chunks,
-        tile_bytes=128,
+        tile_bytes=DEFAULT_GEOMETRY.register_bytes("mreg"),
         name="A-rowwise-metadata",
     )
     b_layout = MatrixTileLayout(
         base_address=align_up(metadata_layout.end_address),
         tiles_rows=n_blocks,
         tiles_cols=k_chunks,
-        tile_bytes=2048,
+        tile_bytes=DEFAULT_GEOMETRY.register_bytes("ureg"),
         name="B^T",
     )
     # C: tile layout with 16-row tiles over the padded permuted row space.
@@ -308,7 +303,7 @@ def build_rowwise_spmm_kernel(a: np.ndarray, b: np.ndarray) -> KernelProgram:
         base_address=align_up(b_layout.end_address),
         tiles_rows=padded_rows // tile_m,
         tiles_cols=n_blocks,
-        tile_bytes=1024,
+        tile_bytes=treg_bytes,
         name="C",
     )
 
@@ -319,23 +314,22 @@ def build_rowwise_spmm_kernel(a: np.ndarray, b: np.ndarray) -> KernelProgram:
     for j in range(n_blocks):
         for chunk in range(k_chunks):
             tile = b[
-                chunk * ROWWISE_TILE_K : (chunk + 1) * ROWWISE_TILE_K,
+                chunk * tile_k : (chunk + 1) * tile_k,
                 j * tile_n : (j + 1) * tile_n,
             ]
             memory.write_matrix(b_layout.tile_address(j, chunk), tile.T, DType.BF16)
 
     # Fill compressed A group images and metadata.
+    stored_shape = (DEFAULT_GEOMETRY.rows, DEFAULT_GEOMETRY.bf16_cols)
     for group_index, group in enumerate(groups):
-        group_rows = [order.index(order[row]) for row in group.row_indices]
         for chunk in range(k_chunks):
-            stored_values = np.zeros(512, dtype=np.float32)
-            stored_indices = np.zeros(512, dtype=np.int64)
+            stored_values = np.zeros(TREG_STORED_CAPACITY, dtype=np.float32)
+            stored_indices = np.zeros(TREG_STORED_CAPACITY, dtype=np.int64)
             cursor = 0
-            for local_row, permuted_row in enumerate(group.row_indices):
+            for permuted_row in group.row_indices:
                 pattern = permuted_patterns[permuted_row]
                 row_slice = permuted_a[
-                    permuted_row,
-                    chunk * ROWWISE_TILE_K : (chunk + 1) * ROWWISE_TILE_K,
+                    permuted_row, chunk * tile_k : (chunk + 1) * tile_k
                 ].reshape(1, -1)
                 compressed = compress(row_slice, pattern)
                 count = compressed.values.size
@@ -344,11 +338,11 @@ def build_rowwise_spmm_kernel(a: np.ndarray, b: np.ndarray) -> KernelProgram:
                 cursor += count
             address = a_layout.tile_address(group_index, chunk)
             memory.write_matrix(
-                address, stored_values.reshape(16, 32), DType.BF16
+                address, stored_values.reshape(stored_shape), DType.BF16
             )
             memory.write(
                 metadata_layout.tile_address(group_index, chunk),
-                pack_indices(stored_indices.reshape(16, 32)),
+                pack_indices(stored_indices.reshape(stored_shape)),
             )
             rowwise_patterns[address] = tuple(
                 permuted_patterns[row] for row in group.row_indices
@@ -394,7 +388,7 @@ def build_rowwise_spmm_kernel(a: np.ndarray, b: np.ndarray) -> KernelProgram:
             # Store back the group's rows (two tregs cover the 32-row window).
             trace.tile_store_t(c_address, treg(0), "store C lo")
             if group.output_rows > tile_m:
-                trace.tile_store_t(c_address + 1024, treg(1), "store C hi")
+                trace.tile_store_t(c_address + treg_bytes, treg(1), "store C hi")
 
     # The C image is organised as column panels of padded_rows x 16; express it
     # through the standard tile layout for read_result by noting that panel j,
@@ -406,7 +400,7 @@ def build_rowwise_spmm_kernel(a: np.ndarray, b: np.ndarray) -> KernelProgram:
         base_address=c_layout.base_address,
         tiles_rows=padded_rows // tile_m,
         tiles_cols=n_blocks,
-        tile_bytes=1024,
+        tile_bytes=treg_bytes,
         name="C",
         padded_rows=padded_rows,
     )

@@ -15,7 +15,6 @@ layout rectangular — exactly what the fixed-size tile registers require.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 

@@ -29,7 +29,7 @@ import numpy as np
 from ..errors import CompressionError, SparsityError
 from ..types import BLOCK_SIZE_M, SparsityPattern, TileShape
 from .blocks import minimal_row_patterns
-from .compress import CompressedTile, compress
+from .compress import compress
 
 
 #: Fraction of an SPE column occupied by one row of each pattern (Section V-E).

@@ -9,7 +9,6 @@ is deterministic given the seed so benchmark runs are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
 import numpy as np
 

@@ -6,10 +6,11 @@ from repro.analysis.area_power import (
     TARGET_FREQUENCY_GHZ,
     engine_frequency_ghz,
     estimate,
-    figure14_table,
     sparse_power_overheads,
 )
 from repro.core.engine import catalog, get_engine
+from repro.experiments.figures import figure14_spec
+from repro.experiments.runner import run_experiment, run_named
 
 
 class TestArea:
@@ -67,16 +68,17 @@ class TestFrequency:
             assert engine_frequency_ghz(engine) >= TARGET_FREQUENCY_GHZ
 
     def test_estimate_reports_target_met(self):
-        for row in figure14_table():
-            assert row.meets_target_frequency
+        for row in run_named("area-power").rows:
+            assert row["meets_target_frequency"]
+            assert estimate(get_engine(row["engine"])).meets_target_frequency
 
 
 class TestFigure14Table:
     def test_one_row_per_vegeta_engine_in_order(self):
-        rows = figure14_table()
+        rows = run_named("area-power").rows
         expected = [name for name in catalog() if name.startswith("VEGETA")]
-        assert [row.name for row in rows] == expected
+        assert [row["engine"] for row in rows] == expected
 
     def test_custom_subset(self):
-        rows = figure14_table(["VEGETA-S-2-2"])
-        assert len(rows) == 1 and rows[0].name == "VEGETA-S-2-2"
+        rows = run_experiment(figure14_spec(["VEGETA-S-2-2"])).rows
+        assert len(rows) == 1 and rows[0]["engine"] == "VEGETA-S-2-2"

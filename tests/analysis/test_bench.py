@@ -136,12 +136,18 @@ class TestCheckCli:
     def test_check_gates_on_committed_baseline(self, tmp_path):
         out = tmp_path / "bench.json"
         assert main(["bench", "--shape", "64x64x128", "--out", str(out)]) == 0
-        measured = json.loads(out.read_text())
 
-        same = tmp_path / "baseline-same.json"
-        same.write_text(json.dumps(measured))
+        # The pass leg must not depend on two timed runs agreeing within the
+        # gate: its baseline reads 100x below the first run (the fail leg
+        # mirrors this at 100x above).
+        deflated = json.loads(out.read_text())
+        for row in deflated["workloads"]:
+            row["fast_ops_per_sec"] /= 100.0
+            row["build_rows_per_sec"] /= 100.0
+        slow = tmp_path / "baseline-slow.json"
+        slow.write_text(json.dumps(deflated))
         assert (
-            main(["bench", "--shape", "64x64x128", "--out", str(out), "--check", str(same)])
+            main(["bench", "--shape", "64x64x128", "--out", str(out), "--check", str(slow)])
             == 0
         )
 

@@ -1,14 +1,15 @@
 """Cross-model consistency checks between independent parts of the library."""
 
+import math
+
 import pytest
 
 from repro.analysis.granularity import row_wise_speedup
-from repro.analysis.instruction_model import matrix_instruction_estimate
 from repro.core.rowwise_mapping import pack_rows
 from repro.kernels.gemm import build_dense_gemm_kernel
 from repro.kernels.spmm import build_spmm_kernel
 from repro.sparse.blocks import minimal_row_patterns
-from repro.types import GemmShape, SparsityPattern
+from repro.types import DEFAULT_GEOMETRY, GemmShape, SparsityPattern
 from repro.workloads.generator import generate_unstructured
 from repro.workloads.layers import all_layers
 
@@ -22,10 +23,20 @@ class TestKernelVsAnalyticalModels:
             sparse = build_spmm_kernel(shape, pattern).summary().tile_compute
             assert dense == sparse * pattern.compression_ratio
 
-    def test_instruction_estimate_consistent_across_layers(self):
+    def test_layer_kernels_issue_one_compute_per_padded_tile_step(self):
+        """Across Table IV layers, the dense kernel's compute count is the tile count."""
+        geometry = DEFAULT_GEOMETRY
         for layer in all_layers()[:4]:
-            estimate = matrix_instruction_estimate(layer.gemm)
-            assert estimate == build_dense_gemm_kernel(layer.gemm).instruction_count
+            shape = layer.gemm
+            program = build_dense_gemm_kernel(shape)
+            summary = program.summary()
+            tile_steps = (
+                math.ceil(shape.m / geometry.rows)
+                * math.ceil(shape.n / geometry.fp32_cols)
+                * math.ceil(shape.k / geometry.bf16_cols)
+            )
+            assert summary.tile_compute == tile_steps, layer.name
+            assert summary.total == program.instruction_count, layer.name
 
 
 class TestGranularityVsMapping:

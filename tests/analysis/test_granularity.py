@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from repro.analysis.granularity import (
-    figure15_series,
     granularity_speedups,
-    headline_unstructured_speedup,
     layer_wise_speedup,
     row_wise_speedup,
     tile_wise_speedup,
     unstructured_speedup,
 )
+from repro.experiments.figures import figure15_spec
+from repro.experiments.runner import run_experiment, run_named
 from repro.sparse.pruning import prune_unstructured
-from repro.workloads.layers import get_layer
 
 
 def _random_sparse(rng, rows, cols, degree):
@@ -64,20 +63,25 @@ class TestIndividualGranularities:
         assert unstructured_speedup(matrix) < 1.0
 
 
+def _figure15_rows(degrees, layer):
+    """One ``fig15`` row per degree: a single layer's averages are its rows."""
+    spec = figure15_spec(degrees, layers=[layer], max_weight_elements=1 << 15)
+    return run_experiment(spec).rows
+
+
 class TestFigure15Series:
     def test_speedups_increase_with_sparsity(self):
-        points = figure15_series([0.6, 0.8, 0.95], layers=[get_layer("BERT-L2")],
-                                 max_weight_elements=1 << 15)
-        row_wise = [point.speedups["row_wise"] for point in points]
+        rows = _figure15_rows([0.6, 0.8, 0.95], "BERT-L2")
+        row_wise = [row["row_wise"] for row in rows]
         assert row_wise == sorted(row_wise)
 
     def test_sigma_overtakes_row_wise_only_at_extreme_sparsity(self):
-        points = figure15_series([0.80, 0.95], layers=[get_layer("GPT-L1")],
-                                 max_weight_elements=1 << 15)
-        moderate, extreme = points
-        assert moderate.speedups["unstructured"] < moderate.speedups["row_wise"]
-        assert extreme.speedups["unstructured"] > extreme.speedups["row_wise"]
+        moderate, extreme = _figure15_rows([0.80, 0.95], "GPT-L1")
+        assert moderate["unstructured"] < moderate["row_wise"]
+        assert extreme["unstructured"] > extreme["row_wise"]
 
     def test_headline_value(self):
         # Abstract: 3.28x for unstructured 95 % sparse layers via row-wise N:4.
-        assert headline_unstructured_speedup(0.95) == pytest.approx(3.28, rel=0.12)
+        table = run_named("headline", {"max_layers": 1, "max_output_tiles": 1})
+        speedups = {row["sparsity"]: row["speedup"] for row in table.rows}
+        assert speedups["unstructured-95%"] == pytest.approx(3.28, rel=0.12)

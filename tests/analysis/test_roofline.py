@@ -6,10 +6,10 @@ from repro.analysis.roofline import (
     FIGURE3_ENGINES,
     crossover_density,
     effective_throughput_tflops,
-    figure3_series,
     layer_bytes,
 )
 from repro.errors import ConfigurationError
+from repro.experiments.runner import run_named
 from repro.types import GemmShape
 
 
@@ -71,19 +71,22 @@ class TestEffectiveThroughput:
 
 class TestFigure3Series:
     def test_series_structure(self):
-        series = figure3_series([0.25, 0.5, 1.0])
-        assert set(series) == {"density_percent"} | set(FIGURE3_ENGINES)
-        assert series["density_percent"] == [25.0, 50.0, 100.0]
-        assert all(len(values) == 3 for values in series.values())
+        table = run_named("roofline", {"densities": [0.25, 0.5, 1.0]})
+        assert {row["engine"] for row in table.rows} == set(FIGURE3_ENGINES)
+        for engine in FIGURE3_ENGINES:
+            rows = table.where(engine=engine).rows
+            assert [row["density_percent"] for row in rows] == [25.0, 50.0, 100.0]
 
     def test_sparse_curves_dominate_dense_curves(self):
-        series = figure3_series([0.2, 0.4, 0.6, 0.8])
+        table = run_named("roofline", {"densities": [0.2, 0.4, 0.6, 0.8]})
         for sparse_key, dense_key in (
             ("sparse_matrix", "dense_matrix"),
             ("sparse_vector", "dense_vector"),
         ):
-            for sparse_value, dense_value in zip(series[sparse_key], series[dense_key]):
-                assert sparse_value >= dense_value
+            sparse = table.where(engine=sparse_key).rows
+            dense = table.where(engine=dense_key).rows
+            for sparse_row, dense_row in zip(sparse, dense):
+                assert sparse_row["effective_tflops"] >= dense_row["effective_tflops"]
 
 
 class TestCrossover:

@@ -1,18 +1,16 @@
-"""Tests for the built-in figure experiments and their analysis-layer parity."""
+"""Tests for the built-in figure experiments (:mod:`repro.experiments.figures`)."""
 
 import pytest
 
-from repro.analysis.granularity import figure15_series
-from repro.analysis.roofline import figure3_series
 from repro.analysis.runtime import simulate_layer, resolve_engine
 from repro.cpu.params import MachineParams
 from repro.cpu.simulator import CycleApproximateSimulator
 from repro.experiments.cache import ResultCache
-from repro.experiments.figures import figure13_spec, figure15_spec
+from repro.experiments.figures import figure13_spec, figure15_spec, figure3_spec
 from repro.experiments.runner import run_experiment, run_named
 from repro.kernels.memo import clear_build_memo
 from repro.types import SparsityPattern
-from repro.workloads.layers import get_layer
+from repro.workloads.layers import all_layers, get_layer
 
 
 class TestMachineParamsCodec:
@@ -98,51 +96,55 @@ class TestFig13:
 
 
 class TestFig15:
-    def test_series_matches_subsystem_rows(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        degrees = [0.9]
-        layers = [get_layer("BERT-L1"), get_layer("BERT-L2")]
-        points = figure15_series(
-            degrees, layers=layers, max_weight_elements=1 << 14, cache=cache
+    def test_named_run_reads_every_sweep_option(self):
+        options = {
+            "degrees": [0.9],
+            "max_layers": 2,
+            "seed": 4,
+            "max_weight_elements": 1 << 14,
+        }
+        named = run_named("fig15", options, cache=False)
+        direct = run_experiment(
+            figure15_spec(
+                [0.9], layers=all_layers()[:2], seed=4, max_weight_elements=1 << 14
+            ),
+            cache=False,
         )
-        table = run_experiment(
-            figure15_spec(degrees, layers=layers, max_weight_elements=1 << 14),
-            cache=cache,
-        )
-        averaged = sum(row["row_wise"] for row in table.rows) / len(table.rows)
-        assert points[0].speedups["row_wise"] == pytest.approx(averaged)
+        assert named.rows == direct.rows
 
     def test_per_layer_seeds_follow_layer_position(self):
         spec = figure15_spec([0.9], layers=["BERT-L1", "BERT-L2"], seed=5)
         seeds = [value["seed"] for value in spec.axes["layer"]]
         assert seeds == [5, 6]
 
-    def test_duplicate_degrees_average_independently(self):
-        layers = [get_layer("BERT-L1"), get_layer("BERT-L2")]
-        dup = figure15_series(
-            [0.5, 0.5], layers=layers, max_weight_elements=1 << 14, cache=False
+    def test_duplicate_degrees_repeat_the_single_degree_rows(self):
+        layers = ["BERT-L1", "BERT-L2"]
+        dup = run_experiment(
+            figure15_spec([0.5, 0.5], layers=layers, max_weight_elements=1 << 14),
+            cache=False,
         )
-        single = figure15_series(
-            [0.5], layers=layers, max_weight_elements=1 << 14, cache=False
+        single = run_experiment(
+            figure15_spec([0.5], layers=layers, max_weight_elements=1 << 14),
+            cache=False,
         )
-        assert dup[0].speedups == single[0].speedups
-        assert dup[1].speedups == single[0].speedups
+        assert dup.rows == single.rows + single.rows
 
 
 class TestFig3:
     def test_series_round_trips_through_cache(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cold = figure3_series([0.1, 0.5, 1.0], cache=cache)
-        warm = figure3_series([0.1, 0.5, 1.0], cache=cache)
-        assert warm == cold
-        assert set(warm) == {
-            "density_percent",
+        spec = figure3_spec([0.1, 0.5, 1.0])
+        cold = run_experiment(spec, cache=cache)
+        warm = run_experiment(spec, cache=cache)
+        assert warm.to_json() == cold.to_json()
+        assert warm.meta["executed"] == 0 and warm.meta["cached"] == len(warm)
+        assert {row["engine"] for row in warm.rows} == {
             "dense_vector",
             "sparse_vector",
             "dense_matrix",
             "sparse_matrix",
         }
-        assert all(len(series) == 3 for series in warm.values())
+        assert len(warm) == 4 * 3
 
 
 class TestHeadlineExperiment:
@@ -173,6 +175,17 @@ class TestHeadlineExperiment:
             cache=ResultCache(tmp_path),
         )
         assert all(row["speedup"] > 0 for row in table.rows)
+
+    def test_unstructured_row_is_the_fig15_mean_row_wise_speedup(self):
+        # The unstructured row averages every Table IV layer whatever
+        # max_layers is, and the seed reaches the fig15 sweep.
+        table = run_named(
+            "headline", {"max_layers": 1, "max_output_tiles": 2, "seed": 3}
+        )
+        unstructured = run_experiment(figure15_spec([0.95], seed=3))
+        mean = sum(row["row_wise"] for row in unstructured.rows) / len(unstructured)
+        assert table.rows[-1]["sparsity"] == "unstructured-95%"
+        assert table.rows[-1]["speedup"] == mean
 
 
 class TestSpgemmExperiment:
