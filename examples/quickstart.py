@@ -10,8 +10,10 @@ This walks the full flow of the library in ~60 lines:
    state-of-the-art dense engine (RASA-DM) and VEGETA-S-16-2 with output
    forwarding, and report the speed-up.
 
-Run with:  python examples/quickstart.py
+Run with:  python examples/quickstart.py  (exit status 1 if the check fails)
 """
+
+import sys
 
 import numpy as np
 
@@ -46,8 +48,11 @@ def main() -> None:
     result = run_functional(sparse_kernel)
     reference = reference_gemm(data.a, data.b)
     max_error = float(np.max(np.abs(result - reference)))
-    print(f"functional result matches numpy reference: {np.allclose(result, reference, atol=1e-3)} "
+    matches = np.allclose(result, reference, atol=1e-3)
+    print(f"functional result matches numpy reference: {matches} "
           f"(max abs error {max_error:.2e})")
+    if not matches:
+        sys.exit("the 2:4 kernel's functional result differs from numpy")
 
     # 4. Timing: SOTA dense engine running the dense kernel vs VEGETA-S + OF
     #    running the sparse kernel.

@@ -7,8 +7,11 @@ structured N:4 pattern, and the resulting SPMM runs on the VEGETA engine.
 The script verifies the sparse result against a direct convolution of the
 pruned weights and compares simulated runtimes across 4:4 / 2:4 / 1:4.
 
-Run with:  python examples/sparse_resnet_inference.py
+Run with:  python examples/sparse_resnet_inference.py  (exit status 1 if the
+check fails)
 """
+
+import sys
 
 import numpy as np
 
@@ -46,7 +49,10 @@ def main() -> None:
     kernel = build_spmm_kernel(gemm, SparsityPattern.SPARSE_2_4, a=weight_matrix, b=columns)
     output = run_functional(kernel).reshape(conv.out_channels, conv.out_height, conv.out_width)
     expected = (weight_matrix @ columns).reshape(output.shape)
-    print(f"sparse convolution matches reference: {np.allclose(output, expected, rtol=1e-2, atol=0.2)}")
+    matches = np.allclose(output, expected, rtol=1e-2, atol=0.2)
+    print(f"sparse convolution matches reference: {matches}")
+    if not matches:
+        sys.exit("the sparse convolution differs from the reference")
 
     # Timing sweep on the real ResNet50-L2 dimensions from Table IV, run
     # through the repro.experiments subsystem: the three points are cached on

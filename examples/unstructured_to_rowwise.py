@@ -11,8 +11,11 @@ which the VEGETA engine then executes with ``TILE_SPMM_R``.  This example:
 4. sweeps sparsity degrees and prints the expected speed-up of each hardware
    granularity class (the Figure 15 comparison).
 
-Run with:  python examples/unstructured_to_rowwise.py
+Run with:  python examples/unstructured_to_rowwise.py  (exit status 1 if a
+check fails)
 """
+
+import sys
 
 import numpy as np
 
@@ -32,14 +35,20 @@ def main() -> None:
     tile = transform_unstructured(data.a)
     counts = {pattern.value: count for pattern, count in tile.pattern_counts.items()}
     print(f"row patterns after covering: {counts}")
-    print(f"lossless: {np.array_equal(tile.decompress(), data.a)}")
+    lossless = np.array_equal(tile.decompress(), data.a)
+    print(f"lossless: {lossless}")
+    if not lossless:
+        sys.exit("the row-wise covering does not decompress to the input")
     print(f"occupied SPE columns per 16-column group: {spe_column_occupancy(tile):.1f}")
 
     # Execute the TILE_SPMM_R kernel and verify.
     kernel = build_rowwise_spmm_kernel(data.a, data.b)
     result = run_functional(kernel)
     reference = reference_gemm(data.a, data.b)
-    print(f"row-wise kernel matches reference: {np.allclose(result, reference, atol=1e-3)}")
+    matches = np.allclose(result, reference, atol=1e-3)
+    print(f"row-wise kernel matches reference: {matches}")
+    if not matches:
+        sys.exit("the row-wise kernel's result differs from the reference")
     print(f"TILE_SPMM_R instructions: {kernel.summary().by_opcode.get('TILE_SPMM_R', 0)}")
 
     # Figure 15 style comparison at a few sparsity degrees.

@@ -28,14 +28,10 @@ from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
+from ..core.rowwise_mapping import ROWWISE_EFFECTIVE_COLS
 from ..errors import SparsityError
-from ..sparse.blocks import block_nnz
-from ..types import BLOCK_SIZE_M
-
-#: Effective tile geometry used for the granularity analysis (16 x 64, i.e.
-#: the effective footprint of one TILE_SPMM_R / TILE_SPMM_U group).
-TILE_ROWS_G = 16
-TILE_COLS_G = 64
+from ..sparse.blocks import minimal_row_patterns, tile_pattern
+from ..types import BLOCK_SIZE_M, DEFAULT_GEOMETRY
 
 #: Area premium of a SIGMA-like fully flexible sparse engine relative to the
 #: dense systolic baseline, used to area-normalise its speed-up.
@@ -52,30 +48,16 @@ GRANULARITY_LABELS = {
 }
 
 
-def _pattern_share(n: int) -> float:
-    """Fraction of an SPE column one row with covering pattern N:4 occupies."""
-    if n <= 1:
-        return 0.25
-    if n <= 2:
-        return 0.5
-    return 1.0
-
-
-def _covering_n(max_block_nnz: int) -> int:
-    """Smallest supported N (1, 2, 4) covering a maximum per-block count."""
-    if max_block_nnz <= 1:
-        return 1
-    if max_block_nnz <= 2:
-        return 2
-    return 4
-
-
 def _iter_tiles(matrix: np.ndarray) -> Iterable[np.ndarray]:
-    """Yield 16 x 64 tiles of the matrix (padded implicitly by skipping rest)."""
+    """Yield the 16 x 64 analysis tiles (one ``TILE_SPMM_R`` group's footprint).
+
+    Edge tiles are the partial remainders; nothing is padded here.
+    """
     rows, cols = matrix.shape
-    for row in range(0, rows, TILE_ROWS_G):
-        for col in range(0, cols, TILE_COLS_G):
-            yield matrix[row : row + TILE_ROWS_G, col : col + TILE_COLS_G]
+    tile_rows, tile_cols = DEFAULT_GEOMETRY.rows, ROWWISE_EFFECTIVE_COLS
+    for row in range(0, rows, tile_rows):
+        for col in range(0, cols, tile_cols):
+            yield matrix[row : row + tile_rows, col : col + tile_cols]
 
 
 def _pad_cols(matrix: np.ndarray) -> np.ndarray:
@@ -90,8 +72,7 @@ def _pad_cols(matrix: np.ndarray) -> np.ndarray:
 def layer_wise_speedup(matrix: np.ndarray) -> float:
     """Speed-up when one N:4 pattern must cover the whole matrix."""
     matrix = _pad_cols(np.asarray(matrix))
-    n = _covering_n(int(block_nnz(matrix).max(initial=0)))
-    return BLOCK_SIZE_M / n
+    return BLOCK_SIZE_M / tile_pattern(matrix).n
 
 
 def tile_wise_speedup(matrix: np.ndarray) -> float:
@@ -101,7 +82,7 @@ def tile_wise_speedup(matrix: np.ndarray) -> float:
     covered_work = 0.0
     for tile in _iter_tiles(matrix):
         rows = tile.shape[0]
-        n = _covering_n(int(block_nnz(_pad_cols(tile)).max(initial=0)))
+        n = tile_pattern(_pad_cols(tile)).n
         dense_work += rows
         covered_work += rows * n / BLOCK_SIZE_M
     return dense_work / covered_work if covered_work else 1.0
@@ -109,9 +90,7 @@ def tile_wise_speedup(matrix: np.ndarray) -> float:
 
 def _row_shares(tile: np.ndarray) -> List[float]:
     """Per-row SPE-column shares of one tile under row-wise covering."""
-    padded = _pad_cols(tile)
-    per_block = block_nnz(padded)
-    return [_pattern_share(_covering_n(int(row.max(initial=0)))) for row in per_block]
+    return [pattern.density for pattern in minimal_row_patterns(_pad_cols(tile))]
 
 
 def row_wise_speedup(matrix: np.ndarray, *, reorder: bool = True) -> float:

@@ -61,7 +61,6 @@ from .rowwise_mapping import (
     RowWiseGroup,
     RowWiseMappingPlan,
     TREG_STORED_CAPACITY,
-    effective_speedup_vs_dense,
     pack_rows,
 )
 
@@ -90,7 +89,6 @@ __all__ = [
     "TileRegisterFile",
     "catalog",
     "dependent_chain_interval",
-    "effective_speedup_vs_dense",
     "get_engine",
     "mreg",
     "pack_rows",

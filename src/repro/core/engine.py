@@ -235,11 +235,6 @@ class EngineConfig:
         return self.nrows * self.ncols
 
     @property
-    def num_pus(self) -> int:
-        """Total number of PUs in the array."""
-        return self.num_pes * self.alpha
-
-    @property
     def inputs_per_pe(self) -> int:
         """Input elements received per PE per cycle (Table III).
 
@@ -350,12 +345,6 @@ class EngineConfig:
         )
 
     # -- capability queries ----------------------------------------------------------
-
-    def supports_pattern(self, pattern: SparsityPattern) -> bool:
-        """True if the engine natively executes tiles with this pattern."""
-        if pattern is SparsityPattern.ROW_WISE:
-            return self.supports_rowwise
-        return pattern in self.supported_patterns
 
     @property
     def supports_rowwise(self) -> bool:

@@ -263,20 +263,10 @@ def resolve_traffic(
         raise SimulationError("placement, traffic and footprint sizes must match")
     line_bytes = machine.l1.line_bytes
 
-    leaves = topology.leaves()
-    leaf_nodes = {id(leaf) for leaf in leaves}
-    # Cores routed under every node (preorder paths; a core routes through a
-    # node iff its leaf is in the node's subtree).
+    leaf_position = {id(leaf): index for index, leaf in enumerate(topology.leaves())}
     cores_by_leaf: Dict[int, List[int]] = {}
     for core, leaf in enumerate(placement.leaf_index):
         cores_by_leaf.setdefault(leaf, []).append(core)
-
-    def cores_under(node: TopologyNode) -> List[int]:
-        owned: List[int] = []
-        for index, leaf in enumerate(leaves):
-            if any(candidate is leaf for _, candidate in node.walk()):
-                owned.extend(cores_by_leaf.get(index, []))
-        return sorted(owned)
 
     compulsory = [int(footprint.size) for footprint in footprints]
     upward = [int(lines) for lines in private_dram]
@@ -287,16 +277,18 @@ def resolve_traffic(
     demands: List[List[int]] = []
     hit_lines = [0] * cores
 
-    # Bottom-up: children strictly before parents (post-order).
-    def postorder(node: TopologyNode) -> Iterator[TopologyNode]:
-        for child in node.children:
-            yield from postorder(child)
-        yield node
+    def resolve(node: TopologyNode) -> List[int]:
+        """Resolve ``node``'s subtree, children strictly before parents.
 
-    for node in postorder(topology):
-        domain = cores_under(node)
+        Returns the sorted cores placed below ``node`` (a core routes through
+        a node iff its leaf is in the node's subtree).
+        """
+        if node.children:
+            domain = sorted(core for child in node.children for core in resolve(child))
+        else:
+            domain = cores_by_leaf.get(leaf_position[id(node)], [])
         if not domain:
-            continue  # an unpopulated leaf/socket arbitrates nothing
+            return domain  # an unpopulated leaf/socket arbitrates nothing
         row = [0] * cores
         for core in domain:
             row[core] = upward[core]
@@ -316,7 +308,9 @@ def resolve_traffic(
         levels.append(node.level)
         supplies.append(node.lines_per_cycle(machine))
         demands.append(row)
+        return domain
 
+    resolve(topology)
     return TrafficResolution(
         names=names,
         levels=levels,

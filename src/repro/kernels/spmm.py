@@ -35,6 +35,7 @@ from ..errors import KernelError
 from ..sparse.blocks import minimal_row_patterns, satisfies_pattern
 from ..sparse.compress import compress
 from ..sparse.metadata import pack_indices
+from ..sparse.rowwise import group_rows_for_pseudo
 from ..types import DEFAULT_GEOMETRY, DType, GemmShape, SparsityPattern, TileGeometry
 from .gemm import K_LOOP_SCALARS, TILE_LOOP_SCALARS, _loop_overhead, _plan_layouts
 from .memo import block_templates
@@ -254,17 +255,10 @@ def build_rowwise_spmm_kernel(a: np.ndarray, b: np.ndarray) -> KernelProgram:
     patterns = minimal_row_patterns(a)
 
     # Pseudo row-wise DMA reorder: rows grouped by pattern, stable in index.
-    order = sorted(
-        range(m),
-        key=lambda index: (
-            [SparsityPattern.DENSE_4_4, SparsityPattern.SPARSE_2_4,
-             SparsityPattern.SPARSE_1_4].index(patterns[index]),
-            index,
-        ),
-    )
+    order = group_rows_for_pseudo(patterns)[0]
     permuted_a = a[order]
     permuted_patterns = [patterns[index] for index in order]
-    plan = pack_rows(permuted_patterns, group_rows_by_pattern=False)
+    plan = pack_rows(permuted_patterns)
 
     # -- memory layout ---------------------------------------------------------
     # A: one treg (1 KB) compressed image + one mreg (128 B) of metadata per

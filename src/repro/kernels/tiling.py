@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
+from ..core.rowwise_mapping import ROWWISE_EFFECTIVE_COLS
 from ..errors import KernelError
 from ..types import DEFAULT_GEOMETRY, GemmShape, SparsityPattern, TileGeometry
 
@@ -31,7 +32,7 @@ def tile_k_for_pattern(
     """Effective K covered by one tile instruction for a given A pattern."""
     if pattern is SparsityPattern.ROW_WISE:
         # TILE_SPMM_R always covers an effective width of 64 (Section IV-B).
-        return 64
+        return ROWWISE_EFFECTIVE_COLS
     return geometry.bf16_cols * pattern.compression_ratio
 
 

@@ -34,9 +34,6 @@ from ..core.engine import EngineConfig
 from ..errors import ConfigurationError
 from ..types import SparsityPattern
 
-#: Kernel kinds a mapping may select, mirroring the backends experiment.
-MAPPING_KERNELS = ("gemm", "spmm", "spgemm")
-
 
 @dataclass(frozen=True)
 class MappingCandidate:

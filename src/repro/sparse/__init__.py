@@ -42,11 +42,8 @@ from .pruning import (
 from .rowwise import (
     RowWiseTile,
     compress_rowwise,
-    effective_macs_skipped,
     group_rows_for_pseudo,
-    inverse_permutation,
     spe_column_occupancy,
-    stored_row_count,
     transform_unstructured,
 )
 from .stats import (
@@ -69,11 +66,9 @@ __all__ = [
     "decompress",
     "dense_nbytes",
     "density",
-    "effective_macs_skipped",
     "effectual_mac_fraction",
     "from_dense_auto",
     "group_rows_for_pseudo",
-    "inverse_permutation",
     "metadata_nbytes",
     "minimal_row_patterns",
     "pack_indices",
@@ -89,7 +84,6 @@ __all__ = [
     "satisfies_pattern",
     "sparsity_degree",
     "spe_column_occupancy",
-    "stored_row_count",
     "storage_savings",
     "summarize",
     "tile_pattern",

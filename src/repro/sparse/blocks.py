@@ -77,35 +77,25 @@ def row_pattern_requirements(
 def minimal_row_patterns(matrix: np.ndarray) -> List[SparsityPattern]:
     """Tightest supported N:4 pattern covering every non-zero of each row.
 
-    Only the hardware-supported patterns 1:4, 2:4 and 4:4 are returned; a row
-    needing 3 non-zeros per block is rounded up to 4:4, and an all-zero row is
-    reported as 1:4 (the cheapest representation that still occupies a lane).
-    This mirrors the transformation of Section III-D.
+    Each row gets :meth:`SparsityPattern.covering` of its densest block, so a
+    row needing 3 non-zeros per block is rounded up to 4:4 and an all-zero
+    row is reported as 1:4 (the cheapest representation that still occupies
+    a lane).  This is the transformation of Section III-D.
     """
-    requirements = row_pattern_requirements(matrix)
-    patterns: List[SparsityPattern] = []
-    for requirement in requirements:
-        if requirement <= 1:
-            patterns.append(SparsityPattern.SPARSE_1_4)
-        elif requirement <= 2:
-            patterns.append(SparsityPattern.SPARSE_2_4)
-        else:
-            patterns.append(SparsityPattern.DENSE_4_4)
-    return patterns
+    return [
+        SparsityPattern.covering(int(requirement))
+        for requirement in row_pattern_requirements(matrix)
+    ]
 
 
 def tile_pattern(matrix: np.ndarray) -> SparsityPattern:
     """Tightest supported N:4 pattern that covers every non-zero of the tile.
 
-    This is the tile-wise granularity of Figure 1(b): a single pattern chosen
-    for the whole tile.
+    This is the tile-wise granularity of Figure 1(b): one pattern, the
+    :meth:`SparsityPattern.covering` of the tile's densest block, chosen for
+    the whole tile.
     """
-    requirement = int(block_nnz(matrix).max(initial=0))
-    if requirement <= 1:
-        return SparsityPattern.SPARSE_1_4
-    if requirement <= 2:
-        return SparsityPattern.SPARSE_2_4
-    return SparsityPattern.DENSE_4_4
+    return SparsityPattern.covering(int(block_nnz(matrix).max(initial=0)))
 
 
 def density(matrix: np.ndarray) -> float:

@@ -101,21 +101,15 @@ class CompressedTile:
         return dense
 
 
-def compress(
-    matrix: np.ndarray,
-    pattern: SparsityPattern,
-    *,
-    validate: bool = True,
-) -> CompressedTile:
+def compress(matrix: np.ndarray, pattern: SparsityPattern) -> CompressedTile:
     """Compress an N:4 structured sparse matrix into a :class:`CompressedTile`.
 
     Parameters
     ----------
     matrix:
         The dense representation of the tile; its column count must be a
-        multiple of 4 and it must satisfy ``pattern`` (unless ``validate`` is
-        False, in which case surplus non-zeros raise anyway because they
-        cannot be represented).
+        multiple of 4 and it must satisfy ``pattern`` (a block with more than
+        N non-zeros raises :class:`CompressionError`).
     pattern:
         One of the fixed N:4 patterns.  ``ROW_WISE`` is not accepted here;
         use :mod:`repro.sparse.rowwise` for row-wise compression.
@@ -133,7 +127,7 @@ def compress(
             f"column count {cols} is not a multiple of the block size {BLOCK_SIZE_M}"
         )
     n = pattern.n
-    if validate and not satisfies_nm(matrix, n):
+    if not satisfies_nm(matrix, n):
         raise CompressionError(
             f"matrix does not satisfy {pattern.value} structured sparsity"
         )
@@ -145,11 +139,6 @@ def compress(
             base = block * BLOCK_SIZE_M
             block_values = matrix[row, base : base + BLOCK_SIZE_M]
             nonzero_positions = np.flatnonzero(block_values)
-            if len(nonzero_positions) > n:
-                raise CompressionError(
-                    f"block ({row}, {block}) has {len(nonzero_positions)} non-zeros, "
-                    f"more than the {n} allowed by {pattern.value}"
-                )
             # Fill the stored slots: real non-zeros first, then padding slots
             # pointing at (necessarily zero) remaining positions so indices
             # stay strictly increasing within the block.

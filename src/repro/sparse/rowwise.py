@@ -4,8 +4,9 @@ Section III-D of the paper observes that any unstructured sparse tile can be
 covered *losslessly* by choosing, for each row independently, the tightest
 supported N:4 pattern that includes all the row's non-zeros.  Section V-E
 then maps such tiles onto the VEGETA-S engine: a 4:4 row occupies a whole SPE
-column, a 2:4 row occupies half of one, a 1:4 row a quarter, so the number of
-stored rows (``HA``) and occupied SPE columns (``Ncols``) vary with the mix.
+column, a 2:4 row half of one, a 1:4 row a quarter (the pattern's
+:attr:`~repro.types.SparsityPattern.density`), so the number of stored rows
+(``HA``) and occupied SPE columns (``Ncols``) vary with the mix.
 
 This module implements:
 
@@ -15,8 +16,8 @@ This module implements:
 * :func:`transform_unstructured` — the lossless covering transformation,
 * :func:`group_rows_for_pseudo` — the row reordering that produces the
   *pseudo* row-wise layout the hardware requires (consecutive rows sharing a
-  pattern), together with the permutation needed to restore output order,
-* occupancy helpers used by the engine timing model.
+  pattern); the row-wise SPMM kernel takes its row order from it,
+* :func:`spe_column_occupancy` — a tile's ``Ncols``.
 """
 
 from __future__ import annotations
@@ -31,13 +32,6 @@ from ..types import BLOCK_SIZE_M, SparsityPattern, TileShape
 from .blocks import minimal_row_patterns
 from .compress import compress
 
-
-#: Fraction of an SPE column occupied by one row of each pattern (Section V-E).
-COLUMN_OCCUPANCY: Dict[SparsityPattern, float] = {
-    SparsityPattern.DENSE_4_4: 1.0,
-    SparsityPattern.SPARSE_2_4: 0.5,
-    SparsityPattern.SPARSE_1_4: 0.25,
-}
 
 #: Canonical ordering used when grouping rows for the pseudo row-wise layout.
 _PATTERN_ORDER: Tuple[SparsityPattern, ...] = (
@@ -137,24 +131,11 @@ def transform_unstructured(matrix: np.ndarray) -> RowWiseTile:
     matrix = np.asarray(matrix, dtype=np.float32)
     if matrix.ndim != 2:
         raise SparsityError(f"expected a 2-D matrix, got ndim={matrix.ndim}")
-    rows, cols = matrix.shape
-    if cols % BLOCK_SIZE_M != 0:
+    if matrix.shape[1] % BLOCK_SIZE_M != 0:
         raise SparsityError(
-            f"column count {cols} is not a multiple of {BLOCK_SIZE_M}"
+            f"column count {matrix.shape[1]} is not a multiple of {BLOCK_SIZE_M}"
         )
-    patterns = minimal_row_patterns(matrix)
-    row_values: List[np.ndarray] = []
-    row_indices: List[np.ndarray] = []
-    for row, pattern in enumerate(patterns):
-        compressed = compress(matrix[row : row + 1], pattern)
-        row_values.append(compressed.values[0])
-        row_indices.append(compressed.indices[0])
-    return RowWiseTile(
-        row_values=tuple(row_values),
-        row_indices=tuple(row_indices),
-        row_patterns=tuple(patterns),
-        effective_shape=TileShape(rows=rows, cols=cols),
-    )
+    return compress_rowwise(matrix, minimal_row_patterns(matrix))
 
 
 def compress_rowwise(
@@ -182,17 +163,7 @@ def compress_rowwise(
 
 def spe_column_occupancy(tile: RowWiseTile) -> float:
     """Occupied SPE columns, Ncols = N4:4 + N2:4/2 + N1:4/4 (Section V-E)."""
-    counts = tile.pattern_counts
-    return (
-        counts[SparsityPattern.DENSE_4_4]
-        + counts[SparsityPattern.SPARSE_2_4] / 2.0
-        + counts[SparsityPattern.SPARSE_1_4] / 4.0
-    )
-
-
-def stored_row_count(tile: RowWiseTile) -> int:
-    """HA, the number of weight-tile rows actually held (all rows are kept)."""
-    return tile.effective_shape.rows
+    return sum(pattern.density for pattern in tile.row_patterns)
 
 
 def group_rows_for_pseudo(
@@ -200,14 +171,15 @@ def group_rows_for_pseudo(
 ) -> Tuple[List[int], bool]:
     """Reorder rows so rows sharing a pattern become consecutive.
 
-    Returns ``(permutation, already_grouped)`` where ``permutation[i]`` is the
-    original index of the row placed at position ``i``.  ``already_grouped``
-    is True when the input order already satisfies the pseudo row-wise
-    grouping requirement (consecutive runs per pattern, in any run order),
-    in which case no DMA reordering is needed.
+    Rows are grouped as 4:4, then 2:4, then 1:4, each group in row-index
+    order.  Returns ``(permutation, already_grouped)`` where
+    ``permutation[i]`` is the original index of the row placed at position
+    ``i``.  ``already_grouped`` is True when the input order already
+    satisfies the pseudo row-wise grouping requirement (consecutive runs per
+    pattern, in any run order), in which case no DMA reordering is needed.
     """
     for pattern in row_patterns:
-        if pattern not in COLUMN_OCCUPANCY:
+        if pattern not in _PATTERN_ORDER:
             raise SparsityError(f"unsupported row pattern {pattern!r}")
     permutation: List[int] = []
     for pattern in _PATTERN_ORDER:
@@ -226,26 +198,3 @@ def group_rows_for_pseudo(
             seen_runs.append(pattern)
             previous = pattern
     return permutation, already_grouped
-
-
-def inverse_permutation(permutation: Sequence[int]) -> List[int]:
-    """Permutation restoring outputs to their original row order."""
-    inverse = [0] * len(permutation)
-    for position, original in enumerate(permutation):
-        inverse[original] = position
-    return inverse
-
-
-def effective_macs_skipped(tile: RowWiseTile) -> int:
-    """MACs skipped versus a dense execution of the effective tile.
-
-    A 2:4 row halves the work of that row, a 1:4 row quarters it.  This is
-    what drives the row-wise speed-ups in Figure 15.
-    """
-    cols = tile.effective_shape.cols
-    skipped = 0
-    for pattern in tile.row_patterns:
-        dense_work = cols
-        stored_work = cols // pattern.compression_ratio
-        skipped += dense_work - stored_work
-    return skipped

@@ -1,10 +1,12 @@
 """Sparsity statistics and reporting helpers.
 
-Small, composable measurements used by the analysis models and the
-benchmarks: sparsity degree, per-row/block histograms, storage savings from
-compression, and the distribution of minimal row patterns in an unstructured
-matrix (which determines how well the row-wise transformation of Section
-III-D can exploit it).
+Small, composable measurements of one matrix, exported by
+:mod:`repro.sparse` for interactive use: sparsity degree, per-row/block
+histograms, storage savings from compression, and the distribution of
+minimal row patterns in an unstructured matrix (which determines how well
+the row-wise transformation of Section III-D can exploit it).  No analysis
+model or benchmark reads them; Figure 15 comes from
+:mod:`repro.analysis.granularity`.
 """
 
 from __future__ import annotations

@@ -236,6 +236,19 @@ class SparsityPattern(enum.Enum):
             )
         return mapping[n]
 
+    @classmethod
+    def covering(cls, max_block_nnz: int) -> "SparsityPattern":
+        """Tightest fixed pattern covering blocks of at most ``max_block_nnz`` non-zeros.
+
+        The smallest of 1:4, 2:4 and 4:4 whose N is at least the count: the
+        covering rule of Section III-D.  A count of 0 gives 1:4 and 3 gives 4:4.
+        """
+        if max_block_nnz <= 1:
+            return cls.SPARSE_1_4
+        if max_block_nnz <= 2:
+            return cls.SPARSE_2_4
+        return cls.DENSE_4_4
+
 
 class SparsityGranularity(enum.Enum):
     """Granularity at which an N:M pattern is allowed to vary (Table I)."""

@@ -2,14 +2,8 @@
 
 import pytest
 
-from repro.core.engine import get_engine
-from repro.core.rowwise_mapping import (
-    MAX_OUTPUT_ROWS,
-    TREG_STORED_CAPACITY,
-    effective_speedup_vs_dense,
-    pack_rows,
-)
-from repro.errors import ConfigurationError, SparsityError
+from repro.core.rowwise_mapping import MAX_OUTPUT_ROWS, TREG_STORED_CAPACITY, pack_rows
+from repro.errors import SparsityError
 from repro.types import SparsityPattern
 
 D44 = SparsityPattern.DENSE_4_4
@@ -36,12 +30,12 @@ class TestPackRows:
         assert sum(group.output_rows for group in plan.groups) == 28
 
     def test_occupied_columns_formula(self):
-        plan = pack_rows([D44, S24, S24, S14, S14, S14, S14], group_rows_by_pattern=False)
+        plan = pack_rows([D44, S24, S24, S14, S14, S14, S14])
         group = plan.groups[0]
         assert group.occupied_columns == pytest.approx(1 + 1 + 1)
 
     def test_pattern_counts(self):
-        plan = pack_rows([D44, S14, S14], group_rows_by_pattern=False)
+        plan = pack_rows([D44, S14, S14])
         counts = plan.groups[0].pattern_counts
         assert counts[D44] == 1 and counts[S14] == 2
 
@@ -49,29 +43,8 @@ class TestPackRows:
         with pytest.raises(SparsityError):
             pack_rows([SparsityPattern.ROW_WISE])
 
-    def test_average_occupancy_between_zero_and_one(self):
-        plan = pack_rows([S14] * 10)
-        assert 0.0 < plan.average_occupancy <= 1.0
-
-    def test_mac_utilization_uses_engine_columns(self):
-        plan = pack_rows([D44] * 8)
-        engine = get_engine("VEGETA-S-16-2")
-        assert plan.groups[0].mac_utilization(engine) == pytest.approx(0.5)
-
-
-class TestSpeedup:
-    def test_all_1_4_speedup_near_four(self):
-        speedup = effective_speedup_vs_dense([S14] * 128)
-        assert speedup == pytest.approx(4.0, rel=0.1)
-
-    def test_all_dense_speedup_near_one(self):
-        speedup = effective_speedup_vs_dense([D44] * 128)
-        assert speedup == pytest.approx(1.0, rel=0.1)
-
-    def test_mixed_speedup_between_extremes(self):
-        speedup = effective_speedup_vs_dense([S24] * 64 + [S14] * 64)
-        assert 1.0 < speedup < 4.0
-
-    def test_empty_panel_rejected(self):
-        with pytest.raises(ConfigurationError):
-            effective_speedup_vs_dense([])
+    def test_rows_pack_in_the_order_given(self):
+        # Grouping rows by pattern is group_rows_for_pseudo's job; pack_rows
+        # keeps the caller's order.
+        plan = pack_rows([S14, D44, S14])
+        assert plan.groups[0].row_indices == (0, 1, 2)

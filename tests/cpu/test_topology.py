@@ -444,6 +444,45 @@ class TestFlatTrafficEquivalence:
         assert outcome.contended == expected_contended
 
 
+class TestTrafficDomains:
+    @pytest.mark.parametrize("count", [1, 3, 8, 200])
+    @pytest.mark.parametrize("name", list(TOPOLOGY_PRESETS))
+    def test_resources_are_the_populated_nodes_children_first(self, name, count):
+        topology = get_topology(name)
+        placement = place_cores(topology, count)
+        leaves = topology.leaves()
+
+        def placed_under(node):
+            subtree = [candidate for _, candidate in node.walk()]
+            return [
+                core
+                for core, leaf in enumerate(placement.leaf_index)
+                if any(leaves[leaf] is candidate for candidate in subtree)
+            ]
+
+        populated = []
+
+        def postorder(node):
+            for child in node.children:
+                postorder(child)
+            if placed_under(node):
+                populated.append(node)
+
+        postorder(topology)
+        # Every core sends traffic and has a non-empty footprint, so no
+        # cache can filter its demand to zero.
+        traffic = resolve_traffic(
+            topology,
+            default_machine(),
+            placement,
+            [8 + core for core in range(count)],
+            [np.arange(core, core + 4, dtype=np.int64) for core in range(count)],
+        )
+        assert traffic.names == [node.name for node in populated]
+        for row, node in zip(traffic.demands, populated):
+            assert [core for core, lines in enumerate(row) if lines] == placed_under(node)
+
+
 # -- full-pipeline flat equivalence per kernel x strategy ---------------------
 
 #: Both spellings of the flat pool: no topology, and the named preset.

@@ -7,6 +7,8 @@ from repro.errors import KernelError
 from repro.kernels.gemm import build_dense_gemm_kernel
 from repro.kernels.spmm import build_rowwise_spmm_kernel, build_spmm_kernel
 from repro.kernels.validate import validate_kernel
+from repro.sparse.blocks import minimal_row_patterns
+from repro.sparse.rowwise import group_rows_for_pseudo
 from repro.types import GemmShape, SparsityPattern
 from repro.workloads.generator import generate_structured, generate_unstructured
 
@@ -96,6 +98,19 @@ class TestRowWiseKernel:
         data = generate_unstructured(shape, 0.9, seed=3)
         program = build_rowwise_spmm_kernel(data.a, data.b)
         matches, error = validate_kernel(program, data.a, data.b)
+        assert matches, f"max error {error}"
+
+    def test_rows_take_the_pseudo_row_wise_order(self, rng):
+        # Rows cycle through 1:4, 4:4 and 2:4, so the kernel must regroup them.
+        a = np.zeros((24, 64), dtype=np.float32)
+        for row in range(24):
+            a[row].reshape(-1, 4)[:, : (1, 4, 2)[row % 3]] = 1.0 + row
+        b = rng.standard_normal((64, 16)).astype(np.float32)
+        order, already_grouped = group_rows_for_pseudo(minimal_row_patterns(a))
+        assert not already_grouped
+        program = build_rowwise_spmm_kernel(a, b)
+        assert program.c_row_permutation == tuple(order)
+        matches, error = validate_kernel(program, a, b)
         assert matches, f"max error {error}"
 
     def test_emits_spmm_r_instructions(self):

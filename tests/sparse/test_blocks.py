@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import SparsityError
 from repro.sparse import blocks
@@ -103,6 +104,31 @@ class TestTilePattern:
         assert blocks.tile_pattern(matrix) is SparsityPattern.SPARSE_2_4
         matrix[0, 2] = 1.0
         assert blocks.tile_pattern(matrix) is SparsityPattern.DENSE_4_4
+
+
+@st.composite
+def unstructured_matrices(draw, max_rows=10, max_blocks=8):
+    """Random matrices whose blocks hold anywhere from 0 to 4 non-zeros."""
+    rows = draw(st.integers(min_value=1, max_value=max_rows))
+    cols = 4 * draw(st.integers(min_value=1, max_value=max_blocks))
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    keep = draw(st.floats(min_value=0.0, max_value=1.0))
+    generator = np.random.default_rng(seed)
+    matrix = generator.standard_normal((rows, cols)).astype(np.float32) + 3.0
+    return matrix * (generator.random((rows, cols)) < keep)
+
+
+class TestCoveringRule:
+    @settings(max_examples=60, deadline=None)
+    @given(matrix=unstructured_matrices())
+    def test_row_and_tile_patterns_cover_the_densest_block(self, matrix):
+        per_block = blocks.block_nnz(matrix)
+        patterns = blocks.minimal_row_patterns(matrix)
+        assert len(patterns) == matrix.shape[0]
+        for row, pattern in enumerate(patterns):
+            assert pattern is SparsityPattern.covering(int(per_block[row].max()))
+            assert blocks.satisfies_pattern(matrix[row : row + 1], pattern)
+        assert blocks.tile_pattern(matrix) is SparsityPattern.covering(int(per_block.max()))
 
 
 class TestDensity:

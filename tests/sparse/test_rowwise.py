@@ -9,11 +9,8 @@ from repro.sparse.pruning import prune_unstructured
 from repro.sparse.rowwise import (
     RowWiseTile,
     compress_rowwise,
-    effective_macs_skipped,
     group_rows_for_pseudo,
-    inverse_permutation,
     spe_column_occupancy,
-    stored_row_count,
     transform_unstructured,
 )
 from repro.types import SparsityPattern
@@ -146,10 +143,6 @@ class TestOccupancy:
         tile = transform_unstructured(matrix)
         assert spe_column_occupancy(tile) == pytest.approx(1 + 0.5 + 0.25 + 0.25)
 
-    def test_stored_row_count(self, rng):
-        tile = transform_unstructured(_unstructured(rng, rows=20))
-        assert stored_row_count(tile) == 20
-
     def test_metadata_bytes(self, rng):
         tile = transform_unstructured(_unstructured(rng, rows=32))
         assert tile.row_pattern_metadata_bytes() == 8
@@ -176,26 +169,9 @@ class TestPseudoGrouping:
             grouped_patterns, key=lambda p: p is SparsityPattern.SPARSE_1_4
         )
 
-    def test_inverse_permutation(self):
-        permutation = [2, 0, 1]
-        inverse = inverse_permutation(permutation)
-        assert [permutation[i] for i in inverse] == [0, 1, 2]
-
     def test_rejects_rowwise_pattern(self):
         with pytest.raises(SparsityError):
             group_rows_for_pseudo([SparsityPattern.ROW_WISE])
-
-
-class TestSkippedMacs:
-    def test_dense_tile_skips_nothing(self, rng):
-        matrix = rng.standard_normal((4, 16)).astype(np.float32) + 1.0
-        assert effective_macs_skipped(transform_unstructured(matrix)) == 0
-
-    def test_sparse_tile_skips_work(self, rng):
-        matrix = _unstructured(rng, rows=16, cols=64, degree=0.95)
-        tile = transform_unstructured(matrix)
-        assert effective_macs_skipped(tile) > 0
-        assert effective_macs_skipped(tile) < 16 * 64
 
 
 class TestRowWiseTileValidation:

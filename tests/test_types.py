@@ -56,6 +56,16 @@ class TestSparsityPattern:
         with pytest.raises(ConfigurationError):
             SparsityPattern.from_n(3)
 
+    @pytest.mark.parametrize("count", range(BLOCK_SIZE_M + 1))
+    def test_covering_is_the_tightest_supported_pattern(self, count):
+        fixed = (
+            SparsityPattern.SPARSE_1_4,
+            SparsityPattern.SPARSE_2_4,
+            SparsityPattern.DENSE_4_4,
+        )
+        tightest = min((p for p in fixed if p.n >= count), key=lambda p: p.n)
+        assert SparsityPattern.covering(count) is tightest
+
     def test_rowwise_has_no_single_n(self):
         with pytest.raises(ConfigurationError):
             _ = SparsityPattern.ROW_WISE.n
