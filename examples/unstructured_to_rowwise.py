@@ -39,7 +39,10 @@ def main() -> None:
     print(f"lossless: {lossless}")
     if not lossless:
         sys.exit("the row-wise covering does not decompress to the input")
-    print(f"occupied SPE columns per 16-column group: {spe_column_occupancy(tile):.1f}")
+    print(
+        f"SPE columns the {shape.m} rows occupy (Ncols = N4:4 + N2:4/2 + N1:4/4): "
+        f"{spe_column_occupancy(tile):.1f}"
+    )
 
     # Execute the TILE_SPMM_R kernel and verify.
     kernel = build_rowwise_spmm_kernel(data.a, data.b)

@@ -36,11 +36,16 @@ ROWWISE_EFFECTIVE_COLS = BLOCK_SIZE_M * 16
 #: tregs, so it holds two tiles' rows (32 x 16 FP32).
 MAX_OUTPUT_ROWS = 2 * DEFAULT_GEOMETRY.rows
 
-#: Stored values one row of each pattern contributes to the treg.
+#: Stored values one row of each pattern contributes to the treg: the WA
+#: effective columns over the pattern's compression ratio, the rule every
+#: compressed tile stores by (``RowWiseTile``, ``CompressedTile``).
 _STORED_PER_ROW: Dict[SparsityPattern, int] = {
-    SparsityPattern.DENSE_4_4: ROWWISE_EFFECTIVE_COLS,
-    SparsityPattern.SPARSE_2_4: ROWWISE_EFFECTIVE_COLS // 2,
-    SparsityPattern.SPARSE_1_4: ROWWISE_EFFECTIVE_COLS // 4,
+    pattern: ROWWISE_EFFECTIVE_COLS // pattern.compression_ratio
+    for pattern in (
+        SparsityPattern.DENSE_4_4,
+        SparsityPattern.SPARSE_2_4,
+        SparsityPattern.SPARSE_1_4,
+    )
 }
 
 

@@ -28,6 +28,10 @@ which then answers the whole-trace questions as vectorised array operations:
 * ``summarize`` — the instruction-mix summary via ``bincount``,
 * ``footprint_line_numbers`` — the distinct cache lines, via a sort
   (``sorted_unique``; lines are expanded from the distinct regions only),
+* ``l1_outcome_bits`` — the exact LRU hit mask of every cache-line access,
+  each access decided from its reuse window in its set
+  (:func:`lru_outcome_bits`: a few array passes and one sort per slab of
+  whole sets),
 * ``simulation_key`` — a content hash of everything that can influence a
   simulation's outcome, with raw addresses *normalized out* (only the
   cache-line collision structure they induce is kept).  Two traces with equal
@@ -402,49 +406,128 @@ def _first_touch_mask(ids: np.ndarray) -> np.ndarray:
     return mask
 
 
+#: Most accesses :func:`lru_outcome_bits` decides in one slab of whole sets
+#: (a set with more accesses is a slab by itself).  Each slab's temporaries
+#: are a few arrays of this length, so a long stream costs no more transient
+#: memory than its global set order.
+_LRU_SLAB_ACCESSES = 1 << 16
+
+
 def lru_outcome_bits(ids: np.ndarray, num_sets: int, associativity: int) -> np.ndarray:
     """Exact per-access hit mask of a set-associative LRU cache.
 
-    Stand-alone replay of the cache state for an access stream of line ids,
-    vectorised *across sets*: accesses are regrouped into per-set
-    subsequences (LRU state is per-set, so the global interleaving is
-    irrelevant), padded to the longest subsequence, and the LRU update runs
-    one vectorised step per subsequence position over all sets at once —
-    ``O(max-accesses-per-set)`` NumPy steps instead of one Python iteration
-    per access.  Matches the LRU sets of
-    :class:`repro.cpu.memory.MemorySystem` hit-for-hit.
+    Matches the LRU sets of :class:`repro.cpu.memory.MemorySystem`
+    hit-for-hit, without replaying the cache state.  LRU state is per set,
+    so each access is decided within its set's own access order.  By the
+    LRU stack property (Mattson et al., 1970) an access hits iff fewer than
+    ``A = associativity`` distinct lines of its set were touched since the
+    previous access ``p`` to its line.  Four rules apply that criterion:
 
-    A step touches one way per set: one ``argmin`` over the ages with the
-    matching way (a tag sits in at most one) forced lowest picks the hit way,
-    else the LRU victim.  Padding lanes (tag -1) only *trail* a set's last
-    real access, so their writes are never read.  Lanes are time-major.
+    1. No ``p``: a miss (first touch).
+    2. Fewer than ``A`` accesses since ``p``: a hit, since they hold fewer
+       than ``A`` distinct lines.
+    3. The ``A`` accesses just before are ``A`` distinct lines: a miss.  The
+       set then holds exactly those lines, and ``p`` precedes them all, so
+       the line is not among them.  The test is that no access in that
+       window reuses a line since the window began: the window maximum of
+       ``p`` (``ceil(log2 A) - 1`` doubling ``np.maximum`` passes) lies
+       before it.
+    4. Otherwise scan back from the access, counting the positions whose
+       line is not touched again before it (each distinct line once).  The
+       scan stops at ``p`` (a hit) or at the ``A``-th distinct line (a
+       miss).  The accesses whose scans walk one position have pairwise
+       distinct lines, and all but the last lie in the last one's window,
+       which holds fewer than ``A`` distinct lines; so at most ``A`` scans
+       walk each position: ``A * n`` work in all, in as many vectorised
+       steps as the longest scan.  No cap is needed.
+
+    Sets are cut into slabs of whole sets (:data:`_LRU_SLAB_ACCESSES`) in
+    set-major order; each slab is an independent problem.
     """
-    n = len(ids)
-    sets = ids % num_sets
-    tags = ids // num_sets
-    counts = np.bincount(sets, minlength=num_sets)
-    depth = int(counts.max(initial=0))
-    starts = np.cumsum(counts) - counts
+    ids = np.asarray(ids, dtype=np.int64)
+    hits = np.zeros(len(ids), dtype=bool)
+    # A uint8 / uint16 set index makes the stable argsort a radix sort.
+    sets = (ids % num_sets).astype(np.min_scalar_type(num_sets - 1))
     order = np.argsort(sets, kind="stable")
-    within = np.empty(n, dtype=np.int64)
-    within[order] = np.arange(n, dtype=np.int64) - np.repeat(starts, counts)
+    for start, stop in _slab_bounds(sets, num_sets):
+        rows = order[start:stop]
+        hits[rows] = _slab_hits(ids[rows], associativity)
+    return hits
 
-    lanes = np.full((depth, num_sets), -1, dtype=np.int64)
-    lanes[within, sets] = tags
-    tag_state = np.full((num_sets, associativity), -1, dtype=np.int64)
-    age_state = np.full((num_sets, associativity), -1, dtype=np.int64)
-    hit_lanes = np.empty((depth, num_sets), dtype=bool)
-    set_base = np.arange(num_sets, dtype=np.int64) * associativity
-    flat_tags = tag_state.reshape(-1)
-    flat_ages = age_state.reshape(-1)
-    for step in range(depth):
-        column = lanes[step]
-        match = tag_state == column[:, None]
-        way = set_base + np.where(match, -2, age_state).argmin(axis=1)
-        hit_lanes[step] = match.reshape(-1)[way]
-        flat_tags[way] = column
-        flat_ages[way] = step
-    return hit_lanes[within, sets]
+
+def _slab_bounds(sets: np.ndarray, num_sets: int) -> List[Tuple[int, int]]:
+    """Set-major ``(start, stop)`` of each slab: whole sets, at most
+    :data:`_LRU_SLAB_ACCESSES` accesses unless one set alone has more."""
+    n = len(sets)
+    if n <= _LRU_SLAB_ACCESSES:
+        return [(0, n)] if n else []
+    ends = np.cumsum(np.bincount(sets, minlength=num_sets))
+    slabs = []
+    start = 0
+    while start < n:
+        first = np.searchsorted(ends, start, side="right")
+        last = np.searchsorted(ends, start + _LRU_SLAB_ACCESSES, side="right") - 1
+        stop = int(ends[max(first, last)])
+        slabs.append((start, stop))
+        start = stop
+    return slabs
+
+
+def _reuse_links(lines: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Each position's previous (-1 if none) and next (``len`` if none) access
+    to the same line."""
+    m = len(lines)
+    position = np.arange(m, dtype=np.int64)
+    bits = (m - 1).bit_length()
+    low = int(lines.min())
+    if (int(lines.max()) - low) >> (62 - bits):
+        by_line = np.argsort(lines, kind="stable")
+    else:
+        # One plain sort of ``line << bits | position`` groups each line's
+        # positions in order, several times faster than a stable argsort.
+        by_line = np.sort(((lines - low) << bits) | position) & ((1 << bits) - 1)
+    grouped = lines[by_line]
+    same = grouped[1:] == grouped[:-1]
+    earlier = by_line[:-1][same]
+    later = by_line[1:][same]
+    prev = np.full(m, -1, dtype=np.int64)
+    prev[later] = earlier
+    following = np.full(m, m, dtype=np.int64)
+    following[earlier] = later
+    return prev, following
+
+
+def _slab_hits(lines: np.ndarray, ways: int) -> np.ndarray:
+    """LRU hit mask of one slab's set-major line stream, by the four rules of
+    :func:`lru_outcome_bits`."""
+    prev, following = _reuse_links(lines)
+    gap = np.arange(len(lines), dtype=np.int64) - prev
+    # Rules 1 and 2; the rest is pending.
+    hits = (prev >= 0) & (gap <= ways)
+    pending = np.flatnonzero((prev >= 0) & (gap > ways))
+    # Rule 3 closes the accesses whose window maximum of ``prev`` over
+    # [i - A, i - 1] lies before it.  Two overlapping windows of a
+    # power-of-two width cover it once twice the width reaches A.  Rule 2
+    # failed, so the window lies inside the access's own set.
+    width = 1
+    window = prev
+    while 2 * width < ways:
+        window = np.maximum(window[:-width], window[width:])
+        width *= 2
+    low = pending - ways
+    pending = pending[np.maximum(window[low], window[pending - width]) >= low]
+    # Rule 4: one backward step per iteration for every access still open.
+    target = prev[pending]
+    cursor = pending - 1
+    distinct = np.zeros(len(pending), dtype=np.int64)
+    while len(pending):
+        at_target = cursor == target
+        hits[pending[at_target]] = True
+        distinct += following[cursor] >= pending
+        keep = ~at_target & (distinct < ways)
+        pending, target = pending[keep], target[keep]
+        cursor, distinct = cursor[keep] - 1, distinct[keep]
+    return hits
 
 
 def sorted_unique(values: np.ndarray, kind: Optional[str] = None) -> np.ndarray:
@@ -513,7 +596,8 @@ def _outcome_hits(level, distinct: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Exact per-access LRU hit mask of ``level`` for the line stream ``ids``.
 
     A level that cannot evict on this footprint (see :func:`_may_evict`)
-    resolves every access by first-touch residency, so the replay is skipped.
+    resolves every access by first-touch residency, so :func:`lru_outcome_bits`
+    is not run.
     """
     if _may_evict(distinct, level):
         return lru_outcome_bits(ids, level.num_sets, level.associativity)
@@ -526,8 +610,9 @@ def _fold_outcomes(digest, level, distinct: np.ndarray, ids: np.ndarray, hits=No
     When no set of the level can hold more distinct footprint lines than its
     associativity, the level can never evict: every access resolves by
     first-touch residency, which the rank sequence already pins, so a
-    constant marker suffices.  Otherwise the outcome bitmask of the exact
-    LRU replay (``hits``, replayed here when not given) is folded in.
+    constant marker suffices.  Otherwise the exact LRU outcome bitmask
+    (``hits``, computed here by :func:`lru_outcome_bits` when not given) is
+    folded in.
     """
     if not len(ids):
         digest.update(f"{level.name}:empty".encode())
@@ -809,24 +894,25 @@ class ColumnarTrace:
             ),
         )
 
-    def l1_outcome_bits(self, l1) -> np.ndarray:
+    def l1_outcome_bits(self, l1, lines: Optional[np.ndarray] = None) -> np.ndarray:
         """Exact hit mask of every cache-line access under the LRU cache ``l1``.
 
-        One replay per L1 geometry serves both the memo key
+        Decided per access by :func:`lru_outcome_bits`, once per L1
+        geometry: the mask serves both the memo key
         (:meth:`address_structure_hash`) and the fast path's oracle script
-        (:func:`repro.cpu.fastsim._build_oracle`).
+        (:func:`repro.cpu.fastsim._build_oracle`).  ``lines`` is this
+        trace's line stream at ``l1.line_bytes`` when the caller has
+        already expanded it; otherwise it is expanded here.
         """
         line_bytes = l1.line_bytes
-        return self.derived(
-            ("l1-hits", line_bytes, l1.num_sets, l1.associativity),
-            lambda: _read_only(
-                _outcome_hits(
-                    l1,
-                    self.footprint_line_numbers(line_bytes),
-                    self._expand_lines(line_bytes),
-                )
-            ),
-        )
+
+        def compute() -> np.ndarray:
+            stream = self._expand_lines(line_bytes) if lines is None else lines
+            return _read_only(
+                _outcome_hits(l1, self.footprint_line_numbers(line_bytes), stream)
+            )
+
+        return self.derived(("l1-hits", line_bytes, l1.num_sets, l1.associativity), compute)
 
     # -- memoization key --------------------------------------------------------
 
@@ -852,15 +938,15 @@ class ColumnarTrace:
 
         * the first-appearance **rank sequence** of the accessed lines, which
           fixes the reuse pattern up to a bijective relabeling of lines,
-        * each level's **hit/miss outcome sequence**, obtained from an exact
-          stand-alone replay of its set-associative LRU state
-          (:func:`lru_outcome_bits`, vectorised across sets).  A level that
+        * each level's **hit/miss outcome sequence** under its
+          set-associative LRU, decided exactly per access from the access's
+          reuse window in its set (:func:`lru_outcome_bits`).  A level that
           cannot possibly evict on this footprint (no set holds more distinct
           lines than its associativity) resolves every access by first-touch
           residency — already determined by the rank sequence — and
-          contributes a constant marker instead of a replay; with the ideal
-          L2 prefetch of the paper's methodology every L2 access is a hit by
-          construction, so that level is likewise a marker.
+          contributes a constant marker instead of an outcome mask; with the
+          ideal L2 prefetch of the paper's methodology every L2 access is a
+          hit by construction, so that level is likewise a marker.
 
         Equal digests imply identical per-access levels and latencies and
         identical reported counters, so the simulation outcome cannot depend
@@ -885,7 +971,7 @@ class ColumnarTrace:
             return digest.digest()
         digest.update(np.ascontiguousarray(_first_appearance_ranks(lines)).tobytes())
 
-        l1_hits = self.l1_outcome_bits(l1)
+        l1_hits = self.l1_outcome_bits(l1, lines)
         _fold_outcomes(digest, l1, self.footprint_line_numbers(l1.line_bytes), lines, l1_hits)
         if machine.prefetch_into_l2:
             # The ideal prefetcher delivers every L1 miss at L2-hit latency.

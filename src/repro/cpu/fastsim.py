@@ -13,8 +13,9 @@ strategies are used, picked per run:
 **Oracle path** (the paper's prefetch-into-L2 assumption).  Under the ideal
 L2 prefetch every L1 miss is an L2 hit by construction, so the only
 data-dependent memory outcome is the L1 lookup — a pure function of the
-line-address sequence, which the columnar trace can replay exactly for the
-whole trace up front (:func:`repro.cpu.columnar.lru_outcome_bits`).  The
+line-address sequence, which the columnar trace decides exactly for the
+whole trace up front, each access from its reuse window in its set
+(:func:`repro.cpu.columnar.lru_outcome_bits`).  The
 outcomes fix each request's completion offset and L2-port occupancy, so the
 memory system is replaced by a per-request script
 (:class:`repro.cpu.memory.ScriptedMemory`: O(1) per request, counters as
@@ -231,7 +232,8 @@ def _build_oracle(machine: MachineParams, trace: ColumnarTrace) -> _OracleScript
     """Precompute the scripted outcomes and packed input words.
 
     Only valid under the ideal L2 prefetch: every L1 miss is then an L2 hit
-    at a fixed latency, so the exact L1 LRU replay scripts the entire memory
+    at a fixed latency, so the exact L1 LRU outcome mask
+    (:meth:`ColumnarTrace.l1_outcome_bits`) scripts the entire memory
     behaviour of the run.
     """
     cols = trace.columns

@@ -255,7 +255,7 @@ def build_rowwise_spmm_kernel(a: np.ndarray, b: np.ndarray) -> KernelProgram:
     patterns = minimal_row_patterns(a)
 
     # Pseudo row-wise DMA reorder: rows grouped by pattern, stable in index.
-    order = group_rows_for_pseudo(patterns)[0]
+    order = group_rows_for_pseudo(patterns)
     permuted_a = a[order]
     permuted_patterns = [patterns[index] for index in order]
     plan = pack_rows(permuted_patterns)

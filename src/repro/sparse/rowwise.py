@@ -166,17 +166,12 @@ def spe_column_occupancy(tile: RowWiseTile) -> float:
     return sum(pattern.density for pattern in tile.row_patterns)
 
 
-def group_rows_for_pseudo(
-    row_patterns: Sequence[SparsityPattern],
-) -> Tuple[List[int], bool]:
+def group_rows_for_pseudo(row_patterns: Sequence[SparsityPattern]) -> List[int]:
     """Reorder rows so rows sharing a pattern become consecutive.
 
     Rows are grouped as 4:4, then 2:4, then 1:4, each group in row-index
-    order.  Returns ``(permutation, already_grouped)`` where
-    ``permutation[i]`` is the original index of the row placed at position
-    ``i``.  ``already_grouped`` is True when the input order already
-    satisfies the pseudo row-wise grouping requirement (consecutive runs per
-    pattern, in any run order), in which case no DMA reordering is needed.
+    order.  Returns the permutation: ``permutation[i]`` is the original
+    index of the row placed at position ``i``.
     """
     for pattern in row_patterns:
         if pattern not in _PATTERN_ORDER:
@@ -186,15 +181,4 @@ def group_rows_for_pseudo(
         permutation.extend(
             index for index, p in enumerate(row_patterns) if p is pattern
         )
-    # The order is "already grouped" when each pattern's rows are contiguous.
-    already_grouped = True
-    seen_runs = []
-    previous = None
-    for pattern in row_patterns:
-        if pattern is not previous:
-            if pattern in seen_runs:
-                already_grouped = False
-                break
-            seen_runs.append(pattern)
-            previous = pattern
-    return permutation, already_grouped
+    return permutation

@@ -119,8 +119,9 @@ def lru_outcome_bits(ids: np.ndarray, num_sets: int, associativity: int) -> np.n
     Accesses are regrouped into per-set subsequences padded to the longest.
     Each step updates only the sets with a real access at that position: a
     hit picks its way with ``argmax``, a miss the LRU victim with ``argmin``.
-    :func:`repro.cpu.columnar.lru_outcome_bits`, which lets padding steps
-    write and picks both ways with one ``argmin``, must match it bit for bit.
+    :func:`repro.cpu.columnar.lru_outcome_bits` steps no cache state (it
+    decides each access from its reuse window) and must match this replay
+    bit for bit.
     """
     n = len(ids)
     sets = ids % num_sets

@@ -17,6 +17,7 @@ from repro.core.isa import Opcode
 from repro.core.pipeline import TileComputeRequest, TileComputeTiming
 from repro.core.registers import treg
 from repro.cpu.columnar import (
+    _LRU_SLAB_ACCESSES,
     ColumnarTrace,
     TraceBuilder,
     distinct_line_count,
@@ -365,31 +366,72 @@ MAX_LINE_ID = 2**44
 def lru_streams(draw):
     """A line stream with its cache geometry.
 
-    Accesses reuse a small tag pool on a few touched sets, so sets overflow
-    their ways and evict; the untouched sets stay empty.  A tail of accesses
-    to one set makes it deep beside shallow ones, so the shallow sets carry
-    a long run of trailing padding lanes.
+    Sets come from 1 to 4,096, with the default L1's 96 and L2's 512 always
+    among the draws; the associativity ``A`` from 1 to 16.  Accesses go to a
+    few touched sets (the others stay empty) and draw their tags from one of
+    three pools.  A small pool (at most ``A`` tags) keeps windows of ``A`` or
+    more accesses below ``A`` distinct lines, so the back scan ends at the
+    previous access (a hit).  A mixed pool (up to ``2A + 2`` tags) lets the
+    scan end at the ``A``-th distinct line too (a miss).  A streaming pool
+    (more than ``A`` tags) is cycled per set, so the ``A`` accesses before
+    each reuse are ``A`` distinct lines.  A tail of accesses to one set
+    makes it deep beside shallow ones.
     """
-    num_sets = draw(st.one_of(st.sampled_from([1, 96, 512]), st.integers(1, 512)))
+    num_sets = draw(st.one_of(st.sampled_from([1, 96, 512, 4096]), st.integers(1, 4096)))
     associativity = draw(st.integers(1, 16))
     touched = draw(
         st.lists(st.integers(0, num_sets - 1), min_size=1, max_size=8, unique=True)
     )
+    pool = draw(st.sampled_from(["small", "mixed", "streaming"]))
+    sizes = {
+        "small": (1, associativity),
+        "mixed": (1, 2 * associativity + 2),
+        "streaming": (associativity + 1, 3 * associativity + 2),
+    }
+    low, high = sizes[pool]
     tags = draw(
         st.lists(
             st.integers(0, (MAX_LINE_ID - num_sets) // num_sets),
-            min_size=1,
-            max_size=2 * associativity + 2,
+            min_size=low,
+            max_size=high,
             unique=True,
         )
     )
-    accesses = draw(
-        st.lists(st.tuples(st.sampled_from(touched), st.sampled_from(tags)), max_size=120)
-    )
+    if pool == "streaming":
+        cycled = {s: 0 for s in touched}
+        accesses = []
+        for s in draw(st.lists(st.sampled_from(touched), max_size=120)):
+            accesses.append((s, tags[cycled[s] % len(tags)]))
+            cycled[s] += 1
+    else:
+        accesses = draw(
+            st.lists(st.tuples(st.sampled_from(touched), st.sampled_from(tags)), max_size=120)
+        )
     deep = draw(st.lists(st.sampled_from(tags), max_size=150))
     accesses += [(touched[0], tag) for tag in deep]
     ids = np.array([s + num_sets * tag for s, tag in accesses], dtype=np.int64)
     return ids, num_sets, associativity
+
+
+#: One stream per rule and scan exit of ``lru_outcome_bits``: the lines of
+#: one set (a letter each), the associativity, and the hand-derived hit mask
+#: ("H" a hit); the last access is the one the case names.
+LRU_RULE_CASES = {
+    # Rule 1: no previous access to the line.
+    "first-touch": ("abcd", 3, "----"),
+    # Rule 2: two accesses since the previous "a", fewer than A = 3.
+    "gap-below-ways": ("abca", 3, "---H"),
+    # Rule 3: the three accesses before the last "a" are three distinct lines.
+    "distinct-window": ("abcda", 3, "-----"),
+    # Rule 4: "c c b" repeats a line, so the scan runs back to the first "a"
+    # past two distinct lines.
+    "scan-to-previous": ("abccba", 3, "---HHH"),
+    # Rule 4: "c d d" repeats a line; the scan meets d, c and b, the third
+    # distinct line, before reaching "a".
+    "scan-to-ways": ("abcdda", 3, "----H-"),
+    # A = 1: a gap of one access hits (rule 2), any longer gap misses (rule 3).
+    "one-way": ("aaba", 1, "-H--"),
+}
 
 
 class TestLruOutcomeReplay:
@@ -412,6 +454,57 @@ class TestLruOutcomeReplay:
         assert bits.dtype == bool and bits.shape == ids.shape
         assert np.array_equal(bits, reference_lru_outcome_bits(ids, num_sets, associativity))
         assert np.array_equal(bits, cache_outcome_bits(ids, num_sets, associativity))
+
+    @pytest.mark.parametrize("case", sorted(LRU_RULE_CASES))
+    def test_each_rule_and_scan_exit(self, case):
+        letters, associativity, mask = LRU_RULE_CASES[case]
+        expected = np.array([flag == "H" for flag in mask])
+        num_sets = 4
+        one_set = np.array([1 + num_sets * (ord(letter) - 96) for letter in letters])
+        assert np.array_equal(lru_outcome_bits(one_set, num_sets, associativity), expected)
+        # The same pattern in a second set, interleaved access by access,
+        # leaves both sets' outcomes unchanged.
+        other_set = one_set + 2 + num_sets * 1000
+        ids = np.column_stack([one_set, other_set]).reshape(-1)
+        both = np.repeat(expected, 2)
+        bits = lru_outcome_bits(ids, num_sets, associativity)
+        assert np.array_equal(bits, both)
+        assert np.array_equal(reference_lru_outcome_bits(ids, num_sets, associativity), both)
+        assert np.array_equal(cache_outcome_bits(ids, num_sets, associativity), both)
+
+    def test_far_apart_line_ids(self):
+        # Lines up to 2**61 apart leave no room to pack a position beside a
+        # line in one int64 sort key, so the lines are grouped another way.
+        rng = np.random.default_rng(13)
+        tags = rng.choice(rng.integers(0, 2**55, size=20), size=400)
+        ids = tags * 96 + rng.integers(0, 3, size=400)
+        bits = lru_outcome_bits(ids, 96, 4)
+        assert 0 < bits.sum() < len(ids)
+        assert np.array_equal(bits, reference_lru_outcome_bits(ids, 96, 4))
+        assert np.array_equal(bits, cache_outcome_bits(ids, 96, 4))
+
+    def test_set_larger_than_a_slab(self):
+        # Set-major order is cut into slabs of whole sets of at most
+        # ``_LRU_SLAB_ACCESSES``; a set with more accesses is a slab alone.
+        rng = np.random.default_rng(11)
+        deep = rng.integers(0, 12, size=_LRU_SLAB_ACCESSES + 4000) * 96 + 5
+        shallow = rng.integers(0, 12 * 96, size=3000)
+        ids = np.concatenate([shallow[:1500], deep, shallow[1500:]])
+        bits = lru_outcome_bits(ids, 96, 8)
+        assert 0 < bits.sum() < len(ids)
+        assert np.array_equal(bits, cache_outcome_bits(ids, 96, 8))
+
+    def test_sets_straddling_a_slab_boundary(self):
+        # 96 sets of 728 accesses each: the slab limit falls inside set 90,
+        # whose reuses span it, so a cut inside a set would lose hits.
+        rng = np.random.default_rng(12)
+        per_set = _LRU_SLAB_ACCESSES // 90
+        sets = rng.permutation(np.repeat(np.arange(96), per_set))
+        ids = sets + 96 * rng.integers(0, 10, size=len(sets))
+        assert 90 * per_set < _LRU_SLAB_ACCESSES < 91 * per_set < len(ids)
+        bits = lru_outcome_bits(ids, 96, 8)
+        assert 0 < bits.sum() < len(ids)
+        assert np.array_equal(bits, cache_outcome_bits(ids, 96, 8))
 
     @pytest.mark.parametrize("num_sets, associativity", [(1, 1), (96, 8), (512, 16)])
     def test_empty_stream(self, num_sets, associativity):

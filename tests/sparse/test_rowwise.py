@@ -151,9 +151,9 @@ class TestOccupancy:
 class TestPseudoGrouping:
     def test_grouped_input_needs_no_reorder(self):
         patterns = [SparsityPattern.DENSE_4_4] * 2 + [SparsityPattern.SPARSE_1_4] * 3
-        permutation, grouped = group_rows_for_pseudo(patterns)
-        assert grouped
+        permutation = group_rows_for_pseudo(patterns)
         assert sorted(permutation) == list(range(5))
+        assert permutation == list(range(5))
 
     def test_interleaved_input_needs_reorder(self):
         patterns = [
@@ -161,8 +161,8 @@ class TestPseudoGrouping:
             SparsityPattern.DENSE_4_4,
             SparsityPattern.SPARSE_1_4,
         ]
-        permutation, grouped = group_rows_for_pseudo(patterns)
-        assert not grouped
+        permutation = group_rows_for_pseudo(patterns)
+        assert permutation != list(range(3))
         # Permuted order groups the two 1:4 rows together.
         grouped_patterns = [patterns[i] for i in permutation]
         assert grouped_patterns == sorted(
