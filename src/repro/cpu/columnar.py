@@ -554,13 +554,18 @@ def _unique_regions(cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return packed // _NBYTES_BOUND, packed % _NBYTES_BOUND
 
 
+def _line_counts(addresses: np.ndarray, nbytes: np.ndarray, line_bytes: int) -> np.ndarray:
+    """Cache lines each region ``[address, address + nbytes)`` touches."""
+    first = addresses // line_bytes
+    return (addresses + nbytes.astype(np.int64) - 1) // line_bytes - first + 1
+
+
 def _region_lines(addresses: np.ndarray, nbytes: np.ndarray, line_bytes: int) -> np.ndarray:
     """Line number of every cache line each region touches, region by region."""
     if not len(addresses):
         return np.empty(0, dtype=np.int64)
     first = addresses // line_bytes
-    last = (addresses + nbytes.astype(np.int64) - 1) // line_bytes
-    counts = last - first + 1
+    counts = _line_counts(addresses, nbytes, line_bytes)
     total = int(counts.sum())
     offsets = np.repeat(np.cumsum(counts) - counts, counts)
     return np.repeat(first, counts) + (np.arange(total, dtype=np.int64) - offsets)
@@ -640,10 +645,10 @@ class ColumnarTrace:
     Everything derived from the trace content alone is computed once and
     kept on the trace (:meth:`derived`): signature ids, the instruction mix,
     the structure digest, footprint lines, L1 outcome bits, address-structure
-    hashes and the fast path's oracle scripts.  Each view's key names exactly
-    the machine fields the view reads, so one trace shared by many
-    simulations (engines, machines, cores, trials) answers each distinct
-    question once.
+    hashes and the fast path's block segments and oracle scripts.  Each
+    view's key names exactly the machine fields the view reads, so one trace
+    shared by many simulations (engines, machines, cores, trials) answers
+    each distinct question once.
     """
 
     __slots__ = ("columns", "labels", "geometry", "block_starts", "_ops", "_views")
@@ -871,15 +876,19 @@ class ColumnarTrace:
                     summary.tile_store += int(count)
         return summary
 
+    def _requests(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Start address and size of every memory request, in program order."""
+        cols = self.columns
+        mask = cols["address"] >= 0
+        return cols["address"][mask], cols["nbytes"][mask]
+
     def _expand_lines(self, line_bytes: int) -> np.ndarray:
         """Line number of every cache-line access, in program order.
 
         Not kept: at several lines per row it is the largest per-trace array,
         and every view built from it is kept instead.
         """
-        cols = self.columns
-        mask = cols["address"] >= 0
-        return _region_lines(cols["address"][mask], cols["nbytes"][mask], line_bytes)
+        return _region_lines(*self._requests(), line_bytes)
 
     def footprint_line_numbers(self, line_bytes: int) -> np.ndarray:
         """Distinct cache-line numbers referenced by the trace, sorted.
@@ -938,6 +947,12 @@ class ColumnarTrace:
 
         * the first-appearance **rank sequence** of the accessed lines, which
           fixes the reuse pattern up to a bijective relabeling of lines,
+        * each request's **line count**, when some request does not start
+          on a line: 128 bytes at a line boundary span two lines, at offset
+          32 three, so the rank sequence alone does not say where one
+          request's lines end.  An aligned request's count follows from its
+          size, which the op content already pins, so traces whose requests
+          all start on a line hash as before,
         * each level's **hit/miss outcome sequence** under its
           set-associative LRU, decided exactly per access from the access's
           reuse window in its set (:func:`lru_outcome_bits`).  A level that
@@ -965,11 +980,15 @@ class ColumnarTrace:
 
     def _address_structure_digest(self, machine) -> bytes:
         l1 = machine.l1
-        lines = self._expand_lines(l1.line_bytes)
+        starts, sizes = self._requests()
+        lines = _region_lines(starts, sizes, l1.line_bytes)
         digest = hashlib.sha256()
         if not len(lines):
             return digest.digest()
         digest.update(np.ascontiguousarray(_first_appearance_ranks(lines)).tobytes())
+        if (starts % l1.line_bytes).any():
+            digest.update(b"request-lines:")
+            digest.update(_line_counts(starts, sizes, l1.line_bytes).tobytes())
 
         l1_hits = self.l1_outcome_bits(l1, lines)
         _fold_outcomes(digest, l1, self.footprint_line_numbers(l1.line_bytes), lines, l1_hits)

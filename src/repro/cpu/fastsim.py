@@ -44,8 +44,9 @@ re-validating after every jump.
 Either way, the blocks of a segment are signature-verified in full up front
 (:func:`build_segments` over the trace's signature ids), so the trace's
 ``block_starts`` hints only choose where blocks start; they are never
-trusted for content.  Both paths step the blocks they do not skip through
-the exact path's transition
+trusted for content.  The segments read only the trace, so they are found
+once per trace and kept on it (:func:`block_segments`).  Both paths step
+the blocks they do not skip through the exact path's transition
 (:meth:`~repro.cpu.simulator.SimulatorState.advance` over packed rows); the
 profile path reads each op's issue cycle from the state after the step.
 Skipping changes no op's kind, opcode or size, so both report the whole
@@ -280,8 +281,8 @@ def _run_oracle(
     engine: Optional[EngineConfig],
     trace: ColumnarTrace,
     script: _OracleScript,
-    bounds: List[int],
-    segments: List[Tuple[int, int]],
+    bounds: Sequence[int],
+    segments: Sequence[Tuple[int, int]],
     max_super_period: int,
 ) -> SimulationResult:
     """Digest-locked fast path over scripted memory outcomes.
@@ -469,6 +470,39 @@ def _valid_block_starts(block_starts: Sequence[int], trace_length: int) -> bool:
     return True
 
 
+#: A trace's blocks: ``(bounds, segments)`` as :func:`build_segments` returns
+#: them, held as tuples.
+BlockSegments = Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...]]
+
+
+def block_segments(trace: ColumnarTrace) -> Optional[BlockSegments]:
+    """The trace's uniform block segments, or None when it has no periodic
+    structure; found once per trace and kept on it as a derived view.
+
+    Blocks start at the trace's ``block_starts`` (the template stamper's
+    hints).  The constructor of a trace takes them from outside, so absent,
+    too few or malformed hints fall back to anchor detection over the
+    trace's signature ids, which also verify every segment in full.
+    """
+
+    def find() -> Optional[BlockSegments]:
+        n = len(trace)
+        signatures = trace.signature_ids()
+        block_starts = trace.block_starts
+        if (
+            block_starts is None
+            or len(block_starts) < MIN_ANCHOR_REPEATS
+            or not _valid_block_starts(block_starts, n)
+        ):
+            block_starts = derive_block_starts(signatures)
+            if block_starts is None:
+                return None
+        bounds, segments = build_segments(block_starts, n, signatures)
+        return tuple(bounds), tuple(segments)
+
+    return trace.derived(("segments",), find)
+
+
 def run_fast(
     machine: MachineParams,
     engine: Optional[EngineConfig],
@@ -478,28 +512,16 @@ def run_fast(
 ) -> Optional[SimulationResult]:
     """Fast-path simulation; returns None when the trace is not periodic.
 
-    Blocks start at the trace's ``block_starts`` (the template stamper's
-    hints).  The constructor of a trace takes them from outside, so absent,
-    too few or malformed hints fall back to anchor detection over the
-    trace's signature ids, which also verify every segment in full.
+    The blocks are the trace's :func:`block_segments`.
     ``max_super_period`` defaults to :func:`resolve_max_super_period`
     (``REPRO_MAX_SUPER_PERIOD`` or :data:`DEFAULT_MAX_SUPER_PERIOD`).
     """
-    n = len(trace)
     if max_super_period is None:
         max_super_period = resolve_max_super_period()
-    signatures = trace.signature_ids()
-    block_starts = trace.block_starts
-    if (
-        block_starts is None
-        or len(block_starts) < MIN_ANCHOR_REPEATS
-        or not _valid_block_starts(block_starts, n)
-    ):
-        block_starts = derive_block_starts(signatures)
-        if block_starts is None:
-            return None
-
-    bounds, segments = build_segments(block_starts, n, signatures)
+    blocks = block_segments(trace)
+    if blocks is None:
+        return None
+    bounds, segments = blocks
 
     if machine.prefetch_into_l2:
         script = _oracle_script(machine, trace)
@@ -511,8 +533,8 @@ def _run_profiled(
     machine: MachineParams,
     engine: Optional[EngineConfig],
     trace: ColumnarTrace,
-    bounds: List[int],
-    segments: List[Tuple[int, int]],
+    bounds: Sequence[int],
+    segments: Sequence[Tuple[int, int]],
     max_super_period: int,
 ) -> SimulationResult:
     """Counter-delta steady-state detection (machines without the ideal prefetch)."""

@@ -20,7 +20,13 @@ from .gemm import build_dense_gemm_kernel
 from .im2col import ConvShape, direct_convolution, im2col, weights_to_matrix
 from .memo import build_kernel
 from .program import KernelProgram
-from .sharding import SHARDABLE_KERNELS, ShardedKernel, shard_kernel
+from .sharding import (
+    SHARDABLE_KERNELS,
+    KernelPartition,
+    ShardedKernel,
+    partition_kernel,
+    shard_kernel,
+)
 from .spgemm import SPGEMM_PATTERNS, build_spgemm_kernel, spgemm_joint_pattern
 from .spmm import build_rowwise_spmm_kernel, build_spmm_kernel
 from .tiling import (
@@ -41,6 +47,7 @@ from .vector import build_vector_gemm_kernel, vector_instruction_estimate
 
 __all__ = [
     "ConvShape",
+    "KernelPartition",
     "KernelProgram",
     "MatrixTileLayout",
     "PARTITION_STRATEGIES",
@@ -57,6 +64,7 @@ __all__ = [
     "direct_convolution",
     "im2col",
     "partition_grid",
+    "partition_kernel",
     "reference_gemm",
     "reference_spgemm",
     "run_functional",

@@ -40,6 +40,7 @@ from .template import (
     J0,
     J1,
     BlockTemplate,
+    BlockTemplates,
     TemplateBuilder,
     address_form,
     block_cells,
@@ -140,6 +141,22 @@ def dense_block_grid(grid: TileGrid) -> Tuple[list, list]:
     block_rows = [(i, min(i + 1, tiles_m - 1)) for i in range(0, tiles_m, 2)]
     block_cols = [(j, min(j + 1, tiles_n - 1)) for j in range(0, tiles_n, 2)]
     return block_rows, block_cols
+
+
+def dense_block_coords(
+    cells: np.ndarray, tiles_m: int, tiles_n: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(classes, coords, tiles)`` of the optimized kernel's ``(B, 2)`` cells.
+
+    The class of a block is ``2 * single_row + single_col`` (see
+    :func:`_dense_templates`); an edge block clamps its second tile row /
+    column onto its first.
+    """
+    i0, j0 = 2 * cells[:, 0], 2 * cells[:, 1]
+    i1, j1 = np.minimum(i0 + 1, tiles_m - 1), np.minimum(j0 + 1, tiles_n - 1)
+    single_row, single_col = i1 == i0, j1 == j0
+    coords = np.stack((i0, i1, j0, j1, np.ones_like(i0)), axis=1)
+    return 2 * single_row + single_col, coords, (2 - single_row) * (2 - single_col)
 
 
 def _block_tiles(i_pair: Tuple, j_pair: Tuple) -> List[Tuple]:
@@ -243,6 +260,14 @@ def _dense_templates(
     )
 
 
+def dense_templates(grid: TileGrid, variant: str = "optimized") -> BlockTemplates:
+    """The ``variant`` kernel's block templates for ``grid``, built once per kernel."""
+    return block_templates(
+        (f"gemm-{variant}", grid.shape, SparsityPattern.DENSE_4_4, grid.geometry),
+        lambda: _dense_templates(grid, _plan_layouts(grid), variant),
+    )
+
+
 def build_dense_gemm_kernel(
     shape: GemmShape,
     *,
@@ -300,22 +325,14 @@ def build_dense_gemm_kernel(
     tiles_m, tiles_n = grid.tiles_m, grid.tiles_n
     if variant == "optimized":
         cells = block_cells(blocks, -(-tiles_m // 2), -(-tiles_n // 2), "dense-gemm")
-        i0, j0 = 2 * cells[:, 0], 2 * cells[:, 1]
-        i1, j1 = np.minimum(i0 + 1, tiles_m - 1), np.minimum(j0 + 1, tiles_n - 1)
-        single_row, single_col = i1 == i0, j1 == j0
-        classes = 2 * single_row + single_col
-        tiles = (2 - single_row) * (2 - single_col)
+        classes, coords, tiles = dense_block_coords(cells, tiles_m, tiles_n)
     else:
         cells = block_cells(blocks, tiles_m, tiles_n, "dense-gemm-listing1")
-        i0 = i1 = cells[:, 0]
-        j0 = j1 = cells[:, 1]
+        i, j = cells[:, 0], cells[:, 1]
         classes = np.zeros(len(cells), dtype=np.int64)
         tiles = np.ones(len(cells), dtype=np.int64)
-    coords = np.stack((i0, i1, j0, j1, np.ones_like(i0)), axis=1)
-    templates = block_templates(
-        (f"gemm-{variant}", shape, SparsityPattern.DENSE_4_4, geometry),
-        lambda: _dense_templates(grid, layouts, variant),
-    )
+        coords = np.stack((i, i, j, j, np.ones_like(i)), axis=1)
+    templates = dense_templates(grid, variant)
     trace, fraction = stamp_blocks(
         templates, classes, coords, tiles, max_output_tiles, geometry=geometry
     )

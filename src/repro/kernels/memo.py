@@ -31,7 +31,7 @@ import numpy as np
 from ..errors import KernelError
 from ..types import DEFAULT_GEOMETRY, GemmShape, SparsityPattern, TileGeometry
 from .program import KernelProgram
-from .template import BlockTemplate
+from .template import BlockTemplate, BlockTemplates
 
 #: Kernel kinds :func:`build_kernel` dispatches on.
 KERNEL_KINDS = ("gemm", "spmm", "spgemm")
@@ -57,7 +57,7 @@ _memo_rows = 0
 TEMPLATE_MEMO_MAX_KERNELS = 64
 
 #: template key -> one kernel's block templates, oldest first.
-_TEMPLATES: "OrderedDict[tuple, Tuple[Optional[BlockTemplate], ...]]" = OrderedDict()
+_TEMPLATES: "OrderedDict[tuple, BlockTemplates]" = OrderedDict()
 
 
 def clear_build_memo() -> None:
@@ -75,14 +75,15 @@ def build_memo_rows() -> int:
 
 def block_templates(
     key: tuple, make: Callable[[], Tuple[Optional[BlockTemplate], ...]]
-) -> Tuple[Optional[BlockTemplate], ...]:
-    """One kernel's block templates: ``make()`` once per ``key``, then shared.
+) -> BlockTemplates:
+    """One kernel's block templates: ``make()`` once per ``key``, then shared
+    by its builds and by the counts taken from them.
 
     ``key`` names the kernel without the cells or truncation of a build.
     """
     templates = _TEMPLATES.get(key)
     if templates is None:
-        templates = _TEMPLATES[key] = make()
+        templates = _TEMPLATES[key] = BlockTemplates(make())
         while len(_TEMPLATES) > TEMPLATE_MEMO_MAX_KERNELS:
             _TEMPLATES.popitem(last=False)
     return templates

@@ -56,6 +56,7 @@ from .template import (
     I1,
     J0,
     BlockTemplate,
+    BlockTemplates,
     TemplateBuilder,
     address_form,
     affine,
@@ -324,6 +325,18 @@ def _spgemm_block(layouts: dict, grid: TileGrid, two_rows: bool) -> BlockTemplat
     return trace.template()
 
 
+def spgemm_templates(grid: TileGrid) -> BlockTemplates:
+    """The SpGEMM kernel's block templates for ``grid``, built once per kernel."""
+
+    def make() -> Tuple[Optional[BlockTemplate], ...]:
+        layouts = _plan_spgemm_layouts(grid)
+        return interleaved_templates(
+            grid.tiles_m, lambda two_rows: _spgemm_block(layouts, grid, two_rows)
+        )
+
+    return block_templates(("spgemm", grid.shape, grid.pattern, grid.geometry), make)
+
+
 def build_spgemm_kernel(
     shape: GemmShape,
     pattern: SparsityPattern,
@@ -390,14 +403,8 @@ def build_spgemm_kernel(
         feeds = _spgemm_feed_overheads(grid, a_padded, b_padded)
 
     classes, coords, tiles = interleaved_cells(blocks, grid.tiles_m, grid.tiles_n, "spgemm")
-    templates = block_templates(
-        ("spgemm", shape, pattern, geometry),
-        lambda: interleaved_templates(
-            grid.tiles_m, lambda two_rows: _spgemm_block(layouts, grid, two_rows)
-        ),
-    )
     trace, fraction = stamp_blocks(
-        templates, classes, coords, tiles, max_output_tiles, feeds=feeds
+        spgemm_templates(grid), classes, coords, tiles, max_output_tiles, feeds=feeds
     )
     return KernelProgram(
         trace=trace,

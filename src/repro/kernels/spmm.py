@@ -45,6 +45,7 @@ from .template import (
     I1,
     J0,
     BlockTemplate,
+    BlockTemplates,
     TemplateBuilder,
     address_form,
     constant,
@@ -137,6 +138,31 @@ def _spmm_block(
     return trace.template()
 
 
+def _metadata_layout(grid: TileGrid, layouts: dict) -> MatrixTileLayout:
+    """The compressed A operand's metadata tiles, after the C image."""
+    return MatrixTileLayout(
+        base_address=layouts["metadata_base"],
+        tiles_rows=grid.tiles_m,
+        tiles_cols=grid.tiles_k,
+        tile_bytes=grid.geometry.metadata_reg_bytes,
+        name="A-metadata",
+    )
+
+
+def spmm_templates(grid: TileGrid) -> BlockTemplates:
+    """The SPMM kernel's block templates for ``grid``, built once per kernel."""
+
+    def make() -> Tuple[Optional[BlockTemplate], ...]:
+        layouts = _plan_layouts(grid)
+        metadata_layout = _metadata_layout(grid, layouts)
+        return interleaved_templates(
+            grid.tiles_m,
+            lambda two_rows: _spmm_block(layouts, metadata_layout, grid, two_rows),
+        )
+
+    return block_templates(("spmm", grid.shape, grid.pattern, grid.geometry), make)
+
+
 def build_spmm_kernel(
     shape: GemmShape,
     pattern: SparsityPattern,
@@ -173,13 +199,7 @@ def build_spmm_kernel(
         )
     grid = TileGrid(shape=shape, pattern=pattern)
     layouts = _plan_layouts(grid)
-    metadata_layout = MatrixTileLayout(
-        base_address=layouts["metadata_base"],
-        tiles_rows=grid.tiles_m,
-        tiles_cols=grid.tiles_k,
-        tile_bytes=geometry.metadata_reg_bytes,
-        name="A-metadata",
-    )
+    metadata_layout = _metadata_layout(grid, layouts)
 
     memory: Optional[ByteMemory] = None
     if a is not None or b is not None:
@@ -199,15 +219,8 @@ def build_spmm_kernel(
         _fill_sparse_operands(memory, grid, layouts, metadata_layout, a, b)
 
     classes, coords, tiles = interleaved_cells(blocks, grid.tiles_m, grid.tiles_n, "spmm")
-    templates = block_templates(
-        ("spmm", shape, pattern, geometry),
-        lambda: interleaved_templates(
-            grid.tiles_m,
-            lambda two_rows: _spmm_block(layouts, metadata_layout, grid, two_rows),
-        ),
-    )
     trace, fraction = stamp_blocks(
-        templates, classes, coords, tiles, max_output_tiles
+        spmm_templates(grid), classes, coords, tiles, max_output_tiles
     )
     return KernelProgram(
         trace=trace,

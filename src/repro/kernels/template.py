@@ -25,12 +25,22 @@ blocks' coordinates.  Templates depend only on the kernel (kind, shape,
 pattern, geometry, loop overhead) — never on which cells are stamped — so
 every per-core build of a sharded kernel stamps from the same templates
 (:func:`repro.kernels.memo.block_templates`).
+
+The templates are also the one statement of what a block *touches*:
+:func:`cell_totals` counts the compute rows, bytes and distinct cache lines
+of any set of cells from them, without stamping a row.  A memory row's
+region is its form's tile row or column times a layout stride plus a
+constant (the layout base and the K step), so one family of regions — one
+row stride, column stride and size — is the product of the tile rows /
+columns its rows read and its constants, and deduplicating the cells'
+coordinates deduplicates the regions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -40,8 +50,9 @@ from ..cpu.columnar import (
     TraceBuilder,
     check_feed_overheads,
     frozen_trace,
+    sorted_unique,
 )
-from ..errors import SimulationError
+from ..errors import KernelError, SimulationError
 from ..types import DEFAULT_GEOMETRY, TileGeometry
 from .tiling import MatrixTileLayout, validate_blocks
 
@@ -149,6 +160,110 @@ class TemplateBuilder(TraceBuilder):
         )
 
 
+#: The block coordinates a form's tile row may read: ``i0``, ``i1``, or the
+#: constant 1 (column 4) when it reads no tile row; likewise its tile column.
+_ROW_AXES = (0, 1, 4)
+_COL_AXES = (2, 3, 4)
+
+
+def _axis(form: Sequence[int], axes: Tuple[int, int, int]) -> Tuple[int, int]:
+    """``(a, stride)`` when ``form`` reads tile coordinate ``axes[a]`` with
+    ``stride``; the constant axis (``a = 2``) with stride 0 when it reads
+    neither of the two tile coordinates."""
+    used = [a for a in range(2) if form[axes[a]]]
+    if len(used) > 1:
+        raise KernelError(f"address form {tuple(form)} reads two tile rows or columns")
+    return (used[0], form[axes[used[0]]]) if used else (2, 0)
+
+
+class _Regions(NamedTuple):
+    """A kernel's memory rows as region families (see :func:`cell_totals`).
+
+    Family ``f`` holds every region of row stride ``row_stride[f]``, column
+    stride ``col_stride[f]`` and size ``nbytes[f]``.  When
+    ``uses[c, f, a, b]`` is set, each block of class ``c`` puts one region at
+    ``row_stride[f] * coords[_ROW_AXES[a]] + col_stride[f] *
+    coords[_COL_AXES[b]] + offset`` for each of the family's offsets
+    (``offsets[first[f] : first[f] + counts[f]]``).
+    """
+
+    row_stride: np.ndarray
+    col_stride: np.ndarray
+    nbytes: np.ndarray
+    offsets: np.ndarray
+    first: np.ndarray
+    counts: np.ndarray
+    uses: np.ndarray
+
+
+class BlockTemplates(tuple):
+    """One kernel's :class:`BlockTemplate` s indexed by block class (``None``
+    for a class the grid does not contain), with what each class touches."""
+
+    @cached_property
+    def class_counts(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Tile compute rows and transferred bytes of one block of each class."""
+        summaries = [
+            ColumnarTrace(template.rows, template.labels).summarize() if template else None
+            for template in self
+        ]
+        return (
+            np.array([s.tile_compute if s else 0 for s in summaries], dtype=np.int64),
+            np.array([s.memory_bytes if s else 0 for s in summaries], dtype=np.int64),
+        )
+
+    @cached_property
+    def regions(self) -> _Regions:
+        """The memory rows of every class grouped into region families.
+
+        Within a family every use must carry the same offsets: that is what
+        makes the family's regions a product of coordinates and offsets.
+        """
+        families: Dict[Tuple[int, int, int], Dict[Tuple[int, int, int], Set[int]]] = {}
+        for cls, template in enumerate(self):
+            if template is None:
+                continue
+            memory = np.flatnonzero(template.rows["address"] >= 0)
+            if not np.array_equal(memory, np.sort(template.address_rows)):
+                raise KernelError("a block template has a memory row without an address form")
+            sizes = template.rows["nbytes"][template.address_rows]
+            for form, size in zip(template.address_forms.tolist(), sizes.tolist()):
+                row_axis, row_stride = _axis(form, _ROW_AXES)
+                col_axis, col_stride = _axis(form, _COL_AXES)
+                uses = families.setdefault((row_stride, col_stride, size), {})
+                uses.setdefault((cls, row_axis, col_axis), set()).add(form[-1])
+        offsets: List[List[int]] = []
+        table = np.zeros((len(self), len(families), len(_ROW_AXES), len(_COL_AXES)), dtype=bool)
+        for family, (key, uses) in enumerate(families.items()):
+            distinct = {frozenset(values) for values in uses.values()}
+            if len(distinct) != 1:
+                raise KernelError(
+                    f"the regions of stride/size {key} are not one product of "
+                    "tile coordinates and offsets"
+                )
+            offsets.append(sorted(distinct.pop()))
+            for cls, row_axis, col_axis in uses:
+                table[cls, family, row_axis, col_axis] = True
+        keys = np.array(list(families), dtype=np.int64).reshape(-1, 3)
+        counts = np.array([len(values) for values in offsets], dtype=np.int64)
+        return _Regions(
+            row_stride=keys[:, 0],
+            col_stride=keys[:, 1],
+            nbytes=keys[:, 2],
+            offsets=np.array([value for values in offsets for value in values], dtype=np.int64),
+            first=np.cumsum(counts) - counts,
+            counts=counts,
+            uses=table,
+        )
+
+    @cached_property
+    def checked_bytes(self) -> Dict[tuple, int]:
+        """Bytes of region sets already checked by :func:`cell_totals`, keyed
+        by line size and content: every partition of a kernel covers the same
+        grid, so each kernel's combined regions are checked once."""
+        return {}
+
+
 def block_cells(blocks, rows: int, cols: int, name: str) -> np.ndarray:
     """The ``(B, 2)`` cells to emit: the row-major grid, or validated ``blocks``."""
     if blocks is None:
@@ -171,13 +286,19 @@ def interleaved_templates(
 def interleaved_cells(
     blocks, tiles_m: int, tiles_n: int, name: str
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(classes, coords, tiles)`` of a sparse kernel's cells.
+    """``(classes, coords, tiles)`` of a sparse kernel's validated ``blocks``."""
+    return interleaved_coords(block_cells(blocks, -(-tiles_m // 2), tiles_n, name), tiles_m)
+
+
+def interleaved_coords(
+    cells: np.ndarray, tiles_m: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(classes, coords, tiles)`` of a sparse kernel's ``(B, 2)`` cells.
 
     A cell is (row pair, tile column) of the two-accumulator interleave
     (:func:`repro.kernels.tiling.interleaved_block_rows`): class 0 covers a
     row pair, class 1 the trailing single row of an odd grid.
     """
-    cells = block_cells(blocks, -(-tiles_m // 2), tiles_n, name)
     i0 = 2 * cells[:, 0]
     i1 = np.minimum(i0 + 1, tiles_m - 1)
     single = (i1 == i0).astype(np.int64)
@@ -257,3 +378,92 @@ def stamp_blocks(
             columns["feed"][starts[members, None] + template.feed_rows] = values
     trace = frozen_trace(columns, tuple(label_ids), geometry, tuple(starts.tolist()))
     return trace, emitted / total_tiles if total_tiles else 1.0
+
+
+class CellTotals(NamedTuple):
+    """What the cells of each owner touch: tile compute rows, transferred
+    bytes and distinct cache lines per owner, and the distinct lines of all
+    owners together."""
+
+    computes: np.ndarray
+    memory_bytes: np.ndarray
+    lines: np.ndarray
+    combined_lines: int
+
+
+def cell_totals(
+    templates: BlockTemplates,
+    classes: np.ndarray,
+    coords: np.ndarray,
+    owners: np.ndarray,
+    owner_count: int,
+    line_bytes: int,
+) -> CellTotals:
+    """Count what stamping each owner's cells would touch, without stamping.
+
+    Cell ``b`` is block class ``classes[b]`` at ``coords[b]`` (as for
+    :func:`stamp_blocks`) and belongs to owner ``owners[b]``.  Compute rows
+    and bytes are each class's per-block counts times its cells.  Distinct
+    lines come from the region families (:attr:`BlockTemplates.regions`):
+    the distinct ``(row, column)`` coordinates a family's uses read, times
+    its offsets, times the lines per region.  That count needs every region
+    to start on a line, span whole lines and overlap no other region; the
+    regions of all cells together are checked for all three (once per
+    distinct region set, :attr:`BlockTemplates.checked_bytes`), and a
+    kernel that breaks one raises :class:`~repro.errors.KernelError`.
+    """
+    class_count = len(templates)
+    per_class = np.bincount(
+        owners * class_count + classes, minlength=owner_count * class_count
+    ).reshape(owner_count, class_count)
+    class_computes, class_bytes = templates.class_counts
+    regions = templates.regions
+    families = len(regions.counts)
+
+    # One code per (owner, family, row, column) that some use of a cell reads.
+    radix = int(coords.max(initial=1)) + 1
+    area = radix * radix
+    pairs = coords[:, _ROW_AXES, None] * radix + coords[:, None, _COL_AXES]
+    owner_family = owners[:, None] * families + np.arange(families, dtype=np.int64)
+    codes = (owner_family[:, :, None, None] * area + pairs[:, None])[regions.uses[classes]]
+    owner_family, tile = np.divmod(sorted_unique(codes), area)
+    per_family = np.bincount(owner_family, minlength=owner_count * families)
+
+    combined = sorted_unique(owner_family % families * area + tile)
+    key = (line_bytes, radix, combined.tobytes())
+    combined_bytes = templates.checked_bytes.get(key)
+    if combined_bytes is None:
+        combined_bytes = templates.checked_bytes[key] = _disjoint_region_bytes(
+            regions, combined, radix, line_bytes
+        )
+    return CellTotals(
+        computes=per_class @ class_computes,
+        memory_bytes=per_class @ class_bytes,
+        lines=per_family.reshape(owner_count, families)
+        @ (regions.counts * regions.nbytes // line_bytes),
+        combined_lines=combined_bytes // line_bytes,
+    )
+
+
+def _disjoint_region_bytes(
+    regions: _Regions, codes: np.ndarray, radix: int, line_bytes: int
+) -> int:
+    """Bytes of the regions that ``(family, row, column)`` ``codes`` touch,
+    after checking that they are line-aligned, whole lines and disjoint."""
+    family, tile = np.divmod(codes, radix * radix)
+    row, col = np.divmod(tile, radix)
+    bases = regions.row_stride[family] * row + regions.col_stride[family] * col
+    counts = regions.counts[family]
+    ends = np.cumsum(counts)
+    picks = np.repeat(regions.first[family] - (ends - counts), counts) + np.arange(
+        int(ends[-1]) if len(ends) else 0, dtype=np.int64
+    )
+    starts = np.repeat(bases, counts) + regions.offsets[picks]
+    sizes = np.repeat(regions.nbytes[family], counts)
+    order = np.argsort(starts, kind="stable")
+    starts, sizes = starts[order], sizes[order]
+    if (starts % line_bytes).any() or (sizes % line_bytes).any():
+        raise KernelError(f"a block region is not whole {line_bytes}-byte lines")
+    if (starts[1:] < starts[:-1] + sizes[:-1]).any():
+        raise KernelError("two block regions overlap")
+    return int(sizes.sum())

@@ -1,11 +1,18 @@
 """The mapping-space search: analytic pruning around the simulator oracle.
 
-The search walks the enumerated candidates (:mod:`repro.planner.space`) in
-ascending order of their analytic cycle lower bound (ties broken by exact
-traffic, exact imbalance, then the candidate identity, so results are stable
-across refactors) and simulates each survivor with
+The search prices every enumerated candidate (:mod:`repro.planner.space`)
+from its partition's tile grid
+(:func:`repro.kernels.sharding.partition_kernel` and
+:mod:`repro.planner.prefilter`), which builds no trace.  It then walks the
+candidates in ascending order of their analytic cycle lower bound (ties
+broken by exact traffic, exact imbalance, then the candidate identity, so
+results are stable across refactors) and simulates each survivor with
 :func:`repro.cpu.multicore.simulate_multicore` through the block-signature
-store — repeated per-core blocks across candidates are nearly free.
+store — repeated per-core blocks across candidates are nearly free.  The
+shards are built lazily: a candidate's per-core programs
+(:func:`~repro.kernels.sharding.shard_kernel`) are built only when the walk
+is about to simulate it, once per distinct shard, so a pruned candidate
+costs no build.
 
 **Pruning is dominance against the lower bound, and it is sound.**  A
 candidate ``c`` is skipped only when some already-simulated incumbent ``b``
@@ -30,13 +37,13 @@ provably-equivalent points the enumeration collapsed before the walk.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.runtime import resolve_engine
 from ..cpu.multicore import simulate_multicore
 from ..cpu.params import MachineParams, get_topology
 from ..errors import ConfigurationError
-from ..kernels.sharding import ShardedKernel, shard_kernel
+from ..kernels.sharding import KernelPartition, ShardedKernel, partition_kernel, shard_kernel
 from ..types import GemmShape, SparsityPattern
 from .prefilter import MappingStatics, PartitionStatics, mapping_statics, partition_statics
 from .space import MappingCandidate, enumerate_mappings
@@ -180,45 +187,49 @@ def autotune_workload(
         for name in {candidate.topology for candidate in space.candidates}
     }
 
-    shards: Dict[Tuple, ShardedKernel] = {}
-    # Partition statics read no engine: priced once per shard, shared by
-    # every engine that runs it.
-    partitions: Dict[Tuple, PartitionStatics] = {}
-    statics_memo: Dict[Tuple, MappingStatics] = {}
-    outcomes: List[MappingOutcome] = []
-    for candidate in space.candidates:
-        engine = engine_configs[candidate.engine]
-        shard_key = (
+    def shard_key(candidate: MappingCandidate) -> Tuple:
+        # The topology enters by preset name: two presets may share a root
+        # node name, never a preset name.
+        return (
             candidate.kernel,
-            engine.geometry.name,
+            engine_configs[candidate.engine].geometry.name,
             candidate.executed,
             candidate.cores,
             candidate.strategy,
             candidate.topology,
         )
-        sharded = shards.get(shard_key)
-        if sharded is None:
-            sharded = shard_kernel(
-                candidate.kernel,
-                shape,
-                SparsityPattern(candidate.executed),
-                candidate.cores,
-                candidate.strategy,
-                topology=topology_nodes[candidate.topology],
-                geometry=engine.geometry,
-            )
-            shards[shard_key] = sharded
-        statics_key = shard_key + (candidate.engine,)
+
+    def split(candidate: MappingCandidate, build: Callable[..., Any]) -> Any:
+        """``build`` (``partition_kernel`` or ``shard_kernel``) of the
+        candidate's kernel, core count, strategy, topology and geometry."""
+        return build(
+            candidate.kernel,
+            shape,
+            SparsityPattern(candidate.executed),
+            candidate.cores,
+            candidate.strategy,
+            topology=topology_nodes[candidate.topology],
+            geometry=engine_configs[candidate.engine].geometry,
+        )
+
+    # Partition statics read no engine: priced once per partition, shared by
+    # every engine that runs it.
+    partitions: Dict[Tuple, Tuple[KernelPartition, PartitionStatics]] = {}
+    statics_memo: Dict[Tuple, MappingStatics] = {}
+    outcomes: List[MappingOutcome] = []
+    for candidate in space.candidates:
+        key = shard_key(candidate)
+        statics_key = key + (candidate.engine,)
         statics = statics_memo.get(statics_key)
         if statics is None:
             topology = topology_nodes[candidate.topology]
-            partition = partitions.get(shard_key)
-            if partition is None:
-                partition = partitions[shard_key] = partition_statics(
-                    sharded, machine, topology
-                )
-            statics = mapping_statics(sharded, machine, engine, topology, partition)
-            statics_memo[statics_key] = statics
+            if key not in partitions:
+                partition = split(candidate, partition_kernel)
+                partitions[key] = (partition, partition_statics(partition, machine, topology))
+            partition, priced = partitions[key]
+            statics = statics_memo[statics_key] = mapping_statics(
+                partition, machine, engine_configs[candidate.engine], topology, priced
+            )
         outcomes.append(MappingOutcome(candidate=candidate, statics=statics))
 
     order = sorted(
@@ -232,6 +243,7 @@ def autotune_workload(
     )
 
     plan = WorkloadPlan(shape=shape, pattern=pattern, space_size=space.space_size)
+    shards: Dict[Tuple, ShardedKernel] = {}
     incumbents: List[MappingOutcome] = []
     for index in order:
         outcome = outcomes[index]
@@ -250,19 +262,14 @@ def autotune_workload(
             plan.pruned += 1
             continue
         candidate = outcome.candidate
-        engine = engine_configs[candidate.engine]
-        shard_key = (
-            candidate.kernel,
-            engine.geometry.name,
-            candidate.executed,
-            candidate.cores,
-            candidate.strategy,
-            candidate.topology,
-        )
+        key = shard_key(candidate)
+        sharded = shards.get(key)
+        if sharded is None:
+            sharded = shards[key] = split(candidate, shard_kernel)
         result = simulate_multicore(
-            shards[shard_key].programs,
+            sharded.programs,
             machine=machine,
-            engine=engine,
+            engine=engine_configs[candidate.engine],
             topology=topology_nodes[candidate.topology],
             memo=memo,
             block_cache=block_cache,

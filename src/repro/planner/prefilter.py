@@ -1,10 +1,15 @@
 """Analytic pre-filter statics for mapping candidates.
 
-Everything here is computed *without* running the cycle simulator, from the
-sharded per-core traces and the machine/engine parameters:
+Everything here is computed *without* running the cycle simulator and
+without building a trace: from the tile grid, each core's cells of the
+partition (:func:`repro.kernels.sharding.partition_kernel`), the kernel's
+block templates and the machine/engine parameters.  The templates say what
+one block of each class touches, so a core's computes, bytes and distinct
+lines are counts over its cells (:meth:`KernelPartition.cell_totals`) —
+the per-loop data-movement accounting of a tiled loop nest:
 
-* **Exact objectives** — shared-memory traffic (the sum of every core's
-  trace ``memory_bytes``) and static load imbalance (max/mean output tiles
+* **Exact objectives** — shared-memory traffic (the bytes every core's
+  trace would move) and static load imbalance (max/mean output tiles
   per core) are properties of the partition, not of the timing model, so
   the pre-filter knows two of the three Pareto objectives exactly.
 * **A sound cycle lower bound** — no mapping can finish faster than its
@@ -25,7 +30,7 @@ sharded per-core traces and the machine/engine parameters:
 
 Only the compute bound and the roofline read the engine.  Everything else
 is a property of the partition (:func:`partition_statics`), which the
-autotuner prices once per sharded kernel and shares across its engines.
+autotuner prices once per partition and shares across its engines.
 """
 
 from __future__ import annotations
@@ -36,22 +41,21 @@ from typing import Optional
 
 from ..analysis.roofline import EngineRoofline, effective_throughput_tflops
 from ..core.engine import EngineConfig
-from ..cpu.columnar import distinct_line_count
 from ..cpu.params import MachineParams
 from ..cpu.topology import TopologyNode
-from ..kernels.sharding import ShardedKernel
+from ..kernels.sharding import KernelPartition
 from ..types import SparsityPattern
 
 
 @dataclass(frozen=True)
 class PartitionStatics:
-    """The engine-independent statics of one sharded partition."""
+    """The engine-independent statics of one partition."""
 
     #: Tile *compute* instructions of the most-loaded core — only computes
     #: occupy the matrix-engine pipeline (loads/stores overlap through the
     #: memory system), so only they floor the makespan.
     max_core_compute_instructions: int
-    #: Exact shared-memory traffic: sum of per-core trace memory bytes.
+    #: Exact shared-memory traffic: bytes moved by every core's blocks.
     traffic_bytes: int
     #: Exact static load imbalance: max/mean output tiles per active core.
     load_imbalance: float
@@ -69,8 +73,8 @@ class PartitionStatics:
 
 @dataclass(frozen=True)
 class MappingStatics(PartitionStatics):
-    """Simulation-free statics of one sharded mapping: its partition's, plus
-    the engine's compute bound and roofline."""
+    """Simulation-free statics of one mapping: its partition's, plus the
+    engine's compute bound and roofline."""
 
     #: Issue-rate makespan floor in core cycles (sound lower bound).
     compute_bound_cycles: int
@@ -93,33 +97,31 @@ def _shared_capacity_bytes(topology: TopologyNode) -> int:
 
 
 def partition_statics(
-    sharded: ShardedKernel,
+    partition: KernelPartition,
     machine: MachineParams,
     topology: TopologyNode,
 ) -> PartitionStatics:
-    """Price the engine-independent statics of one sharded partition.
+    """Price the engine-independent statics of one partition from its tile grid.
 
-    :func:`~repro.cpu.columnar.distinct_line_count` counts the combined
-    footprint, as in the topology's traffic resolution.
+    Computes, traffic and footprints are counted over each core's cells
+    from the kernel's block templates
+    (:meth:`~repro.kernels.sharding.KernelPartition.cell_totals`), so no
+    per-core trace is built: the statics equal those of the traces
+    :func:`~repro.kernels.sharding.shard_kernel` would build, which the
+    planner tests check field by field.
     """
     line_bytes = machine.l1.line_bytes
+    totals = partition.cell_totals(line_bytes)
+    traffic_bytes = int(totals.memory_bytes.sum())
+    max_core_compute_instructions = int(totals.computes.max(initial=0))
 
-    summaries = [program.trace.summarize() for program in sharded.programs]
-    traffic_bytes = sum(summary.memory_bytes for summary in summaries)
-    max_core_compute_instructions = max(
-        (summary.tile_compute for summary in summaries), default=0
-    )
-
-    tiles = sharded.tiles_per_core
+    tiles = partition.tiles_per_core
     total_tiles = sum(tiles)
     mean_tiles = total_tiles / len(tiles) if tiles else 0.0
     load_imbalance = max(tiles) / mean_tiles if mean_tiles else 1.0
 
-    footprints = [
-        program.trace.footprint_line_numbers(line_bytes) for program in sharded.programs
-    ]
-    max_core_lines = max((len(lines) for lines in footprints), default=0)
-    combined_lines = distinct_line_count(footprints)
+    max_core_lines = int(totals.lines.max(initial=0))
+    combined_lines = totals.combined_lines
     max_core_footprint_bytes = max_core_lines * line_bytes
     combined_footprint_bytes = combined_lines * line_bytes
 
@@ -153,20 +155,20 @@ def partition_statics(
 
 
 def mapping_statics(
-    sharded: ShardedKernel,
+    partition: KernelPartition,
     machine: MachineParams,
     engine: EngineConfig,
     topology: TopologyNode,
-    partition: Optional[PartitionStatics] = None,
+    statics: Optional[PartitionStatics] = None,
 ) -> MappingStatics:
-    """Compute the pre-filter statics for one sharded mapping.
+    """Compute the pre-filter statics for one mapping of ``partition``.
 
-    ``partition`` is the
-    :func:`partition_statics` of ``(sharded, machine, topology)`` when the
-    caller has priced it already; otherwise it is priced here.
+    ``statics`` is the :func:`partition_statics` of ``(partition, machine,
+    topology)`` when the caller has priced it already; otherwise it is
+    priced here.
     """
-    if partition is None:
-        partition = partition_statics(sharded, machine, topology)
+    if statics is None:
+        statics = partition_statics(partition, machine, topology)
 
     # The engine pipeline initiates compute instructions no faster than one
     # per issue interval (the max stage occupancy; loads and stores overlap
@@ -176,12 +178,12 @@ def mapping_statics(
     # behaviour.
     issue_cycles = max(engine.issue_interval, engine.busy_cycles_per_instruction)
     compute_bound_cycles = (
-        partition.max_core_compute_instructions
+        statics.max_core_compute_instructions
         * issue_cycles
         * machine.core.engine_clock_ratio
     )
 
-    executed = sharded.pattern
+    executed = partition.pattern
     sparse_aware = engine.sparse and executed is not SparsityPattern.DENSE_4_4
     density = 1.0 / executed.compression_ratio if sparse_aware else 1.0
     roofline = EngineRoofline(
@@ -193,12 +195,12 @@ def mapping_statics(
     roofline_tflops = effective_throughput_tflops(
         roofline,
         density,
-        shape=sharded.shape,
+        shape=partition.shape,
         bandwidth_gbps=machine.memory.dram_bandwidth_gbps,
     )
 
     return MappingStatics(
-        **vars(partition),
+        **vars(statics),
         compute_bound_cycles=compute_bound_cycles,
         roofline_tflops=roofline_tflops,
     )

@@ -17,8 +17,15 @@ from repro.core.engine import get_engine
 from repro.core.isa import Opcode
 from repro.core.registers import treg
 from repro.cpu.columnar import ColumnarTrace, TraceBuilder
-from repro.cpu.fastsim import _oracle_script, build_segments, derive_block_starts, run_fast
-from repro.cpu.params import MachineParams, default_machine
+from repro.cpu import fastsim
+from repro.cpu.fastsim import (
+    _oracle_script,
+    block_segments,
+    build_segments,
+    derive_block_starts,
+    run_fast,
+)
+from repro.cpu.params import MachineParams, default_machine, memory_bound_machine
 from repro.cpu.simulator import CycleApproximateSimulator
 from repro.errors import SimulationError
 from repro.kernels.gemm import build_dense_gemm_kernel
@@ -312,6 +319,23 @@ class TestPeriodicityHelpers:
     def test_run_fast_returns_none_without_periodicity(self):
         trace = _trace(*(lambda b, i=i: b.scalar(f"u{i}") for i in range(16)))
         assert run_fast(default_machine(), None, trace) is None
+
+    def test_segments_are_found_once_per_trace(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return build_segments(*args)
+
+        monkeypatch.setattr(fastsim, "build_segments", counting)
+        trace = build_dense_gemm_kernel(GemmShape(64, 64, 128)).trace
+        for name in ("VEGETA-D-1-2", "VEGETA-D-16-1"):
+            for machine in (default_machine(), memory_bound_machine()):
+                assert run_fast(machine, get_engine(name), trace) is not None
+        assert len(calls) == 1
+        bounds, segments = block_segments(trace)
+        assert isinstance(bounds, tuple) and isinstance(segments, tuple)
+        assert bounds[-1] == len(trace)
 
     def test_signature_ids_are_deterministic(self):
         # Regression: hash()-based signatures made anchor selection depend on

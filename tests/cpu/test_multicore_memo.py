@@ -4,9 +4,10 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from repro.analysis.runtime import resolve_engine
-from repro.cpu.columnar import ColumnarTrace
+from repro.cpu.columnar import ColumnarTrace, TraceBuilder
 from repro.cpu.multicore import (
     clear_simulation_memo,
     memoization_enabled,
@@ -18,6 +19,7 @@ from repro.cpu.multicore import (
 )
 from repro.cpu.params import default_machine, get_topology, memory_bound_machine
 from repro.cpu.simulator import CycleApproximateSimulator
+from repro.kernels.program import KernelProgram
 from repro.kernels.sharding import shard_kernel
 from repro.types import GemmShape, SparsityPattern
 
@@ -341,3 +343,89 @@ class TestMemoMachinery:
         fresh = CycleApproximateSimulator(machine=machine, engine=ENGINE).run(program.trace)
         assert served.core_cycles == fresh.core_cycles
         assert served.memory_counters == fresh.memory_counters
+
+
+def _two_vector_loads(first_offset, second_offset):
+    """Two 128-byte loads at the given offsets from two line-aligned bases,
+    then six FMAs on the first load's register."""
+    builder = TraceBuilder()
+    builder.vector_load(1, 0x10000 + first_offset, 128)
+    builder.vector_load(3, 0x20000 + second_offset, 128)
+    for _ in range(6):
+        builder.vector_fma(1, (1, 1))
+    return builder.finish()
+
+
+def _program(trace):
+    return KernelProgram(
+        trace=trace, shape=GemmShape(16, 16, 16), pattern=SparsityPattern.DENSE_4_4
+    )
+
+
+MODES = ("exact", "fast")
+
+
+class TestUnalignedRequests:
+    """A request's line count is part of the key when it does not start on
+    a line: 128 B at offset 0 span two 64 B lines, at offset 32 three."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("machine", [default_machine(), memory_bound_machine()])
+    def test_shifted_lines_get_distinct_keys(self, machine, mode):
+        left, right = _two_vector_loads(0, 32), _two_vector_loads(32, 0)
+        simulator = CycleApproximateSimulator(machine=machine, engine=None, mode=mode)
+        assert simulator.run(left).core_cycles != simulator.run(right).core_cycles
+        assert simulation_cache_key(_program(left), machine, None, mode) != (
+            simulation_cache_key(_program(right), machine, None, mode)
+        )
+
+    def test_aligned_shifts_still_share_a_key(self):
+        # Aligned requests fold nothing new, so address-shifted aligned
+        # traces keep sharing one key (the golden keys pin the kernels').
+        machine = default_machine()
+        assert _two_vector_loads(0, 64).address_structure_hash(machine) == (
+            _two_vector_loads(64, 128).address_structure_hash(machine)
+        )
+
+    @given(
+        data=st.data(),
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["load", "store", "fma"]),
+                st.integers(min_value=0, max_value=3),
+                st.sampled_from([64, 128, 192]),
+            ),
+            min_size=1,
+            max_size=10,
+        ),
+        machine=st.sampled_from([default_machine(), memory_bound_machine()]),
+        mode=st.sampled_from(MODES),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equal_keys_simulate_equally(self, data, ops, machine, mode):
+        def build(offsets):
+            builder = TraceBuilder()
+            for (kind, slot, nbytes), offset in zip(ops, offsets):
+                address = 0x10000 + slot * 0x1000 + offset
+                if kind == "load":
+                    builder.vector_load(slot, address, nbytes)
+                elif kind == "store":
+                    builder.vector_store(slot, address, nbytes)
+                else:
+                    builder.vector_fma(slot, (slot, 1))
+            return builder.finish()
+
+        offsets = st.lists(
+            st.sampled_from([0, 32, 64, 96]), min_size=len(ops), max_size=len(ops)
+        )
+        left, right = build(data.draw(offsets)), build(data.draw(offsets))
+        if simulation_cache_key(_program(left), machine, None, mode) != (
+            simulation_cache_key(_program(right), machine, None, mode)
+        ):
+            event("distinct keys")
+            return
+        event("equal keys")
+        simulator = CycleApproximateSimulator(machine=machine, engine=None, mode=mode)
+        left_result, right_result = simulator.run(left), simulator.run(right)
+        assert left_result.core_cycles == right_result.core_cycles
+        assert left_result.memory_counters == right_result.memory_counters

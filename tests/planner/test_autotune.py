@@ -9,6 +9,7 @@ from repro.cpu.multicore import simulate_multicore
 from repro.cpu.params import default_machine, memory_bound_machine
 from repro.errors import ConfigurationError
 from repro.kernels.sharding import shard_kernel
+from repro.planner import autotune
 from repro.planner.autotune import autotune_workload, dominates, pareto_frontier
 from repro.types import GemmShape, SparsityPattern
 
@@ -164,6 +165,61 @@ class TestAutotuneWorkload:
             for name in ("VEGETA-S-16-2+OF", "VEGETA-S-16-2+OF+SPGEMM")
         }
         assert cycles["VEGETA-S-16-2+OF"] == cycles["VEGETA-S-16-2+OF+SPGEMM"]
+
+
+class TestLazySharding:
+    """Pricing builds no shard: ``shard_kernel`` runs once per distinct shard
+    of the candidates the search simulates, and for no other."""
+
+    @staticmethod
+    def _counted_search(monkeypatch, prune):
+        calls = []
+
+        def counting(kind, shape, pattern, cores, strategy, *, topology, geometry):
+            calls.append((kind, geometry.name, pattern.value, cores, strategy, id(topology)))
+            return shard_kernel(
+                kind, shape, pattern, cores, strategy, topology=topology, geometry=geometry
+            )
+
+        monkeypatch.setattr(autotune, "shard_kernel", counting)
+        plan = search(
+            MACHINES["membound"],
+            SparsityPattern.SPARSE_2_4,
+            GemmShape(64, 64, 256),
+            prune,
+            engines=("VEGETA-D-1-1", "VEGETA-S-4-2", "VEGETA-S-16-2+OF+SPGEMM", "AMX-like"),
+            cores=(1, 2, 4),
+            topologies=("flat", "dual-socket"),
+        )
+        return plan, calls
+
+    @staticmethod
+    def _shard_keys(outcomes):
+        return {
+            (
+                o.candidate.kernel,
+                resolve_engine(o.candidate.engine).geometry.name,
+                o.candidate.executed,
+                o.candidate.cores,
+                o.candidate.strategy,
+                o.candidate.topology,
+            )
+            for o in outcomes
+        }
+
+    def test_pruned_search_shards_only_the_simulated_candidates(self, monkeypatch):
+        plan, calls = self._counted_search(monkeypatch, True)
+        simulated = self._shard_keys(o for o in plan.outcomes if o.simulated)
+        assert plan.pruned > 0
+        assert len(calls) == len(set(calls)) == len(simulated)
+        assert sorted(call[:5] for call in calls) == sorted(key[:5] for key in simulated)
+        assert len(simulated) < len(self._shard_keys(plan.outcomes))
+
+    def test_exhaustive_search_shards_every_partition_once(self, monkeypatch):
+        plan, calls = self._counted_search(monkeypatch, False)
+        every = self._shard_keys(plan.outcomes)
+        assert len(calls) == len(set(calls)) == len(every)
+        assert sorted(call[:5] for call in calls) == sorted(key[:5] for key in every)
 
 
 class TestPruneSoundness:

@@ -4,7 +4,8 @@ The load-bearing property is *soundness*: ``bound_cycles`` must never exceed
 the simulated makespan of the same mapping, on compute-rich and
 bandwidth-starved machines alike, because the dominance pruning in
 :mod:`repro.planner.autotune` is only frontier-preserving when the bound is a
-true lower bound.
+true lower bound.  The statics are priced from the partition's tile grid;
+the shard built from the same arguments is what gets simulated.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis.runtime import resolve_engine
 from repro.cpu.multicore import simulate_multicore
 from repro.cpu.params import default_machine, get_topology, memory_bound_machine
-from repro.kernels.sharding import shard_kernel
+from repro.kernels.sharding import partition_kernel, shard_kernel
 from repro.planner.prefilter import mapping_statics, partition_statics
 from repro.planner.space import select_kernel
 from repro.types import GemmShape, SparsityPattern
@@ -32,11 +33,15 @@ ENGINE_NAMES = (
 )
 
 
-def build_mapping(engine_name, pattern, shape, cores, strategy, topology_name):
+def build_mapping(
+    engine_name, pattern, shape, cores, strategy, topology_name, build=partition_kernel
+):
+    """``(engine, partition, topology)`` of one mapping; ``build=shard_kernel``
+    also builds its per-core programs."""
     engine = resolve_engine(engine_name)
     kernel, executed = select_kernel(engine, pattern)
     topology = get_topology(topology_name)
-    sharded = shard_kernel(
+    partition = build(
         kernel,
         shape,
         executed,
@@ -45,14 +50,14 @@ def build_mapping(engine_name, pattern, shape, cores, strategy, topology_name):
         topology=topology,
         geometry=engine.geometry,
     )
-    return engine, sharded, topology
+    return engine, partition, topology
 
 
 class TestExactStatics:
     def test_one_partition_pricing_serves_every_engine(self):
-        # The autotuner prices a shard's partition statics once and shares
+        # The autotuner prices a partition's statics once and shares
         # them across the engines that run it.
-        _, sharded, topology = build_mapping(
+        _, partition, topology = build_mapping(
             "VEGETA-S-16-2+OF",
             SparsityPattern.SPARSE_2_4,
             GemmShape(96, 80, 256),
@@ -61,15 +66,15 @@ class TestExactStatics:
             "dual-socket",
         )
         for machine in MACHINES.values():
-            partition = partition_statics(sharded, machine, topology)
+            priced = partition_statics(partition, machine, topology)
             for name in ("VEGETA-S-4-2", "VEGETA-S-16-2+OF", "VEGETA-D-1-2"):
                 engine = resolve_engine(name)
                 assert mapping_statics(
-                    sharded, machine, engine, topology, partition
-                ) == mapping_statics(sharded, machine, engine, topology)
+                    partition, machine, engine, topology, priced
+                ) == mapping_statics(partition, machine, engine, topology)
 
     def test_traffic_is_the_sum_of_per_core_trace_bytes(self):
-        engine, sharded, topology = build_mapping(
+        mapping = (
             "VEGETA-S-4-2",
             SparsityPattern.SPARSE_2_4,
             GemmShape(64, 64, 256),
@@ -77,14 +82,16 @@ class TestExactStatics:
             "row-block",
             "flat",
         )
-        statics = mapping_statics(sharded, MACHINES["default"], engine, topology)
+        engine, partition, topology = build_mapping(*mapping)
+        sharded = build_mapping(*mapping, build=shard_kernel)[1]
+        statics = mapping_statics(partition, MACHINES["default"], engine, topology)
         assert statics.traffic_bytes == sum(
             program.trace.summarize().memory_bytes
             for program in sharded.programs
         )
 
     def test_even_partition_has_unit_imbalance(self):
-        engine, sharded, topology = build_mapping(
+        engine, partition, topology = build_mapping(
             "SME-like",
             SparsityPattern.DENSE_4_4,
             GemmShape(128, 128, 128),
@@ -92,12 +99,12 @@ class TestExactStatics:
             "2d-cyclic",
             "flat",
         )
-        statics = mapping_statics(sharded, MACHINES["default"], engine, topology)
+        statics = mapping_statics(partition, MACHINES["default"], engine, topology)
         assert statics.load_imbalance == 1.0
 
     def test_uneven_partition_reports_imbalance(self):
         # 3 cores over a 4x4 output grid: shares of 6/5/5 tiles.
-        engine, sharded, topology = build_mapping(
+        engine, partition, topology = build_mapping(
             "VEGETA-D-1-2",
             SparsityPattern.DENSE_4_4,
             GemmShape(64, 64, 64),
@@ -105,11 +112,11 @@ class TestExactStatics:
             "row-block",
             "flat",
         )
-        statics = mapping_statics(sharded, MACHINES["default"], engine, topology)
+        statics = mapping_statics(partition, MACHINES["default"], engine, topology)
         assert statics.load_imbalance > 1.0
 
     def test_combined_footprint_not_less_than_any_core(self):
-        engine, sharded, topology = build_mapping(
+        engine, partition, topology = build_mapping(
             "VEGETA-S-4-2",
             SparsityPattern.SPARSE_2_4,
             GemmShape(128, 128, 256),
@@ -117,7 +124,7 @@ class TestExactStatics:
             "column-block",
             "dual-socket",
         )
-        statics = mapping_statics(sharded, MACHINES["default"], engine, topology)
+        statics = mapping_statics(partition, MACHINES["default"], engine, topology)
         assert statics.combined_footprint_bytes >= statics.max_core_footprint_bytes
         assert statics.max_core_footprint_bytes > 0
 
@@ -126,7 +133,7 @@ class TestBoundStructure:
     def test_memory_bound_is_zero_under_ideal_prefetch(self):
         machine = MACHINES["default"]
         assert machine.prefetch_into_l2
-        engine, sharded, topology = build_mapping(
+        engine, partition, topology = build_mapping(
             "VEGETA-D-1-2",
             SparsityPattern.DENSE_4_4,
             GemmShape(64, 64, 128),
@@ -134,14 +141,14 @@ class TestBoundStructure:
             "row-block",
             "flat",
         )
-        statics = mapping_statics(sharded, machine, engine, topology)
+        statics = mapping_statics(partition, machine, engine, topology)
         assert statics.memory_bound_cycles == 0
         assert statics.bound_cycles == statics.compute_bound_cycles
 
     def test_memory_bound_active_on_bandwidth_starved_machine(self):
         machine = MACHINES["membound"]
         assert not machine.prefetch_into_l2
-        engine, sharded, topology = build_mapping(
+        engine, partition, topology = build_mapping(
             "VEGETA-D-1-2",
             SparsityPattern.DENSE_4_4,
             GemmShape(64, 64, 128),
@@ -149,11 +156,11 @@ class TestBoundStructure:
             "row-block",
             "flat",
         )
-        statics = mapping_statics(sharded, machine, engine, topology)
+        statics = mapping_statics(partition, machine, engine, topology)
         assert statics.memory_bound_cycles > 0
 
     def test_compute_bound_scales_with_the_most_loaded_core(self):
-        engine, sharded, topology = build_mapping(
+        engine, partition, topology = build_mapping(
             "VEGETA-D-1-2",
             SparsityPattern.DENSE_4_4,
             GemmShape(64, 64, 128),
@@ -162,7 +169,7 @@ class TestBoundStructure:
             "flat",
         )
         machine = MACHINES["default"]
-        statics = mapping_statics(sharded, machine, engine, topology)
+        statics = mapping_statics(partition, machine, engine, topology)
         issue = max(engine.issue_interval, engine.busy_cycles_per_instruction)
         assert statics.compute_bound_cycles == (
             statics.max_core_compute_instructions
@@ -198,10 +205,10 @@ class TestBoundSoundness:
     ):
         machine = MACHINES[machine_name]
         shape = GemmShape(m=mn_tiles * 32, n=mn_tiles * 32, k=k_tiles * 128)
-        engine, sharded, topology = build_mapping(
-            engine_name, pattern, shape, cores, strategy, topology_name
-        )
-        statics = mapping_statics(sharded, machine, engine, topology)
+        mapping = (engine_name, pattern, shape, cores, strategy, topology_name)
+        engine, partition, topology = build_mapping(*mapping)
+        sharded = build_mapping(*mapping, build=shard_kernel)[1]
+        statics = mapping_statics(partition, machine, engine, topology)
         result = simulate_multicore(
             sharded.programs,
             machine=machine,
