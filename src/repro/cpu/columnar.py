@@ -26,12 +26,19 @@ which then answers the whole-trace questions as vectorised array operations:
   order, so equal ops get equal ids in every process and every run — no
   interning table whose order could depend on construction history),
 * ``summarize`` — the instruction-mix summary via ``bincount``,
-* ``footprint_line_numbers`` — the distinct cache lines, via a sort
-  (``sorted_unique``; lines are expanded from the distinct regions only),
+* the **atom table** (one per line size): the line intervals between the
+  request endpoints, sorted and disjoint, and the stream of atoms the
+  requests cover.  When the distinct requests are disjoint, the atoms are
+  those requests.  No view below expands a request into lines before
+  deciding it,
+* ``footprint_line_numbers`` — the distinct cache lines: the atoms
+  expanded in address order, already sorted and distinct,
 * ``l1_outcome_bits`` — the exact LRU hit mask of every cache-line access,
-  each access decided from its reuse window in its set
+  decided once per (request, piece, set arc) element, not per line
+  (:func:`_level_outcomes`: every set of an arc sees the same piece
+  sequence), each element from its reuse window in its arc
   (:func:`lru_outcome_bits`: a few array passes and one sort per slab of
-  whole sets),
+  whole arcs),
 * ``simulation_key`` — a content hash of everything that can influence a
   simulation's outcome, with raw addresses *normalized out* (only the
   cache-line collision structure they induce is kept).  Two traces with equal
@@ -52,7 +59,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -139,7 +146,8 @@ _NO_REG = -1
 _REG_BOUND = 512
 _NBYTES_BOUND = 8192
 _LABEL_BOUND = 65536
-#: Addresses stay below 2**50: distinct regions pack ``address * 8192 + nbytes``.
+#: Addresses stay below 2**50, so a request packs into one int64 word,
+#: ``address * 8192 + nbytes``.
 _ADDRESS_BOUND = 2**63 // _NBYTES_BOUND
 #: Bound on the per-op feed overhead after the +1 shift.  The packed word is
 #: full at 63 bits, so feed is folded into the signature ids via a second
@@ -377,7 +385,7 @@ def frozen_trace(
     ``block_starts`` is the row of each output-tile block, in order, when the
     builder knows them.  Too many labels, an address at or past
     ``_ADDRESS_BOUND`` or a transfer size outside ``[0, _NBYTES_BOUND)``
-    raise: the region packing ``address * 8192 + nbytes`` holds neither.
+    raise: the request word ``address * 8192 + nbytes`` holds neither.
     """
     if len(labels) >= _LABEL_BOUND:
         raise SimulationError(
@@ -396,14 +404,6 @@ def frozen_trace(
             f"trace row {row}: {nbytes[row]} B transfer is outside [0, {_NBYTES_BOUND})"
         )
     return ColumnarTrace(_read_only(columns), labels, geometry, block_starts)
-
-
-def _first_touch_mask(ids: np.ndarray) -> np.ndarray:
-    """True at the first occurrence of each distinct id."""
-    mask = np.zeros(len(ids), dtype=bool)
-    _, first_index = np.unique(ids, return_index=True)
-    mask[first_index] = True
-    return mask
 
 
 #: Most accesses :func:`lru_outcome_bits` decides in one slab of whole sets
@@ -547,28 +547,18 @@ def distinct_line_count(footprints: Sequence[np.ndarray]) -> int:
     return len(sorted_unique(np.concatenate(footprints), kind="stable")) if footprints else 0
 
 
-def _unique_regions(cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct ``(address, nbytes)`` regions of the memory rows of ``cols``."""
-    mask = cols["address"] >= 0
-    packed = sorted_unique(cols["address"][mask] * np.int64(_NBYTES_BOUND) + cols["nbytes"][mask])
-    return packed // _NBYTES_BOUND, packed % _NBYTES_BOUND
-
-
 def _line_counts(addresses: np.ndarray, nbytes: np.ndarray, line_bytes: int) -> np.ndarray:
     """Cache lines each region ``[address, address + nbytes)`` touches."""
     first = addresses // line_bytes
     return (addresses + nbytes.astype(np.int64) - 1) // line_bytes - first + 1
 
 
-def _region_lines(addresses: np.ndarray, nbytes: np.ndarray, line_bytes: int) -> np.ndarray:
-    """Line number of every cache line each region touches, region by region."""
-    if not len(addresses):
-        return np.empty(0, dtype=np.int64)
-    first = addresses // line_bytes
-    counts = _line_counts(addresses, nbytes, line_bytes)
-    total = int(counts.sum())
-    offsets = np.repeat(np.cumsum(counts) - counts, counts)
-    return np.repeat(first, counts) + (np.arange(total, dtype=np.int64) - offsets)
+def _run_lines(starts, counts: np.ndarray) -> np.ndarray:
+    """``start, start + 1, ..., start + count - 1`` for each run in turn,
+    concatenated (``starts`` 0 gives each element's offset in its run)."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total, dtype=np.int64) + np.repeat(starts - (ends - counts), counts)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -586,48 +576,164 @@ def _first_appearance_ranks(values: np.ndarray) -> np.ndarray:
     return rank[inverse]
 
 
+class _AtomTable(NamedTuple):
+    """A stream of line intervals, rewritten as a stream of disjoint atoms.
+
+    The atoms are the line intervals between consecutive interval endpoints
+    that some interval covers.  Every interval is a run of whole atoms, so
+    the line stream is the concatenation of the atoms of ``stream``, and
+    two atoms share no line.  When the distinct intervals are disjoint, as
+    the tile requests of every keyed perfbench trace are, the atoms are just
+    those intervals.
+    """
+
+    #: First line of each atom, ascending.
+    starts: np.ndarray
+    #: Lines of each atom.
+    lengths: np.ndarray
+    #: The atom of each atom access, in stream order.
+    stream: np.ndarray
+    #: Position in ``stream`` of each atom's first access.
+    first: np.ndarray
+
+
+def _atom_table(lo: np.ndarray, hi: np.ndarray) -> _AtomTable:
+    """The atoms of the line intervals ``[lo, hi)``, in stream order."""
+    keep = hi > lo
+    lo, hi = lo[keep], hi[keep]
+    ends = sorted_unique(np.concatenate((lo, hi)))
+    stream = np.searchsorted(ends, lo)
+    spans = np.searchsorted(ends, hi) - stream
+    if (spans > 1).any():
+        stream = _run_lines(stream, spans)
+    # Number the covered gaps between endpoints 0, 1, ... in address order.
+    covered = np.zeros(max(len(ends) - 1, 0), dtype=bool)
+    covered[stream] = True
+    stream = (np.cumsum(covered) - 1)[stream]
+    accesses = len(stream)
+    first = np.full(int(covered.sum()), accesses, dtype=np.int64)
+    np.minimum.at(first, stream, np.arange(accesses, dtype=np.int64))
+    return _AtomTable(ends[:-1][covered], np.diff(ends)[covered], stream, first)
+
+
+def _line_ranks(atoms: _AtomTable) -> np.ndarray:
+    """First-appearance rank of every line access of the atom stream.
+
+    An atom's lines first appear together, in order, at its first access,
+    so a line's rank is the lines of the atoms that appeared before its own
+    plus its offset in its atom.
+    """
+    order = np.argsort(atoms.first)
+    ordered = atoms.lengths[order]
+    base = np.empty(len(order), dtype=np.int64)
+    base[order] = np.cumsum(ordered) - ordered
+    accessed = atoms.lengths[atoms.stream]
+    return _run_lines(base[atoms.stream], accessed)
+
+
+class _Outcomes(NamedTuple):
+    """Exact LRU outcomes of one cache level, one element per run of lines.
+
+    An element is the lines that one access of a piece (an atom cut to at
+    most ``num_sets`` lines) maps to one arc of sets.  Every line of an
+    element has the element's outcome, and the elements' runs, in order,
+    are the level's line stream.
+    """
+
+    #: Per element: its lines hit.
+    hits: np.ndarray
+    #: First line of each element's run.
+    starts: np.ndarray
+    #: Lines of each element's run.
+    counts: np.ndarray
+    #: Some set maps more distinct lines than the level has ways.
+    may_evict: bool
+
+    def line_hits(self) -> np.ndarray:
+        """The hit mask of every line access, in stream order."""
+        return np.repeat(self.hits, self.counts)
+
+
+def _level_outcomes(atoms: _AtomTable, num_sets: int, associativity: int) -> _Outcomes:
+    """Exact LRU outcomes of every line of the atom stream, decided per arc.
+
+    Atoms longer than ``num_sets`` lines are cut into pieces of at most
+    ``num_sets`` lines, so a piece maps each set it covers once.  The sets
+    are cut into arcs at the pieces' set endpoints, so each piece covers
+    whole arcs.  Every set of an arc then sees the same piece sequence, a
+    distinct line per distinct piece, and LRU outcomes are unchanged by
+    renaming a set's lines one to one.  So one :func:`lru_outcome_bits`
+    call over the ids ``piece * arcs + arc``, one per (access, piece, arc)
+    element, decides every line exactly, and the level may evict iff more
+    than ``associativity`` distinct pieces cover one arc.
+    """
+    starts, lengths, stream = atoms.starts, atoms.lengths, atoms.stream
+    if not len(stream):
+        empty = np.empty(0, dtype=np.int64)
+        return _Outcomes(np.empty(0, dtype=bool), empty, empty, False)
+    first_touch = atoms.first[stream] == np.arange(len(stream))
+    piece_starts, piece_lengths, pieces = starts, lengths, stream
+    if lengths.max() > num_sets:
+        cuts = -(-lengths // num_sets)
+        offsets = _run_lines(0, cuts) * num_sets
+        atom = np.repeat(np.arange(len(starts)), cuts)
+        piece_starts = starts[atom] + offsets
+        piece_lengths = np.minimum(lengths[atom] - offsets, num_sets)
+        accessed = cuts[stream]
+        pieces = _run_lines((np.cumsum(cuts) - cuts)[stream], accessed)
+        first_touch = np.repeat(first_touch, accessed)
+    bounds = sorted_unique(np.concatenate((starts % num_sets, (starts + lengths) % num_sets)))
+    arcs = len(bounds)
+    arc_sets = np.diff(bounds, append=bounds[0] + num_sets)
+    first_arc = np.searchsorted(bounds, piece_starts % num_sets)
+    spans = (np.searchsorted(bounds, (piece_starts + piece_lengths) % num_sets) - first_arc) % arcs
+    spans[spans == 0] = arcs  # a piece of ``num_sets`` lines covers every arc
+    # Distinct pieces per arc: each piece covers ``spans`` arcs from its
+    # first, counted on a doubled circle and folded.
+    edges = np.bincount(first_arc, minlength=2 * arcs + 1) - np.bincount(
+        first_arc + spans, minlength=2 * arcs + 1
+    )
+    cover = np.cumsum(edges[: 2 * arcs])
+    may_evict = bool((cover[:arcs] + cover[arcs:]).max() > associativity)
+    arc = first_arc[pieces]
+    if (spans > 1).any():
+        accessed = spans[pieces]
+        pieces = np.repeat(pieces, accessed)
+        arc = _run_lines(arc, accessed) % arcs
+        first_touch = np.repeat(first_touch, accessed)
+    if may_evict:
+        hits = lru_outcome_bits(pieces * arcs + arc, arcs, associativity)
+    else:
+        # No set can evict: a line hits iff it was touched before.
+        hits = ~first_touch
+    element_starts = piece_starts[pieces]
+    element_starts += (bounds[arc] - element_starts) % num_sets
+    return _Outcomes(hits, element_starts, arc_sets[arc], may_evict)
+
+
 def _level_key(level) -> tuple:
     """The cache-level fields the address-structure hash reads."""
     return (level.name, level.line_bytes, level.num_sets, level.associativity)
 
 
-def _may_evict(distinct: np.ndarray, level) -> bool:
-    """True when some set of ``level`` maps more of the distinct lines than it has ways."""
-    per_set = np.bincount(distinct % level.num_sets, minlength=level.num_sets)
-    return bool(per_set.max(initial=0) > level.associativity)
-
-
-def _outcome_hits(level, distinct: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Exact per-access LRU hit mask of ``level`` for the line stream ``ids``.
-
-    A level that cannot evict on this footprint (see :func:`_may_evict`)
-    resolves every access by first-touch residency, so :func:`lru_outcome_bits`
-    is not run.
-    """
-    if _may_evict(distinct, level):
-        return lru_outcome_bits(ids, level.num_sets, level.associativity)
-    return ~_first_touch_mask(ids)
-
-
-def _fold_outcomes(digest, level, distinct: np.ndarray, ids: np.ndarray, hits=None) -> None:
+def _fold_outcomes(digest, level, outcomes: _Outcomes, line_hits=None) -> None:
     """Fold one cache level's exact hit/miss outcomes into ``digest``.
 
-    When no set of the level can hold more distinct footprint lines than its
+    When no set of the level can hold more distinct lines than its
     associativity, the level can never evict: every access resolves by
     first-touch residency, which the rank sequence already pins, so a
-    constant marker suffices.  Otherwise the exact LRU outcome bitmask
-    (``hits``, computed here by :func:`lru_outcome_bits` when not given) is
-    folded in.
+    constant marker suffices.  Otherwise the exact LRU hit mask of every
+    line access (``line_hits``, expanded here when not given) is folded in.
     """
-    if not len(ids):
+    if not len(outcomes.hits):
         digest.update(f"{level.name}:empty".encode())
-    elif not _may_evict(distinct, level):
+    elif not outcomes.may_evict:
         digest.update(f"{level.name}:no-evictions".encode())
     else:
-        if hits is None:
-            hits = lru_outcome_bits(ids, level.num_sets, level.associativity)
+        if line_hits is None:
+            line_hits = outcomes.line_hits()
         digest.update(f"{level.name}:".encode())
-        digest.update(np.packbits(hits).tobytes())
+        digest.update(np.packbits(line_hits).tobytes())
 
 
 class ColumnarTrace:
@@ -882,46 +988,54 @@ class ColumnarTrace:
         mask = cols["address"] >= 0
         return cols["address"][mask], cols["nbytes"][mask]
 
-    def _expand_lines(self, line_bytes: int) -> np.ndarray:
-        """Line number of every cache-line access, in program order.
+    def _atoms(self, line_bytes: int) -> _AtomTable:
+        """The request stream at ``line_bytes`` as an atom stream (kept).
 
-        Not kept: at several lines per row it is the largest per-trace array,
-        and every view built from it is kept instead.
+        Shared by the footprint, the line ranks and every cache level's
+        outcomes at this line size.
         """
-        return _region_lines(*self._requests(), line_bytes)
+
+        def compute() -> _AtomTable:
+            addresses, nbytes = self._requests()
+            lo = addresses // line_bytes
+            table = _atom_table(lo, lo + _line_counts(addresses, nbytes, line_bytes))
+            return _AtomTable(*map(_read_only, table))
+
+        return self.derived(("atoms", line_bytes), compute)
 
     def footprint_line_numbers(self, line_bytes: int) -> np.ndarray:
         """Distinct cache-line numbers referenced by the trace, sorted.
 
-        Only the distinct ``(address, nbytes)`` regions are expanded into
-        lines: a kernel touches each of its tiles many times.
+        The atoms are sorted and disjoint, so expanding them in order gives
+        the sorted distinct lines with no sort.
         """
-        return self.derived(
-            ("footprint-lines", line_bytes),
-            lambda: _read_only(
-                sorted_unique(_region_lines(*_unique_regions(self.columns), line_bytes))
-            ),
-        )
-
-    def l1_outcome_bits(self, l1, lines: Optional[np.ndarray] = None) -> np.ndarray:
-        """Exact hit mask of every cache-line access under the LRU cache ``l1``.
-
-        Decided per access by :func:`lru_outcome_bits`, once per L1
-        geometry: the mask serves both the memo key
-        (:meth:`address_structure_hash`) and the fast path's oracle script
-        (:func:`repro.cpu.fastsim._build_oracle`).  ``lines`` is this
-        trace's line stream at ``l1.line_bytes`` when the caller has
-        already expanded it; otherwise it is expanded here.
-        """
-        line_bytes = l1.line_bytes
 
         def compute() -> np.ndarray:
-            stream = self._expand_lines(line_bytes) if lines is None else lines
-            return _read_only(
-                _outcome_hits(l1, self.footprint_line_numbers(line_bytes), stream)
-            )
+            atoms = self._atoms(line_bytes)
+            return _read_only(_run_lines(atoms.starts, atoms.lengths))
 
-        return self.derived(("l1-hits", line_bytes, l1.num_sets, l1.associativity), compute)
+        return self.derived(("footprint-lines", line_bytes), compute)
+
+    def _l1_outcomes(self, l1) -> _Outcomes:
+        """Exact L1 LRU outcomes per (request, piece, arc) element (not kept:
+        at up to 17 bytes per element they would outweigh the line mask)."""
+        return _level_outcomes(self._atoms(l1.line_bytes), l1.num_sets, l1.associativity)
+
+    def l1_outcome_bits(self, l1, outcomes: Optional[_Outcomes] = None) -> np.ndarray:
+        """Exact hit mask of every cache-line access under the LRU cache ``l1``.
+
+        Decided once per L1 geometry and request × set arc, not per line
+        (:func:`_level_outcomes`), and expanded to the line stream.  The
+        mask serves both the memo key (:meth:`address_structure_hash`,
+        which passes the ``outcomes`` it decided) and the fast path's
+        oracle script (:func:`repro.cpu.fastsim._build_oracle`).
+        """
+
+        def compute() -> np.ndarray:
+            decided = self._l1_outcomes(l1) if outcomes is None else outcomes
+            return _read_only(decided.line_hits())
+
+        return self.derived(("l1-hits", l1.line_bytes, l1.num_sets, l1.associativity), compute)
 
     # -- memoization key --------------------------------------------------------
 
@@ -946,7 +1060,8 @@ class ColumnarTrace:
         memory system's timing and counters depend on:
 
         * the first-appearance **rank sequence** of the accessed lines, which
-          fixes the reuse pattern up to a bijective relabeling of lines,
+          fixes the reuse pattern up to a bijective relabeling of lines (read
+          off the atoms' first-appearance order and line counts),
         * each request's **line count**, when some request does not start
           on a line: 128 bytes at a line boundary span two lines, at offset
           32 three, so the rank sequence alone does not say where one
@@ -954,14 +1069,18 @@ class ColumnarTrace:
           size, which the op content already pins, so traces whose requests
           all start on a line hash as before,
         * each level's **hit/miss outcome sequence** under its
-          set-associative LRU, decided exactly per access from the access's
-          reuse window in its set (:func:`lru_outcome_bits`).  A level that
-          cannot possibly evict on this footprint (no set holds more distinct
-          lines than its associativity) resolves every access by first-touch
-          residency — already determined by the rank sequence — and
-          contributes a constant marker instead of an outcome mask; with the
-          ideal L2 prefetch of the paper's methodology every L2 access is a
-          hit by construction, so that level is likewise a marker.
+          set-associative LRU, one bit per line access, decided exactly once
+          per (request, piece, set arc) element (:func:`_level_outcomes`):
+          the L1 over the trace's atoms, the L2 over the runs the L1
+          missed.  A level that cannot possibly evict on this footprint (no
+          arc is covered by more distinct pieces, so no set holds more
+          distinct lines, than its associativity) resolves every access by
+          first-touch residency — already determined by the rank sequence —
+          and contributes a constant marker instead of an outcome mask; with
+          the ideal L2 prefetch of the paper's methodology every L2 access
+          is a hit by construction, so that level is likewise a marker.  An
+          L2 whose line differs from the L1's takes each missed L1 line as
+          a one-line request.
 
         Equal digests imply identical per-access levels and latencies and
         identical reported counters, so the simulation outcome cannot depend
@@ -979,25 +1098,33 @@ class ColumnarTrace:
         return self.derived(key, lambda: self._address_structure_digest(machine))
 
     def _address_structure_digest(self, machine) -> bytes:
-        l1 = machine.l1
-        starts, sizes = self._requests()
-        lines = _region_lines(starts, sizes, l1.line_bytes)
+        l1, l2 = machine.l1, machine.l2
+        atoms = self._atoms(l1.line_bytes)
         digest = hashlib.sha256()
-        if not len(lines):
+        if not len(atoms.stream):
             return digest.digest()
-        digest.update(np.ascontiguousarray(_first_appearance_ranks(lines)).tobytes())
+        digest.update(_line_ranks(atoms).tobytes())
+        starts, sizes = self._requests()
         if (starts % l1.line_bytes).any():
             digest.update(b"request-lines:")
             digest.update(_line_counts(starts, sizes, l1.line_bytes).tobytes())
 
-        l1_hits = self.l1_outcome_bits(l1, lines)
-        _fold_outcomes(digest, l1, self.footprint_line_numbers(l1.line_bytes), lines, l1_hits)
+        outcomes = self._l1_outcomes(l1)
+        _fold_outcomes(digest, l1, outcomes, self.l1_outcome_bits(l1, outcomes))
         if machine.prefetch_into_l2:
             # The ideal prefetcher delivers every L1 miss at L2-hit latency.
             digest.update(b"L2:ideal-prefetch")
-        else:
-            misses = ((lines * l1.line_bytes) // machine.l2.line_bytes)[~l1_hits]
-            _fold_outcomes(digest, machine.l2, sorted_unique(misses), misses)
+            return digest.digest()
+        # The L2 sees the L1's missed runs, in order.
+        missed = ~outcomes.hits
+        lo, counts = outcomes.starts[missed], outcomes.counts[missed]
+        if l2.line_bytes != l1.line_bytes:
+            # The one per-line LRU input: each missed L1 line is a one-line
+            # access to the L2 line holding it.
+            lo = _run_lines(lo, counts) * l1.line_bytes // l2.line_bytes
+            counts = np.ones_like(lo)
+        l2_atoms = _atom_table(lo, lo + counts)
+        _fold_outcomes(digest, l2, _level_outcomes(l2_atoms, l2.num_sets, l2.associativity))
         return digest.digest()
 
     def simulation_key(self, machine) -> str:

@@ -14,8 +14,8 @@ strategies are used, picked per run:
 L2 prefetch every L1 miss is an L2 hit by construction, so the only
 data-dependent memory outcome is the L1 lookup — a pure function of the
 line-address sequence, which the columnar trace decides exactly for the
-whole trace up front, each access from its reuse window in its set
-(:func:`repro.cpu.columnar.lru_outcome_bits`).  The
+whole trace up front, once per request and set arc, each from its reuse
+window (:meth:`repro.cpu.columnar.ColumnarTrace.l1_outcome_bits`).  The
 outcomes fix each request's completion offset and L2-port occupancy, so the
 memory system is replaced by a per-request script
 (:class:`repro.cpu.memory.ScriptedMemory`: O(1) per request, counters as

@@ -165,8 +165,11 @@ class RequestScript:
 
     With every demanded line prefetched into the L2, :meth:`MemorySystem.complete`
     never reaches DRAM: each line is an L1 hit or an L2 hit, and which one is
-    fixed by the line-address sequence alone (``hit_bits``, one per line, from
-    an exact L1 LRU replay).  A request issued at ``cycle`` then takes the L2
+    fixed by the line-address sequence alone (``hit_bits``, one per line: the
+    exact L1 LRU outcomes of
+    :meth:`~repro.cpu.columnar.ColumnarTrace.l1_outcome_bits`, decided per
+    request and set arc with no cache state stepped).  A request issued at
+    ``cycle`` then takes the L2
     port at ``port = max(l2_port_free, cycle)``, delivers line ``j`` at
     ``port + j + latency_j`` and leaves the port free at ``port + lines``.  So
     request ``k`` is two numbers, independent of when it is issued:

@@ -39,9 +39,9 @@ KERNEL_KINDS = ("gemm", "spmm", "spgemm")
 #: Total trace rows the memo retains.  A retained row costs ~37 bytes of
 #: columns plus ~60 bytes of derived views (signature ids, L1 outcomes and
 #: the oracle script; the simulator keeps no per-row ops), and a kernel's
-#: first simulation briefly needs a few hundred bytes per row more for its L1
-#: replay.  Eviction runs before that, at insertion, so the bound caps what
-#: coexists with the replay.  It holds the largest Table IV kernel (GPT-L3
+#: first simulation briefly needs more per row for its oracle script's
+#: temporaries.  Eviction runs before that, at insertion, so the bound caps
+#: what coexists with them.  It holds the largest Table IV kernel (GPT-L3
 #: dense, 0.27 M rows), keeping a full Figure 13 sweep's peak RSS near the
 #: unmemoized run's; 0.5 M rows raised it by 40%, 1 M rows by 95%.
 BUILD_MEMO_MAX_ROWS = 300_000

@@ -82,17 +82,17 @@ class TileGrid:
     @property
     def tiles_m(self) -> int:
         """Number of tile rows of C."""
-        return self.padded_shape.m // self.tile_m
+        return -(-self.shape.m // self.tile_m)
 
     @property
     def tiles_n(self) -> int:
         """Number of tile columns of C."""
-        return self.padded_shape.n // self.tile_n
+        return -(-self.shape.n // self.tile_n)
 
     @property
     def tiles_k(self) -> int:
         """Number of K-steps (tile instructions per C tile)."""
-        return self.padded_shape.k // self.tile_k
+        return -(-self.shape.k // self.tile_k)
 
     @property
     def output_tiles(self) -> int:

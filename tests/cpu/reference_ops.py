@@ -1,13 +1,17 @@
-"""Op-by-op reference computations the columnar trace views are pinned against.
+"""Reference computations the columnar trace views are pinned against.
 
 :class:`repro.cpu.columnar.ColumnarTrace` answers every whole-trace question
-(signature ids, instruction-mix summaries, memory footprints) with
-vectorised array operations.  The functions here compute the same answers by
-walking ``TraceOp`` objects one at a time, the way the simulator did before
-traces became columnar, so the parity tests compare against independent
-code rather than against the columnar views themselves.
+(signature ids, instruction-mix summaries, memory footprints, cache
+outcomes) with vectorised array operations.  The functions here compute the
+same answers the plain way: by walking ``TraceOp`` objects one at a time, as
+the simulator did before traces became columnar, by replaying the LRU sets
+step by step, and by expanding every request into its cache lines before
+ranking them and deciding their outcomes, as the memo key did before it
+decided them per request and set arc.  So the parity tests compare against
+independent code rather than against the columnar views themselves.
 """
 
+import hashlib
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -149,3 +153,87 @@ def lru_outcome_bits(ids: np.ndarray, num_sets: int, associativity: int) -> np.n
         age_state[rows, touched] = step
         hit_lanes[:, step] = hit
     return hit_lanes[sets, within]
+
+
+def request_lines(columns: np.ndarray, line_bytes: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Start, size and line count of every memory request, in program order.
+
+    A request covers the lines ``address // line_bytes`` to
+    ``(address + nbytes - 1) // line_bytes``: a zero-byte request covers
+    one line when it starts inside a line and none when it starts on one.
+    """
+    mask = columns["address"] >= 0
+    starts = columns["address"][mask]
+    sizes = columns["nbytes"][mask].astype(np.int64)
+    counts = (starts + sizes - 1) // line_bytes - starts // line_bytes + 1
+    return starts, sizes, counts
+
+
+def expand_lines(columns: np.ndarray, line_bytes: int) -> np.ndarray:
+    """Line number of every cache-line access, in program order."""
+    starts, _, counts = request_lines(columns, line_bytes)
+    lines = [np.arange(count, dtype=np.int64) + start // line_bytes for start, count in zip(starts, counts)]
+    return np.concatenate(lines) if lines else np.empty(0, dtype=np.int64)
+
+
+def first_appearance_ranks(values: np.ndarray) -> np.ndarray:
+    """Each value renumbered in order of first appearance."""
+    table: Dict[int, int] = {}
+    return np.array([table.setdefault(int(value), len(table)) for value in values], dtype=np.int64)
+
+
+def line_outcome_hits(lines: np.ndarray, num_sets: int, associativity: int) -> Tuple[bool, np.ndarray]:
+    """Whether some set maps more distinct lines than it has ways, and the
+    per-access LRU hit mask of the line stream (the step replay)."""
+    distinct = np.unique(lines)
+    per_set = np.bincount(distinct % num_sets, minlength=num_sets)
+    may_evict = bool(per_set.max(initial=0) > associativity)
+    return may_evict, lru_outcome_bits(lines, num_sets, associativity)
+
+
+def line_l1_outcome_bits(columns: np.ndarray, l1) -> np.ndarray:
+    """Hit mask of every cache-line access of the trace under ``l1``."""
+    lines = expand_lines(columns, l1.line_bytes)
+    return line_outcome_hits(lines, l1.num_sets, l1.associativity)[1]
+
+
+def _fold_line_outcomes(digest, level, lines: np.ndarray) -> np.ndarray:
+    """Fold one level's outcomes over its line stream; returns the hit mask."""
+    may_evict, hits = line_outcome_hits(lines, level.num_sets, level.associativity)
+    if not len(lines):
+        digest.update(f"{level.name}:empty".encode())
+    elif not may_evict:
+        digest.update(f"{level.name}:no-evictions".encode())
+    else:
+        digest.update(f"{level.name}:".encode())
+        digest.update(np.packbits(hits).tobytes())
+    return hits
+
+
+def line_address_structure_digest(columns: np.ndarray, machine) -> bytes:
+    """The address-structure digest of
+    :meth:`repro.cpu.columnar.ColumnarTrace.address_structure_hash`, with
+    every request expanded into its lines first.
+
+    It hashes the lines' first-appearance ranks, each request's line count
+    when some request does not start on a line, and per cache level a
+    marker or the LRU hit mask of the level's line stream: the L1 sees every
+    line access, the L2 the L1 misses at its own line size.
+    """
+    l1 = machine.l1
+    starts, _, counts = request_lines(columns, l1.line_bytes)
+    lines = expand_lines(columns, l1.line_bytes)
+    digest = hashlib.sha256()
+    if not len(lines):
+        return digest.digest()
+    digest.update(first_appearance_ranks(lines).tobytes())
+    if (starts % l1.line_bytes).any():
+        digest.update(b"request-lines:")
+        digest.update(counts.tobytes())
+    l1_hits = _fold_line_outcomes(digest, l1, lines)
+    if machine.prefetch_into_l2:
+        digest.update(b"L2:ideal-prefetch")
+    else:
+        misses = (lines * l1.line_bytes // machine.l2.line_bytes)[~l1_hits]
+        _fold_line_outcomes(digest, machine.l2, misses)
+    return digest.digest()

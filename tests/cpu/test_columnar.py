@@ -8,7 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_memory import Cache
-from reference_ops import footprint_lines, intern_signatures, summarize_ops
+from reference_ops import (
+    expand_lines,
+    footprint_lines,
+    intern_signatures,
+    line_address_structure_digest,
+    line_l1_outcome_bits,
+    summarize_ops,
+)
 from reference_ops import lru_outcome_bits as reference_lru_outcome_bits
 
 from repro.analysis.runtime import resolve_engine
@@ -16,11 +23,15 @@ from repro.core.engine import SME_GEOMETRY
 from repro.core.isa import Opcode
 from repro.core.pipeline import TileComputeRequest, TileComputeTiming
 from repro.core.registers import treg
+from repro.cpu import columnar
 from repro.cpu.columnar import (
     _LRU_SLAB_ACCESSES,
+    KIND_CODES,
+    TRACE_DTYPE,
     ColumnarTrace,
     TraceBuilder,
     distinct_line_count,
+    frozen_trace,
     lru_outcome_bits,
     sorted_unique,
 )
@@ -32,6 +43,7 @@ from repro.cpu.simulator import CycleApproximateSimulator
 from repro.cpu.trace import TraceOp, TraceOpKind
 from repro.errors import SimulationError
 from repro.kernels.gemm import build_dense_gemm_kernel
+from repro.kernels.sharding import shard_kernel
 from repro.kernels.spgemm import build_spgemm_kernel
 from repro.kernels.spmm import build_spmm_kernel
 from repro.kernels.vector import build_vector_gemm_kernel
@@ -140,7 +152,7 @@ class TestColumnarParity:
     )
     def test_footprint_lines_match_expand_then_unique(self, accesses, line_bytes):
         # Repeated and overlapping regions, loads and stores mixed with
-        # non-memory rows: expanding only the distinct regions must give
+        # non-memory rows: expanding the sorted, disjoint atoms must give
         # the same sorted lines as expanding every access.
         builder = TraceBuilder()
         for address, nbytes, store in accesses:
@@ -151,7 +163,7 @@ class TestColumnarParity:
                 builder.vector_load(0, address, nbytes)
             builder.vector_load(1, address, nbytes)
         trace = builder.finish()
-        expected = np.unique(trace._expand_lines(line_bytes))
+        expected = np.unique(expand_lines(trace.columns, line_bytes))
         got = trace.footprint_line_numbers(line_bytes)
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)
@@ -255,9 +267,8 @@ class TestStrictEncoder:
             )
 
     def test_address_beyond_region_packing_is_rejected(self):
-        # Distinct regions pack ``address * 8192 + nbytes`` into one int64,
-        # which wraps from 2**50 on; such a trace is refused instead of
-        # returning wrapped footprints.
+        # A request packs as ``address * 8192 + nbytes`` into one int64,
+        # which wraps from 2**50 on; such a trace is refused at build.
         builder = TraceBuilder()
         builder.vector_load(0, 2**50 - 64, 64)
         builder.vector_load(1, 2**50, 64)
@@ -510,6 +521,145 @@ class TestLruOutcomeReplay:
     def test_empty_stream(self, num_sets, associativity):
         bits = lru_outcome_bits(np.empty(0, dtype=np.int64), num_sets, associativity)
         assert bits.dtype == bool and bits.shape == (0,)
+
+
+def cache_level(name, line_bytes, num_sets, associativity):
+    """A cache level of ``num_sets`` sets of ``associativity`` ways."""
+    capacity = line_bytes * num_sets * associativity
+    return CacheParams(name=name, capacity_bytes=capacity, associativity=associativity, line_bytes=line_bytes)
+
+
+_SCALAR = KIND_CODES[TraceOpKind.SCALAR]
+_REQUEST_KINDS = (KIND_CODES[TraceOpKind.VECTOR_LOAD], KIND_CODES[TraceOpKind.VECTOR_STORE])
+
+
+def request_columns(requests):
+    """Trace rows: a scalar op, then a load or store, per ``(address, nbytes,
+    store)`` request.  Written as columns, so a request may be zero bytes."""
+    columns = np.zeros(2 * len(requests), dtype=TRACE_DTYPE)
+    columns["opcode"] = -1
+    columns["feed"] = -1
+    columns["kind"][0::2] = _SCALAR
+    columns["address"][0::2] = -1
+    if requests:
+        address, nbytes, store = np.array(requests, dtype=np.int64).T
+        columns["kind"][1::2] = np.take(_REQUEST_KINDS, store)
+        columns["address"][1::2] = address
+        columns["nbytes"][1::2] = nbytes
+    return columns
+
+
+@st.composite
+def keyed_traces(draw):
+    """A request stream and a two-level machine to key it on.
+
+    The L1 line is 32, 64 or 128 bytes and the L2 line 1x or 2x the L1's;
+    each level has 1 to 4,096 sets (few sets, and the presets' 96 / 512 /
+    4,096, more often; the L2 more when it would hold less than the L1) and
+    1 to 16 ways (up to 4 more often); the ideal L2 prefetch is on or off.
+    Requests repeat from a pool of regions.  A region starts on a byte, a
+    half line, a line or a KB, plus a whole number of one level's way spans
+    (so regions collide in the sets), and runs 0 (a zero-byte request) to
+    8,191 bytes, so regions overlap each other, straddle lines and can be
+    longer than the sets.
+    """
+    line = draw(st.sampled_from([32, 64, 128]))
+    sets = st.one_of(st.integers(1, 8), st.sampled_from([96, 512, 4096]), st.integers(1, 4096))
+    ways = st.one_of(st.integers(1, 4), st.integers(1, 16))
+    l1 = cache_level("L1D", line, draw(sets), draw(ways))
+    l2_line = line * draw(st.sampled_from([1, 2]))
+    l2_ways = draw(ways)
+    # A machine's L2 holds at least as much as its L1.
+    l2_sets = max(draw(sets), -(-l1.capacity_bytes // (l2_line * l2_ways)))
+    l2 = cache_level("L2", l2_line, l2_sets, l2_ways)
+    machine = dataclasses.replace(
+        default_machine(), l1=l1, l2=l2, prefetch_into_l2=draw(st.booleans())
+    )
+    unit = draw(st.sampled_from([1, line // 2, line, 1024]))
+    span = draw(st.sampled_from([l1, l2])).num_sets * draw(st.sampled_from([line, l2_line]))
+    size = st.one_of(
+        st.just(0), st.sampled_from([64, 1024]), st.integers(1, 256), st.integers(1, 8191)
+    )
+    regions = draw(
+        st.lists(
+            st.tuples(st.one_of(st.integers(0, 3), st.integers(0, 64)), st.integers(0, 24), size),
+            min_size=1,
+            max_size=24,
+        )
+    )
+    picks = draw(
+        st.lists(
+            st.tuples(st.integers(0, len(regions) - 1), st.booleans()), min_size=1, max_size=48
+        )
+    )
+    requests = []
+    for index, store in picks:
+        offset, way, nbytes = regions[index]
+        requests.append((offset * unit + way * span, nbytes, store))
+    return request_columns(requests), machine
+
+
+def element_counts(trace, machine, monkeypatch):
+    """Input lengths of the :func:`lru_outcome_bits` calls of one memo key."""
+    lengths = []
+
+    def recorded(ids, num_sets, associativity):
+        lengths.append(len(ids))
+        return lru_outcome_bits(ids, num_sets, associativity)
+
+    monkeypatch.setattr(columnar, "lru_outcome_bits", recorded)
+    trace.address_structure_hash(machine)
+    return lengths
+
+
+class TestRegionArcDifferential:
+    """The memo key's digest, the L1 mask and the footprint, decided per
+    request, set arc and atom, equal the line-level reference byte for
+    byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=keyed_traces())
+    @example(
+        # Two overlapping unaligned requests, a zero-byte request inside a
+        # line and one on a line, and a request longer than the 3 sets.
+        case=(
+            request_columns(
+                [(96, 200, False), (32, 64, True), (8, 0, False), (64, 0, False),
+                 (0, 640, False), (96, 200, True)]
+            ),
+            dataclasses.replace(
+                default_machine(),
+                l1=cache_level("L1D", 64, 3, 2),
+                l2=cache_level("L2", 128, 2, 2),
+                prefetch_into_l2=False,
+            ),
+        )
+    )
+    def test_digest_and_mask_equal_the_line_reference(self, case):
+        columns, machine = case
+        trace = frozen_trace(columns, ("",), DEFAULT_GEOMETRY)
+        l1 = machine.l1
+        assert trace.address_structure_hash(machine) == line_address_structure_digest(
+            columns, machine
+        )
+        mask = trace.l1_outcome_bits(l1)
+        assert mask.dtype == bool
+        assert np.array_equal(mask, line_l1_outcome_bits(columns, l1))
+        footprint = trace.footprint_line_numbers(l1.line_bytes)
+        assert np.array_equal(footprint, np.unique(expand_lines(columns, l1.line_bytes)))
+
+    def test_one_element_per_request_on_gemm_compute_shards(self, monkeypatch):
+        # The scaling sweep's gemm-compute shards on 8 cores, row-block:
+        # 1 KB requests on KB boundaries cut the L1's 96 sets into six arcs
+        # of 16, so the L1 decides one element per request, not 16 lines.
+        machine = default_machine()
+        sharded = shard_kernel("gemm", GemmShape(256, 256, 1024), SparsityPattern.DENSE_4_4, 8)
+        for program in sharded.programs:
+            trace = program.trace
+            requests = int((trace.columns["address"] >= 0).sum())
+            assert requests == 1088
+            assert element_counts(trace, machine, monkeypatch) == [requests]
+            assert len(trace.l1_outcome_bits(machine.l1)) == 16 * requests
 
 
 INT64 = np.iinfo(np.int64)
