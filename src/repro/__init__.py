@@ -63,7 +63,6 @@ from .kernels import (
     build_spmm_kernel,
     build_vector_gemm_kernel,
     run_functional,
-    validate_kernel,
 )
 from .sparse import (
     CompressedTile,
@@ -134,6 +133,5 @@ __all__ = [
     "run_named",
     "stc_like_engine",
     "transform_unstructured",
-    "validate_kernel",
     "__version__",
 ]

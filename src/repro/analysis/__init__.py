@@ -33,7 +33,6 @@ from .granularity import (
 from .roofline import (
     EngineRoofline,
     FIGURE3_ENGINES,
-    crossover_density,
     effective_throughput_tflops,
     layer_bytes,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "FIGURE3_ENGINES",
     "LayerRuntime",
     "build_layer_kernel",
-    "crossover_density",
     "effective_throughput_tflops",
     "engine_area",
     "engine_frequency_ghz",

@@ -96,30 +96,3 @@ def effective_throughput_tflops(
     memory_seconds = bytes_moved / (bandwidth_gbps * 1e9)
     seconds = max(compute_seconds, memory_seconds)
     return effectual_flops / seconds / 1e12
-
-
-def crossover_density(
-    sparse_engine: EngineRoofline,
-    dense_engine: EngineRoofline,
-    *,
-    shape: GemmShape = DEFAULT_LAYER,
-    bandwidth_gbps: float = MEMORY_BANDWIDTH_GBPS,
-    tolerance: float = 0.02,
-) -> float:
-    """Lowest density at which the sparse engine stops outperforming the dense one.
-
-    Figure 3's qualitative claim is that sparse engines dominate at low
-    density and converge with the dense engines at 100 %; this helper locates
-    the convergence point.
-    """
-    for percent in range(100, 0, -1):
-        density = percent / 100
-        sparse = effective_throughput_tflops(
-            sparse_engine, density, shape=shape, bandwidth_gbps=bandwidth_gbps
-        )
-        dense = effective_throughput_tflops(
-            dense_engine, density, shape=shape, bandwidth_gbps=bandwidth_gbps
-        )
-        if sparse > dense * (1 + tolerance):
-            return density
-    return 0.0

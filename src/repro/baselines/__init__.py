@@ -1,19 +1,5 @@
 """Prior-work baselines (RASA, TMUL, STC, STA, S2TA, SIGMA) and Table I."""
 
-from .catalog import (
-    GranularitySupport,
-    TABLE_I,
-    best_vegeta_engine,
-    prior_work_engine,
-    sota_dense_engine,
-    table1,
-)
+from .catalog import GranularitySupport, TABLE_I, table1
 
-__all__ = [
-    "GranularitySupport",
-    "TABLE_I",
-    "best_vegeta_engine",
-    "prior_work_engine",
-    "sota_dense_engine",
-    "table1",
-]
+__all__ = ["GranularitySupport", "TABLE_I", "table1"]

@@ -3,11 +3,12 @@
 Two kinds of baselines appear in the paper:
 
 * **matrix-engine design points** that map directly onto Table III
-  configurations (RASA-SM / RASA-DM / Intel TMUL / NVIDIA STC), exposed here
-  as named :class:`~repro.core.engine.EngineConfig` factories so the runtime
-  experiments can request them by their prior-work names, and
+  configurations (RASA-SM is VEGETA-D-1-1, RASA-DM VEGETA-D-1-2, Intel TMUL
+  VEGETA-D-16-1); they live in the engine catalog
+  (:func:`repro.core.engine.get_engine`, with the NVIDIA STC-like engine as
+  :func:`repro.core.engine.stc_like_engine`), and
 * **granularity classes** used in the Figure 15 comparison (STA, S2TA,
-  SIGMA), which we summarise through the Table I support matrix and the
+  SIGMA), which we summarise through the Table I support matrix here and the
   analytical granularity model of :mod:`repro.analysis.granularity`.
 """
 
@@ -16,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List
 
-from ..core.engine import EngineConfig, get_engine, stc_like_engine
-from ..errors import ConfigurationError
 from ..types import SparsityGranularity
 
 
@@ -79,35 +78,3 @@ TABLE_I: Dict[str, GranularitySupport] = {
 def table1() -> List[GranularitySupport]:
     """Table I rows in paper order."""
     return [TABLE_I[name] for name in ("NVIDIA STC", "STA", "S2TA", "VEGETA")]
-
-
-#: Prior-work matrix engines expressed as Table III configurations.
-_PRIOR_WORK_ENGINES = {
-    "RASA-SM": "VEGETA-D-1-1",
-    "RASA-DM": "VEGETA-D-1-2",
-    "TMUL": "VEGETA-D-16-1",
-}
-
-
-def prior_work_engine(name: str) -> EngineConfig:
-    """Resolve a prior-work engine name (RASA-SM/DM, TMUL, STC) to a config."""
-    key = name.upper().replace("_", "-")
-    if key in ("STC", "NVIDIA-STC", "STC-LIKE"):
-        return stc_like_engine()
-    if key in _PRIOR_WORK_ENGINES:
-        return get_engine(_PRIOR_WORK_ENGINES[key])
-    raise ConfigurationError(
-        f"unknown prior-work engine {name!r}; known: "
-        f"{', '.join(sorted(list(_PRIOR_WORK_ENGINES) + ['STC']))}"
-    )
-
-
-def sota_dense_engine() -> EngineConfig:
-    """The state-of-the-art dense matrix engine the abstract compares against."""
-    return prior_work_engine("RASA-DM")
-
-
-def best_vegeta_engine(output_forwarding: bool = True) -> EngineConfig:
-    """The best-performing VEGETA-S configuration (Section VI-C)."""
-    engine = get_engine("VEGETA-S-16-2")
-    return engine.with_output_forwarding(True) if output_forwarding else engine

@@ -3,7 +3,7 @@
 Sub-modules:
 
 * :mod:`repro.core.registers` — treg/ureg/vreg/mreg register file with aliasing,
-* :mod:`repro.core.isa` — the nine Table II instructions plus constructors,
+* :mod:`repro.core.isa` — the Table II instructions and their operand rules,
 * :mod:`repro.core.memory_image` — flat byte memory used by the functional model,
 * :mod:`repro.core.functional` — timing-free, numerically correct execution,
 * :mod:`repro.core.engine` — the Table III engine design points,
@@ -20,23 +20,8 @@ from .engine import (
     get_engine,
     stc_like_engine,
 )
-from .functional import ExecutionStats, FunctionalMachine, run_program
-from .isa import (
-    Instruction,
-    MemoryOperand,
-    Opcode,
-    tile_gemm,
-    tile_load_m,
-    tile_load_t,
-    tile_load_u,
-    tile_load_v,
-    tile_spgemm_u,
-    tile_spgemm_v,
-    tile_spmm_r,
-    tile_spmm_u,
-    tile_spmm_v,
-    tile_store_t,
-)
+from .functional import ExecutionStats, FunctionalMachine
+from .isa import Instruction, MemoryOperand, Opcode
 from .memory_image import ByteMemory
 from .pipeline import (
     MatrixEnginePipeline,
@@ -92,20 +77,8 @@ __all__ = [
     "get_engine",
     "mreg",
     "pack_rows",
-    "run_program",
     "stc_like_engine",
     "steady_state_issue_interval",
-    "tile_gemm",
-    "tile_load_m",
-    "tile_load_t",
-    "tile_load_u",
-    "tile_load_v",
-    "tile_spgemm_u",
-    "tile_spgemm_v",
-    "tile_spmm_r",
-    "tile_spmm_u",
-    "tile_spmm_v",
-    "tile_store_t",
     "treg",
     "ureg",
     "vreg",

@@ -346,11 +346,6 @@ class EngineConfig:
 
     # -- capability queries ----------------------------------------------------------
 
-    @property
-    def supports_rowwise(self) -> bool:
-        """True if the engine executes ``TILE_SPMM_R`` (needs full N:4 support)."""
-        return self.sparse and ALL_NM_PATTERNS <= self.supported_patterns
-
     def executable_pattern(self, pattern: SparsityPattern) -> SparsityPattern:
         """The pattern the engine actually runs for a tile pruned to ``pattern``.
 
@@ -361,7 +356,8 @@ class EngineConfig:
         """
         if pattern is SparsityPattern.ROW_WISE:
             raise ConfigurationError(
-                "use supports_rowwise / the row-wise mapping for row-wise tiles"
+                "row-wise tiles run through the row-wise mapping "
+                "(repro.core.rowwise_mapping), not a single executed pattern"
             )
         if pattern in self.supported_patterns:
             return pattern

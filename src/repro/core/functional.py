@@ -315,18 +315,3 @@ class FunctionalMachine:
             instruction.dst, flat.reshape(c_full.shape), DType.FP32
         )
         return cursor * self.geometry.fp32_cols
-
-
-def run_program(
-    instructions: Sequence[Instruction],
-    memory: ByteMemory,
-    rowwise_patterns: Optional[Dict[int, Sequence[SparsityPattern]]] = None,
-    geometry: TileGeometry = DEFAULT_GEOMETRY,
-) -> FunctionalMachine:
-    """Convenience wrapper: build a machine, execute, return it."""
-    machine = FunctionalMachine(memory, geometry=geometry)
-    if rowwise_patterns:
-        for address, patterns in rowwise_patterns.items():
-            machine.register_rowwise_patterns(address, patterns)
-    machine.execute(instructions)
-    return machine

@@ -111,8 +111,8 @@ _MEMORY_REG_KIND = {
 def memory_bytes_for(opcode: Opcode, geometry: TileGeometry) -> int:
     """Bytes a load/store transfers under ``geometry`` (0 for compute ops).
 
-    The one answer to a transfer size: ISA validation, the isa constructors
-    and the trace builder all read it.
+    The one answer to a transfer size: ISA validation and the trace builder
+    both read it.
     """
     kind = _MEMORY_REG_KIND.get(opcode)
     return geometry.register_bytes(kind) if kind is not None else 0
@@ -132,16 +132,6 @@ class MemoryOperand:
         if self.nbytes <= 0:
             raise IsaError(f"non-positive access size {self.nbytes}")
 
-    @property
-    def end(self) -> int:
-        """One past the last byte touched by this operand."""
-        return self.address + self.nbytes
-
-    def cache_lines(self, line_bytes: int = 64) -> Tuple[int, ...]:
-        """Addresses of the cache lines this operand touches."""
-        first = self.address // line_bytes
-        last = (self.end - 1) // line_bytes
-        return tuple(line * line_bytes for line in range(first, last + 1))
 
 
 #: Expected operand register kinds per opcode: (dst_kind, a_kind, b_kind).
@@ -273,40 +263,6 @@ class Instruction:
             return mreg(self.src_b.index)
         return None
 
-    def reads(self) -> Tuple[RegisterRef, ...]:
-        """Registers read by this instruction (including the accumulator)."""
-        if self.opcode.is_load:
-            return ()
-        if self.opcode.is_store:
-            return (self.src_a,)
-        sources = [self.dst, self.src_a, self.src_b]
-        for metadata in (self.implicit_metadata, self.implicit_metadata_b):
-            if metadata is not None:
-                sources.append(metadata)
-        return tuple(sources)
-
-    def writes(self) -> Tuple[RegisterRef, ...]:
-        """Registers written by this instruction."""
-        if self.opcode.is_store:
-            return ()
-        return (self.dst,)
-
-    def reads_tregs(self) -> Tuple[int, ...]:
-        """Backing treg indices read (used for aliasing-aware dependences)."""
-        indices = []
-        for ref in self.reads():
-            if ref.kind != "mreg":
-                indices.extend(ref.backing_tregs())
-        return tuple(sorted(set(indices)))
-
-    def writes_tregs(self) -> Tuple[int, ...]:
-        """Backing treg indices written."""
-        indices = []
-        for ref in self.writes():
-            if ref.kind != "mreg":
-                indices.extend(ref.backing_tregs())
-        return tuple(sorted(set(indices)))
-
     # -- pretty printing ----------------------------------------------------------
 
     def to_assembly(self) -> str:
@@ -322,110 +278,3 @@ class Instruction:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.to_assembly()
-
-
-# -- constructors -------------------------------------------------------------
-
-
-def _transfer(
-    opcode: Opcode, address: int, label: str, geometry: TileGeometry, **registers
-) -> Instruction:
-    """A load/store moving ``memory_bytes_for(opcode, geometry)`` bytes."""
-    return Instruction(
-        opcode,
-        memory=MemoryOperand(address, memory_bytes_for(opcode, geometry), label),
-        label=label,
-        geometry=geometry,
-        **registers,
-    )
-
-
-def tile_load_t(
-    dst: RegisterRef, address: int, label: str = "", geometry: TileGeometry = DEFAULT_GEOMETRY
-) -> Instruction:
-    """Build a ``TILE_LOAD_T`` (one tile register's worth of memory)."""
-    return _transfer(Opcode.TILE_LOAD_T, address, label, geometry, dst=dst)
-
-
-def tile_load_u(
-    dst: RegisterRef, address: int, label: str = "", geometry: TileGeometry = DEFAULT_GEOMETRY
-) -> Instruction:
-    """Build a ``TILE_LOAD_U`` (two tile registers' worth into a ureg)."""
-    return _transfer(Opcode.TILE_LOAD_U, address, label, geometry, dst=dst)
-
-
-def tile_load_v(
-    dst: RegisterRef, address: int, label: str = "", geometry: TileGeometry = DEFAULT_GEOMETRY
-) -> Instruction:
-    """Build a ``TILE_LOAD_V`` (four tile registers' worth into a vreg)."""
-    return _transfer(Opcode.TILE_LOAD_V, address, label, geometry, dst=dst)
-
-
-def tile_load_m(
-    dst: RegisterRef, address: int, label: str = "", geometry: TileGeometry = DEFAULT_GEOMETRY
-) -> Instruction:
-    """Build a ``TILE_LOAD_M`` (one metadata register load into an mreg)."""
-    return _transfer(Opcode.TILE_LOAD_M, address, label, geometry, dst=dst)
-
-
-def tile_store_t(
-    address: int, src: RegisterRef, label: str = "", geometry: TileGeometry = DEFAULT_GEOMETRY
-) -> Instruction:
-    """Build a ``TILE_STORE_T`` (one tile register's worth to memory)."""
-    return _transfer(Opcode.TILE_STORE_T, address, label, geometry, src_a=src)
-
-
-def tile_gemm(dst: RegisterRef, a: RegisterRef, b: RegisterRef, label: str = "") -> Instruction:
-    """Build a dense ``TILE_GEMM`` C += A x B."""
-    return Instruction(Opcode.TILE_GEMM, dst=dst, src_a=a, src_b=b, label=label)
-
-
-def tile_spmm_u(dst: RegisterRef, a: RegisterRef, b: RegisterRef, label: str = "") -> Instruction:
-    """Build a 2:4-sparse ``TILE_SPMM_U`` C += A x B."""
-    return Instruction(Opcode.TILE_SPMM_U, dst=dst, src_a=a, src_b=b, label=label)
-
-
-def tile_spmm_v(dst: RegisterRef, a: RegisterRef, b: RegisterRef, label: str = "") -> Instruction:
-    """Build a 1:4-sparse ``TILE_SPMM_V`` C += A x B."""
-    return Instruction(Opcode.TILE_SPMM_V, dst=dst, src_a=a, src_b=b, label=label)
-
-
-def tile_spmm_r(dst: RegisterRef, a: RegisterRef, b: RegisterRef, label: str = "") -> Instruction:
-    """Build a row-wise ``TILE_SPMM_R`` C += A x B."""
-    return Instruction(Opcode.TILE_SPMM_R, dst=dst, src_a=a, src_b=b, label=label)
-
-
-def tile_spgemm_u(
-    dst: RegisterRef,
-    a: RegisterRef,
-    b: RegisterRef,
-    label: str = "",
-    feed_overhead: int = -1,
-) -> Instruction:
-    """Build a 2:4 x 2:4 ``TILE_SPGEMM_U`` C += A x B (effective K = 64)."""
-    return Instruction(
-        Opcode.TILE_SPGEMM_U,
-        dst=dst,
-        src_a=a,
-        src_b=b,
-        label=label,
-        feed_overhead=feed_overhead,
-    )
-
-
-def tile_spgemm_v(
-    dst: RegisterRef,
-    a: RegisterRef,
-    b: RegisterRef,
-    label: str = "",
-    feed_overhead: int = -1,
-) -> Instruction:
-    """Build a 1:4 x 1:4 ``TILE_SPGEMM_V`` C += A x B (effective K = 128)."""
-    return Instruction(
-        Opcode.TILE_SPGEMM_V,
-        dst=dst,
-        src_a=a,
-        src_b=b,
-        label=label,
-        feed_overhead=feed_overhead,
-    )

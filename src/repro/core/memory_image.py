@@ -74,11 +74,6 @@ class ByteMemory:
             cursor += take
             view = view[take:]
 
-    @property
-    def resident_bytes(self) -> int:
-        """Bytes of backing storage currently allocated."""
-        return len(self._pages) * PAGE_BYTES
-
     # -- typed matrix helpers --------------------------------------------------
 
     def write_matrix(self, address: int, matrix: np.ndarray, dtype: DType) -> None:
@@ -101,16 +96,3 @@ class ByteMemory:
             return raw.view(np.float32).reshape(rows, cols).copy()
         widened = raw.view(np.uint16).astype(np.uint32) << 16
         return widened.view(np.float32).reshape(rows, cols).copy()
-
-
-def matrix_to_bf16_bytes(matrix: np.ndarray) -> bytes:
-    """Serialize a float matrix to packed BF16 bytes (row-major)."""
-    rounded = bf16_round(np.asarray(matrix, dtype=np.float32))
-    return (rounded.view(np.uint32) >> 16).astype(np.uint16).tobytes()
-
-
-def bf16_bytes_to_matrix(data: bytes, rows: int, cols: int) -> np.ndarray:
-    """Deserialize packed BF16 bytes into a float32 matrix."""
-    raw = np.frombuffer(data, dtype=np.uint16)[: rows * cols]
-    widened = raw.astype(np.uint32) << 16
-    return widened.view(np.float32).reshape(rows, cols).copy()

@@ -74,15 +74,6 @@ class TileComputeTiming:
         """End-to-end latency from WL start to completion."""
         return self.complete - self.wl_start
 
-    def stage_intervals(self) -> Dict[str, tuple]:
-        """Mapping of stage name to (start, end) — handy for Figure 10 plots."""
-        return {
-            "WL": (self.wl_start, self.wl_end),
-            "FF": (self.ff_start, self.ff_end),
-            "FS": (self.fs_start, self.fs_end),
-            "DR": (self.dr_start, self.dr_end),
-        }
-
 
 class MatrixEnginePipeline:
     """Schedules tile compute instructions onto one VEGETA engine.
@@ -109,10 +100,7 @@ class MatrixEnginePipeline:
         self._wl_free = self._ff_free = self._fs_free = self._dr_free = 0
         #: op id -> (ff_start, complete) of every producer a consumer may name.
         self._producers: Dict[int, Tuple[int, int]] = {}
-        self._timings: Dict[int, TileComputeTiming] = {}
-        self._completed: List[TileComputeTiming] = []
         self._makespan = 0
-        self._scheduled = 0
         # Stage latencies and forwarding rules as plain attributes: issue()
         # reads them once per simulated tile compute.
         self._wl_latency = timing.weight_load_latency
@@ -176,7 +164,6 @@ class MatrixEnginePipeline:
         self._fs_free = fs_end
         self._dr_free = dr_end
         self._producers[op_id] = (ff_start, complete)
-        self._scheduled += 1
         if complete > self._makespan:
             self._makespan = complete
         return complete
@@ -190,7 +177,7 @@ class MatrixEnginePipeline:
             op_id, request.operands_ready, request.accumulator_dep, request.feed_overhead
         )
         # The recurrence leaves each stage's clock at this instruction's end.
-        timing = TileComputeTiming(
+        return TileComputeTiming(
             op_id=op_id,
             wl_start=self._wl_free - self._wl_latency,
             wl_end=self._wl_free,
@@ -202,22 +189,12 @@ class MatrixEnginePipeline:
             dr_end=self._dr_free,
             complete=complete,
         )
-        self._timings[op_id] = timing
-        self._completed.append(timing)
-        return timing
 
     def schedule_all(
         self, requests: Sequence[TileComputeRequest]
     ) -> List[TileComputeTiming]:
         """Schedule a whole sequence of requests in program order."""
         return [self.schedule(request) for request in requests]
-
-    def timing_of(self, op_id: int) -> TileComputeTiming:
-        """Timing of an op previously scheduled through :meth:`schedule`."""
-        try:
-            return self._timings[op_id]
-        except KeyError as error:
-            raise SimulationError(f"op {op_id} has not been scheduled") from error
 
     def fast_forward(
         self, op_offset: int, cycle_offset: int, live_op_ids: Iterable[int]
@@ -245,9 +222,6 @@ class MatrixEnginePipeline:
                     producer[1] + cycle_offset,
                 )
         self._makespan += cycle_offset
-        # The skipped span scheduled op_offset instructions' worth of work;
-        # keep utilization()'s busy count consistent with the makespan.
-        self._scheduled += op_offset
 
     # -- shift-digest support -----------------------------------------------------
 
@@ -288,28 +262,9 @@ class MatrixEnginePipeline:
         return tuple(items)
 
     @property
-    def completed(self) -> List[TileComputeTiming]:
-        """Timings scheduled through :meth:`schedule`, in program order."""
-        return list(self._completed)
-
-    @property
     def makespan(self) -> int:
         """Cycle at which the last scheduled instruction completes."""
         return self._makespan
-
-    def utilization(self) -> float:
-        """Fraction of MAC-cycles doing useful work over the makespan.
-
-        Each tile instruction performs ``geometry.macs_per_tile_instruction``
-        effectual MACs on the engine's ``total_macs`` array — 8192 MACs on
-        512 units = 16 fully-busy cycles for every paper configuration;
-        utilisation is ``busy_cycles_per_instruction * instructions /
-        makespan``.
-        """
-        if not self._scheduled:
-            return 0.0
-        busy = self.timing.busy_cycles_per_instruction * self._scheduled
-        return busy / self.makespan if self.makespan else 0.0
 
 
 def steady_state_issue_interval(engine: EngineConfig, depth: int = 8) -> float:

@@ -207,12 +207,3 @@ class TileRegisterFile:
         """Zero every register."""
         self._tile_bytes[:] = 0
         self._metadata_bytes[:] = 0
-
-    def snapshot(self) -> dict:
-        """Copy of all register contents keyed by register name (for debugging)."""
-        state = {}
-        for index in range(self.geometry.num_tile_regs):
-            state[f"treg{index}"] = self.read_bytes(treg(index))
-        for index in range(self.geometry.num_metadata_regs):
-            state[f"mreg{index}"] = self.read_bytes(mreg(index))
-        return state

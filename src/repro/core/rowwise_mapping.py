@@ -63,27 +63,9 @@ class RowWiseGroup:
             raise SparsityError("a row-wise group cannot be empty")
 
     @property
-    def stored_values(self) -> int:
-        """Total compressed values held in the treg for this group."""
-        return sum(_STORED_PER_ROW[pattern] for pattern in self.row_patterns)
-
-    @property
     def output_rows(self) -> int:
         """HA — the number of output (and stored weight) rows of the group."""
         return len(self.row_indices)
-
-    @property
-    def occupied_columns(self) -> float:
-        """Ncols occupied by the group: N4:4 + N2:4/2 + N1:4/4."""
-        return sum(pattern.density for pattern in self.row_patterns)
-
-    @property
-    def pattern_counts(self) -> Dict[SparsityPattern, int]:
-        """Number of rows of each pattern in the group."""
-        counts = {pattern: 0 for pattern in _STORED_PER_ROW}
-        for pattern in self.row_patterns:
-            counts[pattern] += 1
-        return counts
 
 
 @dataclass(frozen=True)

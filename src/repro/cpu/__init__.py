@@ -20,13 +20,7 @@ Sub-modules:
 
 from .columnar import ColumnarTrace, TraceBuilder
 from .memory import MemorySystem
-from .multicore import (
-    MulticoreSimulationResult,
-    clear_simulation_memo,
-    simulate_multicore,
-    simulate_program_cached,
-    simulation_cache_key,
-)
+from .multicore import MulticoreSimulationResult, simulate_multicore
 from .params import (
     TOPOLOGY_PRESETS,
     CacheParams,
@@ -47,7 +41,7 @@ from .topology import (
     place_cores,
     resolve_traffic,
 )
-from .trace import TraceOp, TraceOpKind, TraceSummary, format_trace, format_trace_op
+from .trace import TraceOp, TraceOpKind, TraceSummary
 
 __all__ = [
     "CacheParams",
@@ -74,8 +68,6 @@ __all__ = [
     "get_topology",
     "place_cores",
     "resolve_traffic",
-    "format_trace",
-    "format_trace_op",
     "simulate_multicore",
     "simulate_shared",
 ]

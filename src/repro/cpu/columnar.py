@@ -179,12 +179,11 @@ def decode_register(code: int) -> Optional[RegisterRef]:
 class TraceBuilder:
     """The one trace encoder: appends rows, finishes into a :class:`ColumnarTrace`.
 
-    The emission methods mirror the :mod:`repro.core.isa` constructors, but
-    append a plain integer tuple instead of constructing
-    ``Instruction``/``TraceOp`` objects — building a trace this way is an
-    order of magnitude cheaper, and the objects are materialised later only
-    if something asks for them (the simulator never does).  An op the
-    columns cannot hold raises :class:`~repro.errors.SimulationError`, at
+    Each emission method appends a plain integer tuple instead of
+    constructing ``Instruction``/``TraceOp`` objects — building a trace this
+    way is an order of magnitude cheaper, and the objects are materialised
+    later only if something asks for them (the simulator never does).  An op
+    the columns cannot hold raises :class:`~repro.errors.SimulationError`, at
     emission or at :meth:`finish`.
     """
 
@@ -213,8 +212,8 @@ class TraceBuilder:
         """Append a tile load (``TILE_LOAD_T/U/V/M``)."""
         if address < 0:
             # A negative address would alias the "no memory operand" sentinel
-            # in every vectorised view; the isa constructors used to reject
-            # it at emission time, so keep that property.
+            # in every vectorised view; ``MemoryOperand`` rejects it too, so
+            # reject it at emission time.
             raise SimulationError(f"negative memory address {address}")
         self._rows.append(
             (
@@ -236,9 +235,6 @@ class TraceBuilder:
 
     def tile_load_u(self, dst: RegisterRef, address: int, label: str = "") -> None:
         self.tile_load(Opcode.TILE_LOAD_U, dst, address, label)
-
-    def tile_load_v(self, dst: RegisterRef, address: int, label: str = "") -> None:
-        self.tile_load(Opcode.TILE_LOAD_V, dst, address, label)
 
     def tile_load_m(self, dst: RegisterRef, address: int, label: str = "") -> None:
         self.tile_load(Opcode.TILE_LOAD_M, dst, address, label)

@@ -140,11 +140,6 @@ class MulticoreSimulationResult:
         return min(1.0, sum(self.dram_lines) / supply) if supply else 0.0
 
     @property
-    def numa_domains(self) -> int:
-        """Number of distinct leaf locality domains the cores were placed on."""
-        return len(set(self.placement.leaf_index))
-
-    @property
     def runtime_seconds(self) -> float:
         """Wall-clock makespan at the core frequency."""
         return self.core_cycles / (self.machine.core.frequency_ghz * 1e9)

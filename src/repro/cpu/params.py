@@ -46,11 +46,6 @@ class CacheParams:
         """Number of sets in the cache."""
         return self.capacity_bytes // (self.line_bytes * self.associativity)
 
-    @property
-    def num_lines(self) -> int:
-        """Total number of cache lines."""
-        return self.capacity_bytes // self.line_bytes
-
 
 @dataclass(frozen=True)
 class MemoryParams:

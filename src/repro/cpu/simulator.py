@@ -122,16 +122,6 @@ class SimulationResult:
             return 0.0
         return self.engine_busy_cycles / self.engine_makespan_cycles
 
-    @property
-    def instructions(self) -> int:
-        """Dynamic instruction count of the simulated trace."""
-        return self.trace_summary.total
-
-    @property
-    def ipc(self) -> float:
-        """Retired instructions per core cycle."""
-        return self.instructions / self.core_cycles if self.core_cycles else 0.0
-
 
 #: Record kinds of the decoded signatures (see :meth:`SimulatorState.decode`).
 _LOAD, _LOAD_M, _STORE, _COMPUTE, _VLOAD, _VSTORE, _VFMA, _SCALAR = range(8)

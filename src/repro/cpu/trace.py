@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..core.isa import Instruction
 from ..errors import SimulationError
@@ -66,13 +66,6 @@ class TraceOp:
         if self.kind in (TraceOpKind.VECTOR_LOAD, TraceOpKind.VECTOR_STORE):
             if self.address is None or self.nbytes <= 0:
                 raise SimulationError(f"{self.kind.value} needs an address and size")
-
-    @property
-    def is_memory(self) -> bool:
-        """True if the op accesses memory."""
-        if self.kind is TraceOpKind.TILE:
-            return self.tile.opcode.is_load or self.tile.opcode.is_store
-        return self.kind in (TraceOpKind.VECTOR_LOAD, TraceOpKind.VECTOR_STORE)
 
 
 def tile_op(instruction: Instruction, label: str = "") -> TraceOp:
@@ -137,60 +130,3 @@ class TraceSummary:
     branch: int = 0
     memory_bytes: int = 0
     by_opcode: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def vector_total(self) -> int:
-        """All vector-engine instructions."""
-        return self.vector_fma + self.vector_load + self.vector_store
-
-    @property
-    def tile_total(self) -> int:
-        """All VEGETA tile instructions."""
-        return self.tile_compute + self.tile_load + self.tile_store
-
-
-def format_trace_op(op: TraceOp) -> str:
-    """Render one trace op in the stable golden-trace text format.
-
-    The format is append-only by convention: the golden-trace regression
-    tests snapshot it verbatim, so changing existing fields (rather than
-    adding new ones at the end) is a deliberate, test-visible act.
-    """
-    if op.kind is TraceOpKind.TILE:
-        instruction = op.tile
-        fields = [f"TILE {instruction.opcode.value}"]
-        if instruction.dst is not None:
-            fields.append(f"dst={instruction.dst.name}")
-        if instruction.src_a is not None:
-            fields.append(f"a={instruction.src_a.name}")
-        if instruction.src_b is not None:
-            fields.append(f"b={instruction.src_b.name}")
-        if instruction.memory is not None:
-            fields.append(f"addr={instruction.memory.address:#x}")
-            fields.append(f"bytes={instruction.memory.nbytes}")
-        if op.label:
-            fields.append(f"label={op.label!r}")
-        if instruction.feed_overhead >= 0:
-            fields.append(f"feed={instruction.feed_overhead}")
-        return " ".join(fields)
-    fields = [op.kind.value.upper()]
-    if op.dst_reg is not None:
-        fields.append(f"dst=v{op.dst_reg}")
-    if op.src_regs:
-        fields.append("src=" + ",".join(f"v{reg}" for reg in op.src_regs))
-    if op.address is not None:
-        fields.append(f"addr={op.address:#x}")
-        fields.append(f"bytes={op.nbytes}")
-    if op.label:
-        fields.append(f"label={op.label!r}")
-    return " ".join(fields)
-
-
-def format_trace(trace: Iterable[TraceOp], limit: Optional[int] = None) -> str:
-    """Render a trace (or its first ``limit`` ops) one op per line."""
-    lines = []
-    for index, op in enumerate(trace):
-        if limit is not None and index >= limit:
-            break
-        lines.append(f"{index:4d}  {format_trace_op(op)}")
-    return "\n".join(lines)

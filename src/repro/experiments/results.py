@@ -100,12 +100,6 @@ class ResultTable:
         }
         return json.dumps(payload, indent=indent)
 
-    @classmethod
-    def from_json(cls, text: str) -> "ResultTable":
-        """Inverse of :meth:`to_json`."""
-        payload = json.loads(text)
-        return cls(payload["columns"], payload["rows"])
-
     def to_csv(self) -> str:
         """CSV with the table's declared columns as the header."""
         buffer = io.StringIO()

@@ -66,10 +66,6 @@ class Trial:
     index: int
     params: Mapping[str, Any] = field(default_factory=dict)
 
-    def canonical(self) -> str:
-        """Canonical JSON of the trial's identity (excluding the index)."""
-        return canonical_json({"experiment": self.experiment, "params": dict(self.params)})
-
 
 @dataclass
 class ExperimentSpec:

@@ -17,7 +17,7 @@ Sub-modules:
 """
 
 from .gemm import build_dense_gemm_kernel
-from .im2col import ConvShape, direct_convolution, im2col, weights_to_matrix
+from .im2col import ConvShape, im2col, weights_to_matrix
 from .memo import build_kernel
 from .program import KernelProgram
 from .sharding import (
@@ -40,10 +40,9 @@ from .validate import (
     reference_gemm,
     reference_spgemm,
     run_functional,
-    validate_kernel,
     validate_spgemm_kernel,
 )
-from .vector import build_vector_gemm_kernel, vector_instruction_estimate
+from .vector import build_vector_gemm_kernel
 
 __all__ = [
     "ConvShape",
@@ -61,7 +60,6 @@ __all__ = [
     "build_spgemm_kernel",
     "build_spmm_kernel",
     "build_vector_gemm_kernel",
-    "direct_convolution",
     "im2col",
     "partition_grid",
     "partition_kernel",
@@ -71,8 +69,6 @@ __all__ = [
     "shard_kernel",
     "spgemm_joint_pattern",
     "tile_k_for_pattern",
-    "validate_kernel",
     "validate_spgemm_kernel",
-    "vector_instruction_estimate",
     "weights_to_matrix",
 ]

@@ -132,13 +132,3 @@ def weights_to_matrix(weights: np.ndarray, conv: ConvShape) -> np.ndarray:
             f"weights of shape {weights.shape} do not match {expected}"
         )
     return weights.reshape(conv.out_channels, -1)
-
-
-def direct_convolution(
-    activations: np.ndarray, weights: np.ndarray, conv: ConvShape
-) -> np.ndarray:
-    """Reference direct convolution, output shape (K, P, Q)."""
-    columns = im2col(activations, conv)
-    matrix = weights_to_matrix(weights, conv)
-    output = matrix @ columns
-    return output.reshape(conv.out_channels, conv.out_height, conv.out_width)

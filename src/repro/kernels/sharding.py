@@ -99,15 +99,6 @@ class KernelPartition:
         return len(self.blocks)
 
     @property
-    def tiles(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
-        """The output tiles of each core's cells, cell by cell."""
-        row_tiles, col_tiles = _block_axes(self.kind, self.grid)
-        return tuple(
-            tuple((i, j) for row, col in cells for i in row_tiles[row] for j in col_tiles[col])
-            for cells in self.blocks
-        )
-
-    @property
     def tiles_per_core(self) -> Tuple[int, ...]:
         """Output tiles owned by each core (the static load balance)."""
         row_tiles, col_tiles = _block_axes(self.kind, self.grid)
@@ -115,11 +106,6 @@ class KernelPartition:
             sum(len(row_tiles[row]) * len(col_tiles[col]) for row, col in cells)
             for cells in self.blocks
         )
-
-    @property
-    def domain_count(self) -> int:
-        """Distinct leaf locality domains the cores were placed on."""
-        return len(set(self.domains)) if self.domains else 1
 
     def cell_totals(self, line_bytes: int) -> CellTotals:
         """Each core's tile computes, bytes and distinct ``line_bytes``

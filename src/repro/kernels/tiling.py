@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..core.rowwise_mapping import ROWWISE_EFFECTIVE_COLS
 from ..errors import KernelError
@@ -103,12 +103,6 @@ class TileGrid:
     def compute_instructions(self) -> int:
         """Total tile GEMM/SPMM instructions the kernel will issue."""
         return self.output_tiles * self.tiles_k
-
-    def iterate_output_tiles(self) -> Iterator[Tuple[int, int]]:
-        """Yield (i, j) tile coordinates of C in row-major order."""
-        for i in range(self.tiles_m):
-            for j in range(self.tiles_n):
-                yield i, j
 
     def describe(self) -> dict:
         """Human-readable summary used by examples and benchmarks."""

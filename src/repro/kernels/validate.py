@@ -26,9 +26,7 @@ def run_functional(program: KernelProgram) -> np.ndarray:
     machine = FunctionalMachine(program.memory, geometry=program.trace.geometry)
     for address, patterns in program.rowwise_patterns.items():
         machine.register_rowwise_patterns(address, patterns)
-    for op in program.trace.ops():
-        if op.tile is not None:
-            machine.step(op.tile)
+    machine.execute(op.tile for op in program.trace.ops() if op.tile is not None)
     return program.read_result()
 
 
@@ -68,30 +66,10 @@ def validate_spgemm_kernel(
 ) -> Tuple[bool, float]:
     """Run a SpGEMM kernel and compare it with the sparse reference product.
 
-    Returns (matches, max_abs_error), like :func:`validate_kernel`.
+    Returns (matches, max_abs_error).
     """
     result = run_functional(program)
     reference = reference_spgemm(a, b)
-    error = float(np.max(np.abs(result - reference))) if reference.size else 0.0
-    matches = bool(np.allclose(result, reference, rtol=rtol, atol=atol))
-    return matches, error
-
-
-def validate_kernel(
-    program: KernelProgram,
-    a: np.ndarray,
-    b: np.ndarray,
-    *,
-    rtol: float = 1e-3,
-    atol: float = 1e-3,
-) -> Tuple[bool, float]:
-    """Run a kernel and compare it with the reference GEMM.
-
-    Returns (matches, max_abs_error).  Tolerances account for the different
-    accumulation orders of the systolic execution and numpy's dot product.
-    """
-    result = run_functional(program)
-    reference = reference_gemm(a, b)
     error = float(np.max(np.abs(result - reference))) if reference.size else 0.0
     matches = bool(np.allclose(result, reference, rtol=rtol, atol=atol))
     return matches, error

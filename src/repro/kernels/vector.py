@@ -126,26 +126,3 @@ def build_vector_gemm_kernel(
         simulated_fraction=simulated_fraction,
         label="vector-gemm",
     )
-
-
-def vector_instruction_estimate(shape: GemmShape, mr: int = DEFAULT_MR) -> int:
-    """Closed-form dynamic instruction count of the vector kernel.
-
-    Used by the instruction-count model so Figure 4 can be produced without
-    materialising enormous traces.
-    """
-    def round_up(value: int, multiple: int) -> int:
-        return ((value + multiple - 1) // multiple) * multiple
-
-    padded_n = round_up(shape.n, VECTOR_ELEMENTS)
-    padded_k = round_up(shape.k, VECTOR_ELEMENTS)
-    padded_m = round_up(shape.m, mr)
-    n_blocks = padded_n // VECTOR_ELEMENTS
-    row_blocks = padded_m // mr
-    per_block = (
-        5  # block loop overhead
-        + mr  # C loads
-        + padded_k * (1 + mr + 2)  # B load, embedded-broadcast FMAs, k-loop overhead
-        + mr  # C stores
-    )
-    return row_blocks * n_blocks * per_block

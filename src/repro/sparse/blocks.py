@@ -96,16 +96,3 @@ def tile_pattern(matrix: np.ndarray) -> SparsityPattern:
     the whole tile.
     """
     return SparsityPattern.covering(int(block_nnz(matrix).max(initial=0)))
-
-
-def density(matrix: np.ndarray) -> float:
-    """Fraction of non-zero elements in the matrix."""
-    matrix = np.asarray(matrix)
-    if matrix.size == 0:
-        raise SparsityError("cannot compute density of an empty matrix")
-    return float(np.count_nonzero(matrix)) / matrix.size
-
-
-def sparsity_degree(matrix: np.ndarray) -> float:
-    """Fraction of zero elements in the matrix (the paper's 'sparsity degree')."""
-    return 1.0 - density(matrix)

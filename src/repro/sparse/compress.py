@@ -67,16 +67,6 @@ class CompressedTile:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "indices", indices)
 
-    @property
-    def stored_shape(self) -> TileShape:
-        """Shape of the stored (compressed) value array."""
-        return TileShape(rows=self.values.shape[0], cols=self.values.shape[1])
-
-    @property
-    def nnz_per_block(self) -> int:
-        """Stored entries per block of 4 effective elements (the pattern's N)."""
-        return self.pattern.n
-
     def metadata_bytes(self) -> bytes:
         """Pack the positional indices into the mreg byte layout."""
         return metadata_mod.pack_indices(self.indices)
@@ -159,36 +149,3 @@ def compress(matrix: np.ndarray, pattern: SparsityPattern) -> CompressedTile:
         pattern=pattern,
         effective_shape=TileShape(rows=rows, cols=cols),
     )
-
-
-def decompress(tile: CompressedTile) -> np.ndarray:
-    """Functional alias for :meth:`CompressedTile.decompress`."""
-    return tile.decompress()
-
-
-def compressed_nbytes(tile: CompressedTile, element_bytes: int = 2) -> int:
-    """Bytes needed to store the compressed values plus metadata.
-
-    ``element_bytes`` defaults to 2 (BF16 weights).  Metadata costs 2 bits per
-    stored value.
-    """
-    stored = tile.values.size
-    return stored * element_bytes + stored * 2 // 8
-
-
-def dense_nbytes(tile: CompressedTile, element_bytes: int = 2) -> int:
-    """Bytes needed to store the effective tile densely."""
-    return tile.effective_shape.size * element_bytes
-
-
-def roundtrip_equal(matrix: np.ndarray, pattern: SparsityPattern) -> bool:
-    """Check that compression followed by decompression is lossless."""
-    tile = compress(matrix, pattern)
-    return bool(np.array_equal(tile.decompress(), np.asarray(matrix, np.float32)))
-
-
-def from_dense_auto(matrix: np.ndarray) -> CompressedTile:
-    """Compress with the tightest fixed pattern the matrix satisfies."""
-    from .blocks import tile_pattern
-
-    return compress(matrix, tile_pattern(matrix))

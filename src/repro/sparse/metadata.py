@@ -16,7 +16,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import CompressionError
-from ..types import BLOCK_SIZE_M, DEFAULT_GEOMETRY, METADATA_BITS_PER_NNZ
+from ..types import BLOCK_SIZE_M, METADATA_BITS_PER_NNZ
+
+
+def _check_whole_bytes(nnz_per_row: int) -> None:
+    if (nnz_per_row * METADATA_BITS_PER_NNZ) % 8 != 0:
+        raise CompressionError(
+            f"{nnz_per_row} indices per row do not pack into whole bytes"
+        )
 
 
 def pack_indices(indices: np.ndarray) -> bytes:
@@ -35,10 +42,7 @@ def pack_indices(indices: np.ndarray) -> bytes:
             f"got range [{indices.min()}, {indices.max()}]"
         )
     rows, nnz_per_row = indices.shape
-    if (nnz_per_row * METADATA_BITS_PER_NNZ) % 8 != 0:
-        raise CompressionError(
-            f"{nnz_per_row} indices per row do not pack into whole bytes"
-        )
+    _check_whole_bytes(nnz_per_row)
     packed = bytearray()
     for row in range(rows):
         value = 0
@@ -55,6 +59,7 @@ def unpack_indices(data: bytes, rows: int, nnz_per_row: int) -> np.ndarray:
 
     Returns an ``(rows, nnz_per_row)`` int array of block positions.
     """
+    _check_whole_bytes(nnz_per_row)
     bytes_per_row = nnz_per_row * METADATA_BITS_PER_NNZ // 8
     expected = rows * bytes_per_row
     if len(data) < expected:
@@ -70,46 +75,3 @@ def unpack_indices(data: bytes, rows: int, nnz_per_row: int) -> np.ndarray:
                 value >> (METADATA_BITS_PER_NNZ * position)
             ) & (BLOCK_SIZE_M - 1)
     return indices
-
-
-def metadata_nbytes(
-    rows: int = DEFAULT_GEOMETRY.rows, nnz_per_row: int = DEFAULT_GEOMETRY.bf16_cols
-) -> int:
-    """Size in bytes of the metadata for a compressed tile.
-
-    The default arguments describe a full tile register (16 rows of 32 stored
-    non-zeros), which is exactly one 128-byte metadata register.
-    """
-    return rows * nnz_per_row * METADATA_BITS_PER_NNZ // 8
-
-
-def validate_mreg_size(data: bytes) -> None:
-    """Check that a metadata buffer fits in a single metadata register."""
-    capacity = DEFAULT_GEOMETRY.metadata_reg_bytes
-    if len(data) > capacity:
-        raise CompressionError(
-            f"metadata of {len(data)} bytes exceeds the {capacity}-byte mreg"
-        )
-
-
-def indices_are_sorted_within_blocks(
-    indices: np.ndarray, nnz_per_block: int
-) -> bool:
-    """Check that the stored indices of each block are strictly increasing.
-
-    The compression of Figure 2 stores the non-zeros of a block in their
-    original order, so their positional indices must be strictly increasing
-    within each group of ``nnz_per_block`` entries.
-    """
-    indices = np.asarray(indices)
-    if indices.ndim != 2:
-        raise CompressionError(f"expected 2-D index array, got ndim={indices.ndim}")
-    if nnz_per_block <= 1:
-        return True
-    rows, nnz_per_row = indices.shape
-    if nnz_per_row % nnz_per_block != 0:
-        raise CompressionError(
-            f"{nnz_per_row} indices per row do not divide into blocks of {nnz_per_block}"
-        )
-    grouped = indices.reshape(rows, nnz_per_row // nnz_per_block, nnz_per_block)
-    return bool(np.all(np.diff(grouped, axis=2) > 0))

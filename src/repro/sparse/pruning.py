@@ -9,14 +9,12 @@ sparsity literature the paper cites ([52], [55]):
 * :func:`prune_nm` — keep the N largest-magnitude entries of every block of
   M elements (produces layer-/tile-wise N:M sparsity),
 * :func:`prune_unstructured` — keep the globally largest entries to reach a
-  target sparsity degree (produces unstructured sparsity),
-* :func:`prune_rowwise` — give every row its own N:4 pattern drawn from the
-  supported set, used to generate intrinsically row-wise sparse workloads.
+  target sparsity degree (produces unstructured sparsity).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -57,7 +55,9 @@ def prune_to_pattern(
 ) -> np.ndarray:
     """Prune to one of the fixed hardware-supported patterns (1:4/2:4/4:4)."""
     if pattern is SparsityPattern.ROW_WISE:
-        raise SparsityError("use prune_rowwise for row-wise pruning")
+        raise SparsityError(
+            "row-wise sparsity comes from transform_unstructured, not pruning"
+        )
     if pattern is SparsityPattern.DENSE_4_4:
         return np.asarray(matrix, dtype=np.float32).copy()
     return prune_nm(matrix, pattern.n, pattern.m)
@@ -94,56 +94,3 @@ def prune_unstructured(
     pruned = matrix.copy().ravel()
     pruned[order[:n_zero]] = 0.0
     return pruned.reshape(matrix.shape)
-
-
-def prune_rowwise(
-    matrix: np.ndarray,
-    row_patterns: Sequence[SparsityPattern],
-) -> np.ndarray:
-    """Prune each row to its own N:4 pattern.
-
-    ``row_patterns`` must have one entry per matrix row; rows marked 4:4 are
-    left dense.
-    """
-    matrix = np.asarray(matrix, dtype=np.float32)
-    if matrix.ndim != 2:
-        raise SparsityError(f"expected a 2-D matrix, got ndim={matrix.ndim}")
-    if len(row_patterns) != matrix.shape[0]:
-        raise SparsityError(
-            f"need {matrix.shape[0]} row patterns, got {len(row_patterns)}"
-        )
-    pruned = matrix.copy()
-    for row, pattern in enumerate(row_patterns):
-        if pattern is SparsityPattern.ROW_WISE:
-            raise SparsityError("a single row cannot be 'row-wise'")
-        if pattern is SparsityPattern.DENSE_4_4:
-            continue
-        pruned[row : row + 1] = prune_nm(matrix[row : row + 1], pattern.n)
-    return pruned
-
-
-def random_rowwise_patterns(
-    rows: int,
-    *,
-    rng: np.random.Generator,
-    weights: Optional[Sequence[float]] = None,
-) -> list:
-    """Draw a random supported N:4 pattern for each row.
-
-    ``weights`` gives the selection probability of (1:4, 2:4, 4:4); the
-    default is uniform.
-    """
-    choices = [
-        SparsityPattern.SPARSE_1_4,
-        SparsityPattern.SPARSE_2_4,
-        SparsityPattern.DENSE_4_4,
-    ]
-    if weights is None:
-        probabilities = np.full(3, 1.0 / 3.0)
-    else:
-        probabilities = np.asarray(weights, dtype=np.float64)
-        if probabilities.shape != (3,) or probabilities.sum() <= 0:
-            raise SparsityError("weights must be 3 non-negative values")
-        probabilities = probabilities / probabilities.sum()
-    drawn = rng.choice(3, size=rows, p=probabilities)
-    return [choices[index] for index in drawn]

@@ -84,11 +84,6 @@ class RowWiseTile:
                 )
 
     @property
-    def stored_elements(self) -> int:
-        """Total number of stored (compressed) values across all rows."""
-        return sum(values.size for values in self.row_values)
-
-    @property
     def pattern_counts(self) -> Dict[SparsityPattern, int]:
         """Number of rows using each pattern (N4:4, N2:4, N1:4 of Section V-E)."""
         counts = {pattern: 0 for pattern in _PATTERN_ORDER}
@@ -115,10 +110,6 @@ class RowWiseTile:
                     if value != 0.0:
                         dense[row, base + int(indices[stored])] = value
         return dense
-
-    def row_pattern_metadata_bytes(self) -> int:
-        """Bytes of extra metadata recording each row's pattern (2 bits/row)."""
-        return (self.effective_shape.rows * 2 + 7) // 8
 
 
 def transform_unstructured(matrix: np.ndarray) -> RowWiseTile:

@@ -9,11 +9,10 @@ from .generator import (
     generate_unstructured,
     scaled_problem,
 )
-from .layers import TABLE_IV_MACS, WorkloadLayer, all_layers, get_layer, layers_by_model
+from .layers import TABLE_IV_MACS, WorkloadLayer, all_layers, get_layer
 from .sweeps import (
     FIGURE13_PATTERNS,
     FIGURE15_SPARSITY_DEGREES,
-    FIGURE4_GEMM_SIZES,
     SPGEMM_SWEEP_PATTERNS,
 )
 
@@ -21,7 +20,6 @@ __all__ = [
     "DualSparseOperands",
     "FIGURE13_PATTERNS",
     "FIGURE15_SPARSITY_DEGREES",
-    "FIGURE4_GEMM_SIZES",
     "GeneratedOperands",
     "SPGEMM_SWEEP_PATTERNS",
     "TABLE_IV_MACS",
@@ -32,6 +30,5 @@ __all__ = [
     "generate_structured",
     "generate_unstructured",
     "get_layer",
-    "layers_by_model",
     "scaled_problem",
 ]

@@ -36,11 +36,6 @@ class WorkloadLayer:
         """Multiply-accumulate operations of the layer (Table IV column)."""
         return self.gemm.macs
 
-    @property
-    def is_convolution(self) -> bool:
-        """True for the im2col-lowered ResNet layers."""
-        return self.conv is not None
-
     def describe(self) -> Dict[str, object]:
         """Row of Table IV for this layer."""
         row: Dict[str, object] = {
@@ -136,11 +131,3 @@ def get_layer(name: str) -> WorkloadLayer:
     raise WorkloadError(
         f"unknown layer {name!r}; known layers: {', '.join(l.name for l in _LAYERS)}"
     )
-
-
-def layers_by_model(model: str) -> List[WorkloadLayer]:
-    """All layers belonging to one model family (ResNet50 / BERT / GPT-3)."""
-    matches = [layer for layer in _LAYERS if layer.model.lower() == model.lower()]
-    if not matches:
-        raise WorkloadError(f"no layers for model {model!r}")
-    return matches

@@ -23,9 +23,6 @@ FIGURE13_PATTERNS: Tuple[SparsityPattern, ...] = (
 #: The sparsity degrees swept in Figure 15 (percent).
 FIGURE15_SPARSITY_DEGREES: Tuple[float, ...] = (0.60, 0.65, 0.70, 0.75, 0.80, 0.85, 0.90, 0.95)
 
-#: GEMM dimension sizes swept in Figure 4.
-FIGURE4_GEMM_SIZES: Tuple[int, ...] = (32, 64, 128)
-
 #: Operand patterns swept by the SpGEMM (sparse x sparse) experiment.
 SPGEMM_SWEEP_PATTERNS: Tuple[SparsityPattern, ...] = (
     SparsityPattern.SPARSE_2_4,

@@ -50,5 +50,6 @@ class TestGranularityVsMapping:
         # Column shares: the packing plan's average occupancy corresponds to
         # 1/analytical-speedup per covered row (up to the plan's group
         # quantisation, hence the loose tolerance).
-        occupancy = sum(group.occupied_columns for group in plan.groups) / len(patterns)
+        covered = [p for group in plan.groups for p in group.row_patterns]
+        occupancy = sum(p.density for p in covered) / len(patterns)
         assert occupancy == pytest.approx(1.0 / analytical, rel=0.25)

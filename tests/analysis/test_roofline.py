@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis.roofline import (
     FIGURE3_ENGINES,
-    crossover_density,
     effective_throughput_tflops,
     layer_bytes,
 )
@@ -87,11 +86,3 @@ class TestFigure3Series:
             dense = table.where(engine=dense_key).rows
             for sparse_row, dense_row in zip(sparse, dense):
                 assert sparse_row["effective_tflops"] >= dense_row["effective_tflops"]
-
-
-class TestCrossover:
-    def test_sparse_matrix_beats_dense_below_full_density(self):
-        density = crossover_density(
-            FIGURE3_ENGINES["sparse_matrix"], FIGURE3_ENGINES["dense_matrix"]
-        )
-        assert 0.5 <= density < 1.0

@@ -28,7 +28,7 @@ class TestResolveEngine:
 
     def test_stc_like(self):
         engine = resolve_engine("STC-like")
-        assert engine.sparse and not engine.supports_rowwise
+        assert engine.sparse and SparsityPattern.SPARSE_1_4 not in engine.supported_patterns
 
     def test_all_figure13_names_resolve(self):
         for name in FIGURE13_ENGINE_NAMES:
@@ -38,7 +38,7 @@ class TestResolveEngine:
         for spelling in ("stc-like", "STC-LIKE", "Stc-Like"):
             engine = resolve_engine(spelling)
             assert engine.name == "STC-like"
-            assert engine.sparse and not engine.supports_rowwise
+            assert engine.sparse and SparsityPattern.SPARSE_1_4 not in engine.supported_patterns
 
     def test_of_suffix_is_case_insensitive(self):
         for spelling in ("VEGETA-S-16-2+of", "vegeta-s-16-2+OF", "vegeta-s-16-2+of"):

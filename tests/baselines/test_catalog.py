@@ -1,15 +1,6 @@
 """Tests for the prior-work baselines and Table I."""
 
-import pytest
-
-from repro.baselines.catalog import (
-    TABLE_I,
-    best_vegeta_engine,
-    prior_work_engine,
-    sota_dense_engine,
-    table1,
-)
-from repro.errors import ConfigurationError
+from repro.baselines.catalog import TABLE_I, table1
 from repro.types import SparsityGranularity
 
 
@@ -35,30 +26,3 @@ class TestTableI:
         rows = table1()
         for earlier, later in zip(rows, rows[1:]):
             assert earlier.supported <= later.supported
-
-
-class TestPriorWorkEngines:
-    def test_rasa_sm_maps_to_d_1_1(self):
-        assert prior_work_engine("RASA-SM").name == "VEGETA-D-1-1"
-
-    def test_rasa_dm_maps_to_d_1_2(self):
-        assert prior_work_engine("RASA-DM").name == "VEGETA-D-1-2"
-
-    def test_tmul_maps_to_d_16_1(self):
-        assert prior_work_engine("TMUL").name == "VEGETA-D-16-1"
-
-    def test_stc_is_sparse_but_2_4_only(self):
-        engine = prior_work_engine("STC")
-        assert engine.sparse and not engine.supports_rowwise
-
-    def test_unknown_rejected(self):
-        with pytest.raises(ConfigurationError):
-            prior_work_engine("TPU")
-
-    def test_sota_dense_is_rasa_dm(self):
-        assert sota_dense_engine().name == "VEGETA-D-1-2"
-
-    def test_best_vegeta_engine_has_forwarding_by_default(self):
-        engine = best_vegeta_engine()
-        assert engine.output_forwarding and engine.alpha == 16
-        assert not best_vegeta_engine(output_forwarding=False).output_forwarding

@@ -61,10 +61,8 @@ class TestTableIII:
         for engine in catalog().values():
             if engine.sparse:
                 assert engine.supported_patterns == ALL_NM_PATTERNS
-                assert engine.supports_rowwise
             else:
                 assert engine.supported_patterns == frozenset({SparsityPattern.DENSE_4_4})
-                assert not engine.supports_rowwise
 
 
 class TestLatencies:
@@ -97,7 +95,7 @@ class TestCapabilities:
         engine = stc_like_engine()
         assert engine.executable_pattern(SparsityPattern.SPARSE_1_4) is SparsityPattern.SPARSE_2_4
         assert engine.executable_pattern(SparsityPattern.SPARSE_2_4) is SparsityPattern.SPARSE_2_4
-        assert not engine.supports_rowwise
+        assert SparsityPattern.SPARSE_1_4 not in engine.supported_patterns
 
     def test_full_sparse_engine_runs_patterns_natively(self):
         engine = get_engine("VEGETA-S-2-2")

@@ -3,14 +3,36 @@
 import numpy as np
 import pytest
 
-from repro.core import isa
-from repro.core.functional import FunctionalMachine, run_program
+from instructions import (
+    tile_gemm,
+    tile_load_m,
+    tile_load_t,
+    tile_load_u,
+    tile_load_v,
+    tile_spgemm_u,
+    tile_spgemm_v,
+    tile_spmm_r,
+    tile_spmm_u,
+    tile_spmm_v,
+    tile_store_t,
+)
+
+from repro.core.functional import FunctionalMachine
 from repro.core.memory_image import ByteMemory
 from repro.core.registers import mreg, treg, ureg, vreg
 from repro.errors import ExecutionError
 from repro.sparse.compress import compress
 from repro.sparse.pruning import prune_to_pattern
 from repro.types import DType, SparsityPattern, bf16_round
+
+
+def run_program(instructions, memory, rowwise_patterns=None):
+    """Execute ``instructions`` on a fresh machine over ``memory``; return it."""
+    machine = FunctionalMachine(memory)
+    for address, patterns in (rowwise_patterns or {}).items():
+        machine.register_rowwise_patterns(address, patterns)
+    machine.execute(instructions)
+    return machine
 
 
 def _reference(a, b):
@@ -29,13 +51,13 @@ class TestLoadsAndStores:
         memory.write(0x1000, payload)
         machine = FunctionalMachine(memory)
         machine.execute(
-            [isa.tile_load_t(treg(0), 0x1000), isa.tile_store_t(0x9000, treg(0))]
+            [tile_load_t(treg(0), 0x1000), tile_store_t(0x9000, treg(0))]
         )
         assert memory.read(0x9000, 1024) == payload
 
     def test_stats_count_loads_and_bytes(self):
         machine = FunctionalMachine()
-        machine.execute([isa.tile_load_u(ureg(0), 0x0), isa.tile_load_m(mreg(0), 0x4000)])
+        machine.execute([tile_load_u(ureg(0), 0x0), tile_load_m(mreg(0), 0x4000)])
         assert machine.stats.loads == 2
         assert machine.stats.bytes_loaded == 2048 + 128
 
@@ -43,7 +65,7 @@ class TestLoadsAndStores:
         memory = ByteMemory()
         memory.write(0, bytes(rng.integers(0, 255, 4096, dtype=np.uint8)))
         machine = FunctionalMachine(memory)
-        machine.execute([isa.tile_load_v(vreg(1), 0)])
+        machine.execute([tile_load_v(vreg(1), 0)])
         assert machine.registers.read_bytes(treg(7)) == memory.read(3072, 1024)
 
 
@@ -55,10 +77,10 @@ class TestTileGemm:
         memory.write_matrix(0x1000, a, DType.BF16)
         _write_bt(memory, 0x2000, b)
         program = [
-            isa.tile_load_t(treg(1), 0x1000),
-            isa.tile_load_t(treg(2), 0x2000),
-            isa.tile_gemm(treg(0), treg(1), treg(2)),
-            isa.tile_store_t(0x3000, treg(0)),
+            tile_load_t(treg(1), 0x1000),
+            tile_load_t(treg(2), 0x2000),
+            tile_gemm(treg(0), treg(1), treg(2)),
+            tile_store_t(0x3000, treg(0)),
         ]
         machine = run_program(program, memory)
         result = memory.read_matrix(0x3000, 16, 16, DType.FP32)
@@ -71,11 +93,11 @@ class TestTileGemm:
         memory.write_matrix(0x1000, a, DType.BF16)
         _write_bt(memory, 0x2000, b)
         program = [
-            isa.tile_load_t(treg(1), 0x1000),
-            isa.tile_load_t(treg(2), 0x2000),
-            isa.tile_gemm(treg(0), treg(1), treg(2)),
-            isa.tile_gemm(treg(0), treg(1), treg(2)),
-            isa.tile_store_t(0x3000, treg(0)),
+            tile_load_t(treg(1), 0x1000),
+            tile_load_t(treg(2), 0x2000),
+            tile_gemm(treg(0), treg(1), treg(2)),
+            tile_gemm(treg(0), treg(1), treg(2)),
+            tile_store_t(0x3000, treg(0)),
         ]
         machine = run_program(program, memory)
         result = memory.read_matrix(0x3000, 16, 16, DType.FP32)
@@ -83,7 +105,7 @@ class TestTileGemm:
 
     def test_mac_accounting(self, rng):
         machine = FunctionalMachine()
-        machine.execute([isa.tile_gemm(treg(0), treg(1), treg(2))])
+        machine.execute([tile_gemm(treg(0), treg(1), treg(2))])
         assert machine.stats.effectual_macs == 8192
 
 
@@ -104,17 +126,17 @@ class TestTileSpmm:
         memory.write(0x2000, tile.metadata_bytes())
         _write_bt(memory, 0x4000, b)
         if b_kind == "u":
-            load_b = isa.tile_load_u(ureg(2), 0x4000)
-            compute = isa.tile_spmm_u(treg(0), treg(1), ureg(2))
+            load_b = tile_load_u(ureg(2), 0x4000)
+            compute = tile_spmm_u(treg(0), treg(1), ureg(2))
         else:
-            load_b = isa.tile_load_v(vreg(1), 0x4000)
-            compute = isa.tile_spmm_v(treg(0), treg(1), vreg(1))
+            load_b = tile_load_v(vreg(1), 0x4000)
+            compute = tile_spmm_v(treg(0), treg(1), vreg(1))
         program = [
-            isa.tile_load_t(treg(1), 0x1000),
-            isa.tile_load_m(mreg(1), 0x2000),
+            tile_load_t(treg(1), 0x1000),
+            tile_load_m(mreg(1), 0x2000),
             load_b,
             compute,
-            isa.tile_store_t(0x8000, treg(0)),
+            tile_store_t(0x8000, treg(0)),
         ]
         machine = run_program(program, memory)
         result = memory.read_matrix(0x8000, 16, 16, DType.FP32)
@@ -122,17 +144,17 @@ class TestTileSpmm:
 
     def test_spmm_r_requires_registered_patterns(self):
         machine = FunctionalMachine()
-        machine.execute([isa.tile_load_t(treg(1), 0x0), isa.tile_load_u(ureg(2), 0x4000)])
+        machine.execute([tile_load_t(treg(1), 0x0), tile_load_u(ureg(2), 0x4000)])
         with pytest.raises(ExecutionError):
-            machine.step(isa.tile_spmm_r(ureg(0), treg(1), ureg(2)))
+            machine.step(tile_spmm_r(ureg(0), treg(1), ureg(2)))
 
 
 class TestTileSpgemm:
     @pytest.mark.parametrize(
         "pattern,k,compute",
         [
-            (SparsityPattern.SPARSE_2_4, 64, isa.tile_spgemm_u),
-            (SparsityPattern.SPARSE_1_4, 128, isa.tile_spgemm_v),
+            (SparsityPattern.SPARSE_2_4, 64, tile_spgemm_u),
+            (SparsityPattern.SPARSE_1_4, 128, tile_spgemm_v),
         ],
     )
     def test_matches_reference(self, rng, pattern, k, compute):
@@ -149,12 +171,12 @@ class TestTileSpgemm:
         memory.write_matrix(0x4000, b_tile.values, DType.BF16)
         memory.write(0x5000, b_tile.metadata_bytes())
         program = [
-            isa.tile_load_t(treg(1), 0x1000),
-            isa.tile_load_m(mreg(1), 0x2000),
-            isa.tile_load_t(treg(2), 0x4000),
-            isa.tile_load_m(mreg(2), 0x5000),
+            tile_load_t(treg(1), 0x1000),
+            tile_load_m(mreg(1), 0x2000),
+            tile_load_t(treg(2), 0x4000),
+            tile_load_m(mreg(2), 0x5000),
             compute(treg(0), treg(1), treg(2)),
-            isa.tile_store_t(0x8000, treg(0)),
+            tile_store_t(0x8000, treg(0)),
         ]
         run_program(program, memory)
         result = memory.read_matrix(0x8000, 16, 16, DType.FP32)
@@ -175,11 +197,11 @@ class TestTileSpgemm:
         memory.write(0x5000, b_tile.metadata_bytes())
         machine = run_program(
             [
-                isa.tile_load_t(treg(1), 0x1000),
-                isa.tile_load_m(mreg(1), 0x2000),
-                isa.tile_load_t(treg(2), 0x4000),
-                isa.tile_load_m(mreg(2), 0x5000),
-                isa.tile_spgemm_v(treg(0), treg(1), treg(2)),
+                tile_load_t(treg(1), 0x1000),
+                tile_load_m(mreg(1), 0x2000),
+                tile_load_t(treg(2), 0x4000),
+                tile_load_m(mreg(2), 0x5000),
+                tile_spgemm_v(treg(0), treg(1), treg(2)),
             ],
             memory,
         )
@@ -194,9 +216,9 @@ class TestStatsByOpcode:
         machine = FunctionalMachine()
         machine.execute(
             [
-                isa.tile_load_t(treg(0), 0),
-                isa.tile_load_t(treg(1), 1024),
-                isa.tile_gemm(treg(2), treg(0), treg(1)),
+                tile_load_t(treg(0), 0),
+                tile_load_t(treg(1), 1024),
+                tile_gemm(treg(2), treg(0), treg(1)),
             ]
         )
         assert machine.stats.by_opcode["TILE_LOAD_T"] == 2

@@ -2,8 +2,21 @@
 
 import pytest
 
-from repro.core import isa
-from repro.core.isa import Instruction, MemoryOperand, Opcode
+from instructions import (
+    tile_gemm,
+    tile_load_m,
+    tile_load_t,
+    tile_load_u,
+    tile_load_v,
+    tile_spgemm_u,
+    tile_spgemm_v,
+    tile_spmm_r,
+    tile_spmm_u,
+    tile_spmm_v,
+    tile_store_t,
+)
+
+from repro.core.isa import Instruction, MemoryOperand, Opcode, memory_bytes_for
 from repro.core.registers import mreg, treg, ureg, vreg
 from repro.errors import IsaError
 from repro.types import DEFAULT_GEOMETRY, TileGeometry
@@ -20,7 +33,7 @@ class TestOpcode:
 
     def test_memory_bytes(self):
         def transfer(opcode):
-            return isa.memory_bytes_for(opcode, DEFAULT_GEOMETRY)
+            return memory_bytes_for(opcode, DEFAULT_GEOMETRY)
 
         assert transfer(Opcode.TILE_LOAD_T) == 1024
         assert transfer(Opcode.TILE_LOAD_U) == 2048
@@ -31,17 +44,6 @@ class TestOpcode:
 
 
 class TestMemoryOperand:
-    def test_end(self):
-        assert MemoryOperand(0x1000, 1024).end == 0x1400
-
-    def test_cache_lines(self):
-        lines = MemoryOperand(0x1000, 128).cache_lines()
-        assert lines == (0x1000, 0x1040)
-
-    def test_unaligned_cache_lines(self):
-        lines = MemoryOperand(0x1030, 64).cache_lines()
-        assert lines == (0x1000, 0x1040)
-
     def test_rejects_negative_address(self):
         with pytest.raises(IsaError):
             MemoryOperand(-1, 64)
@@ -53,97 +55,90 @@ class TestMemoryOperand:
 
 class TestConstructors:
     def test_tile_load_t(self):
-        inst = isa.tile_load_t(treg(1), 0x1000)
+        inst = tile_load_t(treg(1), 0x1000)
         assert inst.opcode is Opcode.TILE_LOAD_T
         assert inst.dst == treg(1)
         assert inst.memory.nbytes == 1024
 
     def test_tile_load_v_needs_vreg(self):
         with pytest.raises(IsaError):
-            isa.tile_load_v(treg(0), 0x1000)
+            tile_load_v(treg(0), 0x1000)
 
     def test_tile_load_m(self):
-        inst = isa.tile_load_m(mreg(2), 0x2000)
+        inst = tile_load_m(mreg(2), 0x2000)
         assert inst.memory.nbytes == 128
 
     def test_instruction_carries_the_geometry_it_was_validated_against(self):
         renamed = TileGeometry(name="renamed")
-        assert isa.tile_load_t(treg(1), 0x1000).geometry is DEFAULT_GEOMETRY
-        assert isa.tile_gemm(treg(0), treg(1), treg(2)).geometry is DEFAULT_GEOMETRY
-        assert isa.tile_store_t(0x3000, treg(4), geometry=renamed).geometry is renamed
+        assert tile_load_t(treg(1), 0x1000).geometry is DEFAULT_GEOMETRY
+        assert tile_gemm(treg(0), treg(1), treg(2)).geometry is DEFAULT_GEOMETRY
+        assert tile_store_t(0x3000, treg(4), geometry=renamed).geometry is renamed
         inst = Instruction(
             Opcode.TILE_LOAD_M, dst=mreg(2), memory=MemoryOperand(0x2000, 128), geometry=renamed
         )
         assert inst.geometry is renamed
 
     def test_tile_store(self):
-        inst = isa.tile_store_t(0x3000, treg(4))
+        inst = tile_store_t(0x3000, treg(4))
         assert inst.opcode.is_store
-        assert inst.reads() == (treg(4),)
-        assert inst.writes() == ()
+        assert inst.src_a == treg(4) and inst.dst is None
 
     def test_tile_gemm_operand_kinds(self):
-        inst = isa.tile_gemm(treg(0), treg(1), treg(2))
+        inst = tile_gemm(treg(0), treg(1), treg(2))
         assert inst.dst == treg(0)
         with pytest.raises(IsaError):
-            isa.tile_gemm(treg(0), treg(1), ureg(0))
+            tile_gemm(treg(0), treg(1), ureg(0))
 
     def test_tile_spmm_u_signature(self):
-        inst = isa.tile_spmm_u(treg(0), treg(3), ureg(2))
+        inst = tile_spmm_u(treg(0), treg(3), ureg(2))
         assert inst.src_b == ureg(2)
         with pytest.raises(IsaError):
-            isa.tile_spmm_u(treg(0), treg(3), treg(2))
+            tile_spmm_u(treg(0), treg(3), treg(2))
 
     def test_tile_spmm_v_signature(self):
-        inst = isa.tile_spmm_v(treg(0), treg(2), vreg(1))
+        inst = tile_spmm_v(treg(0), treg(2), vreg(1))
         assert inst.src_b == vreg(1)
 
     def test_tile_spmm_r_signature(self):
-        inst = isa.tile_spmm_r(ureg(0), treg(2), ureg(2))
+        inst = tile_spmm_r(ureg(0), treg(2), ureg(2))
         assert inst.dst == ureg(0)
         with pytest.raises(IsaError):
-            isa.tile_spmm_r(treg(0), treg(2), ureg(2))
+            tile_spmm_r(treg(0), treg(2), ureg(2))
 
     def test_tile_spgemm_signatures_are_all_tregs(self):
-        inst = isa.tile_spgemm_u(treg(0), treg(2), treg(4))
+        inst = tile_spgemm_u(treg(0), treg(2), treg(4))
         assert inst.src_b == treg(4)
         with pytest.raises(IsaError):
-            isa.tile_spgemm_u(treg(0), treg(2), ureg(2))
+            tile_spgemm_u(treg(0), treg(2), ureg(2))
         with pytest.raises(IsaError):
-            isa.tile_spgemm_v(treg(0), treg(2), vreg(1))
+            tile_spgemm_v(treg(0), treg(2), vreg(1))
 
 
 class TestDependenceInfo:
     def test_implicit_metadata_pairs_with_a_register(self):
-        inst = isa.tile_spmm_u(treg(0), treg(3), ureg(2))
+        inst = tile_spmm_u(treg(0), treg(3), ureg(2))
         assert inst.implicit_metadata == mreg(3)
 
     def test_dense_gemm_has_no_metadata(self):
-        assert isa.tile_gemm(treg(0), treg(1), treg(2)).implicit_metadata is None
-
-    def test_compute_reads_accumulator(self):
-        inst = isa.tile_gemm(treg(0), treg(1), treg(2))
-        assert treg(0) in inst.reads()
-        assert inst.writes() == (treg(0),)
+        assert tile_gemm(treg(0), treg(1), treg(2)).implicit_metadata is None
 
     def test_backing_treg_sets(self):
-        inst = isa.tile_spmm_v(treg(0), treg(2), vreg(1))
-        assert inst.reads_tregs() == (0, 2, 4, 5, 6, 7)
-        assert inst.writes_tregs() == (0,)
+        inst = tile_spmm_v(treg(0), treg(2), vreg(1))
+        assert inst.src_b.backing_tregs() == (4, 5, 6, 7)
+        assert inst.implicit_metadata == mreg(2)
 
     def test_load_writes_no_reads(self):
-        inst = isa.tile_load_u(ureg(1), 0x8000)
-        assert inst.reads() == ()
-        assert inst.writes_tregs() == (2, 3)
+        inst = tile_load_u(ureg(1), 0x8000)
+        assert inst.src_a is None and inst.src_b is None
+        assert inst.dst.backing_tregs() == (2, 3)
 
     def test_spgemm_carries_two_implicit_metadata_registers(self):
-        inst = isa.tile_spgemm_u(treg(0), treg(2), treg(4))
+        inst = tile_spgemm_u(treg(0), treg(2), treg(4))
         assert inst.implicit_metadata == mreg(2)
         assert inst.implicit_metadata_b == mreg(4)
-        assert mreg(2) in inst.reads() and mreg(4) in inst.reads()
 
     def test_spmm_has_no_b_metadata(self):
-        assert isa.tile_spmm_u(treg(0), treg(3), ureg(2)).implicit_metadata_b is None
+        assert tile_spmm_u(treg(0), treg(3), ureg(2)).implicit_metadata_b is None
 
     def test_spgemm_classification(self):
         assert Opcode.TILE_SPGEMM_U.is_compute
@@ -186,13 +181,13 @@ class TestValidation:
 
 class TestAssembly:
     def test_load_rendering(self):
-        text = isa.tile_load_t(treg(1), 0x1000).to_assembly()
+        text = tile_load_t(treg(1), 0x1000).to_assembly()
         assert "TILE_LOAD_T" in text and "treg1" in text and "0x1000" in text
 
     def test_compute_rendering(self):
-        text = isa.tile_spmm_u(treg(0), treg(3), ureg(2)).to_assembly()
+        text = tile_spmm_u(treg(0), treg(3), ureg(2)).to_assembly()
         assert text == "TILE_SPMM_U treg0, treg3, ureg2"
 
     def test_store_rendering(self):
-        text = isa.tile_store_t(0x2000, treg(5)).to_assembly()
+        text = tile_store_t(0x2000, treg(5)).to_assembly()
         assert text.startswith("TILE_STORE_T [0x2000]")

@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.memory_image import (
-    ByteMemory,
-    bf16_bytes_to_matrix,
-    matrix_to_bf16_bytes,
-)
+from repro.core.memory_image import ByteMemory
 from repro.errors import ExecutionError
 from repro.types import DType
 
@@ -42,14 +38,6 @@ class TestByteMemory:
         with pytest.raises(ExecutionError):
             ByteMemory().write(-4, b"data")
 
-    def test_resident_bytes_grow_with_pages(self):
-        memory = ByteMemory()
-        assert memory.resident_bytes == 0
-        memory.write(0, b"\x00")
-        assert memory.resident_bytes == 4096
-        memory.write(10 * 4096, b"\x00")
-        assert memory.resident_bytes == 2 * 4096
-
     def test_fp32_matrix_roundtrip(self, rng):
         memory = ByteMemory()
         matrix = rng.standard_normal((8, 16)).astype(np.float32)
@@ -65,8 +53,8 @@ class TestByteMemory:
 
 class TestBf16Serialization:
     def test_roundtrip(self, rng):
+        memory = ByteMemory()
         matrix = rng.standard_normal((4, 8)).astype(np.float32)
-        data = matrix_to_bf16_bytes(matrix)
-        assert len(data) == 4 * 8 * 2
-        recovered = bf16_bytes_to_matrix(data, 4, 8)
+        memory.write_matrix(0, matrix, DType.BF16)
+        recovered = memory.read_matrix(0, 4, 8, DType.BF16)
         assert np.allclose(recovered, matrix, rtol=2 ** -7)

@@ -34,12 +34,6 @@ class TestSingleInstruction:
         timing = pipeline.schedule(TileComputeRequest(op_id=0, operands_ready=100))
         assert timing.wl_start == 100
 
-    def test_stage_intervals_mapping(self):
-        pipeline = MatrixEnginePipeline(get_engine("VEGETA-D-1-1"))
-        timing = pipeline.schedule(TileComputeRequest(op_id=0))
-        intervals = timing.stage_intervals()
-        assert set(intervals) == {"WL", "FF", "FS", "DR"}
-
 
 class TestPipelining:
     def test_independent_instructions_issue_every_16_cycles(self):
@@ -65,7 +59,8 @@ class TestPipelining:
     def test_utilization_approaches_one_for_long_streams(self):
         pipeline = MatrixEnginePipeline(get_engine("VEGETA-D-1-2"))
         pipeline.schedule_all([TileComputeRequest(op_id=i) for i in range(200)])
-        assert pipeline.utilization() > 0.9
+        busy = pipeline.timing.busy_cycles_per_instruction * 200
+        assert busy / pipeline.makespan > 0.9
 
 
 class TestDependences:
@@ -106,11 +101,4 @@ class TestDependences:
         pipeline.schedule(TileComputeRequest(op_id=0))
         with pytest.raises(SimulationError):
             pipeline.schedule(TileComputeRequest(op_id=0))
-
-    def test_timing_lookup(self):
-        pipeline = MatrixEnginePipeline(get_engine("VEGETA-D-1-1"))
-        pipeline.schedule(TileComputeRequest(op_id=7))
-        assert pipeline.timing_of(7).op_id == 7
-        with pytest.raises(SimulationError):
-            pipeline.timing_of(3)
 

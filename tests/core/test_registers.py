@@ -131,10 +131,3 @@ class TestTileRegisterFile:
         rf.clear()
         assert rf.read_bytes(treg(0)) == b"\x00" * 1024
         assert rf.read_bytes(mreg(3)) == b"\x00" * 128
-
-    def test_snapshot_keys(self):
-        rf = TileRegisterFile()
-        snapshot = rf.snapshot()
-        assert set(snapshot) == {f"treg{i}" for i in range(8)} | {
-            f"mreg{i}" for i in range(8)
-        }

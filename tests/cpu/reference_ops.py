@@ -41,6 +41,13 @@ def op_signature(op: TraceOp) -> tuple:
     )
 
 
+def is_memory(op: TraceOp) -> bool:
+    """True if the op accesses memory."""
+    if op.kind is TraceOpKind.TILE:
+        return op.tile.opcode.is_load or op.tile.opcode.is_store
+    return op.kind in (TraceOpKind.VECTOR_LOAD, TraceOpKind.VECTOR_STORE)
+
+
 def op_memory_bytes(op: TraceOp) -> int:
     """Bytes moved by the op (0 for non-memory ops).
 
@@ -51,7 +58,7 @@ def op_memory_bytes(op: TraceOp) -> int:
     if op.kind is TraceOpKind.TILE:
         memory = op.tile.memory
         return memory.nbytes if memory is not None else 0
-    return op.nbytes if op.is_memory else 0
+    return op.nbytes if is_memory(op) else 0
 
 
 def intern_signatures(ops: Sequence[TraceOp]) -> np.ndarray:
@@ -102,7 +109,7 @@ def ops_memory_footprint(ops: Iterable[TraceOp]) -> List[Tuple[int, int]]:
     for op in ops:
         if op.kind is TraceOpKind.TILE and op.tile.memory is not None:
             regions[(op.tile.memory.address, op.tile.memory.nbytes)] = True
-        elif op.is_memory and op.address is not None:
+        elif is_memory(op) and op.address is not None:
             regions[(op.address, op.nbytes)] = True
     return sorted(regions.keys())
 

@@ -17,6 +17,8 @@ import math
 from collections import deque
 from typing import Dict, List, Optional, Tuple
 
+from reference_ops import is_memory
+
 from repro.core.engine import EngineConfig
 from repro.cpu.columnar import ColumnarTrace
 from repro.cpu.params import MachineParams
@@ -115,7 +117,7 @@ class ReferenceState:
             self.issue_cycle += 1
             self.issued_this_cycle = 0
         self.issue_cycle = self._retire_from(self.rob, core.rob_entries, self.issue_cycle)
-        if op.is_memory:
+        if is_memory(op):
             self.issue_cycle = self._retire_from(
                 self.load_buffer, core.load_buffer_entries, self.issue_cycle
             )

@@ -238,15 +238,14 @@ class TestEdgeContracts:
         )
         assert result.core_cycles == 0
         assert result.runtime_seconds == 0.0
-        assert result.instructions == 0
-        assert result.ipc == 0.0
+        assert result.trace_summary.total == 0
         assert result.tile_compute_ops == 0
 
     @pytest.mark.parametrize("mode", ["fast", "exact"])
     def test_single_op_trace(self, mode):
         result = CycleApproximateSimulator().run(_trace(TraceBuilder.scalar), mode=mode)
         assert result.core_cycles == 1
-        assert result.instructions == 1
+        assert result.trace_summary.total == 1
 
     @pytest.mark.parametrize("mode", ["fast", "exact"])
     def test_single_load_trace(self, mode):

@@ -45,7 +45,7 @@ class TestCacheParams:
     def test_num_sets(self):
         cache = CacheParams(name="L1", capacity_bytes=32 * 1024, associativity=8)
         assert cache.num_sets == 64
-        assert cache.num_lines == 512
+        assert cache.num_sets * cache.associativity * cache.line_bytes == 32 * 1024
 
     def test_invalid_geometry(self):
         with pytest.raises(ConfigurationError):

@@ -52,7 +52,7 @@ def _emit_tile(draw, builder, computes):
     elif choice == "load_u":
         builder.tile_load_u(u(), draw(ADDRESSES))
     elif choice == "load_v":
-        builder.tile_load_v(vreg(0), draw(ADDRESSES))
+        builder.tile_load(Opcode.TILE_LOAD_V, vreg(0), draw(ADDRESSES))
     elif choice == "load_m":
         builder.tile_load_m(mreg(draw(st.integers(0, 3))), draw(ADDRESSES))
     elif choice == "store":

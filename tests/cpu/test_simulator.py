@@ -69,7 +69,7 @@ class TestBasicBehaviour:
         trace = _simple_gemm_trace(6)
         result = CycleApproximateSimulator(engine=get_engine("VEGETA-D-1-2")).run(trace)
         assert result.tile_compute_ops == 6
-        assert result.instructions == len(trace)
+        assert result.trace_summary.total == len(trace)
         assert result.engine_busy_cycles == 6 * 16
 
     def test_runtime_seconds_positive(self):
@@ -77,7 +77,7 @@ class TestBasicBehaviour:
             _simple_gemm_trace()
         )
         assert result.runtime_seconds > 0
-        assert 0 < result.ipc
+        assert result.core_cycles > 0
 
 
 class TestDependences:

@@ -2,10 +2,9 @@
 
 import numpy as np
 import pytest
-from reference_ops import footprint_lines, summarize_ops
+from reference_ops import footprint_lines, is_memory, summarize_ops
 
-from repro.core import isa
-from repro.core.isa import Opcode
+from repro.core.isa import Instruction, Opcode
 from repro.core.registers import treg
 from repro.cpu.columnar import TraceBuilder
 from repro.cpu.trace import TraceOp, TraceOpKind
@@ -25,15 +24,15 @@ class TestTraceOpConstruction:
     def test_tile_op(self):
         op, _ = one_op(lambda b: b.tile_compute(Opcode.TILE_GEMM, treg(0), treg(1), treg(2)))
         assert op.kind is TraceOpKind.TILE
-        assert not op.is_memory
+        assert not is_memory(op)
 
     def test_tile_load_is_memory(self):
         op, nbytes = one_op(lambda b: b.tile_load_t(treg(0), 0x1000))
-        assert op.is_memory and nbytes == 1024
+        assert is_memory(op) and nbytes == 1024
 
     def test_vector_load(self):
         op, nbytes = one_op(lambda b: b.vector_load(3, 0x2000))
-        assert op.is_memory and nbytes == 64 and op.dst_reg == 3
+        assert is_memory(op) and nbytes == 64 and op.dst_reg == 3
 
     def test_vector_store(self):
         op, _ = one_op(lambda b: b.vector_store(5, 0x3000))
@@ -41,7 +40,7 @@ class TestTraceOpConstruction:
 
     def test_vector_fma(self):
         op, nbytes = one_op(lambda b: b.vector_fma(1, (2, 3)))
-        assert not op.is_memory and nbytes == 0
+        assert not is_memory(op) and nbytes == 0
 
     def test_vector_fma_without_destination(self):
         op, _ = one_op(lambda b: b.vector_fma(None, (2, 3)))
@@ -56,8 +55,9 @@ class TestTraceOpConstruction:
             TraceOp(kind=TraceOpKind.TILE)
 
     def test_non_tile_kind_rejects_instruction(self):
+        gemm = Instruction(Opcode.TILE_GEMM, dst=treg(0), src_a=treg(1), src_b=treg(2))
         with pytest.raises(SimulationError):
-            TraceOp(kind=TraceOpKind.SCALAR, tile=isa.tile_gemm(treg(0), treg(1), treg(2)))
+            TraceOp(kind=TraceOpKind.SCALAR, tile=gemm)
 
     def test_vector_load_needs_address(self):
         with pytest.raises(SimulationError):
@@ -82,7 +82,7 @@ class TestSummarize:
         assert summary.tile_load == 2 and summary.tile_compute == 1 and summary.tile_store == 1
         assert summary.vector_load == 1 and summary.vector_fma == 1
         assert summary.scalar == 1 and summary.branch == 1
-        assert summary.tile_total == 4 and summary.vector_total == 2
+        assert summary.vector_store == 0
         assert summary.by_opcode["TILE_GEMM"] == 1
         assert summary.memory_bytes == 1024 * 3 + 64
 

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from reference_checks import direct_convolution
 
 from repro.kernels.gemm import build_dense_gemm_kernel
-from repro.kernels.im2col import ConvShape, direct_convolution, im2col, weights_to_matrix
+from repro.kernels.im2col import ConvShape, im2col, weights_to_matrix
 from repro.kernels.spmm import build_spmm_kernel
 from repro.kernels.validate import run_functional
 from repro.sparse.pruning import prune_to_pattern

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from reference_checks import validate_kernel
 
 from repro import (
     CycleApproximateSimulator,
@@ -10,8 +11,6 @@ from repro import (
     build_dense_gemm_kernel,
     build_spmm_kernel,
     get_engine,
-    run_functional,
-    validate_kernel,
 )
 from repro.analysis.runtime import resolve_engine, simulate_layer
 from repro.kernels.validate import reference_gemm

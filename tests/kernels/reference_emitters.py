@@ -41,6 +41,13 @@ from repro.kernels.tiling import (
 from repro.types import DEFAULT_GEOMETRY, SparsityPattern
 
 
+def iterate_output_tiles(grid):
+    """Yield the (i, j) coordinates of every C tile of ``grid``, row-major."""
+    for i in range(grid.tiles_m):
+        for j in range(grid.tiles_n):
+            yield i, j
+
+
 def _truncation(total_tiles: int, max_output_tiles: Optional[int]) -> int:
     return total_tiles if max_output_tiles is None else min(max_output_tiles, total_tiles)
 
@@ -118,7 +125,7 @@ def reference_dense_gemm(
     elif variant == "listing1":
         c_reg, a_reg, b_reg = treg(0), treg(2), treg(4)
         if blocks is None:
-            chosen = list(grid.iterate_output_tiles())
+            chosen = list(iterate_output_tiles(grid))
         else:
             chosen = validate_blocks(blocks, grid.tiles_m, grid.tiles_n, "dense-gemm-listing1")
         total_tiles = len(chosen)

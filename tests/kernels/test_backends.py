@@ -16,6 +16,7 @@ import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference_checks import validate_kernel
 
 from repro.core.engine import AMX_GEOMETRY, SME_GEOMETRY, get_engine
 from repro.cpu.columnar import TraceBuilder
@@ -27,7 +28,6 @@ from repro.kernels.gemm import build_dense_gemm_kernel
 from repro.kernels.spgemm import build_spgemm_kernel
 from repro.kernels.spmm import build_spmm_kernel
 from repro.kernels.tiling import TileGrid
-from repro.kernels.validate import validate_kernel
 from repro.types import DEFAULT_GEOMETRY, GemmShape, SparsityPattern, TileGeometry
 from repro.workloads.generator import generate_dense
 

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from reference_checks import validate_kernel
 
 from repro.errors import KernelError
 from repro.kernels.gemm import build_dense_gemm_kernel
-from repro.kernels.validate import reference_gemm, run_functional, validate_kernel
+from repro.kernels.validate import reference_gemm, run_functional
 from repro.types import GemmShape
 from repro.workloads.generator import generate_dense
 

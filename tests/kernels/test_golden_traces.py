@@ -1,7 +1,7 @@
 """Golden-trace regression tests for every kernel builder.
 
 Each snapshot pins the first ~50 trace ops of one builder in the stable text
-format of :func:`repro.cpu.trace.format_trace`, and a ``# sha256:`` header
+format of :func:`format_trace` below, and a ``# sha256:`` header
 line pins the *whole* trace: a digest over every column byte and the label
 table.  A refactor that silently reorders, drops or relabels the emitted
 instructions — which the cycle-level tests might absorb into a
@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.engine import AMX_GEOMETRY, SME_GEOMETRY
-from repro.cpu.trace import format_trace
+from repro.cpu.trace import TraceOpKind
 from repro.kernels import memo
 from repro.kernels.gemm import build_dense_gemm_kernel
 from repro.kernels.memo import build_kernel, clear_build_memo
@@ -77,6 +77,53 @@ def trace_digest(trace) -> str:
     digest = hashlib.sha256(trace.columns.tobytes())
     digest.update("\x00".join(trace.labels).encode("utf-8"))
     return digest.hexdigest()
+
+
+def format_trace_op(op) -> str:
+    """Render one trace op in the stable golden-trace text format.
+
+    The format is append-only by convention: ``tests/golden/`` snapshots it
+    verbatim, so changing existing fields (rather than adding new ones at
+    the end) is a deliberate, test-visible act.
+    """
+    if op.kind is TraceOpKind.TILE:
+        instruction = op.tile
+        fields = [f"TILE {instruction.opcode.value}"]
+        if instruction.dst is not None:
+            fields.append(f"dst={instruction.dst.name}")
+        if instruction.src_a is not None:
+            fields.append(f"a={instruction.src_a.name}")
+        if instruction.src_b is not None:
+            fields.append(f"b={instruction.src_b.name}")
+        if instruction.memory is not None:
+            fields.append(f"addr={instruction.memory.address:#x}")
+            fields.append(f"bytes={instruction.memory.nbytes}")
+        if op.label:
+            fields.append(f"label={op.label!r}")
+        if instruction.feed_overhead >= 0:
+            fields.append(f"feed={instruction.feed_overhead}")
+        return " ".join(fields)
+    fields = [op.kind.value.upper()]
+    if op.dst_reg is not None:
+        fields.append(f"dst=v{op.dst_reg}")
+    if op.src_regs:
+        fields.append("src=" + ",".join(f"v{reg}" for reg in op.src_regs))
+    if op.address is not None:
+        fields.append(f"addr={op.address:#x}")
+        fields.append(f"bytes={op.nbytes}")
+    if op.label:
+        fields.append(f"label={op.label!r}")
+    return " ".join(fields)
+
+
+def format_trace(trace, limit=None) -> str:
+    """Render a trace (or its first ``limit`` ops) one op per line."""
+    lines = []
+    for index, op in enumerate(trace):
+        if limit is not None and index >= limit:
+            break
+        lines.append(f"{index:4d}  {format_trace_op(op)}")
+    return "\n".join(lines)
 
 
 def _render(program):

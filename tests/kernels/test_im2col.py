@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from reference_checks import direct_convolution
 
 from repro.errors import WorkloadError
-from repro.kernels.im2col import ConvShape, direct_convolution, im2col, weights_to_matrix
+from repro.kernels.im2col import ConvShape, im2col, weights_to_matrix
 
 
 class TestConvShape:

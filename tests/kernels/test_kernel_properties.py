@@ -2,10 +2,10 @@
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from reference_checks import validate_kernel
 
 from repro.kernels.gemm import build_dense_gemm_kernel
 from repro.kernels.spmm import build_rowwise_spmm_kernel, build_spmm_kernel
-from repro.kernels.validate import validate_kernel
 from repro.types import GemmShape, SparsityPattern
 from repro.workloads.generator import (
     generate_dense,

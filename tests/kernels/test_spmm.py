@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
+from reference_checks import validate_kernel
 
 from repro.errors import KernelError
 from repro.kernels.gemm import build_dense_gemm_kernel
 from repro.kernels.spmm import build_rowwise_spmm_kernel, build_spmm_kernel
-from repro.kernels.validate import validate_kernel
 from repro.sparse.blocks import minimal_row_patterns
 from repro.sparse.rowwise import group_rows_for_pseudo
 from repro.types import GemmShape, SparsityPattern

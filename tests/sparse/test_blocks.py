@@ -129,14 +129,3 @@ class TestCoveringRule:
             assert pattern is SparsityPattern.covering(int(per_block[row].max()))
             assert blocks.satisfies_pattern(matrix[row : row + 1], pattern)
         assert blocks.tile_pattern(matrix) is SparsityPattern.covering(int(per_block.max()))
-
-
-class TestDensity:
-    def test_density_and_degree_sum_to_one(self, rng):
-        matrix = rng.random((8, 16))
-        matrix[matrix < 0.5] = 0
-        assert blocks.density(matrix) + blocks.sparsity_degree(matrix) == pytest.approx(1.0)
-
-    def test_empty_matrix_rejected(self):
-        with pytest.raises(SparsityError):
-            blocks.density(np.zeros((0, 4)))

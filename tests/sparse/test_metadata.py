@@ -36,35 +36,13 @@ class TestPackUnpack:
         with pytest.raises(CompressionError):
             metadata.pack_indices(np.array([[0, 1, 2]]))
 
+    @pytest.mark.parametrize(
+        ("data", "rows", "nnz_per_row"), [(b"\xff\xff", 2, 3), (b"\xff", 1, 5)]
+    )
+    def test_unpack_rejects_partial_bytes(self, data, rows, nnz_per_row):
+        with pytest.raises(CompressionError, match="do not pack into whole bytes"):
+            metadata.unpack_indices(data, rows, nnz_per_row)
+
     def test_unpack_rejects_short_buffer(self):
         with pytest.raises(CompressionError):
             metadata.unpack_indices(b"\x00", 2, 32)
-
-
-class TestMetadataSize:
-    def test_default_is_one_mreg(self):
-        assert metadata.metadata_nbytes() == DEFAULT_GEOMETRY.metadata_reg_bytes
-
-    def test_scales_with_rows(self):
-        assert metadata.metadata_nbytes(rows=8, nnz_per_row=32) == 64
-
-    def test_validate_mreg_size(self):
-        metadata.validate_mreg_size(b"\x00" * DEFAULT_GEOMETRY.metadata_reg_bytes)
-        with pytest.raises(CompressionError):
-            metadata.validate_mreg_size(
-                b"\x00" * (DEFAULT_GEOMETRY.metadata_reg_bytes + 1)
-            )
-
-
-class TestSortedWithinBlocks:
-    def test_sorted(self):
-        indices = np.array([[0, 2, 1, 3]])
-        assert metadata.indices_are_sorted_within_blocks(indices, 2)
-
-    def test_unsorted(self):
-        indices = np.array([[2, 0, 1, 3]])
-        assert not metadata.indices_are_sorted_within_blocks(indices, 2)
-
-    def test_single_nnz_blocks_trivially_sorted(self):
-        indices = np.array([[3, 0, 1, 2]])
-        assert metadata.indices_are_sorted_within_blocks(indices, 1)

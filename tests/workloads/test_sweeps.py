@@ -8,7 +8,6 @@ from repro.workloads.layers import get_layer
 from repro.workloads.sweeps import (
     FIGURE13_PATTERNS,
     FIGURE15_SPARSITY_DEGREES,
-    FIGURE4_GEMM_SIZES,
     SPGEMM_SWEEP_PATTERNS,
 )
 
@@ -49,9 +48,6 @@ class TestSweeps:
         assert degrees[0] == 0.60 and degrees[-1] == 0.95
         assert degrees == sorted(degrees)
         assert degrees == list(FIGURE15_SPARSITY_DEGREES)
-
-    def test_figure4_sizes(self):
-        assert FIGURE4_GEMM_SIZES == (32, 64, 128)
 
 
 class TestSpgemmSweep:
