@@ -86,3 +86,15 @@ class TestFigure3Series:
             dense = table.where(engine=dense_key).rows
             for sparse_row, dense_row in zip(sparse, dense):
                 assert sparse_row["effective_tflops"] >= dense_row["effective_tflops"]
+
+
+class TestCrossover:
+    def test_sparse_matrix_beats_dense_below_full_density(self):
+        sparse, dense = FIGURE3_ENGINES["sparse_matrix"], FIGURE3_ENGINES["dense_matrix"]
+        for density in (0.1, 0.5, 0.9, 0.95):
+            assert effective_throughput_tflops(sparse, density) > effective_throughput_tflops(
+                dense, density
+            )
+        assert effective_throughput_tflops(sparse, 1.0) == pytest.approx(
+            effective_throughput_tflops(dense, 1.0)
+        )

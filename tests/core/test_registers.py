@@ -76,6 +76,12 @@ class TestTileRegisterFile:
         with pytest.raises(RegisterError):
             rf.write_bytes(treg(0), b"\x00" * 2048)
 
+    def test_long_mreg_write_rejected(self):
+        rf = TileRegisterFile()
+        rf.write_bytes(mreg(3), b"\x00" * DEFAULT_GEOMETRY.metadata_reg_bytes)
+        with pytest.raises(RegisterError):
+            rf.write_bytes(mreg(3), b"\x00" * (DEFAULT_GEOMETRY.metadata_reg_bytes + 1))
+
     def test_ureg_aliases_tregs(self):
         rf = TileRegisterFile()
         rf.write_bytes(ureg(0), b"\xab" * 2048)

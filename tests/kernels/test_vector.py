@@ -16,6 +16,16 @@ class TestVectorKernel:
         # One 32-wide FMA per (row, k) pair per column block.
         assert summary.vector_fma == 32 * 32 * (32 // 32)
 
+    @pytest.mark.parametrize("dim", [32, 64, 128])
+    def test_estimate_matches_builder(self, dim):
+        # Per (row block, column block): 5 loop-overhead ops, mr C loads, per
+        # k one B load + mr broadcast FMAs + 2 loop ops, mr C stores.
+        mr = 4
+        per_block = 5 + mr + dim * (1 + mr + 2) + mr
+        expected = (dim // mr) * (dim // 32) * per_block
+        program = build_vector_gemm_kernel(GemmShape(dim, dim, dim), mr=mr)
+        assert program.instruction_count == expected
+
     def test_many_more_instructions_than_matrix_kernel(self):
         shape = GemmShape(64, 64, 64)
         vector = build_vector_gemm_kernel(shape)

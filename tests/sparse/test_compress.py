@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import CompressionError
+from repro.sparse import blocks
 from repro.sparse.compress import CompressedTile, compress
 from repro.sparse.pruning import prune_to_pattern
 from repro.types import SparsityPattern, TileShape
@@ -85,3 +86,39 @@ class TestCompressedTileValidation:
                 pattern=SparsityPattern.SPARSE_2_4,
                 effective_shape=TileShape(2, 16),
             )
+
+
+class TestStorageAccounting:
+    @staticmethod
+    def _stored_bytes(tile):
+        # bf16 values plus the packed 2-bit positional metadata.
+        return tile.values.size * 2 + len(tile.metadata_bytes())
+
+    def test_compressed_smaller_than_dense(self, rng):
+        matrix = _make_sparse(rng, 16, 64, SparsityPattern.SPARSE_2_4)
+        tile = compress(matrix, SparsityPattern.SPARSE_2_4)
+        assert self._stored_bytes(tile) < matrix.size * 2
+
+    def test_compressed_bytes_value(self, rng):
+        matrix = _make_sparse(rng, 16, 64, SparsityPattern.SPARSE_2_4)
+        tile = compress(matrix, SparsityPattern.SPARSE_2_4)
+        # 512 stored bf16 values + 128 bytes of metadata.
+        assert self._stored_bytes(tile) == 512 * 2 + 128
+
+
+class TestAutoCompression:
+    def test_tile_pattern_picks_tightest(self, rng):
+        matrix = _make_sparse(rng, 16, 64, SparsityPattern.SPARSE_1_4)
+        pattern = blocks.tile_pattern(matrix)
+        assert pattern is SparsityPattern.SPARSE_1_4
+        tile = compress(matrix, pattern)
+        assert tile.values.shape == (16, 16)
+        assert np.array_equal(tile.decompress(), matrix)
+
+
+class TestSortedWithinBlocks:
+    def test_sorted(self, rng):
+        matrix = _make_sparse(rng, 16, 64, SparsityPattern.SPARSE_2_4)
+        indices = compress(matrix, SparsityPattern.SPARSE_2_4).indices
+        # Figure 2 keeps each block's non-zeros in their original order.
+        assert np.all(np.diff(indices.reshape(16, 16, 2), axis=2) > 0)

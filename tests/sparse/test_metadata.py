@@ -37,7 +37,9 @@ class TestPackUnpack:
             metadata.pack_indices(np.array([[0, 1, 2]]))
 
     @pytest.mark.parametrize(
-        ("data", "rows", "nnz_per_row"), [(b"\xff\xff", 2, 3), (b"\xff", 1, 5)]
+        ("data", "rows", "nnz_per_row"),
+        # The last case fills one whole byte, but neither of its rows does.
+        [(b"\xff\xff", 2, 3), (b"\xff", 1, 5), (b"\xff", 2, 2)],
     )
     def test_unpack_rejects_partial_bytes(self, data, rows, nnz_per_row):
         with pytest.raises(CompressionError, match="do not pack into whole bytes"):
@@ -46,3 +48,9 @@ class TestPackUnpack:
     def test_unpack_rejects_short_buffer(self):
         with pytest.raises(CompressionError):
             metadata.unpack_indices(b"\x00", 2, 32)
+
+
+class TestMetadataSize:
+    def test_scales_with_rows(self, rng):
+        indices = rng.integers(0, 4, size=(8, 32))
+        assert len(metadata.pack_indices(indices)) == 64

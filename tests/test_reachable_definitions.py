@@ -24,6 +24,7 @@ can miss a dead definition that shares its name with live code.
 
 import ast
 import re
+import textwrap
 import tokenize
 from pathlib import Path
 
@@ -52,8 +53,8 @@ class Definition:
         self.body = body
         self.owner = owner
 
-    def location(self):
-        return f"{self.path.relative_to(PACKAGE_ROOT.parent)}:{self.line} {self.name}"
+    def location(self, base=PACKAGE_ROOT.parent):
+        return f"{self.path.relative_to(base).as_posix()}:{self.line} {self.name}"
 
 
 def _is_dunder(name):
@@ -93,10 +94,10 @@ def _decorator_name(decorator):
     return getattr(decorator, "id", None)
 
 
-def _modules():
-    for path in sorted(PACKAGE_ROOT.rglob("*.py")):
+def _modules(package_root=PACKAGE_ROOT):
+    for path in sorted(package_root.rglob("*.py")):
         if path.name != "__init__.py":
-            yield path, ".".join(path.relative_to(PACKAGE_ROOT).with_suffix("").parts)
+            yield path, ".".join(path.relative_to(package_root).with_suffix("").parts)
 
 
 def scan_module(path, module):
@@ -139,17 +140,22 @@ def scan_module(path, module):
     return definitions, roots, decorated
 
 
-def unreached_definitions():
+def unreached_definitions(
+    package_root=PACKAGE_ROOT,
+    root_directories=tuple(REPO_ROOT / directory for directory in ROOT_DIRECTORIES),
+    allowlist=ALLOWLIST,
+):
+    """The definitions under ``package_root`` that nothing reaches, in file order."""
     definitions, roots, decorated = [], [], []
-    for path, module in _modules():
+    for path, module in _modules(package_root):
         found, module_roots, module_decorated = scan_module(path, module)
         definitions += found
         roots += module_roots
         decorated += module_decorated
     names, attributes = set(), set()
     _read(roots, names, attributes)
-    for directory in ROOT_DIRECTORIES:
-        for path in sorted((REPO_ROOT / directory).rglob("*.py")):
+    for directory in root_directories:
+        for path in sorted(directory.rglob("*.py")):
             tokens = _root_tokens(path)
             names |= tokens
             attributes |= tokens
@@ -183,7 +189,7 @@ def unreached_definitions():
     return [
         definition
         for definition in definitions
-        if definition not in reached and definition.qualname not in ALLOWLIST
+        if definition not in reached and definition.qualname not in allowlist
     ]
 
 
@@ -205,3 +211,275 @@ def test_allowlist_names_existing_definitions_with_reasons():
     for qualname, reason in ALLOWLIST.items():
         assert qualname in defined, f"allowlisted {qualname} is not defined"
         assert reason.strip(), f"allowlisted {qualname} needs a reason"
+
+
+# -- the scan's rules, on small synthetic trees ---------------------------------------
+
+
+def _unreached(tmp_path, files, allowlist=None):
+    """Write ``files`` (relative path -> source) under ``tmp_path`` and scan
+    its ``pkg`` package with ``examples/`` as the only root directory."""
+    for name, source in files.items():
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(source))
+    (tmp_path / "examples").mkdir(exist_ok=True)
+    return [
+        definition.qualname
+        for definition in unreached_definitions(
+            tmp_path / "pkg", (tmp_path / "examples",), allowlist or {}
+        )
+    ]
+
+
+def test_a_definition_only_tests_name_is_unreached(tmp_path):
+    files = {
+        "pkg/a.py": "def helper():\n    return 1\n",
+        "tests/test_a.py": "from pkg.a import helper\n\nassert helper() == 1\n",
+    }
+    assert _unreached(tmp_path, files) == ["a.helper"]
+
+
+def test_module_level_statements_are_roots(tmp_path):
+    files = {"pkg/a.py": "def used():\n    return 1\n\n\nused()\n"}
+    assert _unreached(tmp_path, files) == []
+
+
+def test_package_init_imports_are_not_roots(tmp_path):
+    files = {
+        "pkg/__init__.py": 'from . import a\n\nhelper = a.helper\n__all__ = ["helper"]\n',
+        "pkg/a.py": "def helper():\n    return 1\n",
+    }
+    assert _unreached(tmp_path, files) == ["a.helper"]
+
+
+def test_reach_is_a_fixed_point_across_modules(tmp_path):
+    files = {
+        "pkg/a.py": """
+            from .b import middle
+
+
+            def dead():
+                return middle()
+
+
+            middle()
+        """,
+        "pkg/b.py": """
+            def leaf():
+                return 1
+
+
+            def middle():
+                return leaf()
+        """,
+    }
+    assert _unreached(tmp_path, files) == ["a.dead"]
+
+
+def test_a_module_constant_is_reached_by_name(tmp_path):
+    files = {
+        "pkg/a.py": """
+            LIMIT = 4
+            UNUSED = 5
+
+
+            def bound():
+                return LIMIT
+
+
+            bound()
+        """
+    }
+    assert _unreached(tmp_path, files) == ["a.UNUSED"]
+
+
+def test_a_project_decorator_makes_what_it_wraps_a_root(tmp_path):
+    files = {
+        "pkg/a.py": """
+            REGISTRY = []
+
+
+            def register(function):
+                REGISTRY.append(function)
+                return function
+
+
+            @register
+            def trial():
+                return helper()
+
+
+            def helper():
+                return 1
+        """
+    }
+    assert _unreached(tmp_path, files) == []
+
+
+def test_a_foreign_decorator_does_not_make_a_root(tmp_path):
+    files = {
+        "pkg/a.py": """
+            import functools
+
+
+            @functools.lru_cache(maxsize=None)
+            def cached():
+                return 1
+        """
+    }
+    assert _unreached(tmp_path, files) == ["a.cached"]
+
+
+def test_a_method_needs_its_class_reached(tmp_path):
+    files = {
+        "pkg/a.py": """
+            class Box:
+                def open(self):
+                    return 1
+
+
+            def run(thing):
+                return thing.open()
+
+
+            run(None)
+        """
+    }
+    assert _unreached(tmp_path, files) == ["a.Box", "a.Box.open"]
+
+
+def test_a_method_needs_its_attribute_read(tmp_path):
+    files = {
+        "pkg/a.py": """
+            class Box:
+                def open(self):
+                    return 1
+
+                def close(self):
+                    return 0
+
+
+            Box().open()
+        """
+    }
+    assert _unreached(tmp_path, files) == ["a.Box.close"]
+
+
+def test_a_bare_name_does_not_reach_a_method(tmp_path):
+    files = {
+        "pkg/a.py": """
+            class Box:
+                def open(self):
+                    return 1
+
+
+            def run(open):
+                return open
+
+
+            run(Box())
+        """
+    }
+    assert _unreached(tmp_path, files) == ["a.Box.open"]
+
+
+def test_base_classes_are_roots(tmp_path):
+    files = {
+        "pkg/a.py": """
+            class Base:
+                pass
+
+
+            class Child(Base):
+                pass
+        """
+    }
+    assert _unreached(tmp_path, files) == ["a.Child"]
+
+
+def test_decorator_arguments_are_roots(tmp_path):
+    files = {
+        "pkg/a.py": """
+            import functools
+
+            SIZE = 8
+
+
+            @functools.lru_cache(maxsize=SIZE)
+            def cached():
+                return 1
+        """
+    }
+    assert _unreached(tmp_path, files) == ["a.cached"]
+
+
+def test_dunders_and_the_class_body_come_with_a_reached_class(tmp_path):
+    files = {
+        "pkg/a.py": """
+            def default_size():
+                return 1
+
+
+            def helper():
+                return 2
+
+
+            class Box:
+                size: int = default_size()
+
+                def __init__(self):
+                    self.extra = helper()
+
+                def __len__(self):
+                    return self.size
+
+
+            Box()
+        """
+    }
+    assert _unreached(tmp_path, files) == []
+
+
+def test_names_in_root_directories_are_roots(tmp_path):
+    files = {
+        "pkg/a.py": "def helper():\n    return 1\n",
+        "examples/demo.py": "from pkg.a import helper\n\nhelper()\n",
+    }
+    assert _unreached(tmp_path, files) == []
+
+
+def test_dotted_name_strings_in_root_directories_are_roots(tmp_path):
+    files = {
+        "pkg/a.py": """
+            class Box:
+                def open(self):
+                    return 1
+
+                def close(self):
+                    return 0
+        """,
+        "examples/trace_targets.py": 'TARGETS = ["Box.open"]\n',
+    }
+    assert _unreached(tmp_path, files) == ["a.Box.close"]
+
+
+def test_prose_strings_in_root_directories_are_not_roots(tmp_path):
+    files = {
+        "pkg/a.py": "def helper():\n    return 1\n",
+        "examples/demo.py": 'print("call helper first")\n',
+    }
+    assert _unreached(tmp_path, files) == ["a.helper"]
+
+
+def test_an_allowlisted_definition_is_not_reported(tmp_path):
+    files = {"pkg/a.py": "def helper():\n    return 1\n\n\ndef other():\n    return 2\n"}
+    allowlist = {"a.helper": "reached through a computed name"}
+    assert _unreached(tmp_path, files, allowlist) == ["a.other"]
+
+
+def test_a_failure_names_path_line_and_definition(tmp_path):
+    _unreached(tmp_path, {"pkg/sub/a.py": "import os\n\n\ndef helper():\n    return os.sep\n"})
+    (definition,) = unreached_definitions(tmp_path / "pkg", (), {})
+    assert definition.qualname == "sub.a.helper"
+    assert definition.location(tmp_path) == "pkg/sub/a.py:4 helper"
